@@ -58,7 +58,7 @@ def bench_plru_vs_lru(benchmark):
             ORDER,
             "lru-50",
             policy="assoc8",
-            engine="replay",
+            engine="step",
         )
         plru = run_experiment(
             "shared-opt",
@@ -68,7 +68,7 @@ def bench_plru_vs_lru(benchmark):
             ORDER,
             "lru-50",
             policy="assoc8-plru",
-            engine="replay",
+            engine="step",
         )
         return lru.ms, plru.ms
 

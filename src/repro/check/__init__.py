@@ -28,16 +28,16 @@ optimality claims rest on invariants that can be proved over the
 * **enginemodel** — a static walk of the configuration space and the
   experiment/sweep call sites flags every cell that will silently fall
   back from the replay engine to the step engine;
-* **lint** — an AST pass over the sources enforcing repo idioms
-  (directives wrapped in ``if ctx.explicit``, schedules registered, no
-  mutable defaults, no ``==`` on floating-point ``Tdata``, engine
-  fallback sites recording telemetry);
-* **purity / determinism** — an intraprocedural dataflow engine
-  (:mod:`repro.check.dataflow`) statically proves that no engine knob
-  reaches a cell fingerprint or checkpoint record
-  (``purity/knob-in-fingerprint``) and that the fingerprint/serde
-  modules are free of wall-clock, RNG, filesystem-order and set-order
-  nondeterminism (``determinism/*``).
+* **lint / determinism** — one serial AST pass over the sources
+  enforcing repo idioms (directives wrapped in ``if ctx.explicit``,
+  schedules registered, no mutable defaults, no ``==`` on
+  floating-point ``Tdata``, engine fallback sites recording telemetry)
+  and keeping the fingerprint/serde modules free of wall-clock, RNG,
+  filesystem-order and set-order nondeterminism (``determinism/*``).
+
+Fingerprint purity is not an analyzer: it is the
+:class:`repro.store.checkpoint.CellKey` type, which has no field an
+engine knob could travel in.
 
 Every rule lives in the :mod:`repro.check.rules` registry (id,
 severity, help text, tier) with config-driven enable/disable and
@@ -83,7 +83,6 @@ from repro.check.gap import (
 from repro.check.incremental import ReportCache
 from repro.check.lint import run_lint, scan_source
 from repro.check.presence import check_presence
-from repro.check.purity import check_purity
 from repro.check.races import check_races
 from repro.check.rules import REGISTRY, Rule, RuleConfig
 from repro.check.runner import (
@@ -120,7 +119,6 @@ __all__ = [
     "check_engine_model",
     "check_parameters",
     "check_presence",
-    "check_purity",
     "check_races",
     "check_tight_bounds",
     "compare_gap_reports",

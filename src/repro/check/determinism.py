@@ -21,35 +21,31 @@ real-world violation, and each gets a rule:
     ``min``/``max``, ``len``, ``set``, a membership test, ...) within
     the same statement.
 ``determinism/set-order``
-    Iterating a value the dataflow engine knows to be an unordered
-    ``set``/``frozenset`` (including one built in ``__init__`` and
-    iterated from another method), or passing one to ``join``/
-    ``json.dumps``.  ``sorted(...)`` strips the kind and is the fix.
+    Iterating a set-shaped value, or passing one to ``join``/
+    ``json.dumps``.  Set-shaped means a set display, a set
+    comprehension, ``set()``/``frozenset()``, ``list()``/``tuple()`` of
+    one, or a name (``self.`` attribute) that the same function (class)
+    binds to one of those — the shape of the ``list(self.outstanding)``
+    drains this rule caught in the sweep engine.  ``sorted(...)`` is
+    the fix.
 ``determinism/hash-in-key``
     The builtin ``hash()`` — salted per-process by ``PYTHONHASHSEED``
     for ``str``/``bytes`` — in modules whose keys are persisted.  Use
     ``hashlib`` digests instead.
 
-The rules run only on modules that feed fingerprints, checkpoints,
-manifests or serde (the lint orchestrator owns the scope list, plus
-``tests/`` for hygiene); flagging wall-clock reads in, say, the
-benchmark harness would be noise.
+The rules are syntactic checks over the node list of the lint pass's
+single shared ``ast.walk``; no flow analysis.  They run only on modules
+that feed fingerprints, checkpoints, manifests or serde (the lint
+orchestrator owns the scope list, plus ``tests/`` for hygiene);
+flagging wall-clock reads in, say, the benchmark harness would be
+noise.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.check.dataflow import (
-    KIND_UNORDERED,
-    Scope,
-    TaintSpec,
-    analyze,
-    build_parent_map,
-    call_name,
-    dotted_call_name,
-)
 from repro.check.findings import ERROR, Finding
 
 #: Dotted call names that read the wall clock.
@@ -95,6 +91,41 @@ _ORDER_INSENSITIVE_CONSUMERS = frozenset(
     {"sorted", "min", "max", "sum", "len", "any", "all", "set", "frozenset"}
 )
 
+#: Builtins that build an unordered container, and builtins that keep
+#: their argument's (lack of) order.
+_SET_BUILTINS = frozenset({"set", "frozenset"})
+_ORDER_KEEPING = frozenset({"list", "tuple"})
+
+#: The nodes that own a set-bound name.
+_SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+_Parents = Dict[ast.AST, ast.AST]
+
+
+def call_name(node: ast.Call) -> Optional[str]:
+    """The call's terminal name: ``f(...)`` -> ``f``, ``a.b.c(...)`` ->
+    ``c``."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def dotted_call_name(node: ast.Call) -> Optional[str]:
+    """The dotted form when statically nameable: ``time.time``,
+    ``self.rng.random`` -> ``self.rng.random``."""
+    parts: List[str] = []
+    current: ast.expr = node.func
+    while isinstance(current, ast.Attribute):
+        parts.append(current.attr)
+        current = current.value
+    if isinstance(current, ast.Name):
+        parts.append(current.id)
+        return ".".join(reversed(parts))
+    return None
+
 
 def _finding(
     rule: str, message: str, filename: str, line: int
@@ -108,56 +139,167 @@ def _finding(
     )
 
 
-class DeterminismHooks:
-    """Engine hooks; collects findings on :attr:`findings`.
+def _is_rng(dotted: str, parts: List[str]) -> bool:
+    if dotted in _ENTROPY_CALLS:
+        return True
+    if parts[0] == "random" and len(parts) > 1:
+        return True
+    return "random" in parts[:-1] and parts[-1] in _RNG_TERMINALS
 
-    Public so the lint orchestrator can run determinism and purity in
-    one shared dataflow pass (the engine cost dominates the scan).
-    The hooks ignore taint labels entirely — only kinds and call shapes
-    matter — so they are safe to run under any :class:`TaintSpec`.
-    """
 
-    def __init__(
-        self, filename: str, parents: Dict[ast.AST, ast.AST]
-    ) -> None:
-        self.filename = filename
+def _sorts_keys(node: ast.Call) -> bool:
+    for keyword in node.keywords:
+        if (
+            keyword.arg == "sort_keys"
+            and isinstance(keyword.value, ast.Constant)
+            and bool(keyword.value.value)
+        ):
+            return True
+    return False
+
+
+def _order_insensitive(node: ast.Call, parents: _Parents) -> bool:
+    """Whether an enclosing expression (same statement) consumes the
+    walk order-insensitively."""
+    current: ast.AST = node
+    while True:
+        parent = parents.get(current)
+        if parent is None or isinstance(parent, ast.stmt):
+            # ``for x in sorted(...)`` puts the sanitizer inside the
+            # expression, so reaching the statement means no sanitizer
+            # was found — except a ``with`` over scandir, which is a
+            # resource acquisition, not an iteration.
+            return isinstance(parent, (ast.With, ast.AsyncWith))
+        if (
+            isinstance(parent, ast.Call)
+            and call_name(parent) in _ORDER_INSENSITIVE_CONSUMERS
+        ):
+            return True
+        if isinstance(parent, ast.Compare) and any(
+            isinstance(op, (ast.In, ast.NotIn)) for op in parent.ops
+        ):
+            return True
+        current = parent
+
+
+def _owner(
+    node: ast.AST, parents: _Parents, kind: type = ast.AST
+) -> Optional[ast.AST]:
+    """The nearest enclosing scope node (of ``kind``) of ``node``."""
+    current = parents.get(node)
+    while current is not None:
+        if isinstance(current, _SCOPES) and isinstance(current, kind):
+            return current
+        current = parents.get(current)
+    return None
+
+
+class _SetShapes:
+    """Which names and ``self.`` attributes each scope binds to a set."""
+
+    def __init__(self, nodes: Sequence[ast.AST], parents: _Parents) -> None:
         self.parents = parents
-        self.findings: List[Finding] = []
-        #: (rule, line) pairs already reported — the fixpoint engine
-        #: visits comprehension generators once, but a call can sit in
-        #: both an iter expression and a generic walk.
-        self._seen: Set[Tuple[str, int]] = set()
+        self.bound: Set[Tuple[int, str]] = set()
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                targets: Sequence[ast.expr] = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            if node.value is None or not self.shaped(node.value, track=False):
+                continue
+            for target in targets:
+                slot = self._slot(target)
+                if slot is not None:
+                    self.bound.add(slot)
 
-    def _emit(self, rule: str, message: str, line: int) -> None:
-        if (rule, line) in self._seen:
-            return
-        self._seen.add((rule, line))
-        self.findings.append(_finding(rule, message, self.filename, line))
+    def _slot(self, node: ast.expr) -> Optional[Tuple[int, str]]:
+        """``(id(scope), name)`` for a name or ``self.<attr>`` node."""
+        if isinstance(node, ast.Name):
+            scope = _owner(node, self.parents)
+            return (id(scope), node.id) if scope is not None else None
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            cls = _owner(node, self.parents, ast.ClassDef)
+            return (id(cls), "self." + node.attr) if cls is not None else None
+        return None
 
-    # -- call sinks ----------------------------------------------------
+    def shaped(self, node: ast.expr, *, track: bool = True) -> bool:
+        """Whether ``node`` is a set-shaped value (see module docs)."""
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return True
+        if isinstance(node, ast.Call):
+            if not isinstance(node.func, ast.Name):
+                return False
+            if node.func.id in _SET_BUILTINS:
+                return True
+            return (
+                node.func.id in _ORDER_KEEPING
+                and len(node.args) == 1
+                and self.shaped(node.args[0], track=track)
+            )
+        return track and bool(self.bound) and self._slot(node) in self.bound
 
-    def on_call(self, node: ast.Call, scope: Scope) -> None:
+
+def walk_with_parents(tree: ast.AST) -> Tuple[List[ast.AST], _Parents]:
+    """:func:`ast.walk`'s breadth-first node list plus a child -> parent
+    map, built in the same single traversal."""
+    nodes: List[ast.AST] = [tree]
+    parents: _Parents = {}
+    for node in nodes:
+        for child in ast.iter_child_nodes(node):
+            parents[child] = node
+            nodes.append(child)
+    return nodes, parents
+
+
+def determinism_findings(
+    nodes: Sequence[ast.AST], parents: _Parents, filename: str
+) -> List[Finding]:
+    """All ``determinism/*`` findings over one module's
+    :func:`walk_with_parents`."""
+    shapes = _SetShapes(nodes, parents)
+    found: Dict[Tuple[str, int], Finding] = {}
+
+    def emit(rule: str, message: str, line: int) -> None:
+        found.setdefault((rule, line), _finding(rule, message, filename, line))
+
+    for node in nodes:
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            if shapes.shaped(node.iter):
+                emit(
+                    "set-order",
+                    "iteration over an unordered set reaches serialized "
+                    "output in this module; iterate sorted(...) instead",
+                    node.iter.lineno,
+                )
+            continue
+        if not isinstance(node, ast.Call):
+            continue
         dotted = dotted_call_name(node)
         parts = dotted.split(".") if dotted else []
         name = call_name(node)
-
         if len(parts) >= 2 and (parts[-2], parts[-1]) in _WALL_CLOCK_SUFFIXES:
-            self._emit(
+            emit(
                 "wall-clock",
                 f"{dotted}() reads the wall clock on a fingerprint/serde "
                 "path; derive timestamps outside identity-bearing data "
                 "(time.perf_counter is fine for telemetry)",
                 node.lineno,
             )
-        if dotted is not None and self._is_rng(dotted, parts):
-            self._emit(
+        if dotted is not None and _is_rng(dotted, parts):
+            emit(
                 "rng",
                 f"{dotted}() draws unseeded entropy on a fingerprint/serde "
                 "path; persisted bytes must be deterministic",
                 node.lineno,
             )
-        if name in _FS_WALKS and not self._order_insensitive(node):
-            self._emit(
+        if name in _FS_WALKS and not _order_insensitive(node, parents):
+            emit(
                 "unsorted-walk",
                 f"{name}() enumeration order is filesystem-specific; wrap "
                 "the walk in sorted() (or another order-insensitive "
@@ -165,92 +307,29 @@ class DeterminismHooks:
                 node.lineno,
             )
         if isinstance(node.func, ast.Name) and node.func.id == "hash":
-            self._emit(
+            emit(
                 "hash-in-key",
                 "builtin hash() is salted per-process by PYTHONHASHSEED; "
                 "use a hashlib digest for any key that outlives the "
                 "process",
                 node.lineno,
             )
-        if name == "join" and self._unordered_args(node, scope):
-            self._emit(
-                "set-order",
-                "join() over an unordered set produces "
-                "nondeterministic output; sort it first",
-                node.lineno,
-            )
-        if name in ("dumps", "dump") and not self._sorts_keys(node):
-            if self._unordered_args(node, scope):
-                self._emit(
+        if name == "join" or (
+            name in ("dumps", "dump") and not _sorts_keys(node)
+        ):
+            args = [*node.args, *(kw.value for kw in node.keywords)]
+            if any(shapes.shaped(arg) for arg in args):
+                emit(
                     "set-order",
-                    f"{name}() serializes an unordered set-derived value; "
-                    "sort it first",
+                    "join() over an unordered set produces "
+                    "nondeterministic output; sort it first"
+                    if name == "join"
+                    else f"{name}() serializes an unordered set-derived "
+                    "value; sort it first",
                     node.lineno,
                 )
-
-    # -- iteration sinks -----------------------------------------------
-
-    def on_for(
-        self, target: ast.expr, iter_node: ast.expr, scope: Scope
-    ) -> None:
-        if KIND_UNORDERED in scope.kinds(iter_node):
-            self._emit(
-                "set-order",
-                "iteration over an unordered set reaches serialized "
-                "output in this module; iterate sorted(...) instead",
-                iter_node.lineno,
-            )
-
-    # -- helpers -------------------------------------------------------
-
-    @staticmethod
-    def _is_rng(dotted: str, parts: List[str]) -> bool:
-        if dotted in _ENTROPY_CALLS:
-            return True
-        if parts[0] == "random" and len(parts) > 1:
-            return True
-        return "random" in parts[:-1] and parts[-1] in _RNG_TERMINALS
-
-    @staticmethod
-    def _sorts_keys(node: ast.Call) -> bool:
-        for keyword in node.keywords:
-            if (
-                keyword.arg == "sort_keys"
-                and isinstance(keyword.value, ast.Constant)
-                and bool(keyword.value.value)
-            ):
-                return True
-        return False
-
-    def _unordered_args(self, node: ast.Call, scope: Scope) -> bool:
-        return any(
-            KIND_UNORDERED in scope.kinds(arg)
-            for arg in list(node.args)
-            + [kw.value for kw in node.keywords]
-        )
-
-    def _order_insensitive(self, node: ast.Call) -> bool:
-        """Whether an enclosing expression (same statement) consumes the
-        walk order-insensitively."""
-        current: ast.AST = node
-        while True:
-            parent = self.parents.get(current)
-            if parent is None or isinstance(parent, ast.stmt):
-                # ``for x in sorted(...)`` puts the sanitizer inside the
-                # expression, so reaching the statement means no
-                # sanitizer was found — except a ``with`` over scandir,
-                # which is a resource acquisition, not an iteration.
-                return isinstance(parent, (ast.With, ast.AsyncWith))
-            if (
-                isinstance(parent, ast.Call)
-                and call_name(parent) in _ORDER_INSENSITIVE_CONSUMERS
-            ):
-                return True
-            if isinstance(parent, ast.Compare) and any(
-                isinstance(op, (ast.In, ast.NotIn)) for op in parent.ops
-            ):
-                return True
-            current = parent
+    # The walk is breadth-first; report in source order.
+    return [found[k] for k in sorted(found, key=lambda k: k[1])]
 
 
 def check_determinism(
@@ -258,10 +337,10 @@ def check_determinism(
 ) -> List[Finding]:
     """All ``determinism/*`` findings for one parsed, in-scope module.
 
-    ``source`` is unused (signature symmetry with the purity pass);
-    suppression handling lives in the lint orchestrator.
+    ``source`` is unused; suppression handling lives in the lint
+    orchestrator, which runs :func:`determinism_findings` over the walk
+    it shares with the lint rules.
     """
     del source
-    hooks = DeterminismHooks(filename, build_parent_map(tree))
-    analyze(tree, TaintSpec(), hooks)
-    return hooks.findings
+    nodes, parents = walk_with_parents(tree)
+    return determinism_findings(nodes, parents, filename)

@@ -32,7 +32,7 @@ ERROR = "error"
 #: v1 = PR-1 analyzers; v2 = rule ids + cost-conformance analyzer;
 #: v3 = tight-bound conformance + optimality-gap certificate +
 #: engine-conformance analyzer; v4 = rule registry, inline
-#: suppressions and the dataflow purity/determinism analyzers.
+#: suppressions and the determinism rules.
 CHECKER_VERSION = 4
 
 

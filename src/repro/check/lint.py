@@ -55,26 +55,23 @@ Seven rules, each born from a real failure mode of this codebase:
 The syntactic rules above are dispatched through the
 :mod:`repro.check.rules` registry (config-driven enable/disable), and
 this module also hosts the per-file scan *orchestrator*
-(:func:`scan_source` / :func:`run_lint`): it layers the dataflow
-analyzer families — :mod:`repro.check.determinism` on
-fingerprint-feeding modules and ``tests/``, :mod:`repro.check.purity`
-on the whole package — over the lint pass, applies inline
-``# repro: noqa[rule-id]`` suppressions, raises
-``meta/unused-suppression`` for dead waivers, and scans files in
-parallel.  The lint rules themselves are purely syntactic
-(:mod:`ast`), need no imports of the linted code, and run over the
-whole package in well under a second.
+(:func:`scan_source` / :func:`run_lint`): it runs the
+:mod:`repro.check.determinism` rules on fingerprint-feeding modules
+and ``tests/`` over the same ``ast.walk`` as the lint rules, applies
+inline ``# repro: noqa[rule-id]`` suppressions and raises
+``meta/unused-suppression`` for dead waivers.  Every rule is purely
+syntactic (:mod:`ast`) and needs no imports of the linted code; files
+are scanned one after another in one thread.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.check.determinism import determinism_findings, walk_with_parents
 from repro.check.findings import ERROR, Finding
 from repro.check.rules import (
     DEFAULT_CONFIG,
@@ -470,15 +467,14 @@ _Check = Callable[[Sequence[ast.AST], str, List[Finding]], None]
 
 @dataclass(frozen=True)
 class FileProfile:
-    """Which analyzer families and module-role gates apply to a file.
+    """Which rule families and module-role gates apply to a file.
 
     The role flags mirror the package layout: ``algorithms_module``
     enables the directive/registry rules, ``store_module`` exempts the
     one package allowed to perform raw writes, ``check_module`` exempts
     the analyzers that probe ``supports`` analytically.  The family
-    flags pick analysis passes: ``lint`` (syntactic), ``determinism``
-    (dataflow, fingerprint-feeding modules plus tests), ``purity``
-    (dataflow, knob→fingerprint).
+    flags pick rule families: ``lint`` (repo idioms) and
+    ``determinism`` (fingerprint-feeding modules plus tests).
     """
 
     algorithms_module: bool = False
@@ -487,7 +483,6 @@ class FileProfile:
     benchmark_module: bool = False
     lint: bool = True
     determinism: bool = False
-    purity: bool = False
 
     @property
     def families(self) -> Set[str]:
@@ -496,8 +491,6 @@ class FileProfile:
             out.add("lint")
         if self.determinism:
             out.add("determinism")
-        if self.purity:
-            out.add("purity")
         return out
 
 
@@ -520,7 +513,7 @@ def lint_source(
     inside :mod:`repro.check`, which probe the replay ``supports``
     predicate analytically and are exempt from ``fallback-telemetry``.
 
-    This is the bare ``lint`` family: no dataflow rules, no
+    This is the bare ``lint`` family: no determinism rules, no
     suppression handling — :func:`scan_source` is the full per-file
     pipeline.
     """
@@ -568,21 +561,26 @@ def _lint_tree(
 ) -> None:
     # One walk shared by every check — walking per rule dominated the
     # scan's profile.
-    nodes = list(ast.walk(tree))
-    for rule_id, gate, check in _SIMPLE_CHECKS:
-        if gate == "not-store" and profile.store_module:
-            continue
-        if gate == "not-check" and profile.check_module:
-            continue
-        if gate == "benchmark-only" and not profile.benchmark_module:
-            continue
-        if config.allows(rule_id):
-            check(nodes, filename, findings)
-    if profile.algorithms_module:
-        if config.allows("lint/explicit-guard"):
-            _check_explicit_guard(tree, filename, findings)
-        if config.allows("lint/unregistered-algorithm"):
-            _check_registered(nodes, filename, registered, findings)
+    nodes, parents = walk_with_parents(tree)
+    if profile.lint:
+        for rule_id, gate, check in _SIMPLE_CHECKS:
+            if gate == "not-store" and profile.store_module:
+                continue
+            if gate == "not-check" and profile.check_module:
+                continue
+            if gate == "benchmark-only" and not profile.benchmark_module:
+                continue
+            if config.allows(rule_id):
+                check(nodes, filename, findings)
+        if profile.algorithms_module:
+            if config.allows("lint/explicit-guard"):
+                _check_explicit_guard(tree, filename, findings)
+            if config.allows("lint/unregistered-algorithm"):
+                _check_registered(nodes, filename, registered, findings)
+    if profile.determinism:
+        findings += filter_findings(
+            determinism_findings(nodes, parents, filename), config
+        )
 
 
 def scan_source(
@@ -593,48 +591,24 @@ def scan_source(
     registered: Optional[Set[str]] = None,
     config: Optional[RuleConfig] = None,
 ) -> List[Finding]:
-    """The full per-file pipeline: every applicable analyzer family,
-    then inline ``# repro: noqa[rule-id]`` suppressions, then the
+    """The full per-file pipeline: every applicable rule family, then
+    inline ``# repro: noqa[rule-id]`` suppressions, then the
     ``meta/unused-suppression`` self-check.
     """
-    from repro.check.dataflow import MultiHooks, TaintSpec, analyze, build_parent_map
-    from repro.check.determinism import DeterminismHooks
-    from repro.check.purity import PurityHooks, purity_spec
-
     prof = profile if profile is not None else FileProfile()
     cfg = config if config is not None else DEFAULT_CONFIG
     findings: List[Finding] = []
     tree = _parse(source, filename, findings)
     if tree is None:
         return findings
-    if prof.lint:
-        _lint_tree(
-            tree,
-            filename,
-            findings,
-            profile=prof,
-            registered=registered or set(),
-            config=cfg,
-        )
-    # The dataflow pass costs ~10ms/file; a file with no fingerprint or
-    # writer sink cannot produce a purity finding, so gate on the sink
-    # names textually before paying for the engine.
-    purity = prof.purity and (
-        "cell_fingerprint" in source or "writer" in source
+    _lint_tree(
+        tree,
+        filename,
+        findings,
+        profile=prof,
+        registered=registered or set(),
+        config=cfg,
     )
-    if prof.determinism or purity:
-        # Both analyzers ride one dataflow pass: the determinism hooks
-        # only read kinds and call shapes, so the purity spec (a strict
-        # superset of the empty spec) serves both.
-        hooks: List[Union[DeterminismHooks, PurityHooks]] = []
-        if prof.determinism:
-            hooks.append(DeterminismHooks(filename, build_parent_map(tree)))
-        if purity:
-            hooks.append(PurityHooks(filename))
-        spec = purity_spec() if purity else TaintSpec()
-        analyze(tree, spec, MultiHooks(hooks))
-        for hook in hooks:
-            findings += filter_findings(hook.findings, cfg)
     index = SuppressionIndex.from_source(source, filename)
     kept, _suppressed = index.filter(findings)
     if cfg.allows(UNUSED_SUPPRESSION):
@@ -682,7 +656,7 @@ def _profile_for(path: Path, package_root: Optional[Path]) -> FileProfile:
         # Tests get the determinism hygiene pass only: they seed and
         # replay fingerprints, but repo idioms (atomic writes, guards)
         # do not apply to fixtures.
-        return FileProfile(lint=False, determinism=True, purity=False)
+        return FileProfile(lint=False, determinism=True)
     determinism = relative is not None and (
         relative.startswith(("store/", "fabric/"))
         or relative in _DETERMINISM_FILES
@@ -694,7 +668,6 @@ def _profile_for(path: Path, package_root: Optional[Path]) -> FileProfile:
         benchmark_module="benchmarks" in path.parts and relative is None,
         lint=True,
         determinism=determinism,
-        purity=relative is not None,
     )
 
 
@@ -703,7 +676,6 @@ def run_lint(
     *,
     paths: Optional[Iterable[Path]] = None,
     config: Optional[RuleConfig] = None,
-    jobs: Optional[int] = None,
 ) -> List[Finding]:
     """The source scan over the :mod:`repro` package (or explicit files).
 
@@ -714,14 +686,14 @@ def run_lint(
     held to the same rules (e.g. ``nonatomic-artifact-write``) as the
     package's — and ``tests/`` gets the determinism hygiene pass.
 
-    Files are scanned in parallel (``jobs`` threads, default
-    ``min(8, cpu)``); output order is deterministic regardless.
+    Files are scanned serially, in path order: :func:`ast.parse` is
+    not safe to drive from several threads (CPython 3.11.7 raises
+    ``SystemError: AST constructor recursion depth mismatch``), and
+    under the GIL threads cannot speed up a CPU-bound parse anyway.
     """
-    package_root: Optional[Path] = None
     if paths is None:
         if root is None:
             root = Path(__file__).resolve().parent.parent
-        package_root = root
         scan = sorted(root.rglob("*.py"))
         if root.parent.name == "src":
             repo_root = root.parent.parent
@@ -730,29 +702,15 @@ def run_lint(
                 if extra.is_dir():
                     scan += sorted(extra.rglob("*.py"))
         paths = scan
-    else:
-        paths = list(paths)
-        package_root = root
     registered = _registered_names()
     cfg = config if config is not None else DEFAULT_CONFIG
-
-    def scan_one(path: Path) -> List[Finding]:
-        return scan_source(
+    findings: List[Finding] = []
+    for path in paths:
+        findings += scan_source(
             path.read_text(encoding="utf-8"),
             str(path),
-            profile=_profile_for(path, package_root),
+            profile=_profile_for(path, root),
             registered=registered,
             config=cfg,
         )
-
-    todo = list(paths)
-    workers = jobs if jobs is not None else min(8, os.cpu_count() or 1)
-    findings: List[Finding] = []
-    if workers > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(scan_one, todo):
-                findings += batch
-    else:
-        for path in todo:
-            findings += scan_one(path)
     return findings

@@ -11,7 +11,7 @@ drift.  This module is now the single source of truth:
 * :data:`REGISTRY` — every rule the checker can emit, registered at
   import time.  The SARIF exporter renders its metadata into the
   ``rules`` array, ``repro-mmm check --list-rules`` prints it, and the
-  lint/dataflow dispatchers consult it to know which checks to run.
+  lint dispatcher consults it to know which checks to run.
 * :class:`RuleConfig` — config-driven enable/disable by rule id or
   family (``--enable``/``--disable`` on the CLI).  An explicit enable
   beats an explicit disable beats the rule's registered default.
@@ -36,12 +36,11 @@ from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence, Se
 from repro.check.findings import ERROR, WARNING, Finding
 
 #: Analysis tiers (which pass owns a rule).  ``schedule`` rules come
-#: from the recorded-event analyzers, ``lint`` from the syntactic AST
-#: pass, ``determinism``/``purity`` from the dataflow engine,
-#: ``engine`` from the engine-conformance walk, ``gap`` from the
-#: optimality-gap certificate, ``meta`` from the checker's own
-#: self-checks (suppression hygiene).
-TIERS = ("schedule", "lint", "determinism", "purity", "engine", "gap", "meta")
+#: from the recorded-event analyzers, ``lint`` and ``determinism`` from
+#: the syntactic AST pass, ``engine`` from the engine-conformance walk,
+#: ``gap`` from the optimality-gap certificate, ``meta`` from the
+#: checker's own self-checks (suppression hygiene).
+TIERS = ("schedule", "lint", "determinism", "engine", "gap", "meta")
 
 
 @dataclass(frozen=True)
@@ -392,7 +391,7 @@ _r("lint/unpinned-bench-engine", ERROR,
 _r("lint/syntax", ERROR,
    "Source file does not parse", "lint")
 
-# -- determinism (dataflow tier) ---------------------------------------
+# -- determinism ------------------------------------------------------
 _r("determinism/wall-clock", ERROR,
    "Wall-clock read on a fingerprint/checkpoint/serde path", "determinism")
 _r("determinism/rng", ERROR,
@@ -404,11 +403,6 @@ _r("determinism/set-order", ERROR,
    "Unordered set iteration reaching serialized output", "determinism")
 _r("determinism/hash-in-key", ERROR,
    "PYTHONHASHSEED-dependent hash() in a persisted key", "determinism")
-
-# -- fingerprint purity (dataflow tier) --------------------------------
-_r("purity/knob-in-fingerprint", ERROR,
-   "Engine knob flows into a cell fingerprint or checkpoint record",
-   "purity")
 
 # -- meta (checker self-checks) ----------------------------------------
 _r(UNUSED_SUPPRESSION, ERROR,

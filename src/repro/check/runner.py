@@ -319,23 +319,21 @@ def check_all(
 
 
 def source_scan(
-    *,
-    config: Optional["RuleConfig"] = None,
-    jobs: Optional[int] = None,
+    *, config: Optional["RuleConfig"] = None
 ) -> Tuple[List[Finding], List[Finding]]:
     """The full static source pass, as the CLI and CI run it.
 
-    Returns ``(scan, engine)``: the per-file scan (syntactic lint,
-    determinism and purity dataflow rules, suppression hygiene) over
-    the package, ``benchmarks/`` and ``tests/``, and the
-    engine-conformance findings (configuration-matrix walk plus
-    call-site scan), both filtered through ``config``.
+    Returns ``(scan, engine)``: the serial per-file scan (lint and
+    determinism rules, suppression hygiene) over the package,
+    ``benchmarks/`` and ``tests/``, and the engine-conformance findings
+    (configuration-matrix walk plus call-site scan), both filtered
+    through ``config``.
     """
     from repro.check.enginemodel import check_engine_model
     from repro.check.lint import run_lint
     from repro.check.rules import DEFAULT_CONFIG, RuleConfig, filter_findings
 
     cfg = config if config is not None else DEFAULT_CONFIG
-    scan = run_lint(config=cfg, jobs=jobs)
+    scan = run_lint(config=cfg)
     engine = filter_findings(check_engine_model(), cfg)
     return scan, engine

@@ -493,12 +493,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     scan_pool = None
     scan_future = None
     if args.lint:
-        # The source scan (lint + determinism/purity dataflow rules +
-        # suppression hygiene) and the engine-conformance pass are
-        # static source analysis, so they ride with --lint; the
-        # schedule-cell analyzers below run regardless.  Both halves
-        # are GIL-bound pure Python, so given a second core the scan
-        # runs in a worker process concurrently with the matrix.
+        # The source scan (lint + determinism rules + suppression
+        # hygiene) and the engine-conformance pass are static source
+        # analysis, so they ride with --lint; the schedule-cell
+        # analyzers below run regardless.  Both halves are GIL-bound
+        # pure Python, so given a second core the (serial) scan runs in
+        # one worker process concurrently with the matrix.
         if (os.cpu_count() or 1) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -607,7 +607,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             summary += f"; {len(baselined)} finding(s) suppressed by baseline"
         if args.lint:
             summary += (
-                "; source scan (lint/determinism/purity): "
+                "; source scan (lint/determinism): "
                 f"{len(lint_findings)} finding(s)"
             )
         algo_gaps = gap_report.algorithms()
@@ -958,8 +958,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--lint",
         action="store_true",
-        help="also run the source scan (lint + determinism/purity "
-        "dataflow rules) and engine-conformance passes",
+        help="also run the source scan (lint + determinism rules) "
+        "and engine-conformance passes",
     )
     p_check.add_argument(
         "--list-rules",

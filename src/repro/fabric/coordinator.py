@@ -67,7 +67,7 @@ from repro.sim.telemetry import (
     FabricStats,
     RunManifest,
 )
-from repro.store.checkpoint import CheckpointWriter, cell_fingerprint
+from repro.store.checkpoint import CellKey, CheckpointWriter, cell_fingerprint
 from repro.store.rundir import (
     STATUS_COMPLETE,
     STATUS_INCOMPLETE,
@@ -156,7 +156,17 @@ class Coordinator:
             )
             self.machine_idx[key] = midx
             self.dims[key] = (m, n, z)
-            fp = self._cell_fp(key)
+            fp = cell_fingerprint(
+                CellKey(
+                    *self.entries[label],
+                    machine=self.machines[midx],
+                    variable=self.variable,
+                    x=self.xs[index],
+                    m=m,
+                    n=n,
+                    z=z,
+                )
+            )
             self.fingerprints[key] = fp
             self.fp_to_key[fp] = key
         self.results: Dict[Tuple[str, int], ExperimentResult] = {}
@@ -200,24 +210,6 @@ class Coordinator:
         stats = self.manifest.fabric
         assert stats is not None
         return stats
-
-    # -- identity -------------------------------------------------------
-    def _cell_fp(self, key: Tuple[str, int]) -> str:
-        """Deterministic result fingerprint of one cell (engine knobs excluded)."""
-        algorithm, setting, kwargs = self.entries[key[0]]
-        fp_kwargs = {k: v for k, v in kwargs.items() if k not in ("engine", "strict_engine")}
-        m, n, z = self.dims[key]
-        return cell_fingerprint(
-            algorithm=algorithm,
-            setting=setting,
-            kwargs=fp_kwargs,
-            machine=self.machines[self.machine_idx[key]],
-            variable=self.variable,
-            x=self.xs[key[1]],
-            m=m,
-            n=n,
-            z=z,
-        )
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> Tuple[str, int]:
@@ -456,22 +448,12 @@ class Coordinator:
         """Flush one finalized cell to the checkpoint log (durable on return)."""
         if self.writer is None:
             return
-        record = self.records[key]
-        payload: Dict[str, Any] = {
-            "fp": self.fingerprints[key],
-            "label": key[0],
-            "index": key[1],
-            "x": self.xs[key[1]],
-            "status": status,
-            "attempts": record.attempts,
-            "wall_s": round(record.wall_s, 6),
-        }
-        if result is not None:
-            payload["result"] = result_to_dict(result)
-        else:
-            payload["error_type"] = record.error_type
-            payload["error"] = record.error
-        self.writer.append(payload)
+        serialized = result_to_dict(result) if result is not None else None
+        self.writer.append(
+            self.records[key].checkpoint_payload(
+                self.fingerprints[key], status, serialized
+            )
+        )
 
     def _journal_terminal(
         self, key: Tuple[str, int], status: str, *, resumed: bool = False

@@ -95,7 +95,7 @@ from repro.sim.telemetry import (
     CellRecord,
     RunManifest,
 )
-from repro.store.checkpoint import CheckpointWriter, cell_fingerprint
+from repro.store.checkpoint import CellKey, CheckpointWriter, cell_fingerprint
 from repro.store.rundir import (
     STATUS_COMPLETE,
     STATUS_INCOMPLETE,
@@ -327,8 +327,18 @@ class _SweepEngine:
 
         self.fingerprints: Dict[Tuple[str, int], str] = {}
         if store is not None:
-            for spec in cells:
-                self.fingerprints[(spec[0], spec[1])] = self._cell_fp(spec)
+            for label, index, machine_idx, m, n, z, _attempt in cells:
+                self.fingerprints[(label, index)] = cell_fingerprint(
+                    CellKey(
+                        *entries[label],
+                        machine=self.machines[machine_idx],
+                        variable=variable,
+                        x=self.xs[index],
+                        m=m,
+                        n=n,
+                        z=z,
+                    )
+                )
             if resume:
                 self._restore_from_checkpoint()
 
@@ -347,23 +357,6 @@ class _SweepEngine:
         self.inflight: Dict[Future[List[CellOutcome]], Tuple[List[CellSpec], Optional[float]]] = {}
 
     # -- durability -----------------------------------------------------
-    def _cell_fp(self, spec: CellSpec) -> str:
-        """Deterministic result fingerprint of one cell (engine knobs excluded)."""
-        label, index, machine_idx, m, n, z, _attempt = spec
-        algorithm, setting, kwargs = self.entries[label]
-        fp_kwargs = {k: v for k, v in kwargs.items() if k not in ("engine", "strict_engine")}
-        return cell_fingerprint(
-            algorithm=algorithm,
-            setting=setting,
-            kwargs=fp_kwargs,
-            machine=self.machines[machine_idx],
-            variable=self.variable,
-            x=self.xs[index],
-            m=m,
-            n=n,
-            z=z,
-        )
-
     def _restore_from_checkpoint(self) -> None:
         """Reload ``ok`` cells from the run directory's checkpoint log.
 
@@ -410,22 +403,12 @@ class _SweepEngine:
         """Flush one finalized cell to the checkpoint log (durable on return)."""
         if self.writer is None:
             return
-        record = self.records[key]
-        payload: Dict[str, Any] = {
-            "fp": self.fingerprints[key],
-            "label": key[0],
-            "index": key[1],
-            "x": self.xs[key[1]],
-            "status": status,
-            "attempts": record.attempts,
-            "wall_s": round(record.wall_s, 6),
-        }
-        if result is not None:
-            payload["result"] = result_to_dict(result)
-        else:
-            payload["error_type"] = record.error_type
-            payload["error"] = record.error
-        self.writer.append(payload)
+        serialized = result_to_dict(result) if result is not None else None
+        self.writer.append(
+            self.records[key].checkpoint_payload(
+                self.fingerprints[key], status, serialized
+            )
+        )
 
     # -- signals ---------------------------------------------------------
     def _on_signal(self, signum: int, _frame: Any) -> None:

@@ -96,6 +96,30 @@ class CellRecord:
             d["trace_source"] = self.trace_source
         return d
 
+    def checkpoint_payload(
+        self, fp: str, status: str, result: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        """This cell's checkpoint-log record, shared by every executor.
+
+        ``result`` is the already-serialized result of an ``ok`` cell;
+        without one the record carries the cell's error instead.
+        """
+        payload: Dict[str, Any] = {
+            "fp": fp,
+            "label": self.label,
+            "index": self.index,
+            "x": self.x,
+            "status": status,
+            "attempts": self.attempts,
+            "wall_s": round(self.wall_s, 6),
+        }
+        if result is not None:
+            payload["result"] = result
+        else:
+            payload["error_type"] = self.error_type
+            payload["error"] = self.error
+        return payload
+
 
 @dataclass
 class WorkerStats:

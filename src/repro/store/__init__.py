@@ -19,6 +19,7 @@ semantics, and ``docs/SWEEPS.md`` for how the sweep engine resumes.
 from repro.store.atomic import atomic_write_bytes, atomic_write_text
 from repro.store.checkpoint import (
     CHECKPOINT_SCHEMA,
+    CellKey,
     CheckpointWriter,
     LoadedCheckpoint,
     QuarantinedRecord,
@@ -50,6 +51,7 @@ __all__ = [
     "STATUS_INCOMPLETE",
     "STATUS_INTERRUPTED",
     "STATUS_RUNNING",
+    "CellKey",
     "CheckpointWriter",
     "LoadedCheckpoint",
     "QuarantinedRecord",

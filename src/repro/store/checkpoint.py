@@ -6,12 +6,12 @@ a SIGKILL one instruction later loses at most the record being written
 — never a completed cell.  Each record carries:
 
 * ``fp`` — the deterministic **cell fingerprint**
-  (:func:`cell_fingerprint`): a hash of everything that determines the
-  cell's *result* — algorithm, setting, resolved kwargs, machine
-  specification, swept variable and x value, dimensions.  Engine knobs
-  (workers, timeouts, retries, chunking) are deliberately excluded: a
-  re-run with different infrastructure settings must still hit the
-  checkpoint.
+  (:func:`cell_fingerprint` of a :class:`CellKey`): a hash of
+  everything that determines the cell's *result* — algorithm, setting,
+  resolved kwargs, machine specification, swept variable and x value,
+  dimensions.  Engine knobs (workers, timeouts, retries, chunking) have
+  no :class:`CellKey` field: a re-run with different infrastructure
+  settings must still hit the checkpoint.
 * ``sum`` — a SHA-256 content checksum over the canonical JSON of the
   record (minus the checksum itself), so bit rot or hand editing is
   *detected*, not silently replayed.
@@ -40,49 +40,63 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.model.machine import MulticoreMachine
 from repro.store.serde import machine_to_dict
 
 #: Checkpoint record schema; bump on incompatible layout changes.
 CHECKPOINT_SCHEMA = 1
 
 
-def cell_fingerprint(
-    *,
-    algorithm: str,
-    setting: str,
-    kwargs: Mapping[str, Any],
-    machine: Any,
-    variable: str,
-    x: Any,
-    m: int,
-    n: int,
-    z: int,
-) -> str:
+#: Entry kwargs that choose an engine, never a result: ``engine=`` and
+#: ``strict_engine`` select bit-identical code paths.
+ENGINE_KWARGS = ("engine", "strict_engine")
+
+
+@dataclass(frozen=True)
+class CellKey:
+    """The declared parameters that determine one sweep cell's result.
+
+    Resume correctness (``docs/RUNSTORE.md``) rests on a fingerprint
+    being a pure function of these fields.  Engine knobs (``workers``,
+    timeouts, retries, backoff, chunking, run-dir paths) have no field
+    to travel in: ``CellKey(..., workers=2)`` raises ``TypeError`` and
+    fails ``mypy --strict``.  The constructor also drops
+    :data:`ENGINE_KWARGS` from ``kwargs``, so an entry's
+    ``(algorithm, setting, kwargs)`` triple can be splatted in as is.
+    """
+
+    algorithm: str
+    setting: str
+    kwargs: Mapping[str, Any]
+    machine: MulticoreMachine
+    variable: str
+    x: Any
+    m: int
+    n: int
+    z: int
+
+    def __post_init__(self) -> None:
+        kept = {k: v for k, v in self.kwargs.items() if k not in ENGINE_KWARGS}
+        object.__setattr__(self, "kwargs", kept)
+
+
+def cell_fingerprint(key: CellKey) -> str:
     """Deterministic identity of one sweep cell's *result*.
 
     Two cells share a fingerprint exactly when a correct simulator must
     produce identical results for them.  The machine's cosmetic ``name``
-    is excluded (it never affects a simulation), as is every engine
-    knob (workers, timeout, retries, chunksize, backoff) — retrying or
-    re-sharding a sweep must not invalidate its checkpoint.
+    is excluded (it never affects a simulation); engine knobs cannot be
+    part of a :class:`CellKey` at all, so retrying or re-sharding a
+    sweep never invalidates its checkpoint.
     """
-    spec = machine_to_dict(machine)
-    spec.pop("name", None)
-    payload = {
-        "algorithm": algorithm,
-        "setting": setting,
-        "kwargs": dict(kwargs),
-        "machine": spec,
-        "variable": variable,
-        "x": x,
-        "m": m,
-        "n": n,
-        "z": z,
-    }
+    payload = {f.name: getattr(key, f.name) for f in fields(key)}
+    payload["kwargs"] = dict(key.kwargs)
+    payload["machine"] = machine_to_dict(key.machine)
+    payload["machine"].pop("name", None)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

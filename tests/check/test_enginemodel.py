@@ -128,11 +128,28 @@ class TestCallSiteScan:
 
 
 class TestRepoScan:
-    def test_ablation_benchmarks_flagged(self):
-        # The associativity ablation pins assoc8/assoc8-plru literally;
-        # the repo-wide scan must find those call sites.
-        locations = [f.location for f in check_engine_model()]
-        assert any("bench_ablation_associativity" in loc for loc in locations)
+    def test_ablation_benchmarks_flagged(self, tmp_path):
+        # The associativity ablation runs assoc8/assoc8-plru, which only
+        # the step engine can run, and pins engine="step" to say so.
+        # Re-pinning replay there must be flagged by the repo-wide scan,
+        # which reaches a checkout's sibling benchmarks/ tree.
+        bench = (
+            Path(__file__).resolve().parents[2]
+            / "benchmarks" / "bench_ablation_associativity.py"
+        )
+        source = bench.read_text(encoding="utf-8")
+        assert scan_call_sites(paths=[bench]) == []
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / bench.name).write_text(
+            source.replace('engine="step"', 'engine="replay"')
+        )
+        locations = [f.location for f in scan_call_sites(package)]
+        assert len(locations) == 2
+        assert all(
+            loc.startswith(f"benchmarks/{bench.name}:") for loc in locations
+        )
 
     def test_repo_package_sources_clean(self):
         # Inside src/repro itself every fallback-prone call site is

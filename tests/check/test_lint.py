@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
+from repro.check.determinism import (
+    call_name,
+    check_determinism,
+    dotted_call_name,
+    walk_with_parents,
+)
 from repro.check.lint import lint_source, run_lint
 
 
@@ -321,3 +328,111 @@ class TestRunLint:
         found = run_lint(paths=[bad])
         assert len(found) == 1
         assert found[0].location == f"{bad}:2"
+
+
+class TestSharedWalk:
+    """The one traversal every lint and determinism rule shares."""
+
+    def test_walk_visits_every_node_and_records_parents(self):
+        tree = ast.parse("sorted(p.iterdir())")
+        nodes, parents = walk_with_parents(tree)
+        assert nodes[0] is tree
+        assert set(map(id, nodes)) == set(map(id, ast.walk(tree)))
+        inner = tree.body[0].value.args[0]
+        assert parents[inner] is tree.body[0].value
+
+    def test_call_name(self):
+        call = ast.parse("a.b.c()").body[0].value
+        assert call_name(call) == "c"
+        call = ast.parse("f()").body[0].value
+        assert call_name(call) == "f"
+
+    def test_dotted_call_name(self):
+        call = ast.parse("time.time()").body[0].value
+        assert dotted_call_name(call) == "time.time"
+        call = ast.parse("(x or y).z()").body[0].value
+        assert dotted_call_name(call) is None
+
+
+def set_order_lines(source):
+    return [
+        int(f.location.rsplit(":", 1)[1])
+        for f in check_determinism(ast.parse(source), "m.py")
+        if f.rule_id == "determinism/set-order"
+    ]
+
+
+class TestSetOrderShapes:
+    """Which bindings make a name set-shaped for ``determinism/set-order``."""
+
+    def test_set_constructions_are_unordered(self):
+        src = (
+            "def f(xs):\n"
+            "    a = set(xs)\n"
+            "    b = {1, 2}\n"
+            "    c = {x for x in xs}\n"
+            "    for v in a:\n        emit(v)\n"
+            "    for v in b:\n        emit(v)\n"
+            "    for v in c:\n        emit(v)\n"
+        )
+        assert set_order_lines(src) == [5, 7, 9]
+
+    def test_sorted_strips_unordered(self):
+        src = (
+            "def f(xs):\n"
+            "    a = sorted(set(xs))\n"
+            "    for v in a:\n"
+            "        emit(v)\n"
+        )
+        assert set_order_lines(src) == []
+
+    def test_list_preserves_unordered(self):
+        src = (
+            "def f(xs):\n"
+            "    a = list(set(xs))\n"
+            "    for v in tuple(a):\n"
+            "        emit(v)\n"
+        )
+        assert set_order_lines(src) == [3]
+
+    def test_for_over_set_reports_unordered_iter(self):
+        src = (
+            "def f(xs):\n"
+            "    s = set(xs)\n"
+            "    for x in s:\n"
+            "        pass\n"
+            "    for x in sorted(s):\n"
+            "        pass\n"
+        )
+        assert set_order_lines(src) == [3]
+
+    def test_annotated_self_attribute_across_methods(self):
+        # The fabric coordinator's shape: an annotated set attribute.
+        src = (
+            "class Coordinator:\n"
+            "    def __init__(self, records):\n"
+            "        self.outstanding: Set[K] = set(records)\n"
+            "    def abort(self):\n"
+            "        for key in list(self.outstanding):\n"
+            "            emit(key)\n"
+        )
+        assert set_order_lines(src) == [5]
+
+    def test_binding_is_scoped_to_its_function_and_class(self):
+        # Narrow by design: a name is set-shaped only where it is bound.
+        src = (
+            "def build(xs):\n"
+            "    s = set(xs)\n"
+            "    return s\n"
+            "def render(s):\n"
+            "    for x in s:\n"
+            "        emit(x)\n"
+            "class A:\n"
+            "    def __init__(self):\n"
+            "        self.items = set()\n"
+            "class B:\n"
+            "    def drain(self):\n"
+            "        for x in self.items:\n"
+            "            emit(x)\n"
+        )
+        assert set_order_lines(src) == []

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cache.block import MAT_A, block_key
 from repro.check import (
     AnalysisContext,
@@ -20,6 +21,9 @@ from repro.check import (
 from repro.check.findings import ERROR, WARNING, CHECKER_VERSION, Finding
 from repro.check.sarif import RULE_DESCRIPTIONS
 from repro.exceptions import ReproError
+
+#: The checkout the package was imported from (``<root>/src/repro``).
+REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 
 
 def _spurious_evict_finding() -> Finding:
@@ -144,7 +148,7 @@ class TestSarif:
         ]
 
     def test_document_shape(self) -> None:
-        doc = to_sarif(self._findings(), root=Path("/root/repo"))
+        doc = to_sarif(self._findings(), root=REPO_ROOT)
         assert doc["version"] == "2.1.0"
         assert "sarif-schema-2.1.0" in doc["$schema"]
         (run,) = doc["runs"]
@@ -156,7 +160,7 @@ class TestSarif:
 
     def test_results_map_levels_locations_and_fingerprints(self) -> None:
         findings = self._findings()
-        doc = to_sarif(findings, root=Path("/root/repo"))
+        doc = to_sarif(findings, root=REPO_ROOT)
         cost_res, lint_res = doc["runs"][0]["results"]
         assert cost_res["level"] == "error"
         assert lint_res["level"] == "warning"
@@ -176,14 +180,14 @@ class TestSarif:
         assert "[shared-opt @ q32]" in cost_res["message"]["text"]
 
     def test_every_result_rule_is_in_the_catalogue(self) -> None:
-        doc = to_sarif(self._findings(), root=Path("/root/repo"))
+        doc = to_sarif(self._findings(), root=REPO_ROOT)
         (run,) = doc["runs"]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
         assert all(res["ruleId"] in rule_ids for res in run["results"])
 
     def test_write_sarif_serializes(self, tmp_path: Path) -> None:
         out = tmp_path / "out.sarif"
-        write_sarif(out, self._findings(), root=Path("/root/repo"))
+        write_sarif(out, self._findings(), root=REPO_ROOT)
         payload = json.loads(out.read_text())
         assert payload["version"] == "2.1.0"
         assert len(payload["runs"][0]["results"]) == 2

@@ -34,13 +34,12 @@ class TestRegistry:
     def test_known_families_present(self):
         families = REGISTRY.families()
         for family in (
-            "lint", "determinism", "purity", "meta", "capacity", "presence",
+            "lint", "determinism", "meta", "capacity", "presence",
             "coverage", "race", "cost", "gap", "engine", "schedule",
         ):
             assert family in families
 
     def test_new_analyzer_rules_registered(self):
-        assert "purity/knob-in-fingerprint" in REGISTRY
         assert "determinism/wall-clock" in REGISTRY
         assert "determinism/set-order" in REGISTRY
         assert "meta/unused-suppression" in REGISTRY

@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
+
 from repro.model.machine import MulticoreMachine
 from repro.store.checkpoint import (
     CHECKPOINT_SCHEMA,
+    CellKey,
     CheckpointWriter,
     cell_fingerprint,
     load_checkpoint,
@@ -15,7 +18,7 @@ from repro.store.checkpoint import (
 MACHINE = MulticoreMachine(p=4, cs=100, cd=21, q=8)
 
 
-def _fp(**overrides):
+def _key(**overrides):
     base = dict(
         algorithm="shared-opt",
         setting="ideal",
@@ -28,7 +31,11 @@ def _fp(**overrides):
         z=8,
     )
     base.update(overrides)
-    return cell_fingerprint(**base)
+    return CellKey(**base)
+
+
+def _fp(**overrides):
+    return cell_fingerprint(_key(**overrides))
 
 
 class TestCellFingerprint:
@@ -47,6 +54,44 @@ class TestCellFingerprint:
     def test_machine_name_is_cosmetic(self):
         named = MulticoreMachine(p=4, cs=100, cd=21, q=8, name="my box")
         assert _fp(machine=named) == _fp()
+
+
+class TestCellKey:
+    """Fingerprint purity is structural: no engine knob fits in a key."""
+
+    def test_golden_fingerprints_are_stable(self):
+        # Computed before CellKey existed: checkpoints written by earlier
+        # releases must keep resuming.
+        assert _fp() == (
+            "cf4fb02052cebf0ba130bd9f7ab34b04df42a5a2fa488cbe50005da8aff438da"
+        )
+        assert _fp(
+            setting="lru-50", kwargs={"policy": "fifo"}, variable="r", x=0.25
+        ) == (
+            "d2a8116e3011fd049fdb6ec7948686e802b067b990db3547b88edeb7e1b3b7cb"
+        )
+
+    def test_engine_kwargs_never_reach_the_fingerprint(self):
+        base = _fp(kwargs={"policy": "fifo"})
+        for knobs in (
+            {"engine": "step"},
+            {"engine": "replay", "strict_engine": True},
+            {"strict_engine": False},
+        ):
+            key = _key(kwargs={"policy": "fifo", **knobs})
+            assert dict(key.kwargs) == {"policy": "fifo"}
+            assert cell_fingerprint(key) == base
+
+    def test_knob_field_is_rejected(self):
+        # A worker count in the key would make a resume with a
+        # different --workers recompute every finished cell.
+        with pytest.raises(TypeError):
+            _key(workers=2)
+
+    def test_key_is_frozen(self):
+        key = _key()
+        with pytest.raises(AttributeError):
+            key.x = 12
 
 
 class TestSealRecord:

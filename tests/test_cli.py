@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -233,7 +234,7 @@ class TestCheck:
         )
         assert code == 0
         assert (
-            "source scan (lint/determinism/purity): 0 finding(s)"
+            "source scan (lint/determinism): 0 finding(s)"
             in capsys.readouterr().out
         )
 
@@ -250,6 +251,18 @@ class TestCheck:
         assert report["algorithm"] == "tradeoff"
         assert report["findings"] == []
         assert report["computes"] == report["m"] * report["n"] * report["z"]
+
+    def test_lint_overlapped_with_matrix_on_multicore(self, capsys, monkeypatch):
+        # Given a second core, the source scan runs in a worker process
+        # concurrently with the schedule matrix.  1-CPU hosts never take
+        # that branch, so force it: the scan must stay clean there too.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        code = main(
+            ["check", "--lint", "--json", "--algorithm", "tradeoff",
+             "--machine", "q32"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["lint"] == []
 
     def test_unknown_algorithm_rejected(self, capsys):
         with pytest.raises(SystemExit):
