@@ -850,26 +850,6 @@ def replay_bulk(
     return out
 
 
-def replay_lru(
-    trace: CompiledTrace, configs: Sequence[Tuple[int, int]]
-) -> List[HierarchyStats]:
-    """Exact LRU hierarchy counters for each ``(cs, cd)`` configuration.
-
-    Thin wrapper over :func:`replay_bulk`.
-    """
-    return replay_bulk(trace, [("lru", cs, cd) for cs, cd in configs])
-
-
-def replay_fifo(
-    trace: CompiledTrace, configs: Sequence[Tuple[int, int]]
-) -> List[HierarchyStats]:
-    """Exact FIFO hierarchy counters for each ``(cs, cd)`` configuration.
-
-    Thin wrapper over :func:`replay_bulk`.
-    """
-    return replay_bulk(trace, [("fifo", cs, cd) for cs, cd in configs])
-
-
 # ----------------------------------------------------------------------
 # Streaming replay (paper-scale traces that must never materialize)
 # ----------------------------------------------------------------------

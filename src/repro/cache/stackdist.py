@@ -79,74 +79,6 @@ def miss_curve(keys: Iterable[int], capacities: Iterable[int]) -> Dict[int, int]
 # ----------------------------------------------------------------------
 # Bulk passes for the replay engine
 # ----------------------------------------------------------------------
-class FenwickTree:
-    """Binary-indexed tree over ``n`` slots (prefix sums in ``O(log n)``).
-
-    The classic accelerator for Mattson's algorithm: keep a ``1`` at the
-    position of each block's most recent reference; the stack distance
-    of a reuse is then the count of ones *after* the block's previous
-    position — a suffix sum — and each reference updates two positions.
-    Guarantees ``O(T log T)`` regardless of the trace's reuse profile,
-    where the list-based :func:`stack_distances` is ``O(T·D)``.
-    """
-
-    __slots__ = ("n", "_tree")
-
-    def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError(f"tree size must be positive, got {n}")
-        self.n = n
-        self._tree = [0] * (n + 1)
-
-    def add(self, index: int, delta: int) -> None:
-        """Add ``delta`` at ``index`` (0-based)."""
-        i = index + 1
-        tree = self._tree
-        while i <= self.n:
-            tree[i] += delta
-            i += i & -i
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of slots ``0..index`` inclusive (0-based)."""
-        i = index + 1
-        tree = self._tree
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & -i
-        return total
-
-    def total(self) -> int:
-        """Sum over all slots."""
-        return self.prefix_sum(self.n - 1)
-
-
-def stack_distances_fenwick(keys: Sequence[int]) -> List[int]:
-    """Per-reference LRU stack distances via a Fenwick tree.
-
-    Same results as :func:`stack_distances` (property-tested), with a
-    guaranteed ``O(T log T)`` bound — the variant to use on hostile
-    traces whose mean reuse distance is large.
-    """
-    n = len(keys)
-    if n == 0:
-        return []
-    tree = FenwickTree(n)
-    last_pos: Dict[int, int] = {}
-    out: List[int] = []
-    for pos, key in enumerate(keys):
-        prev = last_pos.get(key)
-        if prev is None:
-            out.append(COLD)
-        else:
-            # distinct blocks referenced strictly after `prev`
-            out.append(tree.total() - tree.prefix_sum(prev))
-            tree.add(prev, -1)
-        tree.add(pos, 1)
-        last_pos[key] = pos
-    return out
-
-
 def bounded_stack_distances(keys: Iterable[int], bound: int) -> List[int]:
     """Stack distances saturated at ``bound`` (:data:`DEEP` beyond it).
 

@@ -629,6 +629,7 @@ def _registered_names() -> Set[str]:
 _DETERMINISM_FILES = frozenset(
     {
         "sim/parallel.py",
+        "sim/ledger.py",
         "sim/telemetry.py",
         "sim/results.py",
         "sim/retrypolicy.py",

@@ -52,6 +52,7 @@ from repro.model.machine import PRESETS, MulticoreMachine, preset
 from repro.model.params import lambda_param, mu_param
 from repro.analysis.tradeoff_opt import optimal_parameters
 from repro.numerics.executor import verify_schedule
+from repro.sim.results import SweepResult
 from repro.sim.runner import run_experiment
 from repro.sim.settings import SETTINGS
 from repro.sim.sweep import order_sweep
@@ -173,53 +174,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             policy=args.policy,
             strict_engine=args.strict_engine,
         )
-    rows: List[Dict[str, Any]] = []
-    for label, results in sweep.series.items():
-        for result in results:
-            if result is not None:
-                rows.append(result.to_row())
-    print(render_rows(rows))
-    for record in sweep.failures:
-        print(
-            f"{record.status}: {record.label} @ {sweep.variable}={record.x} "
-            f"after {record.attempts} attempt(s): "
-            f"{record.error_type}: {record.error}",
-            file=sys.stderr,
-        )
-    if sweep.manifest is not None:
-        counts = sweep.manifest.counts()
-        summary = (
-            f"sweep: {counts['ok']} ok, {counts['failed']} failed, "
-            f"{counts['skipped']} skipped"
-        )
-        if sweep.manifest.resumed_cells:
-            summary += f" ({sweep.manifest.resumed_cells} resumed from checkpoint)"
-        if sweep.manifest.engine_fallbacks:
-            summary += (
-                f"; {sweep.manifest.engine_fallbacks} cell(s) fell back "
-                "replay->step"
-            )
-        summary += (
-            f"; {sweep.manifest.workers} worker(s), "
-            f"utilization {sweep.manifest.utilization():.0%}, "
-            f"{sweep.manifest.elapsed_s:.2f}s"
-        )
-        print(summary, file=sys.stderr)
-        if args.manifest:
-            print(f"manifest: {args.manifest}", file=sys.stderr)
-        if args.run_dir:
-            print(f"run dir: {args.run_dir}", file=sys.stderr)
-    if sweep.interrupted is not None:
-        import signal as _signal
-
-        print(f"sweep interrupted by {sweep.interrupted}", file=sys.stderr)
-        signum = getattr(_signal, sweep.interrupted, None)
-        return 128 + int(signum) if signum is not None else 1
-    return 0 if sweep.complete else 1
+    return _report_sweep(args, sweep)
 
 
-def _print_fabric_sweep(args: argparse.Namespace, sweep: Any) -> int:
-    """Render a finished fabric sweep (rows, failures, telemetry)."""
+def _report_sweep(args: argparse.Namespace, sweep: SweepResult) -> int:
+    """Print a finished pool or fabric sweep: rows, failures, telemetry."""
     rows: List[Dict[str, Any]] = []
     for label, results in sweep.series.items():
         for result in results:
@@ -236,27 +195,41 @@ def _print_fabric_sweep(args: argparse.Namespace, sweep: Any) -> int:
     manifest = sweep.manifest
     if manifest is not None:
         counts = manifest.counts()
+        stats = manifest.fabric
         summary = (
-            f"fabric: {counts['ok']} ok, {counts['failed']} failed, "
-            f"{counts['skipped']} skipped"
+            f"{'sweep' if stats is None else 'fabric'}: {counts['ok']} ok, "
+            f"{counts['failed']} failed, {counts['skipped']} skipped"
         )
         if manifest.resumed_cells:
             summary += f" ({manifest.resumed_cells} resumed from checkpoint)"
-        stats = manifest.fabric
-        if stats is not None:
+        if manifest.engine_fallbacks:
+            summary += (
+                f"; {manifest.engine_fallbacks} cell(s) fell back replay->step"
+            )
+        if stats is None:
+            summary += (
+                f"; {manifest.workers} worker(s), "
+                f"utilization {manifest.utilization():.0%}"
+            )
+        else:
             summary += (
                 f"; {stats.leases_granted} lease(s), "
                 f"{stats.expired_leases} expired, "
                 f"{stats.retried_failures} retried, "
-                f"{stats.duplicate_results} duplicate(s)"
+                f"{stats.duplicate_results} duplicate(s); "
+                f"{stats.workers_seen} worker(s) seen, {stats.workers_lost} lost"
             )
-            summary += (
-                f"; {stats.workers_seen} worker(s) seen, "
-                f"{stats.workers_lost} lost"
-            )
-        summary += f"; {manifest.elapsed_s:.2f}s"
-        print(summary, file=sys.stderr)
-    print(f"run dir: {args.run_dir}", file=sys.stderr)
+        print(f"{summary}; {manifest.elapsed_s:.2f}s", file=sys.stderr)
+        if getattr(args, "manifest", None):
+            print(f"manifest: {args.manifest}", file=sys.stderr)
+        if args.run_dir:
+            print(f"run dir: {args.run_dir}", file=sys.stderr)
+    if sweep.interrupted is not None:
+        import signal as _signal
+
+        print(f"sweep interrupted by {sweep.interrupted}", file=sys.stderr)
+        signum = getattr(_signal, sweep.interrupted, None)
+        return 128 + int(signum) if signum is not None else 1
     return 0 if sweep.complete else 1
 
 
@@ -286,7 +259,7 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
         )
-        return _print_fabric_sweep(args, sweep)
+        return _report_sweep(args, sweep)
     coordinator = fabric_order_sweep(
         entries,
         machine,
@@ -313,7 +286,7 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         coordinator.abort("coordinator interrupted (SIGINT)")
     sweep = coordinator.finish()
-    return _print_fabric_sweep(args, sweep)
+    return _report_sweep(args, sweep)
 
 
 def _cmd_fabric_worker(args: argparse.Namespace) -> int:

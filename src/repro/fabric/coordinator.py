@@ -5,11 +5,13 @@ which cells remain, which attempt each is on, when a failure retries —
 but across process boundaries and through its own death:
 
 * **Durable queue** — the cell set, fingerprints and per-cell outcomes
-  live in a :class:`~repro.store.RunStore` run directory.  Every
-  finalized cell is appended to the checkpoint log *before* the journal
-  records its terminal event, so the checkpoint stays the source of
-  truth and a crash between the two writes is healed on restart (the
-  journal terminal is re-emitted, flagged ``resumed``).
+  live in a :class:`~repro.sim.ledger.CellLedger` over a
+  :class:`~repro.store.RunStore` run directory, the same books the pool
+  engine keeps.  Every finalized cell is appended to the checkpoint log
+  *before* the journal records its terminal event, so the checkpoint
+  stays the source of truth and a crash between the two writes is
+  healed on restart (the journal terminal is re-emitted, flagged
+  ``resumed``).
 * **Leases, not assignments** — a granted cell belongs to its worker
   only while heartbeats renew the monotonic-deadline lease
   (:mod:`repro.fabric.leases`).  The periodic tick re-queues expired
@@ -55,25 +57,11 @@ from typing import (
 
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.model.machine import MulticoreMachine
-from repro.sim.results import ExperimentResult, SweepResult
-from repro.sim.retrypolicy import BackoffPolicy
-from repro.sim.runner import reset_fallback_warnings
-from repro.sim.sweep import Entry, resolve_entries
-from repro.sim.telemetry import (
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_SKIPPED,
-    CellRecord,
-    FabricStats,
-    RunManifest,
-)
-from repro.store.checkpoint import CellKey, CheckpointWriter, cell_fingerprint
-from repro.store.rundir import (
-    STATUS_COMPLETE,
-    STATUS_INCOMPLETE,
-    STATUS_RUNNING,
-    RunStore,
-)
+from repro.sim.ledger import CellId, CellLedger, SweepPlan, order_plan
+from repro.sim.results import SweepResult
+from repro.sim.sweep import Entry
+from repro.sim.telemetry import STATUS_FAILED, STATUS_OK, STATUS_SKIPPED, FabricStats
+from repro.store.rundir import RunStore
 from repro.store.serde import (
     machine_to_dict,
     result_from_dict,
@@ -94,27 +82,22 @@ from repro.fabric.journal import (
 from repro.fabric.leases import LeaseTable
 from repro.fabric.protocol import encode_line, error_reply, read_message
 
-#: One coordinator cell, pool-engine shaped:
-#: (label, x-index, machine-index, m, n, z).
-FabricCell = Tuple[str, int, int, int, int, int]
-
 #: How long an idle worker is told to wait before asking again when
 #: every remaining cell is leased or backing off.
 _DEFAULT_WAIT_S = 0.5
 
 
 class Coordinator:
-    """Serve one sweep's cells over leases until every cell is terminal."""
+    """Serve one sweep's cells over leases until every cell is terminal.
+
+    The lease transport only: the cell books (records, retry budget,
+    checkpoint, manifest) live in :attr:`ledger`.
+    """
 
     def __init__(
         self,
+        plan: SweepPlan,
         *,
-        variable: str,
-        xs: Sequence[Any],
-        labels: Sequence[str],
-        cells: Sequence[FabricCell],
-        machines: Sequence[MulticoreMachine],
-        entries: Dict[str, Tuple[str, str, Dict[str, Any]]],
         run_dir: Union[str, Path],
         resume: bool = False,
         lease_s: float = 15.0,
@@ -124,78 +107,44 @@ class Coordinator:
         port: int = 0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if retries < 0:
-            raise ConfigurationError(f"retries must be >= 0, got {retries}")
         if lease_s <= 0:
             raise ConfigurationError(f"lease_s must be positive, got {lease_s}")
-        self.variable = variable
-        self.xs = list(xs)
-        self.labels = list(labels)
-        self.cells = list(cells)
-        self.machines = list(machines)
-        self.entries = entries
+        self.plan = plan
         self.store = RunStore(run_dir)
-        self.resume = resume
+        # Fabric resume also restores ``failed`` cells: each already
+        # has its journal terminal, and re-running one would emit a
+        # second, breaking the exactly-once invariant.
+        self.ledger = CellLedger(
+            plan,
+            retries=retries,
+            backoff=backoff,
+            store=self.store,
+            resume=resume,
+            restore_failed=True,
+            encode=result_to_dict,
+            decode=result_from_dict,
+        )
+        self.records = self.ledger.records
+        self.outstanding = self.ledger.outstanding
+        self.fingerprints = self.ledger.fingerprints
+        self.manifest = self.ledger.manifest
+        self.manifest.fabric = FabricStats()
         self.lease_s = lease_s
-        self.retries = retries
-        self.backoff = backoff
-        self.backoff_policy = BackoffPolicy(base_s=backoff)
         self.host = host
         self.port = port
         self.clock = clock
 
-        self.records: Dict[Tuple[str, int], CellRecord] = {}
-        self.fingerprints: Dict[Tuple[str, int], str] = {}
-        self.fp_to_key: Dict[str, Tuple[str, int]] = {}
-        self.machine_idx: Dict[Tuple[str, int], int] = {}
-        self.dims: Dict[Tuple[str, int], Tuple[int, int, int]] = {}
-        for label, index, midx, m, n, z in self.cells:
-            key = (label, index)
-            self.records[key] = CellRecord(
-                label=label, index=index, x=self.xs[index], status=STATUS_SKIPPED
-            )
-            self.machine_idx[key] = midx
-            self.dims[key] = (m, n, z)
-            fp = cell_fingerprint(
-                CellKey(
-                    *self.entries[label],
-                    machine=self.machines[midx],
-                    variable=self.variable,
-                    x=self.xs[index],
-                    m=m,
-                    n=n,
-                    z=z,
-                )
-            )
-            self.fingerprints[key] = fp
-            self.fp_to_key[fp] = key
-        self.results: Dict[Tuple[str, int], ExperimentResult] = {}
-        self.outstanding: Set[Tuple[str, int]] = set(self.records)
+        self.cells = {cell[:2]: cell for cell in plan.cells}
+        self.fp_to_key = {fp: key for key, fp in self.fingerprints.items()}
         #: Next attempt number to grant, per cell.
-        self.attempts: Dict[Tuple[str, int], int] = {
-            key: 1 for key in self.records
-        }
-        self.pending: Deque[Tuple[str, int]] = deque(
-            sorted(self.records, key=lambda k: (k[0], k[1]))
-        )
+        self.attempts: Dict[CellId, int] = {key: 1 for key in self.cells}
+        self.pending: Deque[CellId] = deque(sorted(self.outstanding))
         #: Cells waiting out a backoff: (monotonic ready time, key).
-        self.delayed: List[Tuple[float, Tuple[str, int]]] = []
+        self.delayed: List[Tuple[float, CellId]] = []
         self.leases = LeaseTable(lease_s, clock=clock)
-
-        self.manifest = RunManifest(
-            variable=variable,
-            xs=self.xs,
-            workers=0,
-            cell_timeout_s=None,
-            retries=retries,
-            backoff_s=backoff,
-            chunksize=1,
-            fabric=FabricStats(),
-        )
         self.workers_seen: Set[str] = set()
         self.workers_lost: Set[str] = set()
 
-        self.writer: Optional[CheckpointWriter] = None
         self.journal: Optional[FabricJournal] = None
         self._lock = threading.Lock()
         self._done = threading.Event()
@@ -215,10 +164,7 @@ class Coordinator:
     def start(self) -> Tuple[str, int]:
         """Open the store, restore state, start serving; returns (host, port)."""
         self._started_at = time.perf_counter()
-        self._prepare_store()
-        with self._lock:
-            if not self.outstanding:
-                self._done.set()
+        self._open()
         server = _FabricServer((self.host, self.port), self)
         self._server = server
         self.port = server.server_address[1]
@@ -243,13 +189,7 @@ class Coordinator:
         """Give up on every unfinished cell (recorded as ``skipped``)."""
         with self._lock:
             for key in sorted(self.outstanding):
-                record = self.records[key]
-                record.status = STATUS_SKIPPED
-                if record.error_type is None:
-                    record.error_type = "Aborted"
-                record.error = reason
-                self.outstanding.discard(key)
-                self._checkpoint(key, STATUS_SKIPPED)
+                self.ledger.skip(key, reason, "Aborted")
                 self._journal_terminal(key, STATUS_SKIPPED)
             self.pending.clear()
             self.delayed = []
@@ -275,36 +215,17 @@ class Coordinator:
             self._ticker_thread.join(timeout=5.0)
             self._ticker_thread = None
         with self._lock:
-            self.manifest.elapsed_s = time.perf_counter() - self._started_at
             self.manifest.workers = len(self.workers_seen)
             self.fabric.workers_seen = len(self.workers_seen)
             self.fabric.workers_lost = len(self.workers_lost)
             if self.journal is not None:
                 self.journal.event(
                     EVENT_STOP,
-                    complete=not any(
-                        r.status != STATUS_OK for r in self.records.values()
-                    ),
+                    complete=all(r.status == STATUS_OK for r in self.records.values()),
                 )
                 self.journal.close()
                 self.journal = None
-            if self.writer is not None:
-                self.writer.close()
-                self.writer = None
-            sweep = self._assemble()
-            counts = self.manifest.counts()
-            self.manifest.write(self.store.manifest_path)
-            if counts[STATUS_FAILED] or counts[STATUS_SKIPPED]:
-                status = STATUS_INCOMPLETE
-            else:
-                status = STATUS_COMPLETE
-            self.store.update_meta(
-                status=status,
-                cell_counts=counts,
-                resumed_cells=self.manifest.resumed_cells,
-                elapsed_s=round(self.manifest.elapsed_s, 6),
-            )
-        return sweep
+            return self.ledger.finish(time.perf_counter() - self._started_at)
 
     def _ticker(self) -> None:
         period = min(self.lease_s / 4.0, 0.25)
@@ -317,86 +238,17 @@ class Coordinator:
             self._expire_leases()
 
     # -- store ----------------------------------------------------------
-    def _prepare_store(self) -> None:
-        config = {
-            "variable": self.variable,
-            "xs": self.xs,
-            "labels": self.labels,
-            "engine": {
-                "workers": 0,
-                "cell_timeout_s": None,
-                "retries": self.retries,
-                "backoff_s": self.backoff,
-                "chunksize": 1,
-            },
-            "fabric": {"lease_s": self.lease_s},
-        }
-        resumed = False
-        if self.resume and self.store.exists():
-            meta = self.store.load_meta() or {}
-            self.store.update_meta(
-                status=STATUS_RUNNING,
-                resumes=int(meta.get("resumes", 0)) + 1,
-                **config,
-            )
-            resumed = True
-        else:
-            self.store.initialize(config)
+    def _open(self) -> None:
+        """Stamp the run dir, open the journal, reconcile it on resume."""
+        resumed = self.ledger.open(fabric={"lease_s": self.lease_s})
         replay = load_journal(self.store.journal_path) if resumed else None
-        if resumed:
-            self._restore_from_checkpoint()
         # Opening the journal writer repairs any torn tail left by a
         # SIGKILL'd predecessor before new events are appended.
         self.journal = FabricJournal(self.store.journal_path)
-        self.writer = self.store.checkpoint_writer()
         self.journal.event(EVENT_START, resumed=resumed, cells=len(self.records))
         if replay is not None:
             self._restore_from_journal(replay)
-
-    def _restore_from_checkpoint(self) -> None:
-        """Reload terminal (``ok`` *and* ``failed``) cells from the log.
-
-        The pool engine re-runs failed cells on resume; the fabric does
-        not — a failed cell already spent its retry budget, and
-        re-opening it would emit a second terminal journal event for
-        the same fingerprint, breaking the exactly-once invariant the
-        chaos tests assert.
-        """
-        loaded = self.store.load_checkpoint()
-        self.manifest.quarantined_records = len(loaded.quarantined)
-        for key, fp in self.fingerprints.items():
-            record = loaded.records.get(fp)
-            if record is None:
-                continue
-            status = record.get("status")
-            cell = self.records[key]
-            if status == STATUS_OK:
-                try:
-                    result: ExperimentResult = result_from_dict(record["result"])
-                except (KeyError, TypeError, ValueError):
-                    self.manifest.quarantined_records += 1
-                    continue
-                cell.status = STATUS_OK
-                cell.attempts = result.attempts
-                cell.wall_s = float(record.get("wall_s", 0.0))
-                cell.worker = result.worker
-                cell.resumed = True
-                cell.engine_fallback = result.engine_fallback
-                self.results[key] = result
-            elif status == STATUS_FAILED:
-                cell.status = STATUS_FAILED
-                cell.attempts = int(record.get("attempts", 0))
-                cell.wall_s = float(record.get("wall_s", 0.0))
-                error_type = record.get("error_type")
-                cell.error_type = str(error_type) if error_type is not None else None
-                error = record.get("error")
-                cell.error = str(error) if error is not None else None
-                cell.resumed = True
-            else:
-                continue
-            self.outstanding.discard(key)
-            self.pending = deque(k for k in self.pending if k != key)
-            self.manifest.resumed_cells += 1
+        self._check_done()
 
     def _restore_from_journal(self, replay: JournalReplay) -> None:
         """Reconcile the journal with the restored checkpoint state.
@@ -418,9 +270,8 @@ class Coordinator:
         stats.retried_failures += replay.retries
         stats.duplicate_results += replay.duplicates
         for key in sorted(self.records):
-            fp = self.fingerprints[key]
             record = self.records[key]
-            if record.resumed and fp not in replay.terminal_events:
+            if record.resumed and self.fingerprints[key] not in replay.terminal_events:
                 self._journal_terminal(key, record.status, resumed=True)
         for fp in sorted(replay.open_grants):
             key = self.fp_to_key.get(fp)
@@ -435,28 +286,13 @@ class Coordinator:
                 reason="coordinator-restart",
             )
             stats.expired_leases += 1
-            self._charge_lost_attempt(key, attempt, "LeaseExpired",
-                                      "lease died with the previous coordinator")
-
-    def _checkpoint(
-        self,
-        key: Tuple[str, int],
-        status: str,
-        *,
-        result: Optional[ExperimentResult] = None,
-    ) -> None:
-        """Flush one finalized cell to the checkpoint log (durable on return)."""
-        if self.writer is None:
-            return
-        serialized = result_to_dict(result) if result is not None else None
-        self.writer.append(
-            self.records[key].checkpoint_payload(
-                self.fingerprints[key], status, serialized
+            delay = self.ledger.charge(
+                key, attempt, "LeaseExpired", "lease died with the previous coordinator"
             )
-        )
+            self._requeue_or_fail(key, attempt, delay)
 
     def _journal_terminal(
-        self, key: Tuple[str, int], status: str, *, resumed: bool = False
+        self, key: CellId, status: str, *, resumed: bool = False
     ) -> None:
         if self.journal is None:
             return
@@ -474,7 +310,7 @@ class Coordinator:
         for key in due:
             self.pending.append(key)
 
-    def _next_servable(self) -> Optional[Tuple[str, int]]:
+    def _next_servable(self) -> Optional[CellId]:
         self._promote_delayed()
         while self.pending:
             key = self.pending.popleft()
@@ -482,24 +318,17 @@ class Coordinator:
                 return key
         return None
 
-    def _charge_lost_attempt(
-        self, key: Tuple[str, int], attempt: int, error_type: str, error: str
+    def _requeue_or_fail(
+        self, key: CellId, attempt: int, delay: Optional[float]
     ) -> None:
-        """A granted attempt vanished (expiry/restart): retry or fail."""
-        record = self.records[key]
-        record.attempts = max(record.attempts, attempt)
-        record.error_type = error_type
-        record.error = error
-        if attempt <= self.retries:
-            self.attempts[key] = attempt + 1
-            delay = self.backoff_policy.delay(attempt, key=f"{key[0]}:{key[1]}")
-            self.delayed.append((self.clock() + delay, key))
-        else:
-            record.status = STATUS_FAILED
-            self.outstanding.discard(key)
-            self._checkpoint(key, STATUS_FAILED)
+        """Act on the ledger's verdict for a failed attempt: requeue the
+        cell after ``delay``, or journal its ``failed`` terminal."""
+        if delay is None:
             self._journal_terminal(key, STATUS_FAILED)
             self._check_done()
+            return
+        self.attempts[key] = attempt + 1
+        self.delayed.append((self.clock() + delay, key))
 
     def _expire_leases(self) -> None:
         for lease in self.leases.pop_expired():
@@ -515,13 +344,14 @@ class Coordinator:
                 )
             key = lease.key
             if key in self.outstanding:
-                self._charge_lost_attempt(
+                delay = self.ledger.charge(
                     key,
                     lease.attempt,
                     "LeaseExpired",
                     f"worker {lease.worker!r} stopped heartbeating "
                     f"(lease of {self.lease_s:.3g}s lapsed)",
                 )
+                self._requeue_or_fail(key, lease.attempt, delay)
 
     def _check_done(self) -> None:
         if not self.outstanding:
@@ -563,8 +393,8 @@ class Coordinator:
             self.journal.event(EVENT_GRANT, fp, worker=worker, attempt=attempt)
         self.leases.grant(key, fp, worker, attempt)
         self.fabric.leases_granted += 1
-        algorithm, setting, kwargs = self.entries[key[0]]
-        m, n, z = self.dims[key]
+        algorithm, setting, kwargs = self.plan.entries[key[0]]
+        label, index, machine, m, n, z = self.cells[key]
         return {
             "type": "grant",
             "fp": fp,
@@ -576,14 +406,14 @@ class Coordinator:
             # ignore the hint.
             "trace_tier": str(self.store.root / "traces"),
             "cell": {
-                "label": key[0],
-                "index": key[1],
-                "variable": self.variable,
-                "x": self.xs[key[1]],
+                "label": label,
+                "index": index,
+                "variable": self.plan.variable,
+                "x": self.plan.xs[index],
                 "algorithm": algorithm,
                 "setting": setting,
                 "kwargs": dict(kwargs),
-                "machine": machine_to_dict(self.machines[self.machine_idx[key]]),
+                "machine": machine_to_dict(self.plan.machines[machine]),
                 "m": m,
                 "n": n,
                 "z": z,
@@ -634,53 +464,47 @@ class Coordinator:
         # for a cell that already reported.
         self.leases.release(fp)
         self.fabric.results_accepted += 1
-        record = self.records[key]
         wall = float(message.get("wall_s", 0.0))
         pid = message.get("pid")
-        record.wall_s += wall
-        record.attempts = max(record.attempts, attempt)
-        if isinstance(pid, int):
-            record.worker = pid
-            self.manifest.record_execution(pid, wall)
-        if message.get("ok"):
-            try:
-                result: ExperimentResult = result_from_dict(message["result"])
-            except (KeyError, TypeError, ValueError) as exc:
-                return self._accept_failure(
-                    key, attempt, "CorruptResult",
-                    f"result payload did not deserialize: {exc}", True,
-                )
-            result.attempts = max(result.attempts, attempt)
-            record.status = STATUS_OK
-            record.error_type = None
-            record.error = None
-            record.engine_fallback = result.engine_fallback
-            self.results[key] = result
-            self.outstanding.discard(key)
-            self._checkpoint(key, STATUS_OK, result=result)
-            self._journal_terminal(key, STATUS_OK)
-            self._check_done()
-            return {"type": "accepted", "remaining": len(self.outstanding)}
-        error_type = str(message.get("error_type", "Error"))
-        error = str(message.get("error", ""))
-        retryable = bool(message.get("retryable", True))
-        return self._accept_failure(key, attempt, error_type, error, retryable)
+        if not isinstance(pid, int):
+            pid = None
+        if not message.get("ok"):
+            return self._accept_failure(
+                key,
+                attempt,
+                str(message.get("error_type", "Error")),
+                str(message.get("error", "")),
+                bool(message.get("retryable", True)),
+                pid,
+                wall,
+            )
+        try:
+            result = result_from_dict(message["result"])
+        except (KeyError, TypeError, ValueError) as exc:
+            return self._accept_failure(
+                key, attempt, "CorruptResult",
+                f"result payload did not deserialize: {exc}", True, pid, wall,
+            )
+        result.attempts = max(result.attempts, attempt)
+        self.ledger.settle_ok(key, result, pid=pid, wall=wall)
+        self._journal_terminal(key, STATUS_OK)
+        self._check_done()
+        return {"type": "accepted", "remaining": len(self.outstanding)}
 
     def _accept_failure(
         self,
-        key: Tuple[str, int],
+        key: CellId,
         attempt: int,
         error_type: str,
         error: str,
         retryable: bool,
+        pid: Optional[int],
+        wall: float,
     ) -> Dict[str, Any]:
-        record = self.records[key]
-        record.error_type = error_type
-        record.error = error
-        if retryable and attempt <= self.retries:
-            self.attempts[key] = attempt + 1
-            delay = self.backoff_policy.delay(attempt, key=f"{key[0]}:{key[1]}")
-            self.delayed.append((self.clock() + delay, key))
+        delay = self.ledger.charge(
+            key, attempt, error_type, error, retryable=retryable, pid=pid, wall=wall
+        )
+        if delay is not None:
             self.fabric.retried_failures += 1
             if self.journal is not None:
                 self.journal.event(
@@ -689,19 +513,10 @@ class Coordinator:
                     attempt=attempt,
                     error_type=error_type,
                 )
-            return {
-                "type": "accepted",
-                "retrying": True,
-                "remaining": len(self.outstanding),
-            }
-        record.status = STATUS_FAILED
-        self.outstanding.discard(key)
-        self._checkpoint(key, STATUS_FAILED)
-        self._journal_terminal(key, STATUS_FAILED)
-        self._check_done()
+        self._requeue_or_fail(key, attempt, delay)
         return {
             "type": "accepted",
-            "retrying": False,
+            "retrying": delay is not None,
             "remaining": len(self.outstanding),
         }
 
@@ -717,25 +532,6 @@ class Coordinator:
             "counts": counts,
             "fabric": self.fabric.to_dict(),
         }
-
-    # -- assembly -------------------------------------------------------
-    def _assemble(self) -> SweepResult:
-        sweep = SweepResult(variable=self.variable, xs=list(self.xs))
-        buckets: Dict[str, List[Optional[ExperimentResult]]] = {
-            label: [None] * len(self.xs) for label in self.labels
-        }
-        for (label, index), result in self.results.items():
-            buckets[label][index] = result
-        for label in self.labels:
-            sweep.add(label, buckets[label])
-        self.manifest.cells = list(self.records.values())
-        sweep.failures = [
-            record
-            for record in self.records.values()
-            if record.status != STATUS_OK
-        ]
-        sweep.manifest = self.manifest
-        return sweep
 
 
 class _FabricHandler(socketserver.StreamRequestHandler):
@@ -793,35 +589,24 @@ def fabric_order_sweep(
 ) -> Coordinator:
     """Build (but do not start) a coordinator for an order sweep.
 
-    The cell grid matches :func:`repro.sim.parallel.parallel_order_sweep`
-    exactly — same labels, fingerprints and checkpoint payloads — so a
-    fabric run directory can be inspected, verified and even resumed by
-    the pool engine, and vice versa.
+    The cell plan is :func:`repro.sim.parallel.parallel_order_sweep`'s
+    exactly — same labels, fingerprints and checkpoint payloads, kept
+    by the same :class:`~repro.sim.ledger.CellLedger` — so a fabric run
+    directory can be inspected, verified and even resumed by the pool
+    engine, and vice versa.
     """
-    reset_fallback_warnings()
-    resolved = resolve_entries(entries)
-    labels = [label for _a, _s, _p, label in resolved]
-    entry_table: Dict[str, Tuple[str, str, Dict[str, Any]]] = {}
-    cells: List[FabricCell] = []
-    for algorithm, setting, params, label in resolved:
-        kwargs: Dict[str, Any] = dict(
-            check=check,
-            inclusive=inclusive,
-            policy=policy,
-            engine=engine,
-            strict_engine=strict_engine,
-            **params,
-        )
-        entry_table[label] = (algorithm, setting, kwargs)
-        for index, order in enumerate(orders):
-            cells.append((label, index, 0, order, order, order))
+    plan = order_plan(
+        entries,
+        machine,
+        orders,
+        check=check,
+        inclusive=inclusive,
+        policy=policy,
+        engine=engine,
+        strict_engine=strict_engine,
+    )
     return Coordinator(
-        variable="order",
-        xs=list(orders),
-        labels=labels,
-        cells=cells,
-        machines=[machine],
-        entries=entry_table,
+        plan,
         run_dir=run_dir,
         resume=resume,
         lease_s=lease_s,

@@ -7,6 +7,8 @@
 * :mod:`repro.sim.runner` — one-call experiment execution producing
   :class:`~repro.sim.results.ExperimentResult`.
 * :mod:`repro.sim.sweep` — matrix-order and bandwidth-ratio sweeps.
+* :mod:`repro.sim.ledger` — the cell plan and books (records, resume,
+  checkpoint, retry decisions, manifest) shared by both sweep executors.
 * :mod:`repro.sim.parallel` — the fault-tolerant process-parallel sweep
   engine (timeouts, retries, crash recovery, run manifests).
 * :mod:`repro.sim.telemetry` — per-cell records, worker statistics and

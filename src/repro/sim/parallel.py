@@ -15,8 +15,8 @@ infrastructure:
 * **Bounded in-flight dispatch** — at most ``workers`` chunk tasks are
   outstanding, so every submitted task starts immediately and per-task
   deadlines are meaningful.
-* **Shared state ships once** — the machine(s), the per-series
-  algorithm/setting/kwargs table and the fault plan travel through the
+* **Shared state ships once** — the sweep plan (machines, per-series
+  algorithm/setting/kwargs table) and the fault plan travel through the
   pool *initializer*, not with every cell; a submitted cell is a tiny
   index tuple, and first-round cells are submitted in chunks to
   amortize IPC further.
@@ -34,20 +34,16 @@ infrastructure:
   in-process — except suspected worker-killers (cells whose last
   failure was a crash or timeout), which are *skipped* with an explicit
   record rather than risking the host process.
-* **Telemetry** — every cell ends as an ``ok``/``failed``/``skipped``
-  :class:`~repro.sim.telemetry.CellRecord` inside a
-  :class:`~repro.sim.telemetry.RunManifest` (attempt counts, per-cell
-  wall time, worker utilization, pool rebuilds) attached to the
-  returned :class:`~repro.sim.results.SweepResult` and optionally
-  written to JSON.
-* **Durability** — with ``run_dir=`` the sweep is backed by a
-  :class:`~repro.store.rundir.RunStore`: every completed cell is
-  flushed to an append-only, checksummed checkpoint log the moment it
-  finishes, so a SIGKILL/OOM/power loss costs at most the cell in
-  flight.  ``resume=True`` reloads ``ok`` cells by deterministic
-  fingerprint (engine knobs excluded) and dispatches only the rest;
-  SIGINT/SIGTERM drain in-flight cells, flush the checkpoint and write
-  a partial manifest instead of aborting.
+* **Telemetry and durability** — the cell books live in a
+  :class:`~repro.sim.ledger.CellLedger`, the same one the fabric
+  coordinator keeps: every cell ends as an ``ok``/``failed``/``skipped``
+  :class:`~repro.sim.telemetry.CellRecord` in a
+  :class:`~repro.sim.telemetry.RunManifest`, and with ``run_dir=``
+  every finished cell is flushed to the run directory's checkpoint log
+  the moment it finishes.  ``resume=True`` reloads ``ok`` cells by
+  fingerprint and dispatches only the rest; SIGINT/SIGTERM drain
+  in-flight cells, flush the checkpoint and write a partial manifest
+  instead of aborting.
 
 See ``docs/SWEEPS.md`` and ``docs/RUNSTORE.md`` for the full semantics.
 """
@@ -84,25 +80,12 @@ from repro.cache import replay as replay_engine
 from repro.exceptions import ConfigurationError
 from repro.model.machine import MulticoreMachine
 from repro.sim.faults import FaultPlan, fire
-from repro.sim.results import ExperimentResult, SweepResult
-from repro.sim.retrypolicy import PERMANENT_ERRORS, BackoffPolicy
-from repro.sim.runner import reset_fallback_warnings, run_experiment
-from repro.sim.sweep import Entry, resolve_entries
-from repro.sim.telemetry import (
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_SKIPPED,
-    CellRecord,
-    RunManifest,
-)
-from repro.store.checkpoint import CellKey, CheckpointWriter, cell_fingerprint
-from repro.store.rundir import (
-    STATUS_COMPLETE,
-    STATUS_INCOMPLETE,
-    STATUS_INTERRUPTED,
-    STATUS_RUNNING,
-    RunStore,
-)
+from repro.sim.ledger import CellLedger, SweepPlan, order_plan, ratio_plan
+from repro.sim.results import SweepResult
+from repro.sim.retrypolicy import is_retryable
+from repro.sim.runner import run_experiment
+from repro.sim.sweep import Entry
+from repro.store.rundir import RunStore
 from repro.store.serde import result_from_dict, result_to_dict
 
 #: One submitted cell: (label, x-index, machine-index, m, n, z, attempt).
@@ -113,10 +96,6 @@ CellSpec = Tuple[str, int, int, int, int, int, int]
 #: (label, index, ok, payload, pid, wall_s).  ``payload`` is the
 #: ExperimentResult when ok, else (error_type, error_message, retryable).
 CellOutcome = Tuple[str, int, bool, Any, int, float]
-
-#: Errors that re-running cannot fix (shared with the fabric engine;
-#: see :mod:`repro.sim.retrypolicy`).
-_PERMANENT_ERRORS = PERMANENT_ERRORS
 
 #: Failure types that mark a cell as a suspected worker-killer: the
 #: in-process fallback refuses to re-run these (a crash would take the
@@ -132,25 +111,22 @@ _SIGNAL_POLL_S = 0.25
 # Worker side
 # ----------------------------------------------------------------------
 #: Per-sweep state installed once per worker by the pool initializer.
-_WORKER_MACHINES: Sequence[MulticoreMachine] = ()
-_WORKER_ENTRIES: Dict[str, Tuple[str, str, Dict[str, Any]]] = {}
+_WORKER_PLAN: Optional[SweepPlan] = None
 _WORKER_FAULTS: Optional[FaultPlan] = None
 
 
 def _init_worker(
-    machines: Sequence[MulticoreMachine],
-    entries: Dict[str, Tuple[str, str, Dict[str, Any]]],
+    plan: SweepPlan,
     fault_plan: Optional[FaultPlan],
-    trace_tier: Optional[str] = None,
+    trace_tier: Optional[str],
 ) -> None:
     """Pool initializer: receive the shared per-sweep state exactly once."""
-    global _WORKER_MACHINES, _WORKER_ENTRIES, _WORKER_FAULTS
-    _WORKER_MACHINES = machines
-    _WORKER_ENTRIES = entries
+    global _WORKER_PLAN, _WORKER_FAULTS
+    _WORKER_PLAN = plan
     _WORKER_FAULTS = fault_plan
-    # Workers of a store-backed sweep share compiled traces through the
-    # run dir's on-disk tier: the first worker to need a trace compiles
-    # and stores it, siblings memmap it instead of recompiling.
+    # Workers share compiled traces through the on-disk tier: the first
+    # worker to need a trace compiles and stores it, siblings memmap it
+    # instead of recompiling.
     replay_engine.configure_trace_tier(trace_tier)
     # A store-backed engine traps SIGINT/SIGTERM in the host process —
     # and forked workers inherit those handlers.  A worker that treats
@@ -169,8 +145,7 @@ def _init_worker(
 
 def _execute_cells(
     cells: Sequence[CellSpec],
-    machines: Sequence[MulticoreMachine],
-    entries: Dict[str, Tuple[str, str, Dict[str, Any]]],
+    plan: SweepPlan,
     fault_plan: Optional[FaultPlan],
 ) -> List[CellOutcome]:
     """Run a chunk of cells against explicit state; never raises for a
@@ -178,38 +153,29 @@ def _execute_cells(
     take its chunk-mates' results with it."""
     pid = os.getpid()
     outcomes: List[CellOutcome] = []
-    for label, index, machine_idx, m, n, z, attempt in cells:
+    for label, index, machine, m, n, z, attempt in cells:
         start = time.perf_counter()
+        payload: Any
         try:
             spec = fault_plan.get((label, index)) if fault_plan else None
             if spec is not None:
                 fire(spec, attempt)
-            algorithm, setting, kwargs = entries[label]
+            algorithm, setting, kwargs = plan.entries[label]
             result = run_experiment(
-                algorithm, machines[machine_idx], m, n, z, setting, **kwargs
+                algorithm, plan.machines[machine], m, n, z, setting, **kwargs
             )
             result.attempts = attempt
-            outcomes.append(
-                (label, index, True, result, pid, time.perf_counter() - start)
-            )
+            ok, payload = True, result
         except Exception as exc:  # noqa: BLE001 — cell isolation is the point
-            retryable = not isinstance(exc, _PERMANENT_ERRORS)
-            outcomes.append(
-                (
-                    label,
-                    index,
-                    False,
-                    (type(exc).__name__, str(exc), retryable),
-                    pid,
-                    time.perf_counter() - start,
-                )
-            )
+            ok, payload = False, (type(exc).__name__, str(exc), is_retryable(exc))
+        outcomes.append((label, index, ok, payload, pid, time.perf_counter() - start))
     return outcomes
 
 
 def _run_chunk(cells: Sequence[CellSpec]) -> List[CellOutcome]:
     """Worker entry point: run one chunk against the initializer state."""
-    return _execute_cells(cells, _WORKER_MACHINES, _WORKER_ENTRIES, _WORKER_FAULTS)
+    assert _WORKER_PLAN is not None
+    return _execute_cells(cells, _WORKER_PLAN, _WORKER_FAULTS)
 
 
 # ----------------------------------------------------------------------
@@ -249,31 +215,22 @@ def _kill_pool(pool: Executor) -> None:
 
 
 class _SweepEngine:
-    """One engine run: dispatch, retry, degrade, record."""
+    """The pool transport of one sweep: chunks, futures, deadlines, pool
+    rebuilds, serial fallback and signal drains.  Every outcome is
+    booked in the :class:`~repro.sim.ledger.CellLedger`."""
 
     def __init__(
         self,
+        ledger: CellLedger,
         *,
-        variable: str,
-        xs: Sequence[Any],
-        labels: Sequence[str],
-        cells: Sequence[CellSpec],
-        machines: Sequence[MulticoreMachine],
-        entries: Dict[str, Tuple[str, str, Dict[str, Any]]],
         workers: int,
         cell_timeout: Optional[float],
-        retries: int,
-        backoff: float,
         chunksize: Optional[int],
         fault_plan: Optional[FaultPlan],
         serial_fallback: bool,
         pool_factory: Optional[Callable[..., Executor]],
-        store: Optional[RunStore] = None,
-        resume: bool = False,
         drain_grace_s: float = 5.0,
     ) -> None:
-        if retries < 0:
-            raise ConfigurationError(f"retries must be >= 0, got {retries}")
         if cell_timeout is not None and cell_timeout <= 0:
             raise ConfigurationError(
                 f"cell_timeout must be positive, got {cell_timeout}"
@@ -282,70 +239,35 @@ class _SweepEngine:
             raise ConfigurationError(
                 f"drain_grace_s must be >= 0, got {drain_grace_s}"
             )
-        self.variable = variable
-        self.xs = list(xs)
-        self.labels = list(labels)
-        self.machines = list(machines)
-        self.entries = entries
+        self.ledger = ledger
+        self.plan = ledger.plan
+        self.outstanding = ledger.outstanding
+        self.manifest = ledger.manifest
         self.workers = workers
         self.cell_timeout = cell_timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.backoff_policy = BackoffPolicy(base_s=backoff)
         self.fault_plan = fault_plan
         self.serial_fallback = serial_fallback
         self.pool_factory = pool_factory or ProcessPoolExecutor
-        self.store = store
-        self.resume = resume
         self.drain_grace_s = drain_grace_s
-        #: On-disk compiled-trace tier shared by host + workers (under
-        #: the run dir, so it lives and dies with the run artifacts).
+        #: Compiled-trace tier shared by host and workers: the run dir's
+        #: own tier, else whatever tier the caller already configured.
         self.trace_tier: Optional[str] = (
-            str(store.root / "traces") if store is not None else None
+            str(ledger.store.root / "traces")
+            if ledger.store is not None
+            else replay_engine.trace_tier_root()
         )
-        self.writer: Optional[CheckpointWriter] = None
         #: Signal number once SIGINT/SIGTERM asked the run to drain.
         self.interrupt: Optional[int] = None
         self._old_handlers: Dict[int, Any] = {}
 
-        self.records: Dict[Tuple[str, int], CellRecord] = {}
-        for label, index, *_rest in cells:
-            self.records[(label, index)] = CellRecord(
-                label=label, index=index, x=self.xs[index], status=STATUS_SKIPPED
-            )
-        self.results: Dict[Tuple[str, int], ExperimentResult] = {}
-        self.outstanding = set(self.records)
-        self.manifest = RunManifest(
-            variable=variable,
-            xs=self.xs,
-            workers=workers,
-            cell_timeout_s=cell_timeout,
-            retries=retries,
-            backoff_s=backoff,
-            chunksize=1,  # finalized below once pending cells are known
-        )
-
-        self.fingerprints: Dict[Tuple[str, int], str] = {}
-        if store is not None:
-            for label, index, machine_idx, m, n, z, _attempt in cells:
-                self.fingerprints[(label, index)] = cell_fingerprint(
-                    CellKey(
-                        *entries[label],
-                        machine=self.machines[machine_idx],
-                        variable=variable,
-                        x=self.xs[index],
-                        m=m,
-                        n=n,
-                        z=z,
-                    )
-                )
-            if resume:
-                self._restore_from_checkpoint()
-
-        pending = [s for s in cells if (s[0], s[1]) in self.outstanding]
+        pending = [
+            cell + (1,) for cell in self.plan.cells if cell[:2] in self.outstanding
+        ]
         if chunksize is None:
             chunksize = max(1, len(pending) // (workers * 4))
         self.chunksize = max(1, chunksize)
+        self.manifest.workers = workers
+        self.manifest.cell_timeout_s = cell_timeout
         self.manifest.chunksize = self.chunksize
         self.ready: Deque[List[CellSpec]] = deque(
             [
@@ -355,60 +277,6 @@ class _SweepEngine:
         )
         self.waiting_retry: List[Tuple[float, CellSpec]] = []
         self.inflight: Dict[Future[List[CellOutcome]], Tuple[List[CellSpec], Optional[float]]] = {}
-
-    # -- durability -----------------------------------------------------
-    def _restore_from_checkpoint(self) -> None:
-        """Reload ``ok`` cells from the run directory's checkpoint log.
-
-        A restored cell is finalized without dispatch and flagged
-        ``resumed``; quarantined (corrupt) records are counted and their
-        cells recompute.  Failure records never restore — a resumed
-        sweep re-runs every failed/skipped/missing cell.
-        """
-        assert self.store is not None
-        loaded = self.store.load_checkpoint()
-        self.manifest.quarantined_records = len(loaded.quarantined)
-        ok = loaded.ok_records()
-        for key, fp in self.fingerprints.items():
-            record = ok.get(fp)
-            if record is None:
-                continue
-            try:
-                result: ExperimentResult = result_from_dict(record["result"])
-            except (KeyError, TypeError, ValueError):
-                # A sealed record whose payload still doesn't deserialize
-                # is treated exactly like a checksum mismatch: recompute.
-                self.manifest.quarantined_records += 1
-                continue
-            cell = self.records[key]
-            cell.status = STATUS_OK
-            cell.attempts = result.attempts
-            cell.wall_s = float(record.get("wall_s", 0.0))
-            cell.worker = result.worker
-            cell.resumed = True
-            cell.engine_fallback = result.engine_fallback
-            cell.kernel = result.kernel
-            cell.trace_source = result.trace_source
-            self.results[key] = result
-            self.outstanding.discard(key)
-            self.manifest.resumed_cells += 1
-
-    def _checkpoint(
-        self,
-        key: Tuple[str, int],
-        status: str,
-        *,
-        result: Optional[ExperimentResult] = None,
-    ) -> None:
-        """Flush one finalized cell to the checkpoint log (durable on return)."""
-        if self.writer is None:
-            return
-        serialized = result_to_dict(result) if result is not None else None
-        self.writer.append(
-            self.records[key].checkpoint_payload(
-                self.fingerprints[key], status, serialized
-            )
-        )
 
     # -- signals ---------------------------------------------------------
     def _on_signal(self, signum: int, _frame: Any) -> None:
@@ -431,7 +299,7 @@ class _SweepEngine:
         Only installable from the main thread; elsewhere the engine
         keeps the default behaviour (the run is still crash-safe — the
         checkpoint is flushed per cell)."""
-        if self.store is None:
+        if self.ledger.store is None:
             return
         for sig in (signal.SIGINT, signal.SIGTERM):
             try:
@@ -447,72 +315,24 @@ class _SweepEngine:
                 pass
         self._old_handlers = {}
 
-    # -- bookkeeping ----------------------------------------------------
-    def _finalize_ok(
-        self, label: str, index: int, result: ExperimentResult, pid: int, wall: float
-    ) -> None:
-        record = self.records[(label, index)]
-        record.status = STATUS_OK
-        record.attempts = result.attempts
-        record.wall_s += wall
-        record.worker = pid
-        record.error_type = None
-        record.error = None
-        record.engine_fallback = result.engine_fallback
-        record.kernel = result.kernel
-        record.trace_source = result.trace_source
-        self.results[(label, index)] = result
-        self.outstanding.discard((label, index))
-        self._checkpoint((label, index), STATUS_OK, result=result)
-
-    def _charge_failure(
+    # -- outcomes --------------------------------------------------------
+    def _charge(
         self,
         spec: CellSpec,
         error_type: str,
         error: str,
-        retryable: bool,
         *,
+        retryable: bool = True,
         pid: Optional[int] = None,
         wall: float = 0.0,
     ) -> None:
-        """One attempt of a cell ended badly: retry with backoff or fail."""
-        label, index = spec[0], spec[1]
-        key = (label, index)
-        if key not in self.outstanding:
-            return  # already finalized (defensive: stale duplicate)
-        record = self.records[key]
-        attempt = spec[6]
-        record.attempts = max(record.attempts, attempt)
-        record.wall_s += wall
-        record.error_type = error_type
-        record.error = error
-        if pid is not None:
-            record.worker = pid
-        if retryable and attempt <= self.retries:
-            delay = self.backoff_policy.delay(attempt, key=f"{label}:{index}")
-            retry_spec = spec[:6] + (attempt + 1,)
-            self.waiting_retry.append((time.monotonic() + delay, retry_spec))
-        else:
-            record.status = STATUS_FAILED
-            self.outstanding.discard(key)
-            self._checkpoint(key, STATUS_FAILED)
-
-    def _skip(
-        self, spec: CellSpec, reason: str, *, error_type: str = "Skipped"
-    ) -> None:
-        label, index = spec[0], spec[1]
-        key = (label, index)
-        if key not in self.outstanding:
-            return
-        record = self.records[key]
-        record.status = STATUS_SKIPPED
-        record.error = (
-            f"{reason}" + (f" (last error: {record.error})" if record.error else "")
+        """Book one failed attempt; queue the retry the ledger grants."""
+        delay = self.ledger.charge(
+            spec[:2], spec[6], error_type, error, retryable=retryable, pid=pid, wall=wall
         )
-        if record.error_type is None:
-            record.error_type = error_type
-        self.outstanding.discard(key)
-        self._checkpoint(key, STATUS_SKIPPED)
+        if delay is not None:
+            retry_spec = spec[:6] + (spec[6] + 1,)
+            self.waiting_retry.append((time.monotonic() + delay, retry_spec))
 
     # -- pool management ------------------------------------------------
     def _make_pool(self) -> Optional[Executor]:
@@ -520,26 +340,37 @@ class _SweepEngine:
             return self.pool_factory(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(
-                    self.machines,
-                    self.entries,
-                    self.fault_plan,
-                    self.trace_tier,
-                ),
+                initargs=(self.plan, self.fault_plan, self.trace_tier),
             )
         except Exception:  # noqa: BLE001 — degrade, never abort the sweep
             return None
+
+    def _replace_pool(self, pool: Executor) -> Optional[Executor]:
+        """Kill ``pool`` and build its successor; ``None`` when no pool
+        can be built and the remaining cells were degraded instead."""
+        _kill_pool(pool)
+        replacement = self._make_pool()
+        if replacement is None:
+            self._degrade()
+        return replacement
+
+    def _degrade(self) -> None:
+        """No pool: run the remaining cells in-process, or skip them."""
+        if self.serial_fallback:
+            self._run_serial_fallback()
+            return
+        for key in sorted(self.outstanding):
+            self.ledger.skip(key, "process pool could not be created", "PoolUnavailable")
 
     def _handle_broken_pool(self) -> None:
         """Every in-flight chunk died with the pool: charge and retry."""
         for future, (chunk, _deadline) in list(self.inflight.items()):
             future.cancel()
             for spec in chunk:
-                self._charge_failure(
+                self._charge(
                     spec,
                     "BrokenProcessPool",
                     "worker process died while the cell was in flight",
-                    retryable=True,
                 )
         self.inflight.clear()
         self.manifest.pool_rebuilds += 1
@@ -553,12 +384,11 @@ class _SweepEngine:
             future.cancel()
             budget = self.cell_timeout * len(chunk)
             for spec in chunk:
-                self._charge_failure(
+                self._charge(
                     spec,
                     "TimeoutError",
                     f"chunk of {len(chunk)} cell(s) exceeded its "
                     f"{budget:.3g}s budget ({self.cell_timeout:.3g}s per cell)",
-                    retryable=True,
                 )
         for future, (chunk, _deadline) in list(self.inflight.items()):
             future.cancel()
@@ -581,251 +411,135 @@ class _SweepEngine:
         self.ready.clear()
         self.waiting_retry = []
         for spec in sorted(pending, key=lambda s: (s[0], s[1])):
-            key = (spec[0], spec[1])
+            key = spec[:2]
             if key not in self.outstanding:
                 continue
             if self.interrupt is not None:
-                self._skip(
-                    spec,
+                self.ledger.skip(
+                    key,
                     f"interrupted by {self._signal_name()} before the cell ran",
-                    error_type="Interrupted",
+                    "Interrupted",
                 )
                 continue
-            record = self.records[key]
-            if record.error_type in _WORKER_KILLER_ERRORS:
-                self._skip(
-                    spec,
+            if self.ledger.records[key].error_type in _WORKER_KILLER_ERRORS:
+                self.ledger.skip(
+                    key,
                     "not re-run in-process: previous attempt crashed or "
                     "hung a worker",
                 )
                 continue
             attempt = spec[6]
             while key in self.outstanding and self.interrupt is None:
-                outcome = _execute_cells(
-                    [spec[:6] + (attempt,)],
-                    self.machines,
-                    self.entries,
-                    self.fault_plan,
-                )[0]
-                label, index, ok, payload, pid, wall = outcome
-                self.manifest.record_execution(pid, wall)
+                (outcome,) = _execute_cells(
+                    [spec[:6] + (attempt,)], self.plan, self.fault_plan
+                )
+                _label, _index, ok, payload, pid, wall = outcome
                 if ok:
-                    self._finalize_ok(label, index, payload, pid, wall)
-                else:
-                    error_type, error, retryable = payload
-                    serial_spec = spec[:6] + (attempt,)
-                    if retryable and attempt <= self.retries:
-                        time.sleep(
-                            self.backoff_policy.delay(attempt, key=f"{label}:{index}")
-                        )
-                    self._charge_failure(
-                        serial_spec, error_type, error, retryable, pid=pid, wall=0.0
-                    )
-                    attempt += 1
+                    self.ledger.settle_ok(key, payload, pid=pid, wall=wall)
+                    break
+                error_type, error, retryable = payload
+                delay = self.ledger.charge(
+                    key, attempt, error_type, error,
+                    retryable=retryable, pid=pid, wall=wall,
+                )
+                if delay is not None:
+                    time.sleep(delay)
+                attempt += 1
 
     # -- main loop -------------------------------------------------------
     def run(self) -> SweepResult:
         started = time.perf_counter()
-        self._prepare_store()
+        self.ledger.open()
         self._install_signal_handlers()
-        # The host shares the run dir's trace tier with its workers
-        # (serial fallback and in-process cells hit the same entries);
-        # restored afterwards so one sweep doesn't leak its tier into
-        # the next caller's process-global replay configuration.
+        # The host shares the trace tier with its workers (serial
+        # fallback and in-process cells hit the same entries); restored
+        # afterwards so one sweep doesn't leak its tier into the next
+        # caller's process-global replay configuration.
         previous_tier = replay_engine.trace_tier_root()
-        if self.trace_tier is not None:
-            replay_engine.configure_trace_tier(self.trace_tier)
+        replay_engine.configure_trace_tier(self.trace_tier)
         try:
             if self.outstanding:
                 pool = self._make_pool()
-                if pool is None and self.serial_fallback:
-                    self._run_serial_fallback()
-                elif pool is None:
-                    for key in sorted(self.outstanding):
-                        record = self.records[key]
-                        record.error_type = "PoolUnavailable"
-                        record.error = "process pool could not be created"
-                        self.outstanding.discard(key)
-                        self._checkpoint(key, STATUS_SKIPPED)
+                if pool is None:
+                    self._degrade()
                 else:
-                    try:
-                        self._dispatch_loop(pool)
-                    finally:
-                        _kill_pool(pool)
+                    self._dispatch_loop(pool)
             if self.interrupt is not None:
                 self.manifest.interrupted = self._signal_name()
                 for key in sorted(self.outstanding):
-                    self._skip(
-                        self._spec_for(key),
-                        f"interrupted by {self._signal_name()}",
-                        error_type="Interrupted",
+                    self.ledger.skip(
+                        key, f"interrupted by {self._signal_name()}", "Interrupted"
                     )
         finally:
-            if self.trace_tier is not None:
-                replay_engine.configure_trace_tier(previous_tier)
+            replay_engine.configure_trace_tier(previous_tier)
             self._restore_signal_handlers()
-            if self.writer is not None:
-                self.writer.close()
-                self.writer = None
-        self.manifest.elapsed_s = time.perf_counter() - started
-        sweep = self._assemble()
-        self._finalize_store()
-        return sweep
-
-    def _prepare_store(self) -> None:
-        """Stamp ``run.json``, open the checkpoint log for appending."""
-        if self.store is None:
-            return
-        config = {
-            "variable": self.variable,
-            "xs": self.xs,
-            "labels": self.labels,
-            "engine": {
-                "workers": self.workers,
-                "cell_timeout_s": self.cell_timeout,
-                "retries": self.retries,
-                "backoff_s": self.backoff,
-                "chunksize": self.chunksize,
-            },
-        }
-        if self.resume and self.store.exists():
-            meta = self.store.load_meta() or {}
-            self.store.update_meta(
-                status=STATUS_RUNNING,
-                resumes=int(meta.get("resumes", 0)) + 1,
-                **config,
-            )
-        else:
-            self.store.initialize(config)
-        self.writer = self.store.checkpoint_writer()
-
-    def _finalize_store(self) -> None:
-        """Write the manifest and final status into the run directory."""
-        if self.store is None:
-            return
-        self.manifest.write(self.store.manifest_path)
-        counts = self.manifest.counts()
-        if self.manifest.interrupted is not None:
-            status = STATUS_INTERRUPTED
-        elif counts[STATUS_FAILED] or counts[STATUS_SKIPPED]:
-            status = STATUS_INCOMPLETE
-        else:
-            status = STATUS_COMPLETE
-        self.store.update_meta(
-            status=status,
-            cell_counts=counts,
-            resumed_cells=self.manifest.resumed_cells,
-            interrupted=self.manifest.interrupted,
-            elapsed_s=round(self.manifest.elapsed_s, 6),
-        )
+            self.ledger.close()
+        return self.ledger.finish(time.perf_counter() - started)
 
     def _dispatch_loop(self, pool: Executor) -> None:
-        while self.outstanding:
-            if self.interrupt is not None:
-                self._drain(pool)
-                return
-            now = time.monotonic()
-            # Promote retries whose backoff has elapsed.
-            due = [spec for when, spec in self.waiting_retry if when <= now]
-            self.waiting_retry = [
-                (when, spec) for when, spec in self.waiting_retry if when > now
-            ]
-            for spec in due:
-                self.ready.append([spec])
-
-            # Keep at most `workers` chunks outstanding so every task
-            # starts immediately and submit-time deadlines are honest.
-            broken = False
-            while self.ready and len(self.inflight) < self.workers:
-                chunk = self.ready.popleft()
-                deadline = (
-                    now + self.cell_timeout * len(chunk)
-                    if self.cell_timeout is not None
-                    else None
-                )
-                try:
-                    future = pool.submit(_run_chunk, chunk)
-                except BrokenProcessPool:
-                    self.ready.appendleft(chunk)
-                    broken = True
-                    break
-                except RuntimeError:
-                    # shutdown executor (e.g. after a kill): rebuild
-                    self.ready.appendleft(chunk)
-                    broken = True
-                    break
-                self.inflight[future] = (chunk, deadline)
-
-            if broken:
-                self._handle_broken_pool()
-                _kill_pool(pool)
-                replacement = self._make_pool()
-                if replacement is None:
-                    if self.serial_fallback:
-                        self._run_serial_fallback()
-                    else:
-                        for key in sorted(self.outstanding):
-                            self._skip(
-                                self._spec_for(key), "process pool unavailable"
-                            )
+        """Keep ``workers`` chunks in flight until every cell settles; a
+        broken or overdue pool is replaced, or the run degrades."""
+        current: Optional[Executor] = pool
+        try:
+            while current is not None and self.outstanding:
+                if self.interrupt is not None:
+                    self._drain(current)
                     return
-                pool = replacement
-                continue
-
-            if not self.inflight:
-                if self.waiting_retry:
-                    next_due = min(when for when, _spec in self.waiting_retry)
-                    pause = max(0.0, next_due - time.monotonic())
-                    if self.store is not None:
+                now = time.monotonic()
+                # Promote retries whose backoff has elapsed.
+                self.ready.extend(
+                    [spec] for when, spec in self.waiting_retry if when <= now
+                )
+                self.waiting_retry = [
+                    (when, spec) for when, spec in self.waiting_retry if when > now
+                ]
+                if not self._submit_ready(current, now):
+                    self._handle_broken_pool()
+                elif not self.inflight:
+                    if not self.waiting_retry:
+                        return  # defensive: nothing queued, nothing running
+                    pause = min(when for when, _spec in self.waiting_retry)
+                    pause = max(0.0, pause - time.monotonic())
+                    if self.ledger.store is not None:
                         # Stay responsive to SIGINT/SIGTERM drains.
                         pause = min(pause, _SIGNAL_POLL_S)
                     time.sleep(pause)
                     continue
-                break  # defensive: nothing queued, nothing running
+                elif self._process_done(self._wait_some()):
+                    self._handle_broken_pool()
+                else:
+                    now = time.monotonic()
+                    overdue = [
+                        future
+                        for future, (_chunk, deadline) in self.inflight.items()
+                        if deadline is not None and now >= deadline and not future.done()
+                    ]
+                    if not overdue:
+                        continue
+                    self._handle_timeouts(overdue)
+                current = self._replace_pool(current)
+        finally:
+            if current is not None:
+                _kill_pool(current)
 
-            done = self._wait_some()
-            pool_broke = self._process_done(done)
-            if pool_broke:
-                self._handle_broken_pool()
-                _kill_pool(pool)
-                replacement = self._make_pool()
-                if replacement is None:
-                    if self.serial_fallback:
-                        self._run_serial_fallback()
-                    else:
-                        for key in sorted(self.outstanding):
-                            self._skip(
-                                self._spec_for(key), "process pool unavailable"
-                            )
-                    return
-                pool = replacement
-                continue
-
-            now = time.monotonic()
-            overdue = [
-                future
-                for future, (_chunk, deadline) in self.inflight.items()
-                if deadline is not None and now >= deadline and not future.done()
-            ]
-            if overdue:
-                self._handle_timeouts(overdue)
-                _kill_pool(pool)
-                replacement = self._make_pool()
-                if replacement is None:
-                    if self.serial_fallback:
-                        self._run_serial_fallback()
-                    else:
-                        for key in sorted(self.outstanding):
-                            self._skip(
-                                self._spec_for(key), "process pool unavailable"
-                            )
-                    return
-                pool = replacement
-
-    def _spec_for(self, key: Tuple[str, int]) -> CellSpec:
-        """Reconstruct a minimal spec for bookkeeping-only paths."""
-        record = self.records[key]
-        return (key[0], key[1], 0, 0, 0, 0, max(record.attempts, 1))
+    def _submit_ready(self, pool: Executor, now: float) -> bool:
+        """Top the pool up to ``workers`` in-flight chunks, so every task
+        starts immediately and submit-time deadlines are honest; ``False``
+        when the pool turned out broken or shut down."""
+        while self.ready and len(self.inflight) < self.workers:
+            chunk = self.ready.popleft()
+            deadline = (
+                now + self.cell_timeout * len(chunk)
+                if self.cell_timeout is not None
+                else None
+            )
+            try:
+                future = pool.submit(_run_chunk, chunk)
+            except (BrokenProcessPool, RuntimeError):
+                self.ready.appendleft(chunk)
+                return False
+            self.inflight[future] = (chunk, deadline)
+        return True
 
     def _wait_some(self) -> List[Future[List[CellOutcome]]]:
         """Block until progress: a completion, a deadline, or a due retry."""
@@ -837,7 +551,7 @@ class _SweepEngine:
         ]
         horizons.extend(when for when, _spec in self.waiting_retry)
         timeout = max(0.0, min(horizons) - now) if horizons else None
-        if self.store is not None:
+        if self.ledger.store is not None:
             # A store-backed run traps SIGINT/SIGTERM; wake periodically
             # so the drain starts promptly even when nothing completes.
             timeout = _SIGNAL_POLL_S if timeout is None else min(timeout, _SIGNAL_POLL_S)
@@ -868,72 +582,40 @@ class _SweepEngine:
         for future, (_chunk, _deadline) in list(self.inflight.items()):
             future.cancel()
         self.inflight.clear()
-        _kill_pool(pool)
 
     def _process_done(self, done: List[Future[List[CellOutcome]]]) -> bool:
-        """Fold completed futures into records; returns pool-broke."""
+        """Fold completed futures into the ledger; returns pool-broke.
+
+        A chunk that died with the pool stays in flight: the caller's
+        :meth:`_handle_broken_pool` charges it with the others."""
         pool_broke = False
         for future in done:
+            if isinstance(future.exception(), BrokenProcessPool):
+                pool_broke = True
+                continue
             chunk, _deadline = self.inflight.pop(future)
             try:
                 outcomes = future.result()
-            except BrokenProcessPool:
-                pool_broke = True
-                for spec in chunk:
-                    self._charge_failure(
-                        spec,
-                        "BrokenProcessPool",
-                        "worker process died while the cell was in flight",
-                        retryable=True,
-                    )
             except Exception as exc:  # noqa: BLE001 — e.g. unpicklable result
                 for spec in chunk:
-                    self._charge_failure(
-                        spec, type(exc).__name__, str(exc), retryable=True
-                    )
+                    self._charge(spec, type(exc).__name__, str(exc))
             else:
+                specs = {spec[:2]: spec for spec in chunk}
                 for label, index, ok, payload, pid, wall in outcomes:
-                    self.manifest.record_execution(pid, wall)
                     if ok:
-                        self._finalize_ok(label, index, payload, pid, wall)
-                    else:
-                        error_type, error, retryable = payload
-                        spec = next(
-                            s for s in chunk if s[0] == label and s[1] == index
-                        )
-                        self._charge_failure(
-                            spec, error_type, error, retryable, pid=pid, wall=wall
-                        )
+                        self.ledger.settle_ok((label, index), payload, pid=pid, wall=wall)
+                        continue
+                    error_type, error, retryable = payload
+                    self._charge(
+                        specs[(label, index)], error_type, error,
+                        retryable=retryable, pid=pid, wall=wall,
+                    )
         return pool_broke
-
-    def _assemble(self) -> SweepResult:
-        sweep = SweepResult(variable=self.variable, xs=list(self.xs))
-        buckets: Dict[str, List[Optional[ExperimentResult]]] = {
-            label: [None] * len(self.xs) for label in self.labels
-        }
-        for (label, index), result in self.results.items():
-            buckets[label][index] = result
-        for label in self.labels:
-            sweep.add(label, buckets[label])
-        self.manifest.cells = list(self.records.values())
-        sweep.failures = [
-            record
-            for record in self.records.values()
-            if record.status != STATUS_OK
-        ]
-        sweep.manifest = self.manifest
-        sweep.interrupted = self.manifest.interrupted
-        return sweep
 
 
 def _run_engine_sweep(
+    plan: SweepPlan,
     *,
-    variable: str,
-    xs: Sequence[Any],
-    labels: Sequence[str],
-    cells: Sequence[CellSpec],
-    machines: Sequence[MulticoreMachine],
-    entries: Dict[str, Tuple[str, str, Dict[str, Any]]],
     workers: Optional[int],
     cell_timeout: Optional[float],
     retries: int,
@@ -947,25 +629,23 @@ def _run_engine_sweep(
     resume: bool,
     drain_grace_s: float,
 ) -> SweepResult:
-    if resume and run_dir is None:
-        raise ConfigurationError("resume=True requires a run_dir")
-    engine = _SweepEngine(
-        variable=variable,
-        xs=xs,
-        labels=labels,
-        cells=cells,
-        machines=machines,
-        entries=entries,
-        workers=_resolve_workers(workers),
-        cell_timeout=cell_timeout,
+    ledger = CellLedger(
+        plan,
         retries=retries,
         backoff=backoff,
+        store=RunStore(run_dir) if run_dir is not None else None,
+        resume=resume,
+        encode=result_to_dict,
+        decode=result_from_dict,
+    )
+    engine = _SweepEngine(
+        ledger,
+        workers=_resolve_workers(workers),
+        cell_timeout=cell_timeout,
         chunksize=chunksize,
         fault_plan=fault_plan,
         serial_fallback=serial_fallback,
         pool_factory=pool_factory,
-        store=RunStore(run_dir) if run_dir is not None else None,
-        resume=resume,
         drain_grace_s=drain_grace_s,
     )
     sweep = engine.run()
@@ -1006,30 +686,18 @@ def parallel_order_sweep(
     ``resume=True`` reloads completed cells from that directory and
     dispatches only the rest (see ``docs/RUNSTORE.md``).
     """
-    reset_fallback_warnings()
-    resolved = resolve_entries(entries)
-    labels = [label for _a, _s, _p, label in resolved]
-    entry_table: Dict[str, Tuple[str, str, Dict[str, Any]]] = {}
-    cells: List[CellSpec] = []
-    for algorithm, setting, params, label in resolved:
-        kwargs: Dict[str, Any] = dict(
-            check=check,
-            inclusive=inclusive,
-            policy=policy,
-            engine=engine,
-            strict_engine=strict_engine,
-            **params,
-        )
-        entry_table[label] = (algorithm, setting, kwargs)
-        for index, order in enumerate(orders):
-            cells.append((label, index, 0, order, order, order, 1))
+    plan = order_plan(
+        entries,
+        machine,
+        orders,
+        check=check,
+        inclusive=inclusive,
+        policy=policy,
+        engine=engine,
+        strict_engine=strict_engine,
+    )
     return _run_engine_sweep(
-        variable="order",
-        xs=list(orders),
-        labels=labels,
-        cells=cells,
-        machines=[machine],
-        entries=entry_table,
+        plan,
         workers=workers,
         cell_timeout=cell_timeout,
         retries=retries,
@@ -1076,33 +744,20 @@ def parallel_ratio_sweep(
     initializer; each submitted cell carries only the index of its
     machine.
     """
-    reset_fallback_warnings()
-    resolved = resolve_entries(entries)
-    labels = [label for _a, _s, _p, label in resolved]
-    machines = [
-        machine.with_bandwidth_ratio(r, total=total_bandwidth) for r in ratios
-    ]
-    entry_table: Dict[str, Tuple[str, str, Dict[str, Any]]] = {}
-    cells: List[CellSpec] = []
-    for algorithm, setting, params, label in resolved:
-        kwargs: Dict[str, Any] = dict(
-            check=check,
-            inclusive=inclusive,
-            policy=policy,
-            engine=engine,
-            strict_engine=strict_engine,
-            **params,
-        )
-        entry_table[label] = (algorithm, setting, kwargs)
-        for index in range(len(ratios)):
-            cells.append((label, index, index, order, order, order, 1))
+    plan = ratio_plan(
+        entries,
+        machine,
+        ratios,
+        order,
+        total_bandwidth=total_bandwidth,
+        check=check,
+        inclusive=inclusive,
+        policy=policy,
+        engine=engine,
+        strict_engine=strict_engine,
+    )
     return _run_engine_sweep(
-        variable="r",
-        xs=list(ratios),
-        labels=labels,
-        cells=cells,
-        machines=machines,
-        entries=entry_table,
+        plan,
         workers=workers,
         cell_timeout=cell_timeout,
         retries=retries,

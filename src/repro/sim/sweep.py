@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.cache import replay as replay_engine
 from repro.exceptions import ConfigurationError
 from repro.model.machine import MulticoreMachine
 from repro.sim.results import ExperimentResult, SweepResult
@@ -74,55 +73,6 @@ def resolve_entries(
     return resolved
 
 
-#: One (entry, order) cell shipped to a pool worker: the trace-tier
-#: root plus every ``run_experiment`` argument.
-_CellTask = Tuple[
-    Optional[str],
-    str,
-    MulticoreMachine,
-    int,
-    str,
-    bool,
-    bool,
-    str,
-    str,
-    bool,
-    Dict[str, Any],
-]
-
-
-def _pool_cell(task: _CellTask) -> ExperimentResult:
-    """Evaluate one sweep cell in a pool worker process."""
-    (
-        tier,
-        algorithm,
-        machine,
-        order,
-        setting,
-        check,
-        inclusive,
-        policy,
-        engine,
-        strict_engine,
-        params,
-    ) = task
-    replay_engine.configure_trace_tier(tier)
-    return run_experiment(
-        algorithm,
-        machine,
-        order,
-        order,
-        order,
-        setting,
-        check=check,
-        inclusive=inclusive,
-        policy=policy,
-        engine=engine,
-        strict_engine=strict_engine,
-        **params,
-    )
-
-
 def order_sweep(
     entries: Iterable[Entry],
     machine: MulticoreMachine,
@@ -145,47 +95,30 @@ def order_sweep(
     cannot reproduce is warned about once per sweep and falls back to
     the step engine — or raises, with ``strict_engine=True``.
 
-    With ``workers > 1`` the (entry, order) cells fan out over a
-    process pool, largest order first so the paper-scale cells never
-    queue behind trivia.  Results are identical to the serial sweep
-    (every cell is an independent ``run_experiment`` call); the
+    With ``workers > 1`` the cells fan out through
+    :func:`repro.sim.parallel.parallel_order_sweep` (retries, timeouts
+    and a run manifest included).  Results are identical to the serial
+    sweep (every cell is an independent ``run_experiment`` call); the
     in-process trace memo is per worker, so cross-setting trace reuse
     happens only through the on-disk tier when one is configured.
     """
+    if workers > 1:
+        from repro.sim.parallel import parallel_order_sweep
+
+        return parallel_order_sweep(
+            entries,
+            machine,
+            orders,
+            workers=workers,
+            check=check,
+            inclusive=inclusive,
+            policy=policy,
+            engine=engine,
+            strict_engine=strict_engine,
+        )
     reset_fallback_warnings()
     sweep = SweepResult(variable="order", xs=list(orders))
-    resolved = resolve_entries(entries)
-    if workers > 1:
-        from concurrent.futures import Future, ProcessPoolExecutor
-
-        tier = replay_engine.trace_tier_root()
-        tasks: List[_CellTask] = [
-            (
-                tier,
-                algorithm,
-                machine,
-                order,
-                setting,
-                check,
-                inclusive,
-                policy,
-                engine,
-                strict_engine,
-                params,
-            )
-            for algorithm, setting, params, _ in resolved
-            for order in orders
-        ]
-        futures: Dict[int, "Future[ExperimentResult]"] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index in sorted(range(len(tasks)), key=lambda i: -tasks[i][3]):
-                futures[index] = pool.submit(_pool_cell, tasks[index])
-            flat = [futures[i].result() for i in range(len(tasks))]
-        for position, (_, _, _, label) in enumerate(resolved):
-            start = position * len(orders)
-            sweep.add(label, list(flat[start : start + len(orders)]))
-        return sweep
-    for algorithm, setting, params, label in resolved:
+    for algorithm, setting, params, label in resolve_entries(entries):
         results: List[Optional[ExperimentResult]] = [
             run_experiment(
                 algorithm,

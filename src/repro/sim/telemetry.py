@@ -15,7 +15,8 @@ ran.  This module holds the observability layer:
   cell record, worker statistics and ok/failed/skipped totals
   (mirroring the checker's schema-2 cell accounting).
 
-Everything here is plain data; the engine owns the bookkeeping.
+Everything here is plain data; :mod:`repro.sim.ledger` owns the
+bookkeeping for both sweep executors.
 """
 
 from __future__ import annotations

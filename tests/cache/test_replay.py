@@ -24,9 +24,7 @@ from repro.cache.replay import (
     compiled_trace_for,
     distributed_miss_curves,
     replay_bulk,
-    replay_fifo,
     replay_ideal,
-    replay_lru,
     supports,
     trace_cache_info,
     trace_fingerprint,
@@ -95,7 +93,7 @@ class TestBitIdentity:
         fmas = [(0, block_key(MAT_A, 0, 0), block_key(MAT_B, 0, 0),
                  block_key(MAT_C, 0, 0))]
         trace = CompiledTrace(1, fmas, [1], None)
-        stats = replay_fifo(trace, [(16, 4)])[0]
+        stats = replay_bulk(trace, [("fifo", 16, 4)])[0]
         assert stats.distributed[0].misses == 3
         assert stats.distributed[0].hits == 0
 
@@ -279,8 +277,8 @@ class TestResultMemo:
         trace = compiled_trace_for(alg, directives=True)
         for fn in (
             lambda: replay_ideal(trace),
-            lambda: replay_lru(trace, [(MACHINE.cs, MACHINE.cd)])[0],
-            lambda: replay_fifo(trace, [(MACHINE.cs, MACHINE.cd)])[0],
+            lambda: replay_bulk(trace, [("lru", MACHINE.cs, MACHINE.cd)])[0],
+            lambda: replay_bulk(trace, [("fifo", MACHINE.cs, MACHINE.cd)])[0],
         ):
             first = fn()
             second = fn()
@@ -293,7 +291,7 @@ class TestResultMemo:
     def test_memo_distinguishes_configs_and_policies(self):
         alg = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
         trace = compiled_trace_for(alg, directives=False)
-        lru_small, lru_big = replay_lru(trace, [(50, 4), (977, 21)])
+        lru_small, lru_big = replay_bulk(trace, [("lru", 50, 4), ("lru", 977, 21)])
         assert lru_small != lru_big
-        fifo_small = replay_fifo(trace, [(50, 4)])[0]
+        fifo_small = replay_bulk(trace, [("fifo", 50, 4)])[0]
         assert fifo_small != lru_small

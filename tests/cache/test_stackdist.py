@@ -7,14 +7,12 @@ from repro.cache.lru import LRUCache
 from repro.cache.stackdist import (
     COLD,
     DEEP,
-    FenwickTree,
     bounded_stack_distances,
     distance_histogram,
     miss_counts_multi,
     miss_curve,
     misses_for_capacity,
     stack_distances,
-    stack_distances_fenwick,
 )
 
 
@@ -76,28 +74,7 @@ class TestMissCounts:
 
 
 class TestBulkPasses:
-    """The replay engine's bulk primitives: Fenwick, bounded, multi."""
-
-    def test_fenwick_tree_prefix_sums(self):
-        tree = FenwickTree(8)
-        tree.add(0, 1)
-        tree.add(3, 2)
-        tree.add(7, 5)
-        assert tree.prefix_sum(0) == 1
-        assert tree.prefix_sum(2) == 1
-        assert tree.prefix_sum(3) == 3
-        assert tree.total() == 8
-        tree.add(3, -2)
-        assert tree.total() == 6
-
-    def test_fenwick_tree_rejects_empty(self):
-        with pytest.raises(ValueError):
-            FenwickTree(0)
-
-    @given(st.lists(st.integers(0, 12), max_size=250))
-    @settings(max_examples=80, deadline=None)
-    def test_fenwick_equals_list_based(self, trace):
-        assert stack_distances_fenwick(trace) == stack_distances(trace)
+    """The replay engine's bulk primitives: bounded and multi."""
 
     @given(
         st.lists(st.integers(0, 12), max_size=250),

@@ -102,6 +102,21 @@ class TestStructure:
             p.key: p.series for p in serial.panels
         }
 
+    def test_figure_workers_fill_a_configured_trace_tier(self, tmp_path):
+        """A tier configured before a ``workers=2`` sweep (``--trace-tier``
+        / ``REPRO_TRACE_TIER``) reaches the workers: only they run cells."""
+        from repro.cache import replay, tracestore
+
+        tier = tmp_path / "tier"
+        replay.clear_trace_cache()  # forked workers must not start warm
+        previous = replay.trace_tier_root()
+        replay.configure_trace_tier(str(tier))
+        try:
+            figure7(orders=TINY, workers=2)
+        finally:
+            replay.configure_trace_tier(previous)
+        assert tracestore.tier_info(tier)["entries"] > 0
+
 
 class TestContent:
     def test_figure4_lru_2c_below_twice_formula(self):

@@ -54,7 +54,7 @@ def build(run_dir, clock, *, entries=ENTRIES, orders=ORDERS, resume=False,
     coordinator.clock = clock
     coordinator.leases.clock = clock
     coordinator._started_at = time.perf_counter()
-    coordinator._prepare_store()
+    coordinator._open()
     return coordinator
 
 
@@ -64,7 +64,7 @@ def abandon(coordinator):
     No terminals, no stop event, ``run.json`` left ``running`` — the
     run directory looks exactly as a killed coordinator leaves it.
     """
-    coordinator.writer.close()
+    coordinator.ledger.writer.close()
     coordinator.journal.close()
 
 

@@ -1,0 +1,150 @@
+"""The cell ledger: one set of books under the pool and the fabric.
+
+Both executors plan cells, record outcomes, checkpoint and resume
+through :mod:`repro.sim.ledger`, so a grid run by either one must leave
+the same per-cell telemetry, and either one must resume the other's
+run directory.
+"""
+
+import json
+import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+import pytest
+
+import repro.sim.ledger as ledger_module
+from repro.cache import replay
+from repro.exceptions import ConfigurationError
+from repro.fabric.coordinator import fabric_order_sweep
+from repro.fabric.worker import FabricWorker
+from repro.model.machine import MulticoreMachine
+from repro.sim.ledger import order_plan, ratio_plan
+from repro.sim.parallel import parallel_order_sweep
+from repro.store import RunStore
+
+MACHINE = MulticoreMachine(p=4, cs=100, cd=21, q=8)
+GRID = [("shared-opt", "lru-50"), ("outer-product", "ideal")]
+ORDERS = [4, 6]
+
+
+def pool_run(run_dir, *, resume=False):
+    return parallel_order_sweep(
+        GRID, MACHINE, ORDERS, workers=1, run_dir=run_dir, resume=resume
+    )
+
+
+def fabric_run(run_dir, *, resume=False):
+    """A coordinator driven through ``handle()``; each grant runs the way
+    a fabric worker runs it (adopting the run dir's trace tier)."""
+    coordinator = fabric_order_sweep(
+        GRID, MACHINE, ORDERS, run_dir=run_dir, resume=resume
+    )
+    coordinator._started_at = time.perf_counter()
+    coordinator._open()
+    worker = FabricWorker(("127.0.0.1", 1), worker_id="w1")
+    previous_tier = replay.trace_tier_root()
+    try:
+        while True:
+            reply = coordinator.handle({"type": "lease", "worker": "w1"})
+            if reply["type"] == "drained":
+                break
+            assert reply["type"] == "grant"
+            coordinator.handle(worker._execute(reply))
+    finally:
+        replay.configure_trace_tier(previous_tier)
+    return coordinator.finish()
+
+
+def manifest_telemetry(run_dir):
+    """Per cell of the on-disk manifest: (kernel, trace source)."""
+    manifest = json.loads(RunStore(run_dir).manifest_path.read_text())
+    return {
+        (cell["label"], cell["index"]): (
+            cell.get("kernel", ""),
+            cell.get("trace_source", ""),
+        )
+        for cell in manifest["cells"]
+    }
+
+
+class TestPlan:
+    def test_unknown_setting_rejected_before_any_worker_starts(self):
+        pools = []
+
+        def factory(**kwargs):
+            pools.append(kwargs)
+            return ProcessPoolExecutor(**kwargs)
+
+        with pytest.raises(ConfigurationError, match="unknown setting"):
+            parallel_order_sweep(
+                [("shared-opt", "ideal"), ("shared-opt", "nope")],
+                MACHINE,
+                [4],
+                workers=2,
+                pool_factory=factory,
+            )
+        assert pools == []
+
+    def test_unknown_algorithm_rejected_before_the_run_dir_exists(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="unknown algorithm"):
+            fabric_order_sweep(
+                [("no-such-algorithm", "ideal")], MACHINE, [4], run_dir=tmp_path / "run"
+            )
+        assert not (tmp_path / "run").exists()
+
+    def test_order_and_ratio_cells(self):
+        orders = order_plan(GRID, MACHINE, ORDERS, policy="lru")
+        assert orders.labels == ["shared-opt lru-50", "outer-product ideal"]
+        assert orders.cells[:2] == [
+            ("shared-opt lru-50", 0, 0, 4, 4, 4),
+            ("shared-opt lru-50", 1, 0, 6, 6, 6),
+        ]
+        assert orders.entries["shared-opt lru-50"] == (
+            "shared-opt", "lru-50", {"policy": "lru"}
+        )
+        ratios = ratio_plan(GRID[:1], MACHINE, [0.25, 0.75], 8, total_bandwidth=2.0)
+        assert [cell[2] for cell in ratios.cells] == [0, 1]
+        assert [m.sigma_s for m in ratios.machines] == [0.5, 1.5]
+
+
+class TestExecutorsAgree:
+    def test_pool_and_fabric_record_the_same_cell_telemetry(self, tmp_path):
+        replay.clear_trace_cache()
+        pool = pool_run(tmp_path / "pool")
+        replay.clear_trace_cache()
+        fabric = fabric_run(tmp_path / "fabric")
+        assert pool.complete and fabric.complete
+        pool_cells = manifest_telemetry(tmp_path / "pool")
+        assert len(pool_cells) == len(GRID) * len(ORDERS)
+        assert all(kernel and source for kernel, source in pool_cells.values())
+        assert manifest_telemetry(tmp_path / "fabric") == pool_cells
+
+    def test_each_executor_resumes_the_others_run_dir(self, tmp_path):
+        pool_run(tmp_path / "pool")
+        fabric_run(tmp_path / "fabric")
+        expected = {
+            name: manifest_telemetry(tmp_path / name) for name in ("pool", "fabric")
+        }
+        by_fabric = fabric_run(tmp_path / "pool", resume=True)
+        by_pool = pool_run(tmp_path / "fabric", resume=True)
+        for sweep in (by_fabric, by_pool):
+            assert sweep.complete
+            assert sweep.manifest.resumed_cells == len(GRID) * len(ORDERS)
+            assert all(cell.resumed for cell in sweep.manifest.cells)
+        assert manifest_telemetry(tmp_path / "pool") == expected["pool"]
+        assert manifest_telemetry(tmp_path / "fabric") == expected["fabric"]
+
+
+class TestDeterminismScope:
+    SOURCE = Path(ledger_module.__file__).resolve()
+
+    def test_ledger_is_on_the_determinism_profile(self):
+        from repro.check.lint import _profile_for
+
+        assert _profile_for(self.SOURCE, self.SOURCE.parents[1]).determinism
+
+    def test_ledger_scans_clean(self):
+        from repro.check.lint import run_lint
+
+        assert run_lint(paths=[self.SOURCE]) == []

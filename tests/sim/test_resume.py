@@ -148,6 +148,9 @@ class TestKillAndResume:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            # Its own process group, so the kill below also takes down
+            # the pool worker stuck in the hang fault.
+            start_new_session=True,
         )
         try:
             # Wait until the five non-hanging cells are all checkpointed.
@@ -164,12 +167,15 @@ class TestKillAndResume:
                 time.sleep(0.05)
             else:
                 pytest.fail("child never checkpointed its first five cells")
-            child.kill()  # SIGKILL: no handlers, no flushes, no mercy
+            # SIGKILL: no handlers, no flushes, no mercy
+            os.killpg(child.pid, signal.SIGKILL)
             child.wait(timeout=30)
         finally:
-            if child.poll() is None:
-                child.kill()
-                child.wait(timeout=30)
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.wait(timeout=30)
 
         audit = RunStore(run_dir).audit()
         assert audit.ok  # torn tail at worst — never corruption

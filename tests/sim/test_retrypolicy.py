@@ -86,6 +86,15 @@ class TestBackoffPolicy:
             BackoffPolicy().delay(0)
 
     def test_pool_engine_uses_the_shared_policy(self):
+        """The pool engine, like the fabric, books every failed attempt
+        in the cell ledger, whose retry delay is the shared policy's."""
         import repro.sim.parallel as parallel
+        from repro.model.machine import MulticoreMachine
+        from repro.sim.ledger import CellLedger, order_plan
 
-        assert parallel.BackoffPolicy is BackoffPolicy
+        assert parallel.CellLedger is CellLedger
+        machine = MulticoreMachine(p=4, cs=100, cd=21, q=8)
+        plan = order_plan([("shared-opt", "ideal")], machine, [4])
+        ledger = CellLedger(plan, retries=2, backoff=0.1)
+        delay = ledger.charge(("shared-opt ideal", 0), 1, "Boom", "injected")
+        assert delay == BackoffPolicy(base_s=0.1).delay(1, key="shared-opt ideal:0")
