@@ -32,7 +32,7 @@ def bench_associativity(benchmark, out_dir):
                 ORDER,
                 "lru-50",
                 policy=policy,
-                engine="replay",
+                engine="step",
             )
             rows.append({"policy": policy, "MS": r.ms, "MD": r.md})
         return rows

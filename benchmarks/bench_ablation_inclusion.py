@@ -27,7 +27,7 @@ def bench_lru_inclusive(benchmark):
     result = benchmark.pedantic(
         run_experiment,
         args=("shared-opt", preset("q32"), ORDER, ORDER, ORDER, "lru-50"),
-        kwargs={"inclusive": True},
+        kwargs={"inclusive": True, "engine": "step"},
         rounds=1,
         iterations=1,
     )
@@ -48,7 +48,7 @@ def bench_inclusion_miss_count_effect(benchmark, out_dir):
                 ORDER,
                 "lru-50",
                 inclusive=inclusive,
-                engine="replay",
+                engine="step",
             )
             rows.append((inclusive, r.ms, r.md))
         return rows

@@ -851,19 +851,23 @@ def replay_bulk(
 
 
 # ----------------------------------------------------------------------
-# Streaming replay (paper-scale traces that must never materialize)
+# The engine rule: how large a trace may materialize
 # ----------------------------------------------------------------------
-#: Above this many FMAs a compiled trace stops being materialized and
-#: the LRU/FIFO kernels stream directly off the running schedule
-#: (an order-1100 trace is 1.33e9 rows = ~40 GiB — far beyond CI
-#: runners).  Override with ``REPRO_STREAM_FMAS`` (positive int).
-STREAM_FMAS_DEFAULT = 64_000_000
+#: The largest cell, in FMAs, whose trace
+#: :func:`repro.sim.runner.run_experiment` materializes and replays;
+#: larger cells run on the step engine.  A materialized IDEAL replay
+#: peaks at about 1.3 KB per FMA, because directives outnumber FMAs
+#: about 4.5 to 1: one Shared Opt. cell measured 382 MB at order 64 and
+#: 2.7 GB at order 128, where the step engine stays near 37 MB (2-vCPU
+#: x86-64 host, Python 3.11).  Override with ``REPRO_STREAM_FMAS``
+#: (positive int).
+STREAM_FMAS_DEFAULT = 4_000_000
 
 _STREAM_ENV = "REPRO_STREAM_FMAS"
 
 
 def stream_threshold() -> int:
-    """The FMA count above which replay streams instead of compiling."""
+    """The largest FMA count whose trace replay may materialize."""
     raw = os.environ.get(_STREAM_ENV)
     if raw:
         try:
@@ -880,11 +884,22 @@ def stream_threshold() -> int:
     return STREAM_FMAS_DEFAULT
 
 
-def should_stream(n_fmas: int) -> bool:
-    """Whether a schedule of ``n_fmas`` multiply-adds must stream."""
-    return n_fmas > stream_threshold()
+def replays(
+    mode: str, policy: str, inclusive: bool, check: bool, n_fmas: int
+) -> bool:
+    """Whether :func:`repro.sim.runner.run_experiment` replays this cell.
+
+    Replay a materialized trace when the kernels cover the
+    configuration (:func:`supports`) and the cell's ``n_fmas``
+    multiply-adds are within :func:`stream_threshold`; otherwise the
+    step engine runs the cell, whatever its policy family.
+    """
+    return supports(mode, policy, inclusive, check) and n_fmas <= stream_threshold()
 
 
+# ----------------------------------------------------------------------
+# Streaming replay (many cells in one schedule pass, no stored trace)
+# ----------------------------------------------------------------------
 class _StreamRecorder(ExecutionContext):
     """Compute-only context that feeds kernel passes chunk by chunk.
 
@@ -931,11 +946,13 @@ def replay_bulk_streaming(
     Runs ``algorithm`` once against a chunk-flushing recorder that feeds
     the same :class:`_LRUPass`/:class:`_FIFOPass` kernels as
     :func:`replay_bulk`, so the counters are bit-identical to both the
-    materialized path and the step oracle — but peak memory is one
-    64Ki-row chunk plus the kernels' bounded state, which is what makes
-    the paper's order-1100 sweeps feasible on CI runners.  The price is
-    that nothing is retained: no trace, no memoization, every call
-    re-runs the schedule.  Returns ``(stats, comp)`` with ``stats`` in
+    materialized path and the step oracle, and peak memory is one
+    64Ki-row chunk plus the kernels' bounded state.  Nothing is
+    retained: no trace, no memoization, every call re-runs the
+    schedule.  That pays off only when one pass serves many ``(CS,
+    CD)`` cells; for a single cell the step engine is faster and
+    smaller, so :func:`~repro.sim.runner.run_experiment` never streams
+    (see :func:`replays`).  Returns ``(stats, comp)`` with ``stats`` in
     input-cell order and ``comp`` the per-core multiply-add counts.
     """
     todo_lru: set[Tuple[int, int]] = set()

@@ -25,15 +25,12 @@ optimality claims rest on invariants that can be proved over the
   every cell's measured/bound ratio feeds a per-algorithm
   optimality-gap certificate (``gap-report.json``) ratcheted against a
   committed baseline;
-* **enginemodel** — a static walk of the configuration space and the
-  experiment/sweep call sites flags every cell that will silently fall
-  back from the replay engine to the step engine;
 * **lint / determinism** — one serial AST pass over the sources
   enforcing repo idioms (directives wrapped in ``if ctx.explicit``,
   schedules registered, no mutable defaults, no ``==`` on
-  floating-point ``Tdata``, engine fallback sites recording telemetry)
-  and keeping the fingerprint/serde modules free of wall-clock, RNG,
-  filesystem-order and set-order nondeterminism (``determinism/*``).
+  floating-point ``Tdata``) and keeping the fingerprint/serde modules
+  free of wall-clock, RNG, filesystem-order and set-order
+  nondeterminism (``determinism/*``).
 
 Fingerprint purity is not an analyzer: it is the
 :class:`repro.store.checkpoint.CellKey` type, which has no field an
@@ -69,7 +66,6 @@ from repro.check.cost import (
 )
 from repro.check.coverage import check_coverage
 from repro.check.determinism import check_determinism
-from repro.check.enginemodel import check_engine_model
 from repro.check.events import AnalysisContext
 from repro.check.findings import CHECKER_VERSION, Finding
 from repro.check.gap import (
@@ -85,12 +81,7 @@ from repro.check.lint import run_lint, scan_source
 from repro.check.presence import check_presence
 from repro.check.races import check_races
 from repro.check.rules import REGISTRY, Rule, RuleConfig
-from repro.check.runner import (
-    ScheduleReport,
-    analyze_schedule,
-    check_all,
-    source_scan,
-)
+from repro.check.runner import ScheduleReport, analyze_schedule, check_all
 from repro.check.sarif import to_sarif, write_sarif
 from repro.check.tightbounds import check_tight_bounds
 
@@ -116,7 +107,6 @@ __all__ = [
     "check_cost",
     "check_coverage",
     "check_determinism",
-    "check_engine_model",
     "check_parameters",
     "check_presence",
     "check_races",
@@ -128,7 +118,6 @@ __all__ = [
     "load_gap_report",
     "run_lint",
     "scan_source",
-    "source_scan",
     "to_sarif",
     "write_sarif",
 ]

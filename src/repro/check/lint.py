@@ -1,6 +1,6 @@
 """AST lint pass enforcing repo idioms over :mod:`repro` sources.
 
-Seven rules, each born from a real failure mode of this codebase:
+Eight rules, each born from a real failure mode of this codebase:
 
 * ``explicit-guard`` — in ``algorithms/*.py``, calls to the explicit
   directives (``load_shared``, ``evict_shared``, ``load_dist``,
@@ -30,13 +30,6 @@ Seven rules, each born from a real failure mode of this codebase:
   ``__init__`` as a reset silently re-reads constructor arguments off
   ``self`` and skips any state added outside ``__init__``; write an
   explicit reinitialisation instead.
-* ``fallback-telemetry`` — any function that consults the replay
-  engine's ``supports(...)`` predicate (outside :mod:`repro.check`,
-  which only *reasons* about it) must also reference
-  ``note_engine_fallback``: a call site that can decide to fall back
-  from replay to step but records no telemetry reintroduces exactly
-  the silent-fallback hazard :mod:`repro.check.enginemodel` exists to
-  surface.
 * ``unpinned-bench-engine`` — in ``benchmarks/``, every direct
   ``run_experiment(...)`` call must pass ``engine=`` explicitly.  The
   default engine memoizes compiled traces and replay results, so an
@@ -313,54 +306,6 @@ def _check_init_self_call(
             )
 
 
-def _references_name(tree: ast.AST, name: str) -> bool:
-    """Whether any node in ``tree`` names ``name`` (bare or attribute)."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == name:
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == name:
-            return True
-    return False
-
-
-def _check_fallback_telemetry(
-    nodes: Sequence[ast.AST], filename: str, findings: List[Finding]
-) -> None:
-    """Rule ``fallback-telemetry``: ``supports(...)`` callers record it.
-
-    A function that consults the replay ``supports`` predicate decides
-    between the replay and step engines; unless it also references
-    ``note_engine_fallback`` (to record the step fallback) the decision
-    is invisible at runtime.
-    """
-    for func in nodes:
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        consults = any(
-            isinstance(node, ast.Call)
-            and isinstance(node.func, (ast.Name, ast.Attribute))
-            and (
-                node.func.id
-                if isinstance(node.func, ast.Name)
-                else node.func.attr
-            )
-            == "supports"
-            for node in ast.walk(func)
-        )
-        if consults and not _references_name(func, "note_engine_fallback"):
-            findings.append(
-                _finding(
-                    "fallback-telemetry",
-                    f"function {func.name!r} consults the replay engine's "
-                    "supports(...) predicate but never references "
-                    "note_engine_fallback; a replay->step fallback decided "
-                    "here would be silent — record it",
-                    filename,
-                    func.lineno,
-                )
-            )
-
-
 def _open_write_mode(call: ast.Call) -> bool:
     """Whether a call is a write/append-mode ``open`` / ``Path.open``."""
     func = call.func
@@ -458,7 +403,6 @@ _SIMPLE_CHECKS: "Sequence[Tuple[str, str, _Check]]" = (
     ("lint/dead-branch", "always", _check_dead_branch),
     ("lint/init-self-call", "always", _check_init_self_call),
     ("lint/nonatomic-artifact-write", "not-store", _check_nonatomic_write),
-    ("lint/fallback-telemetry", "not-check", _check_fallback_telemetry),
     ("lint/unpinned-bench-engine", "benchmark-only", _check_bench_engine_pin),
 )
 
@@ -471,15 +415,14 @@ class FileProfile:
 
     The role flags mirror the package layout: ``algorithms_module``
     enables the directive/registry rules, ``store_module`` exempts the
-    one package allowed to perform raw writes, ``check_module`` exempts
-    the analyzers that probe ``supports`` analytically.  The family
-    flags pick rule families: ``lint`` (repo idioms) and
-    ``determinism`` (fingerprint-feeding modules plus tests).
+    one package allowed to perform raw writes, ``benchmark_module``
+    enables the engine-pin rule.  The family flags pick rule families:
+    ``lint`` (repo idioms) and ``determinism`` (fingerprint-feeding
+    modules plus tests).
     """
 
     algorithms_module: bool = False
     store_module: bool = False
-    check_module: bool = False
     benchmark_module: bool = False
     lint: bool = True
     determinism: bool = False
@@ -500,7 +443,6 @@ def lint_source(
     *,
     algorithms_module: bool = False,
     store_module: bool = False,
-    check_module: bool = False,
     benchmark_module: bool = False,
     registered: Optional[Set[str]] = None,
     config: Optional[RuleConfig] = None,
@@ -509,9 +451,7 @@ def lint_source(
 
     ``store_module`` marks files inside :mod:`repro.store`, the one
     place allowed to perform raw writes (it implements the atomic
-    protocol everything else must use).  ``check_module`` marks files
-    inside :mod:`repro.check`, which probe the replay ``supports``
-    predicate analytically and are exempt from ``fallback-telemetry``.
+    protocol everything else must use).
 
     This is the bare ``lint`` family: no determinism rules, no
     suppression handling — :func:`scan_source` is the full per-file
@@ -529,7 +469,6 @@ def lint_source(
         profile=FileProfile(
             algorithms_module=algorithms_module,
             store_module=store_module,
-            check_module=check_module,
             benchmark_module=benchmark_module,
         ),
         registered=registered or set(),
@@ -565,8 +504,6 @@ def _lint_tree(
     if profile.lint:
         for rule_id, gate, check in _SIMPLE_CHECKS:
             if gate == "not-store" and profile.store_module:
-                continue
-            if gate == "not-check" and profile.check_module:
                 continue
             if gate == "benchmark-only" and not profile.benchmark_module:
                 continue
@@ -665,7 +602,6 @@ def _profile_for(path: Path, package_root: Optional[Path]) -> FileProfile:
     return FileProfile(
         algorithms_module=path.parent.name == "algorithms",
         store_module=path.parent.name == "store",
-        check_module=path.parent.name == "check",
         benchmark_module="benchmarks" in path.parts and relative is None,
         lint=True,
         determinism=determinism,

@@ -37,10 +37,9 @@ from repro.check.findings import ERROR, WARNING, Finding
 
 #: Analysis tiers (which pass owns a rule).  ``schedule`` rules come
 #: from the recorded-event analyzers, ``lint`` and ``determinism`` from
-#: the syntactic AST pass, ``engine`` from the engine-conformance walk,
-#: ``gap`` from the optimality-gap certificate, ``meta`` from the
-#: checker's own self-checks (suppression hygiene).
-TIERS = ("schedule", "lint", "determinism", "engine", "gap", "meta")
+#: the syntactic AST pass, ``gap`` from the optimality-gap certificate,
+#: ``meta`` from the checker's own self-checks (suppression hygiene).
+TIERS = ("schedule", "lint", "determinism", "gap", "meta")
 
 
 @dataclass(frozen=True)
@@ -365,10 +364,6 @@ _r("gap/regression", ERROR,
 _r("gap/uncertified-algorithm", ERROR,
    "An algorithm lost its near-optimality certificate", "gap")
 
-# -- engine conformance -------------------------------------------------
-_r("engine/silent-fallback", WARNING,
-   "Configuration silently falls back from replay to step", "engine")
-
 # -- syntactic lint -----------------------------------------------------
 _r("lint/explicit-guard", ERROR,
    "Cache directive not wrapped in 'if ctx.explicit'", "lint")
@@ -384,8 +379,6 @@ _r("lint/init-self-call", ERROR,
    "Explicit self.__init__(...) call used as a reset", "lint")
 _r("lint/nonatomic-artifact-write", ERROR,
    "Artifact written without the atomic store helper", "lint")
-_r("lint/fallback-telemetry", ERROR,
-   "Engine-fallback site does not record telemetry", "lint")
 _r("lint/unpinned-bench-engine", ERROR,
    "Benchmark runs an experiment without pinning engine=", "lint")
 _r("lint/syntax", ERROR,

@@ -52,7 +52,6 @@ from repro.model.machine import PRESETS, MulticoreMachine
 
 if TYPE_CHECKING:  # imported lazily to keep runner import-light
     from repro.check.incremental import ReportCache
-    from repro.check.rules import RuleConfig
 
 #: ``status`` values a :class:`ScheduleReport` can carry.
 ANALYZED = "analyzed"
@@ -317,23 +316,3 @@ def check_all(
             reports.extend(cell_reports)
     return reports
 
-
-def source_scan(
-    *, config: Optional["RuleConfig"] = None
-) -> Tuple[List[Finding], List[Finding]]:
-    """The full static source pass, as the CLI and CI run it.
-
-    Returns ``(scan, engine)``: the serial per-file scan (lint and
-    determinism rules, suppression hygiene) over the package,
-    ``benchmarks/`` and ``tests/``, and the engine-conformance findings
-    (configuration-matrix walk plus call-site scan), both filtered
-    through ``config``.
-    """
-    from repro.check.enginemodel import check_engine_model
-    from repro.check.lint import run_lint
-    from repro.check.rules import DEFAULT_CONFIG, RuleConfig, filter_findings
-
-    cfg = config if config is not None else DEFAULT_CONFIG
-    scan = run_lint(config=cfg)
-    engine = filter_findings(check_engine_model(), cfg)
-    return scan, engine

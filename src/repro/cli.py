@@ -133,7 +133,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         check=args.check,
         inclusive=args.inclusive,
         policy=args.policy,
-        strict_engine=args.strict_engine,
     )
     print(render_rows([result.to_row()]))
     return 0
@@ -155,7 +154,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             machine,
             args.orders,
             policy=args.policy,
-            strict_engine=args.strict_engine,
             workers=args.workers,
             cell_timeout=args.cell_timeout,
             retries=args.retries,
@@ -172,7 +170,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             machine,
             args.orders,
             policy=args.policy,
-            strict_engine=args.strict_engine,
         )
     return _report_sweep(args, sweep)
 
@@ -250,7 +247,6 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
             workers=args.local,
             resume=args.resume,
             policy=args.policy,
-            strict_engine=args.strict_engine,
             lease_s=args.lease,
             retries=args.retries,
             backoff=args.backoff,
@@ -267,7 +263,6 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
         run_dir=args.run_dir,
         resume=args.resume,
         policy=args.policy,
-        strict_engine=args.strict_engine,
         lease_s=args.lease,
         retries=args.retries,
         backoff=args.backoff,
@@ -418,7 +413,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check.findings import CHECKER_VERSION, ERROR
     from repro.check.gap import build_gap_report, compare_gap_reports, load_gap_report
     from repro.check.incremental import ReportCache
-    from repro.check.runner import check_all, source_scan
+    from repro.check.lint import run_lint
+    from repro.check.runner import check_all
     from repro.check.rules import REGISTRY, RuleConfig, filter_findings
     from repro.check.sarif import write_sarif
 
@@ -467,31 +463,29 @@ def _cmd_check(args: argparse.Namespace) -> int:
     scan_future = None
     if args.lint:
         # The source scan (lint + determinism rules + suppression
-        # hygiene) and the engine-conformance pass are static source
-        # analysis, so they ride with --lint; the schedule-cell
-        # analyzers below run regardless.  Both halves are GIL-bound
-        # pure Python, so given a second core the (serial) scan runs in
-        # one worker process concurrently with the matrix.
+        # hygiene) is static source analysis, so it rides with --lint;
+        # the schedule-cell analyzers below run regardless.  Both are
+        # GIL-bound pure Python, so given a second core the (serial)
+        # scan runs in one worker process concurrently with the matrix.
         if (os.cpu_count() or 1) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             scan_pool = ProcessPoolExecutor(max_workers=1)
             try:
-                scan_future = scan_pool.submit(source_scan, config=rule_config)
+                scan_future = scan_pool.submit(run_lint, config=rule_config)
             except Exception:
                 scan_pool.shutdown(wait=False)
                 raise
 
     lint_findings: List[Any] = []
-    engine_findings: List[Any] = []
     try:
         reports = check_all(
             algorithms, machines, orders=args.orders or None, cache=cache
         )
         if scan_future is not None:
-            lint_findings, engine_findings = scan_future.result()
+            lint_findings = scan_future.result()
         elif args.lint:
-            lint_findings, engine_findings = source_scan(config=rule_config)
+            lint_findings = run_lint(config=rule_config)
     finally:
         if scan_pool is not None:
             scan_pool.shutdown()
@@ -506,7 +500,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     findings = (
         filter_findings((f for r in reports for f in r.findings), rule_config)
         + lint_findings
-        + engine_findings
         + filter_findings(gap_findings, rule_config)
     )
 
@@ -545,11 +538,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "schema": 3,
+                    "schema": 4,
                     "checker_version": CHECKER_VERSION,
                     "reports": [r.to_dict() for r in reports],
                     "lint": [f.to_dict() for f in lint_findings],
-                    "engine": [f.to_dict() for f in engine_findings],
                     "gap": [a.to_dict() for a in gap_report.algorithms()],
                     "errors": errors,
                     "warnings": warnings,
@@ -804,11 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--check", action="store_true", help="verify IDEAL mode")
     p_run.add_argument("--inclusive", action="store_true")
     p_run.add_argument("--policy", choices=("lru", "fifo"), default="lru")
-    p_run.add_argument(
-        "--strict-engine",
-        action="store_true",
-        help="fail instead of silently degrading replay to the step engine",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="square-order sweep")
@@ -819,11 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--setting", choices=sorted(SETTINGS), default="lru-50")
     p_sweep.add_argument("--policy", choices=("lru", "fifo"), default="lru")
-    p_sweep.add_argument(
-        "--strict-engine",
-        action="store_true",
-        help="fail instead of silently degrading replay to the step engine",
-    )
     engine = p_sweep.add_argument_group("parallel engine")
     engine.add_argument(
         "--workers",
@@ -931,8 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--lint",
         action="store_true",
-        help="also run the source scan (lint + determinism rules) "
-        "and engine-conformance passes",
+        help="also run the source scan (lint + determinism rules)",
     )
     p_check.add_argument(
         "--list-rules",
@@ -956,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable a rule id or family (repeatable; see --list-rules)",
     )
     p_check.add_argument(
-        "--json", action="store_true", help="machine-readable output (schema 3)"
+        "--json", action="store_true", help="machine-readable output (schema 4)"
     )
     p_check.add_argument(
         "--incremental",
@@ -1054,11 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--setting", choices=sorted(SETTINGS), default="lru-50")
     p_serve.add_argument("--policy", choices=("lru", "fifo"), default="lru")
-    p_serve.add_argument(
-        "--strict-engine",
-        action="store_true",
-        help="fail instead of silently degrading replay to the step engine",
-    )
     p_serve.add_argument(
         "--run-dir",
         required=True,

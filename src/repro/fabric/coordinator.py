@@ -580,7 +580,6 @@ def fabric_order_sweep(
     inclusive: bool = False,
     policy: str = "lru",
     engine: str = "replay",
-    strict_engine: bool = False,
     lease_s: float = 15.0,
     retries: int = 2,
     backoff: float = 0.1,
@@ -603,7 +602,6 @@ def fabric_order_sweep(
         inclusive=inclusive,
         policy=policy,
         engine=engine,
-        strict_engine=strict_engine,
     )
     return Coordinator(
         plan,

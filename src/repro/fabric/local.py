@@ -107,7 +107,6 @@ def run_local_fabric(
     inclusive: bool = False,
     policy: str = "lru",
     engine: str = "replay",
-    strict_engine: bool = False,
     lease_s: float = 5.0,
     retries: int = 2,
     backoff: float = 0.1,
@@ -134,7 +133,6 @@ def run_local_fabric(
         inclusive=inclusive,
         policy=policy,
         engine=engine,
-        strict_engine=strict_engine,
         lease_s=lease_s,
         retries=retries,
         backoff=backoff,

@@ -31,7 +31,6 @@ from repro.exceptions import ConfigurationError
 from repro.model.machine import MulticoreMachine
 from repro.sim.results import ExperimentResult, SweepResult
 from repro.sim.retrypolicy import BackoffPolicy
-from repro.sim.runner import reset_fallback_warnings
 from repro.sim.settings import get_setting
 from repro.sim.sweep import Entry, resolve_entries
 from repro.sim.telemetry import (
@@ -94,9 +93,7 @@ def _plan(
     run_kwargs: Dict[str, Any],
 ) -> SweepPlan:
     """Resolve entries into cells; ``points[i]`` is x-index ``i``'s
-    (machine-index, order).  Starting a plan starts a sweep, so the
-    once-per-sweep engine-fallback warnings are re-armed here."""
-    reset_fallback_warnings()
+    (machine-index, order)."""
     labels: List[str] = []
     table: Dict[str, Tuple[str, str, Dict[str, Any]]] = {}
     cells: List[PlanCell] = []

@@ -667,7 +667,6 @@ def parallel_order_sweep(
     inclusive: bool = False,
     policy: str = "lru",
     engine: str = "replay",
-    strict_engine: bool = False,
     cell_timeout: Optional[float] = None,
     retries: int = 2,
     backoff: float = 0.1,
@@ -694,7 +693,6 @@ def parallel_order_sweep(
         inclusive=inclusive,
         policy=policy,
         engine=engine,
-        strict_engine=strict_engine,
     )
     return _run_engine_sweep(
         plan,
@@ -725,7 +723,6 @@ def parallel_ratio_sweep(
     inclusive: bool = False,
     policy: str = "lru",
     engine: str = "replay",
-    strict_engine: bool = False,
     cell_timeout: Optional[float] = None,
     retries: int = 2,
     backoff: float = 0.1,
@@ -754,7 +751,6 @@ def parallel_ratio_sweep(
         inclusive=inclusive,
         policy=policy,
         engine=engine,
-        strict_engine=strict_engine,
     )
     return _run_engine_sweep(
         plan,

@@ -41,16 +41,17 @@ class ExperimentResult:
     attempts: int = 1
     worker: Optional[int] = None
     #: Which engine actually simulated the cell (``"replay"``/``"step"``;
-    #: empty on results predating the field) and whether a requested
-    #: replay was silently degraded to the step engine.
+    #: empty on results predating the field) and whether replay was
+    #: requested but the step engine ran (see
+    #: :func:`repro.cache.replay.replays`).
     engine: str = ""
     engine_fallback: bool = False
     #: Replay-engine telemetry: which kernel evaluated the cell
     #: (``"bulk-lru"``/``"bulk-fifo"``/``"ideal"``/``"step"``) and where
     #: its compiled trace came from (``"compiled"``/``"memory"``/
-    #: ``"disk"``, or ``"streamed"`` when the kernels ran off the live
-    #: schedule with no materialized trace).  Empty on step-engine
-    #: results predating the fields;
+    #: ``"disk"``; older results may say ``"streamed"``, for kernels
+    #: that ran off the live schedule).  Empty on step-engine results
+    #: predating the fields;
     #: like ``engine``, never part of resume identity.
     kernel: str = ""
     trace_source: str = ""

@@ -8,10 +8,9 @@ examples) goes through.
 
 from __future__ import annotations
 
-import logging
 import os
 import time
-from typing import Any, Optional, Set, Tuple, Type, Union
+from typing import Any, Type, Union
 
 from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.registry import get_algorithm
@@ -27,45 +26,6 @@ from repro.sim.settings import Setting, get_setting
 #: Valid values of ``run_experiment``'s ``engine`` parameter.
 ENGINES = ("replay", "step")
 
-logger = logging.getLogger(__name__)
-
-#: Fallback configurations already warned about (process-wide); sweeps
-#: reset this so every sweep warns at most once per configuration.
-_WARNED_FALLBACKS: Set[Tuple[str, str, bool, bool]] = set()
-
-
-def reset_fallback_warnings() -> None:
-    """Forget which replay→step fallbacks were already warned about.
-
-    Sweep drivers call this at sweep start so "warn once" is scoped to
-    the sweep, not the process lifetime.
-    """
-    _WARNED_FALLBACKS.clear()
-
-
-def note_engine_fallback(
-    setting_key: str, policy: str, inclusive: bool, check: bool
-) -> None:
-    """Record (and warn once per configuration about) a replay→step fallback.
-
-    The fallback is bit-identical but slow; making it observable is the
-    runtime half of the static ``engine/silent-fallback`` analysis
-    (:mod:`repro.check.enginemodel`).
-    """
-    key = (setting_key, policy, inclusive, check)
-    if key in _WARNED_FALLBACKS:
-        return
-    _WARNED_FALLBACKS.add(key)
-    logger.warning(
-        "replay engine does not cover setting=%r policy=%r inclusive=%r "
-        "check=%r; falling back to the step engine (pass strict_engine=True "
-        "to fail fast, or engine='step' to silence this warning)",
-        setting_key,
-        policy,
-        inclusive,
-        check,
-    )
-
 
 def run_experiment(
     algorithm: Union[str, Type[MatmulAlgorithm]],
@@ -80,7 +40,6 @@ def run_experiment(
     inclusive: bool = False,
     verify_comp: bool = True,
     engine: str = "replay",
-    strict_engine: bool = False,
     **alg_params: Any,
 ) -> ExperimentResult:
     """Run one algorithm on one machine under one setting.
@@ -111,20 +70,14 @@ def run_experiment(
         once (memoized across settings and repeated runs, see
         :mod:`repro.cache.replay`) and replays it in bulk; counters are
         bit-identical to ``"step"``, which interprets the schedule
-        reference-by-reference and remains the oracle.  Configurations
-        the replay engine does not cover (``check=True``, inclusive
-        hierarchies, associative/PLRU policies) use the step engine
-        instead — warned once per configuration and recorded on the
-        result (``engine_fallback``).  Past the streaming threshold
-        (``REPRO_STREAM_FMAS``) LRU/FIFO replays stream off the running
-        schedule instead of materializing the trace
-        (``trace_source="streamed"``), and IDEAL — whose vectorized
-        replay needs the whole timeline — falls back to the
-        memory-bounded step engine.
-    strict_engine:
-        Raise :class:`~repro.exceptions.ConfigurationError` instead of
-        falling back when ``engine="replay"`` cannot reproduce the
-        configuration.
+        reference-by-reference and remains the oracle.  One rule,
+        :func:`repro.cache.replay.replays`, decides: replay runs when
+        its kernels cover ``(mode, policy, inclusive, check)`` and the
+        cell's ``m·n·z`` multiply-adds are within ``REPRO_STREAM_FMAS``;
+        any other cell runs on the step engine, whose memory does not
+        grow with the trace.  The result records which engine ran
+        (``engine``, ``kernel``) and whether replay was requested but
+        step ran (``engine_fallback``).
     alg_params:
         Forwarded to the algorithm constructor (parameter overrides).
     """
@@ -147,107 +100,45 @@ def run_experiment(
             "through MultiLevelContext)"
         )
 
-    replay_ok = replay_engine.supports(setting.mode, policy, inclusive, check)
-    # IDEAL replay is vectorized over the whole timeline and must
-    # materialize the trace; past the streaming threshold that is tens
-    # of gigabytes, so the (memory-bounded) step engine takes over.
-    stream = replay_engine.should_stream(m * n * z)
-    ideal_too_big = setting.is_ideal and stream
-    if engine == "replay" and replay_ok and ideal_too_big:
-        replay_ok = False
-        logger.warning(
-            "IDEAL replay of %s at m=%d n=%d z=%d would materialize a "
-            "%d-FMA trace (streaming threshold %d); using the "
-            "memory-bounded step engine",
-            alg.name,
-            m,
-            n,
-            z,
-            m * n * z,
-            replay_engine.stream_threshold(),
-        )
-    fallback = engine == "replay" and not replay_ok
-    if fallback and not ideal_too_big:
-        if strict_engine:
-            raise ConfigurationError(
-                f"engine='replay' cannot reproduce setting={setting.key!r} "
-                f"policy={policy!r} inclusive={inclusive!r} check={check!r} "
-                "and strict_engine=True forbids the step fallback; use "
-                "engine='step' explicitly"
-            )
-        note_engine_fallback(setting.key, policy, inclusive, check)
-
-    if engine == "replay" and replay_ok:
-        simulated = setting.simulated(machine)
+    simulated = setting.simulated(machine)
+    if engine == "replay" and replay_engine.replays(
+        setting.mode, policy, inclusive, check, m * n * z
+    ):
         start = time.perf_counter()
-        if stream and not setting.is_ideal:
-            stats_list, comp = replay_engine.replay_bulk_streaming(
-                alg, [(policy, simulated.cs, simulated.cd)]
-            )
-            stats = stats_list[0]
-            kernel = f"bulk-{policy}"
-            trace_source = "streamed"
-            comp_total = sum(comp)
+        trace = replay_engine.compiled_trace_for(alg, directives=setting.is_ideal)
+        if setting.is_ideal:
+            stats = replay_engine.replay_ideal(trace)
+            kernel = "ideal"
         else:
-            trace = replay_engine.compiled_trace_for(
-                alg, directives=setting.is_ideal
-            )
-            if setting.is_ideal:
-                stats = replay_engine.replay_ideal(trace)
-                kernel = "ideal"
-            else:
-                stats = replay_engine.replay_bulk(
-                    trace, [(policy, simulated.cs, simulated.cd)]
-                )[0]
-                kernel = f"bulk-{policy}"
-            trace_source = trace.origin
-            comp = list(trace.comp)
-            comp_total = trace.comp_total
+            stats = replay_engine.replay_bulk(
+                trace, [(policy, simulated.cs, simulated.cd)]
+            )[0]
+            kernel = f"bulk-{policy}"
         elapsed = time.perf_counter() - start
-        if verify_comp and comp_total != m * n * z:
-            raise ScheduleError(
-                f"{alg.name} emitted {comp_total} multiply-adds, "
-                f"expected m*n*z = {m * n * z}"
-            )
-        predicted = predict(alg) if alg.name in FORMULAS else None
-        return ExperimentResult(
-            algorithm=alg.name,
-            setting=setting.key,
-            machine=machine,
-            m=m,
-            n=n,
-            z=z,
-            parameters=alg.parameters(),
-            stats=stats,
-            comp=comp,
-            predicted=predicted,
-            elapsed_s=elapsed,
-            worker=os.getpid(),
-            engine="replay",
-            kernel=kernel,
-            trace_source=trace_source,
-        )
-
-    if setting.is_ideal:
-        simulated = setting.simulated(machine)
-        hierarchy: Union[IdealHierarchy, LRUHierarchy] = IdealHierarchy(
-            machine.p, simulated.cs, simulated.cd, check=check
-        )
-        ctx: Union[IdealContext, LRUContext] = IdealContext(hierarchy)
+        comp = list(trace.comp)
+        ran, trace_source = "replay", trace.origin
     else:
-        simulated = setting.simulated(machine)
-        hierarchy = LRUHierarchy(
-            machine.p, simulated.cs, simulated.cd, policy=policy, inclusive=inclusive
-        )
-        ctx = LRUContext(hierarchy)
+        if setting.is_ideal:
+            hierarchy: Union[IdealHierarchy, LRUHierarchy] = IdealHierarchy(
+                machine.p, simulated.cs, simulated.cd, check=check
+            )
+            ctx: Union[IdealContext, LRUContext] = IdealContext(hierarchy)
+        else:
+            hierarchy = LRUHierarchy(
+                machine.p, simulated.cs, simulated.cd, policy=policy, inclusive=inclusive
+            )
+            ctx = LRUContext(hierarchy)
+        start = time.perf_counter()
+        alg.run(ctx)
+        elapsed = time.perf_counter() - start
+        stats = hierarchy.snapshot()
+        comp = list(ctx.comp)
+        ran = kernel = "step"
+        trace_source = ""
 
-    start = time.perf_counter()
-    alg.run(ctx)
-    elapsed = time.perf_counter() - start
-
-    if verify_comp and ctx.comp_total != m * n * z:
+    if verify_comp and sum(comp) != m * n * z:
         raise ScheduleError(
-            f"{alg.name} emitted {ctx.comp_total} multiply-adds, "
+            f"{alg.name} emitted {sum(comp)} multiply-adds, "
             f"expected m*n*z = {m * n * z}"
         )
 
@@ -260,12 +151,13 @@ def run_experiment(
         n=n,
         z=z,
         parameters=alg.parameters(),
-        stats=hierarchy.snapshot(),
-        comp=list(ctx.comp),
+        stats=stats,
+        comp=comp,
         predicted=predicted,
         elapsed_s=elapsed,
         worker=os.getpid(),
-        engine="step",
-        engine_fallback=fallback,
-        kernel="step",
+        engine=ran,
+        engine_fallback=engine != ran,
+        kernel=kernel,
+        trace_source=trace_source,
     )

@@ -13,7 +13,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.exceptions import ConfigurationError
 from repro.model.machine import MulticoreMachine
 from repro.sim.results import ExperimentResult, SweepResult
-from repro.sim.runner import reset_fallback_warnings, run_experiment
+from repro.sim.runner import run_experiment
 
 #: A sweep entry: algorithm name + setting key, optionally with
 #: algorithm parameter overrides.
@@ -82,7 +82,6 @@ def order_sweep(
     inclusive: bool = False,
     policy: str = "lru",
     engine: str = "replay",
-    strict_engine: bool = False,
     workers: int = 0,
 ) -> SweepResult:
     """Run every (algorithm, setting) entry over square orders ``m=n=z``.
@@ -91,9 +90,9 @@ def order_sweep(
     schedule — same algorithm, parameters and *declared* machine, e.g.
     the ``lru``/``lru-2x``/``ideal`` family — reuse one memoized
     compiled trace per order instead of re-running the schedule per
-    setting (see :mod:`repro.cache.replay`).  A configuration replay
-    cannot reproduce is warned about once per sweep and falls back to
-    the step engine — or raises, with ``strict_engine=True``.
+    setting (see :mod:`repro.cache.replay`).  A cell replay does not
+    cover, or one past ``REPRO_STREAM_FMAS``, runs on the step engine
+    (see :func:`repro.cache.replay.replays`).
 
     With ``workers > 1`` the cells fan out through
     :func:`repro.sim.parallel.parallel_order_sweep` (retries, timeouts
@@ -114,9 +113,7 @@ def order_sweep(
             inclusive=inclusive,
             policy=policy,
             engine=engine,
-            strict_engine=strict_engine,
         )
-    reset_fallback_warnings()
     sweep = SweepResult(variable="order", xs=list(orders))
     for algorithm, setting, params, label in resolve_entries(entries):
         results: List[Optional[ExperimentResult]] = [
@@ -131,7 +128,6 @@ def order_sweep(
                 inclusive=inclusive,
                 policy=policy,
                 engine=engine,
-                strict_engine=strict_engine,
                 **params,
             )
             for order in orders
@@ -151,19 +147,17 @@ def ratio_sweep(
     inclusive: bool = False,
     policy: str = "lru",
     engine: str = "replay",
-    strict_engine: bool = False,
 ) -> SweepResult:
     """Run entries over bandwidth ratios ``r = σS/(σS+σD)`` at fixed order.
 
     Each ratio rescales the machine's bandwidths (keeping their sum at
     ``total_bandwidth``); algorithms that adapt to bandwidths (Tradeoff)
     re-plan at every point, exactly as in Fig. 12.  ``policy``,
-    ``inclusive`` and ``strict_engine`` forward to
+    ``inclusive`` and ``engine`` forward to
     :func:`~repro.sim.runner.run_experiment` exactly as in
     :func:`order_sweep`, so ratio sweeps can exercise the FIFO and
     inclusive-hierarchy variants too.
     """
-    reset_fallback_warnings()
     sweep = SweepResult(variable="r", xs=list(ratios))
     for algorithm, setting, params, label in resolve_entries(entries):
         results: List[Optional[ExperimentResult]] = []
@@ -181,7 +175,6 @@ def ratio_sweep(
                     inclusive=inclusive,
                     policy=policy,
                     engine=engine,
-                    strict_engine=strict_engine,
                     **params,
                 )
             )

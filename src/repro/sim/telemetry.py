@@ -60,14 +60,14 @@ class CellRecord:
     #: Whether the result was restored from a run-directory checkpoint
     #: instead of being executed by this engine run.
     resumed: bool = False
-    #: Whether the cell's requested replay engine silently degraded to
-    #: the step engine (see :func:`repro.sim.runner.note_engine_fallback`).
+    #: Whether replay was requested but the step engine ran the cell
+    #: (see :func:`repro.cache.replay.replays`).
     engine_fallback: bool = False
     #: Replay-engine telemetry mirrored off the result: which kernel
     #: evaluated the cell (``"bulk-lru"``/``"bulk-fifo"``/``"ideal"``/
     #: ``"step"``) and where its compiled trace came from
-    #: (``"compiled"``/``"memory"``/``"disk"``/``"streamed"``).  Empty
-    #: when unknown
+    #: (``"compiled"``/``"memory"``/``"disk"``; older manifests may say
+    #: ``"streamed"``).  Empty when unknown
     #: (failed cells, manifests predating the fields).
     kernel: str = ""
     trace_source: str = ""

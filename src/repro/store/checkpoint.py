@@ -51,9 +51,9 @@ from repro.store.serde import machine_to_dict
 CHECKPOINT_SCHEMA = 1
 
 
-#: Entry kwargs that choose an engine, never a result: ``engine=`` and
-#: ``strict_engine`` select bit-identical code paths.
-ENGINE_KWARGS = ("engine", "strict_engine")
+#: Entry kwargs that choose an engine, never a result: every ``engine=``
+#: selects a bit-identical code path.
+ENGINE_KWARGS = ("engine",)
 
 
 @dataclass(frozen=True)

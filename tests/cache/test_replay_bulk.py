@@ -24,7 +24,7 @@ from repro.cache.replay import (
     compile_trace,
     replay_bulk,
     replay_bulk_streaming,
-    should_stream,
+    replays,
     stream_threshold,
 )
 from repro.exceptions import ConfigurationError
@@ -159,8 +159,8 @@ class TestStreaming:
     def test_threshold_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_STREAM_FMAS", "123")
         assert stream_threshold() == 123
-        assert should_stream(124)
-        assert not should_stream(123)
+        assert replays("lru", "lru", False, False, 123)
+        assert not replays("lru", "lru", False, False, 124)
         monkeypatch.setenv("REPRO_STREAM_FMAS", "nope")
         with pytest.raises(ConfigurationError, match="REPRO_STREAM_FMAS"):
             stream_threshold()

@@ -239,46 +239,6 @@ class TestNonatomicArtifactWrite:
         assert lint_source(src, "m.py") == []
 
 
-class TestFallbackTelemetry:
-    SILENT = (
-        "def pick_engine(setting, policy, inclusive, check):\n"
-        "    if supports(setting.mode, policy, inclusive, check):\n"
-        "        return 'replay'\n"
-        "    return 'step'\n"
-    )
-
-    def test_silent_supports_consult_flagged(self):
-        found = lint_source(self.SILENT, "m.py")
-        assert rules(found) == ["fallback-telemetry"]
-        assert "'pick_engine'" in found[0].message
-
-    def test_attribute_call_flagged(self):
-        src = (
-            "def pick(setting):\n"
-            "    return replay_engine.supports(setting.mode, 'lru', False, False)\n"
-        )
-        assert rules(lint_source(src, "m.py")) == ["fallback-telemetry"]
-
-    def test_recording_caller_clean(self):
-        src = (
-            "def pick_engine(setting, policy, inclusive, check):\n"
-            "    if supports(setting.mode, policy, inclusive, check):\n"
-            "        return 'replay'\n"
-            "    note_engine_fallback(setting.key, policy, inclusive, check)\n"
-            "    return 'step'\n"
-        )
-        assert lint_source(src, "m.py") == []
-
-    def test_check_modules_exempt(self):
-        # repro.check reasons about the predicate analytically; it never
-        # decides an engine and owes no telemetry.
-        assert lint_source(self.SILENT, "m.py", check_module=True) == []
-
-    def test_unrelated_supports_free_function_clean(self):
-        src = "def f(x):\n    return x + 1\n"
-        assert lint_source(src, "m.py") == []
-
-
 class TestUnpinnedBenchEngine:
     UNPINNED = (
         "def bench_cell(benchmark):\n"

@@ -35,7 +35,7 @@ class TestRegistry:
         families = REGISTRY.families()
         for family in (
             "lint", "determinism", "meta", "capacity", "presence",
-            "coverage", "race", "cost", "gap", "engine", "schedule",
+            "coverage", "race", "cost", "gap", "schedule",
         ):
             assert family in families
 

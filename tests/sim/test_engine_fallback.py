@@ -1,29 +1,91 @@
-"""Engine-fallback observability: warn once, count, strict knob, serde."""
+"""The engine rule: replay a trace that fits, else the step simulator.
 
-import logging
+:func:`repro.cache.replay.replays` is the one predicate
+``run_experiment`` consults.  The table below covers every setting mode
+× policy family × hierarchy option, each just within and just past the
+``REPRO_STREAM_FMAS`` bound, and pins the telemetry each cell records
+as well as its counters against the step oracle.  The rest pins how
+fallbacks are counted in sweep manifests and survive serde.
+"""
+
+import itertools
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.cache.replay import clear_trace_cache, configure_trace_tier, trace_tier_root
 from repro.model.machine import MulticoreMachine
 from repro.sim.parallel import parallel_order_sweep
-from repro.sim.runner import reset_fallback_warnings, run_experiment
-from repro.sim.sweep import order_sweep
+from repro.sim.runner import run_experiment
 from repro.store.serde import result_from_dict, result_to_dict
 
 # Power-of-two cache sizes so the 'plru' ablation policy is valid.
 MACHINE = MulticoreMachine(p=4, cs=128, cd=16, q=8)
+ORDER = 4
+FMAS = ORDER**3
 
 
 @pytest.fixture(autouse=True)
-def fresh_warning_state():
-    reset_fallback_warnings()
+def _tierless_cold_memo():
+    # trace_source is pinned below, so every cell compiles its own trace.
+    previous_tier = trace_tier_root()
+    configure_trace_tier(None)
+    clear_trace_cache()
     yield
-    reset_fallback_warnings()
+    configure_trace_tier(previous_tier)
+    clear_trace_cache()
 
 
-def fallback_warnings(caplog):
-    return [r for r in caplog.records if "falling back" in r.getMessage()]
+def _expected_kernel(setting, policy, inclusive, check, bound):
+    """The kernel that must evaluate a cell under the engine rule."""
+    if bound < FMAS:
+        return "step"  # past the bound no family materializes a trace
+    if setting == "ideal":
+        return "step" if check else "ideal"
+    if policy in ("lru", "fifo") and not inclusive:
+        return f"bulk-{policy}"
+    return "step"
+
+
+#: Every (setting, policy, inclusive, check) configuration, with the
+#: bound just within (``FMAS``) and just past (``FMAS - 1``) the cell.
+RULE_TABLE = list(
+    itertools.product(
+        ("ideal", "lru-50"),
+        ("lru", "fifo", "plru"),
+        (False, True),
+        (False, True),
+        (FMAS, FMAS - 1),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "setting,policy,inclusive,check,bound",
+    RULE_TABLE,
+    ids=[
+        f"{s}-{p}-{'incl' if i else 'excl'}-{'check' if c else 'nocheck'}-"
+        f"{'within' if b == FMAS else 'past'}"
+        for s, p, i, c, b in RULE_TABLE
+    ],
+)
+def test_engine_rule(monkeypatch, setting, policy, inclusive, check, bound):
+    monkeypatch.setenv("REPRO_STREAM_FMAS", str(bound))
+    options = dict(check=check, policy=policy, inclusive=inclusive)
+    result = run_experiment(
+        "shared-opt", MACHINE, ORDER, ORDER, ORDER, setting, **options
+    )
+    step = run_experiment(
+        "shared-opt", MACHINE, ORDER, ORDER, ORDER, setting, engine="step", **options
+    )
+    kernel = _expected_kernel(setting, policy, inclusive, check, bound)
+    replayed = kernel != "step"
+    assert result.engine == ("replay" if replayed else "step")
+    assert result.kernel == kernel
+    assert result.trace_source == ("compiled" if replayed else "")
+    assert result.engine_fallback is not replayed
+    assert result.stats == step.stats
+    assert result.comp == step.comp
+    assert not step.engine_fallback
 
 
 class TestRunExperimentFallback:
@@ -34,32 +96,12 @@ class TestRunExperimentFallback:
         assert result.engine == "step"
         assert result.engine_fallback
 
-    def test_supported_config_stays_on_replay_even_when_strict(self):
-        result = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru", strict_engine=True
-        )
-        assert result.engine == "replay"
-        assert not result.engine_fallback
-
     def test_explicit_step_engine_is_not_a_fallback(self):
         result = run_experiment(
             "shared-opt", MACHINE, 4, 4, 4, "lru", policy="plru", engine="step"
         )
         assert result.engine == "step"
         assert not result.engine_fallback
-
-    def test_strict_engine_raises_on_unsupported_config(self):
-        with pytest.raises(ConfigurationError, match="strict_engine"):
-            run_experiment(
-                "shared-opt",
-                MACHINE,
-                4,
-                4,
-                4,
-                "ideal",
-                check=True,
-                strict_engine=True,
-            )
 
     def test_fallback_is_bit_identical_to_explicit_step(self):
         via_fallback = run_experiment(
@@ -72,48 +114,7 @@ class TestRunExperimentFallback:
         assert via_fallback.engine_fallback and not explicit.engine_fallback
 
 
-class TestWarnOnce:
-    def test_repeated_configuration_warns_once(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro.sim.runner"):
-            run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True)
-            run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru", inclusive=True)
-        warned = fallback_warnings(caplog)
-        assert len(warned) == 1
-        assert "strict_engine=True" in warned[0].getMessage()
-
-    def test_distinct_configurations_each_warn(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro.sim.runner"):
-            run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True)
-            run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", policy="plru")
-        assert len(fallback_warnings(caplog)) == 2
-
-    def test_reset_rearms_the_warning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro.sim.runner"):
-            run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True)
-            reset_fallback_warnings()
-            run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True)
-        assert len(fallback_warnings(caplog)) == 2
-
-
 class TestSweeps:
-    def test_order_sweep_warns_once_per_sweep(self, caplog):
-        # Four cells (2 entries x 2 orders) share one fallback
-        # configuration: exactly one warning for the whole sweep.
-        entries = [("shared-opt", "lru"), ("outer-product", "lru")]
-        with caplog.at_level(logging.WARNING, logger="repro.sim.runner"):
-            order_sweep(entries, MACHINE, [4, 8], inclusive=True)
-        assert len(fallback_warnings(caplog)) == 1
-
-    def test_order_sweep_strict_engine_raises(self):
-        with pytest.raises(ConfigurationError, match="strict_engine"):
-            order_sweep(
-                [("shared-opt", "lru")],
-                MACHINE,
-                [4],
-                inclusive=True,
-                strict_engine=True,
-            )
-
     def test_parallel_sweep_counts_fallbacks_in_manifest(self):
         sweep = parallel_order_sweep(
             [("shared-opt", "lru")], MACHINE, [4, 8], policy="plru", workers=2

@@ -2,17 +2,17 @@
 
 ``ExperimentResult.kernel`` names the evaluation path (``bulk-lru``,
 ``bulk-fifo``, ``ideal``, ``step``) and ``trace_source`` where the
-compiled trace came from (``compiled``/``memory``/``disk``/
-``streamed``).  These tests pin the values across engines and the
-streaming threshold, their serde round-trip (including legacy payloads
-without the fields), and their mirroring onto sweep manifests.
+compiled trace came from (``compiled``/``memory``/``disk``).  These
+tests pin the values across engines and past the ``REPRO_STREAM_FMAS``
+bound, their serde round-trip (including legacy payloads without the
+fields), and their mirroring onto sweep manifests.
 """
 
 import pytest
 
 from repro.cache.replay import clear_trace_cache, configure_trace_tier, trace_tier_root
 from repro.model.machine import PRESETS
-from repro.sim.runner import reset_fallback_warnings, run_experiment
+from repro.sim.runner import run_experiment
 from repro.sim.telemetry import CellRecord
 from repro.store.serde import result_from_dict, result_to_dict
 
@@ -27,11 +27,9 @@ def _fresh_state():
     previous_tier = trace_tier_root()
     configure_trace_tier(None)
     clear_trace_cache()
-    reset_fallback_warnings()
     yield
     configure_trace_tier(previous_tier)
     clear_trace_cache()
-    reset_fallback_warnings()
 
 
 class TestRunnerTelemetry:
@@ -66,16 +64,6 @@ class TestRunnerTelemetry:
 
 
 class TestStreamingThreshold:
-    def test_large_lru_cell_streams(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_FMAS", "10")
-        result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru-50")
-        assert result.kernel == "bulk-lru"
-        assert result.trace_source == "streamed"
-        baseline = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="step"
-        )
-        assert result.stats == baseline.stats
-
     def test_large_ideal_cell_falls_back_to_step(self, monkeypatch):
         monkeypatch.setenv("REPRO_STREAM_FMAS", "10")
         result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "ideal")

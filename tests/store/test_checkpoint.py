@@ -73,11 +73,7 @@ class TestCellKey:
 
     def test_engine_kwargs_never_reach_the_fingerprint(self):
         base = _fp(kwargs={"policy": "fifo"})
-        for knobs in (
-            {"engine": "step"},
-            {"engine": "replay", "strict_engine": True},
-            {"strict_engine": False},
-        ):
+        for knobs in ({"engine": "step"}, {"engine": "replay"}):
             key = _key(kwargs={"policy": "fifo", **knobs})
             assert dict(key.kwargs) == {"policy": "fifo"}
             assert cell_fingerprint(key) == base

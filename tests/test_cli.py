@@ -275,7 +275,7 @@ class TestCheck:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
         assert payload["checker_version"] == 4
         assert payload["cells"] == {"analyzed": 1, "skipped": 0, "cached": 0}
         assert payload["suppressed"] == 0
@@ -398,23 +398,6 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "0 error(s)" in out
         assert "gap certificate:" in out
-
-
-class TestStrictEngine:
-    def test_run_strict_engine_rejects_fallback(self, capsys):
-        code = main(
-            ["run", "shared-opt", "-m", "4", "--preset", "q32",
-             "--setting", "ideal", "--check", "--strict-engine"]
-        )
-        assert code == 2
-        assert "strict_engine" in capsys.readouterr().err
-
-    def test_run_strict_engine_accepts_supported(self, capsys):
-        code = main(
-            ["run", "shared-opt", "-m", "4", "--preset", "q32",
-             "--setting", "lru-50", "--strict-engine"]
-        )
-        assert code == 0
 
 
 class TestLU:
