@@ -18,34 +18,32 @@ optimality claims rest on invariants that can be proved over the
   flags write/write and read/write conflicts on the same block by
   different cores with no intervening synchronization;
 * **cost** — counted distinct-block load traffic must equal the
-  paper's closed-form ``MS``/``MD`` (exactly, on divisible orders) and
-  may never beat the §2.3 Loomis–Whitney lower bounds;
-* **tightbounds / gap** — counted misses must also clear the strongest
-  known bounds (SLLvdG tight, memory-independent, compulsory), and
-  every cell's measured/bound ratio feeds a per-algorithm
-  optimality-gap certificate (``gap-report.json``) ratcheted against a
-  committed baseline;
+  paper's closed-form ``MS``/``MD`` (exactly, on divisible orders);
+* **tightbounds / gap** — counted misses must clear the strongest
+  known lower bound (the maximum of the §2.3 Loomis–Whitney bound,
+  SLLvdG tight, memory-independent and compulsory), and every cell's
+  measured/bound ratio feeds a per-algorithm optimality-gap
+  certificate (``gap-report.json``) ratcheted against a committed
+  baseline;
 * **lint / determinism** — one serial AST pass over the sources
   enforcing repo idioms (directives wrapped in ``if ctx.explicit``,
-  schedules registered, no mutable defaults, no ``==`` on
-  floating-point ``Tdata``) and keeping the fingerprint/serde modules
-  free of wall-clock, RNG, filesystem-order and set-order
-  nondeterminism (``determinism/*``).
+  schedules registered, atomic artifact writes, pinned benchmark
+  engines) and keeping the fingerprint/serde modules free of
+  wall-clock, RNG, filesystem-order and set-order nondeterminism
+  (``determinism/*``).
 
 Fingerprint purity is not an analyzer: it is the
 :class:`repro.store.checkpoint.CellKey` type, which has no field an
 engine knob could travel in.
 
 Every rule lives in the :mod:`repro.check.rules` registry (id,
-severity, help text, tier) with config-driven enable/disable and
-inline ``# repro: noqa[rule-id]`` suppressions guarded by a
-``meta/unused-suppression`` self-check.
+severity, help text, tier) and runs on every check.  The one way to
+accept a source-scan finding is an inline ``# repro: noqa[rule-id]``
+comment, guarded by a ``meta/unused-suppression`` self-check; a
+schedule finding has no waiver and must be fixed.
 
 Every finding carries a stable ``rule`` id and a content fingerprint;
-:mod:`repro.check.baseline` suppresses accepted fingerprints,
-:mod:`repro.check.incremental` caches unchanged cells under
-``.repro-check-cache/`` and :mod:`repro.check.sarif` exports SARIF
-2.1.0 for GitHub code scanning.
+:mod:`repro.check.sarif` exports SARIF 2.1.0 for GitHub code scanning.
 
 Entry points: :func:`repro.check.runner.analyze_schedule` for one
 algorithm instance, :func:`repro.check.runner.check_all` for the full
@@ -55,7 +53,6 @@ line.
 
 from __future__ import annotations
 
-from repro.check.baseline import apply_baseline, load_baseline, write_baseline
 from repro.check.capacity import check_capacity, check_parameters
 from repro.check.cost import (
     CountedCosts,
@@ -65,7 +62,6 @@ from repro.check.cost import (
     formula_envelope,
 )
 from repro.check.coverage import check_coverage
-from repro.check.determinism import check_determinism
 from repro.check.events import AnalysisContext
 from repro.check.findings import CHECKER_VERSION, Finding
 from repro.check.gap import (
@@ -76,11 +72,10 @@ from repro.check.gap import (
     compare_gap_reports,
     load_gap_report,
 )
-from repro.check.incremental import ReportCache
 from repro.check.lint import run_lint, scan_source
 from repro.check.presence import check_presence
 from repro.check.races import check_races
-from repro.check.rules import REGISTRY, Rule, RuleConfig
+from repro.check.rules import REGISTRY, Rule
 from repro.check.runner import ScheduleReport, analyze_schedule, check_all
 from repro.check.sarif import to_sarif, write_sarif
 from repro.check.tightbounds import check_tight_bounds
@@ -95,18 +90,14 @@ __all__ = [
     "GapCell",
     "GapReport",
     "REGISTRY",
-    "ReportCache",
     "Rule",
-    "RuleConfig",
     "ScheduleReport",
     "analyze_schedule",
-    "apply_baseline",
     "build_gap_report",
     "check_all",
     "check_capacity",
     "check_cost",
     "check_coverage",
-    "check_determinism",
     "check_parameters",
     "check_presence",
     "check_races",
@@ -114,7 +105,6 @@ __all__ = [
     "compare_gap_reports",
     "count_costs",
     "formula_envelope",
-    "load_baseline",
     "load_gap_report",
     "run_lint",
     "scan_source",

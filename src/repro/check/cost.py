@@ -1,9 +1,8 @@
-"""Cost conformance: counted ``MS``/``MD`` vs closed forms and lower bounds.
+"""Cost conformance: counted ``MS``/``MD`` vs the closed forms.
 
 The paper's central quantitative claims are the miss-count formulas of
 §3 (``MS = mn + 2mnz/λ`` and friends, implemented in
-:mod:`repro.analysis.formulas`) and the §2.3 Loomis–Whitney lower
-bounds (:mod:`repro.model.bounds`).  This analyzer proves both against
+:mod:`repro.analysis.formulas`).  This analyzer proves them against
 the *recorded* schedule, with no cache simulation:
 
 * :func:`count_costs` walks the event log with exact resident sets and
@@ -14,7 +13,7 @@ the *recorded* schedule, with no cache simulation:
   :class:`~repro.cache.hierarchy.IdealHierarchy` would produce for the
   same directive stream (redundant loads move no data in either).
 
-* :func:`check_cost` then cross-checks three ways:
+* :func:`check_cost` then cross-checks two ways:
 
   1. **Closed forms** — when
      :func:`~repro.analysis.formulas.divisibility_ok` holds, the
@@ -22,14 +21,15 @@ the *recorded* schedule, with no cache simulation:
      formula *exactly* (``cost/formula-mismatch``).  On ragged tiles
      the formulas are only asymptotic; the counts must stay within a
      bounded ratio (``cost/formula-ratio``).
-  2. **Lower bounds** — no recorded count may beat
-     ``MS ≥ mnz·√(27/(8·CS))`` or ``MD ≥ (mnz/p)·√(27/(8·CD))``
-     (``cost/below-lower-bound``).  A schedule below the bound means
-     the counting model — not the schedule — is broken: hard error.
-  3. **Tdata** — pricing the counted misses through
+  2. **Tdata** — pricing the counted misses through
      :func:`repro.analysis.report.tdata_from_counts` must agree with
      the formula-side prediction (``cost/tdata-mismatch``), proving the
      reporting pipeline prices both the same way.
+
+The §2.3 lower bounds are proved by
+:func:`repro.check.tightbounds.check_tight_bounds`
+(``cost/below-tight-bound``), against the strongest of Loomis–Whitney
+and its tighter successors.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ from repro.analysis.formulas import FORMULAS, divisibility_ok, predict
 from repro.analysis.report import tdata_from_counts
 from repro.check.events import EVICT_D, EVICT_S, LOAD_D, LOAD_S, Event
 from repro.check.findings import ERROR, Finding
-from repro.model.bounds import (
-    distributed_misses_lower_bound,
-    shared_misses_lower_bound,
-)
 from repro.model.machine import MulticoreMachine
 
 #: Ragged-tile tolerance (multiplier, slack): the closed forms must
@@ -191,14 +187,16 @@ def check_cost(
     limit: int = 25,
     counted: Optional[CountedCosts] = None,
 ) -> List[Finding]:
-    """Prove the recorded traffic conforms to formulas and lower bounds.
+    """Prove the recorded traffic conforms to the closed forms.
 
     ``limit`` is accepted for interface symmetry with the other
     analyzers; this pass emits at most a handful of findings per cell.
     ``counted`` lets the runner share one :func:`count_costs` walk with
     the tight-bound analyzer instead of re-walking the event log.
     """
-    del limit  # never floods: at most six findings per schedule
+    del limit  # never floods: at most three findings per schedule
+    if alg.name not in FORMULAS:
+        return []
     platform = alg.machine
     if counted is None:
         counted = count_costs(events, platform.p)
@@ -216,29 +214,6 @@ def check_cost(
             )
         )
 
-    m, n, z = alg.m, alg.n, alg.z
-
-    # (2) Loomis–Whitney lower bounds: beating one is a model bug.
-    ms_bound = shared_misses_lower_bound(platform, m, n, z)
-    if counted.ms < ms_bound * (1.0 - EXACT_REL_TOL):
-        fail(
-            "cost/below-lower-bound",
-            f"counted MS={counted.ms} beats the Loomis-Whitney lower bound "
-            f"{ms_bound:.1f} = mnz*sqrt(27/(8*CS)); the counting model is "
-            "unsound for this schedule",
-        )
-    md_bound = distributed_misses_lower_bound(platform, m, n, z)
-    if counted.md_max < md_bound * (1.0 - EXACT_REL_TOL):
-        fail(
-            "cost/below-lower-bound",
-            f"counted MD={counted.md_max} beats the Loomis-Whitney lower "
-            f"bound {md_bound:.1f} = (mnz/p)*sqrt(27/(8*CD)); the counting "
-            "model is unsound for this schedule",
-        )
-
-    if alg.name not in FORMULAS:
-        return findings
-
     # (1) Closed forms: exact when divisibility holds, bracketed otherwise.
     predicted = predict(alg)
     if divisibility_ok(alg):
@@ -255,7 +230,7 @@ def check_cost(
                 f"{predicted.md:.1f} although the divisibility conditions "
                 "for exactness hold",
             )
-        # (3) Tdata: counted misses priced through the report pipeline
+        # (2) Tdata: counted misses priced through the report pipeline
         # must match the formula-side prediction.
         t_counted = counted.tdata(platform)
         t_pred = predicted.tdata(platform)

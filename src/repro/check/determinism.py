@@ -331,16 +331,3 @@ def determinism_findings(
     # The walk is breadth-first; report in source order.
     return [found[k] for k in sorted(found, key=lambda k: k[1])]
 
-
-def check_determinism(
-    tree: ast.Module, filename: str, *, source: Optional[str] = None
-) -> List[Finding]:
-    """All ``determinism/*`` findings for one parsed, in-scope module.
-
-    ``source`` is unused; suppression handling lives in the lint
-    orchestrator, which runs :func:`determinism_findings` over the walk
-    it shares with the lint rules.
-    """
-    del source
-    nodes, parents = walk_with_parents(tree)
-    return determinism_findings(nodes, parents, filename)

@@ -10,10 +10,9 @@ Every finding carries a stable ``rule`` id (``analyzer/short-name``,
 e.g. ``capacity/ws-overflow`` or ``cost/formula-mismatch``) and derives
 a content :meth:`~Finding.fingerprint` from it.  Rule ids name *what*
 went wrong independently of the message wording; fingerprints identify
-*this* finding across runs, which is what the baseline suppression file
-and the SARIF exporter key on.  Line numbers are deliberately excluded
-from the fingerprint so lint findings survive unrelated edits above
-them.
+*this* finding across runs, which is what the SARIF exporter keys on.
+Line numbers are deliberately excluded from the fingerprint so lint
+findings survive unrelated edits above them.
 """
 
 from __future__ import annotations
@@ -27,13 +26,15 @@ WARNING = "warning"
 ERROR = "error"
 
 #: Version of the checker as a whole: findings schema, rule set and
-#: analyzer semantics.  Bumping it invalidates every incremental-cache
-#: entry (the cell fingerprint includes it) and dates SARIF output.
+#: analyzer semantics.  It dates SARIF output and gap reports.
 #: v1 = PR-1 analyzers; v2 = rule ids + cost-conformance analyzer;
 #: v3 = tight-bound conformance + optimality-gap certificate +
 #: engine-conformance analyzer; v4 = rule registry, inline
-#: suppressions and the determinism rules.
-CHECKER_VERSION = 4
+#: suppressions and the determinism rules; v5 = one verdict per run
+#: (no report cache, fingerprint baseline or rule toggles) and 36
+#: rules (the Loomis-Whitney cost rule folded into
+#: cost/below-tight-bound; two lint rules retired).
+CHECKER_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class Finding:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form for ``--json`` output and the report cache."""
+        """Plain-data form for ``--json`` output."""
         out: Dict[str, Any] = {
             "analyzer": self.analyzer,
             "severity": self.severity,
@@ -108,20 +109,6 @@ class Finding:
         if self.location:
             out["location"] = self.location
         return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output (cache replay)."""
-        return cls(
-            analyzer=str(data["analyzer"]),
-            severity=str(data["severity"]),
-            message=str(data["message"]),
-            algorithm=str(data.get("algorithm", "")),
-            machine=str(data.get("machine", "")),
-            event=data.get("event"),
-            location=str(data.get("location", "")),
-            rule=str(data.get("rule", "")),
-        )
 
     def render(self) -> str:
         """One-line rendering for terminal output."""

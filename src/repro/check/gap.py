@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.check.findings import CHECKER_VERSION, ERROR, Finding
+from repro.exceptions import ReproError
 from repro.store.atomic import atomic_write_text
 
 #: Gap-report JSON schema; bump on incompatible layout changes.
@@ -178,19 +179,6 @@ class AlgorithmGap:
             "certified_distributed": self.certified_distributed,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AlgorithmGap":
-        return cls(
-            algorithm=str(data["algorithm"]),
-            cells=int(data["cells"]),
-            ms_gap_min=float(data["ms_gap"]["min"]),
-            ms_gap_median=float(data["ms_gap"]["median"]),
-            ms_gap_max=float(data["ms_gap"]["max"]),
-            md_gap_min=float(data["md_gap"]["min"]),
-            md_gap_median=float(data["md_gap"]["median"]),
-            md_gap_max=float(data["md_gap"]["max"]),
-        )
-
 
 def _median(values: List[float]) -> float:
     ordered = sorted(values)
@@ -253,14 +241,28 @@ def build_gap_report(cells: List[Optional[GapCell]]) -> GapReport:
 
 
 def load_gap_report(path: Union[str, Path]) -> GapReport:
-    """Load a written report/baseline, validating the schema version."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if data.get("schema") != GAP_SCHEMA:
-        raise ValueError(
-            f"unsupported gap-report schema {data.get('schema')!r} in {path}; "
+    """Load a written report/baseline, validating the schema version.
+
+    Raises
+    ------
+    ReproError
+        Naming ``path``, if it cannot be read or is not a gap report
+        of schema :data:`GAP_SCHEMA`.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ReproError(f"cannot read gap report {path}: {exc}") from exc
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != GAP_SCHEMA:
+        raise ReproError(
+            f"unsupported gap-report schema {schema!r} in {path}; "
             f"expected {GAP_SCHEMA}"
         )
-    return GapReport(cells=[GapCell.from_dict(c) for c in data["cells"]])
+    try:
+        return GapReport(cells=[GapCell.from_dict(c) for c in data["cells"]])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ReproError(f"malformed gap report {path}: {exc!r}") from exc
 
 
 def _gap_finding(rule: str, algorithm: str, message: str) -> Finding:

@@ -1,6 +1,6 @@
 """AST lint pass enforcing repo idioms over :mod:`repro` sources.
 
-Eight rules, each born from a real failure mode of this codebase:
+Six rules, each born from a real failure mode of this codebase:
 
 * ``explicit-guard`` — in ``algorithms/*.py``, calls to the explicit
   directives (``load_shared``, ``evict_shared``, ``load_dist``,
@@ -14,12 +14,6 @@ Eight rules, each born from a real failure mode of this codebase:
   :mod:`repro.algorithms.registry`; an unregistered schedule is
   invisible to the CLI, the experiment harness, the tests *and* this
   package's ``check_all``.
-* ``mutable-default`` — no mutable default arguments (``[]``, ``{}``,
-  ``set()``, …): results containers that survive across calls have
-  corrupted sweeps before.
-* ``float-equality`` — no ``==`` / ``!=`` on floating-point ``Tdata``
-  values (``Tdata = MS/σS + MD/σD`` mixes two float divisions; compare
-  with a tolerance instead).
 * ``dead-branch`` — no ``if`` statement whose entire body is ``pass``
   and that has no ``else``: the condition reads as if it handles a case
   but does nothing.  The LRU hierarchy carried exactly such a branch
@@ -45,9 +39,8 @@ Eight rules, each born from a real failure mode of this codebase:
   trusts.  Manifests, CSVs, cache entries and baselines all carried
   exactly this bug before the run store existed.
 
-The syntactic rules above are dispatched through the
-:mod:`repro.check.rules` registry (config-driven enable/disable), and
-this module also hosts the per-file scan *orchestrator*
+Every rule is registered in :mod:`repro.check.rules` and runs on
+every scan.  This module also hosts the per-file scan *orchestrator*
 (:func:`scan_source` / :func:`run_lint`): it runs the
 :mod:`repro.check.determinism` rules on fingerprint-feeding modules
 and ``tests/`` over the same ``ast.walk`` as the lint rules, applies
@@ -66,19 +59,10 @@ from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.check.determinism import determinism_findings, walk_with_parents
 from repro.check.findings import ERROR, Finding
-from repro.check.rules import (
-    DEFAULT_CONFIG,
-    UNUSED_SUPPRESSION,
-    RuleConfig,
-    SuppressionIndex,
-    filter_findings,
-)
+from repro.check.rules import SuppressionIndex
 
 #: The explicit-directive method names of the execution contexts.
 DIRECTIVES = frozenset({"load_shared", "evict_shared", "load_dist", "evict_dist"})
-
-#: Call targets whose results are mutable (as default arguments).
-_MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray", "defaultdict"})
 
 
 def _finding(rule: str, message: str, filename: str, line: int) -> Finding:
@@ -177,66 +161,6 @@ def _check_registered(
                             node.lineno,
                         )
                     )
-
-
-def _is_mutable_default(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-        return name in _MUTABLE_CALLS
-    return False
-
-
-def _check_mutable_defaults(
-    nodes: Sequence[ast.AST], filename: str, findings: List[Finding]
-) -> None:
-    """Rule ``mutable-default``: no shared mutable default arguments."""
-    for node in nodes:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        defaults: List[Optional[ast.expr]] = list(node.args.defaults)
-        defaults += list(node.args.kw_defaults)
-        for default in defaults:
-            if default is not None and _is_mutable_default(default):
-                findings.append(
-                    _finding(
-                        "mutable-default",
-                        f"function {node.name!r} has a mutable default argument",
-                        filename,
-                        default.lineno,
-                    )
-                )
-
-
-def _names_tdata(node: ast.expr) -> bool:
-    if isinstance(node, ast.Name):
-        return "tdata" in node.id.lower()
-    if isinstance(node, ast.Attribute):
-        return "tdata" in node.attr.lower()
-    return False
-
-
-def _check_float_equality(
-    nodes: Sequence[ast.AST], filename: str, findings: List[Finding]
-) -> None:
-    """Rule ``float-equality``: no ``==`` / ``!=`` on ``Tdata`` values."""
-    for node in nodes:
-        if not isinstance(node, ast.Compare):
-            continue
-        if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-            continue
-        if _names_tdata(node.left) or any(_names_tdata(c) for c in node.comparators):
-            findings.append(
-                _finding(
-                    "float-equality",
-                    "'==' / '!=' on a floating-point Tdata value; compare "
-                    "with a tolerance (math.isclose / pytest.approx)",
-                    filename,
-                    node.lineno,
-                )
-            )
 
 
 def _elif_ifs(nodes: Sequence[ast.AST]) -> Set[int]:
@@ -393,17 +317,15 @@ def _check_bench_engine_pin(
 
 
 #: The syntactic lint checks, in dispatch order.  Each entry is
-#: ``(rule id, gate, check)`` where ``gate`` names the
-#: :class:`FileProfile` condition under which the rule applies
-#: (``explicit-guard``/``unregistered-algorithm`` have bespoke wiring
-#: below because they need the profile/registry).
-_SIMPLE_CHECKS: "Sequence[Tuple[str, str, _Check]]" = (
-    ("lint/mutable-default", "always", _check_mutable_defaults),
-    ("lint/float-equality", "always", _check_float_equality),
-    ("lint/dead-branch", "always", _check_dead_branch),
-    ("lint/init-self-call", "always", _check_init_self_call),
-    ("lint/nonatomic-artifact-write", "not-store", _check_nonatomic_write),
-    ("lint/unpinned-bench-engine", "benchmark-only", _check_bench_engine_pin),
+#: ``(gate, check)`` where ``gate`` names the :class:`FileProfile`
+#: condition under which the rule applies (``explicit-guard``/
+#: ``unregistered-algorithm`` have bespoke wiring below because they
+#: need the profile/registry).
+_SIMPLE_CHECKS: "Sequence[Tuple[str, _Check]]" = (
+    ("always", _check_dead_branch),
+    ("always", _check_init_self_call),
+    ("not-store", _check_nonatomic_write),
+    ("benchmark-only", _check_bench_engine_pin),
 )
 
 _Check = Callable[[Sequence[ast.AST], str, List[Finding]], None]
@@ -437,46 +359,6 @@ class FileProfile:
         return out
 
 
-def lint_source(
-    source: str,
-    filename: str,
-    *,
-    algorithms_module: bool = False,
-    store_module: bool = False,
-    benchmark_module: bool = False,
-    registered: Optional[Set[str]] = None,
-    config: Optional[RuleConfig] = None,
-) -> List[Finding]:
-    """Lint one module's source text; ``filename`` is for reporting only.
-
-    ``store_module`` marks files inside :mod:`repro.store`, the one
-    place allowed to perform raw writes (it implements the atomic
-    protocol everything else must use).
-
-    This is the bare ``lint`` family: no determinism rules, no
-    suppression handling — :func:`scan_source` is the full per-file
-    pipeline.
-    """
-    cfg = config if config is not None else DEFAULT_CONFIG
-    findings: List[Finding] = []
-    tree = _parse(source, filename, findings)
-    if tree is None:
-        return findings
-    _lint_tree(
-        tree,
-        filename,
-        findings,
-        profile=FileProfile(
-            algorithms_module=algorithms_module,
-            store_module=store_module,
-            benchmark_module=benchmark_module,
-        ),
-        registered=registered or set(),
-        config=cfg,
-    )
-    return findings
-
-
 def _parse(
     source: str, filename: str, findings: List[Finding]
 ) -> Optional[ast.Module]:
@@ -496,28 +378,22 @@ def _lint_tree(
     *,
     profile: FileProfile,
     registered: Set[str],
-    config: RuleConfig,
 ) -> None:
     # One walk shared by every check — walking per rule dominated the
     # scan's profile.
     nodes, parents = walk_with_parents(tree)
     if profile.lint:
-        for rule_id, gate, check in _SIMPLE_CHECKS:
+        for gate, check in _SIMPLE_CHECKS:
             if gate == "not-store" and profile.store_module:
                 continue
             if gate == "benchmark-only" and not profile.benchmark_module:
                 continue
-            if config.allows(rule_id):
-                check(nodes, filename, findings)
+            check(nodes, filename, findings)
         if profile.algorithms_module:
-            if config.allows("lint/explicit-guard"):
-                _check_explicit_guard(tree, filename, findings)
-            if config.allows("lint/unregistered-algorithm"):
-                _check_registered(nodes, filename, registered, findings)
+            _check_explicit_guard(tree, filename, findings)
+            _check_registered(nodes, filename, registered, findings)
     if profile.determinism:
-        findings += filter_findings(
-            determinism_findings(nodes, parents, filename), config
-        )
+        findings += determinism_findings(nodes, parents, filename)
 
 
 def scan_source(
@@ -526,14 +402,12 @@ def scan_source(
     *,
     profile: Optional[FileProfile] = None,
     registered: Optional[Set[str]] = None,
-    config: Optional[RuleConfig] = None,
 ) -> List[Finding]:
     """The full per-file pipeline: every applicable rule family, then
     inline ``# repro: noqa[rule-id]`` suppressions, then the
     ``meta/unused-suppression`` self-check.
     """
     prof = profile if profile is not None else FileProfile()
-    cfg = config if config is not None else DEFAULT_CONFIG
     findings: List[Finding] = []
     tree = _parse(source, filename, findings)
     if tree is None:
@@ -544,13 +418,10 @@ def scan_source(
         findings,
         profile=prof,
         registered=registered or set(),
-        config=cfg,
     )
     index = SuppressionIndex.from_source(source, filename)
     kept, _suppressed = index.filter(findings)
-    if cfg.allows(UNUSED_SUPPRESSION):
-        kept += index.unused_findings(prof.families, cfg)
-    return kept
+    return kept + index.unused_findings(prof.families)
 
 
 def _registered_names() -> Set[str]:
@@ -571,8 +442,6 @@ _DETERMINISM_FILES = frozenset(
         "sim/results.py",
         "sim/retrypolicy.py",
         "sim/faults.py",
-        "check/incremental.py",
-        "check/baseline.py",
         "check/findings.py",
         "check/sarif.py",
         "check/gap.py",
@@ -612,7 +481,6 @@ def run_lint(
     root: Optional[Path] = None,
     *,
     paths: Optional[Iterable[Path]] = None,
-    config: Optional[RuleConfig] = None,
 ) -> List[Finding]:
     """The source scan over the :mod:`repro` package (or explicit files).
 
@@ -640,7 +508,6 @@ def run_lint(
                     scan += sorted(extra.rglob("*.py"))
         paths = scan
     registered = _registered_names()
-    cfg = config if config is not None else DEFAULT_CONFIG
     findings: List[Finding] = []
     for path in paths:
         findings += scan_source(
@@ -648,6 +515,5 @@ def run_lint(
             str(path),
             profile=_profile_for(path, root),
             registered=registered,
-            config=cfg,
         )
     return findings

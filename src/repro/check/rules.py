@@ -1,4 +1,4 @@
-"""The pluggable rule registry behind every :mod:`repro.check` analyzer.
+"""The rule registry behind every :mod:`repro.check` analyzer.
 
 Until PR 7 the checker's rules lived as hardcoded branches inside each
 analyzer and a parallel id → description table inside the SARIF
@@ -8,20 +8,17 @@ drift.  This module is now the single source of truth:
 * :class:`Rule` — one invariant with a stable id (``family/short-name``),
   a default severity, a one-line help text and the *tier* (analysis
   pass) that owns it.
-* :data:`REGISTRY` — every rule the checker can emit, registered at
-  import time.  The SARIF exporter renders its metadata into the
-  ``rules`` array, ``repro-mmm check --list-rules`` prints it, and the
-  lint dispatcher consults it to know which checks to run.
-* :class:`RuleConfig` — config-driven enable/disable by rule id or
-  family (``--enable``/``--disable`` on the CLI).  An explicit enable
-  beats an explicit disable beats the rule's registered default.
+* :data:`REGISTRY` — every rule the checker can emit, keyed by id and
+  registered at import time.  The SARIF exporter renders its metadata
+  into the ``rules`` array and ``repro-mmm check --list-rules`` prints
+  it.  Every run applies every rule; there is no per-run toggle.
 * Inline suppressions — ``# repro: noqa[rule-id]`` comments parsed by
   :func:`parse_suppressions` and applied by :class:`SuppressionIndex`.
-  A suppression names the exact rule ids it silences (never a blanket
-  waiver), may carry a justification after ``--``, and is itself
-  checked: one that silences nothing raises the
-  ``meta/unused-suppression`` meta-rule, so dead waivers cannot
-  accumulate and mask a future real finding.
+  They are the one way to accept a source-scan finding.  A suppression
+  names the exact rule ids it silences (never a blanket waiver), may
+  carry a justification after ``--``, and is itself checked: one that
+  silences nothing raises the ``meta/unused-suppression`` meta-rule,
+  so dead waivers cannot accumulate and mask a future real finding.
 
 Severity here is the rule's *default level* (what the analyzers emit);
 a finding's own severity always wins when counting errors.
@@ -50,7 +47,6 @@ class Rule:
     severity: str
     help: str
     tier: str
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if "/" not in self.id:
@@ -60,108 +56,13 @@ class Rule:
         if self.tier not in TIERS:
             raise ValueError(f"rule {self.id}: unknown tier {self.tier!r}")
 
-    @property
-    def family(self) -> str:
-        """The id's prefix (``lint`` in ``lint/mutable-default``)."""
-        return self.id.split("/", 1)[0]
-
-    @property
-    def short_name(self) -> str:
-        return self.id.split("/", 1)[1]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "id": self.id,
             "severity": self.severity,
             "tier": self.tier,
-            "enabled": self.enabled,
             "help": self.help,
         }
-
-
-class RuleRegistry:
-    """Id-keyed rule catalogue; registration rejects duplicates."""
-
-    def __init__(self) -> None:
-        self._rules: Dict[str, Rule] = {}
-
-    def register(self, rule: Rule) -> Rule:
-        if rule.id in self._rules:
-            raise ValueError(f"duplicate rule id {rule.id!r}")
-        self._rules[rule.id] = rule
-        return rule
-
-    def get(self, rule_id: str) -> Optional[Rule]:
-        return self._rules.get(rule_id)
-
-    def __contains__(self, rule_id: str) -> bool:
-        return rule_id in self._rules
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def all(self) -> List[Rule]:
-        """Every rule, sorted by id (stable for tables and SARIF)."""
-        return [self._rules[k] for k in sorted(self._rules)]
-
-    def families(self) -> List[str]:
-        return sorted({rule.family for rule in self._rules.values()})
-
-
-@dataclass(frozen=True)
-class RuleConfig:
-    """Config-driven rule selection: ids or whole families.
-
-    ``enabled``/``disabled`` hold selectors — an exact rule id
-    (``lint/dead-branch``) or a family name (``lint``).  Precedence:
-    an explicit enable beats an explicit disable beats the rule's
-    registered default, with the more specific selector (exact id)
-    beating the family either way.  Unknown rule ids (e.g. the dynamic
-    ``<analyzer>/suppressed`` overflow markers) are always allowed.
-    """
-
-    enabled: Tuple[str, ...] = ()
-    disabled: Tuple[str, ...] = ()
-
-    @classmethod
-    def from_selectors(
-        cls,
-        enable: Optional[Sequence[str]] = None,
-        disable: Optional[Sequence[str]] = None,
-    ) -> "RuleConfig":
-        for selector in list(enable or []) + list(disable or []):
-            if selector not in REGISTRY and selector not in REGISTRY.families():
-                raise ValueError(
-                    f"unknown rule or family {selector!r} "
-                    "(see `repro-mmm check --list-rules`)"
-                )
-        return cls(tuple(enable or ()), tuple(disable or ()))
-
-    def allows(self, rule_id: str) -> bool:
-        """Whether findings of ``rule_id`` should be emitted/kept."""
-        rule = REGISTRY.get(rule_id)
-        family = rule.family if rule is not None else rule_id.split("/", 1)[0]
-        # Exact id selectors outrank family selectors.
-        if rule_id in self.enabled:
-            return True
-        if rule_id in self.disabled:
-            return False
-        if family in self.enabled:
-            return True
-        if family in self.disabled:
-            return False
-        return rule.enabled if rule is not None else True
-
-
-#: The default, everything-at-registered-defaults configuration.
-DEFAULT_CONFIG = RuleConfig()
-
-
-def filter_findings(
-    findings: Iterable[Finding], config: RuleConfig
-) -> List[Finding]:
-    """Drop findings whose rule the configuration disables."""
-    return [f for f in findings if config.allows(f.rule_id)]
 
 
 # ----------------------------------------------------------------------
@@ -258,18 +159,13 @@ class SuppressionIndex:
                 kept.append(finding)
         return kept, suppressed
 
-    def unused_findings(
-        self,
-        active_families: Collection[str],
-        config: Optional[RuleConfig] = None,
-    ) -> List[Finding]:
+    def unused_findings(self, active_families: Collection[str]) -> List[Finding]:
         """``meta/unused-suppression`` findings for dead waivers.
 
         Only rule ids whose family actually *ran* on this file are
         judged: a ``determinism/...`` waiver in a file scanned with the
         lint family alone is neither used nor provably dead, so it is
-        left alone — likewise one whose rule the configuration
-        disables.  Unknown rule ids are always reported — they can
+        left alone.  Unknown rule ids are always reported — they can
         never match anything.
         """
         out: List[Finding] = []
@@ -280,8 +176,6 @@ class SuppressionIndex:
                 known = rule_id in REGISTRY
                 family = rule_id.split("/", 1)[0]
                 if known and family not in active_families:
-                    continue
-                if known and config is not None and not config.allows(rule_id):
                     continue
                 reason = (
                     f"suppression names unknown rule {rule_id!r}"
@@ -304,11 +198,15 @@ class SuppressionIndex:
 # ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
-REGISTRY = RuleRegistry()
+#: Every rule the checker can emit, by id.
+REGISTRY: Dict[str, Rule] = {}
 
 
-def _r(rule_id: str, severity: str, help_text: str, tier: str) -> Rule:
-    return REGISTRY.register(Rule(rule_id, severity, help_text, tier))
+def _r(rule_id: str, severity: str, help_text: str, tier: str) -> None:
+    """Register one rule; a duplicate id is a programming error."""
+    if rule_id in REGISTRY:
+        raise ValueError(f"duplicate rule id {rule_id!r}")
+    REGISTRY[rule_id] = Rule(rule_id, severity, help_text, tier)
 
 
 # -- schedule analyzers (recorded-event proofs) ------------------------
@@ -349,8 +247,6 @@ _r("cost/formula-mismatch", ERROR,
 _r("cost/formula-ratio", ERROR,
    "Counted misses leave the ragged-tile envelope of the formula",
    "schedule")
-_r("cost/below-lower-bound", ERROR,
-   "Counted misses beat the Loomis-Whitney lower bound", "schedule")
 _r("cost/below-tight-bound", ERROR,
    "Counted misses beat the strongest (tight) lower bound", "schedule")
 _r("cost/tdata-mismatch", ERROR,
@@ -369,10 +265,6 @@ _r("lint/explicit-guard", ERROR,
    "Cache directive not wrapped in 'if ctx.explicit'", "lint")
 _r("lint/unregistered-algorithm", ERROR,
    "Concrete schedule missing from the registry", "lint")
-_r("lint/mutable-default", ERROR,
-   "Mutable default argument", "lint")
-_r("lint/float-equality", ERROR,
-   "Equality comparison on a floating-point Tdata value", "lint")
 _r("lint/dead-branch", ERROR,
    "'if' whose whole body is 'pass' and that has no 'else'", "lint")
 _r("lint/init-self-call", ERROR,

@@ -10,27 +10,15 @@ Cells with no feasible parameters on a machine (e.g. a non-square core
 grid for Algorithm 2) are not silently dropped: they come back as
 ``status="skipped"`` reports carrying the reason, so a consumer (CI,
 ``--json``) can tell an intentionally sparse matrix from an
-accidentally empty one.  Pass a
-:class:`~repro.check.incremental.ReportCache` to reuse the reports of
-cells whose inputs (algorithm source, machine, orders, checker
-version) have not changed.
+accidentally empty one.  Every call analyzes every cell it selects;
+nothing is cached between runs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.registry import algorithm_names, get_algorithm
@@ -49,9 +37,6 @@ from repro.check.races import check_races
 from repro.check.tightbounds import check_tight_bounds
 from repro.exceptions import ReproError
 from repro.model.machine import PRESETS, MulticoreMachine
-
-if TYPE_CHECKING:  # imported lazily to keep runner import-light
-    from repro.check.incremental import ReportCache
 
 #: ``status`` values a :class:`ScheduleReport` can carry.
 ANALYZED = "analyzed"
@@ -75,7 +60,6 @@ class ScheduleReport:
     status: str = ANALYZED
     skip_reason: str = ""
     elapsed_s: float = 0.0
-    cached: bool = False
     #: Optimality-gap data for the gap certificate; ``None`` for skipped
     #: cells and compute-only schedules (no directives, nothing counted).
     gap: Optional[GapCell] = None
@@ -109,33 +93,9 @@ class ScheduleReport:
         }
         if self.skip_reason:
             out["skip_reason"] = self.skip_reason
-        if self.cached:
-            out["cached"] = True
         if self.gap is not None:
             out["gap"] = self.gap.to_dict()
         return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ScheduleReport":
-        """Rebuild a report from :meth:`to_dict` output (cache replay)."""
-        return cls(
-            algorithm=str(data["algorithm"]),
-            machine=str(data["machine"]),
-            m=int(data["m"]),
-            n=int(data["n"]),
-            z=int(data["z"]),
-            events=int(data["events"]),
-            computes=int(data["computes"]),
-            peak_shared=int(data["peak_shared"]),
-            peak_dist=[int(d) for d in data["peak_dist"]],
-            findings=[Finding.from_dict(f) for f in data["findings"]],
-            status=str(data.get("status", ANALYZED)),
-            skip_reason=str(data.get("skip_reason", "")),
-            elapsed_s=float(data.get("elapsed_s", 0.0)),
-            gap=(
-                GapCell.from_dict(data["gap"]) if data.get("gap") else None
-            ),
-        )
 
 
 def _skipped_report(
@@ -246,7 +206,6 @@ def check_all(
     *,
     orders: Optional[Sequence[int]] = None,
     limit: int = 25,
-    cache: Optional["ReportCache"] = None,
 ) -> List[ScheduleReport]:
     """Analyze every algorithm × machine cell; returns one report each.
 
@@ -254,8 +213,7 @@ def check_all(
     non-square core grid for Algorithm 2) come back as ``skipped``
     reports rather than disappearing.  A cell that *raises*
     mid-schedule is reported as a single ``schedule`` error finding
-    rather than aborting the sweep.  With ``cache`` set, unchanged
-    cells replay their stored reports instead of re-analyzing.
+    rather than aborting the sweep.
     """
     if algorithms is None:
         algorithms = algorithm_names(include_extras=True)
@@ -266,29 +224,22 @@ def check_all(
         cls = get_algorithm(name)
         for key, machine in machines.items():
             try:
-                cell_orders = tuple(orders) if orders else suggested_orders(cls, machine)
+                cell_orders = orders or suggested_orders(cls, machine)
             except ReproError as exc:
                 reports.append(_skipped_report(name, key, 0, str(exc)))
                 continue  # no feasible parameters on this machine
-            if cache is not None:
-                cell_key = cache.cell_key(cls, machine, key, cell_orders)
-                cached = cache.load(cell_key)
-                if cached is not None:
-                    reports.extend(cached)
-                    continue
-            cell_reports: List[ScheduleReport] = []
             for order in cell_orders:
                 try:
                     alg = cls(machine, order, order, order)
                 except ReproError as exc:
-                    cell_reports.append(_skipped_report(name, key, order, str(exc)))
+                    reports.append(_skipped_report(name, key, order, str(exc)))
                     continue
                 try:
-                    cell_reports.append(
+                    reports.append(
                         analyze_schedule(alg, machine_label=key, limit=limit)
                     )
                 except ReproError as exc:
-                    cell_reports.append(
+                    reports.append(
                         ScheduleReport(
                             algorithm=name,
                             machine=key,
@@ -311,8 +262,5 @@ def check_all(
                             ],
                         )
                     )
-            if cache is not None:
-                cache.store(cell_key, cell_reports)
-            reports.extend(cell_reports)
     return reports
 

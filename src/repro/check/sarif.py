@@ -11,7 +11,7 @@ physical location and stable ``partialFingerprints``.  We map:
   algorithm class, which is where a human starts reading anyway;
 * :meth:`Finding.fingerprint` → ``partialFingerprints`` under the
   ``reproCheck/v1`` key, so GitHub tracks a finding's identity across
-  pushes exactly like the baseline file does.
+  pushes.
 
 Only the subset of SARIF that code scanning consumes is emitted; the
 document validates against the 2.1.0 schema.
@@ -35,11 +35,9 @@ SARIF_SCHEMA = (
 )
 SARIF_VERSION = "2.1.0"
 
-#: Rule id → short description, derived from the registry — the
-#: registry is the single source of truth; this mapping is kept for
-#: backward compatibility with earlier importers.
+#: Rule id → short description, derived from the registry.
 RULE_DESCRIPTIONS: Dict[str, str] = {
-    rule.id: rule.help for rule in REGISTRY.all()
+    rule_id: rule.help for rule_id, rule in REGISTRY.items()
 }
 
 
@@ -125,7 +123,7 @@ def to_sarif(
             }
             entry["defaultConfiguration"] = {
                 "level": "error" if rule.severity == ERROR else "warning",
-                "enabled": rule.enabled,
+                "enabled": True,
             }
             entry["properties"] = {"tier": rule.tier}
         rules.append(entry)

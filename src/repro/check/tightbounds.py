@@ -1,13 +1,12 @@
 """Tight-bound conformance: counted misses vs the strongest lower bounds.
 
-``cost/below-lower-bound`` already proves counted traffic never beats
-the paper's Loomis–Whitney bounds; this analyzer raises the bar to the
-*strongest known* bound per level (:func:`repro.model.bounds.shared_bounds`
-/ :func:`~repro.model.bounds.distributed_bounds`): the SLLvdG tight
-two-term bound, the Al Daas memory-independent floor and the compulsory
-traffic, whichever binds.  A counted value below the binding bound is a
-``cost/below-tight-bound`` error — the counting model (not the
-schedule) is unsound, exactly like the Loomis–Whitney rule.
+This analyzer proves counted traffic never beats the *strongest known*
+lower bound per level (:func:`repro.model.bounds.shared_bounds` /
+:func:`~repro.model.bounds.distributed_bounds`): the maximum of the
+paper's §2.3 Loomis–Whitney bound, the SLLvdG tight two-term bound,
+the Al Daas memory-independent floor and the compulsory traffic.  A
+counted value below the binding bound is a ``cost/below-tight-bound``
+error — the counting model (not the schedule) is unsound.
 
 On divisible orders the counted values equal the closed forms exactly
 (``cost/formula-mismatch`` guarantees it), so the proof is exact; on

@@ -89,6 +89,17 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--sigma-d", type=float, default=1.0)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a matrix order: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     print("algorithms (paper):")
     for name in algorithm_names():
@@ -409,55 +420,44 @@ def _cmd_check(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.check.baseline import apply_baseline, load_baseline, write_baseline
     from repro.check.findings import CHECKER_VERSION, ERROR
     from repro.check.gap import build_gap_report, compare_gap_reports, load_gap_report
-    from repro.check.incremental import ReportCache
     from repro.check.lint import run_lint
     from repro.check.runner import check_all
-    from repro.check.rules import REGISTRY, RuleConfig, filter_findings
+    from repro.check.rules import REGISTRY
     from repro.check.sarif import write_sarif
 
     if args.list_rules:
-        rules = REGISTRY.all()
+        rules = [REGISTRY[rule_id] for rule_id in sorted(REGISTRY)]
         if args.json:
             print(
                 json.dumps(
-                    {"schema": 1, "rules": [r.to_dict() for r in rules]},
+                    {"schema": 2, "rules": [r.to_dict() for r in rules]},
                     indent=2,
                 )
             )
         else:
             id_width = max(len(r.id) for r in rules)
             level_width = max(len(r.severity) for r in rules)
-            header = (
-                f"{'RULE'.ljust(id_width)}  {'LEVEL'.ljust(level_width)}  "
-                "ON   HELP"
-            )
+            header = f"{'RULE'.ljust(id_width)}  {'LEVEL'.ljust(level_width)}  HELP"
             print(header)
             print("-" * len(header))
             for rule in rules:
-                state = "on" if rule.enabled else "off"
                 print(
                     f"{rule.id.ljust(id_width)}  "
-                    f"{rule.severity.ljust(level_width)}  "
-                    f"{state.ljust(3)}  {rule.help}"
+                    f"{rule.severity.ljust(level_width)}  {rule.help}"
                 )
             print(f"{len(rules)} rule(s) registered")
         return 0
 
-    try:
-        rule_config = RuleConfig.from_selectors(args.enable, args.disable)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # A bad baseline is a usage error: fail before the analysis, not after.
+    gap_baseline = load_gap_report(args.gap_baseline) if args.gap_baseline else None
 
     algorithms = args.algorithm or None
     machines = None
     if args.machine:
         machines = {key: preset(key) for key in args.machine}
     filtered = bool(args.algorithm or args.machine or args.orders)
-    cache = ReportCache(Path(args.cache_dir)) if args.incremental else None
 
     scan_pool = None
     scan_future = None
@@ -472,85 +472,51 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
             scan_pool = ProcessPoolExecutor(max_workers=1)
             try:
-                scan_future = scan_pool.submit(run_lint, config=rule_config)
+                scan_future = scan_pool.submit(run_lint)
             except Exception:
                 scan_pool.shutdown(wait=False)
                 raise
 
     lint_findings: List[Any] = []
     try:
-        reports = check_all(
-            algorithms, machines, orders=args.orders or None, cache=cache
-        )
+        reports = check_all(algorithms, machines, orders=args.orders)
         if scan_future is not None:
             lint_findings = scan_future.result()
         elif args.lint:
-            lint_findings = run_lint(config=rule_config)
+            lint_findings = run_lint()
     finally:
         if scan_pool is not None:
             scan_pool.shutdown()
 
     gap_report = build_gap_report([r.gap for r in reports])
     gap_findings: List[Any] = []
-    if args.gap_baseline and not filtered:
-        gap_findings = compare_gap_reports(
-            gap_report, load_gap_report(Path(args.gap_baseline))
-        )
+    if gap_baseline is not None and not filtered:
+        gap_findings = compare_gap_reports(gap_report, gap_baseline)
 
-    findings = (
-        filter_findings((f for r in reports for f in r.findings), rule_config)
-        + lint_findings
-        + filter_findings(gap_findings, rule_config)
-    )
-
-    if args.gap_report:
-        gap_report.write(Path(args.gap_report))
-
-    if args.write_gap_baseline:
-        gap_report.write(Path(args.write_gap_baseline))
-        print(
-            f"wrote gap baseline ({len(gap_report.algorithms())} algorithm(s), "
-            f"{len(gap_report.cells)} cell(s)) to {args.write_gap_baseline}"
-        )
-        return 0
-
-    if args.write_baseline:
-        count = write_baseline(Path(args.write_baseline), findings)
-        print(f"wrote {count} suppression(s) to {args.write_baseline}")
-        return 0
-
-    baselined: List[Any] = []
-    if args.baseline:
-        suppressed = load_baseline(Path(args.baseline))
-        findings, baselined = apply_baseline(findings, suppressed)
-
+    findings = [f for r in reports for f in r.findings] + lint_findings + gap_findings
     errors = sum(1 for f in findings if f.severity == ERROR)
     warnings = len(findings) - errors
 
+    if args.gap_report:
+        gap_report.write(Path(args.gap_report))
     if args.sarif:
         write_sarif(Path(args.sarif), findings)
 
     analyzed = [r for r in reports if not r.skipped]
     skipped = [r for r in reports if r.skipped]
-    cached = sum(1 for r in reports if r.cached)
 
     if args.json:
         print(
             json.dumps(
                 {
-                    "schema": 4,
+                    "schema": 5,
                     "checker_version": CHECKER_VERSION,
                     "reports": [r.to_dict() for r in reports],
                     "lint": [f.to_dict() for f in lint_findings],
                     "gap": [a.to_dict() for a in gap_report.algorithms()],
                     "errors": errors,
                     "warnings": warnings,
-                    "suppressed": len(baselined),
-                    "cells": {
-                        "analyzed": len(analyzed),
-                        "skipped": len(skipped),
-                        "cached": cached,
-                    },
+                    "cells": {"analyzed": len(analyzed), "skipped": len(skipped)},
                     "elapsed_s": round(sum(r.elapsed_s for r in reports), 6),
                 },
                 indent=2,
@@ -566,10 +532,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         if skipped:
             summary += f"; {len(skipped)} infeasible cell(s) skipped"
-        if cache is not None:
-            summary += f"; {cached} cell report(s) from cache"
-        if baselined:
-            summary += f"; {len(baselined)} finding(s) suppressed by baseline"
         if args.lint:
             summary += (
                 "; source scan (lint/determinism): "
@@ -583,9 +545,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 f"; gap certificate: {shared_ok}/{len(algo_gaps)} shared-optimal, "
                 f"{dist_ok}/{len(algo_gaps)} distributed-optimal"
             )
-        if args.gap_baseline and filtered:
+        if gap_baseline is not None and filtered:
             summary += "; gap baseline comparison skipped (filtered run)"
         print(summary)
+    if not analyzed:
+        # A run that proves nothing must not pass.
+        raise ReproError("no schedule cell was analyzed")
     return 1 if errors else 0
 
 
@@ -905,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--orders",
-        type=int,
+        type=_positive_int,
         nargs="+",
         default=None,
         help="matrix orders to analyze (default: derived from tile sides)",
@@ -918,48 +883,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--list-rules",
         action="store_true",
-        help="print the rule registry (id, severity, enabled, help) "
-        "and exit; with --json, machine-readable",
+        help="print the rule registry (id, severity, help) and exit; "
+        "with --json, machine-readable",
     )
     p_check.add_argument(
-        "--enable",
-        action="append",
-        default=None,
-        metavar="RULE",
-        help="force-enable a rule id or family (repeatable; "
-        "see --list-rules)",
-    )
-    p_check.add_argument(
-        "--disable",
-        action="append",
-        default=None,
-        metavar="RULE",
-        help="disable a rule id or family (repeatable; see --list-rules)",
-    )
-    p_check.add_argument(
-        "--json", action="store_true", help="machine-readable output (schema 4)"
-    )
-    p_check.add_argument(
-        "--incremental",
-        action="store_true",
-        help="reuse cached reports for unchanged cells",
-    )
-    p_check.add_argument(
-        "--cache-dir",
-        default=".repro-check-cache",
-        help="incremental report cache directory",
-    )
-    p_check.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="suppress findings fingerprinted in this baseline file",
-    )
-    p_check.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="write current findings as the new baseline and exit",
+        "--json", action="store_true", help="machine-readable output (schema 5)"
     )
     p_check.add_argument(
         "--sarif",
@@ -971,7 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--gap-report",
         default=None,
         metavar="PATH",
-        help="write the per-algorithm optimality-gap certificate here",
+        help="write the per-algorithm optimality-gap certificate here "
+        "(also how the committed gap baseline is refreshed)",
     )
     p_check.add_argument(
         "--gap-baseline",
@@ -980,12 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the gap certificate against this baseline "
         "(gap/regression, gap/uncertified-algorithm); skipped on "
         "filtered runs",
-    )
-    p_check.add_argument(
-        "--write-gap-baseline",
-        default=None,
-        metavar="PATH",
-        help="write the current gap certificate as the new baseline and exit",
     )
     p_check.set_defaults(func=_cmd_check)
 
@@ -1223,7 +1146,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro-mmm check --json | head -1``).
+        # Point stdout at devnull so the interpreter's exit-time flush
+        # cannot raise again (the recipe in Python's ``signal`` docs),
+        # and exit the way a SIGPIPE-killed process would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,8 +36,8 @@ checker's optimality-gap certificate divides by:
   schedule model every transferred block is a load (computes require
   residency, so a writeback is always preceded by a load) and every
   paper schedule's load traffic clears the two-term bound with margin —
-  a counted value below it signals a broken counting model, exactly
-  like ``cost/below-lower-bound``.
+  a counted value below it signals a broken counting model
+  (``cost/below-tight-bound``).
 
 * **Al Daas–Ballard–Grigori–Kumar–Rouse** (arXiv:2205.13407) give
   memory-*independent* parallel bounds: a processor that executes ``F``

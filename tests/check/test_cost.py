@@ -8,7 +8,7 @@ Three layers of evidence:
   every algorithm with a closed form;
 * seeded violations — a perturbed formula (the ``mn`` term dropped
   from shared-opt's ``MS``) and a schedule whose counts beat the
-  Loomis–Whitney bound — each caught as an error;
+  strongest lower bound — each caught as an error;
 * the clean complement: real schedules produce zero cost findings.
 """
 
@@ -28,6 +28,7 @@ from repro.analysis.formulas import FORMULAS, PredictedCounts, divisibility_ok, 
 from repro.check import AnalysisContext, analyze_schedule, check_cost, count_costs
 from repro.check.cost import CountedCosts
 from repro.check.events import COMPUTE, EVICT_S, LOAD_D, LOAD_S
+from repro.check.tightbounds import check_tight_bounds
 from repro.model.machine import MulticoreMachine
 from repro.sim.runner import run_experiment
 
@@ -180,7 +181,11 @@ class TestSeededViolations:
         )
 
     def test_below_lower_bound_is_caught(self, quad):
-        """A log claiming almost no traffic for a big product is unsound."""
+        """A log claiming almost no traffic for a big product is unsound.
+
+        ``cost/below-tight-bound`` proves counts against the maximum of
+        every bound family, Loomis–Whitney included.
+        """
 
         class Cheat(MatmulAlgorithm):
             name = "abstract"  # no registered closed form
@@ -193,9 +198,12 @@ class TestSeededViolations:
 
         alg = Cheat(quad, 64, 64, 64)
         events = [(LOAD_S, -1, 1), (LOAD_D, 0, 1), (COMPUTE, 0, 1, 1, 1)]
-        found = check_cost(alg, events, machine="quad")
-        rules = [f.rule_id for f in found]
-        assert rules.count("cost/below-lower-bound") == 2  # MS and MD
+        found, _cell = check_tight_bounds(
+            alg, count_costs(events, quad.p), machine="quad"
+        )
+        assert [f.rule_id for f in found] == ["cost/below-tight-bound"] * 2
+        assert "counted MS=1" in found[0].message
+        assert "counted MD=1" in found[1].message
         assert all(f.severity == "error" for f in found)
 
     def test_ragged_envelope_violation_is_caught(self, quad, monkeypatch):

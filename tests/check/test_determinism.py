@@ -1,12 +1,12 @@
 """Tests for the determinism analyzer (`determinism/*` rules)."""
 
-import ast
-
-from repro.check.determinism import check_determinism
+from repro.check.lint import FileProfile, scan_source
 
 
 def findings_for(source):
-    return check_determinism(ast.parse(source), "m.py", source=source)
+    return scan_source(
+        source, "m.py", profile=FileProfile(lint=False, determinism=True)
+    )
 
 
 def rule_ids(source):

@@ -17,6 +17,7 @@ from repro.check.gap import (
     compare_gap_reports,
     load_gap_report,
 )
+from repro.exceptions import ReproError
 
 
 def make_cell(algorithm="shared-opt", ms=40, md=30, ms_best=20.0, md_best=15.0,
@@ -111,7 +112,7 @@ class TestPersistence:
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": 99, "cells": []}))
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(ReproError, match="schema"):
             load_gap_report(path)
 
 

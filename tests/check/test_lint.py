@@ -5,13 +5,15 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.check.determinism import (
-    call_name,
-    check_determinism,
-    dotted_call_name,
-    walk_with_parents,
-)
-from repro.check.lint import lint_source, run_lint
+from repro.check.determinism import call_name, dotted_call_name, walk_with_parents
+from repro.check.lint import FileProfile, run_lint, scan_source
+
+
+def scan(source, filename, *, registered=None, **roles):
+    """The lint family alone over one snippet, with the given role gates."""
+    return scan_source(
+        source, filename, profile=FileProfile(**roles), registered=registered
+    )
 
 
 def rules(findings):
@@ -24,7 +26,7 @@ class TestExplicitGuard:
             "def run(self, ctx):\n"
             "    ctx.load_shared(1)\n"
         )
-        found = lint_source(src, "alg.py", algorithms_module=True)
+        found = scan(src, "alg.py", algorithms_module=True)
         assert rules(found) == ["explicit-guard"]
         assert "ctx.load_shared(...)" in found[0].message
 
@@ -34,7 +36,7 @@ class TestExplicitGuard:
             "    if ctx.explicit:\n"
             "        ctx.load_shared(1)\n"
         )
-        assert lint_source(src, "alg.py", algorithms_module=True) == []
+        assert scan(src, "alg.py", algorithms_module=True) == []
 
     def test_hoisted_flag_clean(self):
         src = (
@@ -43,7 +45,7 @@ class TestExplicitGuard:
             "    if explicit:\n"
             "        ctx.evict_dist(0, 1)\n"
         )
-        assert lint_source(src, "alg.py", algorithms_module=True) == []
+        assert scan(src, "alg.py", algorithms_module=True) == []
 
     def test_else_branch_is_unguarded(self):
         src = (
@@ -53,14 +55,14 @@ class TestExplicitGuard:
             "    else:\n"
             "        ctx.evict_shared(1)\n"
         )
-        found = lint_source(src, "alg.py", algorithms_module=True)
+        found = scan(src, "alg.py", algorithms_module=True)
         assert rules(found) == ["explicit-guard"]
 
     def test_rule_scoped_to_algorithms_modules(self):
         # Contexts and caches implement the directives; only schedule
         # modules must guard the calls.
         src = "def f(ctx):\n    ctx.load_shared(1)\n"
-        assert lint_source(src, "other.py", algorithms_module=False) == []
+        assert scan(src, "other.py", algorithms_module=False) == []
 
 
 class TestUnregisteredAlgorithm:
@@ -70,7 +72,7 @@ class TestUnregisteredAlgorithm:
     )
 
     def test_unregistered_flagged(self):
-        found = lint_source(
+        found = scan(
             self.SRC, "alg.py", algorithms_module=True, registered={"shared-opt"}
         )
         assert rules(found) == ["unregistered-algorithm"]
@@ -78,7 +80,7 @@ class TestUnregisteredAlgorithm:
 
     def test_registered_clean(self):
         assert (
-            lint_source(
+            scan(
                 self.SRC, "alg.py", algorithms_module=True, registered={"rogue"}
             )
             == []
@@ -89,40 +91,7 @@ class TestUnregisteredAlgorithm:
             "class Base(MatmulAlgorithm):\n"
             "    name = 'abstract'\n"
         )
-        assert lint_source(src, "alg.py", algorithms_module=True, registered=set()) == []
-
-
-class TestMutableDefault:
-    def test_list_default_flagged(self):
-        found = lint_source("def f(x=[]):\n    pass\n", "m.py")
-        assert rules(found) == ["mutable-default"]
-
-    def test_call_default_flagged(self):
-        found = lint_source("def f(x=dict()):\n    pass\n", "m.py")
-        assert rules(found) == ["mutable-default"]
-
-    def test_kwonly_default_flagged(self):
-        found = lint_source("def f(*, x={}):\n    pass\n", "m.py")
-        assert rules(found) == ["mutable-default"]
-
-    def test_none_default_clean(self):
-        assert lint_source("def f(x=None, y=0):\n    pass\n", "m.py") == []
-
-
-class TestFloatEquality:
-    def test_eq_on_tdata_flagged(self):
-        found = lint_source("ok = result.tdata == 1.5\n", "m.py")
-        assert rules(found) == ["float-equality"]
-
-    def test_neq_on_tdata_name_flagged(self):
-        found = lint_source("bad = tdata_serial != tdata_parallel\n", "m.py")
-        assert rules(found) == ["float-equality"]
-
-    def test_ordering_comparison_clean(self):
-        assert lint_source("ok = tdata < 1.5\n", "m.py") == []
-
-    def test_eq_on_other_names_clean(self):
-        assert lint_source("ok = ms == md\n", "m.py") == []
+        assert scan(src, "alg.py", algorithms_module=True, registered=set()) == []
 
 
 class TestDeadBranch:
@@ -133,7 +102,7 @@ class TestDeadBranch:
             "        pass\n"
             "    return x\n"
         )
-        found = lint_source(src, "m.py")
+        found = scan(src, "m.py")
         assert rules(found) == ["dead-branch"]
 
     def test_if_pass_with_else_clean(self):
@@ -145,7 +114,7 @@ class TestDeadBranch:
             "        x = -x\n"
             "    return x\n"
         )
-        assert lint_source(src, "m.py") == []
+        assert scan(src, "m.py") == []
 
     def test_elif_pass_in_dispatch_chain_clean(self):
         # `elif op == COMPUTE: pass` is a legitimate "nothing to do for
@@ -159,7 +128,7 @@ class TestDeadBranch:
             "    elif op == 3:\n"
             "        other()\n"
         )
-        assert lint_source(src, "m.py") == []
+        assert scan(src, "m.py") == []
 
     def test_body_with_real_statements_clean(self):
         src = (
@@ -168,7 +137,7 @@ class TestDeadBranch:
             "        x += 1\n"
             "    return x\n"
         )
-        assert lint_source(src, "m.py") == []
+        assert scan(src, "m.py") == []
 
 
 class TestInitSelfCall:
@@ -178,7 +147,7 @@ class TestInitSelfCall:
             "    def reset(self):\n"
             "        self.__init__(self.p, self.cs)\n"
         )
-        found = lint_source(src, "m.py")
+        found = scan(src, "m.py")
         assert rules(found) == ["init-self-call"]
 
     def test_super_init_clean(self):
@@ -187,29 +156,29 @@ class TestInitSelfCall:
             "    def __init__(self):\n"
             "        super().__init__()\n"
         )
-        assert lint_source(src, "m.py") == []
+        assert scan(src, "m.py") == []
 
     def test_other_objects_init_clean(self):
         src = "def f(obj):\n    obj.__init__()\n"
-        assert lint_source(src, "m.py") == []
+        assert scan(src, "m.py") == []
 
 
 class TestNonatomicArtifactWrite:
     def test_write_text_flagged(self):
         src = "def save(path, doc):\n    path.write_text(doc)\n"
-        assert rules(lint_source(src, "m.py")) == ["nonatomic-artifact-write"]
+        assert rules(scan(src, "m.py")) == ["nonatomic-artifact-write"]
 
     def test_write_bytes_flagged(self):
         src = "def save(path, doc):\n    path.write_bytes(doc)\n"
-        assert rules(lint_source(src, "m.py")) == ["nonatomic-artifact-write"]
+        assert rules(scan(src, "m.py")) == ["nonatomic-artifact-write"]
 
     def test_builtin_open_write_mode_flagged(self):
         src = 'def save(path):\n    with open(path, "w") as fh:\n        fh.write("x")\n'
-        assert rules(lint_source(src, "m.py")) == ["nonatomic-artifact-write"]
+        assert rules(scan(src, "m.py")) == ["nonatomic-artifact-write"]
 
     def test_path_open_append_mode_flagged(self):
         src = 'def save(path):\n    fh = path.open(mode="ab")\n'
-        assert rules(lint_source(src, "m.py")) == ["nonatomic-artifact-write"]
+        assert rules(scan(src, "m.py")) == ["nonatomic-artifact-write"]
 
     def test_read_mode_clean(self):
         src = (
@@ -220,15 +189,15 @@ class TestNonatomicArtifactWrite:
             "        b = fh.read()\n"
             "    return a, b\n"
         )
-        assert lint_source(src, "m.py") == []
+        assert scan(src, "m.py") == []
 
     def test_dynamic_mode_out_of_scope(self):
         src = "def touch(path, mode):\n    return open(path, mode)\n"
-        assert lint_source(src, "m.py") == []
+        assert scan(src, "m.py") == []
 
     def test_store_module_exempt(self):
         src = 'def save(path, doc):\n    path.write_text(doc)\n'
-        assert lint_source(src, "m.py", store_module=True) == []
+        assert scan(src, "m.py", store_module=True) == []
 
     def test_atomic_helper_usage_clean(self):
         src = (
@@ -236,7 +205,7 @@ class TestNonatomicArtifactWrite:
             "def save(path, doc):\n"
             "    atomic_write_text(path, doc)\n"
         )
-        assert lint_source(src, "m.py") == []
+        assert scan(src, "m.py") == []
 
 
 class TestUnpinnedBenchEngine:
@@ -247,7 +216,7 @@ class TestUnpinnedBenchEngine:
     )
 
     def test_unpinned_call_flagged_in_benchmark(self):
-        found = lint_source(self.UNPINNED, "b.py", benchmark_module=True)
+        found = scan(self.UNPINNED, "b.py", benchmark_module=True)
         assert rules(found) == ["unpinned-bench-engine"]
         assert "engine=" in found[0].message
 
@@ -256,7 +225,7 @@ class TestUnpinnedBenchEngine:
             "def bench_cell(benchmark):\n"
             "    return runner.run_experiment('x', m, 8, 8, 8, 'ideal')\n"
         )
-        found = lint_source(src, "b.py", benchmark_module=True)
+        found = scan(src, "b.py", benchmark_module=True)
         assert rules(found) == ["unpinned-bench-engine"]
 
     def test_pinned_call_clean(self):
@@ -264,16 +233,16 @@ class TestUnpinnedBenchEngine:
             "def bench_cell(benchmark):\n"
             "    r = run_experiment('x', m, 8, 8, 8, 'lru-50', engine='replay')\n"
         )
-        assert lint_source(src, "b.py", benchmark_module=True) == []
+        assert scan(src, "b.py", benchmark_module=True) == []
 
     def test_rule_scoped_to_benchmarks(self):
         # Library and test code may rely on the default engine choice.
-        assert lint_source(self.UNPINNED, "m.py") == []
+        assert scan(self.UNPINNED, "m.py") == []
 
 
 class TestSyntaxError:
     def test_unparseable_reported_not_raised(self):
-        found = lint_source("def f(:\n", "m.py")
+        found = scan("def f(:\n", "m.py")
         assert rules(found) == ["syntax"]
 
 
@@ -317,7 +286,9 @@ class TestSharedWalk:
 def set_order_lines(source):
     return [
         int(f.location.rsplit(":", 1)[1])
-        for f in check_determinism(ast.parse(source), "m.py")
+        for f in scan_source(
+            source, "m.py", profile=FileProfile(lint=False, determinism=True)
+        )
         if f.rule_id == "determinism/set-order"
     ]
 

@@ -1,4 +1,4 @@
-"""Tests for the rule registry, config and inline suppressions."""
+"""Tests for the rule registry and inline suppressions."""
 
 from pathlib import Path
 
@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 
 from repro.check.findings import ERROR, WARNING, Finding
 from repro.check.lint import FileProfile, scan_source
+from repro.check.sarif import to_sarif
 from repro.check.rules import (
     REGISTRY,
     Rule,
-    RuleConfig,
-    RuleRegistry,
     SuppressionIndex,
-    filter_findings,
+    _r,
     parse_suppressions,
 )
 
-ALL_IDS = sorted(r.id for r in REGISTRY.all())
+ALL_IDS = sorted(REGISTRY)
 
 # Built by concatenation so the scanner (which also lints this test
 # file) does not read the fixture literals as live waivers.
@@ -27,12 +26,13 @@ NOQA = "# repro: " + "noqa"
 
 class TestRegistry:
     def test_every_rule_id_is_family_slash_name(self):
-        for rule in REGISTRY.all():
+        for rule_id, rule in REGISTRY.items():
             family, _, short = rule.id.partition("/")
             assert family and short, rule.id
+            assert rule_id == rule.id
 
     def test_known_families_present(self):
-        families = REGISTRY.families()
+        families = {rule_id.partition("/")[0] for rule_id in REGISTRY}
         for family in (
             "lint", "determinism", "meta", "capacity", "presence",
             "coverage", "race", "cost", "gap", "schedule",
@@ -45,18 +45,19 @@ class TestRegistry:
         assert "meta/unused-suppression" in REGISTRY
 
     def test_all_sorted_and_metadata_complete(self):
-        rules = REGISTRY.all()
-        assert [r.id for r in rules] == sorted(r.id for r in rules)
-        for rule in rules:
+        # Consumers render the catalogue in id order (stable SARIF).
+        driver = to_sarif([])["runs"][0]["tool"]["driver"]
+        assert [r["id"] for r in driver["rules"]] == ALL_IDS
+        for rule in REGISTRY.values():
             assert rule.severity in (ERROR, WARNING)
             assert rule.help
-            assert rule.enabled is True  # no rule ships disabled today
+            assert set(rule.to_dict()) == {"id", "severity", "tier", "help"}
 
     def test_duplicate_registration_rejected(self):
-        registry = RuleRegistry()
-        registry.register(Rule("x/one", ERROR, "h", "lint"))
+        before = dict(REGISTRY)
         with pytest.raises(ValueError, match="duplicate"):
-            registry.register(Rule("x/one", ERROR, "h", "lint"))
+            _r("lint/dead-branch", ERROR, "h", "lint")
+        assert REGISTRY == before
 
     def test_malformed_rule_rejected(self):
         with pytest.raises(ValueError, match="family/short-name"):
@@ -65,53 +66,6 @@ class TestRegistry:
             Rule("a/b", "fatal", "h", "lint")
         with pytest.raises(ValueError, match="tier"):
             Rule("a/b", ERROR, "h", "nope")
-
-
-class TestRuleConfig:
-    def test_default_follows_registered_enabled(self):
-        config = RuleConfig()
-        assert config.allows("lint/dead-branch")
-        assert config.allows("determinism/rng")
-
-    def test_family_disable(self):
-        config = RuleConfig(disabled=("determinism",))
-        assert not config.allows("determinism/rng")
-        assert not config.allows("determinism/wall-clock")
-        assert config.allows("lint/dead-branch")
-
-    def test_exact_id_beats_family(self):
-        config = RuleConfig(
-            enabled=("determinism/rng",), disabled=("determinism",)
-        )
-        assert config.allows("determinism/rng")
-        assert not config.allows("determinism/wall-clock")
-        config = RuleConfig(
-            enabled=("determinism",), disabled=("determinism/rng",)
-        )
-        assert not config.allows("determinism/rng")
-        assert config.allows("determinism/wall-clock")
-
-    def test_unknown_dynamic_ids_always_allowed(self):
-        # FindingLimiter emits dynamic `<analyzer>/suppressed` markers.
-        assert RuleConfig().allows("presence/suppressed")
-
-    def test_from_selectors_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown rule"):
-            RuleConfig.from_selectors(enable=["nope/never"])
-        with pytest.raises(ValueError, match="unknown rule"):
-            RuleConfig.from_selectors(disable=["not-a-family"])
-        config = RuleConfig.from_selectors(
-            enable=["lint"], disable=["determinism/rng"]
-        )
-        assert config.enabled == ("lint",)
-
-    def test_filter_findings(self):
-        findings = [
-            Finding("lint", ERROR, "a", rule="lint/dead-branch"),
-            Finding("determinism", ERROR, "b", rule="determinism/rng"),
-        ]
-        kept = filter_findings(findings, RuleConfig(disabled=("determinism",)))
-        assert [f.rule_id for f in kept] == ["lint/dead-branch"]
 
 
 class TestSuppressionParsing:
@@ -150,7 +104,7 @@ class TestSuppressionIndex:
         index = SuppressionIndex.from_source(src, "m.py")
         hit = self._finding("lint/dead-branch", 2)
         wrong_line = self._finding("lint/dead-branch", 3)
-        wrong_rule = self._finding("lint/mutable-default", 2)
+        wrong_rule = self._finding("lint/init-self-call", 2)
         kept, suppressed = index.filter([hit, wrong_line, wrong_rule])
         assert suppressed == [hit]
         assert kept == [wrong_line, wrong_rule]
@@ -187,27 +141,20 @@ class TestSuppressionIndex:
         (finding,) = index.unused_findings({"meta"})
         assert "unknown rule" in finding.message
 
-    def test_disabled_rule_waiver_not_reported_unused(self):
-        src = f"x = 1  {NOQA}[determinism/wall-clock]\n"
-        index = SuppressionIndex.from_source(src, "m.py")
-        index.filter([])
-        config = RuleConfig(disabled=("determinism",))
-        assert index.unused_findings({"determinism", "meta"}, config) == []
-
 
 class TestSuppressionNeverMasksOtherRules:
     @given(st.sampled_from(ALL_IDS))
-    def test_noqa_for_y_never_masks_mutable_default(self, y):
+    def test_noqa_for_y_never_masks_dead_branch(self, y):
         # The suppression contract: `# repro: noqa[Y]` silences Y and
-        # ONLY Y.  Seed a known lint/mutable-default finding and waive
-        # an arbitrary registered rule on its line.
-        src = f"def f(xs={{}}):  {NOQA}[{y}]\n    return xs\n"
+        # ONLY Y.  Seed a known lint/dead-branch finding and waive an
+        # arbitrary registered rule on its line.
+        src = f"if x:  {NOQA}[{y}]\n    pass\n"
         findings = scan_source(src, "m.py", profile=FileProfile())
         rule_ids = [f.rule_id for f in findings]
-        if y == "lint/mutable-default":
-            assert "lint/mutable-default" not in rule_ids
+        if y == "lint/dead-branch":
+            assert "lint/dead-branch" not in rule_ids
         else:
-            assert "lint/mutable-default" in rule_ids
+            assert "lint/dead-branch" in rule_ids
 
     @given(st.sampled_from(ALL_IDS))
     def test_noqa_for_y_never_masks_wall_clock(self, y):
@@ -238,20 +185,6 @@ class TestScanSourceIntegration:
             src, "m.py", profile=FileProfile(lint=False, determinism=True)
         )
         assert findings == []
-
-    def test_config_disables_rule_in_scan(self):
-        src = "import time\nt = time.time()\n"
-        profile = FileProfile(lint=False, determinism=True)
-        assert scan_source(src, "m.py", profile=profile) != []
-        assert (
-            scan_source(
-                src,
-                "m.py",
-                profile=profile,
-                config=RuleConfig(disabled=("determinism/wall-clock",)),
-            )
-            == []
-        )
 
     def test_real_rundir_waivers_are_used(self):
         # The two created_at waivers in store/rundir.py must be load-

@@ -2,10 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.check.runner as check_runner
+from repro.check.gap import load_gap_report
 from repro.cli import main
+from repro.exceptions import ReproError
 
 
 class TestList:
@@ -275,14 +282,23 @@ class TestCheck:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == 4
-        assert payload["checker_version"] == 4
-        assert payload["cells"] == {"analyzed": 1, "skipped": 0, "cached": 0}
-        assert payload["suppressed"] == 0
+        assert payload["schema"] == 5
+        assert payload["checker_version"] == 5
+        assert payload["cells"] == {"analyzed": 1, "skipped": 0}
+        assert "suppressed" not in payload
         assert payload["elapsed_s"] > 0
         report = payload["reports"][0]
         assert report["status"] == "analyzed"
         assert report["elapsed_s"] > 0
+        assert "cached" not in report
+
+    def test_list_rules_json_schema(self, capsys):
+        assert main(["check", "--list-rules", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == 2
+        assert len(payload["rules"]) == 36
+        for rule in payload["rules"]:
+            assert set(rule) == {"id", "severity", "tier", "help"}
 
     def test_json_cell_accounting_consistent_on_full_matrix(self, capsys):
         # analyzed + skipped must partition the reports, and skipped
@@ -308,34 +324,6 @@ class TestCheck:
         assert payload["version"] == "2.1.0"
         assert payload["runs"][0]["tool"]["driver"]["name"] == "repro-mmm-check"
         assert payload["runs"][0]["results"] == []  # clean matrix
-
-    def test_baseline_write_and_apply(self, capsys, tmp_path):
-        base = tmp_path / "baseline.json"
-        code = main(
-            ["check", "--algorithm", "cannon", "--machine", "q64",
-             "--write-baseline", str(base)]
-        )
-        assert code == 0
-        assert "wrote 0 suppression(s)" in capsys.readouterr().out
-        payload = json.loads(base.read_text())
-        assert payload == {"schema": 1, "suppressions": []}
-        code = main(
-            ["check", "--algorithm", "cannon", "--machine", "q64",
-             "--baseline", str(base)]
-        )
-        assert code == 0
-
-    def test_incremental_cache_round_trip(self, capsys, tmp_path):
-        cache_dir = tmp_path / "cache"
-        argv = ["check", "--algorithm", "shared-equal", "--machine", "q64",
-                "--incremental", "--cache-dir", str(cache_dir), "--json"]
-        assert main(argv) == 0
-        cold = json.loads(capsys.readouterr().out)
-        assert cold["cells"]["cached"] == 0
-        assert main(argv) == 0
-        warm = json.loads(capsys.readouterr().out)
-        assert warm["cells"]["cached"] == warm["cells"]["analyzed"] > 0
-        assert warm["errors"] == cold["errors"] == 0
 
     def test_gap_certificate_in_summary_and_json(self, capsys):
         code = main(
@@ -363,14 +351,17 @@ class TestCheck:
         assert all("ms_gap" in c for c in payload["cells"])
 
     def test_write_gap_baseline(self, capsys, tmp_path):
+        # --gap-report is also how the committed baseline is refreshed:
+        # the file it writes loads back as a baseline.
         base = tmp_path / "gap-baseline.json"
         code = main(
             ["check", "--algorithm", "shared-opt", "--machine", "q32",
-             "--write-gap-baseline", str(base)]
+             "--gap-report", str(base)]
         )
         assert code == 0
-        assert "wrote gap baseline" in capsys.readouterr().out
+        assert "gap certificate:" in capsys.readouterr().out
         assert json.loads(base.read_text())["algorithms"]
+        assert load_gap_report(base).algorithms()
 
     def test_gap_baseline_comparison_skipped_on_filtered_run(
         self, capsys, tmp_path
@@ -378,7 +369,7 @@ class TestCheck:
         base = tmp_path / "gap-baseline.json"
         assert main(
             ["check", "--algorithm", "shared-opt", "--machine", "q32",
-             "--write-gap-baseline", str(base)]
+             "--gap-report", str(base)]
         ) == 0
         capsys.readouterr()
         # A filtered run sees only a slice of the matrix; comparing it
@@ -398,6 +389,72 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "0 error(s)" in out
         assert "gap certificate:" in out
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, '{"schema": 99, "cells": []}', '{"schema": 1, "cells": [{}]}'],
+        ids=["missing", "wrong-schema", "malformed-cell"],
+    )
+    def test_unreadable_gap_baseline_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, content
+    ):
+        # Missing file, wrong schema or malformed cells: exit 2 naming
+        # the path, before any cell is analyzed.
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("analysis ran before the baseline loaded")
+
+        monkeypatch.setattr(check_runner, "check_all", no_analysis)
+        base = tmp_path / "gap-baseline.json"
+        if content is not None:
+            base.write_text(content)
+        assert main(["check", "--gap-baseline", str(base)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(base) in captured.err
+
+    def test_orders_below_one_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--algorithm", "shared-opt", "--machine", "q32",
+                  "--orders", "0"])
+        assert exc.value.code == 2
+        assert "--orders" in capsys.readouterr().err
+
+    def test_run_that_analyzes_nothing_fails(self, capsys, monkeypatch):
+        def infeasible(cls, machine):
+            raise ReproError("no feasible parameters")
+
+        monkeypatch.setattr(check_runner, "suggested_orders", infeasible)
+        code = main(["check", "--algorithm", "shared-opt", "--machine", "q32"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "0 schedule cells analyzed" in captured.out
+        assert "1 infeasible cell(s) skipped" in captured.out
+        assert captured.err == "error: no schedule cell was analyzed\n"
+
+    def test_broken_pipe_exits_like_sigpipe(self):
+        # `repro-mmm check --json | head -1`: the reader is gone before
+        # the CLI writes.  Exit 128 + SIGPIPE, with no traceback.
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "check", "--algorithm",
+                 "cannon", "--machine", "q32", "--orders", "4", "--json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 141, stderr
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
 
 
 class TestLU:
