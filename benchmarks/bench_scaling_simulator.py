@@ -12,15 +12,14 @@ memoizes traces and results across runs (and across benches in the
 same session), which is exactly what a scaling measurement must not
 see.  The companion ``bench_replay_scaling`` measures the replay
 engine's cold-cache cost per order — the constant that now binds the
-shipped sweeps — clearing the trace cache each round.
+shipped sweeps — clearing the trace and result memos each round.
 """
 
 import time
 
-from repro.cache.replay import clear_trace_cache
 from repro.experiments.io import render_rows
 from repro.model.machine import preset
-from repro.sim.runner import run_experiment
+from repro.sim.runner import clear_memos, run_experiment
 from repro.store.atomic import atomic_write_text
 
 ORDERS = (16, 32, 48)
@@ -30,7 +29,7 @@ def _scaling_rows(engine):
     machine = preset("q32")
     rows = []
     for order in ORDERS:
-        clear_trace_cache()
+        clear_memos()
         start = time.perf_counter()
         run_experiment(
             "shared-opt", machine, order, order, order, "lru-50", engine=engine

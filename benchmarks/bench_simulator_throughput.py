@@ -15,10 +15,13 @@ on identical workloads (same schedule, machine, counters):
 * ``fifo`` — a single FIFO cell: step's generic per-touch policy path
   vs the replay sliding-window pass over a precompiled trace.
 * ``ideal_cell`` — re-evaluating an IDEAL cell end-to-end through
-  ``run_experiment``: the replay engine memoizes both the compiled
-  trace and its (capacity-independent) counters, so warm cells — the
-  common case in sweep resumes, conformance re-checks and figure
-  regeneration — cost a dict probe.  The step engine re-simulates.
+  ``run_experiment``: with ``engine="replay"`` the runner memoizes the
+  compiled trace per ``ScheduleKey`` (algorithm, ``p``, shape and tile
+  plan) and the cell's counters per ``(ScheduleKey, "ideal")`` —
+  unchecked IDEAL counters read no capacity and no bandwidth — so warm
+  cells, the common case in sweep resumes, conformance re-checks and
+  figure regeneration, cost a dict probe.  ``engine="step"`` never
+  reads the memo and re-simulates.
 """
 
 import dataclasses
@@ -170,7 +173,7 @@ def bench_fifo_replay(benchmark, cell_trace):
     """Same FIFO cell as a sliding-window replay of the compiled trace.
 
     Calls the single-``CD`` kernel directly so every round measures the
-    pass itself, not the result memo on the trace.
+    pass itself, not ``run_experiment``'s result memo.
     """
 
     def run():
@@ -200,10 +203,10 @@ def bench_ideal_cell_step(benchmark):
 def bench_ideal_cell_replay(benchmark):
     """Re-evaluating the same IDEAL cell with the replay engine.
 
-    After the first evaluation the compiled trace and its
-    capacity-independent counters are memoized, so warm cells — sweep
-    resumes, conformance re-checks, figure regeneration — cost a dict
-    probe plus result packaging.
+    After the first evaluation ``run_experiment`` holds the cell's
+    counters in its result memo, keyed on ``(ScheduleKey, "ideal")``,
+    so warm cells — sweep resumes, conformance re-checks, figure
+    regeneration — cost a dict probe plus result packaging.
     """
     run_experiment(
         "shared-opt",

@@ -21,7 +21,12 @@ inclusion / presence checking) and numeric execution from the same
 code path.
 """
 
-from repro.algorithms.base import ExecutionContext, MatmulAlgorithm, NullContext
+from repro.algorithms.base import (
+    ExecutionContext,
+    MatmulAlgorithm,
+    NullContext,
+    ScheduleKey,
+)
 from repro.algorithms.shared_opt import SharedOpt
 from repro.algorithms.distributed_opt import DistributedOpt
 from repro.algorithms.tradeoff import Tradeoff
@@ -33,6 +38,7 @@ __all__ = [
     "ExecutionContext",
     "MatmulAlgorithm",
     "NullContext",
+    "ScheduleKey",
     "SharedOpt",
     "DistributedOpt",
     "Tradeoff",

@@ -23,7 +23,8 @@ communication-to-computation ratios of the paper normalize by them.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, ClassVar, Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Any, ClassVar, Dict, List, Sequence, Tuple
 
 from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C
 from repro.exceptions import ConfigurationError
@@ -92,6 +93,33 @@ class NullContext(ExecutionContext):
         self.comp[core] += 1
 
 
+@dataclass(frozen=True)
+class ScheduleKey:
+    """Everything one algorithm instance's emitted schedule depends on.
+
+    Two instances with equal keys emit the same directives and
+    multiply-adds in the same order, so every counter the simulator
+    produces is the same function of the simulated hierarchy for both.
+    The key holds the registered name, the core count, the shape and the
+    ``plan``: the sorted items of :meth:`MatmulAlgorithm.plan`.  It
+    leaves out what only feeds the planning (bandwidths, a capacity the
+    plan does not read) and informational entries of
+    :meth:`MatmulAlgorithm.parameters`, so a Fig. 12 ratio sweep maps
+    its 19 machines per preset onto a handful of keys.  Compiled traces
+    (:mod:`repro.cache.replay`, on disk through its deterministic
+    ``repr``) and memoized cell results (:mod:`repro.sim.runner`) are
+    keyed on it; checkpoint identity is not (see
+    :class:`repro.store.checkpoint.CellKey`).
+    """
+
+    algorithm: str
+    p: int
+    m: int
+    n: int
+    z: int
+    plan: Tuple[Tuple[str, Any], ...]
+
+
 class MatmulAlgorithm(ABC):
     """Base class of the six schedules.
 
@@ -141,6 +169,29 @@ class MatmulAlgorithm(ABC):
     def parameters(self) -> Dict[str, Any]:
         """The tile parameters the schedule runs with (for reports)."""
         return {}
+
+    def plan(self) -> Dict[str, Any]:
+        """What :meth:`run` reads besides ``p`` and the shape.
+
+        Each schedule declares the resolved tile parameters its emitted
+        operations depend on, and nothing informational: unlike
+        :meth:`parameters` this is an identity (:meth:`schedule_key`),
+        so an entry missing here would let two different schedules share
+        one compiled trace and one memoized result.  The default suits
+        schedules that read only ``p`` and the shape.
+        """
+        return {}
+
+    def schedule_key(self) -> ScheduleKey:
+        """The identity of the schedule :meth:`run` emits."""
+        return ScheduleKey(
+            self.name,
+            self.machine.p,
+            self.m,
+            self.n,
+            self.z,
+            tuple(sorted(self.plan().items())),
+        )
 
     @property
     def comp_total(self) -> int:

@@ -62,6 +62,9 @@ class DistributedOpt(MatmulAlgorithm):
     def parameters(self) -> Dict[str, Any]:
         return {"mu": self.mu, "grid": self.grid, "tile": self.grid * self.mu}
 
+    def plan(self) -> Dict[str, Any]:
+        return {"mu": self.mu}
+
     def run(self, ctx: ExecutionContext) -> None:
         m, n, z = self.m, self.n, self.z
         mu = self.mu

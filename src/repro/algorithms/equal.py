@@ -70,6 +70,9 @@ class SharedEqual(MatmulAlgorithm):
     def parameters(self) -> Dict[str, Any]:
         return {"t": self.t}
 
+    def plan(self) -> Dict[str, Any]:
+        return {"t": self.t}
+
     def run(self, ctx: ExecutionContext) -> None:
         p = ctx.p
         m, n, z = self.m, self.n, self.z
@@ -166,6 +169,9 @@ class DistributedEqual(MatmulAlgorithm):
         self.t = t
 
     def parameters(self) -> Dict[str, Any]:
+        return {"t": self.t}
+
+    def plan(self) -> Dict[str, Any]:
         return {"t": self.t}
 
     def run(self, ctx: ExecutionContext) -> None:

@@ -122,6 +122,10 @@ class NestedMaxReuse(MatmulAlgorithm):
             "sockets": self.sockets,
         }
 
+    def plan(self) -> Dict[str, Any]:
+        # default_tree() sizes the core level from the machine's cd
+        return {"mu": self.mu, "sockets": self.sockets, "cd": self.machine.cd}
+
     def default_tree(
         self,
         llc_capacity: Optional[int] = None,

@@ -73,6 +73,9 @@ class SharedOpt(MatmulAlgorithm):
     def parameters(self) -> Dict[str, Any]:
         return {"lambda": self.lam}
 
+    def plan(self) -> Dict[str, Any]:
+        return {"lambda": self.lam}
+
     def run(self, ctx: ExecutionContext) -> None:
         p = ctx.p
         m, n, z = self.m, self.n, self.z

@@ -98,6 +98,11 @@ class Tradeoff(MatmulAlgorithm):
             "grid": self.grid,
         }
 
+    def plan(self) -> Dict[str, Any]:
+        # alpha_num is the unrounded optimum behind alpha: it moves with
+        # every bandwidth ratio while (alpha, beta, mu) mostly do not.
+        return {"alpha": self.alpha, "beta": self.beta, "mu": self.mu}
+
     @property
     def single_subblock(self) -> bool:
         """Whether ``α = √p·µ`` (each core owns one ``C`` sub-block)."""

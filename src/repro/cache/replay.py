@@ -20,11 +20,15 @@ the oracle (``engine="step"`` in :func:`repro.sim.runner.run_experiment`).
 
 Where the speed comes from (measured, see ``docs/BENCHMARKS.md``):
 
-* the schedule runs **once** per (algorithm, declared machine, shape) —
-  every additional setting/capacity/policy replays the memoized trace
-  (:func:`compiled_trace_for` keeps a bounded LRU of compiled traces,
-  optionally backed by an on-disk content-addressed memmap tier shared
-  across processes, see :func:`configure_trace_tier`);
+* the schedule runs **once** per
+  :class:`~repro.algorithms.base.ScheduleKey` (algorithm, ``p``, shape
+  and the tile plan ``run()`` reads; not the bandwidths, nor a capacity
+  the plan ignores) — every additional setting/capacity/policy replays
+  the memoized trace (:func:`compiled_trace_for` keeps a bounded LRU of
+  compiled traces, weighed in recorded operations, optionally backed by
+  an on-disk content-addressed memmap tier shared across processes and
+  keyed on the same :class:`~repro.algorithms.base.ScheduleKey`, see
+  :func:`configure_trace_tier`);
 * :func:`replay_bulk` evaluates **many** ``(policy, CS, CD)`` cells
   over one shared trace: LRU cells share a single bounded Mattson
   stack-distance pass (the inclusion property gives every distributed
@@ -42,6 +46,12 @@ Where the speed comes from (measured, see ``docs/BENCHMARKS.md``):
   per-core streams (:func:`distributed_miss_curves`) instead of one
   full simulation per capacity point.
 
+The kernels memoize nothing: every call is a full pass.  Cell results
+are memoized one level up, in :func:`repro.sim.runner.run_experiment`,
+keyed on the :class:`~repro.algorithms.base.ScheduleKey` plus what the
+simulated hierarchy adds (``"ideal"``, or policy, inclusion and the
+simulated ``CS``/``CD``).
+
 The write-back path is preserved exactly without per-touch dirty sets:
 in this workload C blocks are touched *last* in their triple and dirtied
 when the triple retires, so **every resident C block is dirty at any
@@ -56,12 +66,12 @@ from __future__ import annotations
 import os
 from array import array
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.algorithms.base import ExecutionContext, MatmulAlgorithm
+from repro.algorithms.base import ExecutionContext, MatmulAlgorithm, ScheduleKey
 from repro.cache.block import MAT_C, MAT_SHIFT
 from repro.cache.stats import CacheStats, HierarchyStats
 from repro.exceptions import ConfigurationError
@@ -178,7 +188,6 @@ class CompiledTrace:
         "origin",
         "_dir_lists",
         "_ideal_arrays",
-        "_replays",
     )
 
     def __init__(
@@ -195,14 +204,20 @@ class CompiledTrace:
         self.origin = "compiled"
         self._dir_lists = directives
         self._ideal_arrays: Optional[Tuple[NDArray[np.int64], ...]] = None
-        # Replay results are pure functions of (trace, policy, cs, cd) —
-        # IDEAL counters of the trace alone — so each trace memoizes
-        # them: re-evaluating a cell (sweep reruns, conformance checks,
-        # figure regeneration) costs a dict probe instead of a pass.
-        self._replays: Dict[Tuple[str, int, int], HierarchyStats] = {}
 
     def __len__(self) -> int:
         return int(self.fma_array.shape[0])
+
+    @property
+    def weight(self) -> int:
+        """Recorded operations: multiply-adds plus IDEAL directives.
+
+        The unit of the trace LRU's budget.  An IDEAL trace holds about
+        4.5 directives per multiply-add, as Python int lists, so its
+        directives, not its compute stream, dominate its memory.
+        """
+        n_dirs = len(self._dir_lists[0]) if self._dir_lists is not None else 0
+        return len(self) + n_dirs
 
     @property
     def fmas(self) -> List[Tuple[int, int, int, int]]:
@@ -280,34 +295,24 @@ def supports(mode: str, policy: str, inclusive: bool, check: bool) -> bool:
     return policy in REPLAY_POLICIES and not inclusive
 
 
-def _copy_stats(stats: HierarchyStats) -> HierarchyStats:
-    """Independent copy of a memoized result (callers may mutate)."""
-    return HierarchyStats(
-        shared=CacheStats(
-            stats.shared.hits,
-            stats.shared.misses,
-            stats.shared.writebacks,
-            list(stats.shared.misses_by_matrix),
-        ),
-        distributed=[
-            CacheStats(d.hits, d.misses, d.writebacks, list(d.misses_by_matrix))
-            for d in stats.distributed
-        ],
-    )
-
-
-def _memoized(
-    trace: CompiledTrace, policy: str, cs: int, cd: int
-) -> Optional[HierarchyStats]:
-    cached = trace._replays.get((policy, cs, cd))
-    return _copy_stats(cached) if cached is not None else None
-
-
-def _memoize(
-    trace: CompiledTrace, policy: str, cs: int, cd: int, stats: HierarchyStats
-) -> HierarchyStats:
-    trace._replays[(policy, cs, cd)] = _copy_stats(stats)
-    return stats
+def _split_cells(
+    cells: Sequence[Tuple[str, int, int]], caller: str
+) -> Tuple[set[Tuple[int, int]], set[Tuple[int, int]]]:
+    """Validate ``(policy, cs, cd)`` cells; their LRU and FIFO ``(cs, cd)``."""
+    todo_lru: set[Tuple[int, int]] = set()
+    todo_fifo: set[Tuple[int, int]] = set()
+    for policy, cs, cd in cells:
+        if policy not in REPLAY_POLICIES:
+            raise ConfigurationError(
+                f"{caller} cannot replay policy {policy!r}; "
+                f"supported: {sorted(REPLAY_POLICIES)}"
+            )
+        if cs < 1 or cd < 1:
+            raise ConfigurationError(
+                f"capacities must be positive, got cs={cs} cd={cd}"
+            )
+        (todo_fifo if policy == "fifo" else todo_lru).add((cs, cd))
+    return todo_lru, todo_fifo
 
 
 # ----------------------------------------------------------------------
@@ -805,31 +810,10 @@ def replay_bulk(
     (:func:`_bulk_fifo`), and every cell's shared level replays only
     the distributed-miss stream.  Counters are bit-identical to
     ``engine="step"`` (property-tested), write-backs and per-matrix
-    splits included.  Results are memoized on the trace, so
-    re-evaluating a cell costs a dict probe; each returned object is an
-    independent copy (callers may mutate).
+    splits included.  Every call is a full pass; each returned object is
+    independent (callers may mutate).
     """
-    memo_hits: Dict[int, HierarchyStats] = {}
-    todo_lru: set[Tuple[int, int]] = set()
-    todo_fifo: set[Tuple[int, int]] = set()
-    for idx, (policy, cs, cd) in enumerate(cells):
-        if policy not in REPLAY_POLICIES:
-            raise ConfigurationError(
-                f"replay_bulk cannot replay policy {policy!r}; "
-                f"supported: {sorted(REPLAY_POLICIES)}"
-            )
-        if cs < 1 or cd < 1:
-            raise ConfigurationError(
-                f"capacities must be positive, got cs={cs} cd={cd}"
-            )
-        cached = _memoized(trace, policy, cs, cd)
-        if cached is not None:
-            memo_hits[idx] = cached
-        elif policy == "fifo":
-            todo_fifo.add((cs, cd))
-        else:
-            todo_lru.add((cs, cd))
-
+    todo_lru, todo_fifo = _split_cells(cells, "replay_bulk")
     computed: Dict[Tuple[str, int, int], HierarchyStats] = {}
     if todo_lru:
         for (cs, cd), stats in _bulk_lru(trace, sorted(todo_lru)).items():
@@ -837,17 +821,7 @@ def replay_bulk(
     if todo_fifo:
         for (cs, cd), stats in _bulk_fifo(trace, sorted(todo_fifo)).items():
             computed[("fifo", cs, cd)] = stats
-    for (policy, cs, cd), stats in computed.items():
-        _memoize(trace, policy, cs, cd, stats)
-
-    out: List[HierarchyStats] = []
-    for idx, (policy, cs, cd) in enumerate(cells):
-        hit = memo_hits.get(idx)
-        if hit is not None:
-            out.append(hit)
-        else:
-            out.append(_copy_stats(computed[(policy, cs, cd)]))
-    return out
+    return [computed[(policy, cs, cd)].copy() for policy, cs, cd in cells]
 
 
 # ----------------------------------------------------------------------
@@ -955,23 +929,7 @@ def replay_bulk_streaming(
     (see :func:`replays`).  Returns ``(stats, comp)`` with ``stats`` in
     input-cell order and ``comp`` the per-core multiply-add counts.
     """
-    todo_lru: set[Tuple[int, int]] = set()
-    todo_fifo: set[Tuple[int, int]] = set()
-    for policy, cs, cd in cells:
-        if policy not in REPLAY_POLICIES:
-            raise ConfigurationError(
-                f"replay_bulk_streaming cannot replay policy {policy!r}; "
-                f"supported: {sorted(REPLAY_POLICIES)}"
-            )
-        if cs < 1 or cd < 1:
-            raise ConfigurationError(
-                f"capacities must be positive, got cs={cs} cd={cd}"
-            )
-        if policy == "fifo":
-            todo_fifo.add((cs, cd))
-        else:
-            todo_lru.add((cs, cd))
-
+    todo_lru, todo_fifo = _split_cells(cells, "replay_bulk_streaming")
     p = algorithm.machine.p
     passes: List[Any] = []
     if todo_lru:
@@ -991,9 +949,7 @@ def replay_bulk_streaming(
         policy = "lru" if isinstance(kernel, _LRUPass) else "fifo"
         for (cs, cd), stats in kernel.finalize().items():
             computed[(policy, cs, cd)] = stats
-    out = [
-        _copy_stats(computed[(policy, cs, cd)]) for policy, cs, cd in cells
-    ]
+    out = [computed[(policy, cs, cd)].copy() for policy, cs, cd in cells]
     return out, list(recorder.comp)
 
 
@@ -1069,14 +1025,10 @@ def replay_ideal(trace: CompiledTrace) -> HierarchyStats:
     dirty shared evictions write back to memory.  Instead of a Python
     call per directive, events are sorted per (cache, block) and the
     per-block state machines are evaluated with cumulative scans.
-
-    IDEAL counters are capacity-independent — a pure function of the
-    trace — so the result is memoized on the trace: every replay after
-    the first costs a dict probe.
+    IDEAL counters are capacity-independent, a pure function of the
+    trace, which is why :func:`repro.sim.runner.run_experiment`
+    memoizes them per :class:`~repro.algorithms.base.ScheduleKey`.
     """
-    cached = _memoized(trace, "ideal", 0, 0)
-    if cached is not None:
-        return cached
     p = trace.p
     op, t, core, key, fma_core, fma_ckey = trace.ideal_arrays()
     n_dir = len(op)
@@ -1191,14 +1143,13 @@ def replay_ideal(trace: CompiledTrace) -> HierarchyStats:
         dirty_evict = (kind == 1) & (last_mark > last_evict)
         shared_writebacks = int(dirty_evict.sum())
 
-    stats = HierarchyStats(
+    return HierarchyStats(
         shared=CacheStats(0, ms, shared_writebacks, ms_by_matrix),
         distributed=[
             CacheStats(0, md[c], dist_updates[c], md_by_matrix[c])
             for c in range(p)
         ],
     )
-    return _memoize(trace, "ideal", 0, 0, stats)
 
 
 # ----------------------------------------------------------------------
@@ -1236,10 +1187,11 @@ def distributed_miss_curves(
 # ----------------------------------------------------------------------
 # Trace memoization (in-memory LRU + optional on-disk memmap tier)
 # ----------------------------------------------------------------------
-#: Bounded LRU of compiled traces, keyed by schedule fingerprint.  The
-#: budget is in recorded multiply-adds (the dominant memory term) so a
-#: few small traces or one big one stay resident.
-_TRACE_CACHE: "OrderedDict[Hashable, CompiledTrace]" = OrderedDict()
+#: Bounded LRU of compiled traces, keyed by
+#: :class:`~repro.algorithms.base.ScheduleKey`.  The budget is in
+#: recorded operations (:attr:`CompiledTrace.weight`: multiply-adds plus
+#: IDEAL directives), so a few small traces or one big one stay resident.
+_TRACE_CACHE: "OrderedDict[ScheduleKey, CompiledTrace]" = OrderedDict()
 _TRACE_CACHE_BUDGET = 4_000_000
 
 #: Root of the on-disk content-addressed trace tier, or ``None`` when
@@ -1265,30 +1217,16 @@ def trace_tier_root() -> Optional[str]:
     return _TRACE_TIER
 
 
-def trace_fingerprint(algorithm: MatmulAlgorithm) -> Hashable:
-    """Memoization key: everything the emitted trace can depend on.
-
-    The *declared* machine (the one the schedule plans its tiles
-    against) plus the shape and the resolved tile parameters — so a
-    bandwidth-adaptive schedule that re-plans (Tradeoff under ratio
-    sweeps) fingerprints differently per plan, while ``lru`` and
-    ``lru-2x`` (same declared machine, different simulated capacities)
-    share one trace.
-    """
-    return (
-        type(algorithm).name,
-        algorithm.machine,
-        algorithm.m,
-        algorithm.n,
-        algorithm.z,
-        tuple(sorted(algorithm.parameters().items())),
-    )
-
-
 def compiled_trace_for(
     algorithm: MatmulAlgorithm, *, directives: bool = True
 ) -> CompiledTrace:
-    """Compile ``algorithm``'s trace, memoized on its fingerprint.
+    """Compile ``algorithm``'s trace, memoized on its schedule key.
+
+    The key (:meth:`~repro.algorithms.base.MatmulAlgorithm.schedule_key`)
+    holds what the emitted trace depends on, so ``lru`` and ``lru-2x``
+    (same plan, different simulated capacities) share one trace, as do
+    the machines of a bandwidth-ratio sweep while Tradeoff's ``(α, β,
+    µ)`` stays put, and two presets whose capacities give one plan.
 
     Lookup order: in-memory LRU, then the on-disk memmap tier (when
     configured), then compile — freshly compiled traces are stored to
@@ -1300,15 +1238,15 @@ def compiled_trace_for(
     """
     from repro.cache import tracestore
 
-    fp = trace_fingerprint(algorithm)
-    cached = _TRACE_CACHE.get(fp)
+    key = algorithm.schedule_key()
+    cached = _TRACE_CACHE.get(key)
     if cached is not None and (cached.has_directives or not directives):
-        _TRACE_CACHE.move_to_end(fp)
+        _TRACE_CACHE.move_to_end(key)
         cached.origin = "memory"
         return cached
     trace: Optional[CompiledTrace] = None
     if _TRACE_TIER is not None:
-        loaded = tracestore.load(_TRACE_TIER, fp)
+        loaded = tracestore.load(_TRACE_TIER, key)
         if loaded is not None and (loaded.has_directives or not directives):
             loaded.origin = "disk"
             trace = loaded
@@ -1316,18 +1254,22 @@ def compiled_trace_for(
         trace = compile_trace(algorithm, directives=directives)
         trace.origin = "compiled"
         if _TRACE_TIER is not None:
-            tracestore.store(_TRACE_TIER, fp, trace)
-    _TRACE_CACHE[fp] = trace
-    _TRACE_CACHE.move_to_end(fp)
-    total = sum(len(tr) for tr in _TRACE_CACHE.values())
+            tracestore.store(_TRACE_TIER, key, trace)
+    _TRACE_CACHE[key] = trace
+    _TRACE_CACHE.move_to_end(key)
+    total = sum(tr.weight for tr in _TRACE_CACHE.values())
     while total > _TRACE_CACHE_BUDGET and len(_TRACE_CACHE) > 1:
         _, evicted = _TRACE_CACHE.popitem(last=False)
-        total -= len(evicted)
+        total -= evicted.weight
     return trace
 
 
 def clear_trace_cache() -> None:
-    """Drop every memoized trace (tests, memory pressure)."""
+    """Drop every memoized trace.
+
+    Cell results stay memoized; :func:`repro.sim.runner.clear_memos`
+    drops both, which is what a cold start needs.
+    """
     _TRACE_CACHE.clear()
 
 

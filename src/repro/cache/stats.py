@@ -52,6 +52,12 @@ class CacheStats:
             d[f"misses_{name}"] = self.misses_by_matrix[tag]
         return d
 
+    def copy(self) -> "CacheStats":
+        """An independent copy (the per-matrix list included)."""
+        return CacheStats(
+            self.hits, self.misses, self.writebacks, list(self.misses_by_matrix)
+        )
+
     def reset(self) -> None:
         self.hits = 0
         self.misses = 0
@@ -76,6 +82,12 @@ class HierarchyStats:
 
     shared: CacheStats
     distributed: List[CacheStats]
+
+    def copy(self) -> "HierarchyStats":
+        """An independent copy: mutating it leaves this one untouched."""
+        return HierarchyStats(
+            self.shared.copy(), [d.copy() for d in self.distributed]
+        )
 
     @property
     def ms(self) -> int:

@@ -12,12 +12,13 @@ second, cross-process tier — a content-addressed directory of
     <root>/<key[:2]>/<key>/dirs.npy   # (4, d) int64 directives (optional)
     <root>/<key[:2]>/<key>/meta.json  # format version, p, comp, counts
 
-``key`` is the SHA-256 of the schedule fingerprint (the same key the
-in-memory LRU uses), so identical schedules hash to identical entries
-no matter which process compiled them.  Readers memmap ``fmas.npy``
-read-only — the replay kernels only ever slice it in chunks, so N
-workers share one page-cache copy of a trace instead of N private
-recompilations.
+``key`` is the SHA-256 of the trace's
+:class:`~repro.algorithms.base.ScheduleKey` (the key the in-memory LRU
+uses), so identical schedules hash to identical entries no matter
+which process compiled them, or for which bandwidths.  Readers memmap
+``fmas.npy`` read-only — the replay kernels only ever slice it in
+chunks, so N workers share one page-cache copy of a trace instead of N
+private recompilations.
 
 Crash consistency without locks: every file is written through
 :func:`repro.store.atomic_write_bytes` (tmp + fsync + rename), and
@@ -55,24 +56,26 @@ _DIRS_NAME = "dirs.npy"
 _COUNTERS = {"hits": 0, "misses": 0, "stores": 0, "errors": 0}
 
 
-def content_key(fingerprint: Hashable) -> str:
-    """Stable content address of a schedule fingerprint.
+def content_key(schedule: Hashable) -> str:
+    """Stable content address of a schedule key.
 
-    The fingerprint tuple (algorithm name, declared machine, shape,
-    resolved parameters) has a deterministic ``repr`` — dataclasses and
-    sorted parameter tuples — so hashing it gives the same key in every
-    process and across runs, which is what lets CI cache the tier
+    ``schedule`` is a :class:`~repro.algorithms.base.ScheduleKey`:
+    algorithm name, core count, shape and the tile plan the schedule
+    reads — not the bandwidths, nor a capacity the plan does not read.
+    Its ``repr`` is deterministic (a frozen dataclass over ints, strings
+    and a sorted plan tuple), so hashing it gives the same address in
+    every process and across runs, which is what lets CI cache the tier
     across workflow runs keyed on content.
     """
     digest = hashlib.sha256(
-        f"v{FORMAT_VERSION}:{fingerprint!r}".encode("utf-8")
+        f"v{FORMAT_VERSION}:{schedule!r}".encode("utf-8")
     )
     return digest.hexdigest()
 
 
-def entry_dir(root: Union[str, Path], fingerprint: Hashable) -> Path:
-    """Directory holding ``fingerprint``'s trace (may not exist)."""
-    key = content_key(fingerprint)
+def entry_dir(root: Union[str, Path], schedule: Hashable) -> Path:
+    """Directory holding ``schedule``'s trace (may not exist)."""
+    key = content_key(schedule)
     return Path(root) / key[:2] / key
 
 
@@ -82,7 +85,7 @@ def _save_array(path: Path, arr: "np.ndarray") -> None:
     atomic_write_bytes(path, buf.getvalue())
 
 
-def store(root: Union[str, Path], fingerprint: Hashable, trace: Any) -> bool:
+def store(root: Union[str, Path], schedule: Hashable, trace: Any) -> bool:
     """Persist a compiled trace under its content address.
 
     ``trace`` is a :class:`repro.cache.replay.CompiledTrace` (typed as
@@ -92,7 +95,7 @@ def store(root: Union[str, Path], fingerprint: Hashable, trace: Any) -> bool:
     returns ``False`` (and counts an error) instead of raising, so a
     full disk degrades the tier to a no-op rather than failing sweeps.
     """
-    entry = entry_dir(root, fingerprint)
+    entry = entry_dir(root, schedule)
     try:
         entry.mkdir(parents=True, exist_ok=True)
         _save_array(entry / _FMAS_NAME, trace.fma_array)
@@ -118,8 +121,8 @@ def store(root: Union[str, Path], fingerprint: Hashable, trace: Any) -> bool:
     return True
 
 
-def load(root: Union[str, Path], fingerprint: Hashable) -> Optional[Any]:
-    """Load ``fingerprint``'s trace from the tier, or ``None`` on miss.
+def load(root: Union[str, Path], schedule: Hashable) -> Optional[Any]:
+    """Load ``schedule``'s trace from the tier, or ``None`` on miss.
 
     The compute stream comes back as a read-only memmap — the kernels
     stream it in chunks, so page cache (shared across processes) backs
@@ -129,7 +132,7 @@ def load(root: Union[str, Path], fingerprint: Hashable) -> Optional[Any]:
     """
     from repro.cache.replay import CompiledTrace
 
-    entry = entry_dir(root, fingerprint)
+    entry = entry_dir(root, schedule)
     meta_path = entry / _META_NAME
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))

@@ -26,7 +26,8 @@ Six rules, each born from a real failure mode of this codebase:
   explicit reinitialisation instead.
 * ``unpinned-bench-engine`` — in ``benchmarks/``, every direct
   ``run_experiment(...)`` call must pass ``engine=`` explicitly.  The
-  default engine memoizes compiled traces and replay results, so an
+  default engine memoizes compiled traces and cell results (keyed on
+  the schedule, see :class:`repro.algorithms.base.ScheduleKey`), so an
   unpinned benchmark that *believes* it measures the step engine (or a
   cold replay) can silently measure a dict probe instead — the numbers
   look spectacular and mean nothing.  Pinning makes the measured

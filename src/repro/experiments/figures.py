@@ -419,13 +419,15 @@ def figure12(
             panel.add(
                 f"{alg} IDEAL", sweep.values(f"{alg} {setting}", "tdata")
             )
+        # the sweep's own per-ratio machines; values() above proved the
+        # series has no holes
+        lead = sweep.series[sweep.labels()[0]]
         panel.add(
             "Lower Bound",
             [
-                tdata_lower_bound(
-                    machine.with_bandwidth_ratio(r), order, order, order
-                )
-                for r in ratios
+                tdata_lower_bound(r.machine, order, order, order)
+                for r in lead
+                if r is not None
             ],
         )
         panels.append(panel)

@@ -27,7 +27,7 @@ from repro.sim.contexts import (
 )
 from repro.sim.settings import SETTINGS, Setting, get_setting
 from repro.sim.results import ExperimentResult, SweepResult
-from repro.sim.runner import run_experiment
+from repro.sim.runner import clear_memos, run_experiment
 from repro.sim.sweep import order_sweep, ratio_sweep, resolve_entries, series_label
 from repro.sim.parallel import parallel_order_sweep, parallel_ratio_sweep
 from repro.sim.faults import (
@@ -51,6 +51,7 @@ __all__ = [
     "get_setting",
     "ExperimentResult",
     "SweepResult",
+    "clear_memos",
     "run_experiment",
     "order_sweep",
     "ratio_sweep",

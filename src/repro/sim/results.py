@@ -48,11 +48,17 @@ class ExperimentResult:
     engine_fallback: bool = False
     #: Replay-engine telemetry: which kernel evaluated the cell
     #: (``"bulk-lru"``/``"bulk-fifo"``/``"ideal"``/``"step"``) and where
-    #: its compiled trace came from (``"compiled"``/``"memory"``/
-    #: ``"disk"``; older results may say ``"streamed"``, for kernels
-    #: that ran off the live schedule).  Empty on step-engine results
-    #: predating the fields;
-    #: like ``engine``, never part of resume identity.
+    #: its counters came from: a compiled trace (``"compiled"``), one
+    #: held in memory (``"memory"``) or memmapped from the on-disk tier
+    #: (``"disk"``), or ``"memo"`` when the in-process result memo of
+    #: :func:`~repro.sim.runner.run_experiment` served them, keyed on
+    #: the cell's :class:`~repro.algorithms.base.ScheduleKey` and
+    #: simulated hierarchy, without touching a trace.  A memo hit's
+    #: ``kernel`` and ``engine`` name what a miss would have run.  Older
+    #: results may say ``"streamed"``, for kernels that ran off the
+    #: live schedule.  Empty on step-engine results and on results
+    #: predating the fields; like ``engine``, never part of resume
+    #: identity.
     kernel: str = ""
     trace_source: str = ""
 

@@ -4,19 +4,31 @@
 a hierarchy + context pair, runs the schedule and packages the outcome.
 This is the function everything else (experiments, benches, CLI,
 examples) goes through.
+
+It also memoizes cell results in-process.  A cell's counters depend on
+its schedule (:class:`~repro.algorithms.base.ScheduleKey`) and on the
+simulated hierarchy: nothing else for unchecked IDEAL cells, whose
+explicit directives never consult a capacity, and the policy,
+inclusion and simulated ``CS``/``CD`` for LRU-family cells.  So the
+memo is keyed on ``(ScheduleKey, "ideal")`` or ``(ScheduleKey, policy,
+inclusive, cs, cd)``, and a Fig. 12 ratio sweep evaluates each of its
+few schedules once.  :func:`clear_memos` drops it together with the
+compiled-trace LRU of :mod:`repro.cache.replay`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Type, Union
+from collections import OrderedDict
+from typing import Any, List, Optional, Tuple, Type, Union
 
 from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.registry import get_algorithm
 from repro.analysis.formulas import FORMULAS, predict
 from repro.cache import replay as replay_engine
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
+from repro.cache.stats import HierarchyStats
 from repro.exceptions import ConfigurationError, ScheduleError
 from repro.model.machine import MulticoreMachine
 from repro.sim.contexts import IdealContext, LRUContext
@@ -25,6 +37,24 @@ from repro.sim.settings import Setting, get_setting
 
 #: Valid values of ``run_experiment``'s ``engine`` parameter.
 ENGINES = ("replay", "step")
+
+#: Most cell results the memo keeps (least recently used go first).  An
+#: entry is a few hundred bytes: counters and per-core multiply-adds.
+_RESULT_MEMO_CAP = 4096
+
+_RESULTS: "OrderedDict[Tuple[Any, ...], Tuple[HierarchyStats, List[int]]]" = (
+    OrderedDict()
+)
+
+
+def clear_memos() -> None:
+    """Drop every in-process memo: cell results and compiled traces.
+
+    A cold start needs both; forked sweep workers inherit whatever the
+    parent holds.
+    """
+    _RESULTS.clear()
+    replay_engine.clear_trace_cache()
 
 
 def run_experiment(
@@ -77,7 +107,10 @@ def run_experiment(
         any other cell runs on the step engine, whose memory does not
         grow with the trace.  The result records which engine ran
         (``engine``, ``kernel``) and whether replay was requested but
-        step ran (``engine_fallback``).
+        step ran (``engine_fallback``).  With ``"replay"`` and
+        ``check=False`` the cell's counters may come from the result
+        memo (``trace_source="memo"``; see the module docstring);
+        ``"step"`` and checked runs never read or fill it.
     alg_params:
         Forwarded to the algorithm constructor (parameter overrides).
     """
@@ -101,22 +134,45 @@ def run_experiment(
         )
 
     simulated = setting.simulated(machine)
-    if engine == "replay" and replay_engine.replays(
+    replayed = engine == "replay" and replay_engine.replays(
         setting.mode, policy, inclusive, check, m * n * z
-    ):
-        start = time.perf_counter()
+    )
+    ran = "replay" if replayed else "step"
+    if not replayed:
+        kernel = "step"
+    elif setting.is_ideal:
+        kernel = "ideal"
+    else:
+        kernel = f"bulk-{policy}"
+    memo_key: Optional[Tuple[Any, ...]] = None
+    if engine == "replay" and not check:
+        schedule = alg.schedule_key()
+        memo_key = (
+            (schedule, "ideal")
+            if setting.is_ideal
+            else (schedule, policy, inclusive, simulated.cs, simulated.cd)
+        )
+    start = time.perf_counter()
+    hit: Optional[Tuple[HierarchyStats, List[int]]] = None
+    if memo_key is not None:
+        hit = _RESULTS.get(memo_key)
+        if hit is not None:
+            _RESULTS.move_to_end(memo_key)
+    if hit is not None:
+        stats, comp = hit[0].copy(), list(hit[1])
+        elapsed = time.perf_counter() - start
+        trace_source = "memo"
+    elif replayed:
         trace = replay_engine.compiled_trace_for(alg, directives=setting.is_ideal)
         if setting.is_ideal:
             stats = replay_engine.replay_ideal(trace)
-            kernel = "ideal"
         else:
             stats = replay_engine.replay_bulk(
                 trace, [(policy, simulated.cs, simulated.cd)]
             )[0]
-            kernel = f"bulk-{policy}"
         elapsed = time.perf_counter() - start
         comp = list(trace.comp)
-        ran, trace_source = "replay", trace.origin
+        trace_source = trace.origin
     else:
         if setting.is_ideal:
             hierarchy: Union[IdealHierarchy, LRUHierarchy] = IdealHierarchy(
@@ -133,7 +189,6 @@ def run_experiment(
         elapsed = time.perf_counter() - start
         stats = hierarchy.snapshot()
         comp = list(ctx.comp)
-        ran = kernel = "step"
         trace_source = ""
 
     if verify_comp and sum(comp) != m * n * z:
@@ -141,6 +196,10 @@ def run_experiment(
             f"{alg.name} emitted {sum(comp)} multiply-adds, "
             f"expected m*n*z = {m * n * z}"
         )
+    if memo_key is not None and hit is None:
+        _RESULTS[memo_key] = (stats.copy(), list(comp))
+        if len(_RESULTS) > _RESULT_MEMO_CAP:
+            _RESULTS.popitem(last=False)
 
     predicted = predict(alg) if alg.name in FORMULAS else None
     return ExperimentResult(

@@ -87,19 +87,22 @@ def order_sweep(
     """Run every (algorithm, setting) entry over square orders ``m=n=z``.
 
     With ``engine="replay"`` (the default) entries that share a
-    schedule — same algorithm, parameters and *declared* machine, e.g.
+    schedule — one :class:`~repro.algorithms.base.ScheduleKey`, e.g.
     the ``lru``/``lru-2x``/``ideal`` family — reuse one memoized
     compiled trace per order instead of re-running the schedule per
-    setting (see :mod:`repro.cache.replay`).  A cell replay does not
-    cover, or one past ``REPRO_STREAM_FMAS``, runs on the step engine
-    (see :func:`repro.cache.replay.replays`).
+    setting (see :mod:`repro.cache.replay`), and a cell whose schedule
+    and simulated hierarchy were already evaluated is a result-memo hit
+    (see :mod:`repro.sim.runner`).  A cell replay does not cover, or
+    one past ``REPRO_STREAM_FMAS``, runs on the step engine (see
+    :func:`repro.cache.replay.replays`).
 
     With ``workers > 1`` the cells fan out through
     :func:`repro.sim.parallel.parallel_order_sweep` (retries, timeouts
     and a run manifest included).  Results are identical to the serial
     sweep (every cell is an independent ``run_experiment`` call); the
-    in-process trace memo is per worker, so cross-setting trace reuse
-    happens only through the on-disk tier when one is configured.
+    in-process trace and result memos are per worker, so cross-setting
+    trace reuse happens only through the on-disk tier when one is
+    configured.
     """
     if workers > 1:
         from repro.sim.parallel import parallel_order_sweep
@@ -152,31 +155,32 @@ def ratio_sweep(
 
     Each ratio rescales the machine's bandwidths (keeping their sum at
     ``total_bandwidth``); algorithms that adapt to bandwidths (Tradeoff)
-    re-plan at every point, exactly as in Fig. 12.  ``policy``,
-    ``inclusive`` and ``engine`` forward to
+    re-plan at every point, exactly as in Fig. 12.  Bandwidths enter
+    ``Tdata`` only after simulation, so a ratio whose plan matches an
+    earlier one is a result-memo hit (see :mod:`repro.sim.runner`).
+    ``policy``, ``inclusive`` and ``engine`` forward to
     :func:`~repro.sim.runner.run_experiment` exactly as in
     :func:`order_sweep`, so ratio sweeps can exercise the FIFO and
     inclusive-hierarchy variants too.
     """
     sweep = SweepResult(variable="r", xs=list(ratios))
+    machines = [machine.with_bandwidth_ratio(r, total=total_bandwidth) for r in ratios]
     for algorithm, setting, params, label in resolve_entries(entries):
-        results: List[Optional[ExperimentResult]] = []
-        for r in ratios:
-            m = machine.with_bandwidth_ratio(r, total=total_bandwidth)
-            results.append(
-                run_experiment(
-                    algorithm,
-                    m,
-                    order,
-                    order,
-                    order,
-                    setting,
-                    check=check,
-                    inclusive=inclusive,
-                    policy=policy,
-                    engine=engine,
-                    **params,
-                )
+        results: List[Optional[ExperimentResult]] = [
+            run_experiment(
+                algorithm,
+                m,
+                order,
+                order,
+                order,
+                setting,
+                check=check,
+                inclusive=inclusive,
+                policy=policy,
+                engine=engine,
+                **params,
             )
+            for m in machines
+        ]
         sweep.add(label, results)
     return sweep

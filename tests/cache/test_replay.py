@@ -5,7 +5,8 @@ produces (``ms``, ``md``, write-backs, per-matrix splits, hits) must
 equal the step simulator's on the same workload.  These tests prove it
 on the full algorithms × settings × policies × ragged-shape matrix and
 on adversarial random traces (hypothesis), and pin the engine's other
-behaviors: trace memoization, result memoization, fallback coverage.
+behaviors: trace memoization and fallback coverage.  Result
+memoization lives in the runner (``tests/sim/test_runner.py``).
 """
 
 import dataclasses
@@ -24,24 +25,22 @@ from repro.cache.replay import (
     compiled_trace_for,
     distributed_miss_curves,
     replay_bulk,
-    replay_ideal,
     supports,
     trace_cache_info,
-    trace_fingerprint,
 )
 from repro.exceptions import ConfigurationError
 from repro.model.machine import PRESETS
-from repro.sim.runner import run_experiment
+from repro.sim.runner import clear_memos, run_experiment
 
 MACHINE = PRESETS["q32"]
 SHAPES = [(6, 6, 6), (7, 5, 9)]
 
 
 @pytest.fixture(autouse=True)
-def _fresh_trace_cache():
-    clear_trace_cache()
+def _cold_memos():
+    clear_memos()
     yield
-    clear_trace_cache()
+    clear_memos()
 
 
 # ----------------------------------------------------------------------
@@ -237,10 +236,17 @@ class TestTraceCache:
     def test_fingerprint_distinguishes_shapes(self):
         a1 = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
         a2 = get_algorithm("shared-opt")(MACHINE, 6, 6, 7)
-        assert trace_fingerprint(a1) != trace_fingerprint(a2)
-        assert trace_fingerprint(a1) == trace_fingerprint(
-            get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
+        assert a1.schedule_key() != a2.schedule_key()
+        assert a1.schedule_key() == (
+            get_algorithm("shared-opt")(MACHINE, 6, 6, 6).schedule_key()
         )
+
+    def test_bandwidths_share_one_trace(self):
+        # sigma enters Tdata after simulation, never the schedule
+        for r in (0.2, 0.5, 0.8):
+            alg = get_algorithm("shared-opt")(MACHINE.with_bandwidth_ratio(r), 6, 6, 6)
+            compiled_trace_for(alg)
+        assert trace_cache_info()["entries"] == 1
 
     def test_compute_only_trace_upgraded_for_ideal(self):
         alg = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
@@ -262,36 +268,20 @@ class TestTraceCache:
         assert info["entries"] == 1
         assert info["fmas"] == 125
 
+    def test_budget_weighs_directives(self, monkeypatch):
+        # two IDEAL traces whose multiply-adds fit the budget but whose
+        # directives do not: only the newest stays resident
+        alg1 = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
+        alg2 = get_algorithm("shared-opt")(MACHINE, 5, 5, 5)
+        monkeypatch.setattr(replay, "_TRACE_CACHE_BUDGET", 216 + 125)
+        first = compiled_trace_for(alg1)
+        assert first.weight == len(first) + len(first._dir_lists[0]) > 216
+        compiled_trace_for(alg2)
+        assert trace_cache_info() == {"entries": 1, "fmas": 125}
+
     def test_clear(self):
         compiled_trace_for(get_algorithm("shared-opt")(MACHINE, 4, 4, 4))
         clear_trace_cache()
         assert trace_cache_info() == {"entries": 0, "fmas": 0}
 
 
-# ----------------------------------------------------------------------
-# Result memoization
-# ----------------------------------------------------------------------
-class TestResultMemo:
-    def test_warm_replays_equal_and_isolated(self):
-        alg = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
-        trace = compiled_trace_for(alg, directives=True)
-        for fn in (
-            lambda: replay_ideal(trace),
-            lambda: replay_bulk(trace, [("lru", MACHINE.cs, MACHINE.cd)])[0],
-            lambda: replay_bulk(trace, [("fifo", MACHINE.cs, MACHINE.cd)])[0],
-        ):
-            first = fn()
-            second = fn()
-            assert first == second
-            assert first is not second
-            # mutating a returned result must not poison the memo
-            second.shared.misses_by_matrix[0] += 1000
-            assert fn() == first
-
-    def test_memo_distinguishes_configs_and_policies(self):
-        alg = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
-        trace = compiled_trace_for(alg, directives=False)
-        lru_small, lru_big = replay_bulk(trace, [("lru", 50, 4), ("lru", 977, 21)])
-        assert lru_small != lru_big
-        fifo_small = replay_bulk(trace, [("fifo", 50, 4)])[0]
-        assert fifo_small != lru_small

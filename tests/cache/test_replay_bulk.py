@@ -20,7 +20,6 @@ from repro.cache.block import MAT_A, MAT_B, MAT_C, block_key
 from repro.cache.hierarchy import LRUHierarchy
 from repro.cache.replay import (
     CompiledTrace,
-    clear_trace_cache,
     compile_trace,
     replay_bulk,
     replay_bulk_streaming,
@@ -29,15 +28,16 @@ from repro.cache.replay import (
 )
 from repro.exceptions import ConfigurationError
 from repro.model.machine import PRESETS
+from repro.sim.runner import clear_memos
 
 MACHINE = PRESETS["q32"]
 
 
 @pytest.fixture(autouse=True)
-def _fresh_trace_cache():
-    clear_trace_cache()
+def _cold_memos():
+    clear_memos()
     yield
-    clear_trace_cache()
+    clear_memos()
 
 
 def _step_reference(p, cs, cd, policy, fmas):

@@ -24,20 +24,20 @@ from repro.cache.replay import (
     configure_trace_tier,
     replay_bulk,
     replay_ideal,
-    trace_fingerprint,
 )
 from repro.model.machine import PRESETS
+from repro.sim.runner import clear_memos
 
 MACHINE = PRESETS["q32"]
 
 
 @pytest.fixture(autouse=True)
 def _fresh_state():
-    clear_trace_cache()
+    clear_memos()
     configure_trace_tier(None)
     tracestore.reset_tier_counters()
     yield
-    clear_trace_cache()
+    clear_memos()
     configure_trace_tier(None)
     tracestore.reset_tier_counters()
 
@@ -50,7 +50,7 @@ class TestRoundTrip:
     def test_store_load_preserves_trace(self, tmp_path):
         alg = _alg()
         trace = compile_trace(alg, directives=True)
-        fp = trace_fingerprint(alg)
+        fp = alg.schedule_key()
         assert tracestore.store(tmp_path, fp, trace)
         loaded = tracestore.load(tmp_path, fp)
         assert loaded is not None
@@ -62,7 +62,7 @@ class TestRoundTrip:
     def test_loaded_trace_replays_bit_identically(self, tmp_path):
         alg = _alg(7, 5, 9)
         trace = compile_trace(alg, directives=True)
-        fp = trace_fingerprint(alg)
+        fp = alg.schedule_key()
         tracestore.store(tmp_path, fp, trace)
         loaded = tracestore.load(tmp_path, fp)
         cells = [("lru", 16, 3), ("fifo", 16, 3)]
@@ -72,7 +72,7 @@ class TestRoundTrip:
     def test_loaded_fma_array_is_readonly_memmap(self, tmp_path):
         alg = _alg()
         trace = compile_trace(alg, directives=False)
-        fp = trace_fingerprint(alg)
+        fp = alg.schedule_key()
         tracestore.store(tmp_path, fp, trace)
         loaded = tracestore.load(tmp_path, fp)
         assert isinstance(loaded.fma_array, np.memmap)
@@ -81,7 +81,7 @@ class TestRoundTrip:
     def test_compute_only_store_has_no_directives(self, tmp_path):
         alg = _alg()
         trace = compile_trace(alg, directives=False)
-        fp = trace_fingerprint(alg)
+        fp = alg.schedule_key()
         tracestore.store(tmp_path, fp, trace)
         loaded = tracestore.load(tmp_path, fp)
         assert loaded is not None
@@ -97,7 +97,7 @@ class TestCrashConsistency:
         """Arrays on disk but no meta.json — the pre-crash window."""
         alg = _alg()
         trace = compile_trace(alg, directives=False)
-        fp = trace_fingerprint(alg)
+        fp = alg.schedule_key()
         tracestore.store(tmp_path, fp, trace)
         (tracestore.entry_dir(tmp_path, fp) / "meta.json").unlink()
         assert tracestore.load(tmp_path, fp) is None
@@ -105,7 +105,7 @@ class TestCrashConsistency:
     def test_corrupt_meta_is_a_miss(self, tmp_path):
         alg = _alg()
         trace = compile_trace(alg, directives=False)
-        fp = trace_fingerprint(alg)
+        fp = alg.schedule_key()
         tracestore.store(tmp_path, fp, trace)
         (tracestore.entry_dir(tmp_path, fp) / "meta.json").write_text("{oops")
         assert tracestore.load(tmp_path, fp) is None
@@ -113,7 +113,7 @@ class TestCrashConsistency:
     def test_truncated_array_is_a_miss_not_an_exception(self, tmp_path):
         alg = _alg()
         trace = compile_trace(alg, directives=False)
-        fp = trace_fingerprint(alg)
+        fp = alg.schedule_key()
         tracestore.store(tmp_path, fp, trace)
         entry = tracestore.entry_dir(tmp_path, fp)
         # shrink the array under an unchanged meta.json
@@ -125,7 +125,7 @@ class TestCrashConsistency:
     def test_foreign_format_version_is_a_miss(self, tmp_path):
         alg = _alg()
         trace = compile_trace(alg, directives=False)
-        fp = trace_fingerprint(alg)
+        fp = alg.schedule_key()
         tracestore.store(tmp_path, fp, trace)
         meta_path = tracestore.entry_dir(tmp_path, fp) / "meta.json"
         meta = json.loads(meta_path.read_text())
@@ -183,7 +183,7 @@ class TestTierIntegration:
         }
 
     def test_content_key_is_stable_and_distinct(self):
-        fp_a = trace_fingerprint(_alg())
-        fp_b = trace_fingerprint(_alg(7, 5, 9))
+        fp_a = _alg().schedule_key()
+        fp_b = _alg(7, 5, 9).schedule_key()
         assert tracestore.content_key(fp_a) == tracestore.content_key(fp_a)
         assert tracestore.content_key(fp_a) != tracestore.content_key(fp_b)

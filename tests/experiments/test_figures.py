@@ -16,6 +16,7 @@ from repro.experiments.figures import (
     figure12,
     get_figure,
 )
+from repro.sim.runner import clear_memos
 
 TINY = (8, 16)
 
@@ -72,6 +73,33 @@ class TestStructure:
             assert "tradeoff IDEAL" in panel.series
             assert "Lower Bound" in panel.series
 
+    def test_figure12_evaluates_each_schedule_once(self, monkeypatch):
+        """684 cells (6 presets x 6 algorithms x 19 ratios), 29 schedules.
+
+        Bandwidths enter Tdata after simulation, and only Tradeoff
+        re-plans with the ratio, so each ScheduleKey runs its schedule
+        once and the result memo serves every other cell.
+        """
+        from repro.cache import replay
+
+        compiled = []
+        real_compile = replay.compile_trace
+
+        def counting_compile(algorithm, **kwargs):
+            compiled.append(algorithm.schedule_key())
+            return real_compile(algorithm, **kwargs)
+
+        previous = replay.trace_tier_root()
+        replay.configure_trace_tier(None)
+        clear_memos()
+        monkeypatch.setattr(replay, "compile_trace", counting_compile)
+        try:
+            fig = figure12(order=4)
+        finally:
+            replay.configure_trace_tier(previous)
+        assert sum(len(p.xs) * (len(p.series) - 1) for p in fig.panels) == 684
+        assert len(compiled) == len(set(compiled)) <= 29
+
     def test_panel_add_validates_length(self):
         fig = figure4(orders=TINY)
         with pytest.raises(ConfigurationError):
@@ -108,7 +136,7 @@ class TestStructure:
         from repro.cache import replay, tracestore
 
         tier = tmp_path / "tier"
-        replay.clear_trace_cache()  # forked workers must not start warm
+        clear_memos()  # forked workers must not start warm
         previous = replay.trace_tier_root()
         replay.configure_trace_tier(str(tier))
         try:

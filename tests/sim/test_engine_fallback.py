@@ -12,10 +12,10 @@ import itertools
 
 import pytest
 
-from repro.cache.replay import clear_trace_cache, configure_trace_tier, trace_tier_root
+from repro.cache.replay import configure_trace_tier, trace_tier_root
 from repro.model.machine import MulticoreMachine
 from repro.sim.parallel import parallel_order_sweep
-from repro.sim.runner import run_experiment
+from repro.sim.runner import clear_memos, run_experiment
 from repro.store.serde import result_from_dict, result_to_dict
 
 # Power-of-two cache sizes so the 'plru' ablation policy is valid.
@@ -29,10 +29,10 @@ def _tierless_cold_memo():
     # trace_source is pinned below, so every cell compiles its own trace.
     previous_tier = trace_tier_root()
     configure_trace_tier(None)
-    clear_trace_cache()
+    clear_memos()
     yield
     configure_trace_tier(previous_tier)
-    clear_trace_cache()
+    clear_memos()
 
 
 def _expected_kernel(setting, policy, inclusive, check, bound):

@@ -2,7 +2,8 @@
 
 ``ExperimentResult.kernel`` names the evaluation path (``bulk-lru``,
 ``bulk-fifo``, ``ideal``, ``step``) and ``trace_source`` where the
-compiled trace came from (``compiled``/``memory``/``disk``).  These
+counters came from (a ``compiled``/``memory``/``disk`` trace, or the
+runner's result ``memo``).  These
 tests pin the values across engines and past the ``REPRO_STREAM_FMAS``
 bound, their serde round-trip (including legacy payloads without the
 fields), and their mirroring onto sweep manifests.
@@ -10,9 +11,9 @@ fields), and their mirroring onto sweep manifests.
 
 import pytest
 
-from repro.cache.replay import clear_trace_cache, configure_trace_tier, trace_tier_root
+from repro.cache.replay import configure_trace_tier, trace_tier_root
 from repro.model.machine import PRESETS
-from repro.sim.runner import run_experiment
+from repro.sim.runner import clear_memos, run_experiment
 from repro.sim.telemetry import CellRecord
 from repro.store.serde import result_from_dict, result_to_dict
 
@@ -26,10 +27,10 @@ def _fresh_state():
     # dir); these tests pin trace_source, so they must start tierless.
     previous_tier = trace_tier_root()
     configure_trace_tier(None)
-    clear_trace_cache()
+    clear_memos()
     yield
     configure_trace_tier(previous_tier)
-    clear_trace_cache()
+    clear_memos()
 
 
 class TestRunnerTelemetry:

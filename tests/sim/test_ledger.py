@@ -21,6 +21,7 @@ from repro.fabric.worker import FabricWorker
 from repro.model.machine import MulticoreMachine
 from repro.sim.ledger import order_plan, ratio_plan
 from repro.sim.parallel import parallel_order_sweep
+from repro.sim.runner import clear_memos
 from repro.store import RunStore
 
 MACHINE = MulticoreMachine(p=4, cs=100, cd=21, q=8)
@@ -110,9 +111,9 @@ class TestPlan:
 
 class TestExecutorsAgree:
     def test_pool_and_fabric_record_the_same_cell_telemetry(self, tmp_path):
-        replay.clear_trace_cache()
+        clear_memos()
         pool = pool_run(tmp_path / "pool")
-        replay.clear_trace_cache()
+        clear_memos()
         fabric = fabric_run(tmp_path / "fabric")
         assert pool.complete and fabric.complete
         pool_cells = manifest_telemetry(tmp_path / "pool")

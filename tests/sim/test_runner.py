@@ -1,10 +1,13 @@
-"""Tests for the experiment runner."""
+"""Tests for the experiment runner and its result memo."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.algorithms.shared_opt import SharedOpt
 from repro.exceptions import ScheduleError
-from repro.sim.runner import run_experiment
+from repro.sim import runner
+from repro.sim.runner import clear_memos, run_experiment
 
 
 class TestRunExperiment:
@@ -69,3 +72,112 @@ class TestRunExperiment:
     def test_inclusive_plumbs_through(self, quad):
         r = run_experiment("shared-opt", quad, 8, 8, 8, "lru", inclusive=True)
         assert r.ms > 0
+
+
+class TestResultMemo:
+    """``run_experiment`` memoizes counters per schedule and hierarchy."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memos(self):
+        clear_memos()
+        yield
+        clear_memos()
+
+    @pytest.mark.parametrize(
+        "setting, policy", [("ideal", "lru"), ("lru-50", "lru"), ("lru-50", "fifo")]
+    )
+    def test_hits_are_equal_independent_copies(self, quad, setting, policy):
+        def run():
+            return run_experiment("shared-opt", quad, 8, 8, 8, setting, policy=policy)
+
+        first = run()
+        second = run()
+        assert first.trace_source != "memo"
+        assert second.trace_source == "memo"
+        assert (second.engine, second.kernel) == (first.engine, first.kernel)
+        assert second.stats == first.stats and second.comp == first.comp
+        assert second.stats is not first.stats and second.comp is not first.comp
+        # mutating either returned result must not poison the memo
+        for result in (first, second):
+            result.stats.shared.misses_by_matrix[0] += 1000
+            result.stats.distributed[0].misses += 1000
+            result.comp[0] += 1
+        third = run()
+        assert third.stats == run_experiment(
+            "shared-opt", quad, 8, 8, 8, setting, policy=policy, engine="step"
+        ).stats
+        assert third.comp_total == 512
+
+    def test_step_and_checked_runs_never_read_the_memo(self, quad):
+        warm = run_experiment("shared-opt", quad, 8, 8, 8, "ideal")
+        # poison the one entry: whoever reads the memo sees the poison
+        ((stats, _comp),) = runner._RESULTS.values()
+        stats.shared.misses += 1000
+        assert run_experiment("shared-opt", quad, 8, 8, 8, "ideal").ms == warm.ms + 1000
+        step = run_experiment("shared-opt", quad, 8, 8, 8, "ideal", engine="step")
+        checked = run_experiment("shared-opt", quad, 8, 8, 8, "ideal", check=True)
+        assert step.ms == checked.ms == warm.ms
+        assert step.trace_source == checked.trace_source == ""
+
+    def test_step_and_checked_runs_never_fill_the_memo(self, quad):
+        run_experiment("shared-opt", quad, 8, 8, 8, "lru-50", engine="step")
+        run_experiment("shared-opt", quad, 8, 8, 8, "ideal", check=True)
+        assert not runner._RESULTS
+
+    def test_policy_inclusive_cs_and_cd_each_key_an_entry(self, quad):
+        # Shared Opt. plans on CS alone and CS=100 and CS=105 both give
+        # lambda=9, so all five cells run one schedule.
+        cells = [
+            (quad, {}),
+            (quad, {"policy": "fifo"}),
+            (quad, {"inclusive": True}),
+            (replace(quad, cs=105), {}),
+            (replace(quad, cd=20), {}),
+        ]
+        keys = {SharedOpt(machine, 8, 8, 8).schedule_key() for machine, _ in cells}
+        assert len(keys) == 1
+        for machine, kwargs in cells:
+            cold = run_experiment("shared-opt", machine, 8, 8, 8, "lru", **kwargs)
+            assert cold.trace_source != "memo"
+        assert len(runner._RESULTS) == len(cells)
+        for machine, kwargs in cells:
+            warm = run_experiment("shared-opt", machine, 8, 8, 8, "lru", **kwargs)
+            step = run_experiment(
+                "shared-opt", machine, 8, 8, 8, "lru", engine="step", **kwargs
+            )
+            assert warm.trace_source == "memo"
+            assert warm.stats == step.stats
+
+    def test_ideal_cells_share_one_entry_across_capacities_and_bandwidths(self, quad):
+        run_experiment("shared-opt", quad, 8, 8, 8, "ideal")
+        for machine in (replace(quad, cd=20), quad.with_bandwidth_ratio(0.3)):
+            assert run_experiment(
+                "shared-opt", machine, 8, 8, 8, "ideal"
+            ).trace_source == "memo"
+
+    def test_cap_evicts_least_recently_used(self, quad, monkeypatch):
+        monkeypatch.setattr(runner, "_RESULT_MEMO_CAP", 2)
+        for order in (4, 5, 6):
+            run_experiment("shared-opt", quad, order, order, order, "ideal")
+        assert len(runner._RESULTS) == 2
+
+        def source(order):
+            return run_experiment(
+                "shared-opt", quad, order, order, order, "ideal"
+            ).trace_source
+
+        assert source(5) == "memo"  # 5 is now the most recently used
+        source(7)  # evicts 6, the least recently used
+        assert source(5) == "memo"
+        assert source(6) != "memo"
+
+    def test_hit_still_verifies_comp(self, quad):
+        class HalfWork(SharedOpt):
+            name = "half"
+
+            def run(self, ctx):
+                SharedOpt(self.machine, self.m, self.n, 1, lam=self.lam).run(ctx)
+
+        run_experiment(HalfWork, quad, 4, 4, 4, "lru", verify_comp=False)
+        with pytest.raises(ScheduleError):
+            run_experiment(HalfWork, quad, 4, 4, 4, "lru")
