@@ -1,11 +1,16 @@
-"""Simulator scaling — evidence for the scale-reduction argument.
+"""Simulator scaling — touch throughput of one cell across orders.
 
-DESIGN.md §4 reduces the paper's matrix orders because pure-Python LRU
-simulation costs Θ(mnz) block touches.  This bench measures the
-constant: touches per second of a full Shared Opt. LRU run across
-orders, and checks the cost is indeed linear in the touch count (so
-results at order 96 extrapolate to the paper's 1100 — only wall-clock,
-never shape, changes).  Artifact: out/scaling_simulator.txt.
+DESIGN.md §4 reduces the paper's matrix orders for the default sweeps.
+This bench measures touches per second (the cell's 3·m·n·z block
+touches over its wall time) of a full Shared Opt. LRU-50 run at orders
+16–48, and asserts the rate stays within a 4× band over the 27× work
+range and above 0.5M touches/s.  Step's cost is no longer linear in
+the touch count: it fast-forwards the schedule's declared loops once
+the cache state repeats (:mod:`repro.sim.contexts`), so its rate grows
+with the order, and an order-96 time does not extrapolate to order
+1100 (an order-1100 Shared Opt. LRU-50 cell takes ~0.3 s on step, not
+the ~70 minutes a flat per-touch cost would give).
+Artifact: out/scaling_simulator.txt.
 
 The step engine is pinned explicitly: the default replay engine
 memoizes traces and results across runs (and across benches in the

@@ -21,7 +21,10 @@ on identical workloads (same schedule, machine, counters):
   unchecked IDEAL counters read no capacity and no bandwidth — so warm
   cells, the common case in sweep resumes, conformance re-checks and
   figure regeneration, cost a dict probe.  ``engine="step"`` never
-  reads the memo and re-simulates.
+  reads the memo and re-simulates, fast-forwarding the schedule's
+  declared loops (:mod:`repro.sim.contexts`): ``bench_ideal_cell_step``
+  fell from ~40 ms to ~13 ms per run with it (2-vCPU host), since only
+  about 7 of the cell's 24 k iterations are simulated.
 """
 
 import dataclasses

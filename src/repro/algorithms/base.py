@@ -18,17 +18,28 @@ directives in ``if ctx.explicit`` so the (very hot) LRU and numeric
 paths don't pay for directive no-op calls.  ``compute`` is always
 emitted.  Per-core compute counters live in the context because the
 communication-to-computation ratios of the paper normalize by them.
+
+Schedules iterate their periodic loops through
+:meth:`ExecutionContext.loop` (or :func:`tile_loop` for tile loops with
+a ragged edge), declaring how keys move from one iteration to the next.
+The counting contexts of :mod:`repro.sim.contexts` use the declaration
+to skip iterations exactly; every other context iterates plainly.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Any, ClassVar, Dict, Iterable, List, Tuple
 
 from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C
 from repro.exceptions import ConfigurationError
 from repro.model.machine import MulticoreMachine
+
+#: Per-matrix key offsets ``(A, B, C)`` from one iteration of a declared
+#: loop to the next (see :meth:`ExecutionContext.loop`).
+Shift = Tuple[int, int, int]
 
 
 class ExecutionContext(ABC):
@@ -73,6 +84,21 @@ class ExecutionContext(ABC):
     @abstractmethod
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
         """One elementary block multiply-add ``C[c] += A[a] · B[b]``."""
+
+    # -- declared periodic loops ----------------------------------------
+    def loop(self, iterations: range, shift: Shift) -> Iterable[int]:
+        """Iterate over a loop whose iterations are translates of each other.
+
+        The schedule promises that iteration ``i + 1`` emits exactly
+        what iteration ``i`` emits, directives included, with every key
+        of matrix ``M`` moved by ``shift[M]``: ``(1, 1 << ROW_SHIFT, 0)``
+        for a ``k`` loop, where A's column and B's row advance and C
+        stays.  Declare full iterations only; a ragged last iteration
+        runs outside (see :func:`tile_loop`).  The counting contexts
+        use the promise to skip iterations whose effect they can
+        predict exactly; every other context iterates plainly.
+        """
+        return iterations
 
     def count_compute(self, core: int) -> None:
         """Bump the per-core compute counter (helper for subclasses)."""
@@ -244,6 +270,13 @@ class MatmulAlgorithm(ABC):
         return chunks
 
 
-def tile_starts(extent: int, tile: int) -> Sequence[int]:
-    """Start offsets of consecutive tiles of side ``tile`` over ``extent``."""
-    return range(0, extent, tile)
+def tile_loop(
+    ctx: ExecutionContext, extent: int, tile: int, shift: Shift
+) -> Iterable[int]:
+    """Start offsets of consecutive tiles of side ``tile`` over ``extent``.
+
+    The full tiles form a loop declared to ``ctx`` with ``shift``; a
+    ragged last tile follows undeclared.
+    """
+    full = extent - extent % tile
+    return chain(ctx.loop(range(0, full, tile), shift), range(full, extent, tile))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.algorithms.base import ExecutionContext, MatmulAlgorithm
+from repro.algorithms.base import ExecutionContext, MatmulAlgorithm, tile_loop
 from repro.cache.block import A_BASE, B_BASE, C_BASE, ROW_SHIFT
 from repro.exceptions import ParameterError
 from repro.model.machine import MulticoreMachine
@@ -74,9 +74,9 @@ class DistributedOpt(MatmulAlgorithm):
         compute = ctx.compute
         RS = ROW_SHIFT
 
-        for i0 in range(0, m, tile):
+        for i0 in tile_loop(ctx, m, tile, (tile << RS, 0, tile << RS)):
             hi = min(i0 + tile, m)
-            for j0 in range(0, n, tile):
+            for j0 in tile_loop(ctx, n, tile, (0, tile, tile)):
                 wj = min(j0 + tile, n)
                 # Per-core sub-tile extents (clamped at ragged edges).
                 rows = [
@@ -99,7 +99,7 @@ class DistributedOpt(MatmulAlgorithm):
                             crow = C_BASE | (i << RS)
                             for j in cols[gj]:
                                 ctx.load_dist(core, crow | j)
-                for k in range(z):
+                for k in ctx.loop(range(z), (1, 1 << RS, 0)):
                     brow = B_BASE | (k << RS)
                     if explicit:
                         for j in range(j0, wj):

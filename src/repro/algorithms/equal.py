@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional
 
-from repro.algorithms.base import ExecutionContext, MatmulAlgorithm
+from repro.algorithms.base import ExecutionContext, MatmulAlgorithm, tile_loop
 from repro.cache.block import A_BASE, B_BASE, C_BASE, ROW_SHIFT
 from repro.exceptions import ParameterError
 from repro.model.machine import MulticoreMachine
@@ -81,9 +81,9 @@ class SharedEqual(MatmulAlgorithm):
         compute = ctx.compute
         RS = ROW_SHIFT
 
-        for i0 in range(0, m, t):
+        for i0 in tile_loop(ctx, m, t, (t << RS, 0, t << RS)):
             hi = min(i0 + t, m)
-            for j0 in range(0, n, t):
+            for j0 in tile_loop(ctx, n, t, (0, t, t)):
                 wj = min(j0 + t, n)
                 if explicit:
                     for i in range(i0, hi):
@@ -91,7 +91,7 @@ class SharedEqual(MatmulAlgorithm):
                         for j in range(j0, wj):
                             ctx.load_shared(crow | j)
                 chunks = self.split_evenly(i0, hi, p)
-                for k0 in range(0, z, t):
+                for k0 in tile_loop(ctx, z, t, (t, t << RS, 0)):
                     kh = min(k0 + t, z)
                     if explicit:
                         for i in range(i0, hi):
@@ -188,7 +188,9 @@ class DistributedEqual(MatmulAlgorithm):
             for i0 in range(0, m, t)
             for j0 in range(0, n, t)
         ]
-        # Process in rounds of p tiles so cores advance together.
+        # Process in rounds of p tiles so cores advance together.  A
+        # round can wrap across tile rows, so rounds are no translates of
+        # each other; full k0 slabs within a round are.
         for r0 in range(0, len(tiles), p):
             round_tiles = tiles[r0 : r0 + p]
             if explicit:
@@ -199,7 +201,7 @@ class DistributedEqual(MatmulAlgorithm):
                             key = crow | j
                             ctx.load_shared(key)
                             ctx.load_dist(core, key)
-            for k0 in range(0, z, t):
+            for k0 in tile_loop(ctx, z, t, (t, t << RS, 0)):
                 kh = min(k0 + t, z)
                 step_keys = set()
                 if explicit:

@@ -63,7 +63,7 @@ class OuterProduct(MatmulAlgorithm):
         tiles = self._tiles()
         RS = ROW_SHIFT
 
-        for k in range(z):
+        for k in ctx.loop(range(z), (1, 1 << RS, 0)):
             brow = B_BASE | (k << RS)
             for core, (rlo, rhi, clo, chi) in enumerate(tiles):
                 for i in range(rlo, rhi):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.algorithms.base import ExecutionContext, MatmulAlgorithm
+from repro.algorithms.base import ExecutionContext, MatmulAlgorithm, tile_loop
 from repro.cache.block import A_BASE, B_BASE, C_BASE, ROW_SHIFT
 from repro.exceptions import ParameterError
 from repro.model.machine import MulticoreMachine
@@ -85,9 +85,9 @@ class SharedOpt(MatmulAlgorithm):
         split = self.split_evenly
         RS = ROW_SHIFT
 
-        for i0 in range(0, m, lam):
+        for i0 in tile_loop(ctx, m, lam, (lam << RS, 0, lam << RS)):
             hi = min(i0 + lam, m)
-            for j0 in range(0, n, lam):
+            for j0 in tile_loop(ctx, n, lam, (0, lam, lam)):
                 wj = min(j0 + lam, n)
                 if explicit:
                     # Pin the C tile in the shared cache.
@@ -96,7 +96,7 @@ class SharedOpt(MatmulAlgorithm):
                         for j in range(j0, wj):
                             ctx.load_shared(crow | j)
                 chunks = split(j0, wj, p)
-                for k in range(z):
+                for k in ctx.loop(range(z), (1, 1 << RS, 0)):
                     brow = B_BASE | (k << RS)
                     if explicit:
                         for j in range(j0, wj):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.algorithms.base import ExecutionContext, MatmulAlgorithm
+from repro.algorithms.base import ExecutionContext, MatmulAlgorithm, tile_loop
 from repro.analysis.tradeoff_opt import optimal_parameters
 from repro.cache.block import A_BASE, B_BASE, C_BASE, ROW_SHIFT
 from repro.exceptions import ParameterError
@@ -117,9 +117,9 @@ class Tradeoff(MatmulAlgorithm):
         hoist = self.single_subblock
         RS = ROW_SHIFT
 
-        for i0 in range(0, m, alpha):
+        for i0 in tile_loop(ctx, m, alpha, (alpha << RS, 0, alpha << RS)):
             hi = min(i0 + alpha, m)
-            for j0 in range(0, n, alpha):
+            for j0 in tile_loop(ctx, n, alpha, (0, alpha, alpha)):
                 wj = min(j0 + alpha, n)
                 if explicit:
                     for i in range(i0, hi):
@@ -143,7 +143,7 @@ class Tradeoff(MatmulAlgorithm):
                             crow = C_BASE | (i << RS)
                             for j in range(clo, chi):
                                 ctx.load_dist(core, crow | j)
-                for k0 in range(0, z, beta):
+                for k0 in tile_loop(ctx, z, beta, (beta, beta << RS, 0)):
                     kh = min(k0 + beta, z)
                     if explicit:
                         for k in range(k0, kh):

@@ -18,7 +18,7 @@ is ``m × n`` (block at ``(i, j)``).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 #: Matrix tags embedded in block keys.
 MAT_A = 0
@@ -55,6 +55,15 @@ def decode_key(key: int) -> Tuple[int, int, int]:
 def matrix_of(key: int) -> int:
     """Matrix tag of a block key (0 = A, 1 = B, 2 = C)."""
     return key >> _MAT_SHIFT
+
+
+def shifted(keys: Iterable[int], shift: Sequence[int]) -> List[int]:
+    """``keys`` in order, each moved by ``shift[M]`` for its matrix ``M``.
+
+    Shifts are signed offsets of whole keys, e.g. ``1 << ROW_SHIFT``
+    for one row down; the caller keeps coordinates in range.
+    """
+    return [key + shift[key >> _MAT_SHIFT] for key in keys]
 
 
 def key_name(key: int) -> str:

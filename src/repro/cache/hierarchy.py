@@ -20,16 +20,18 @@ Two classes mirror the two modes of the paper's simulator (§4.1):
 
 Both expose the same statistics surface
 (:class:`repro.cache.stats.HierarchyStats`) so the simulation engine is
-mode-agnostic.
+mode-agnostic, and the same renaming surface (``state``, ``counters``,
+``advance``) through which :mod:`repro.sim.contexts` fast-forwards a
+schedule's periodic loops.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Collection, List, Sequence, Set
 
-from repro.cache.block import MAT_SHIFT, key_name
+from repro.cache.block import MAT_SHIFT, key_name, shifted
 from repro.cache.cache import Cache
-from repro.cache.lru import LRUCache
+from repro.cache.lru import FIFOCache, LRUCache
 from repro.cache.stats import CacheStats, HierarchyStats
 from repro.exceptions import (
     CapacityError,
@@ -181,6 +183,65 @@ class LRUHierarchy:
         return all(
             key in self.shared for dc in self.distributed for key in dc.policy
         )
+
+    # ------------------------------------------------------------------
+    # Renaming (loop fast-forward)
+    # ------------------------------------------------------------------
+    @property
+    def renames(self) -> bool:
+        """Whether every cache evolves the same under a renaming of keys.
+
+        Plain LRU and FIFO read keys only through equality, so running a
+        renamed reference stream from a renamed state ends in the
+        renamed state with the same counters.  Set-associative and PLRU
+        caches pick a set from key bits, so renaming changes them.
+        """
+        return all(
+            type(cache.policy) in (LRUCache, FIFOCache)
+            for cache in (self.shared, *self.distributed)
+        )
+
+    def state(self) -> List[Collection[int]]:
+        """A copy of each cache's keys in eviction order, and its dirty set."""
+        out: List[Collection[int]] = []
+        for cache in (self.shared, *self.distributed):
+            out.append(list(cache.policy._data))  # type: ignore[attr-defined]
+            out.append(set(cache.dirty))
+        return out
+
+    def counters(self) -> List[int]:
+        """Every additive counter, in the order :meth:`advance` reads."""
+        out: List[int] = []
+        for cache in (self.shared, *self.distributed):
+            out += (cache.hits, cache.misses, cache.writebacks)
+            out += cache.misses_by_matrix
+        return out
+
+    def advance(self, delta: Sequence[int], shift: Sequence[int]) -> None:
+        """Add ``delta`` to :meth:`counters`; move every key by ``shift``.
+
+        Recency and insertion order are kept; requires :attr:`renames`.
+        """
+        deltas = iter(delta)
+        for cache in (self.shared, *self.distributed):
+            cache.hits += next(deltas)
+            cache.misses += next(deltas)
+            cache.writebacks += next(deltas)
+            by_matrix = cache.misses_by_matrix
+            for mat in range(3):
+                by_matrix[mat] += next(deltas)
+            data = cache.policy._data  # type: ignore[attr-defined]
+            moved = shifted(data, shift)
+            data.clear()
+            data.update(dict.fromkeys(moved))
+            _move(cache.dirty, shift)
+
+
+def _move(keys: Set[int], shift: Sequence[int]) -> None:
+    """Rename a set of keys in place (see :func:`~repro.cache.block.shifted`)."""
+    moved = shifted(keys, shift)
+    keys.clear()
+    keys.update(moved)
 
 
 class IdealHierarchy:
@@ -382,3 +443,52 @@ class IdealHierarchy:
     def resident_distributed(self, core: int) -> int:
         """Blocks currently resident in ``core``'s distributed cache."""
         return len(self.dist_sets[core])
+
+    # ------------------------------------------------------------------
+    # Renaming (loop fast-forward; unchecked mode only)
+    # ------------------------------------------------------------------
+    def state(self) -> List[Collection[int]]:
+        """A copy of every resident set and dirty set."""
+        return [
+            set(keys)
+            for keys in (
+                self.shared_set,
+                self.shared_dirty,
+                *self.dist_sets,
+                *self.dist_dirty,
+            )
+        ]
+
+    def counters(self) -> List[int]:
+        """Every additive counter, in the order :meth:`advance` reads.
+
+        The peaks are not additive: a renamed stretch repeats the
+        occupancy of the one it copies, so they stay.
+        """
+        out = [self.ms, *self.ms_by_matrix]
+        out += (self.shared_writebacks, self.redundant_loads)
+        out += self.md
+        out += self.dist_updates
+        for row in self.md_by_matrix:
+            out += row
+        return out
+
+    def advance(self, delta: Sequence[int], shift: Sequence[int]) -> None:
+        """Add ``delta`` to :meth:`counters`; move every key by ``shift``."""
+        deltas = iter(delta)
+        self.ms += next(deltas)
+        for mat in range(3):
+            self.ms_by_matrix[mat] += next(deltas)
+        self.shared_writebacks += next(deltas)
+        self.redundant_loads += next(deltas)
+        for c in range(self.p):
+            self.md[c] += next(deltas)
+        for c in range(self.p):
+            self.dist_updates[c] += next(deltas)
+        for row in self.md_by_matrix:
+            for mat in range(3):
+                row[mat] += next(deltas)
+        for keys in (self.shared_set, self.shared_dirty):
+            _move(keys, shift)
+        for keys in (*self.dist_sets, *self.dist_dirty):
+            _move(keys, shift)

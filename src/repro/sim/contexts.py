@@ -4,31 +4,159 @@ See :mod:`repro.algorithms.base` for the contract.  The two counting
 contexts mirror the paper simulator's two modes; :class:`ChainContext`
 fans one schedule out to several interpreters at once (used by tests to
 run numeric execution and checked-IDEAL simulation simultaneously).
+
+The two counting contexts fast-forward the loops a schedule declares
+through :meth:`~repro.algorithms.base.ExecutionContext.loop`, exactly.
+LRU, FIFO and IDEAL caches read keys only through equality, so they
+evolve the same way under a renaming of keys.  Suppose the whole
+hierarchy state at one iteration boundary (every cache's key order and
+dirty set, or IDEAL's resident and dirty sets) is the state one
+boundary earlier with every key moved by the loop's shift.  Then each
+remaining iteration repeats the last one's counter and multiply-add
+deltas, and the loop ends in the current state moved by ``remaining ×
+shift``.  :class:`_CountingContext` checks for that and jumps.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import (
+    Collection,
+    Dict,
+    Generic,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    TypeVar,
+)
 
-from repro.algorithms.base import ExecutionContext
+from repro.algorithms.base import ExecutionContext, Shift
+from repro.cache.block import shifted
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
 from repro.cache.multilevel import MultiLevelHierarchy
 from repro.cache.trace import AccessTrace
 
 
-class LRUContext(ExecutionContext):
+#: Multiply-adds the loops with one shift run between two of their
+#: state comparisons, per key of hierarchy state.  A comparison copies
+#: and renames the whole state; this keeps its cost to 1-2% of the
+#: simulation around it where no loop ever repeats (Distributed Equal
+#: under LRU-50); a larger value catches the loops that do repeat later.
+_WORK_PER_KEY = 3
+
+
+def _repeats(
+    before: Sequence[Collection[int]], after: Sequence[Collection[int]], shift: Shift
+) -> bool:
+    """Whether ``after`` is ``before`` with every key moved by ``shift``.
+
+    Lists are compared in order, sets as sets.  Sizes and the oldest
+    key of each list refute most mismatches before any full renaming.
+    """
+    pairs = list(zip(before, after))
+    for old, new in pairs:
+        if len(old) != len(new):
+            return False
+        if isinstance(old, list) and isinstance(new, list) and old:
+            if new[0] != shifted(old[:1], shift)[0]:
+                return False
+    for old, new in pairs:
+        moved = shifted(old, shift)
+        if new != (moved if isinstance(new, list) else set(moved)):
+            return False
+    return True
+
+
+_Hierarchy = TypeVar("_Hierarchy", LRUHierarchy, IdealHierarchy)
+
+
+class _CountingContext(ExecutionContext, Generic[_Hierarchy]):
+    """A context counting against a hierarchy that can fast-forward loops.
+
+    A declared loop compares the hierarchy state at two adjacent
+    boundaries (see the module docstring) and jumps on a repeat.
+    Comparisons are amortized per loop shift: the loops with one shift
+    compare only once they have run ``_WORK_PER_KEY`` multiply-adds per
+    key of state since their last comparison began.  In between they
+    run as plain range slices, and a loop instance in which no
+    comparison falls due is the plain range itself.
+    """
+
+    def __init__(self, hierarchy: _Hierarchy, skips: bool) -> None:
+        super().__init__(hierarchy.p)
+        self.hierarchy = hierarchy
+        self._skips = skips
+        #: Per shift: the multiply-add count from which its loops may
+        #: compare, and the most multiply-adds one of their iterations
+        #: has run (a ragged tile runs fewer than a full one).
+        self._due: Dict[Shift, int] = {}
+        self._work: Dict[Shift, int] = {}
+
+    def loop(self, iterations: range, shift: Shift) -> Iterable[int]:
+        count = len(iterations)
+        if (
+            self._skips
+            and count > 1
+            and sum(self.comp) + (count - 2) * self._work.get(shift, 0)
+            >= self._due.get(shift, 0)
+        ):
+            return self._skip(iterations, shift)
+        return iterations
+
+    def _skip(self, iterations: range, shift: Shift) -> Iterator[int]:
+        hierarchy, comp, due, work = self.hierarchy, self.comp, self._due, self._work
+        count = len(iterations)
+        at = 0
+        while count - at > 1:
+            done = sum(comp)
+            wait = due.get(shift, 0) - done
+            if wait > 0:
+                # A plain slice up to the boundary where a comparison is due.
+                until = at + (wait + work[shift] - 1) // work[shift]
+                if until > count - 2:
+                    break
+                yield from iterations[at:until]
+                at = until
+                continue
+            before = hierarchy.state()
+            counted = hierarchy.counters() + comp
+            yield iterations[at]
+            at += 1
+            after = hierarchy.state()
+            work[shift] = max(work.get(shift, 1), sum(comp) - done)
+            if _repeats(before, after, shift):
+                self._jump(counted, count - at, shift)
+                return
+            due[shift] = done + _WORK_PER_KEY * sum(map(len, after))
+        yield from iterations[at:]
+
+    def _jump(self, counted: List[int], times: int, shift: Shift) -> None:
+        """Repeat the iteration since ``counted`` ``times`` more times."""
+        comp = self.comp
+        delta = [
+            times * (new - old)
+            for old, new in zip(counted, self.hierarchy.counters() + comp)
+        ]
+        split = len(delta) - len(comp)
+        self.hierarchy.advance(delta[:split], [times * offset for offset in shift])
+        for core, extra in enumerate(delta[split:]):
+            comp[core] += extra
+
+
+class LRUContext(_CountingContext[LRUHierarchy]):
     """LRU simulator mode: only compute touches reach the caches.
 
     Explicit directives are ignored ("in the LRU mode, read and write
     operations are made at the distributed cache level; if a miss
     occurs, operations are propagated throughout the hierarchy").
+    Declared loops are fast-forwarded when every cache is plain LRU or
+    FIFO (:attr:`LRUHierarchy.renames`), inclusive or not.
     """
 
     explicit = False
 
     def __init__(self, hierarchy: LRUHierarchy) -> None:
-        super().__init__(hierarchy.p)
-        self.hierarchy = hierarchy
+        super().__init__(hierarchy, hierarchy.renames)
         # Bound method caching shaves a dict lookup off the hot path.
         self._touches = hierarchy.compute_touches
 
@@ -37,14 +165,17 @@ class LRUContext(ExecutionContext):
         self.comp[core] += 1
 
 
-class IdealContext(ExecutionContext):
-    """IDEAL simulator mode: the schedule controls every cache movement."""
+class IdealContext(_CountingContext[IdealHierarchy]):
+    """IDEAL simulator mode: the schedule controls every cache movement.
+
+    Declared loops are fast-forwarded unless the hierarchy checks the
+    schedule (``check=True``), which must see every directive.
+    """
 
     explicit = True
 
     def __init__(self, hierarchy: IdealHierarchy) -> None:
-        super().__init__(hierarchy.p)
-        self.hierarchy = hierarchy
+        super().__init__(hierarchy, not hierarchy.check)
         self.load_shared = hierarchy.load_shared  # type: ignore[method-assign]
         self.evict_shared = hierarchy.evict_shared  # type: ignore[method-assign]
         self.load_dist = hierarchy.load_distributed  # type: ignore[method-assign]

@@ -43,7 +43,9 @@ class ExperimentResult:
     #: Which engine actually simulated the cell (``"replay"``/``"step"``;
     #: empty on results predating the field) and whether replay was
     #: requested but the step engine ran (see
-    #: :func:`repro.cache.replay.replays`).
+    #: :func:`repro.cache.replay.replays`).  ``"step"`` includes the
+    #: exact fast-forward of declared loops (:mod:`repro.sim.contexts`):
+    #: there is no separate engine or kernel name for it.
     engine: str = ""
     engine_fallback: bool = False
     #: Replay-engine telemetry: which kernel evaluated the cell
@@ -56,9 +58,10 @@ class ExperimentResult:
     #: simulated hierarchy, without touching a trace.  A memo hit's
     #: ``kernel`` and ``engine`` name what a miss would have run.  Older
     #: results may say ``"streamed"``, for kernels that ran off the
-    #: live schedule.  Empty on step-engine results and on results
-    #: predating the fields; like ``engine``, never part of resume
-    #: identity.
+    #: live schedule.  ``trace_source`` is empty on step-engine
+    #: results, whose ``kernel`` is ``"step"`` whether or not loops were
+    #: fast-forwarded; both are empty on results predating the fields
+    #: and, like ``engine``, never part of resume identity.
     kernel: str = ""
     trace_source: str = ""
 

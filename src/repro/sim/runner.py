@@ -100,7 +100,11 @@ def run_experiment(
         once (memoized across settings and repeated runs, see
         :mod:`repro.cache.replay`) and replays it in bulk; counters are
         bit-identical to ``"step"``, which interprets the schedule
-        reference-by-reference and remains the oracle.  One rule,
+        reference-by-reference and remains the oracle.  Step
+        fast-forwards the loops a schedule declares once the hierarchy
+        state repeats up to the loop's key shift, exactly (LRU, FIFO
+        and unchecked IDEAL; see :mod:`repro.sim.contexts`), so its
+        cost is not linear in the cell's touches.  One rule,
         :func:`repro.cache.replay.replays`, decides: replay runs when
         its kernels cover ``(mode, policy, inclusive, check)`` and the
         cell's ``m·n·z`` multiply-adds are within ``REPRO_STREAM_FMAS``;
