@@ -16,11 +16,12 @@ machine — boundaries:
   leases, re-queues expired ones within the retry budget, checkpoints
   every finalized cell, and survives SIGKILL + restart with no lost or
   duplicated cells;
-* :mod:`repro.fabric.worker` — lease → heartbeat → compute → submit;
+* :mod:`repro.fabric.worker` — lease → heartbeat → compute → submit,
+  with the next cell's grant riding on the reply to the submission;
   on coordinator loss it finishes the in-flight cell, salvages the
   result to a local checkpoint and exits with a distinct code;
-* :mod:`repro.fabric.local` — laptop mode: one coordinator thread plus
-  N subprocess workers (with respawn), as driven by
+* :mod:`repro.fabric.local` — laptop mode: the coordinator's threads
+  plus N workers forked from its process (with respawn), as driven by
   ``repro-mmm fabric serve --local N``.
 
 See ``docs/FABRIC.md`` for the protocol reference, the lease state

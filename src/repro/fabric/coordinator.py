@@ -29,16 +29,27 @@ but across process boundaries and through its own death:
   the first terminal (accepted; the newer lease is released unused) or
   a journaled ``duplicate`` (ignored).
 
+* **One round trip per cell** — a ``result`` request may ask for the
+  worker's next cell (``next``); the ``accepted`` reply to a successful
+  result then carries that cell's grant, journaled after the finished
+  cell's terminal event.
+
 The TCP layer is deliberately thin: a threaded accept loop reads one
 sealed line, calls :meth:`Coordinator.handle` under the state lock and
-writes one sealed line back.  Tests drive :meth:`handle` directly.
+writes one sealed line back.  Tests drive :meth:`handle` directly.  A
+child forked from the coordinator's process never keeps the listening
+socket open (see :func:`_close_inherited_listeners`).
 """
 
 from __future__ import annotations
 
+import os
+import selectors
+import socket
 import socketserver
 import threading
 import time
+import weakref
 from collections import deque
 from pathlib import Path
 from typing import (
@@ -169,8 +180,7 @@ class Coordinator:
         self._server = server
         self.port = server.server_address[1]
         self._server_thread = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"poll_interval": 0.1},
+            target=server.serve,
             name="fabric-coordinator",
             daemon=True,
         )
@@ -205,12 +215,13 @@ class Coordinator:
             self.abort("coordinator stopped before the cell ran")
         self._stop_ticker.set()
         if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
+            self._server.stop()
         if self._server_thread is not None:
             self._server_thread.join(timeout=5.0)
             self._server_thread = None
+        if self._server is not None:
+            self._server.server_close()
+            self._server = None
         if self._ticker_thread is not None:
             self._ticker_thread.join(timeout=5.0)
             self._ticker_thread = None
@@ -381,9 +392,18 @@ class Coordinator:
             return error_reply("lease request without a worker id")
         if not self.outstanding:
             return {"type": "drained"}
+        grant = self._grant_next(worker)
+        if grant is None:
+            return {"type": "wait", "delay_s": self._wait_hint()}
+        return grant
+
+    def _grant_next(self, worker: str) -> Optional[Dict[str, Any]]:
+        """Lease the next servable cell to ``worker``; its ``grant``
+        message, or ``None`` when every remaining cell is leased or
+        backing off."""
         key = self._next_servable()
         if key is None:
-            return {"type": "wait", "delay_s": self._wait_hint()}
+            return None
         attempt = self.attempts[key]
         fp = self.fingerprints[key]
         # Journal the grant *before* the lease exists: a coordinator
@@ -489,7 +509,15 @@ class Coordinator:
         self.ledger.settle_ok(key, result, pid=pid, wall=wall)
         self._journal_terminal(key, STATUS_OK)
         self._check_done()
-        return {"type": "accepted", "remaining": len(self.outstanding)}
+        reply: Dict[str, Any] = {"type": "accepted", "remaining": len(self.outstanding)}
+        # Hand the worker its next cell with the reply, saving the lease
+        # round trip.  Only when asked: a worker that does not ask would
+        # never run the cell, and its lease would expire.
+        if message.get("next") and worker and self.outstanding:
+            grant = self._grant_next(worker)
+            if grant is not None:
+                reply["grant"] = grant
+        return reply
 
     def _accept_failure(
         self,
@@ -563,10 +591,55 @@ class _FabricHandler(socketserver.StreamRequestHandler):
 class _FabricServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+    #: ``handle_request`` never blocks: :meth:`serve` calls it only once
+    #: the listening socket is readable.
+    timeout = 0.0
 
     def __init__(self, address: Tuple[str, int], coordinator: Coordinator) -> None:
         self.coordinator = coordinator
         super().__init__(address, _FabricHandler)
+        # One byte on this pair wakes :meth:`serve` to return at once;
+        # ``serve_forever`` would notice a shutdown only at its next poll.
+        self._wake_r, self._wake_w = socket.socketpair()
+        _LISTENERS.add(self)
+
+    def serve(self) -> None:
+        """Handle requests until :meth:`stop`."""
+        with selectors.PollSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_r, selectors.EVENT_READ)
+            while not any(key.fileobj is self._wake_r for key, _ in selector.select()):
+                self.handle_request()
+
+    def stop(self) -> None:
+        """Make :meth:`serve` return without handling another request."""
+        self._wake_w.send(b"\0")
+
+    def server_close(self) -> None:
+        _LISTENERS.discard(self)
+        super().server_close()
+        self._wake_r.close()
+        self._wake_w.close()
+
+
+#: Servers whose listening socket is open in this process.
+_LISTENERS: "weakref.WeakSet[_FabricServer]" = weakref.WeakSet()
+
+
+def _close_inherited_listeners() -> None:
+    """Close, in a forked child, every listening socket it inherited.
+
+    A local worker is forked from its coordinator's process.  Had it
+    kept the listening socket, the port would outlive a SIGKILLed
+    coordinator: the kernel would go on queueing connections nobody
+    accepts, and each of an orphaned worker's submit attempts would
+    wait out the whole request timeout instead of failing at once.
+    """
+    for server in _LISTENERS:
+        server.socket.close()
+
+
+os.register_at_fork(after_in_child=_close_inherited_listeners)
 
 
 def fabric_order_sweep(

@@ -1,4 +1,4 @@
-"""Laptop-local fabric: coordinator in-process, workers as subprocesses.
+"""Laptop-local fabric: coordinator in-process, workers forked from it.
 
 ``repro-mmm fabric serve --local N`` needs the whole
 coordinator/worker dance on one machine with one command — both as the
@@ -6,75 +6,132 @@ developer on-ramp and as the harness the chaos tests (worker SIGKILLs,
 coordinator kill-and-restart) drive in CI.  :func:`run_local_fabric`:
 
 * starts the coordinator's server threads in-process,
-* forks ``N`` workers via ``sys.executable -m repro fabric worker``
-  (each with its own scratch directory under the run dir, so salvage
-  logs land next to the data they belong to),
+* forks ``N`` workers from the coordinator's own process, which has
+  already imported ``repro`` (each with its own scratch directory under
+  the run dir, so salvage logs land next to the data they belong to),
 * babysits them: a worker that dies abnormally — an injected ``die``
   fault, an OOM kill, a bug — is respawned while the sweep is
   unfinished and the respawn budget lasts,
 * and, if every worker is gone with no budget left, aborts the
   remaining cells instead of serving a queue nobody will ever drain.
 
-Worker stdout/stderr are inherited, so fault-injection noise shows up
-in the parent's output where CI logs can capture it.
+A forked worker resets SIGTERM and SIGINT, holds no coordinator
+listening socket (:mod:`repro.fabric.coordinator` closes those in every
+forked child), runs :meth:`FabricWorker.run` and leaves only through
+``os._exit``: it never flushes or closes the checkpoint and journal
+files, nor runs the exit handlers, it inherited.  Its stdout/stderr are
+the parent's, so fault-injection noise shows up in the parent's output
+where CI logs can capture it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 import time
+import traceback
+import warnings
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, NoReturn, Optional, Sequence, Union
 
 from repro.model.machine import MulticoreMachine
+from repro.sim.faults import load_fault_plan
 from repro.sim.results import SweepResult
 from repro.sim.sweep import Entry
-from repro.fabric.coordinator import Coordinator, fabric_order_sweep
+from repro.fabric.coordinator import fabric_order_sweep
+from repro.fabric.worker import FabricWorker
 
 #: How often the babysitter loop reaps/respawns workers.
 _POLL_S = 0.2
 
 
-def _worker_command(
+class ForkedWorker:
+    """Handle on one forked worker: the ``subprocess.Popen`` calls the
+    babysitter uses (``poll``, ``wait``, ``terminate``, ``kill``), with
+    the same return codes (negative for a fatal signal)."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        """Reap the worker if it has exited; its return code or ``None``."""
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        """Block until the worker exits; raises
+        :class:`subprocess.TimeoutExpired` after ``timeout`` seconds."""
+        if timeout is None:
+            if self.returncode is None:
+                _, status = os.waitpid(self.pid, 0)
+                self.returncode = os.waitstatus_to_exitcode(status)
+            return self.returncode
+        deadline = time.monotonic() + timeout
+        delay = 0.001
+        while True:
+            code = self.poll()
+            if code is not None:
+                return code
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise subprocess.TimeoutExpired(f"fabric worker {self.pid}", timeout)
+            time.sleep(min(delay, remaining))
+            delay = min(delay * 2, 0.05)
+
+    def send_signal(self, signum: int) -> None:
+        # Never signal a reaped pid: the kernel may have reused it.
+        if self.poll() is None:
+            os.kill(self.pid, signum)
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+def _run_child(
     host: str,
     port: int,
     worker_id: str,
     scratch: Path,
     fault_plan_path: Optional[Union[str, Path]],
     connect_grace_s: float,
-) -> List[str]:
-    command = [
-        sys.executable,
-        "-m",
-        "repro",
-        "fabric",
-        "worker",
-        "--connect",
-        f"{host}:{port}",
-        "--worker-id",
-        worker_id,
-        "--scratch",
-        str(scratch),
-        "--connect-grace",
-        str(connect_grace_s),
-    ]
-    if fault_plan_path is not None:
-        command += ["--fault-plan", str(fault_plan_path)]
-    return command
-
-
-def _worker_env() -> Dict[str, str]:
-    """Subprocess environment able to ``import repro`` like the parent."""
-    env = dict(os.environ)
-    package_parent = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        package_parent if not existing
-        else package_parent + os.pathsep + existing
-    )
-    return env
+) -> NoReturn:
+    """The forked worker's whole life: serve, then ``os._exit``."""
+    code = 1
+    try:
+        # SIGTERM kills the worker again (the parent may trap it), and
+        # a terminal Ctrl-C reaches only the coordinator, whose
+        # babysitter then terminates the workers — as for the pool's.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        fault_plan = (
+            load_fault_plan(fault_plan_path) if fault_plan_path is not None else None
+        )
+        code = FabricWorker(
+            (host, port),
+            worker_id=worker_id,
+            fault_plan=fault_plan,
+            scratch=scratch,
+            connect_grace_s=connect_grace_s,
+        ).run()
+    except BaseException:  # noqa: BLE001 — report, then exit 1 like a crashed process
+        with contextlib.suppress(BaseException):
+            traceback.print_exc()
+    # Nothing may unwind past this frame: the stack above it is the
+    # parent's babysitter, which would terminate the other workers.
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(BaseException):
+            stream.flush()
+    os._exit(code)
 
 
 def spawn_worker(
@@ -85,14 +142,22 @@ def spawn_worker(
     scratch: Union[str, Path],
     fault_plan_path: Optional[Union[str, Path]] = None,
     connect_grace_s: float = 10.0,
-) -> "subprocess.Popen[bytes]":
-    """Fork one fabric worker subprocess against ``host:port``."""
-    return subprocess.Popen(
-        _worker_command(
-            host, port, worker_id, Path(scratch), fault_plan_path, connect_grace_s
-        ),
-        env=_worker_env(),
-    )
+) -> ForkedWorker:
+    """Fork one fabric worker against ``host:port`` from this process."""
+    # Flush first, so the child's final flush cannot write the parent's
+    # pending output a second time.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on forking while the coordinator's server
+        # threads run.  The child touches nothing those threads own
+        # (state lock, journal, checkpoint, connections) and leaves
+        # through os._exit.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        _run_child(host, port, worker_id, Path(scratch), fault_plan_path, connect_grace_s)
+    return ForkedWorker(pid)
 
 
 def run_local_fabric(
@@ -120,7 +185,7 @@ def run_local_fabric(
     Semantically equivalent to
     :func:`~repro.sim.parallel.parallel_order_sweep` over the same
     entries — successful cells are bit-identical to a serial run — but
-    executed by leased subprocess workers that may crash, stall or be
+    executed by leased worker processes that may crash, stall or be
     SIGKILLed without losing the sweep.
     """
     coordinator = fabric_order_sweep(
@@ -142,7 +207,7 @@ def run_local_fabric(
     bound_host, bound_port = coordinator.start()
     budget = max_respawns if max_respawns is not None else workers * 3
     scratch_root = Path(run_dir) / "salvage"
-    procs: Dict[str, "subprocess.Popen[bytes]"] = {}
+    procs: Dict[str, ForkedWorker] = {}
     spawned = 0
     try:
         for _ in range(max(workers, 1)):

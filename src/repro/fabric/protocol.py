@@ -22,6 +22,11 @@ any → coord     ``status``               ``status``
 (error reply)                            ``error``
 ==============  =======================  ==================================
 
+A ``result`` with ``next: true`` asks for the worker's next cell: the
+``accepted`` reply to a successful result then carries a ``grant``
+field, a whole ``grant`` message, when a cell can be served.  Peers
+that predate the field ignore it, so either side may be older.
+
 Every message carries ``v`` (protocol version) and ``sum`` (content
 checksum); :func:`decode_line` rejects anything else with
 :class:`~repro.exceptions.ProtocolError` — a corrupt or truncated

@@ -8,7 +8,9 @@ without configuration handshakes.  Its loop is deliberately boring:
 1. ask for a lease (``lease``);
 2. on ``grant``: start a heartbeat thread renewing the lease every
    third of the lease window, run the cell, stop heartbeating and
-   submit the result;
+   submit the result, asking for the next cell with it (``next``);
+   when the ``accepted`` reply carries that cell's ``grant``, run it
+   at once, else go back to 1;
 3. on ``wait``: sleep the hinted delay and ask again;
 4. on ``drained``: exit 0 — the sweep is complete.
 
@@ -219,8 +221,8 @@ class FabricWorker:
     # -- main loop ------------------------------------------------------
     def run(self) -> int:
         """Serve until the queue drains (0) or the coordinator is lost (75)."""
+        reply = self._lease_request()
         while True:
-            reply = self._lease_request()
             if reply is None:
                 return EXIT_COORDINATOR_LOST
             kind = reply.get("type")
@@ -228,13 +230,14 @@ class FabricWorker:
                 return EXIT_DRAINED
             if kind == "wait":
                 time.sleep(float(reply.get("delay_s", 0.5)))
+                reply = self._lease_request()
                 continue
             if kind != "grant":
                 # A coordinator speaking another dialect is as gone as
                 # a dead one; nothing is in flight, nothing to salvage.
                 return EXIT_COORDINATOR_LOST
             message = self._execute(reply)
-            accepted = self._submit(message)
+            accepted = self._submit({**message, "next": True})
             if accepted is None:
                 self._salvage(message)
                 return EXIT_COORDINATOR_LOST
@@ -244,3 +247,8 @@ class FabricWorker:
             # like a lost coordinator).
             if accepted.get("remaining") == 0:
                 return EXIT_DRAINED
+            # A coordinator that grants no next cell (none is servable,
+            # the result failed, or it predates ``next``) gets a lease
+            # request instead.
+            grant = accepted.get("grant")
+            reply = grant if isinstance(grant, dict) else self._lease_request()

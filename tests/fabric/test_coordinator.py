@@ -179,6 +179,115 @@ class TestHappyPath:
         coordinator.finish()
 
 
+class TestGrantWithResult:
+    """A ``result`` that asks for the worker's next cell (``next``) gets
+    its grant in the ``accepted`` reply: one round trip per cell."""
+
+    def test_accepted_reply_carries_the_next_grant(self, tmp_path):
+        clock = Clock()
+        coordinator = build(tmp_path / "run", clock, orders=[4, 6, 8])
+        first = coordinator.handle({"type": "lease", "worker": "w1"})
+        reply = coordinator.handle({**ok_message(first, "w1"), "next": True})
+        assert reply["type"] == "accepted"
+        assert reply["remaining"] == 2
+        grant = reply["grant"]
+        assert grant["type"] == "grant"
+        assert grant["fp"] != first["fp"]
+        assert grant["attempt"] == 1
+        assert set(grant) == set(first)
+        assert coordinator.leases.get(grant["fp"]).worker == "w1"
+        assert coordinator.fabric.leases_granted == 2
+        coordinator.finish()
+
+    def test_journal_records_terminal_before_grant(self, tmp_path):
+        clock = Clock()
+        coordinator = build(tmp_path / "run", clock, orders=[4, 6])
+        first = coordinator.handle({"type": "lease", "worker": "w1"})
+        grant = coordinator.handle({**ok_message(first, "w1"), "next": True})["grant"]
+        coordinator.finish()
+        events = [
+            (e["event"], e["fp"])
+            for e in load_journal(RunStore(tmp_path / "run").journal_path).events
+        ]
+        assert events.index(("terminal", first["fp"])) < events.index(
+            ("grant", grant["fp"])
+        )
+
+    def test_failure_and_duplicate_replies_carry_no_grant(self, tmp_path):
+        clock = Clock()
+        coordinator = build(tmp_path / "run", clock, orders=[4, 6, 8], lease_s=5.0)
+        first = coordinator.handle({"type": "lease", "worker": "w1"})
+        failed = coordinator.handle({**fail_message(first, "w1"), "next": True})
+        assert failed["type"] == "accepted" and failed["retrying"]
+        assert "grant" not in failed
+        # A stale result for a finished cell is a duplicate: no grant.
+        second = coordinator.handle({"type": "lease", "worker": "w2"})
+        coordinator.handle(ok_message(second, "w2"))
+        duplicate = coordinator.handle({**ok_message(second, "w3"), "next": True})
+        assert duplicate["type"] == "duplicate"
+        assert "grant" not in duplicate
+        assert coordinator.fabric.leases_granted == 2
+        coordinator.finish()
+
+    def test_no_grant_unless_asked_or_servable(self, tmp_path):
+        clock = Clock()
+        coordinator = build(tmp_path / "run", clock, orders=[4, 6, 8])
+        first = coordinator.handle({"type": "lease", "worker": "w1"})
+        # A worker that does not ask would never run a granted cell.
+        assert "grant" not in coordinator.handle(ok_message(first, "w1"))
+        second = coordinator.handle({"type": "lease", "worker": "w1"})
+        third = coordinator.handle({"type": "lease", "worker": "w2"})
+        # The one remaining cell is leased to w2: nothing to hand out.
+        reply = coordinator.handle({**ok_message(second, "w1"), "next": True})
+        assert reply["remaining"] == 1
+        assert "grant" not in reply
+        # The last result drains the queue: nothing to hand out either.
+        reply = coordinator.handle({**ok_message(third, "w2"), "next": True})
+        assert reply == {"type": "accepted", "remaining": 0}
+        assert coordinator.fabric.leases_granted == 3
+        assert coordinator.finish().complete
+
+    def test_worker_runs_granted_cells_without_lease_requests(self, tmp_path):
+        from repro.fabric.worker import EXIT_DRAINED, FabricWorker
+
+        clock = Clock()
+        coordinator = build(tmp_path / "run", clock, orders=[4, 6, 8])
+        kinds = []
+
+        def request(message):
+            kinds.append(message["type"])
+            return coordinator.handle(message)
+
+        worker = FabricWorker(("127.0.0.1", 0), worker_id="w1")
+        worker._request = request
+        assert worker.run() == EXIT_DRAINED
+        assert kinds == ["lease", "result", "result", "result"]
+        sweep = coordinator.finish()
+        assert sweep.complete
+        assert sweep.manifest.fabric.leases_granted == 3
+
+    def test_worker_without_a_grant_falls_back_to_a_lease(self, tmp_path):
+        from repro.fabric.worker import EXIT_DRAINED, FabricWorker
+
+        clock = Clock()
+        coordinator = build(tmp_path / "run", clock, orders=[4, 6])
+        held = coordinator.handle({"type": "lease", "worker": "w2"})
+        kinds = []
+
+        def request(message):
+            kinds.append(message["type"])
+            if kinds == ["lease", "result", "lease"]:
+                # w2 finishes its cell while w1 asks for work.
+                coordinator.handle(ok_message(held, "w2"))
+            return coordinator.handle(message)
+
+        worker = FabricWorker(("127.0.0.1", 0), worker_id="w1")
+        worker._request = request
+        assert worker.run() == EXIT_DRAINED
+        assert kinds == ["lease", "result", "lease"]
+        assert coordinator.finish().complete
+
+
 class TestLeaseExpiry:
     def test_expired_lease_requeues_within_budget(self, tmp_path):
         clock = Clock()

@@ -1,10 +1,15 @@
-"""End-to-end fabric runs: real coordinator, real worker subprocesses.
+"""End-to-end fabric runs: real coordinator, real forked workers.
 
 The chaos tests here are the acceptance teeth of the fabric: workers
 are SIGKILLed mid-cell (``die`` faults), a worker goes live-but-silent
 (``stall``), and the coordinator itself is SIGKILLed and restarted —
 and every surviving run must be bit-identical to the serial sweep with
 every cell exactly once in the journal.
+
+Workers are forked from the test process, so a test clears the
+in-process memos after its serial baseline: a worker that inherited
+them would report ``trace_source == "memo"`` and compare the baseline
+with a copy of itself.
 """
 
 import json
@@ -25,6 +30,7 @@ from repro.fabric.local import run_local_fabric, spawn_worker
 from repro.fabric.protocol import encode_line, read_message
 from repro.fabric.worker import EXIT_COORDINATOR_LOST, FabricWorker
 from repro.model.machine import MulticoreMachine
+from repro.sim import clear_memos
 from repro.sim.faults import FaultSpec, dump_fault_plan
 from repro.sim.sweep import order_sweep
 from repro.store import RunStore, result_from_dict
@@ -41,11 +47,13 @@ def assert_matches_serial(sweep, serial):
         for fpoint, spoint in zip(sweep.series[label], serial.series[label]):
             assert fpoint.stats == spoint.stats
             assert fpoint.comp == spoint.comp
+            assert fpoint.trace_source != "memo"
 
 
 class TestLocalFabric:
     def test_matches_serial_exactly(self, tmp_path):
         serial = order_sweep(ENTRIES, MACHINE, [4, 6])
+        clear_memos()
         sweep = run_local_fabric(
             ENTRIES,
             MACHINE,
@@ -68,6 +76,7 @@ class TestLocalFabric:
         respawns, the leases expire and requeue, and the finished run
         is indistinguishable from a calm one."""
         serial = order_sweep(ENTRIES, MACHINE, [4, 6])
+        clear_memos()
         plan_path = tmp_path / "faults.json"
         dump_fault_plan(
             {
@@ -106,6 +115,7 @@ class TestLocalFabric:
         stalled worker's eventual submission deduplicated (or accepted
         first — either way exactly one terminal)."""
         serial = order_sweep([("shared-opt", "ideal")], MACHINE, [4, 6])
+        clear_memos()
         plan_path = tmp_path / "faults.json"
         dump_fault_plan(
             {
@@ -228,6 +238,7 @@ class TestCoordinatorChaos:
         # serial baseline must do the same.
         entries = [("shared-opt", "ideal"), ("outer-product", "ideal")]
         serial = order_sweep(entries, MACHINE, orders)
+        clear_memos()
         plan_path = tmp_path / "faults.json"
         dump_fault_plan(
             {
@@ -370,6 +381,7 @@ class TestCoordinatorChaos:
         for label in serial.labels():
             for index, expected in enumerate(serial.series[label]):
                 actual = by_cell[(label, index)]
+                assert actual.trace_source != "memo"
                 assert actual.stats == expected.stats
                 assert actual.comp == expected.comp
                 assert actual.ms == expected.ms
@@ -382,6 +394,95 @@ class TestCoordinatorChaos:
         # And the audit agrees nothing was lost.
         audit = store.audit()
         assert audit.ok, audit.errors
+
+
+#: Runs the command in argv[3:] in a new session, SIGKILLs it once the
+#: checkpoint at argv[1] holds a record, and reaps what the command
+#: forked for up to argv[2] seconds.  It makes itself a child
+#: subreaper, so the orphans are its to reap and their exit codes its
+#: to read.  Prints one JSON report.
+_ORPHAN_HARNESS = r"""
+import ctypes, json, os, signal, subprocess, sys, time
+from pathlib import Path
+
+PR_SET_CHILD_SUBREAPER = 36
+prctl = ctypes.CDLL(None, use_errno=True).prctl
+prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+prctl.restype = ctypes.c_int
+if prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0):
+    print(json.dumps({"skip": "prctl(PR_SET_CHILD_SUBREAPER) failed"}))
+    sys.exit(0)
+checkpoint, grace_s = Path(sys.argv[1]), float(sys.argv[2])
+serve = subprocess.Popen(
+    sys.argv[3:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    start_new_session=True,
+)
+deadline = time.monotonic() + 60.0
+while not (checkpoint.exists() and checkpoint.stat().st_size > 0):
+    if serve.poll() is not None or time.monotonic() > deadline:
+        print(json.dumps({"error": f"no checkpoint record; serve exit {serve.poll()}"}))
+        sys.exit(1)
+    time.sleep(0.01)
+serve.kill()
+serve.wait()
+killed = time.monotonic()
+exits = []
+while time.monotonic() - killed < grace_s:
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        break
+    if pid:
+        exits.append({"code": os.waitstatus_to_exitcode(status),
+                      "after_s": round(time.monotonic() - killed, 2)})
+    else:
+        time.sleep(0.01)
+try:
+    os.killpg(serve.pid, signal.SIGKILL)
+    leftover = True
+except ProcessLookupError:
+    leftover = False
+print(json.dumps({"exits": exits, "leftover": leftover}))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="needs Linux's child subreaper"
+)
+class TestOrphanedWorkers:
+    def test_sigkilled_coordinator_leaves_no_workers_behind(self, tmp_path):
+        """SIGKILL a ``fabric serve --local 2`` mid-sweep: its forked
+        workers must finish, find the coordinator gone and exit on their
+        own, fast.  A worker that kept the coordinator's listening socket
+        would hold the port open, and each submit attempt would wait out
+        the whole request timeout (~30 s)."""
+        run_dir = tmp_path / "run"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        serve_command = [
+            sys.executable, "-m", "repro", "fabric", "serve",
+            "--preset", "q32", "outer-product", "distributed-equal",
+            "--orders", "32", "40", "48",
+            "--run-dir", str(run_dir),
+            "--local", "2",
+        ]
+        done = subprocess.run(
+            [
+                sys.executable, "-c", _ORPHAN_HARNESS,
+                str(RunStore(run_dir).checkpoint_path), "15", *serve_command,
+            ],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        if "skip" in report:
+            pytest.skip(report["skip"])
+        assert done.returncode == 0, (report, done.stderr)
+        assert not report["leftover"], report
+        assert len(report["exits"]) == 2, report
+        assert all(
+            e["code"] in (0, EXIT_COORDINATOR_LOST) for e in report["exits"]
+        ), report
 
 
 class TestFabricCLI:

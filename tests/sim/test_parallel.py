@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.model.machine import MulticoreMachine
+from repro.sim import clear_memos
 from repro.sim.parallel import parallel_order_sweep, parallel_ratio_sweep
 from repro.sim.sweep import order_sweep, ratio_sweep
 
@@ -16,6 +17,9 @@ class TestParallelOrderSweep:
     def test_matches_serial_exactly(self):
         orders = [4, 8, 12]
         serial = order_sweep(ENTRIES, MACHINE, orders)
+        # Forked workers would inherit the serial run's result memo and
+        # compare it with a copy of itself.
+        clear_memos()
         parallel = parallel_order_sweep(ENTRIES, MACHINE, orders, workers=2)
         assert parallel.xs == serial.xs
         assert set(parallel.labels()) == set(serial.labels())
@@ -25,6 +29,7 @@ class TestParallelOrderSweep:
             # Bit-identical: the full simulated state, not just headline
             # metrics, must match the serial run.
             for ppoint, spoint in zip(parallel.series[label], serial.series[label]):
+                assert ppoint.trace_source != "memo"
                 assert ppoint.stats == spoint.stats
                 assert ppoint.comp == spoint.comp
 
@@ -104,10 +109,12 @@ class TestSerialParallelAgreement:
         # one checks the engine's core contract: parallelism must never
         # change a result, only who computes it.
         serial = order_sweep(ENTRIES, MACHINE, orders)
+        clear_memos()
         parallel = parallel_order_sweep(ENTRIES, MACHINE, orders, workers=workers)
         assert parallel.complete
         for label in serial.labels():
             for ppoint, spoint in zip(parallel.series[label], serial.series[label]):
+                assert ppoint.trace_source != "memo"
                 assert ppoint.stats == spoint.stats
                 assert ppoint.comp == spoint.comp
                 assert ppoint.parameters == spoint.parameters
