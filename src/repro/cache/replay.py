@@ -1204,9 +1204,11 @@ def configure_trace_tier(root: Optional[str]) -> None:
 
     When set, :func:`compiled_trace_for` consults
     :mod:`repro.cache.tracestore` under ``root`` before compiling and
-    stores freshly compiled traces there — parallel-sweep and fabric
-    workers then memmap one shared on-disk trace instead of recompiling
-    per process.
+    stores freshly compiled traces there.  The pool and local-fabric
+    workers a process starts afterwards use its tier, and memmap one
+    shared on-disk trace instead of recompiling per process; no sweep
+    executor configures a tier of its own, not even under a run
+    directory.
     """
     global _TRACE_TIER
     _TRACE_TIER = root

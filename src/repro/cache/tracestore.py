@@ -1,10 +1,13 @@
 """On-disk content-addressed tier for compiled traces (memmap-shared).
 
 The in-memory trace LRU in :mod:`repro.cache.replay` is per-process:
-every parallel-sweep or fabric worker recompiles the same schedule.
-This module gives :func:`repro.cache.replay.compiled_trace_for` a
-second, cross-process tier — a content-addressed directory of
-``np.save`` artifacts under the run dir:
+every process that needs a schedule's trace compiles it.  This module
+gives :func:`repro.cache.replay.compiled_trace_for` a second,
+cross-process tier — a content-addressed directory of ``np.save``
+artifacts under the root a process configures
+(:func:`repro.cache.replay.configure_trace_tier`; ``repro-mmm figure
+--trace-tier``), shared with the pool and local-fabric workers it
+starts:
 
 .. code-block:: text
 
@@ -51,10 +54,6 @@ _META_NAME = "meta.json"
 _FMAS_NAME = "fmas.npy"
 _DIRS_NAME = "dirs.npy"
 
-#: Per-process tier telemetry, surfaced in CI's cache-efficacy step and
-#: the `repro-mmm traces stats` subcommand.
-_COUNTERS = {"hits": 0, "misses": 0, "stores": 0, "errors": 0}
-
 
 def content_key(schedule: Hashable) -> str:
     """Stable content address of a schedule key.
@@ -92,8 +91,8 @@ def store(root: Union[str, Path], schedule: Hashable, trace: Any) -> bool:
     ``Any`` to keep this module import-light).  Write order is arrays
     first, ``meta.json`` last — the entry only becomes visible to
     readers once every byte of it is durably in place.  Best-effort:
-    returns ``False`` (and counts an error) instead of raising, so a
-    full disk degrades the tier to a no-op rather than failing sweeps.
+    returns ``False`` instead of raising, so a full disk degrades the
+    tier to a no-op rather than failing sweeps.
     """
     entry = entry_dir(root, schedule)
     try:
@@ -115,9 +114,7 @@ def store(root: Union[str, Path], schedule: Hashable, trace: Any) -> bool:
             entry / _META_NAME, json.dumps(meta, sort_keys=True)
         )
     except OSError:
-        _COUNTERS["errors"] += 1
         return False
-    _COUNTERS["stores"] += 1
     return True
 
 
@@ -137,7 +134,6 @@ def load(root: Union[str, Path], schedule: Hashable) -> Optional[Any]:
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
-        _COUNTERS["misses"] += 1
         return None
     try:
         if meta.get("format") != FORMAT_VERSION:
@@ -159,27 +155,15 @@ def load(root: Union[str, Path], schedule: Hashable) -> Optional[Any]:
         comp = [int(x) for x in meta["comp"]]
         trace = CompiledTrace(int(meta["p"]), fmas, comp, directives)
     except (OSError, ValueError, KeyError, TypeError):
-        _COUNTERS["errors"] += 1
-        _COUNTERS["misses"] += 1
         return None
-    _COUNTERS["hits"] += 1
     return trace
-
-
-def tier_counters() -> Dict[str, int]:
-    """This process's tier telemetry: hits/misses/stores/errors."""
-    return dict(_COUNTERS)
-
-
-def reset_tier_counters() -> None:
-    for k in _COUNTERS:
-        _COUNTERS[k] = 0
 
 
 def tier_info(root: Union[str, Path]) -> Dict[str, int]:
     """Scan a tier directory: entries, recorded fmas, bytes on disk.
 
-    Powers ``repro-mmm traces stats`` and the CI cache-efficacy step.
+    Powers ``repro-mmm traces stats`` and the nightly's tier-contents
+    step.
     """
     entries = 0
     fmas = 0

@@ -290,7 +290,7 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
         while not coordinator.wait(timeout=0.5):
             pass
     except KeyboardInterrupt:
-        coordinator.abort("coordinator interrupted (SIGINT)")
+        coordinator.interrupt("SIGINT")
     sweep = coordinator.finish()
     return _report_sweep(args, sweep)
 
@@ -652,17 +652,12 @@ def _cmd_traces_stats(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.cache.tracestore import tier_counters, tier_info
+    from repro.cache.tracestore import tier_info
 
     root = Path(args.root)
     info = tier_info(root)
-    counters = tier_counters()
     if args.json:
-        print(
-            json.dumps(
-                {"schema": 1, "root": str(root), **info, "counters": counters}
-            )
-        )
+        print(json.dumps({"schema": 2, "root": str(root), **info}))
         return 0
     if not root.is_dir():
         print(f"no trace tier at {root}")
@@ -672,8 +667,6 @@ def _cmd_traces_stats(args: argparse.Namespace) -> int:
     print(f"  entries: {info['entries']} ({info['directive_entries']} with directives)")
     print(f"  fmas:    {info['fmas']}")
     print(f"  size:    {mib:.1f} MiB")
-    session = ", ".join(f"{n} {name}" for name, n in sorted(counters.items()))
-    print(f"  session: {session}")
     return 0
 
 
@@ -933,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     traces_sub = p_traces.add_subparsers(dest="traces_command", required=True)
     p_traces_stats = traces_sub.add_parser(
-        "stats", help="tier size and this session's hit/miss counters"
+        "stats", help="tier entries, FMAs and size on disk"
     )
     p_traces_stats.add_argument("root", help="trace tier directory")
     p_traces_stats.add_argument(

@@ -205,6 +205,20 @@ class Coordinator:
             self.delayed = []
             self._done.set()
 
+    def interrupt(self, signame: str) -> None:
+        """Stop early on a signal, as a store-backed pool sweep does: the
+        unfinished cells are skipped as ``Interrupted`` and the run ends
+        ``interrupted``.  They get no journal terminal, because a resumed
+        coordinator serves them again; a leased one stays an open grant,
+        which the resume expires as it would after a crash."""
+        with self._lock:
+            self.manifest.interrupted = signame
+            for key in sorted(self.outstanding):
+                self.ledger.skip(key, f"interrupted by {signame}", "Interrupted")
+            self.pending.clear()
+            self.delayed = []
+            self._done.set()
+
     def finish(self) -> SweepResult:
         """Stop serving, finalize the run directory, assemble the result.
 
@@ -420,11 +434,6 @@ class Coordinator:
             "fp": fp,
             "attempt": attempt,
             "lease_s": self.lease_s,
-            # Workers sharing the coordinator's filesystem memmap
-            # compiled traces from the run dir instead of recompiling
-            # per process; remote workers see a nonexistent run dir and
-            # ignore the hint.
-            "trace_tier": str(self.store.root / "traces"),
             "cell": {
                 "label": label,
                 "index": index,

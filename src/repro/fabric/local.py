@@ -15,6 +15,9 @@ coordinator kill-and-restart) drive in CI.  :func:`run_local_fabric`:
 * and, if every worker is gone with no budget left, aborts the
   remaining cells instead of serving a queue nobody will ever drain.
 
+A Ctrl-C stops the workers and ends the run ``interrupted``, as it
+ends a store-backed pool sweep: ``--resume`` serves the rest.
+
 A forked worker resets SIGTERM and SIGINT, holds no coordinator
 listening socket (:mod:`repro.fabric.coordinator` closes those in every
 forked child), runs :meth:`FabricWorker.run` and leaves only through
@@ -209,6 +212,7 @@ def run_local_fabric(
     scratch_root = Path(run_dir) / "salvage"
     procs: Dict[str, ForkedWorker] = {}
     spawned = 0
+    interrupted = False
     try:
         for _ in range(max(workers, 1)):
             spawned += 1
@@ -247,6 +251,9 @@ def run_local_fabric(
                     "is exhausted"
                 )
                 break
+    except KeyboardInterrupt:
+        # Ctrl-C: stop the workers, then close the run as interrupted.
+        interrupted = True
     finally:
         deadline = time.monotonic() + 5.0
         for proc in procs.values():
@@ -259,4 +266,6 @@ def run_local_fabric(
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+    if interrupted:
+        coordinator.interrupt("SIGINT")
     return coordinator.finish()

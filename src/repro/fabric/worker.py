@@ -3,7 +3,10 @@
 A worker is **stateless**: every lease grant carries the complete cell
 specification (algorithm, setting, kwargs, serialized machine,
 dimensions), so a worker can join, die and be replaced at any point
-without configuration handshakes.  Its loop is deliberately boring:
+without configuration handshakes.  A grant names no trace tier: a
+worker compiles traces under its own process's replay configuration
+(a forked local worker inherits the coordinator process's).  Its loop
+is deliberately boring:
 
 1. ask for a lease (``lease``);
 2. on ``grant``: start a heartbeat thread renewing the lease every
@@ -113,20 +116,6 @@ class FabricWorker:
                 # lease window usually covers a dropped beat or two.
                 continue
 
-    def _configure_trace_tier(self, tier: Any) -> None:
-        """Adopt the coordinator's trace tier when the run dir is visible.
-
-        Local workers share the coordinator's filesystem and memmap one
-        on-disk compiled trace per schedule instead of recompiling per
-        process; a remote worker (no such run dir) ignores the hint.
-        """
-        from repro.cache import replay as replay_engine
-
-        if not isinstance(tier, str) or not tier:
-            return
-        if Path(tier).parent.is_dir():
-            replay_engine.configure_trace_tier(tier)
-
     # -- cell execution -------------------------------------------------
     def _execute(self, grant: Dict[str, Any]) -> Dict[str, Any]:
         """Run one granted cell; returns the ``result`` message to submit."""
@@ -159,7 +148,6 @@ class FabricWorker:
         try:
             if spec is not None:
                 fire(spec, attempt)
-            self._configure_trace_tier(grant.get("trace_tier"))
             machine = machine_from_dict(cell["machine"])
             result = run_experiment(
                 cell["algorithm"],

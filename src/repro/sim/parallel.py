@@ -124,9 +124,9 @@ def _init_worker(
     global _WORKER_PLAN, _WORKER_FAULTS
     _WORKER_PLAN = plan
     _WORKER_FAULTS = fault_plan
-    # Workers share compiled traces through the on-disk tier: the first
-    # worker to need a trace compiles and stores it, siblings memmap it
-    # instead of recompiling.
+    # The caller's trace tier, if it configured one (``figure
+    # --trace-tier``): a forked worker inherits it anyway, a spawned
+    # one would start without it.
     replay_engine.configure_trace_tier(trace_tier)
     # A store-backed engine traps SIGINT/SIGTERM in the host process —
     # and forked workers inherit those handlers.  A worker that treats
@@ -217,7 +217,8 @@ def _kill_pool(pool: Executor) -> None:
 class _SweepEngine:
     """The pool transport of one sweep: chunks, futures, deadlines, pool
     rebuilds, serial fallback and signal drains.  Every outcome is
-    booked in the :class:`~repro.sim.ledger.CellLedger`."""
+    booked in the :class:`~repro.sim.ledger.CellLedger`.  Workers use
+    the caller's trace tier, if any; a run directory adds none."""
 
     def __init__(
         self,
@@ -249,13 +250,6 @@ class _SweepEngine:
         self.serial_fallback = serial_fallback
         self.pool_factory = pool_factory or ProcessPoolExecutor
         self.drain_grace_s = drain_grace_s
-        #: Compiled-trace tier shared by host and workers: the run dir's
-        #: own tier, else whatever tier the caller already configured.
-        self.trace_tier: Optional[str] = (
-            str(ledger.store.root / "traces")
-            if ledger.store is not None
-            else replay_engine.trace_tier_root()
-        )
         #: Signal number once SIGINT/SIGTERM asked the run to drain.
         self.interrupt: Optional[int] = None
         self._old_handlers: Dict[int, Any] = {}
@@ -340,7 +334,9 @@ class _SweepEngine:
             return self.pool_factory(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(self.plan, self.fault_plan, self.trace_tier),
+                initargs=(
+                    self.plan, self.fault_plan, replay_engine.trace_tier_root()
+                ),
             )
         except Exception:  # noqa: BLE001 — degrade, never abort the sweep
             return None
@@ -451,12 +447,6 @@ class _SweepEngine:
         started = time.perf_counter()
         self.ledger.open()
         self._install_signal_handlers()
-        # The host shares the trace tier with its workers (serial
-        # fallback and in-process cells hit the same entries); restored
-        # afterwards so one sweep doesn't leak its tier into the next
-        # caller's process-global replay configuration.
-        previous_tier = replay_engine.trace_tier_root()
-        replay_engine.configure_trace_tier(self.trace_tier)
         try:
             if self.outstanding:
                 pool = self._make_pool()
@@ -471,7 +461,6 @@ class _SweepEngine:
                         key, f"interrupted by {self._signal_name()}", "Interrupted"
                     )
         finally:
-            replay_engine.configure_trace_tier(previous_tier)
             self._restore_signal_handlers()
             self.ledger.close()
         return self.ledger.finish(time.perf_counter() - started)

@@ -1,4 +1,4 @@
-"""On-disk trace tier: round-trips, crash consistency, telemetry.
+"""On-disk trace tier: round-trips, crash consistency, tier scans.
 
 The tier's contract is "a valid entry or a miss, never an exception":
 torn writes, stale formats and corrupt files must all degrade to cache
@@ -6,8 +6,8 @@ misses, and a loaded trace must replay bit-identically to the
 in-memory one it was stored from (the kernels run off the read-only
 memmap).  These tests also pin the integration surface —
 :func:`repro.cache.replay.compiled_trace_for` promoting compiled
-traces to disk and reporting ``origin`` telemetry — and the scan/
-counter helpers behind ``repro-mmm traces stats``.
+traces to disk and reporting ``origin`` telemetry — and the scan
+behind ``repro-mmm traces stats``.
 """
 
 import json
@@ -35,11 +35,9 @@ MACHINE = PRESETS["q32"]
 def _fresh_state():
     clear_memos()
     configure_trace_tier(None)
-    tracestore.reset_tier_counters()
     yield
     clear_memos()
     configure_trace_tier(None)
-    tracestore.reset_tier_counters()
 
 
 def _alg(m=6, n=6, z=6, name="shared-opt"):
@@ -91,7 +89,6 @@ class TestRoundTrip:
 class TestCrashConsistency:
     def test_absent_entry_is_a_miss(self, tmp_path):
         assert tracestore.load(tmp_path, ("nope",)) is None
-        assert tracestore.tier_counters()["misses"] == 1
 
     def test_torn_write_without_meta_is_a_miss(self, tmp_path):
         """Arrays on disk but no meta.json — the pre-crash window."""
@@ -120,7 +117,6 @@ class TestCrashConsistency:
         arr = np.load(entry / "fmas.npy")
         np.save(entry / "fmas.npy", arr[:1])
         assert tracestore.load(tmp_path, fp) is None
-        assert tracestore.tier_counters()["errors"] >= 1
 
     def test_foreign_format_version_is_a_miss(self, tmp_path):
         alg = _alg()
@@ -158,15 +154,11 @@ class TestTierIntegration:
         clear_trace_cache()
         assert compiled_trace_for(_alg(), directives=True).origin == "disk"
 
-    def test_counters_and_tier_info(self, tmp_path):
+    def test_tier_info(self, tmp_path):
         configure_trace_tier(str(tmp_path))
-        tracestore.reset_tier_counters()
         compiled_trace_for(_alg(), directives=False)
         clear_trace_cache()
         compiled_trace_for(_alg(), directives=False)
-        counters = tracestore.tier_counters()
-        assert counters["stores"] >= 1
-        assert counters["hits"] >= 1
         info = tracestore.tier_info(tmp_path)
         assert info["entries"] == 1
         assert info["fmas"] == len(compile_trace(_alg(), directives=False))

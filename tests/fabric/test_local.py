@@ -396,6 +396,94 @@ class TestCoordinatorChaos:
         assert audit.ok, audit.errors
 
 
+class TestInterrupt:
+    def test_ctrl_c_ends_the_run_interrupted_and_resume_completes_it(
+        self, tmp_path
+    ):
+        """Ctrl-C on ``fabric serve --local`` ends the run as it ends
+        ``sweep --run-dir``: the unfinished cells skipped as interrupted,
+        the run ``interrupted``, a journal ``stop``, exit 130 and no
+        traceback.  ``--resume`` then completes it, bit-identical to a
+        serial run."""
+        run_dir = tmp_path / "run"
+        orders = [4, 6, 8]
+        entries = [("outer-product", "lru-50"), ("shared-opt", "lru-50")]
+        serial = order_sweep(entries, MACHINE, orders)
+        plan_path = tmp_path / "faults.json"
+        # Cells are granted in label order, so the one worker finishes
+        # two cells and then hangs on the third: the signal always lands
+        # mid-sweep.
+        dump_fault_plan(
+            {("outer-product lru-50", 2): FaultSpec(kind="hang")}, plan_path
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        serve_command = [
+            sys.executable, "-m", "repro", "fabric", "serve",
+            "--cores", "4", "--cs", "100", "--cd", "21", "--q", "8",
+            "outer-product", "shared-opt",
+            "--orders", *[str(o) for o in orders],
+            "--setting", "lru-50",
+            "--run-dir", str(run_dir),
+            "--local", "1",
+        ]
+        store = RunStore(run_dir)
+        serve = subprocess.Popen(
+            serve_command + ["--fault-plan", str(plan_path)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            assert _wait_for(
+                lambda: store.checkpoint_path.exists()
+                and len(store.load_checkpoint().ok_records()) == 2
+            ), "the first two cells never reached the checkpoint"
+            # A terminal's Ctrl-C signals the whole foreground group.
+            os.killpg(serve.pid, signal.SIGINT)
+            _, err = serve.communicate(timeout=60)
+        finally:
+            if serve.poll() is None:
+                os.killpg(serve.pid, signal.SIGKILL)
+                serve.wait()
+        assert serve.returncode == 128 + signal.SIGINT, err
+        assert "Traceback" not in err
+        assert "sweep interrupted by SIGINT" in err
+
+        assert store.load_meta()["status"] == "interrupted"
+        manifest = json.loads(store.manifest_path.read_text())
+        assert manifest["interrupted"] == "SIGINT"
+        statuses = sorted(cell["status"] for cell in manifest["cells"])
+        assert statuses == ["ok"] * 2 + ["skipped"] * 4
+        assert all(
+            cell["error_type"] == "Interrupted"
+            for cell in manifest["cells"]
+            if cell["status"] == "skipped"
+        )
+        assert load_journal(store.journal_path).events[-1]["event"] == "stop"
+        assert store.audit().ok
+
+        done = subprocess.run(
+            serve_command + ["--resume"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert store.load_meta()["status"] == "complete"
+        assert load_journal(store.journal_path).exactly_once()
+        by_cell = {
+            (record["label"], record["index"]): result_from_dict(record["result"])
+            for record in store.load_checkpoint().ok_records().values()
+        }
+        for label in serial.labels():
+            for index, expected in enumerate(serial.series[label]):
+                actual = by_cell[(label, index)]
+                assert actual.stats == expected.stats
+                assert actual.comp == expected.comp
+        from repro.cli import main
+
+        assert main(["runs", "verify", str(run_dir)]) == 0
+
+
 #: Runs the command in argv[3:] in a new session, SIGKILLs it once the
 #: checkpoint at argv[1] holds a record, and reaps what the command
 #: forked for up to argv[2] seconds.  It makes itself a child

@@ -6,7 +6,9 @@ the same per-cell telemetry, and either one must resume the other's
 run directory.
 """
 
+import functools
 import json
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -14,9 +16,10 @@ from pathlib import Path
 import pytest
 
 import repro.sim.ledger as ledger_module
-from repro.cache import replay
+from repro.cache import replay, tracestore
 from repro.exceptions import ConfigurationError
 from repro.fabric.coordinator import fabric_order_sweep
+from repro.fabric.local import run_local_fabric
 from repro.fabric.worker import FabricWorker
 from repro.model.machine import MulticoreMachine
 from repro.sim.ledger import order_plan, ratio_plan
@@ -37,23 +40,19 @@ def pool_run(run_dir, *, resume=False):
 
 def fabric_run(run_dir, *, resume=False):
     """A coordinator driven through ``handle()``; each grant runs the way
-    a fabric worker runs it (adopting the run dir's trace tier)."""
+    a fabric worker runs it."""
     coordinator = fabric_order_sweep(
         GRID, MACHINE, ORDERS, run_dir=run_dir, resume=resume
     )
     coordinator._started_at = time.perf_counter()
     coordinator._open()
     worker = FabricWorker(("127.0.0.1", 1), worker_id="w1")
-    previous_tier = replay.trace_tier_root()
-    try:
-        while True:
-            reply = coordinator.handle({"type": "lease", "worker": "w1"})
-            if reply["type"] == "drained":
-                break
-            assert reply["type"] == "grant"
-            coordinator.handle(worker._execute(reply))
-    finally:
-        replay.configure_trace_tier(previous_tier)
+    while True:
+        reply = coordinator.handle({"type": "lease", "worker": "w1"})
+        if reply["type"] == "drained":
+            break
+        assert reply["type"] == "grant"
+        coordinator.handle(worker._execute(reply))
     return coordinator.finish()
 
 
@@ -135,6 +134,52 @@ class TestExecutorsAgree:
             assert all(cell.resumed for cell in sweep.manifest.cells)
         assert manifest_telemetry(tmp_path / "pool") == expected["pool"]
         assert manifest_telemetry(tmp_path / "fabric") == expected["fabric"]
+
+
+#: Both executors with two workers behind a run directory.  A spawned
+#: pool worker inherits no module state: it gets the tier from the pool
+#: initializer or not at all.
+EXECUTORS = {
+    "pool": lambda run_dir: parallel_order_sweep(
+        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir
+    ),
+    "pool-spawn": lambda run_dir: parallel_order_sweep(
+        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir,
+        pool_factory=functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        ),
+    ),
+    "fabric": lambda run_dir: run_local_fabric(
+        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir
+    ),
+}
+
+
+@pytest.mark.parametrize("executor", sorted(EXECUTORS))
+class TestTraceTier:
+    """Workers use the trace tier of the process that starts them; a run
+    directory adds none.  Memos are cleared first so that the forked
+    workers compile every trace rather than inherit the caller's."""
+
+    def sweep(self, executor, run_dir, tier):
+        previous = replay.trace_tier_root()
+        replay.configure_trace_tier(tier)
+        clear_memos()
+        try:
+            sweep = EXECUTORS[executor](run_dir)
+        finally:
+            replay.configure_trace_tier(previous)
+        assert sweep.complete
+        assert {cell.trace_source for cell in sweep.manifest.cells} == {"compiled"}
+        assert not (run_dir / "traces").exists()
+
+    def test_a_run_dir_gets_no_trace_tier(self, executor, tmp_path):
+        self.sweep(executor, tmp_path / "run", None)
+
+    def test_workers_fill_the_callers_tier(self, executor, tmp_path):
+        tier = tmp_path / "tier"
+        self.sweep(executor, tmp_path / "run", str(tier))
+        assert tracestore.tier_info(tier)["entries"] > 0
 
 
 class TestDeterminismScope:

@@ -166,6 +166,29 @@ class TestRuns:
         assert "torn tail" in out
 
 
+class TestTraces:
+    def test_stats_reports_what_the_tier_holds(self, tmp_path, capsys):
+        from repro.algorithms.registry import get_algorithm
+        from repro.cache import tracestore
+        from repro.cache.replay import compile_trace
+        from repro.model.machine import preset
+
+        alg = get_algorithm("shared-opt")(preset("q32"), 6, 6, 6)
+        trace = compile_trace(alg, directives=False)
+        assert tracestore.store(tmp_path, alg.schedule_key(), trace)
+        assert main(["traces", "stats", str(tmp_path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "schema", "root", "entries", "fmas", "bytes", "directive_entries"
+        }
+        assert payload["schema"] == 2
+        assert (payload["entries"], payload["fmas"]) == (1, len(trace))
+        assert main(["traces", "stats", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "entries: 1" in out
+        assert "session" not in out
+
+
 class TestFigure:
     def test_figure_fig4(self, capsys):
         assert main(["figure", "fig4", "--orders", "8", "16"]) == 0
