@@ -10,26 +10,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.analysis.formulas import PredictedCounts
 from repro.model.bounds import (
     distributed_misses_lower_bound,
     shared_misses_lower_bound,
 )
-from repro.model.machine import MulticoreMachine
 
 if TYPE_CHECKING:  # avoid a circular import at runtime: analysis is
     # imported by the algorithms, which the sim package also imports.
     from repro.sim.results import ExperimentResult
-
-
-def tdata_from_counts(ms: float, md: float, machine: MulticoreMachine) -> float:
-    """Data access time ``MS/σS + MD/σD`` of recorded (or counted) misses.
-
-    Routed through :class:`~repro.analysis.formulas.PredictedCounts` so
-    every consumer — accuracy tables, the cost-conformance analyzer, the
-    CLI — prices counts through one code path.
-    """
-    return PredictedCounts(ms=ms, md=md).tdata(machine)
 
 
 def accuracy_row(result: "ExperimentResult") -> Dict[str, Any]:

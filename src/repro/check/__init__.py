@@ -10,7 +10,8 @@ optimality claims rest on invariants that can be proved over the
   (``1 + λ + λ² ≤ CS``, ``1 + µ + µ² ≤ CD``, ``α² + 2αβ ≤ CS``);
 * **presence** — no compute reads a block that was never loaded or was
   already evicted; no dead loads, redundant loads or spurious
-  evictions; inclusivity is never violated;
+  evictions; inclusivity is never violated (one residency walk proves
+  the working sets and presence and counts ``MS``/``MD``);
 * **coverage** — every ``C[i, j]`` accumulates exactly ``z``
   contributions, each ``(i, j, k)`` exactly once (the static analogue of
   :func:`repro.numerics.executor.verify_schedule`);
@@ -27,10 +28,9 @@ optimality claims rest on invariants that can be proved over the
   baseline;
 * **lint / determinism** — one serial AST pass over the sources
   enforcing repo idioms (directives wrapped in ``if ctx.explicit``,
-  schedules registered, atomic artifact writes, pinned benchmark
-  engines) and keeping the fingerprint/serde modules free of
-  wall-clock, RNG, filesystem-order and set-order nondeterminism
-  (``determinism/*``).
+  atomic artifact writes, pinned benchmark engines) and keeping the
+  fingerprint/serde modules free of wall-clock, RNG, filesystem-order
+  and set-order nondeterminism (``determinism/*``).
 
 Fingerprint purity is not an analyzer: it is the
 :class:`repro.store.checkpoint.CellKey` type, which has no field an
@@ -53,12 +53,11 @@ line.
 
 from __future__ import annotations
 
-from repro.check.capacity import check_capacity, check_parameters
+from repro.check.capacity import check_parameters
 from repro.check.cost import (
     CountedCosts,
     FormulaEnvelope,
     check_cost,
-    count_costs,
     formula_envelope,
 )
 from repro.check.coverage import check_coverage
@@ -73,7 +72,7 @@ from repro.check.gap import (
     load_gap_report,
 )
 from repro.check.lint import run_lint, scan_source
-from repro.check.presence import check_presence
+from repro.check.presence import check_residency
 from repro.check.races import check_races
 from repro.check.rules import REGISTRY, Rule
 from repro.check.runner import ScheduleReport, analyze_schedule, check_all
@@ -95,15 +94,13 @@ __all__ = [
     "analyze_schedule",
     "build_gap_report",
     "check_all",
-    "check_capacity",
     "check_cost",
     "check_coverage",
     "check_parameters",
-    "check_presence",
     "check_races",
+    "check_residency",
     "check_tight_bounds",
     "compare_gap_reports",
-    "count_costs",
     "formula_envelope",
     "load_gap_report",
     "run_lint",

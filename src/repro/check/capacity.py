@@ -1,138 +1,21 @@
-"""Capacity checking: working sets and the paper's §3 parameter constraints.
+"""The paper's §3 cache-fitting constraints, re-derived from parameters.
 
-Two independent proofs:
-
-* :func:`check_capacity` walks the recorded event log and tracks the
-  exact resident set of the shared cache and of every distributed
-  cache.  The ideal cache model makes replacement the *algorithm's*
-  job, so a working set exceeding ``CS`` (or ``CD``) at any point is a
-  schedule bug, not a miss — the same condition
-  :class:`~repro.cache.hierarchy.IdealHierarchy` raises on dynamically,
-  proved here without simulating.
-
-* :func:`check_parameters` re-derives the cache-fitting constraints of
-  the paper's §3 from the algorithm's chosen parameters:
-  ``1 + λ + λ² ≤ CS`` (Algorithm 1), ``1 + µ + µ² ≤ CD`` (Algorithm 2),
-  ``α² + 2αβ ≤ CS`` with ``√p·µ | α`` (Algorithm 3), and ``3t² ≤ C``
-  for the equal-thirds baselines.  Constructors enforce these today;
-  the checker proves they *stay* enforced when parameters are
-  overridden or constructors refactored.
+:func:`check_parameters` re-derives the constraints from the
+algorithm's chosen parameters: ``1 + λ + λ² ≤ CS`` (Algorithm 1),
+``1 + µ + µ² ≤ CD`` (Algorithm 2), ``α² + 2αβ ≤ CS`` with ``√p·µ | α``
+(Algorithm 3), and ``3t² ≤ C`` for the equal-thirds baselines.
+Constructors enforce these today; the checker proves they *stay*
+enforced when parameters are overridden or constructors refactored.
+The working-set half of the capacity proof is part of the residency
+walk, :func:`repro.check.presence.check_residency`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List
 
 from repro.algorithms.base import MatmulAlgorithm
-from repro.cache.block import key_name
-from repro.check.events import COMPUTE, EVICT_D, EVICT_S, LOAD_D, LOAD_S, Event
-from repro.check.findings import ERROR, Finding, FindingLimiter
-
-
-def capacity_and_peaks(
-    events: Sequence[Event],
-    cs: int,
-    cd: int,
-    p: int,
-    *,
-    algorithm: str = "",
-    machine: str = "",
-    limit: int = 25,
-) -> Tuple[List[Finding], int, List[int]]:
-    """One pass serving both the capacity proof and the peak counts.
-
-    Both walk the log maintaining the same exact resident sets; the
-    runner visits every event of every cell, so they share the walk.
-    Returns ``(findings, peak_shared, peak_dist)``.
-    """
-    out = FindingLimiter("capacity", limit)
-    shared: Set[int] = set()
-    dist: List[Set[int]] = [set() for _ in range(p)]
-    peak_shared = 0
-    peak_dist = [0] * p
-    for index, ev in enumerate(events):
-        op = ev[0]
-        if op == LOAD_S:
-            key = ev[2]
-            if key not in shared and len(shared) >= cs:
-                out.add(
-                    Finding(
-                        "capacity",
-                        ERROR,
-                        f"shared cache overflow loading {key_name(key)}: "
-                        f"{len(shared)}/{cs} blocks resident",
-                        algorithm=algorithm,
-                        machine=machine,
-                        event=index,
-                        rule="capacity/ws-overflow",
-                    )
-                )
-            shared.add(key)
-            if len(shared) > peak_shared:
-                peak_shared = len(shared)
-        elif op == EVICT_S:
-            shared.discard(ev[2])
-        elif op == LOAD_D:
-            core, key = ev[1], ev[2]
-            dset = dist[core]
-            if key not in dset and len(dset) >= cd:
-                out.add(
-                    Finding(
-                        "capacity",
-                        ERROR,
-                        f"distributed cache of core {core} overflow loading "
-                        f"{key_name(key)}: {len(dset)}/{cd} blocks resident",
-                        algorithm=algorithm,
-                        machine=machine,
-                        event=index,
-                        rule="capacity/ws-overflow",
-                    )
-                )
-            dset.add(key)
-            if len(dset) > peak_dist[core]:
-                peak_dist[core] = len(dset)
-        elif op == EVICT_D:
-            dist[ev[1]].discard(ev[2])
-        elif op == COMPUTE:
-            pass
-    return out.results(), peak_shared, peak_dist
-
-
-def working_set_peaks(events: Sequence[Event], p: int) -> Tuple[int, List[int]]:
-    """Peak resident block counts (shared, per-core) over the whole log."""
-    _, peak_shared, peak_dist = capacity_and_peaks(
-        events, len(events) + 1, len(events) + 1, p
-    )
-    return peak_shared, peak_dist
-
-
-def check_capacity(
-    events: Sequence[Event],
-    cs: int,
-    cd: int,
-    p: int,
-    *,
-    algorithm: str = "",
-    machine: str = "",
-    limit: int = 25,
-) -> List[Finding]:
-    """Prove the explicit working set never exceeds ``CS`` / ``CD``.
-
-    Every load that would push a resident set past its capacity yields
-    one error finding (evictions always succeed, mirroring the ideal
-    hierarchy).  Redundant loads (block already resident) do not grow
-    the set and are reported by the presence checker, not here.
-    """
-    findings, _, _ = capacity_and_peaks(
-        events,
-        cs,
-        cd,
-        p,
-        algorithm=algorithm,
-        machine=machine,
-        limit=limit,
-    )
-    return findings
+from repro.check.findings import ERROR, Finding
 
 
 def check_parameters(alg: MatmulAlgorithm, *, machine: str = "") -> List[Finding]:

@@ -3,28 +3,19 @@
 The paper's central quantitative claims are the miss-count formulas of
 §3 (``MS = mn + 2mnz/λ`` and friends, implemented in
 :mod:`repro.analysis.formulas`).  This analyzer proves them against
-the *recorded* schedule, with no cache simulation:
+the *recorded* schedule, with no cache simulation.  The residency walk
+(:func:`repro.check.presence.check_residency`) counts distinct-block
+load traffic into a :class:`CountedCosts` — by construction,
+integer-for-integer the count
+:class:`~repro.cache.hierarchy.IdealHierarchy` would produce for the
+same directive stream (redundant loads move no data in either).
 
-* :func:`count_costs` walks the event log with exact resident sets and
-  counts distinct-block load traffic — a shared load of a non-resident
-  block is one ``MS``, a distributed load of a block absent from that
-  core's cache is one ``MD`` for the core.  This is, by construction,
-  integer-for-integer the count
-  :class:`~repro.cache.hierarchy.IdealHierarchy` would produce for the
-  same directive stream (redundant loads move no data in either).
-
-* :func:`check_cost` then cross-checks two ways:
-
-  1. **Closed forms** — when
-     :func:`~repro.analysis.formulas.divisibility_ok` holds, the
-     counted ``MS`` and max per-core ``MD`` must equal the registered
-     formula *exactly* (``cost/formula-mismatch``).  On ragged tiles
-     the formulas are only asymptotic; the counts must stay within a
-     bounded ratio (``cost/formula-ratio``).
-  2. **Tdata** — pricing the counted misses through
-     :func:`repro.analysis.report.tdata_from_counts` must agree with
-     the formula-side prediction (``cost/tdata-mismatch``), proving the
-     reporting pipeline prices both the same way.
+:func:`check_cost` then checks the counts against the closed forms:
+when :func:`~repro.analysis.formulas.divisibility_ok` holds, the
+counted ``MS`` and max per-core ``MD`` must equal the registered
+formula *exactly* (``cost/formula-mismatch``).  On ragged tiles the
+formulas are only asymptotic; the counts must stay within a bounded
+ratio (``cost/formula-ratio``).
 
 The §2.3 lower bounds are proved by
 :func:`repro.check.tightbounds.check_tight_bounds`
@@ -36,14 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.algorithms.base import MatmulAlgorithm
 from repro.analysis.formulas import FORMULAS, divisibility_ok, predict
-from repro.analysis.report import tdata_from_counts
-from repro.check.events import EVICT_D, EVICT_S, LOAD_D, LOAD_S, Event
 from repro.check.findings import ERROR, Finding
-from repro.model.machine import MulticoreMachine
 
 #: Ragged-tile tolerance (multiplier, slack): the closed forms must
 #: bracket the counted values within ``factor·x + slack`` both ways.
@@ -67,42 +55,6 @@ class CountedCosts:
     def md_max(self) -> int:
         """Max per-core distributed misses — the paper's ``MD``."""
         return max(self.md) if self.md else 0
-
-    def tdata(self, machine: MulticoreMachine) -> float:
-        """Data access time of the counted misses on ``machine``."""
-        return tdata_from_counts(self.ms, self.md_max, machine)
-
-
-def count_costs(events: Sequence[Event], p: int) -> CountedCosts:
-    """Count ``MS`` and per-core ``MD`` exactly from the event log.
-
-    A load only counts when the block is not already resident at that
-    level (a redundant load moves no data); evictions free residency.
-    Matches :class:`~repro.cache.hierarchy.IdealHierarchy` counting
-    integer for integer.
-    """
-    shared: Set[int] = set()
-    dist: List[Set[int]] = [set() for _ in range(p)]
-    ms = 0
-    md = [0] * p
-    for ev in events:
-        op = ev[0]
-        if op == LOAD_S:
-            key = ev[2]
-            if key not in shared:
-                shared.add(key)
-                ms += 1
-        elif op == EVICT_S:
-            shared.discard(ev[2])
-        elif op == LOAD_D:
-            core, key = ev[1], ev[2]
-            dset = dist[core]
-            if key not in dset:
-                dset.add(key)
-                md[core] += 1
-        elif op == EVICT_D:
-            dist[ev[1]].discard(ev[2])
-    return CountedCosts(ms=ms, md=tuple(md))
 
 
 def envelope_ratio(counted: float, predicted: float) -> float:
@@ -181,25 +133,16 @@ def formula_envelope(
 
 def check_cost(
     alg: MatmulAlgorithm,
-    events: Sequence[Event],
+    counted: CountedCosts,
     *,
     machine: str = "",
-    limit: int = 25,
-    counted: Optional[CountedCosts] = None,
 ) -> List[Finding]:
-    """Prove the recorded traffic conforms to the closed forms.
+    """Prove the counted traffic conforms to the closed forms.
 
-    ``limit`` is accepted for interface symmetry with the other
-    analyzers; this pass emits at most a handful of findings per cell.
-    ``counted`` lets the runner share one :func:`count_costs` walk with
-    the tight-bound analyzer instead of re-walking the event log.
+    At most one finding per level, so this pass needs no limiter.
     """
-    del limit  # never floods: at most three findings per schedule
     if alg.name not in FORMULAS:
         return []
-    platform = alg.machine
-    if counted is None:
-        counted = count_costs(events, platform.p)
     findings: List[Finding] = []
 
     def fail(rule: str, message: str) -> None:
@@ -214,7 +157,7 @@ def check_cost(
             )
         )
 
-    # (1) Closed forms: exact when divisibility holds, bracketed otherwise.
+    # Closed forms: exact when divisibility holds, bracketed otherwise.
     predicted = predict(alg)
     if divisibility_ok(alg):
         if not math.isclose(counted.ms, predicted.ms, rel_tol=EXACT_REL_TOL):
@@ -229,16 +172,6 @@ def check_cost(
                 f"counted MD={counted.md_max} != predicted MD="
                 f"{predicted.md:.1f} although the divisibility conditions "
                 "for exactness hold",
-            )
-        # (2) Tdata: counted misses priced through the report pipeline
-        # must match the formula-side prediction.
-        t_counted = counted.tdata(platform)
-        t_pred = predicted.tdata(platform)
-        if not math.isclose(t_counted, t_pred, rel_tol=1e-6):
-            fail(
-                "cost/tdata-mismatch",
-                f"Tdata from counted misses ({t_counted:.3f}) disagrees with "
-                f"the predicted Tdata ({t_pred:.3f}) on divisible orders",
             )
     else:
         if not _within_envelope(counted.ms, predicted.ms, MS_RATIO_BOUND):

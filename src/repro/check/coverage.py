@@ -17,7 +17,7 @@ from typing import List, Sequence, Set, Tuple
 
 from repro.cache.block import MAT_A, MAT_B, MAT_C, decode_key, key_name
 from repro.check.events import COMPUTE, Event
-from repro.check.findings import ERROR, Finding, FindingLimiter
+from repro.check.findings import ERROR, FINDING_LIMIT, Finding, FindingLimiter
 
 
 def check_coverage(
@@ -28,10 +28,9 @@ def check_coverage(
     *,
     algorithm: str = "",
     machine: str = "",
-    limit: int = 25,
 ) -> List[Finding]:
     """Prove the compute stream covers ``m × n × z`` exactly once each."""
-    out = FindingLimiter("coverage", limit)
+    out = FindingLimiter("coverage")
 
     def add(message: str, rule: str, index: int | None = None) -> None:
         out.add(
@@ -106,8 +105,8 @@ def check_coverage(
                         "coverage/missing-update",
                     )
                     reported += 1
-                    if reported >= limit:
+                    if reported >= FINDING_LIMIT:
                         break
-            if reported >= limit:
+            if reported >= FINDING_LIMIT:
                 break
     return out.results()

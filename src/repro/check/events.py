@@ -4,7 +4,7 @@
 schedule: it advertises ``explicit = True`` so algorithms emit their
 full directive stream, and appends every operation to a flat list of
 tuples instead of simulating anything.  The analyzers in this package
-(:mod:`~repro.check.capacity`, :mod:`~repro.check.presence`,
+(the residency walk of :mod:`~repro.check.presence`,
 :mod:`~repro.check.coverage`, :mod:`~repro.check.races`) then prove
 their invariants by walking that log — milliseconds, versus the
 multi-second cache simulation or numeric execution the same bugs would
@@ -37,9 +37,6 @@ LOAD_D = 2
 EVICT_D = 3
 COMPUTE = 4
 
-#: Pretty opcode names for findings and debugging.
-EVENT_NAMES = ("load_shared", "evict_shared", "load_dist", "evict_dist", "compute")
-
 #: One recorded operation; length 3 for directives, 5 for computes.
 Event = Tuple[int, ...]
 
@@ -59,7 +56,7 @@ class AnalysisContext(ExecutionContext):
         super().__init__(p)
         self.events: List[Event] = []
         #: Number of explicit directives recorded (0 ⇒ compute-only
-        #: schedule; capacity/presence analysis is meaningless then).
+        #: schedule; the residency walk is meaningless then).
         self.directives = 0
 
     def load_shared(self, key: int) -> None:

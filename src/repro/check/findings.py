@@ -33,8 +33,11 @@ ERROR = "error"
 #: suppressions and the determinism rules; v5 = one verdict per run
 #: (no report cache, fingerprint baseline or rule toggles) and 36
 #: rules (the Loomis-Whitney cost rule folded into
-#: cost/below-tight-bound; two lint rules retired).
-CHECKER_VERSION = 5
+#: cost/below-tight-bound; two lint rules retired); v6 = one residency
+#: walk for capacity, presence and MS/MD, 35 rules
+#: (cost/tdata-mismatch and lint/unregistered-algorithm retired, the
+#: finding-cap notice registered as meta/findings-capped).
+CHECKER_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -123,21 +126,26 @@ class Finding:
         return f"{self.severity}: {self.rule_id}{where}: {self.message}{at}"
 
 
+#: Findings one analyzer reports per schedule before the rest are
+#: dropped behind one ``meta/findings-capped`` notice.
+FINDING_LIMIT = 25
+
+
 @dataclass
 class FindingLimiter:
     """Cap the findings one analyzer emits so broken schedules do not flood.
 
-    After ``limit`` findings a single summary entry is appended and
-    further :meth:`add` calls are dropped (but still counted).
+    After :data:`FINDING_LIMIT` findings a single summary entry is
+    appended and further :meth:`add` calls are dropped (but still
+    counted).
     """
 
     analyzer: str
-    limit: int = 25
     findings: List[Finding] = field(default_factory=list)
     dropped: int = 0
 
     def add(self, finding: Finding) -> None:
-        if len(self.findings) < self.limit:
+        if len(self.findings) < FINDING_LIMIT:
             self.findings.append(finding)
         else:
             self.dropped += 1
@@ -149,7 +157,7 @@ class FindingLimiter:
                     analyzer=self.analyzer,
                     severity=WARNING,
                     message=f"{self.dropped} further findings suppressed",
-                    rule=f"{self.analyzer}/suppressed",
+                    rule="meta/findings-capped",
                 )
             ]
         return list(self.findings)

@@ -1,6 +1,6 @@
 """AST lint pass enforcing repo idioms over :mod:`repro` sources.
 
-Six rules, each born from a real failure mode of this codebase:
+Five rules, each born from a real failure mode of this codebase:
 
 * ``explicit-guard`` — in ``algorithms/*.py``, calls to the explicit
   directives (``load_shared``, ``evict_shared``, ``load_dist``,
@@ -8,12 +8,6 @@ Six rules, each born from a real failure mode of this codebase:
   ``explicit`` (``if ctx.explicit:`` or a hoisted ``if explicit:``).
   An unguarded directive silently burns cycles on the very hot LRU and
   numeric paths, where the calls are no-ops.
-* ``unregistered-algorithm`` — every concrete
-  :class:`~repro.algorithms.base.MatmulAlgorithm` subclass defined in
-  ``algorithms/*.py`` must be registered in
-  :mod:`repro.algorithms.registry`; an unregistered schedule is
-  invisible to the CLI, the experiment harness, the tests *and* this
-  package's ``check_all``.
 * ``dead-branch`` — no ``if`` statement whose entire body is ``pass``
   and that has no ``else``: the condition reads as if it handles a case
   but does nothing.  The LRU hierarchy carried exactly such a branch
@@ -124,44 +118,6 @@ def _check_explicit_guard(
             visit(child, guarded)
 
     visit(tree, False)
-
-
-def _check_registered(
-    nodes: Sequence[ast.AST],
-    filename: str,
-    registered: Set[str],
-    findings: List[Finding],
-) -> None:
-    """Rule ``unregistered-algorithm``: concrete schedules are registered."""
-    for node in nodes:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        bases = {
-            base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
-            for base in node.bases
-        }
-        if "MatmulAlgorithm" not in bases:
-            continue
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and stmt.targets[0].id == "name"
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                name = stmt.value.value
-                if name != "abstract" and name not in registered:
-                    findings.append(
-                        _finding(
-                            "unregistered-algorithm",
-                            f"schedule {name!r} ({node.name}) is not "
-                            "registered in repro.algorithms.registry",
-                            filename,
-                            node.lineno,
-                        )
-                    )
 
 
 def _elif_ifs(nodes: Sequence[ast.AST]) -> Set[int]:
@@ -319,9 +275,8 @@ def _check_bench_engine_pin(
 
 #: The syntactic lint checks, in dispatch order.  Each entry is
 #: ``(gate, check)`` where ``gate`` names the :class:`FileProfile`
-#: condition under which the rule applies (``explicit-guard``/
-#: ``unregistered-algorithm`` have bespoke wiring below because they
-#: need the profile/registry).
+#: condition under which the rule applies (``explicit-guard`` has
+#: bespoke wiring below because it walks the tree with guard state).
 _SIMPLE_CHECKS: "Sequence[Tuple[str, _Check]]" = (
     ("always", _check_dead_branch),
     ("always", _check_init_self_call),
@@ -337,7 +292,7 @@ class FileProfile:
     """Which rule families and module-role gates apply to a file.
 
     The role flags mirror the package layout: ``algorithms_module``
-    enables the directive/registry rules, ``store_module`` exempts the
+    enables the directive rule, ``store_module`` exempts the
     one package allowed to perform raw writes, ``benchmark_module``
     enables the engine-pin rule.  The family flags pick rule families:
     ``lint`` (repo idioms) and ``determinism`` (fingerprint-feeding
@@ -378,7 +333,6 @@ def _lint_tree(
     findings: List[Finding],
     *,
     profile: FileProfile,
-    registered: Set[str],
 ) -> None:
     # One walk shared by every check — walking per rule dominated the
     # scan's profile.
@@ -392,7 +346,6 @@ def _lint_tree(
             check(nodes, filename, findings)
         if profile.algorithms_module:
             _check_explicit_guard(tree, filename, findings)
-            _check_registered(nodes, filename, registered, findings)
     if profile.determinism:
         findings += determinism_findings(nodes, parents, filename)
 
@@ -402,7 +355,6 @@ def scan_source(
     filename: str,
     *,
     profile: Optional[FileProfile] = None,
-    registered: Optional[Set[str]] = None,
 ) -> List[Finding]:
     """The full per-file pipeline: every applicable rule family, then
     inline ``# repro: noqa[rule-id]`` suppressions, then the
@@ -413,22 +365,10 @@ def scan_source(
     tree = _parse(source, filename, findings)
     if tree is None:
         return findings
-    _lint_tree(
-        tree,
-        filename,
-        findings,
-        profile=prof,
-        registered=registered or set(),
-    )
+    _lint_tree(tree, filename, findings, profile=prof)
     index = SuppressionIndex.from_source(source, filename)
     kept, _suppressed = index.filter(findings)
     return kept + index.unused_findings(prof.families)
-
-
-def _registered_names() -> Set[str]:
-    from repro.algorithms.registry import ALGORITHMS, EXTRA_ALGORITHMS
-
-    return set(ALGORITHMS) | set(EXTRA_ALGORITHMS)
 
 
 #: Package files (relative, POSIX) on the determinism scope: the
@@ -508,13 +448,11 @@ def run_lint(
                 if extra.is_dir():
                     scan += sorted(extra.rglob("*.py"))
         paths = scan
-    registered = _registered_names()
     findings: List[Finding] = []
     for path in paths:
         findings += scan_source(
             path.read_text(encoding="utf-8"),
             str(path),
             profile=_profile_for(path, root),
-            registered=registered,
         )
     return findings

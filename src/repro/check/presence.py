@@ -1,16 +1,30 @@
-"""Presence checking: loads cover computes, no dead traffic, inclusivity.
+"""The residency walk: capacity, presence and ``MS``/``MD`` in one pass.
 
-A static proof of the "user responsibility" clause of the paper's IDEAL
-mode: *"it is the user responsibility to guarantee that a given data is
-present in every cache below the target cache"*.  Walking the recorded
-log with exact resident sets, the checker flags (as errors):
+:func:`check_residency` builds the exact resident sets of the shared
+cache and of every core's cache once per schedule — a load adds a
+block that is not resident, an eviction removes it — and reads three
+proofs off them:
+
+* capacity — the ideal cache model makes replacement the
+  *algorithm's* job, so a load that pushes a set past ``CS`` (or
+  ``CD``) is a schedule bug, not a miss: the condition
+  :class:`~repro.cache.hierarchy.IdealHierarchy` raises on dynamically;
+* presence — the "user responsibility" clause of the paper's IDEAL
+  mode: *"it is the user responsibility to guarantee that a given data
+  is present in every cache below the target cache"* (below);
+* traffic — a load of a block not resident at its level is one ``MS``
+  (shared) or one ``MD`` for the core, integer for integer what
+  ``IdealHierarchy`` counts; :mod:`repro.check.cost` and
+  :mod:`repro.check.tightbounds` prove the counts.
+
+Presence errors:
 
 * a compute whose operand is absent from the issuing core's cache;
 * a distributed load of a block absent from the shared cache, or a
   shared eviction while some core still holds the block (inclusivity);
 * evicting a block that is not resident (double/spurious eviction);
 
-and (as warnings, they cost bandwidth but not correctness):
+and warnings (they cost bandwidth but not correctness):
 
 * redundant loads — the block is already resident at that level;
 * dead loads — loaded, then evicted (or left behind at end of
@@ -22,26 +36,49 @@ and (as warnings, they cost bandwidth but not correctness):
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.cache.block import key_name
+from repro.check.cost import CountedCosts
 from repro.check.events import COMPUTE, EVICT_D, EVICT_S, LOAD_D, LOAD_S, Event
 from repro.check.findings import ERROR, WARNING, Finding, FindingLimiter
 
 
-def check_presence(
+def check_residency(
     events: Sequence[Event],
+    cs: int,
+    cd: int,
     p: int,
     *,
     algorithm: str = "",
     machine: str = "",
-    limit: int = 25,
-) -> List[Finding]:
-    """Prove the load schedule covers the compute schedule exactly."""
-    out = FindingLimiter("presence", limit)
+) -> Tuple[List[Finding], int, List[int], CountedCosts]:
+    """Walk the log once; prove capacity and presence, count traffic.
+
+    Returns ``(findings, peak_shared, peak_dist, counted)``: capacity
+    findings first and presence findings second, each under its own
+    :class:`~repro.check.findings.FindingLimiter`; the peak resident
+    block counts of the shared cache and of every core's cache; and
+    the distinct-block load traffic.
+    """
+    capacity = FindingLimiter("capacity")
+    presence = FindingLimiter("presence")
+
+    def overflow(message: str, index: int) -> None:
+        capacity.add(
+            Finding(
+                "capacity",
+                ERROR,
+                message,
+                algorithm=algorithm,
+                machine=machine,
+                event=index,
+                rule="capacity/ws-overflow",
+            )
+        )
 
     def add(severity: str, message: str, index: int, rule: str) -> None:
-        out.add(
+        presence.add(
             Finding(
                 "presence",
                 severity,
@@ -60,6 +97,10 @@ def check_presence(
     # How many cores hold each key, so the per-eviction inclusivity
     # test is O(1); the O(p) scan only runs to *report* a violation.
     held: Dict[int, int] = {}
+    peak_shared = 0
+    peak_dist = [0] * p
+    ms = 0
+    md = [0] * p
 
     for index, ev in enumerate(events):
         op = ev[0]
@@ -73,7 +114,16 @@ def check_presence(
                     "presence/redundant-load",
                 )
             else:
+                if len(shared) >= cs:
+                    overflow(
+                        f"shared cache overflow loading {key_name(key)}: "
+                        f"{len(shared)}/{cs} blocks resident",
+                        index,
+                    )
                 shared[key] = False
+                ms += 1
+                if len(shared) > peak_shared:
+                    peak_shared = len(shared)
         elif op == LOAD_D:
             core, key = ev[1], ev[2]
             if key not in shared:
@@ -85,7 +135,8 @@ def check_presence(
                 )
             else:
                 shared[key] = True
-            if key in dist[core]:
+            dset = dist[core]
+            if key in dset:
                 add(
                     WARNING,
                     f"redundant distributed load of {key_name(key)} on core {core}",
@@ -93,8 +144,17 @@ def check_presence(
                     "presence/redundant-load",
                 )
             else:
-                dist[core][key] = False
+                if len(dset) >= cd:
+                    overflow(
+                        f"distributed cache of core {core} overflow loading "
+                        f"{key_name(key)}: {len(dset)}/{cd} blocks resident",
+                        index,
+                    )
+                dset[key] = False
                 held[key] = held.get(key, 0) + 1
+                md[core] += 1
+                if len(dset) > peak_dist[core]:
+                    peak_dist[core] = len(dset)
         elif op == EVICT_S:
             key = ev[2]
             if held.get(key):
@@ -181,4 +241,5 @@ def check_presence(
             end,
             "presence/leaked-resident",
         )
-    return out.results()
+    findings = capacity.results() + presence.results()
+    return findings, peak_shared, peak_dist, CountedCosts(ms=ms, md=tuple(md))

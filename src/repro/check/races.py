@@ -54,10 +54,9 @@ def check_races(
     *,
     algorithm: str = "",
     machine: str = "",
-    limit: int = 25,
 ) -> List[Finding]:
     """Flag unsynchronized conflicting accesses between cores."""
-    out = FindingLimiter("race", limit)
+    out = FindingLimiter("race")
     epoch = 0
     access: Dict[int, _Record] = {}
     dirty: List[Set[int]] = [set() for _ in range(p)]

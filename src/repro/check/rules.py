@@ -35,7 +35,8 @@ from repro.check.findings import ERROR, WARNING, Finding
 #: Analysis tiers (which pass owns a rule).  ``schedule`` rules come
 #: from the recorded-event analyzers, ``lint`` and ``determinism`` from
 #: the syntactic AST pass, ``gap`` from the optimality-gap certificate,
-#: ``meta`` from the checker's own self-checks (suppression hygiene).
+#: ``meta`` from the checker's own self-checks (suppression hygiene,
+#: the per-analyzer finding cap).
 TIERS = ("schedule", "lint", "determinism", "gap", "meta")
 
 
@@ -249,8 +250,6 @@ _r("cost/formula-ratio", ERROR,
    "schedule")
 _r("cost/below-tight-bound", ERROR,
    "Counted misses beat the strongest (tight) lower bound", "schedule")
-_r("cost/tdata-mismatch", ERROR,
-   "Tdata from counted misses disagrees with the prediction", "schedule")
 _r("schedule/raised", ERROR,
    "Schedule raised while being recorded", "schedule")
 
@@ -263,8 +262,6 @@ _r("gap/uncertified-algorithm", ERROR,
 # -- syntactic lint -----------------------------------------------------
 _r("lint/explicit-guard", ERROR,
    "Cache directive not wrapped in 'if ctx.explicit'", "lint")
-_r("lint/unregistered-algorithm", ERROR,
-   "Concrete schedule missing from the registry", "lint")
 _r("lint/dead-branch", ERROR,
    "'if' whose whole body is 'pass' and that has no 'else'", "lint")
 _r("lint/init-self-call", ERROR,
@@ -292,3 +289,6 @@ _r("determinism/hash-in-key", ERROR,
 # -- meta (checker self-checks) ----------------------------------------
 _r(UNUSED_SUPPRESSION, ERROR,
    "A 'repro: noqa' suppression silences no finding", "meta")
+_r("meta/findings-capped", WARNING,
+   "An analyzer hit its per-schedule finding cap; the rest are counted, "
+   "not listed", "meta")

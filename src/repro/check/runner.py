@@ -22,17 +22,13 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.registry import algorithm_names, get_algorithm
-from repro.check.capacity import (
-    capacity_and_peaks,
-    check_parameters,
-    working_set_peaks,
-)
-from repro.check.cost import check_cost, count_costs
+from repro.check.capacity import check_parameters
+from repro.check.cost import check_cost
 from repro.check.coverage import check_coverage
 from repro.check.events import AnalysisContext
 from repro.check.findings import ERROR, Finding
 from repro.check.gap import GapCell
-from repro.check.presence import check_presence
+from repro.check.presence import check_residency
 from repro.check.races import check_races
 from repro.check.tightbounds import check_tight_bounds
 from repro.exceptions import ReproError
@@ -120,14 +116,14 @@ def analyze_schedule(
     alg: MatmulAlgorithm,
     *,
     machine_label: str = "",
-    limit: int = 25,
 ) -> ScheduleReport:
     """Record ``alg``'s schedule symbolically and run every analyzer.
 
-    Capacity, presence and cost checking apply only to schedules that
-    carry explicit directives (``supports_ideal``); coverage and race
-    detection always apply — a compute-only schedule is one concurrent
-    epoch, so disjoint ``C`` ownership is still proved.
+    The residency walk (capacity, presence, traffic) and the cost
+    proofs apply only to schedules that carry explicit directives
+    (``supports_ideal``); coverage and race detection always apply — a
+    compute-only schedule is one concurrent epoch, so disjoint ``C``
+    ownership is still proved.
     """
     started = time.perf_counter()
     machine = alg.machine
@@ -137,22 +133,19 @@ def analyze_schedule(
     events = ctx.events
 
     findings: List[Finding] = check_parameters(alg, machine=label)
-    common: Dict[str, Any] = dict(algorithm=alg.name, machine=label, limit=limit)
+    common: Dict[str, Any] = dict(algorithm=alg.name, machine=label)
     gap: Optional[GapCell] = None
     if ctx.directives:
-        cap_findings, peak_shared, peak_dist = capacity_and_peaks(
+        walk_findings, peak_shared, peak_dist, counted = check_residency(
             events, machine.cs, machine.cd, machine.p, **common
         )
-        findings += cap_findings
-        findings += check_presence(events, machine.p, **common)
-        counted = count_costs(events, machine.p)
-        findings += check_cost(
-            alg, events, machine=label, limit=limit, counted=counted
-        )
+        findings += walk_findings
+        findings += check_cost(alg, counted, machine=label)
         tight_findings, gap = check_tight_bounds(alg, counted, machine=label)
         findings += tight_findings
     else:
-        peak_shared, peak_dist = working_set_peaks(events, machine.p)
+        # No directives, so nothing is ever resident.
+        peak_shared, peak_dist = 0, [0] * machine.p
     findings += check_coverage(events, alg.m, alg.n, alg.z, **common)
     findings += check_races(events, machine.p, **common)
     return ScheduleReport(
@@ -205,7 +198,6 @@ def check_all(
     machines: Optional[Dict[str, MulticoreMachine]] = None,
     *,
     orders: Optional[Sequence[int]] = None,
-    limit: int = 25,
 ) -> List[ScheduleReport]:
     """Analyze every algorithm × machine cell; returns one report each.
 
@@ -235,9 +227,7 @@ def check_all(
                     reports.append(_skipped_report(name, key, order, str(exc)))
                     continue
                 try:
-                    reports.append(
-                        analyze_schedule(alg, machine_label=key, limit=limit)
-                    )
+                    reports.append(analyze_schedule(alg, machine_label=key))
                 except ReproError as exc:
                     reports.append(
                         ScheduleReport(

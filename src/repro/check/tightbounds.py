@@ -42,8 +42,8 @@ def check_tight_bounds(
     """Prove one cell's counted misses clear every lower bound.
 
     Returns the (possibly empty) findings plus the cell's gap-report
-    entry.  ``counted`` comes from the runner's single
-    :func:`~repro.check.cost.count_costs` walk.
+    entry.  ``counted`` comes from the residency walk,
+    :func:`~repro.check.presence.check_residency`.
     """
     platform = alg.machine
     m, n, z = alg.m, alg.n, alg.z

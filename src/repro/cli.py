@@ -335,6 +335,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         configure_trace_tier(tier)
     kwargs: Dict[str, Any] = {}
     if args.fig_id == "fig12":
+        if args.orders and len(args.orders) > 1:
+            given = " ".join(map(str, args.orders))
+            print(
+                f"error: fig12 is drawn at one order, got --orders {given}",
+                file=sys.stderr,
+            )
+            return 2
         if args.orders:
             kwargs["order"] = args.orders[0]
     elif args.orders:

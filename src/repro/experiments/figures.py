@@ -179,7 +179,7 @@ def figure7(
     figure across jobs this way, skipping the sweeps of the panels it
     does not own.
     """
-    panels: List[FigurePanel] = []
+    panels: List[Panel] = []
     for key, preset_key in (("a", "q32"), ("b", "q64"), ("c", "q80")):
         if panels_filter is not None and key not in panels_filter:
             continue
@@ -229,7 +229,7 @@ def figure8(
     panels_filter: Optional[Sequence[str]] = None,
 ) -> Figure:
     """Fig. 8: MD of Distributed Opt. vs Distributed Equal, Outer Product."""
-    panels: List[FigurePanel] = []
+    panels: List[Panel] = []
     for key, preset_key, note in (
         ("a", "q32", "data = 2/3 of distributed cache"),
         ("b", "q32-pessimistic", "data = 1/2 of distributed cache"),
@@ -309,7 +309,7 @@ def _tdata_figure(
     pipeline shards each figure across two jobs (``a b`` / ``c d``) so
     the paper-scale LRU panels fit a runner's wall-clock budget.
     """
-    panels: List[FigurePanel] = []
+    panels: List[Panel] = []
     combos = [
         (key, preset_key, setting_label, entries)
         for preset_key, key_pair in zip(
@@ -396,7 +396,7 @@ def figure12(
     The Tradeoff algorithm re-plans ``(α, β)`` at every ratio; at the
     extremes it must tie Shared Opt. (r→0) and Distributed Opt. (r→1).
     """
-    panels: List[FigurePanel] = []
+    panels: List[Panel] = []
     panel_keys = iter("abcdef")
     for preset_key in (
         "q32",

@@ -1,7 +1,11 @@
 """Tests for the algorithm registry."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro.algorithms
 from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.registry import (
     ALGORITHMS,
@@ -53,3 +57,19 @@ class TestRegistry:
     def test_labels_unique(self):
         labels = [cls.label for cls in ALGORITHMS.values()]
         assert len(set(labels)) == len(labels)
+
+    def test_every_schedule_class_is_registered(self):
+        # An unregistered schedule is invisible to the CLI, the harness,
+        # the tests and `repro-mmm check`.
+        for info in pkgutil.iter_modules(repro.algorithms.__path__):
+            importlib.import_module(f"repro.algorithms.{info.name}")
+        schedules, stack = [], list(MatmulAlgorithm.__subclasses__())
+        while stack:
+            cls = stack.pop()
+            stack += cls.__subclasses__()
+            if cls.__module__.startswith("repro.algorithms.") and "name" in vars(cls):
+                schedules.append(cls)
+        registered = {n: get_algorithm(n) for n in algorithm_names(include_extras=True)}
+        for cls in schedules:
+            assert registered.get(cls.name) is cls, cls.__qualname__
+        assert len(schedules) == len(registered)

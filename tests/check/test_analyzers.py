@@ -15,15 +15,16 @@ import pytest
 
 from repro.cache.block import MAT_A, MAT_B, MAT_C, block_key
 from repro.check import (
+    REGISTRY,
     AnalysisContext,
-    check_capacity,
+    analyze_schedule,
     check_coverage,
     check_parameters,
-    check_presence,
     check_races,
+    check_residency,
 )
 from repro.check.events import Event
-from repro.check.findings import ERROR, WARNING
+from repro.check.findings import ERROR, FINDING_LIMIT, WARNING, Finding
 
 
 def a(i: int, k: int) -> int:
@@ -53,18 +54,49 @@ def errors(findings: List[object]) -> List[object]:
     return [f for f in findings if f.severity == ERROR]
 
 
+def capacity_findings(
+    events: List[Event], cs: int, cd: int, p: int, **context: str
+) -> List[Finding]:
+    """The capacity findings of the residency walk."""
+    findings = check_residency(events, cs, cd, p, **context)[0]
+    return [f for f in findings if f.analyzer == "capacity"]
+
+
+def presence_findings(events: List[Event], p: int) -> List[Finding]:
+    """The presence findings of the residency walk.
+
+    The capacities exceed any log's block count, so the walk's
+    capacity proof stays silent.
+    """
+    room = len(events) + 1
+    findings = check_residency(events, room, room, p)[0]
+    assert all(f.analyzer == "presence" for f in findings)
+    return findings
+
+
 class TestCapacity:
     def test_clean_baseline(self) -> None:
         ctx = AnalysisContext(1)
         record_1x1x1(ctx)
-        assert check_capacity(ctx.events, cs=4, cd=4, p=1) == []
+        assert capacity_findings(ctx.events, cs=4, cd=4, p=1) == []
+        # The whole walk is clean at these capacities, presence included.
+        assert check_residency(ctx.events, 4, 4, 1)[0] == []
+
+    def test_capacity_findings_precede_presence_findings(self) -> None:
+        ctx = AnalysisContext(1)
+        ctx.evict_shared(b(0, 0))  # presence error at event 0
+        ctx.load_shared(a(0, 0))
+        ctx.load_shared(a(1, 0))  # capacity error at event 2
+        found = check_residency(ctx.events, 1, 1, 1)[0]
+        assert [f.analyzer for f in found] == ["capacity"] + ["presence"] * 3
+        assert [f.event for f in found[:2]] == [2, 0]
 
     def test_shared_overflow_flagged(self) -> None:
         # Load cs+1 distinct blocks into the shared cache, evict none.
         ctx = AnalysisContext(1)
         for i in range(5):
             ctx.load_shared(a(i, 0))
-        found = check_capacity(ctx.events, cs=4, cd=4, p=1)
+        found = capacity_findings(ctx.events, cs=4, cd=4, p=1)
         assert len(found) == 1
         assert found[0].severity == ERROR
         assert "shared cache overflow" in found[0].message
@@ -75,7 +107,7 @@ class TestCapacity:
         for i in range(3):
             ctx.load_shared(a(i, 0))
             ctx.load_dist(1, a(i, 0))
-        found = check_capacity(ctx.events, cs=10, cd=2, p=2)
+        found = capacity_findings(ctx.events, cs=10, cd=2, p=2)
         assert len(found) == 1
         assert "core 1 overflow" in found[0].message
 
@@ -84,13 +116,13 @@ class TestCapacity:
         for i in range(6):
             ctx.load_shared(a(i, 0))
             ctx.evict_shared(a(i, 0))
-        assert check_capacity(ctx.events, cs=1, cd=1, p=1) == []
+        assert capacity_findings(ctx.events, cs=1, cd=1, p=1) == []
 
     def test_redundant_load_does_not_grow_set(self) -> None:
         ctx = AnalysisContext(1)
         ctx.load_shared(a(0, 0))
         ctx.load_shared(a(0, 0))
-        assert check_capacity(ctx.events, cs=1, cd=1, p=1) == []
+        assert capacity_findings(ctx.events, cs=1, cd=1, p=1) == []
 
 
 class TestParameters:
@@ -126,12 +158,23 @@ class TestParameters:
         found = check_parameters(alg, machine="quad")
         assert any("multiple of √p·µ" in f.message for f in found)
 
+    def test_caught_where_the_working_sets_fit(self) -> None:
+        # The residency walk does not imply this rule: at order 19 the
+        # over-sized plan never overflows the shared cache.
+        from repro.algorithms.tradeoff import Tradeoff
+        from repro.model.machine import preset
+
+        alg = Tradeoff(preset("q32"), 19, 19, 19)
+        alg.beta += 1  # alpha² + 2·alpha·beta = 992 > CS = 977
+        report = analyze_schedule(alg, machine_label="q32")
+        assert [f.rule_id for f in report.findings] == ["capacity/param-constraint"]
+
 
 class TestPresence:
     def test_clean_baseline(self) -> None:
         ctx = AnalysisContext(1)
         record_1x1x1(ctx)
-        assert check_presence(ctx.events, p=1) == []
+        assert presence_findings(ctx.events, p=1) == []
 
     def test_compute_without_load_flagged(self) -> None:
         # The seeded bug: compute with no load anywhere.
@@ -139,14 +182,14 @@ class TestPresence:
         ctx.load_shared(c(0, 0))  # only C is staged properly...
         ctx.load_dist(0, c(0, 0))
         ctx.compute(0, c(0, 0), a(0, 0), b(0, 0))  # ...A and B are not
-        found = errors(check_presence(ctx.events, p=1))
+        found = errors(presence_findings(ctx.events, p=1))
         assert len(found) == 2
         assert all("not resident" in f.message for f in found)
 
     def test_load_dist_of_absent_block_flagged(self) -> None:
         ctx = AnalysisContext(1)
         ctx.load_dist(0, a(0, 0))  # never entered the shared cache
-        found = errors(check_presence(ctx.events, p=1))
+        found = errors(presence_findings(ctx.events, p=1))
         assert any("absent from the shared cache" in f.message for f in found)
 
     def test_inclusion_violation_flagged(self) -> None:
@@ -154,7 +197,7 @@ class TestPresence:
         ctx.load_shared(a(0, 0))
         ctx.load_dist(1, a(0, 0))
         ctx.evict_shared(a(0, 0))  # core 1 still holds it
-        found = errors(check_presence(ctx.events, p=2))
+        found = errors(presence_findings(ctx.events, p=2))
         assert len(found) == 1
         assert "core(s) [1] still hold it" in found[0].message
 
@@ -163,14 +206,14 @@ class TestPresence:
         ctx.load_shared(a(0, 0))
         ctx.evict_shared(a(0, 0))
         ctx.evict_shared(a(0, 0))
-        found = errors(check_presence(ctx.events, p=1))
+        found = errors(presence_findings(ctx.events, p=1))
         assert any("spurious shared eviction" in f.message for f in found)
 
     def test_dead_load_is_a_warning(self) -> None:
         ctx = AnalysisContext(1)
         ctx.load_shared(a(0, 0))
         ctx.evict_shared(a(0, 0))  # loaded, never consumed
-        found = check_presence(ctx.events, p=1)
+        found = presence_findings(ctx.events, p=1)
         assert [f.severity for f in found] == [WARNING]
         assert "dead shared load" in found[0].message
 
@@ -178,7 +221,7 @@ class TestPresence:
         ctx = AnalysisContext(1)
         ctx.load_shared(a(0, 0))
         ctx.load_dist(0, a(0, 0))
-        found = check_presence(ctx.events, p=1)
+        found = presence_findings(ctx.events, p=1)
         assert all(f.severity == WARNING for f in found)
         assert any("still resident" in f.message for f in found)
 
@@ -187,7 +230,7 @@ class TestPresence:
         # copy; the dirty write-back is what justifies the shared load.
         ctx = AnalysisContext(1)
         record_1x1x1(ctx)
-        assert all("dead" not in f.message for f in check_presence(ctx.events, p=1))
+        assert all("dead" not in f.message for f in presence_findings(ctx.events, p=1))
 
 
 class TestCoverage:
@@ -319,14 +362,38 @@ class TestFindingLimiter:
         ctx = AnalysisContext(1)
         for i in range(40):
             ctx.evict_shared(a(i, 0))  # 40 spurious evictions
-        found = check_presence(ctx.events, p=1, limit=25)
-        assert len(found) == 26
+        found = presence_findings(ctx.events, p=1)
+        assert len(found) == FINDING_LIMIT + 1 == 26
         assert "further findings suppressed" in found[-1].message
+        assert found[-1].rule_id == "meta/findings-capped"
+        assert found[-1].analyzer == "presence"
+
+    def test_every_capped_analyzer_emits_registered_rules(self) -> None:
+        flood = 2 * FINDING_LIMIT
+        ctx = AnalysisContext(2)
+        for i in range(flood):
+            ctx.load_shared(a(i, 0))  # past CS=1, never used
+        for i in range(flood):
+            # Both cores write C[i,1] in one epoch, outside the 1x1x1
+            # space, with operands that were never loaded.
+            ctx.compute(0, c(i, 1), a(i, 1), b(1, 1))
+            ctx.compute(1, c(i, 1), a(i, 1), b(1, 1))
+        found = {
+            "capacity": capacity_findings(ctx.events, cs=1, cd=1, p=2),
+            "presence": presence_findings(ctx.events, p=2),
+            "coverage": check_coverage(ctx.events, 1, 1, 1),
+            "race": check_races(ctx.events, p=2),
+        }
+        for analyzer, findings in found.items():
+            assert len(findings) == FINDING_LIMIT + 1, analyzer
+            assert findings[-1].rule_id == "meta/findings-capped"
+            assert findings[-1].analyzer == analyzer
+            assert {f.rule_id for f in findings} <= set(REGISTRY), analyzer
 
     def test_raw_tuples_accepted(self) -> None:
         # Analyzers take plain event sequences, not only contexts.
         events: List[Event] = [(1, -1, a(0, 0))]
-        found = check_presence(events, p=1)
+        found = presence_findings(events, p=1)
         assert len(found) == 1
 
 
@@ -335,7 +402,7 @@ class TestRendering:
         ctx = AnalysisContext(1)
         for i in range(5):
             ctx.load_shared(a(i, 0))
-        found = check_capacity(
+        found = capacity_findings(
             ctx.events, cs=4, cd=4, p=1, algorithm="demo", machine="q32"
         )
         text = found[0].render()
@@ -346,6 +413,6 @@ class TestRendering:
     def test_to_dict_round_trips_fields(self) -> None:
         ctx = AnalysisContext(1)
         ctx.evict_shared(a(0, 0))
-        d = check_presence(ctx.events, p=1)[0].to_dict()
+        d = presence_findings(ctx.events, p=1)[0].to_dict()
         assert d["analyzer"] == "presence"
         assert d["severity"] == ERROR

@@ -2,10 +2,11 @@
 
 Three layers of evidence:
 
-* a hypothesis property proving :func:`count_costs` over the recorded
-  event log equals the checked IDEAL simulator's ``MS``/``MD`` integer
-  for integer, on random small orders (evenly tiled and ragged) across
-  every algorithm with a closed form;
+* a hypothesis property proving the residency walk's counts and peaks
+  over the recorded event log equal the checked IDEAL simulator's
+  ``MS``/``MD`` and peak resident sets integer for integer, on random
+  small orders (evenly tiled and ragged) across every algorithm with a
+  closed form;
 * seeded violations — a perturbed formula (the ``mn`` term dropped
   from shared-opt's ``MS``) and a schedule whose counts beat the
   strongest lower bound — each caught as an error;
@@ -15,7 +16,7 @@ Three layers of evidence:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict
+from typing import Any, Dict, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +26,13 @@ import repro.analysis.formulas as formulas
 from repro.algorithms.base import ExecutionContext, MatmulAlgorithm
 from repro.algorithms.registry import get_algorithm
 from repro.analysis.formulas import FORMULAS, PredictedCounts, divisibility_ok, predict
-from repro.check import AnalysisContext, analyze_schedule, check_cost, count_costs
+from repro.cache.hierarchy import IdealHierarchy
+from repro.check import AnalysisContext, analyze_schedule, check_cost, check_residency
 from repro.check.cost import CountedCosts
-from repro.check.events import COMPUTE, EVICT_S, LOAD_D, LOAD_S
+from repro.check.events import COMPUTE, EVICT_S, LOAD_D, LOAD_S, Event
 from repro.check.tightbounds import check_tight_bounds
 from repro.model.machine import MulticoreMachine
+from repro.sim.contexts import IdealContext
 from repro.sim.runner import run_experiment
 
 MACHINE = MulticoreMachine(p=4, cs=100, cd=21, q=8)
@@ -49,10 +52,22 @@ def _tile_side(name: str) -> int:
     return max(sides) if sides else 1
 
 
+def walk_counts(events: Sequence[Event], p: int) -> CountedCosts:
+    """The residency walk's traffic counts, capacity unbounded."""
+    room = len(events) + 1
+    return check_residency(events, room, room, p)[3]
+
+
+def _walk(alg: MatmulAlgorithm):
+    """The residency walk over ``alg``'s recorded schedule."""
+    ctx = AnalysisContext(alg.machine.p)
+    alg.run(ctx)
+    machine = alg.machine
+    return check_residency(ctx.events, machine.cs, machine.cd, machine.p)
+
+
 def _recorded_counts(name: str, m: int, n: int, z: int) -> CountedCosts:
-    ctx = AnalysisContext(MACHINE.p)
-    get_algorithm(name)(MACHINE, m, n, z).run(ctx)
-    return count_costs(ctx.events, MACHINE.p)
+    return _walk(get_algorithm(name)(MACHINE, m, n, z))[3]
 
 
 class TestCountingSoundness:
@@ -66,8 +81,9 @@ class TestCountingSoundness:
         double=st.booleans(),
     )
     def test_counted_equals_ideal_simulation(self, name, dims, snap, double):
-        """Symbolic distinct-block counting == checked IDEAL simulation.
+        """The residency walk == checked IDEAL simulation.
 
+        Counts and peak resident sets agree integer for integer.
         ``snap`` rounds the drawn dims to tile multiples so both the
         evenly-tiled (exact-formula) and ragged paths are exercised.
         """
@@ -76,10 +92,16 @@ class TestCountingSoundness:
             tile = _tile_side(name)
             factor = 2 if (double and tile <= 9) else 1
             m, n, z = (tile * factor,) * 3
-        counted = _recorded_counts(name, m, n, z)
+        alg = get_algorithm(name)(MACHINE, m, n, z)
+        _, peak_shared, peak_dist, counted = _walk(alg)
         result = run_experiment(name, MACHINE, m, n, z, "ideal", check=True)
         assert counted.ms == result.ms
         assert counted.md_max == result.md
+        hierarchy = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd, check=True)
+        alg.run(IdealContext(hierarchy))
+        assert counted.md == tuple(hierarchy.md)
+        assert peak_shared == hierarchy.peak_shared
+        assert peak_dist == hierarchy.peak_dist
 
     @pytest.mark.parametrize("name", FORMULA_ALGS)
     def test_counted_matches_formula_on_divisible_orders(self, name):
@@ -108,23 +130,15 @@ class TestCountingSoundness:
             (LOAD_D, 0, 7),
             (LOAD_D, 1, 7),
         ]
-        counted = count_costs(events, p=2)
+        counted = walk_counts(events, p=2)
         assert counted.ms == 2
         assert counted.md == (1, 1)
         assert counted.md_max == 1
 
     def test_empty_log_counts_zero(self):
-        counted = count_costs([], p=0)
+        counted = walk_counts([], p=0)
         assert counted.ms == 0
         assert counted.md_max == 0
-
-    def test_counted_tdata_prices_like_predictions(self):
-        machine = MulticoreMachine(p=2, cs=50, cd=10, sigma_s=2.0, sigma_d=0.5)
-        counted = CountedCosts(ms=100, md=(40, 30))
-        assert counted.tdata(machine) == pytest.approx(100 / 2.0 + 40 / 0.5)
-        assert counted.tdata(machine) == pytest.approx(
-            PredictedCounts(ms=100.0, md=40.0).tdata(machine)
-        )
 
 
 class TestCleanSchedules:
@@ -132,9 +146,7 @@ class TestCleanSchedules:
     def test_no_findings_on_real_schedules(self, name, quad):
         for order in (8, 13):
             alg = get_algorithm(name)(quad, order, order, order)
-            ctx = AnalysisContext(quad.p)
-            alg.run(ctx)
-            found = check_cost(alg, ctx.events, machine="quad")
+            found = check_cost(alg, _walk(alg)[3], machine="quad")
             assert found == [], [f.render() for f in found]
 
 
@@ -174,7 +186,7 @@ class TestSeededViolations:
 
         monkeypatch.setitem(formulas.FORMULAS, "shared-opt", broken)
         alg = get_algorithm("shared-opt")(quad, 18, 18, 18)
-        found = check_cost(alg, _events_of(alg), machine="quad")
+        found = check_cost(alg, _walk(alg)[3], machine="quad")
         assert any(
             f.rule_id == "cost/formula-mismatch" and "MD" in f.message
             for f in found
@@ -199,7 +211,7 @@ class TestSeededViolations:
         alg = Cheat(quad, 64, 64, 64)
         events = [(LOAD_S, -1, 1), (LOAD_D, 0, 1), (COMPUTE, 0, 1, 1, 1)]
         found, _cell = check_tight_bounds(
-            alg, count_costs(events, quad.p), machine="quad"
+            alg, walk_counts(events, quad.p), machine="quad"
         )
         assert [f.rule_id for f in found] == ["cost/below-tight-bound"] * 2
         assert "counted MS=1" in found[0].message
@@ -215,12 +227,6 @@ class TestSeededViolations:
         monkeypatch.setitem(formulas.FORMULAS, "shared-opt", wild)
         alg = get_algorithm("shared-opt")(quad, 13, 13, 13)  # ragged: 13 % 9
         assert not divisibility_ok(alg)
-        found = check_cost(alg, _events_of(alg), machine="quad")
+        found = check_cost(alg, _walk(alg)[3], machine="quad")
         assert {f.rule_id for f in found} == {"cost/formula-ratio"}
         assert len(found) == 2  # MS and MD both leave the envelope
-
-
-def _events_of(alg: MatmulAlgorithm):
-    ctx = AnalysisContext(alg.machine.p)
-    alg.run(ctx)
-    return ctx.events

@@ -9,11 +9,9 @@ from repro.check.determinism import call_name, dotted_call_name, walk_with_paren
 from repro.check.lint import FileProfile, run_lint, scan_source
 
 
-def scan(source, filename, *, registered=None, **roles):
+def scan(source, filename, **roles):
     """The lint family alone over one snippet, with the given role gates."""
-    return scan_source(
-        source, filename, profile=FileProfile(**roles), registered=registered
-    )
+    return scan_source(source, filename, profile=FileProfile(**roles))
 
 
 def rules(findings):
@@ -65,35 +63,6 @@ class TestExplicitGuard:
         assert scan(src, "other.py", algorithms_module=False) == []
 
 
-class TestUnregisteredAlgorithm:
-    SRC = (
-        "class Rogue(MatmulAlgorithm):\n"
-        "    name = 'rogue'\n"
-    )
-
-    def test_unregistered_flagged(self):
-        found = scan(
-            self.SRC, "alg.py", algorithms_module=True, registered={"shared-opt"}
-        )
-        assert rules(found) == ["unregistered-algorithm"]
-        assert "'rogue'" in found[0].message
-
-    def test_registered_clean(self):
-        assert (
-            scan(
-                self.SRC, "alg.py", algorithms_module=True, registered={"rogue"}
-            )
-            == []
-        )
-
-    def test_abstract_base_exempt(self):
-        src = (
-            "class Base(MatmulAlgorithm):\n"
-            "    name = 'abstract'\n"
-        )
-        assert scan(src, "alg.py", algorithms_module=True, registered=set()) == []
-
-
 class TestDeadBranch:
     def test_if_pass_flagged(self):
         src = (
@@ -118,7 +87,7 @@ class TestDeadBranch:
 
     def test_elif_pass_in_dispatch_chain_clean(self):
         # `elif op == COMPUTE: pass` is a legitimate "nothing to do for
-        # this case" arm (repro.check.capacity uses exactly this).
+        # this case" arm.
         src = (
             "def f(op):\n"
             "    if op == 1:\n"

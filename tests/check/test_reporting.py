@@ -7,7 +7,7 @@ from pathlib import Path
 
 import repro
 from repro.cache.block import MAT_A, block_key
-from repro.check import AnalysisContext, check_presence, to_sarif, write_sarif
+from repro.check import AnalysisContext, check_residency, to_sarif, write_sarif
 from repro.check.findings import ERROR, WARNING, CHECKER_VERSION, Finding
 from repro.check.sarif import RULE_DESCRIPTIONS
 
@@ -18,7 +18,8 @@ REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 def _spurious_evict_finding() -> Finding:
     ctx = AnalysisContext(1)
     ctx.evict_shared(block_key(MAT_A, 0, 0))
-    return check_presence(ctx.events, p=1)[0]
+    (finding,) = check_residency(ctx.events, 1, 1, 1)[0]
+    return finding
 
 
 class TestRuleIds:
@@ -57,7 +58,7 @@ class TestFingerprints:
 
     def test_distinct_rules_distinct_fingerprints(self) -> None:
         f1 = Finding("cost", ERROR, "msg", rule="cost/formula-mismatch")
-        f2 = Finding("cost", ERROR, "msg", rule="cost/tdata-mismatch")
+        f2 = Finding("cost", ERROR, "msg", rule="cost/formula-ratio")
         assert f1.fingerprint() != f2.fingerprint()
 
 

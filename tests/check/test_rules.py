@@ -53,6 +53,12 @@ class TestRegistry:
             assert rule.help
             assert set(rule.to_dict()) == {"id", "severity", "tier", "help"}
 
+    def test_checker_doc_names_every_rule(self):
+        # SARIF's fullDescription sends readers to this catalogue.
+        doc = Path(__file__).resolve().parents[2] / "docs" / "CHECKER.md"
+        text = doc.read_text(encoding="utf-8")
+        assert [r for r in ALL_IDS if f"`{r}`" not in text] == []
+
     def test_duplicate_registration_rejected(self):
         before = dict(REGISTRY)
         with pytest.raises(ValueError, match="duplicate"):

@@ -202,6 +202,12 @@ class TestFigure:
         assert code == 0
         assert (tmp_path / "fig4a.csv").exists()
 
+    def test_fig12_rejects_several_orders(self, capsys):
+        # Fig. 12 sweeps the bandwidth ratio at one order; a second
+        # order must not be dropped silently.
+        assert main(["figure", "fig12", "--orders", "4", "6"]) == 2
+        assert "got --orders 4 6" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_verify(self, capsys):
@@ -306,7 +312,7 @@ class TestCheck:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 5
-        assert payload["checker_version"] == 5
+        assert payload["checker_version"] == 6
         assert payload["cells"] == {"analyzed": 1, "skipped": 0}
         assert "suppressed" not in payload
         assert payload["elapsed_s"] > 0
@@ -319,7 +325,7 @@ class TestCheck:
         assert main(["check", "--list-rules", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 2
-        assert len(payload["rules"]) == 36
+        assert len(payload["rules"]) == 35
         for rule in payload["rules"]:
             assert set(rule) == {"id", "severity", "tier", "help"}
 
