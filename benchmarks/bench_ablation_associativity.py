@@ -10,7 +10,7 @@ Artifact: out/ablation_associativity.txt.
 
 from repro.experiments.io import render_rows
 from repro.model.machine import MulticoreMachine
-from repro.sim.runner import run_experiment
+from repro.sim.runner import clear_memos, run_experiment
 from repro.store.atomic import atomic_write_text
 
 # A q32-like machine with way-friendly capacities (multiples of 8).
@@ -50,6 +50,7 @@ def bench_associativity(benchmark, out_dir):
 
 def bench_plru_vs_lru(benchmark):
     def run():
+        clear_memos()  # bench_associativity ran the assoc8 cell
         lru = run_experiment(
             "shared-opt",
             MACHINE,

@@ -6,7 +6,7 @@ simulation-time impact of back-invalidation on a full Shared Opt. run.
 """
 
 from repro.model.machine import preset
-from repro.sim.runner import run_experiment
+from repro.sim.runner import clear_memos, run_experiment
 from repro.store.atomic import atomic_write_text
 
 ORDER = 32
@@ -38,6 +38,7 @@ def bench_inclusion_miss_count_effect(benchmark, out_dir):
     """Record the count deltas (artifact: out/ablation_inclusion.txt)."""
 
     def run():
+        clear_memos()  # the benches above ran both cells
         rows = []
         for inclusive in (False, True):
             r = run_experiment(

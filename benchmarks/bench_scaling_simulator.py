@@ -12,12 +12,11 @@ with the order, and an order-96 time does not extrapolate to order
 the ~70 minutes a flat per-touch cost would give).
 Artifact: out/scaling_simulator.txt.
 
-The step engine is pinned explicitly: the default replay engine
-memoizes traces and results across runs (and across benches in the
+Both engines memoize results across runs (and across benches in the
 same session), which is exactly what a scaling measurement must not
-see.  The companion ``bench_replay_scaling`` measures the replay
-engine's cold-cache cost per order — the constant that now binds the
-shipped sweeps — clearing the trace and result memos each round.
+see, so every order starts from cleared memos.  The companion
+``bench_replay_scaling`` measures the replay engine's cold-cache cost
+per order, the constant that binds Fig. 12.
 """
 
 import time

@@ -20,10 +20,11 @@ on identical workloads (same schedule, machine, counters):
   plan) and the cell's counters per ``(ScheduleKey, "ideal")`` —
   unchecked IDEAL counters read no capacity and no bandwidth — so warm
   cells, the common case in sweep resumes, conformance re-checks and
-  figure regeneration, cost a dict probe.  ``engine="step"`` never
-  reads the memo and re-simulates, fast-forwarding the schedule's
-  declared loops (:mod:`repro.sim.contexts`): ``bench_ideal_cell_step``
-  fell from ~40 ms to ~13 ms per run with it (2-vCPU host), since only
+  figure regeneration, cost a dict probe.  ``engine="step"`` memoizes
+  its own results the same way, so the step benches clear the memos
+  every round and re-simulate, fast-forwarding the schedule's declared
+  loops (:mod:`repro.sim.contexts`): ``bench_ideal_cell_step`` fell
+  from ~40 ms to ~13 ms per run with it (2-vCPU host), since only
   about 7 of the cell's 24 k iterations are simulated.
 """
 
@@ -36,7 +37,7 @@ from repro.cache import replay
 from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
 from repro.model.machine import PRESETS
-from repro.sim.runner import run_experiment
+from repro.sim.runner import clear_memos, run_experiment
 
 N = 4096
 
@@ -126,6 +127,7 @@ def bench_mdcurve_step(benchmark):
     """8-point distributed-capacity curve, one step simulation per point."""
 
     def run():
+        clear_memos()
         curve = {}
         for cap in CURVE_CAPACITIES:
             result = run_experiment(
@@ -158,6 +160,7 @@ def bench_fifo_step(benchmark):
     """One FIFO cell through the step engine's generic policy path."""
 
     def run():
+        clear_memos()
         return run_experiment(
             "shared-opt",
             MACHINE,
@@ -190,6 +193,7 @@ def bench_ideal_cell_step(benchmark):
     """Re-evaluating an IDEAL cell with the step engine (re-simulates)."""
 
     def run():
+        clear_memos()
         return run_experiment(
             "shared-opt",
             MACHINE,

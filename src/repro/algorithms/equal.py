@@ -147,7 +147,9 @@ class DistributedEqual(MatmulAlgorithm):
     ``C`` tiles (side ``t``, ``3t² ≤ CD``) are dealt round-robin to the
     cores; each core pins its current ``(C, A, B)`` tile triple in its
     private cache.  Cores are interleaved at the ``k``-step granularity
-    to approximate concurrent execution in LRU mode.
+    to approximate concurrent execution in LRU mode.  Groups of whole
+    rounds that are also whole tile rows form a declared loop, so the
+    counting contexts can skip most of them.
     """
 
     name = "distributed-equal"
@@ -176,81 +178,97 @@ class DistributedEqual(MatmulAlgorithm):
 
     def run(self, ctx: ExecutionContext) -> None:
         p = ctx.p
+        m, n, t = self.m, self.n, self.t
+        # Tiles are numbered row-major, ``per_row`` to a tile row, and
+        # dealt round-robin in rounds of ``p``.  A round can wrap across
+        # tile rows, so rounds are no translates of each other; but
+        # lcm(p, per_row) tiles are both whole rounds and ``rows`` whole
+        # tile rows, so groups of that many full tile rows are.
+        per_row = -(-n // t)
+        total = -(-m // t) * per_row
+        group = math.lcm(p, per_row)
+        rows = group // per_row * t
+        shift = (rows << ROW_SHIFT, 0, rows << ROW_SHIFT)
+        groups = m // rows
+        for g in ctx.loop(range(groups), shift):
+            for r0 in range(g * group, (g + 1) * group, p):
+                self._round(ctx, r0, r0 + p, per_row)
+        # The leftover tile rows, the ragged one included, run plainly.
+        for r0 in range(groups * group, total, p):
+            self._round(ctx, r0, min(r0 + p, total), per_row)
+
+    def _round(self, ctx: ExecutionContext, first: int, stop: int, per_row: int) -> None:
+        """Tiles ``first .. stop - 1``, one per core, over every ``k0`` slab."""
         m, n, z = self.m, self.n, self.z
         t = self.t
         explicit = ctx.explicit
         compute = ctx.compute
         RS = ROW_SHIFT
 
-        # Round-robin deal of C tiles to cores.
-        tiles = [
-            (i0, min(i0 + t, m), j0, min(j0 + t, n))
-            for i0 in range(0, m, t)
-            for j0 in range(0, n, t)
-        ]
-        # Process in rounds of p tiles so cores advance together.  A
-        # round can wrap across tile rows, so rounds are no translates of
-        # each other; full k0 slabs within a round are.
-        for r0 in range(0, len(tiles), p):
-            round_tiles = tiles[r0 : r0 + p]
+        round_tiles = []
+        for index in range(first, stop):
+            i0 = index // per_row * t
+            j0 = index % per_row * t
+            round_tiles.append((i0, min(i0 + t, m), j0, min(j0 + t, n)))
+        if explicit:
+            for core, (i0, hi, j0, wj) in enumerate(round_tiles):
+                for i in range(i0, hi):
+                    crow = C_BASE | (i << RS)
+                    for j in range(j0, wj):
+                        key = crow | j
+                        ctx.load_shared(key)
+                        ctx.load_dist(core, key)
+        # Full k0 slabs within a round are translates of each other.
+        for k0 in tile_loop(ctx, z, t, (t, t << RS, 0)):
+            kh = min(k0 + t, z)
+            step_keys = set()
             if explicit:
+                # Different cores of a round may need the same A (or
+                # B) tile; load each distinct block into the shared
+                # cache once and track the set for the evict phase.
                 for core, (i0, hi, j0, wj) in enumerate(round_tiles):
                     for i in range(i0, hi):
-                        crow = C_BASE | (i << RS)
-                        for j in range(j0, wj):
-                            key = crow | j
-                            ctx.load_shared(key)
-                            ctx.load_dist(core, key)
-            for k0 in tile_loop(ctx, z, t, (t, t << RS, 0)):
-                kh = min(k0 + t, z)
-                step_keys = set()
-                if explicit:
-                    # Different cores of a round may need the same A (or
-                    # B) tile; load each distinct block into the shared
-                    # cache once and track the set for the evict phase.
-                    for core, (i0, hi, j0, wj) in enumerate(round_tiles):
-                        for i in range(i0, hi):
-                            arow = A_BASE | (i << RS)
-                            for k in range(k0, kh):
-                                key = arow | k
-                                if key not in step_keys:
-                                    step_keys.add(key)
-                                    ctx.load_shared(key)
-                                ctx.load_dist(core, key)
-                        for k in range(k0, kh):
-                            brow = B_BASE | (k << RS)
-                            for j in range(j0, wj):
-                                key = brow | j
-                                if key not in step_keys:
-                                    step_keys.add(key)
-                                    ctx.load_shared(key)
-                                ctx.load_dist(core, key)
-                for core, (i0, hi, j0, wj) in enumerate(round_tiles):
-                    for i in range(i0, hi):
-                        crow = C_BASE | (i << RS)
                         arow = A_BASE | (i << RS)
                         for k in range(k0, kh):
-                            ka = arow | k
-                            brow = B_BASE | (k << RS)
-                            for j in range(j0, wj):
-                                compute(core, crow | j, ka, brow | j)
-                if explicit:
-                    for core, (i0, hi, j0, wj) in enumerate(round_tiles):
-                        for i in range(i0, hi):
-                            arow = A_BASE | (i << RS)
-                            for k in range(k0, kh):
-                                ctx.evict_dist(core, arow | k)
-                        for k in range(k0, kh):
-                            brow = B_BASE | (k << RS)
-                            for j in range(j0, wj):
-                                ctx.evict_dist(core, brow | j)
-                    for key in step_keys:
-                        ctx.evict_shared(key)
+                            key = arow | k
+                            if key not in step_keys:
+                                step_keys.add(key)
+                                ctx.load_shared(key)
+                            ctx.load_dist(core, key)
+                    for k in range(k0, kh):
+                        brow = B_BASE | (k << RS)
+                        for j in range(j0, wj):
+                            key = brow | j
+                            if key not in step_keys:
+                                step_keys.add(key)
+                                ctx.load_shared(key)
+                            ctx.load_dist(core, key)
+            for core, (i0, hi, j0, wj) in enumerate(round_tiles):
+                for i in range(i0, hi):
+                    crow = C_BASE | (i << RS)
+                    arow = A_BASE | (i << RS)
+                    for k in range(k0, kh):
+                        ka = arow | k
+                        brow = B_BASE | (k << RS)
+                        for j in range(j0, wj):
+                            compute(core, crow | j, ka, brow | j)
             if explicit:
                 for core, (i0, hi, j0, wj) in enumerate(round_tiles):
                     for i in range(i0, hi):
-                        crow = C_BASE | (i << RS)
+                        arow = A_BASE | (i << RS)
+                        for k in range(k0, kh):
+                            ctx.evict_dist(core, arow | k)
+                    for k in range(k0, kh):
+                        brow = B_BASE | (k << RS)
                         for j in range(j0, wj):
-                            key = crow | j
-                            ctx.evict_dist(core, key)
-                            ctx.evict_shared(key)
+                            ctx.evict_dist(core, brow | j)
+                for key in step_keys:
+                    ctx.evict_shared(key)
+        if explicit:
+            for core, (i0, hi, j0, wj) in enumerate(round_tiles):
+                for i in range(i0, hi):
+                    crow = C_BASE | (i << RS)
+                    for j in range(j0, wj):
+                        key = crow | j
+                        ctx.evict_dist(core, key)
+                        ctx.evict_shared(key)

@@ -217,19 +217,38 @@ class LRUHierarchy:
             out += cache.misses_by_matrix
         return out
 
-    def advance(self, delta: Sequence[int], shift: Sequence[int]) -> None:
+    def still(self, idle: Collection[int]) -> Set[int]:
+        """The parts of :meth:`state` that a loop leaves in place.
+
+        ``idle`` are the cores that ran no multiply-add in one iteration
+        of a declared loop, so none in any later, translated one.  In
+        LRU mode only a core's own multiply-adds touch its distributed
+        cache, unless shared evictions back-invalidate it (inclusive),
+        so an idle core's key order and dirty set stay as they are.
+        """
+        if self.inclusive:
+            return set()
+        return {part for core in idle for part in (2 * core + 2, 2 * core + 3)}
+
+    def advance(
+        self, delta: Sequence[int], shift: Sequence[int], still: Collection[int]
+    ) -> None:
         """Add ``delta`` to :meth:`counters`; move every key by ``shift``.
 
-        Recency and insertion order are kept; requires :attr:`renames`.
+        The caches whose :meth:`state` parts are in ``still`` keep their
+        keys.  Recency and insertion order are kept; requires
+        :attr:`renames`.
         """
         deltas = iter(delta)
-        for cache in (self.shared, *self.distributed):
+        for index, cache in enumerate((self.shared, *self.distributed)):
             cache.hits += next(deltas)
             cache.misses += next(deltas)
             cache.writebacks += next(deltas)
             by_matrix = cache.misses_by_matrix
             for mat in range(3):
                 by_matrix[mat] += next(deltas)
+            if 2 * index in still:
+                continue
             data = cache.policy._data  # type: ignore[attr-defined]
             moved = shifted(data, shift)
             data.clear()
@@ -473,8 +492,18 @@ class IdealHierarchy:
             out += row
         return out
 
-    def advance(self, delta: Sequence[int], shift: Sequence[int]) -> None:
-        """Add ``delta`` to :meth:`counters`; move every key by ``shift``."""
+    def still(self, idle: Collection[int]) -> Set[int]:
+        """No part of :meth:`state` stays in place: directives may reach
+        a core that runs no multiply-add."""
+        return set()
+
+    def advance(
+        self, delta: Sequence[int], shift: Sequence[int], still: Collection[int]
+    ) -> None:
+        """Add ``delta`` to :meth:`counters`; move every key by ``shift``.
+
+        ``still`` is always empty (see :meth:`still`).
+        """
         deltas = iter(delta)
         self.ms += next(deltas)
         for mat in range(3):

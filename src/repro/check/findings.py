@@ -137,7 +137,9 @@ class FindingLimiter:
 
     After :data:`FINDING_LIMIT` findings a single summary entry is
     appended and further :meth:`add` calls are dropped (but still
-    counted).
+    counted).  The notice names the analyzer and carries the cell
+    (``algorithm``, ``machine``) of the kept findings, so each analyzer
+    and cell gets a notice with its own fingerprint and SARIF anchor.
     """
 
     analyzer: str
@@ -152,11 +154,16 @@ class FindingLimiter:
 
     def results(self) -> List[Finding]:
         if self.dropped:
+            kept = self.findings[0]
             return self.findings + [
                 Finding(
                     analyzer=self.analyzer,
                     severity=WARNING,
-                    message=f"{self.dropped} further findings suppressed",
+                    message=(
+                        f"{self.analyzer}: {self.dropped} further findings suppressed"
+                    ),
+                    algorithm=kept.algorithm,
+                    machine=kept.machine,
                     rule="meta/findings-capped",
                 )
             ]

@@ -19,13 +19,14 @@ Five rules, each born from a real failure mode of this codebase:
   ``self`` and skips any state added outside ``__init__``; write an
   explicit reinitialisation instead.
 * ``unpinned-bench-engine`` — in ``benchmarks/``, every direct
-  ``run_experiment(...)`` call must pass ``engine=`` explicitly.  The
-  default engine memoizes compiled traces and cell results (keyed on
-  the schedule, see :class:`repro.algorithms.base.ScheduleKey`), so an
-  unpinned benchmark that *believes* it measures the step engine (or a
-  cold replay) can silently measure a dict probe instead — the numbers
-  look spectacular and mean nothing.  Pinning makes the measured
-  configuration part of the benchmark's source.
+  ``run_experiment(...)`` call must pass ``engine=`` explicitly.  Both
+  engines memoize cell results (keyed on the engine and the schedule,
+  see :class:`repro.algorithms.base.ScheduleKey`) and replay also
+  memoizes compiled traces, so a benchmark that does not say which
+  engine it measures, and whether it starts cold, can silently
+  measure a dict probe instead — the numbers look spectacular and
+  mean nothing.  Pinning makes the measured configuration part of the
+  benchmark's source.
 * ``nonatomic-artifact-write`` — outside :mod:`repro.store`, no direct
   ``write_text``/``write_bytes`` calls and no write-mode ``open``:
   every artifact writer must go through the atomic tmp-file + fsync +
@@ -263,10 +264,10 @@ def _check_bench_engine_pin(
         findings.append(
             _finding(
                 "unpinned-bench-engine",
-                "run_experiment(...) without engine=: the default engine "
-                "memoizes traces and replay results, so this benchmark may "
-                "measure a dict probe instead of the engine it claims to; "
-                "pin engine='replay' or engine='step' explicitly",
+                "run_experiment(...) without engine=: the engines memoize "
+                "cell results, so this benchmark may measure a dict probe "
+                "instead of the engine it claims to; pin engine='replay' "
+                "or engine='step' explicitly",
                 filename,
                 node.lineno,
             )

@@ -321,8 +321,6 @@ def _cmd_fabric_worker(args: argparse.Namespace) -> int:
 _PARALLEL_FIGS = frozenset(
     {"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}
 )
-#: Multi-panel figures the nightly pipeline shards by panel key.
-_PANEL_FIGS = frozenset({"fig7", "fig8", "fig9", "fig10", "fig11"})
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -354,14 +352,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             )
             return 2
         kwargs["workers"] = args.workers
-    if args.panels:
-        if args.fig_id not in _PANEL_FIGS:
-            print(
-                f"error: --panels applies to {', '.join(sorted(_PANEL_FIGS))}",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["panels_filter"] = args.panels
     figure = get_figure(args.fig_id, **kwargs)
     print(render_figure(figure))
     if args.csv:
@@ -824,20 +814,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-tier",
         metavar="DIR",
         default=None,
-        help="on-disk compiled-trace tier (default: $REPRO_TRACE_TIER)",
+        help="on-disk compiled-trace tier for fig12, the one figure whose "
+        "cells replay compiled traces (default: $REPRO_TRACE_TIER)",
     )
     p_fig.add_argument(
         "--workers",
         type=int,
         default=0,
         help="fan sweep cells over N processes (order-sweep figures)",
-    )
-    p_fig.add_argument(
-        "--panels",
-        nargs="+",
-        choices=list("abcd"),
-        default=None,
-        help="regenerate only these panel keys (figs 7-11 shards)",
     )
     p_fig.set_defaults(func=_cmd_figure)
 

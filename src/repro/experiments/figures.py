@@ -10,13 +10,14 @@ Scale note
 ----------
 The paper sweeps matrix orders up to 1100 blocks.  The default sweep
 stops at order 96 to stay interactive, but every function takes an
-``orders=`` / ``order=`` override, and the streaming bulk-replay
-kernels (:mod:`repro.cache.replay`) make the full axis reachable: the
-nightly ``full-figures`` CI pipeline regenerates Figs. 7–11 at order
-1100, sharding figures by panel (``panels_filter``) and fanning sweep
-cells over processes (``workers``).  All qualitative features of the
-figures — who wins, the LRU-vs-formula factor-≤2 envelope, the
-crossovers in the bandwidth sweep — are scale-free.
+``orders=`` / ``order=`` override.  Figs. 4–11 run on the step engine,
+which fast-forwards the loops every schedule declares
+(:mod:`repro.sim.contexts`), so the full axis is reachable: the nightly
+``full-figures`` CI job regenerates Figs. 7–11 at order 1100 in one
+job.  Fig. 12 replays compiled traces (:mod:`repro.cache.replay`).
+All qualitative features of the figures — who wins, the
+LRU-vs-formula factor-≤2 envelope, the crossovers in the bandwidth
+sweep — are scale-free.
 """
 
 from __future__ import annotations
@@ -175,9 +176,7 @@ def figure7(
     """Fig. 7: MS of Shared Opt. vs Outer Product, Shared Equal, bound.
 
     ``panels_filter`` restricts regeneration to the named panel keys
-    (``a``/``b``/``c``) — the nightly full-figure pipeline shards one
-    figure across jobs this way, skipping the sweeps of the panels it
-    does not own.
+    (``a``/``b``/``c``), skipping the sweeps of the others.
     """
     panels: List[Panel] = []
     for key, preset_key in (("a", "q32"), ("b", "q64"), ("c", "q80")):
@@ -305,9 +304,7 @@ def _tdata_figure(
     """Common shape of Figs. 9–11: four panels (LRU-50/IDEAL × two CD).
 
     ``panels_filter`` restricts regeneration to the named panel keys
-    (``a``–``d``), skipping the sweeps behind the others — the nightly
-    pipeline shards each figure across two jobs (``a b`` / ``c d``) so
-    the paper-scale LRU panels fit a runner's wall-clock budget.
+    (``a``–``d``), skipping the sweeps behind the others.
     """
     panels: List[Panel] = []
     combos = [

@@ -661,7 +661,7 @@ def fabric_order_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "replay",
+    engine: str = "step",
     lease_s: float = 15.0,
     retries: int = 2,
     backoff: float = 0.1,

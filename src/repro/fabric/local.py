@@ -174,7 +174,7 @@ def run_local_fabric(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "replay",
+    engine: str = "step",
     lease_s: float = 5.0,
     retries: int = 2,
     backoff: float = 0.1,

@@ -14,7 +14,11 @@ dirty set, or IDEAL's resident and dirty sets) is the state one
 boundary earlier with every key moved by the loop's shift.  Then each
 remaining iteration repeats the last one's counter and multiply-add
 deltas, and the loop ends in the current state moved by ``remaining ×
-shift``.  :class:`_CountingContext` checks for that and jumps.
+shift``.  :class:`_CountingContext` checks for that and jumps.  A
+cache that an iteration cannot touch, such as the distributed cache of
+a core with no multiply-adds in it under non-inclusive LRU, keeps its
+keys instead (see :meth:`~repro.cache.hierarchy.LRUHierarchy.still`):
+a ragged tile row that leaves some cores idle still repeats.
 """
 
 from __future__ import annotations
@@ -40,27 +44,37 @@ from repro.cache.trace import AccessTrace
 #: Multiply-adds the loops with one shift run between two of their
 #: state comparisons, per key of hierarchy state.  A comparison copies
 #: and renames the whole state; this keeps its cost to 1-2% of the
-#: simulation around it where no loop ever repeats (Distributed Equal
-#: under LRU-50); a larger value catches the loops that do repeat later.
+#: simulation around it where a loop never repeats (Distributed Equal's
+#: k0 loop under LRU-50); a larger value catches the loops that do
+#: repeat later.
 _WORK_PER_KEY = 3
 
 
 def _repeats(
-    before: Sequence[Collection[int]], after: Sequence[Collection[int]], shift: Shift
+    before: Sequence[Collection[int]],
+    after: Sequence[Collection[int]],
+    shift: Shift,
+    still: Collection[int],
 ) -> bool:
     """Whether ``after`` is ``before`` with every key moved by ``shift``.
 
-    Lists are compared in order, sets as sets.  Sizes and the oldest
-    key of each list refute most mismatches before any full renaming.
+    The parts indexed by ``still`` must be unchanged instead.  Lists are
+    compared in order, sets as sets.  Sizes and the oldest key of each
+    list refute most mismatches before any full renaming.
     """
     pairs = list(zip(before, after))
-    for old, new in pairs:
+    for index, (old, new) in enumerate(pairs):
         if len(old) != len(new):
             return False
-        if isinstance(old, list) and isinstance(new, list) and old:
-            if new[0] != shifted(old[:1], shift)[0]:
+        if index in still or not old or not isinstance(old, list):
+            continue
+        if isinstance(new, list) and new[0] != shifted(old[:1], shift)[0]:
+            return False
+    for index, (old, new) in enumerate(pairs):
+        if index in still:
+            if new != old:
                 return False
-    for old, new in pairs:
+            continue
         moved = shifted(old, shift)
         if new != (moved if isinstance(new, list) else set(moved)):
             return False
@@ -124,13 +138,17 @@ class _CountingContext(ExecutionContext, Generic[_Hierarchy]):
             at += 1
             after = hierarchy.state()
             work[shift] = max(work.get(shift, 1), sum(comp) - done)
-            if _repeats(before, after, shift):
-                self._jump(counted, count - at, shift)
+            idle = [c for c, old in enumerate(counted[-len(comp) :]) if comp[c] == old]
+            still = hierarchy.still(idle)
+            if _repeats(before, after, shift, still):
+                self._jump(counted, count - at, shift, still)
                 return
             due[shift] = done + _WORK_PER_KEY * sum(map(len, after))
         yield from iterations[at:]
 
-    def _jump(self, counted: List[int], times: int, shift: Shift) -> None:
+    def _jump(
+        self, counted: List[int], times: int, shift: Shift, still: Collection[int]
+    ) -> None:
         """Repeat the iteration since ``counted`` ``times`` more times."""
         comp = self.comp
         delta = [
@@ -138,7 +156,9 @@ class _CountingContext(ExecutionContext, Generic[_Hierarchy]):
             for old, new in zip(counted, self.hierarchy.counters() + comp)
         ]
         split = len(delta) - len(comp)
-        self.hierarchy.advance(delta[:split], [times * offset for offset in shift])
+        self.hierarchy.advance(
+            delta[:split], [times * offset for offset in shift], still
+        )
         for core, extra in enumerate(delta[split:]):
             comp[core] += extra
 

@@ -655,7 +655,7 @@ def parallel_order_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "replay",
+    engine: str = "step",
     cell_timeout: Optional[float] = None,
     retries: int = 2,
     backoff: float = 0.1,
@@ -711,6 +711,7 @@ def parallel_ratio_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
+    # Replay for the reason given at repro.sim.sweep.ratio_sweep.
     engine: str = "replay",
     cell_timeout: Optional[float] = None,
     retries: int = 2,

@@ -5,15 +5,22 @@ a hierarchy + context pair, runs the schedule and packages the outcome.
 This is the function everything else (experiments, benches, CLI,
 examples) goes through.
 
-It also memoizes cell results in-process.  A cell's counters depend on
-its schedule (:class:`~repro.algorithms.base.ScheduleKey`) and on the
-simulated hierarchy: nothing else for unchecked IDEAL cells, whose
-explicit directives never consult a capacity, and the policy,
-inclusion and simulated ``CS``/``CD`` for LRU-family cells.  So the
-memo is keyed on ``(ScheduleKey, "ideal")`` or ``(ScheduleKey, policy,
-inclusive, cs, cd)``, and a Fig. 12 ratio sweep evaluates each of its
-few schedules once.  :func:`clear_memos` drops it together with the
-compiled-trace LRU of :mod:`repro.cache.replay`.
+It also memoizes unchecked cell results in-process, on either engine.
+A cell's counters depend on its schedule
+(:class:`~repro.algorithms.base.ScheduleKey`) and on the simulated
+hierarchy: nothing else for unchecked IDEAL cells, whose explicit
+directives never consult a capacity, and the policy, inclusion and
+simulated ``CS``/``CD`` for LRU-family cells.  So the memo is keyed on
+the engine requested and the engine that ran, plus ``(ScheduleKey,
+"ideal")`` or ``(ScheduleKey, policy, inclusive, cs, cd)``: a Fig. 12
+ratio sweep evaluates each of its few schedules once, and Figs. 7–11
+evaluate the cells they share once.  The requested engine in the key
+keeps a replay call's result, even one that fell back to step, from
+answering a step call and vice versa, so comparing the two engines
+compares two simulations; the engine that ran keeps a hit's ``engine``
+and ``kernel`` true to where its counters came from.
+:func:`clear_memos` drops the memo together with the compiled-trace LRU
+of :mod:`repro.cache.replay`.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ def run_experiment(
     policy: str = "lru",
     inclusive: bool = False,
     verify_comp: bool = True,
-    engine: str = "replay",
+    engine: str = "step",
     **alg_params: Any,
 ) -> ExperimentResult:
     """Run one algorithm on one machine under one setting.
@@ -96,25 +103,27 @@ def run_experiment(
         multiply-adds (cheap sanity net; disable only in throughput
         measurements).
     engine:
-        ``"replay"`` (default) compiles the schedule's access trace
+        ``"step"`` (default) interprets the schedule
+        reference-by-reference and is the oracle.  It fast-forwards
+        the loops a schedule declares once the hierarchy state repeats
+        up to the loop's key shift, exactly (LRU, FIFO and unchecked
+        IDEAL; see :mod:`repro.sim.contexts`), so its cost is not
+        linear in the cell's touches, and its memory does not grow
+        with them.  ``"replay"`` compiles the schedule's access trace
         once (memoized across settings and repeated runs, see
-        :mod:`repro.cache.replay`) and replays it in bulk; counters are
-        bit-identical to ``"step"``, which interprets the schedule
-        reference-by-reference and remains the oracle.  Step
-        fast-forwards the loops a schedule declares once the hierarchy
-        state repeats up to the loop's key shift, exactly (LRU, FIFO
-        and unchecked IDEAL; see :mod:`repro.sim.contexts`), so its
-        cost is not linear in the cell's touches.  One rule,
-        :func:`repro.cache.replay.replays`, decides: replay runs when
-        its kernels cover ``(mode, policy, inclusive, check)`` and the
-        cell's ``m·n·z`` multiply-adds are within ``REPRO_STREAM_FMAS``;
-        any other cell runs on the step engine, whose memory does not
-        grow with the trace.  The result records which engine ran
-        (``engine``, ``kernel``) and whether replay was requested but
-        step ran (``engine_fallback``).  With ``"replay"`` and
-        ``check=False`` the cell's counters may come from the result
-        memo (``trace_source="memo"``; see the module docstring);
-        ``"step"`` and checked runs never read or fill it.
+        :mod:`repro.cache.replay`) and replays it in bulk, with
+        counters bit-identical to step; Fig. 12's ratio sweep still
+        asks for it.  One rule, :func:`repro.cache.replay.replays`,
+        decides whether a replay request replays: its kernels must
+        cover ``(mode, policy, inclusive, check)`` and the cell's
+        ``m·n·z`` multiply-adds must be within ``REPRO_STREAM_FMAS``;
+        any other cell runs on step.  The result records which engine
+        ran (``engine``, ``kernel``) and whether replay was requested
+        but step ran (``engine_fallback``).  With ``check=False`` the
+        cell's counters may come from the result memo
+        (``trace_source="memo"``), but only from an entry a call with
+        the same ``engine`` filled, whichever engine ran it (see the
+        module docstring); checked runs never read or fill it.
     alg_params:
         Forwarded to the algorithm constructor (parameter overrides).
     """
@@ -149,12 +158,12 @@ def run_experiment(
     else:
         kernel = f"bulk-{policy}"
     memo_key: Optional[Tuple[Any, ...]] = None
-    if engine == "replay" and not check:
+    if not check:
         schedule = alg.schedule_key()
         memo_key = (
-            (schedule, "ideal")
+            (engine, ran, schedule, "ideal")
             if setting.is_ideal
-            else (schedule, policy, inclusive, simulated.cs, simulated.cd)
+            else (engine, ran, schedule, policy, inclusive, simulated.cs, simulated.cd)
         )
     start = time.perf_counter()
     hit: Optional[Tuple[HierarchyStats, List[int]]] = None

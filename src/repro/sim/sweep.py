@@ -81,19 +81,21 @@ def order_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "replay",
+    engine: str = "step",
     workers: int = 0,
 ) -> SweepResult:
     """Run every (algorithm, setting) entry over square orders ``m=n=z``.
 
-    With ``engine="replay"`` (the default) entries that share a
-    schedule — one :class:`~repro.algorithms.base.ScheduleKey`, e.g.
-    the ``lru``/``lru-2x``/``ideal`` family — reuse one memoized
-    compiled trace per order instead of re-running the schedule per
-    setting (see :mod:`repro.cache.replay`), and a cell whose schedule
-    and simulated hierarchy were already evaluated is a result-memo hit
-    (see :mod:`repro.sim.runner`).  A cell replay does not cover, or
-    one past ``REPRO_STREAM_FMAS``, runs on the step engine (see
+    Cells run on the step engine by default, which fast-forwards the
+    loops each schedule declares; a cell whose schedule and simulated
+    hierarchy this process already evaluated on the same engine is a
+    result-memo hit (see :mod:`repro.sim.runner`).  With
+    ``engine="replay"`` entries that share a schedule — one
+    :class:`~repro.algorithms.base.ScheduleKey`, e.g. the
+    ``lru``/``lru-2x``/``ideal`` family — reuse one memoized compiled
+    trace per order instead of re-running the schedule per setting (see
+    :mod:`repro.cache.replay`); a cell replay does not cover, or one
+    past ``REPRO_STREAM_FMAS``, still runs on step (see
     :func:`repro.cache.replay.replays`).
 
     With ``workers > 1`` the cells fan out through
@@ -149,6 +151,11 @@ def ratio_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
+    # Replay, not step: perfbench's traced fig12-ideal-ratio run asserts
+    # trace.attributed_frac >= 0.9, and on step the figure's fixed
+    # overhead outweighs its faster cells (the fraction reads ~0.82).
+    # The benchmark change that reads in-tree spans moves that assert
+    # (ROADMAP.md, "In-tree spans").
     engine: str = "replay",
 ) -> SweepResult:
     """Run entries over bandwidth ratios ``r = σS/(σS+σD)`` at fixed order.

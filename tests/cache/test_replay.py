@@ -51,7 +51,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_ideal_matches_step(self, algorithm, shape):
         m, n, z = shape
-        rep = run_experiment(algorithm, MACHINE, m, n, z, "ideal")
+        rep = run_experiment(algorithm, MACHINE, m, n, z, "ideal", engine="replay")
         step = run_experiment(algorithm, MACHINE, m, n, z, "ideal", engine="step")
         assert rep.stats == step.stats
         assert rep.comp == step.comp
@@ -61,7 +61,9 @@ class TestBitIdentity:
     @pytest.mark.parametrize("policy", ["lru", "fifo"])
     def test_lru_family_matches_step(self, algorithm, setting, policy):
         m, n, z = 7, 5, 9
-        rep = run_experiment(algorithm, MACHINE, m, n, z, setting, policy=policy)
+        rep = run_experiment(
+            algorithm, MACHINE, m, n, z, setting, policy=policy, engine="replay"
+        )
         step = run_experiment(
             algorithm, MACHINE, m, n, z, setting, policy=policy, engine="step"
         )
@@ -158,7 +160,7 @@ class TestRandomTraces:
     )
     @hsettings(max_examples=25, deadline=None)
     def test_ideal_replay_equals_step_on_random_shapes(self, algorithm, m, n, z):
-        rep = run_experiment(algorithm, MACHINE, m, n, z, "ideal")
+        rep = run_experiment(algorithm, MACHINE, m, n, z, "ideal", engine="replay")
         step = run_experiment(algorithm, MACHINE, m, n, z, "ideal", engine="step")
         assert rep.stats == step.stats
 
@@ -208,14 +210,16 @@ class TestCoverage:
             run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", engine="warp")
 
     def test_uncovered_config_falls_back_to_step(self):
-        # inclusive hierarchies aren't replayable; the default engine
+        # inclusive hierarchies aren't replayable; a replay request
         # must still produce correct (step) results rather than fail
         rep = run_experiment(
-            "shared-opt", MACHINE, 5, 5, 5, "lru", inclusive=True
+            "shared-opt", MACHINE, 5, 5, 5, "lru", inclusive=True, engine="replay"
         )
         step = run_experiment(
             "shared-opt", MACHINE, 5, 5, 5, "lru", inclusive=True, engine="step"
         )
+        assert rep.engine_fallback
+        assert step.trace_source == ""  # simulated, not the fallback's entry
         assert rep.stats == step.stats
 
 
@@ -226,11 +230,11 @@ class TestTraceCache:
     def test_lru_family_shares_one_trace(self):
         # lru and lru-2x declare the same machine -> same fingerprint;
         # lru-50 plans against halved capacities -> different trace
-        run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru")
+        run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru", engine="replay")
         assert trace_cache_info()["entries"] == 1
-        run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru-2x")
+        run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru-2x", engine="replay")
         assert trace_cache_info()["entries"] == 1
-        run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru-50")
+        run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru-50", engine="replay")
         assert trace_cache_info()["entries"] == 2
 
     def test_fingerprint_distinguishes_shapes(self):

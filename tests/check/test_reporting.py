@@ -8,7 +8,14 @@ from pathlib import Path
 import repro
 from repro.cache.block import MAT_A, block_key
 from repro.check import AnalysisContext, check_residency, to_sarif, write_sarif
-from repro.check.findings import ERROR, WARNING, CHECKER_VERSION, Finding
+from repro.check.findings import (
+    ERROR,
+    FINDING_LIMIT,
+    WARNING,
+    CHECKER_VERSION,
+    Finding,
+    FindingLimiter,
+)
 from repro.check.sarif import RULE_DESCRIPTIONS
 
 #: The checkout the package was imported from (``<root>/src/repro``).
@@ -60,6 +67,50 @@ class TestFingerprints:
         f1 = Finding("cost", ERROR, "msg", rule="cost/formula-mismatch")
         f2 = Finding("cost", ERROR, "msg", rule="cost/formula-ratio")
         assert f1.fingerprint() != f2.fingerprint()
+
+
+def _capped_notice(analyzer: str, algorithm: str, machine: str) -> Finding:
+    """The notice of a limiter that kept its cap and dropped five more."""
+    limiter = FindingLimiter(analyzer)
+    for i in range(FINDING_LIMIT + 5):
+        limiter.add(
+            Finding(
+                analyzer,
+                ERROR,
+                f"finding {i}",
+                algorithm=algorithm,
+                machine=machine,
+                rule=f"{analyzer}/flood",
+            )
+        )
+    notice = limiter.results()[-1]
+    assert notice.rule_id == "meta/findings-capped"
+    return notice
+
+
+class TestCappedNotice:
+    def test_notice_names_its_analyzer_and_cell(self) -> None:
+        ctx = AnalysisContext(1)
+        for i in range(FINDING_LIMIT + 5):
+            ctx.evict_shared(block_key(MAT_A, i, 0))  # spurious evictions
+        findings = check_residency(
+            ctx.events, 1, 1, 1, algorithm="shared-opt", machine="q32"
+        )[0]
+        notice = findings[-1]
+        assert notice.rule_id == "meta/findings-capped"
+        assert notice.message == "presence: 5 further findings suppressed"
+        assert "[shared-opt @ q32]" in notice.render()
+        (result,) = to_sarif([notice], root=REPO_ROOT)["runs"][0]["results"]
+        location = result["locations"][0]["physicalLocation"]
+        assert location["artifactLocation"]["uri"] == "src/repro/algorithms/shared_opt.py"
+
+    def test_each_analyzer_and_cell_gets_its_own_fingerprint(self) -> None:
+        notices = [
+            _capped_notice(analyzer, algorithm, machine)
+            for analyzer in ("presence", "race")
+            for algorithm, machine in (("shared-opt", "q32"), ("tradeoff", "q64"))
+        ]
+        assert len({notice.fingerprint() for notice in notices}) == len(notices)
 
 
 

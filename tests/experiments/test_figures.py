@@ -98,7 +98,28 @@ class TestStructure:
         finally:
             replay.configure_trace_tier(previous)
         assert sum(len(p.xs) * (len(p.series) - 1) for p in fig.panels) == 684
-        assert len(compiled) == len(set(compiled)) <= 29
+        assert 0 < len(compiled) == len(set(compiled)) <= 29
+
+    @pytest.mark.parametrize("fig_id", [f"fig{i}" for i in range(4, 13)])
+    def test_figures_run_on_their_default_engine(self, fig_id, monkeypatch):
+        """Figs. 4–11 run every cell on step; Fig. 12 replays."""
+        from repro.sim import sweep
+
+        engines = []
+        real_run = sweep.run_experiment
+
+        def recording_run(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            engines.append(result.engine)
+            return result
+
+        monkeypatch.setattr(sweep, "run_experiment", recording_run)
+        if fig_id == "fig12":
+            get_figure(fig_id, order=4, ratios=[0.5])
+        else:
+            get_figure(fig_id, orders=(8,))
+        assert engines
+        assert set(engines) == {"replay" if fig_id == "fig12" else "step"}
 
     def test_panel_add_validates_length(self):
         fig = figure4(orders=TINY)
@@ -106,7 +127,7 @@ class TestStructure:
             fig.panels[0].add("bad", [1.0])
 
     def test_figure7_panels_filter_builds_subset(self):
-        # The nightly pipeline shards figures by panel key; a filtered
+        # perfbench's fig9 workload builds two panels only; a filtered
         # build must reproduce exactly the full build's panels.
         full = figure7(orders=TINY)
         shard = figure7(orders=TINY, panels_filter=("a", "c"))
@@ -129,21 +150,6 @@ class TestStructure:
         assert {p.key: p.series for p in par.panels} == {
             p.key: p.series for p in serial.panels
         }
-
-    def test_figure_workers_fill_a_configured_trace_tier(self, tmp_path):
-        """A tier configured before a ``workers=2`` sweep (``--trace-tier``
-        / ``REPRO_TRACE_TIER``) reaches the workers: only they run cells."""
-        from repro.cache import replay, tracestore
-
-        tier = tmp_path / "tier"
-        clear_memos()  # forked workers must not start warm
-        previous = replay.trace_tier_root()
-        replay.configure_trace_tier(str(tier))
-        try:
-            figure7(orders=TINY, workers=2)
-        finally:
-            replay.configure_trace_tier(previous)
-        assert tracestore.tier_info(tier)["entries"] > 0
 
 
 class TestContent:

@@ -241,7 +241,7 @@ def _counting(base):
     return Counting
 
 
-@pytest.mark.parametrize("name", [name for name in SIX if name != "distributed-equal"])
+@pytest.mark.parametrize("name", SIX)
 @pytest.mark.parametrize("setting", ["lru-50", "ideal"])
 def test_declared_loops_skip_most_multiply_adds(name, setting):
     """At order 64 on q32 at most a fifth of the multiply-adds simulate.
@@ -263,6 +263,25 @@ def test_declared_loops_skip_most_multiply_adds(name, setting):
     alg.run(ctx)
     assert ctx.comp_total == order**3
     assert ctx.simulated <= 0.2 * order**3
+
+
+@pytest.mark.parametrize("policy", ["lru", "fifo"])
+def test_a_ragged_tile_row_that_idles_cores_skips_too(policy):
+    """Tradeoff plans α = 8 on q64, so a 12-row product has one full tile
+    row and one 4 rows high, whose rows only half the cores own.  The
+    idle cores' caches keep what the full row left them; they must stay
+    put rather than refute every repeat of the ragged row's loops."""
+    machine, s = preset("q64"), get_setting("lru-50")
+    m, n, z = 12, 96, 96
+    alg = get_algorithm("tradeoff")(s.declared(machine), m, n, z)
+    assert alg.alpha == 8
+    simulated = s.simulated(machine)
+    ctx = _counting(LRUContext)(
+        LRUHierarchy(4, simulated.cs, simulated.cd, policy=policy)
+    )
+    alg.run(ctx)
+    assert ctx.comp_total == m * n * z
+    assert ctx.simulated <= 0.2 * m * n * z
 
 
 def test_checked_ideal_and_set_associative_iterate_plainly():

@@ -35,25 +35,43 @@ def _fresh_state():
 
 class TestRunnerTelemetry:
     def test_lru_replay_reports_bulk_kernel(self):
-        result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru-50")
+        result = run_experiment(
+            "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
+        )
         assert result.kernel == "bulk-lru"
         assert result.trace_source == "compiled"
 
     def test_fifo_replay_reports_bulk_kernel(self):
         result = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru-50", policy="fifo"
+            "shared-opt",
+            MACHINE,
+            4,
+            4,
+            4,
+            "lru-50",
+            policy="fifo",
+            engine="replay",
         )
         assert result.kernel == "bulk-fifo"
 
     def test_memoized_trace_reports_memory_source(self):
-        run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru-50")
+        run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay")
         warm = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru-50", policy="fifo"
+            "shared-opt",
+            MACHINE,
+            4,
+            4,
+            4,
+            "lru-50",
+            policy="fifo",
+            engine="replay",
         )
         assert warm.trace_source == "memory"
 
     def test_ideal_replay_reports_ideal_kernel(self):
-        result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "ideal")
+        result = run_experiment(
+            "shared-opt", MACHINE, 4, 4, 4, "ideal", engine="replay"
+        )
         assert result.kernel == "ideal"
 
     def test_step_engine_reports_step_kernel(self):
@@ -67,24 +85,31 @@ class TestRunnerTelemetry:
 class TestStreamingThreshold:
     def test_large_ideal_cell_falls_back_to_step(self, monkeypatch):
         monkeypatch.setenv("REPRO_STREAM_FMAS", "10")
-        result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "ideal")
+        result = run_experiment(
+            "shared-opt", MACHINE, 4, 4, 4, "ideal", engine="replay"
+        )
         assert result.engine == "step"
         assert result.engine_fallback
         baseline = run_experiment(
             "shared-opt", MACHINE, 4, 4, 4, "ideal", engine="step"
         )
+        assert baseline.trace_source == ""  # simulated, not the fallback's entry
         assert result.stats == baseline.stats
 
 
 class TestSerde:
     def test_kernel_telemetry_round_trips(self):
-        result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru-50")
+        result = run_experiment(
+            "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
+        )
         again = result_from_dict(result_to_dict(result))
         assert again.kernel == "bulk-lru"
         assert again.trace_source == "compiled"
 
     def test_legacy_payload_defaults_to_empty(self):
-        result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru-50")
+        result = run_experiment(
+            "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
+        )
         payload = result_to_dict(result)
         payload.pop("kernel", None)
         payload.pop("trace_source", None)

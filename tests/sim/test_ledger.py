@@ -3,7 +3,8 @@
 Both executors plan cells, record outcomes, checkpoint and resume
 through :mod:`repro.sim.ledger`, so a grid run by either one must leave
 the same per-cell telemetry, and either one must resume the other's
-run directory.
+run directory.  The telemetry tests pin ``engine="replay"``, whose
+cells name a kernel and a trace source; the default engine is step.
 """
 
 import functools
@@ -25,16 +26,16 @@ from repro.model.machine import MulticoreMachine
 from repro.sim.ledger import order_plan, ratio_plan
 from repro.sim.parallel import parallel_order_sweep
 from repro.sim.runner import clear_memos
-from repro.store import RunStore
+from repro.store import RunStore, result_to_dict
 
 MACHINE = MulticoreMachine(p=4, cs=100, cd=21, q=8)
 GRID = [("shared-opt", "lru-50"), ("outer-product", "ideal")]
 ORDERS = [4, 6]
 
 
-def pool_run(run_dir, *, resume=False):
+def pool_run(run_dir, *, resume=False, engine="replay"):
     return parallel_order_sweep(
-        GRID, MACHINE, ORDERS, workers=1, run_dir=run_dir, resume=resume
+        GRID, MACHINE, ORDERS, workers=1, run_dir=run_dir, resume=resume, engine=engine
     )
 
 
@@ -42,7 +43,7 @@ def fabric_run(run_dir, *, resume=False):
     """A coordinator driven through ``handle()``; each grant runs the way
     a fabric worker runs it."""
     coordinator = fabric_order_sweep(
-        GRID, MACHINE, ORDERS, run_dir=run_dir, resume=resume
+        GRID, MACHINE, ORDERS, run_dir=run_dir, resume=resume, engine="replay"
     )
     coordinator._started_at = time.perf_counter()
     coordinator._open()
@@ -135,22 +136,41 @@ class TestExecutorsAgree:
         assert manifest_telemetry(tmp_path / "pool") == expected["pool"]
         assert manifest_telemetry(tmp_path / "fabric") == expected["fabric"]
 
+    def test_a_replay_run_dir_resumes_under_the_default_engine(self, tmp_path):
+        """The engine is not part of a cell's identity: a run dir that
+        replay wrote, the default engine of earlier versions, resumes on
+        step with every cell restored as written."""
+        clear_memos()
+        written = pool_run(tmp_path / "run")
+        resumed = parallel_order_sweep(
+            GRID, MACHINE, ORDERS, workers=1, run_dir=tmp_path / "run", resume=True
+        )
+        assert resumed.complete
+        assert resumed.manifest.resumed_cells == len(GRID) * len(ORDERS)
+        assert all(cell.resumed for cell in resumed.manifest.cells)
+        for label in written.labels():
+            pairs = list(zip(written.series[label], resumed.series[label]))
+            assert len(pairs) == len(ORDERS)
+            for before, after in pairs:
+                assert result_to_dict(after) == result_to_dict(before)
+                assert after.engine == "replay"
+
 
 #: Both executors with two workers behind a run directory.  A spawned
 #: pool worker inherits no module state: it gets the tier from the pool
 #: initializer or not at all.
 EXECUTORS = {
     "pool": lambda run_dir: parallel_order_sweep(
-        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir
+        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir, engine="replay"
     ),
     "pool-spawn": lambda run_dir: parallel_order_sweep(
-        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir,
+        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir, engine="replay",
         pool_factory=functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
         ),
     ),
     "fabric": lambda run_dir: run_local_fabric(
-        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir
+        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir, engine="replay"
     ),
 }
 

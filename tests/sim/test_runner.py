@@ -7,7 +7,7 @@ import pytest
 from repro.algorithms.shared_opt import SharedOpt
 from repro.exceptions import ScheduleError
 from repro.sim import runner
-from repro.sim.runner import clear_memos, run_experiment
+from repro.sim.runner import ENGINES, clear_memos, run_experiment
 
 
 class TestRunExperiment:
@@ -75,7 +75,7 @@ class TestRunExperiment:
 
 
 class TestResultMemo:
-    """``run_experiment`` memoizes counters per schedule and hierarchy."""
+    """``run_experiment`` memoizes counters per engine, schedule and hierarchy."""
 
     @pytest.fixture(autouse=True)
     def _cold_memos(self):
@@ -87,42 +87,89 @@ class TestResultMemo:
         "setting, policy", [("ideal", "lru"), ("lru-50", "lru"), ("lru-50", "fifo")]
     )
     def test_hits_are_equal_independent_copies(self, quad, setting, policy):
-        def run():
-            return run_experiment("shared-opt", quad, 8, 8, 8, setting, policy=policy)
+        for engine in ENGINES:
+            clear_memos()
 
-        first = run()
-        second = run()
-        assert first.trace_source != "memo"
-        assert second.trace_source == "memo"
-        assert (second.engine, second.kernel) == (first.engine, first.kernel)
-        assert second.stats == first.stats and second.comp == first.comp
-        assert second.stats is not first.stats and second.comp is not first.comp
-        # mutating either returned result must not poison the memo
-        for result in (first, second):
-            result.stats.shared.misses_by_matrix[0] += 1000
-            result.stats.distributed[0].misses += 1000
-            result.comp[0] += 1
-        third = run()
-        assert third.stats == run_experiment(
-            "shared-opt", quad, 8, 8, 8, setting, policy=policy, engine="step"
-        ).stats
-        assert third.comp_total == 512
+            def run():
+                return run_experiment(
+                    "shared-opt", quad, 8, 8, 8, setting, policy=policy, engine=engine
+                )
 
-    def test_step_and_checked_runs_never_read_the_memo(self, quad):
-        warm = run_experiment("shared-opt", quad, 8, 8, 8, "ideal")
-        # poison the one entry: whoever reads the memo sees the poison
+            first = run()
+            second = run()
+            assert first.trace_source != "memo"
+            assert second.trace_source == "memo"
+            assert (second.engine, second.kernel) == (first.engine, first.kernel)
+            assert second.stats == first.stats and second.comp == first.comp
+            assert second.stats is not first.stats and second.comp is not first.comp
+            # mutating either returned result must not poison the memo
+            for result in (first, second):
+                result.stats.shared.misses_by_matrix[0] += 1000
+                result.stats.distributed[0].misses += 1000
+                result.comp[0] += 1
+            third = run()
+            assert third.trace_source == "memo"
+            clear_memos()
+            assert third.stats == run().stats
+            assert third.comp_total == 512
+
+    @staticmethod
+    def _poison_the_one_entry():
+        """Whoever reads the memo from here on sees 1000 extra ``MS``."""
         ((stats, _comp),) = runner._RESULTS.values()
         stats.shared.misses += 1000
-        assert run_experiment("shared-opt", quad, 8, 8, 8, "ideal").ms == warm.ms + 1000
-        step = run_experiment("shared-opt", quad, 8, 8, 8, "ideal", engine="step")
-        checked = run_experiment("shared-opt", quad, 8, 8, 8, "ideal", check=True)
-        assert step.ms == checked.ms == warm.ms
-        assert step.trace_source == checked.trace_source == ""
 
-    def test_step_and_checked_runs_never_fill_the_memo(self, quad):
-        run_experiment("shared-opt", quad, 8, 8, 8, "lru-50", engine="step")
-        run_experiment("shared-opt", quad, 8, 8, 8, "ideal", check=True)
+    def test_checked_runs_never_read_the_memo(self, quad):
+        warm = run_experiment("shared-opt", quad, 8, 8, 8, "ideal")
+        self._poison_the_one_entry()
+        assert run_experiment("shared-opt", quad, 8, 8, 8, "ideal").ms == warm.ms + 1000
+        checked = run_experiment("shared-opt", quad, 8, 8, 8, "ideal", check=True)
+        assert checked.ms == warm.ms
+        assert checked.trace_source == ""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_checked_runs_never_fill_the_memo(self, quad, engine):
+        run_experiment("shared-opt", quad, 8, 8, 8, "ideal", check=True, engine=engine)
         assert not runner._RESULTS
+        run_experiment("shared-opt", quad, 8, 8, 8, "ideal", engine=engine)
+        run_experiment("shared-opt", quad, 8, 8, 8, "ideal", check=True, engine=engine)
+        assert len(runner._RESULTS) == 1
+
+    def _only_its_own_engine(self, quad, filled, asked, **options):
+        def run(engine):
+            return run_experiment(
+                "shared-opt", quad, 8, 8, 8, "lru-50", engine=engine, **options
+            )
+
+        warm = run(filled)
+        self._poison_the_one_entry()
+        hit = run(filled)
+        assert hit.ms == warm.ms + 1000
+        other = run(asked)
+        assert other.ms == warm.ms
+        assert other.engine == asked
+        assert other.trace_source != "memo"
+        # ... and the other engine's result is an entry of its own.
+        assert len(runner._RESULTS) == 2
+        again = run(asked)
+        assert again.trace_source == "memo"
+        assert again.ms == warm.ms
+
+    def test_a_replay_entry_never_answers_a_step_call(self, quad):
+        self._only_its_own_engine(quad, "replay", "step")
+
+    def test_a_step_entry_never_answers_a_replay_call(self, quad):
+        self._only_its_own_engine(quad, "step", "replay")
+
+    def test_a_replay_call_that_fell_back_never_answers_a_step_call(self, quad):
+        # Replay has no inclusive kernel, so the replay call runs on step
+        # too; its entry still must not stand in for an explicit step run.
+        fallback = run_experiment(
+            "shared-opt", quad, 8, 8, 8, "lru-50", inclusive=True, engine="replay"
+        )
+        assert fallback.engine == "step" and fallback.engine_fallback
+        clear_memos()
+        self._only_its_own_engine(quad, "replay", "step", inclusive=True)
 
     def test_policy_inclusive_cs_and_cd_each_key_an_entry(self, quad):
         # Shared Opt. plans on CS alone and CS=100 and CS=105 both give
@@ -140,13 +187,15 @@ class TestResultMemo:
             cold = run_experiment("shared-opt", machine, 8, 8, 8, "lru", **kwargs)
             assert cold.trace_source != "memo"
         assert len(runner._RESULTS) == len(cells)
-        for machine, kwargs in cells:
-            warm = run_experiment("shared-opt", machine, 8, 8, 8, "lru", **kwargs)
-            step = run_experiment(
-                "shared-opt", machine, 8, 8, 8, "lru", engine="step", **kwargs
-            )
-            assert warm.trace_source == "memo"
-            assert warm.stats == step.stats
+        warm = [
+            run_experiment("shared-opt", machine, 8, 8, 8, "lru", **kwargs)
+            for machine, kwargs in cells
+        ]
+        assert {hit.trace_source for hit in warm} == {"memo"}
+        clear_memos()
+        for (machine, kwargs), hit in zip(cells, warm):
+            cold = run_experiment("shared-opt", machine, 8, 8, 8, "lru", **kwargs)
+            assert hit.stats == cold.stats
 
     def test_ideal_cells_share_one_entry_across_capacities_and_bandwidths(self, quad):
         run_experiment("shared-opt", quad, 8, 8, 8, "ideal")

@@ -182,7 +182,7 @@ class TestResolveEntries:
 class TestEngineKnob:
     def test_order_sweep_engines_agree(self, quad):
         entries = [("shared-opt", "lru"), ("shared-opt", "ideal")]
-        rep = order_sweep(entries, quad, [4, 6])
+        rep = order_sweep(entries, quad, [4, 6], engine="replay")
         step = order_sweep(entries, quad, [4, 6], engine="step")
         for label in rep.labels():
             for a, b in zip(rep.series[label], step.series[label]):
