@@ -8,11 +8,18 @@ the full sweep; the series land in ``benchmarks/out/fig4*``.
 
 from benchmarks.conftest import save_figure
 from repro.experiments.figures import figure4
+from repro.sim import clear_memos
 
 
 def bench_figure4(benchmark, orders, out_dir):
+    # Cold: a figure bench times the figure, not what earlier benches
+    # left in the result memo.
     fig = benchmark.pedantic(
-        figure4, kwargs={"orders": tuple(orders)}, rounds=1, iterations=1
+        figure4,
+        kwargs={"orders": tuple(orders)},
+        setup=clear_memos,
+        rounds=1,
+        iterations=1,
     )
     save_figure(fig, out_dir)
     panel = fig.panels[0]

@@ -6,11 +6,18 @@ and LRU(2C) against the closed form and its double.
 
 from benchmarks.conftest import save_figure
 from repro.experiments.figures import figure5
+from repro.sim import clear_memos
 
 
 def bench_figure5(benchmark, orders, out_dir):
+    # Cold: a figure bench times the figure, not what earlier benches
+    # left in the result memo.
     fig = benchmark.pedantic(
-        figure5, kwargs={"orders": tuple(orders)}, rounds=1, iterations=1
+        figure5,
+        kwargs={"orders": tuple(orders)},
+        setup=clear_memos,
+        rounds=1,
+        iterations=1,
     )
     save_figure(fig, out_dir)
     panel = fig.panels[0]

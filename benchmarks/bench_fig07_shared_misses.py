@@ -7,11 +7,18 @@ Shared Equal (LRU-50), Outer Product and the lower bound, for
 
 from benchmarks.conftest import save_figure
 from repro.experiments.figures import figure7
+from repro.sim import clear_memos
 
 
 def bench_figure7(benchmark, orders, out_dir):
+    # Cold: a figure bench times the figure, not what earlier benches
+    # left in the result memo.
     fig = benchmark.pedantic(
-        figure7, kwargs={"orders": tuple(orders)}, rounds=1, iterations=1
+        figure7,
+        kwargs={"orders": tuple(orders)},
+        setup=clear_memos,
+        rounds=1,
+        iterations=1,
     )
     save_figure(fig, out_dir)
     for panel in fig.panels:

@@ -7,11 +7,18 @@ CD ∈ {21, 16, 6}.  Panel (c) shows the µ=1 collapse at q=64.
 
 from benchmarks.conftest import save_figure
 from repro.experiments.figures import figure8
+from repro.sim import clear_memos
 
 
 def bench_figure8(benchmark, orders, out_dir):
+    # Cold: a figure bench times the figure, not what earlier benches
+    # left in the result memo.
     fig = benchmark.pedantic(
-        figure8, kwargs={"orders": tuple(orders)}, rounds=1, iterations=1
+        figure8,
+        kwargs={"orders": tuple(orders)},
+        setup=clear_memos,
+        rounds=1,
+        iterations=1,
     )
     save_figure(fig, out_dir)
     a, b, c = fig.panels

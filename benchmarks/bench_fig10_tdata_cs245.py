@@ -6,11 +6,18 @@ Maximum-Reuse advantage at the distributed level disappears.
 
 from benchmarks.conftest import save_figure
 from repro.experiments.figures import figure10
+from repro.sim import clear_memos
 
 
 def bench_figure10(benchmark, orders, out_dir):
+    # Cold: a figure bench times the figure, not what earlier benches
+    # left in the result memo.
     fig = benchmark.pedantic(
-        figure10, kwargs={"orders": tuple(orders)}, rounds=1, iterations=1
+        figure10,
+        kwargs={"orders": tuple(orders)},
+        setup=clear_memos,
+        rounds=1,
+        iterations=1,
     )
     save_figure(fig, out_dir)
     for panel in fig.panels:

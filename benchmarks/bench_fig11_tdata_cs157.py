@@ -6,11 +6,18 @@ parameter rounding hurts Tradeoff and Shared Opt. catches up.
 
 from benchmarks.conftest import save_figure
 from repro.experiments.figures import figure11
+from repro.sim import clear_memos
 
 
 def bench_figure11(benchmark, orders, out_dir):
+    # Cold: a figure bench times the figure, not what earlier benches
+    # left in the result memo.
     fig = benchmark.pedantic(
-        figure11, kwargs={"orders": tuple(orders)}, rounds=1, iterations=1
+        figure11,
+        kwargs={"orders": tuple(orders)},
+        setup=clear_memos,
+        rounds=1,
+        iterations=1,
     )
     save_figure(fig, out_dir)
     for panel in fig.panels:

@@ -9,11 +9,18 @@ them at the corresponding extreme.
 
 from benchmarks.conftest import save_figure
 from repro.experiments.figures import figure12
+from repro.sim import clear_memos
 
 
 def bench_figure12(benchmark, ratio_order, out_dir):
+    # Cold: a figure bench times the figure, not what earlier benches
+    # left in the result memo.
     fig = benchmark.pedantic(
-        figure12, kwargs={"order": ratio_order}, rounds=1, iterations=1
+        figure12,
+        kwargs={"order": ratio_order},
+        setup=clear_memos,
+        rounds=1,
+        iterations=1,
     )
     save_figure(fig, out_dir)
     panel = fig.panels[0]  # q32 optimistic

@@ -8,17 +8,16 @@ called out in DESIGN.md.
 The ``*_step`` / ``*_replay`` pairs compare the two simulation engines
 on identical workloads (same schedule, machine, counters):
 
-* ``mdcurve`` — an 8-point distributed-capacity curve: the step engine
-  runs one full hierarchy simulation per capacity; the replay engine
-  runs one bounded Mattson stack-distance pass total.  This is the
-  structural win (≥5×, grows with the number of capacity points).
+* ``mdcurve`` — an 8-point distributed-capacity curve, one step
+  simulation per capacity (no replay half: nothing in the package
+  draws capacity curves from a trace any more).
 * ``fifo`` — a single FIFO cell: step's generic per-touch policy path
   vs the replay sliding-window pass over a precompiled trace.
 * ``ideal_cell`` — re-evaluating an IDEAL cell end-to-end through
   ``run_experiment``: with ``engine="replay"`` the runner memoizes the
-  compiled trace per ``ScheduleKey`` (algorithm, ``p``, shape and tile
-  plan) and the cell's counters per ``(ScheduleKey, "ideal")`` —
-  unchecked IDEAL counters read no capacity and no bandwidth — so warm
+  cell's counters per ``(ScheduleKey, "ideal")`` (algorithm, ``p``,
+  shape and tile plan) — unchecked IDEAL counters read no capacity and
+  no bandwidth — so warm
   cells, the common case in sweep resumes, conformance re-checks and
   figure regeneration, cost a dict probe.  ``engine="step"`` memoizes
   its own results the same way, so the step benches clear the memos
@@ -108,15 +107,6 @@ def bench_ideal_load_evict(benchmark):
 # Engine comparison pairs (step vs replay)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def curve_trace():
-    """Compiled shared-opt trace for the capacity-curve benches."""
-    alg = get_algorithm("shared-opt")(
-        MACHINE, CURVE_ORDER, CURVE_ORDER, CURVE_ORDER
-    )
-    return replay.compile_trace(alg, directives=False)
-
-
-@pytest.fixture(scope="module")
 def cell_trace():
     """Compiled shared-opt trace (with directives) for the cell benches."""
     alg = get_algorithm("shared-opt")(MACHINE, CELL_ORDER, CELL_ORDER, CELL_ORDER)
@@ -141,16 +131,6 @@ def bench_mdcurve_step(benchmark):
             )
             curve[cap] = result.stats.md_per_core
         return curve
-
-    curve = benchmark(run)
-    assert len(curve) == len(CURVE_CAPACITIES)
-
-
-def bench_mdcurve_replay(benchmark, curve_trace):
-    """Same 8-point curve from one bounded stack-distance pass."""
-
-    def run():
-        return replay.distributed_miss_curves(curve_trace, CURVE_CAPACITIES)
 
     curve = benchmark(run)
     assert len(curve) == len(CURVE_CAPACITIES)

@@ -277,7 +277,7 @@ def run_quick_suite(
         "pytest",
         str(bench_dir),
         "-q",
-        # The suite memoizes traces/results across benches, so the old
+        # The suite memoizes results across benches, so the old
         # heap grows as it runs; without this, later benches pay for
         # full GC collections scanning that unrelated heap and medians
         # drift with suite position instead of kernel cost.

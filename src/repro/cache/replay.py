@@ -18,17 +18,12 @@ the test suite proves across algorithms × policies × ragged shapes and
 with hypothesis-generated traces.  The step engine stays available as
 the oracle (``engine="step"`` in :func:`repro.sim.runner.run_experiment`).
 
-Where the speed comes from (measured, see ``docs/BENCHMARKS.md``):
+Since the step engine fast-forwards the loops schedules declare
+(:mod:`repro.sim.contexts`), replay has one production caller: the
+bandwidth-ratio sweep of Fig. 12 (:func:`repro.sim.sweep.ratio_sweep`),
+drawn in IDEAL mode.  Where the speed comes from (measured, see
+``docs/BENCHMARKS.md``):
 
-* the schedule runs **once** per
-  :class:`~repro.algorithms.base.ScheduleKey` (algorithm, ``p``, shape
-  and the tile plan ``run()`` reads; not the bandwidths, nor a capacity
-  the plan ignores) — every additional setting/capacity/policy replays
-  the memoized trace (:func:`compiled_trace_for` keeps a bounded LRU of
-  compiled traces, weighed in recorded operations, optionally backed by
-  an on-disk content-addressed memmap tier shared across processes and
-  keyed on the same :class:`~repro.algorithms.base.ScheduleKey`, see
-  :func:`configure_trace_tier`);
 * :func:`replay_bulk` evaluates **many** ``(policy, CS, CD)`` cells
   over one shared trace: LRU cells share a single bounded Mattson
   stack-distance pass (the inclusion property gives every distributed
@@ -41,16 +36,16 @@ Where the speed comes from (measured, see ``docs/BENCHMARKS.md``):
   per ``CD``) with the same short shared-stream treatment;
 * **IDEAL** replay is vectorized: the directive stream is lowered to
   numpy arrays once per trace and each replay is a handful of
-  sorts/scans instead of four million Python method calls;
-* **capacity curves** come from one bounded Mattson pass over the
-  per-core streams (:func:`distributed_miss_curves`) instead of one
-  full simulation per capacity point.
+  sorts/scans instead of four million Python method calls.
 
-The kernels memoize nothing: every call is a full pass.  Cell results
-are memoized one level up, in :func:`repro.sim.runner.run_experiment`,
+The kernels memoize nothing, and neither does
+:func:`compiled_trace_for`: every call compiles, unless the on-disk
+tier (:func:`configure_trace_tier`) holds the trace.  Cell results are
+memoized one level up, in :func:`repro.sim.runner.run_experiment`,
 keyed on the :class:`~repro.algorithms.base.ScheduleKey` plus what the
 simulated hierarchy adds (``"ideal"``, or policy, inclusion and the
-simulated ``CS``/``CD``).
+simulated ``CS``/``CD``), so a schedule's repeated cells never reach a
+trace.
 
 The write-back path is preserved exactly without per-touch dirty sets:
 in this workload C blocks are touched *last* in their triple and dirtied
@@ -63,7 +58,6 @@ caused it) to reproduce the dirty-victim → shared-copy propagation.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -71,7 +65,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.algorithms.base import ExecutionContext, MatmulAlgorithm, ScheduleKey
+from repro.algorithms.base import ExecutionContext, MatmulAlgorithm
 from repro.cache.block import MAT_C, MAT_SHIFT
 from repro.cache.stats import CacheStats, HierarchyStats
 from repro.exceptions import ConfigurationError
@@ -177,7 +171,7 @@ class CompiledTrace:
     or memmapped read-only from the on-disk trace tier (the kernels only
     ever slice it in chunks, so a memmap streams from the page cache and
     is shared across processes).  ``origin`` is telemetry: where this
-    process got the trace (``"compiled"``, ``"memory"``, ``"disk"``).
+    process got the trace (``"compiled"`` or ``"disk"``).
     """
 
     __slots__ = (
@@ -207,17 +201,6 @@ class CompiledTrace:
 
     def __len__(self) -> int:
         return int(self.fma_array.shape[0])
-
-    @property
-    def weight(self) -> int:
-        """Recorded operations: multiply-adds plus IDEAL directives.
-
-        The unit of the trace LRU's budget.  An IDEAL trace holds about
-        4.5 directives per multiply-add, as Python int lists, so its
-        directives, not its compute stream, dominate its memory.
-        """
-        n_dirs = len(self._dir_lists[0]) if self._dir_lists is not None else 0
-        return len(self) + n_dirs
 
     @property
     def fmas(self) -> List[Tuple[int, int, int, int]]:
@@ -833,29 +816,8 @@ def replay_bulk(
 #: peaks at about 1.3 KB per FMA, because directives outnumber FMAs
 #: about 4.5 to 1: one Shared Opt. cell measured 382 MB at order 64 and
 #: 2.7 GB at order 128, where the step engine stays near 37 MB (2-vCPU
-#: x86-64 host, Python 3.11).  Override with ``REPRO_STREAM_FMAS``
-#: (positive int).
-STREAM_FMAS_DEFAULT = 4_000_000
-
-_STREAM_ENV = "REPRO_STREAM_FMAS"
-
-
-def stream_threshold() -> int:
-    """The largest FMA count whose trace replay may materialize."""
-    raw = os.environ.get(_STREAM_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{_STREAM_ENV} must be a positive integer, got {raw!r}"
-            )
-        if value <= 0:
-            raise ConfigurationError(
-                f"{_STREAM_ENV} must be a positive integer, got {raw!r}"
-            )
-        return value
-    return STREAM_FMAS_DEFAULT
+#: x86-64 host, Python 3.11).
+STREAM_FMAS = 4_000_000
 
 
 def replays(
@@ -865,10 +827,10 @@ def replays(
 
     Replay a materialized trace when the kernels cover the
     configuration (:func:`supports`) and the cell's ``n_fmas``
-    multiply-adds are within :func:`stream_threshold`; otherwise the
-    step engine runs the cell, whatever its policy family.
+    multiply-adds are within :data:`STREAM_FMAS`; otherwise the step
+    engine runs the cell, whatever its policy family.
     """
-    return supports(mode, policy, inclusive, check) and n_fmas <= stream_threshold()
+    return supports(mode, policy, inclusive, check) and n_fmas <= STREAM_FMAS
 
 
 # ----------------------------------------------------------------------
@@ -1153,47 +1115,8 @@ def replay_ideal(trace: CompiledTrace) -> HierarchyStats:
 
 
 # ----------------------------------------------------------------------
-# Capacity curves: one pass, every capacity
+# The on-disk trace tier
 # ----------------------------------------------------------------------
-def distributed_miss_curves(
-    trace: CompiledTrace, capacities: Sequence[int]
-) -> Dict[int, List[int]]:
-    """Per-core distributed LRU miss counts for *every* capacity at once.
-
-    One bounded Mattson stack-distance pass per core (Mattson's
-    inclusion property: an LRU cache of capacity ``Z`` hits iff the
-    stack distance is ``< Z``) replaces one full hierarchy simulation
-    per capacity point — the asymptotic win of the replay engine for
-    the capacity-ablation workloads.  Returns ``{capacity: [md per
-    core]}``; counts equal ``engine="step"`` distributed misses exactly.
-    """
-    from repro.cache.stackdist import miss_counts_multi
-
-    if not capacities:
-        return {}
-    p = trace.p
-    arr = trace.fma_array
-    cores = np.ascontiguousarray(arr[:, 0])
-    curves: Dict[int, List[int]] = {cap: [0] * p for cap in capacities}
-    for c in range(p):
-        # per-core touch stream in (A, B, C) order
-        stream = np.ascontiguousarray(arr[cores == c, 1:4]).reshape(-1)
-        counts = miss_counts_multi(stream.tolist(), capacities)
-        for cap in capacities:
-            curves[cap][c] = counts[cap]
-    return curves
-
-
-# ----------------------------------------------------------------------
-# Trace memoization (in-memory LRU + optional on-disk memmap tier)
-# ----------------------------------------------------------------------
-#: Bounded LRU of compiled traces, keyed by
-#: :class:`~repro.algorithms.base.ScheduleKey`.  The budget is in
-#: recorded operations (:attr:`CompiledTrace.weight`: multiply-adds plus
-#: IDEAL directives), so a few small traces or one big one stay resident.
-_TRACE_CACHE: "OrderedDict[ScheduleKey, CompiledTrace]" = OrderedDict()
-_TRACE_CACHE_BUDGET = 4_000_000
-
 #: Root of the on-disk content-addressed trace tier, or ``None`` when
 #: disabled (see :func:`configure_trace_tier`).
 _TRACE_TIER: Optional[str] = None
@@ -1204,11 +1127,10 @@ def configure_trace_tier(root: Optional[str]) -> None:
 
     When set, :func:`compiled_trace_for` consults
     :mod:`repro.cache.tracestore` under ``root`` before compiling and
-    stores freshly compiled traces there.  The pool and local-fabric
-    workers a process starts afterwards use its tier, and memmap one
-    shared on-disk trace instead of recompiling per process; no sweep
-    executor configures a tier of its own, not even under a run
-    directory.
+    stores freshly compiled traces there, so a later process memmaps a
+    trace instead of recompiling it.  Only replay cells compile
+    traces, and no sweep executor replays: the tier serves the calling
+    process (``repro-mmm figure fig12 --trace-tier``).
     """
     global _TRACE_TIER
     _TRACE_TIER = root
@@ -1222,62 +1144,30 @@ def trace_tier_root() -> Optional[str]:
 def compiled_trace_for(
     algorithm: MatmulAlgorithm, *, directives: bool = True
 ) -> CompiledTrace:
-    """Compile ``algorithm``'s trace, memoized on its schedule key.
+    """``algorithm``'s trace: the tier's entry, or a fresh compile.
 
-    The key (:meth:`~repro.algorithms.base.MatmulAlgorithm.schedule_key`)
-    holds what the emitted trace depends on, so ``lru`` and ``lru-2x``
-    (same plan, different simulated capacities) share one trace, as do
-    the machines of a bandwidth-ratio sweep while Tradeoff's ``(α, β,
-    µ)`` stays put, and two presets whose capacities give one plan.
-
-    Lookup order: in-memory LRU, then the on-disk memmap tier (when
-    configured), then compile — freshly compiled traces are stored to
-    the tier so sibling processes memmap them instead of recompiling.
-    A cached compute-only trace is upgraded (recompiled with
-    directives) when an IDEAL replay needs it; a directive-bearing
-    trace serves compute-only replays as-is.  ``trace.origin`` records
-    where this call got the trace (telemetry).
+    With a tier configured, an entry under the algorithm's
+    :meth:`~repro.algorithms.base.MatmulAlgorithm.schedule_key` that
+    has what the caller needs (directives, for an IDEAL replay) is
+    returned as is.  Otherwise the trace is compiled and, with a tier
+    configured, stored to it.  The key holds what the emitted trace
+    depends on, so ``lru`` and ``lru-2x`` (same plan, different
+    simulated capacities) share one entry, as do the machines of a
+    bandwidth-ratio sweep while Tradeoff's ``(α, β, µ)`` stays put.
+    Nothing is kept in memory: the result memo of
+    :func:`repro.sim.runner.run_experiment` answers repeated cells
+    before a trace is asked for.  ``trace.origin`` records where this
+    call got the trace (telemetry).
     """
     from repro.cache import tracestore
 
     key = algorithm.schedule_key()
-    cached = _TRACE_CACHE.get(key)
-    if cached is not None and (cached.has_directives or not directives):
-        _TRACE_CACHE.move_to_end(key)
-        cached.origin = "memory"
-        return cached
-    trace: Optional[CompiledTrace] = None
     if _TRACE_TIER is not None:
         loaded = tracestore.load(_TRACE_TIER, key)
         if loaded is not None and (loaded.has_directives or not directives):
             loaded.origin = "disk"
-            trace = loaded
-    if trace is None:
-        trace = compile_trace(algorithm, directives=directives)
-        trace.origin = "compiled"
-        if _TRACE_TIER is not None:
-            tracestore.store(_TRACE_TIER, key, trace)
-    _TRACE_CACHE[key] = trace
-    _TRACE_CACHE.move_to_end(key)
-    total = sum(tr.weight for tr in _TRACE_CACHE.values())
-    while total > _TRACE_CACHE_BUDGET and len(_TRACE_CACHE) > 1:
-        _, evicted = _TRACE_CACHE.popitem(last=False)
-        total -= evicted.weight
+            return loaded
+    trace = compile_trace(algorithm, directives=directives)
+    if _TRACE_TIER is not None:
+        tracestore.store(_TRACE_TIER, key, trace)
     return trace
-
-
-def clear_trace_cache() -> None:
-    """Drop every memoized trace.
-
-    Cell results stay memoized; :func:`repro.sim.runner.clear_memos`
-    drops both, which is what a cold start needs.
-    """
-    _TRACE_CACHE.clear()
-
-
-def trace_cache_info() -> Dict[str, int]:
-    """Introspection: entries and recorded multiply-adds held."""
-    return {
-        "entries": len(_TRACE_CACHE),
-        "fmas": sum(len(tr) for tr in _TRACE_CACHE.values()),
-    }

@@ -1,13 +1,12 @@
 """On-disk content-addressed tier for compiled traces (memmap-shared).
 
-The in-memory trace LRU in :mod:`repro.cache.replay` is per-process:
-every process that needs a schedule's trace compiles it.  This module
-gives :func:`repro.cache.replay.compiled_trace_for` a second,
-cross-process tier — a content-addressed directory of ``np.save``
+No compiled trace stays in memory: without a tier, every replay cell
+that misses the result memo compiles its schedule's trace.  This
+module gives :func:`repro.cache.replay.compiled_trace_for` a
+cross-process store — a content-addressed directory of ``np.save``
 artifacts under the root a process configures
 (:func:`repro.cache.replay.configure_trace_tier`; ``repro-mmm figure
---trace-tier``), shared with the pool and local-fabric workers it
-starts:
+--trace-tier``):
 
 .. code-block:: text
 
@@ -16,8 +15,8 @@ starts:
     <root>/<key[:2]>/<key>/meta.json  # format version, p, comp, counts
 
 ``key`` is the SHA-256 of the trace's
-:class:`~repro.algorithms.base.ScheduleKey` (the key the in-memory LRU
-uses), so identical schedules hash to identical entries no matter
+:class:`~repro.algorithms.base.ScheduleKey` (the key the result memo
+starts from), so identical schedules hash to identical entries no matter
 which process compiled them, or for which bandwidths.  Readers memmap
 ``fmas.npy`` read-only — the replay kernels only ever slice it in
 chunks, so N workers share one page-cache copy of a trace instead of N

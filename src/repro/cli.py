@@ -210,10 +210,6 @@ def _report_sweep(args: argparse.Namespace, sweep: SweepResult) -> int:
         )
         if manifest.resumed_cells:
             summary += f" ({manifest.resumed_cells} resumed from checkpoint)"
-        if manifest.engine_fallbacks:
-            summary += (
-                f"; {manifest.engine_fallbacks} cell(s) fell back replay->step"
-            )
         if stats is None:
             summary += (
                 f"; {manifest.workers} worker(s), "
@@ -620,6 +616,9 @@ def _cmd_runs_verify(args: argparse.Namespace) -> int:
     from repro.store import RunStore
 
     store = RunStore(Path(args.run_dir))
+    if not store.run_path.exists() and not store.checkpoint_path.exists():
+        print(f"error: {args.run_dir} is not a run directory", file=sys.stderr)
+        return 2
     audit = store.audit()
     for error in audit.errors:
         print(f"error: {error}")

@@ -661,7 +661,6 @@ def fabric_order_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "step",
     lease_s: float = 15.0,
     retries: int = 2,
     backoff: float = 0.1,
@@ -683,7 +682,6 @@ def fabric_order_sweep(
         check=check,
         inclusive=inclusive,
         policy=policy,
-        engine=engine,
     )
     return Coordinator(
         plan,

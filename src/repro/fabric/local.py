@@ -174,7 +174,6 @@ def run_local_fabric(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "step",
     lease_s: float = 5.0,
     retries: int = 2,
     backoff: float = 0.1,
@@ -200,7 +199,6 @@ def run_local_fabric(
         check=check,
         inclusive=inclusive,
         policy=policy,
-        engine=engine,
         lease_s=lease_s,
         retries=retries,
         backoff=backoff,

@@ -3,10 +3,7 @@
 A worker is **stateless**: every lease grant carries the complete cell
 specification (algorithm, setting, kwargs, serialized machine,
 dimensions), so a worker can join, die and be replaced at any point
-without configuration handshakes.  A grant names no trace tier: a
-worker compiles traces under its own process's replay configuration
-(a forked local worker inherits the coordinator process's).  Its loop
-is deliberately boring:
+without configuration handshakes.  Its loop is deliberately boring:
 
 1. ask for a lease (``lease``);
 2. on ``grant``: start a heartbeat thread renewing the lease every

@@ -369,9 +369,6 @@ class CellLedger:
         record.attempts = max(record.attempts, result.attempts)
         record.error_type = None
         record.error = None
-        record.engine_fallback = result.engine_fallback
-        record.kernel = result.kernel
-        record.trace_source = result.trace_source
         self.results[key] = result
         self.outstanding.discard(key)
 

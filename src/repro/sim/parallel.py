@@ -76,7 +76,6 @@ from typing import (
     Union,
 )
 
-from repro.cache import replay as replay_engine
 from repro.exceptions import ConfigurationError
 from repro.model.machine import MulticoreMachine
 from repro.sim.faults import FaultPlan, fire
@@ -115,19 +114,11 @@ _WORKER_PLAN: Optional[SweepPlan] = None
 _WORKER_FAULTS: Optional[FaultPlan] = None
 
 
-def _init_worker(
-    plan: SweepPlan,
-    fault_plan: Optional[FaultPlan],
-    trace_tier: Optional[str],
-) -> None:
+def _init_worker(plan: SweepPlan, fault_plan: Optional[FaultPlan]) -> None:
     """Pool initializer: receive the shared per-sweep state exactly once."""
     global _WORKER_PLAN, _WORKER_FAULTS
     _WORKER_PLAN = plan
     _WORKER_FAULTS = fault_plan
-    # The caller's trace tier, if it configured one (``figure
-    # --trace-tier``): a forked worker inherits it anyway, a spawned
-    # one would start without it.
-    replay_engine.configure_trace_tier(trace_tier)
     # A store-backed engine traps SIGINT/SIGTERM in the host process —
     # and forked workers inherit those handlers.  A worker that treats
     # SIGTERM as "set the drain flag" can never be torn down by
@@ -217,8 +208,7 @@ def _kill_pool(pool: Executor) -> None:
 class _SweepEngine:
     """The pool transport of one sweep: chunks, futures, deadlines, pool
     rebuilds, serial fallback and signal drains.  Every outcome is
-    booked in the :class:`~repro.sim.ledger.CellLedger`.  Workers use
-    the caller's trace tier, if any; a run directory adds none."""
+    booked in the :class:`~repro.sim.ledger.CellLedger`."""
 
     def __init__(
         self,
@@ -334,9 +324,7 @@ class _SweepEngine:
             return self.pool_factory(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(
-                    self.plan, self.fault_plan, replay_engine.trace_tier_root()
-                ),
+                initargs=(self.plan, self.fault_plan),
             )
         except Exception:  # noqa: BLE001 — degrade, never abort the sweep
             return None
@@ -655,7 +643,6 @@ def parallel_order_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "step",
     cell_timeout: Optional[float] = None,
     retries: int = 2,
     backoff: float = 0.1,
@@ -681,7 +668,6 @@ def parallel_order_sweep(
         check=check,
         inclusive=inclusive,
         policy=policy,
-        engine=engine,
     )
     return _run_engine_sweep(
         plan,
@@ -711,8 +697,6 @@ def parallel_ratio_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    # Replay for the reason given at repro.sim.sweep.ratio_sweep.
-    engine: str = "replay",
     cell_timeout: Optional[float] = None,
     retries: int = 2,
     backoff: float = 0.1,
@@ -740,7 +724,6 @@ def parallel_ratio_sweep(
         check=check,
         inclusive=inclusive,
         policy=policy,
-        engine=engine,
     )
     return _run_engine_sweep(
         plan,

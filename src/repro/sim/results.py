@@ -45,24 +45,19 @@ class ExperimentResult:
     #: requested but the step engine ran (see
     #: :func:`repro.cache.replay.replays`).  ``"step"`` includes the
     #: exact fast-forward of declared loops (:mod:`repro.sim.contexts`):
-    #: there is no separate engine or kernel name for it.
+    #: there is no separate engine name for it.
     engine: str = ""
     engine_fallback: bool = False
-    #: Replay-engine telemetry: which kernel evaluated the cell
-    #: (``"bulk-lru"``/``"bulk-fifo"``/``"ideal"``/``"step"``) and where
-    #: its counters came from: a compiled trace (``"compiled"``), one
-    #: held in memory (``"memory"``) or memmapped from the on-disk tier
+    #: Where the cell's counters came from: a freshly compiled trace
+    #: (``"compiled"``), one memmapped from the on-disk tier
     #: (``"disk"``), or ``"memo"`` when the in-process result memo of
     #: :func:`~repro.sim.runner.run_experiment` served them, keyed on
     #: the cell's :class:`~repro.algorithms.base.ScheduleKey` and
     #: simulated hierarchy, without touching a trace.  A memo hit's
-    #: ``kernel`` and ``engine`` name what a miss would have run.  Older
-    #: results may say ``"streamed"``, for kernels that ran off the
-    #: live schedule.  ``trace_source`` is empty on step-engine
-    #: results, whose ``kernel`` is ``"step"`` whether or not loops were
-    #: fast-forwarded; both are empty on results predating the fields
-    #: and, like ``engine``, never part of resume identity.
-    kernel: str = ""
+    #: ``engine`` names what a miss would have run.  Results written by
+    #: older versions may say ``"memory"`` or ``"streamed"``.  Empty
+    #: when the step engine simulated the cell and on results predating
+    #: the field; like ``engine``, never part of resume identity.
     trace_source: str = ""
 
     @property

@@ -18,9 +18,9 @@ evaluate the cells they share once.  The requested engine in the key
 keeps a replay call's result, even one that fell back to step, from
 answering a step call and vice versa, so comparing the two engines
 compares two simulations; the engine that ran keeps a hit's ``engine``
-and ``kernel`` true to where its counters came from.
-:func:`clear_memos` drops the memo together with the compiled-trace LRU
-of :mod:`repro.cache.replay`.
+true to where its counters came from.  :func:`clear_memos` drops the
+memo; no other in-process memo exists, since replay compiles its traces
+afresh (or loads them from the on-disk tier) on every memo miss.
 """
 
 from __future__ import annotations
@@ -55,13 +55,12 @@ _RESULTS: "OrderedDict[Tuple[Any, ...], Tuple[HierarchyStats, List[int]]]" = (
 
 
 def clear_memos() -> None:
-    """Drop every in-process memo: cell results and compiled traces.
+    """Drop the in-process result memo, the only memo there is.
 
-    A cold start needs both; forked sweep workers inherit whatever the
+    A cold start needs it; forked sweep workers inherit whatever the
     parent holds.
     """
     _RESULTS.clear()
-    replay_engine.clear_trace_cache()
 
 
 def run_experiment(
@@ -110,16 +109,17 @@ def run_experiment(
         IDEAL; see :mod:`repro.sim.contexts`), so its cost is not
         linear in the cell's touches, and its memory does not grow
         with them.  ``"replay"`` compiles the schedule's access trace
-        once (memoized across settings and repeated runs, see
+        (or loads it from the on-disk tier, see
         :mod:`repro.cache.replay`) and replays it in bulk, with
         counters bit-identical to step; Fig. 12's ratio sweep still
-        asks for it.  One rule, :func:`repro.cache.replay.replays`,
-        decides whether a replay request replays: its kernels must
-        cover ``(mode, policy, inclusive, check)`` and the cell's
-        ``m·n·z`` multiply-adds must be within ``REPRO_STREAM_FMAS``;
-        any other cell runs on step.  The result records which engine
-        ran (``engine``, ``kernel``) and whether replay was requested
-        but step ran (``engine_fallback``).  With ``check=False`` the
+        asks for it, and no sweep executor does.  One rule,
+        :func:`repro.cache.replay.replays`, decides whether a replay
+        request replays: its kernels must cover ``(mode, policy,
+        inclusive, check)`` and the cell's ``m·n·z`` multiply-adds
+        must be within :data:`repro.cache.replay.STREAM_FMAS`; any
+        other cell runs on step.  The result records which engine ran
+        (``engine``) and whether replay was requested but step ran
+        (``engine_fallback``).  With ``check=False`` the
         cell's counters may come from the result memo
         (``trace_source="memo"``), but only from an entry a call with
         the same ``engine`` filled, whichever engine ran it (see the
@@ -151,12 +151,6 @@ def run_experiment(
         setting.mode, policy, inclusive, check, m * n * z
     )
     ran = "replay" if replayed else "step"
-    if not replayed:
-        kernel = "step"
-    elif setting.is_ideal:
-        kernel = "ideal"
-    else:
-        kernel = f"bulk-{policy}"
     memo_key: Optional[Tuple[Any, ...]] = None
     if not check:
         schedule = alg.schedule_key()
@@ -230,6 +224,5 @@ def run_experiment(
         worker=os.getpid(),
         engine=ran,
         engine_fallback=engine != ran,
-        kernel=kernel,
         trace_source=trace_source,
     )

@@ -81,30 +81,22 @@ def order_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "step",
     workers: int = 0,
 ) -> SweepResult:
     """Run every (algorithm, setting) entry over square orders ``m=n=z``.
 
-    Cells run on the step engine by default, which fast-forwards the
-    loops each schedule declares; a cell whose schedule and simulated
-    hierarchy this process already evaluated on the same engine is a
-    result-memo hit (see :mod:`repro.sim.runner`).  With
-    ``engine="replay"`` entries that share a schedule — one
-    :class:`~repro.algorithms.base.ScheduleKey`, e.g. the
-    ``lru``/``lru-2x``/``ideal`` family — reuse one memoized compiled
-    trace per order instead of re-running the schedule per setting (see
-    :mod:`repro.cache.replay`); a cell replay does not cover, or one
-    past ``REPRO_STREAM_FMAS``, still runs on step (see
-    :func:`repro.cache.replay.replays`).
+    Cells run on the step engine, which fast-forwards the loops each
+    schedule declares; a cell whose schedule and simulated hierarchy
+    this process already evaluated is a result-memo hit (see
+    :mod:`repro.sim.runner`).  The sweep has no engine knob: only an
+    entry's own params can ask ``run_experiment`` for
+    ``engine="replay"``.
 
     With ``workers > 1`` the cells fan out through
     :func:`repro.sim.parallel.parallel_order_sweep` (retries, timeouts
     and a run manifest included).  Results are identical to the serial
     sweep (every cell is an independent ``run_experiment`` call); the
-    in-process trace and result memos are per worker, so cross-setting
-    trace reuse happens only through the on-disk tier when one is
-    configured.
+    result memo is per worker.
     """
     if workers > 1:
         from repro.sim.parallel import parallel_order_sweep
@@ -117,7 +109,6 @@ def order_sweep(
             check=check,
             inclusive=inclusive,
             policy=policy,
-            engine=engine,
         )
     sweep = SweepResult(variable="order", xs=list(orders))
     for algorithm, setting, params, label in resolve_entries(entries):
@@ -132,7 +123,6 @@ def order_sweep(
                 check=check,
                 inclusive=inclusive,
                 policy=policy,
-                engine=engine,
                 **params,
             )
             for order in orders
@@ -165,10 +155,11 @@ def ratio_sweep(
     re-plan at every point, exactly as in Fig. 12.  Bandwidths enter
     ``Tdata`` only after simulation, so a ratio whose plan matches an
     earlier one is a result-memo hit (see :mod:`repro.sim.runner`).
-    ``policy``, ``inclusive`` and ``engine`` forward to
+    ``policy`` and ``inclusive`` forward to
     :func:`~repro.sim.runner.run_experiment` exactly as in
     :func:`order_sweep`, so ratio sweeps can exercise the FIFO and
-    inclusive-hierarchy variants too.
+    inclusive-hierarchy variants too; so does ``engine``, which only
+    this sweep has.
     """
     sweep = SweepResult(variable="r", xs=list(ratios))
     machines = [machine.with_bandwidth_ratio(r, total=total_bandwidth) for r in ratios]

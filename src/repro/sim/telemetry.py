@@ -40,8 +40,11 @@ STATUS_SKIPPED = "skipped"
 #: Schema 2 adds resume/interruption accounting (``resumed_cells``,
 #: ``quarantined_records``, ``interrupted``, per-cell ``resumed``).
 #: Schema 3 adds the optional ``fabric`` block (lease/requeue/worker-
-#: death accounting for coordinator/worker runs).
-MANIFEST_SCHEMA = 3
+#: death accounting for coordinator/worker runs).  Schema 4 drops the
+#: replay telemetry (``engine_fallbacks`` and the per-cell
+#: ``engine_fallback``, ``kernel`` and ``trace_source``): no sweep
+#: executor asks for replay.
+MANIFEST_SCHEMA = 4
 
 
 @dataclass
@@ -60,17 +63,6 @@ class CellRecord:
     #: Whether the result was restored from a run-directory checkpoint
     #: instead of being executed by this engine run.
     resumed: bool = False
-    #: Whether replay was requested but the step engine ran the cell
-    #: (see :func:`repro.cache.replay.replays`).
-    engine_fallback: bool = False
-    #: Replay-engine telemetry mirrored off the result: which kernel
-    #: evaluated the cell (``"bulk-lru"``/``"bulk-fifo"``/``"ideal"``/
-    #: ``"step"``) and where its compiled trace came from
-    #: (``"compiled"``/``"memory"``/``"disk"``; older manifests may say
-    #: ``"streamed"``).  Empty when unknown
-    #: (failed cells, manifests predating the fields).
-    kernel: str = ""
-    trace_source: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
         d: Dict[str, Any] = {
@@ -89,12 +81,6 @@ class CellRecord:
             d["worker"] = self.worker
         if self.resumed:
             d["resumed"] = True
-        if self.engine_fallback:
-            d["engine_fallback"] = True
-        if self.kernel:
-            d["kernel"] = self.kernel
-        if self.trace_source:
-            d["trace_source"] = self.trace_source
         return d
 
     def checkpoint_payload(
@@ -209,11 +195,6 @@ class RunManifest:
             out[cell.status] = out.get(cell.status, 0) + 1
         return out
 
-    @property
-    def engine_fallbacks(self) -> int:
-        """Cells whose requested replay engine degraded to step."""
-        return sum(1 for cell in self.cells if cell.engine_fallback)
-
     def utilization(self) -> float:
         """Fraction of the pool's capacity spent running cells.
 
@@ -250,7 +231,6 @@ class RunManifest:
             },
             "resumed_cells": self.resumed_cells,
             "quarantined_records": self.quarantined_records,
-            "engine_fallbacks": self.engine_fallbacks,
             "interrupted": self.interrupted,
             "cells": [cell.to_dict() for cell in self.cells],
             "cell_counts": self.counts(),

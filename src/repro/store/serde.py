@@ -10,10 +10,11 @@ equality of the reloaded result with the original is exact, not
 approximate.
 
 Engine telemetry (``elapsed_s``, ``attempts``, ``worker``, ``engine``,
-``engine_fallback``, ``kernel``, ``trace_source``) is carried along
-for observability but is *not*
-part of the identity a resume must reproduce — two uninterrupted runs
-already disagree on it (and replay/step produce bit-identical counts).
+``engine_fallback``, ``trace_source``) is carried along for
+observability but is *not* part of the identity a resume must
+reproduce — two uninterrupted runs already disagree on it (and
+replay/step produce bit-identical counts).  Payloads written by older
+versions may also carry ``kernel``; loading ignores it.
 
 Imports of the result/formula types are deferred into the functions:
 :mod:`repro.sim.telemetry` writes through :mod:`repro.store.atomic`,
@@ -107,7 +108,6 @@ def result_to_dict(result: Any) -> Dict[str, Any]:
         "attempts": result.attempts,
         "engine": result.engine,
         "engine_fallback": result.engine_fallback,
-        "kernel": result.kernel,
         "trace_source": result.trace_source,
     }
     if result.predicted is not None:
@@ -156,6 +156,5 @@ def result_from_dict(payload: Dict[str, Any]) -> Any:
         worker=payload.get("worker"),
         engine=payload.get("engine", ""),
         engine_fallback=payload.get("engine_fallback", False),
-        kernel=payload.get("kernel", ""),
         trace_source=payload.get("trace_source", ""),
     )

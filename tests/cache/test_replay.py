@@ -5,28 +5,24 @@ produces (``ms``, ``md``, write-backs, per-matrix splits, hits) must
 equal the step simulator's on the same workload.  These tests prove it
 on the full algorithms × settings × policies × ragged-shape matrix and
 on adversarial random traces (hypothesis), and pin the engine's other
-behaviors: trace memoization and fallback coverage.  Result
-memoization lives in the runner (``tests/sim/test_runner.py``).
+behaviors: trace keying (through the on-disk tier: no trace is kept in
+memory) and fallback coverage.  Result memoization lives in the runner
+(``tests/sim/test_runner.py``).
 """
-
-import dataclasses
 
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.algorithms.registry import algorithm_names, get_algorithm
-from repro.cache import replay
+from repro.cache import tracestore
 from repro.cache.block import MAT_A, MAT_B, MAT_C, block_key
 from repro.cache.hierarchy import LRUHierarchy
 from repro.cache.replay import (
     CompiledTrace,
-    clear_trace_cache,
-    compile_trace,
     compiled_trace_for,
-    distributed_miss_curves,
+    configure_trace_tier,
     replay_bulk,
     supports,
-    trace_cache_info,
 )
 from repro.exceptions import ConfigurationError
 from repro.model.machine import PRESETS
@@ -69,23 +65,6 @@ class TestBitIdentity:
         )
         assert rep.stats == step.stats
         assert rep.comp == step.comp
-
-    def test_capacity_curve_matches_step_per_point(self):
-        capacities = (3, 5, 8, 13, 21)
-        alg = get_algorithm("shared-opt")(MACHINE, 8, 8, 8)
-        trace = compile_trace(alg, directives=False)
-        curves = distributed_miss_curves(trace, capacities)
-        for cap in capacities:
-            step = run_experiment(
-                "shared-opt",
-                dataclasses.replace(MACHINE, cd=cap),
-                8,
-                8,
-                8,
-                "lru",
-                engine="step",
-            )
-            assert curves[cap] == step.stats.md_per_core
 
     def test_fifo_cold_start_block_zero(self):
         # Regression: block key 0 (A[0,0]) touched during the cold-start
@@ -164,33 +143,6 @@ class TestRandomTraces:
         step = run_experiment(algorithm, MACHINE, m, n, z, "ideal", engine="step")
         assert rep.stats == step.stats
 
-    @given(
-        _fma_stream,
-        st.lists(
-            st.integers(min_value=1, max_value=12),
-            min_size=1,
-            max_size=4,
-            unique=True,
-        ),
-    )
-    @hsettings(max_examples=60, deadline=None)
-    def test_capacity_curves_equal_per_capacity_step(self, raw, capacities):
-        fmas = [
-            (
-                core,
-                block_key(MAT_A, ai, aj),
-                block_key(MAT_B, bi, bj),
-                block_key(MAT_C, ci, cj),
-            )
-            for core, ai, aj, bi, bj, ci, cj in raw
-        ]
-        p = 3
-        trace = CompiledTrace(p, fmas, [0] * p, None)
-        curves = distributed_miss_curves(trace, capacities)
-        for cap in capacities:
-            expected = _step_reference(p, 10_000, cap, "lru", fmas)
-            assert curves[cap] == expected.md_per_core
-
 
 # ----------------------------------------------------------------------
 # Coverage predicate + engine knob
@@ -224,18 +176,28 @@ class TestCoverage:
 
 
 # ----------------------------------------------------------------------
-# Trace memoization
+# Trace keying: one tier entry per ScheduleKey
 # ----------------------------------------------------------------------
 class TestTraceCache:
-    def test_lru_family_shares_one_trace(self):
+    """Nothing keeps a trace in memory; the on-disk tier, keyed on the
+    schedule, is what lets settings and bandwidths share one."""
+
+    @pytest.fixture(autouse=True)
+    def tier(self, tmp_path):
+        configure_trace_tier(str(tmp_path))
+        yield tmp_path
+        configure_trace_tier(None)
+
+    def test_lru_family_shares_one_trace(self, tier):
         # lru and lru-2x declare the same machine -> same fingerprint;
         # lru-50 plans against halved capacities -> different trace
         run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru", engine="replay")
-        assert trace_cache_info()["entries"] == 1
-        run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru-2x", engine="replay")
-        assert trace_cache_info()["entries"] == 1
+        assert tracestore.tier_info(tier)["entries"] == 1
+        warm = run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru-2x", engine="replay")
+        assert warm.trace_source == "disk"
+        assert tracestore.tier_info(tier)["entries"] == 1
         run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru-50", engine="replay")
-        assert trace_cache_info()["entries"] == 2
+        assert tracestore.tier_info(tier)["entries"] == 2
 
     def test_fingerprint_distinguishes_shapes(self):
         a1 = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
@@ -245,47 +207,48 @@ class TestTraceCache:
             get_algorithm("shared-opt")(MACHINE, 6, 6, 6).schedule_key()
         )
 
-    def test_bandwidths_share_one_trace(self):
+    def test_bandwidths_share_one_trace(self, tier):
         # sigma enters Tdata after simulation, never the schedule
-        for r in (0.2, 0.5, 0.8):
-            alg = get_algorithm("shared-opt")(MACHINE.with_bandwidth_ratio(r), 6, 6, 6)
-            compiled_trace_for(alg)
-        assert trace_cache_info()["entries"] == 1
+        origins = [
+            compiled_trace_for(
+                get_algorithm("shared-opt")(MACHINE.with_bandwidth_ratio(r), 6, 6, 6)
+            ).origin
+            for r in (0.2, 0.5, 0.8)
+        ]
+        assert origins == ["compiled", "disk", "disk"]
+        assert tracestore.tier_info(tier)["entries"] == 1
 
-    def test_compute_only_trace_upgraded_for_ideal(self):
+    def test_compute_only_trace_upgraded_for_ideal(self, tier):
         alg = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
         first = compiled_trace_for(alg, directives=False)
         assert not first.has_directives
         upgraded = compiled_trace_for(alg, directives=True)
+        assert upgraded.origin == "compiled"
         assert upgraded.has_directives
-        # the upgraded trace replaces the cached entry and now serves
+        # the upgraded trace replaces the tier's entry and now serves
         # compute-only requests as-is
-        assert compiled_trace_for(alg, directives=False) is upgraded
-
-    def test_budget_evicts_oldest(self, monkeypatch):
-        alg1 = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
-        alg2 = get_algorithm("shared-opt")(MACHINE, 5, 5, 5)
-        monkeypatch.setattr(replay, "_TRACE_CACHE_BUDGET", 1)
-        compiled_trace_for(alg1)
-        compiled_trace_for(alg2)
-        info = trace_cache_info()
-        assert info["entries"] == 1
-        assert info["fmas"] == 125
-
-    def test_budget_weighs_directives(self, monkeypatch):
-        # two IDEAL traces whose multiply-adds fit the budget but whose
-        # directives do not: only the newest stays resident
-        alg1 = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
-        alg2 = get_algorithm("shared-opt")(MACHINE, 5, 5, 5)
-        monkeypatch.setattr(replay, "_TRACE_CACHE_BUDGET", 216 + 125)
-        first = compiled_trace_for(alg1)
-        assert first.weight == len(first) + len(first._dir_lists[0]) > 216
-        compiled_trace_for(alg2)
-        assert trace_cache_info() == {"entries": 1, "fmas": 125}
+        again = compiled_trace_for(alg, directives=False)
+        assert (again.origin, again.has_directives) == ("disk", True)
+        assert tracestore.tier_info(tier)["directive_entries"] == 1
 
     def test_clear(self):
-        compiled_trace_for(get_algorithm("shared-opt")(MACHINE, 4, 4, 4))
-        clear_trace_cache()
-        assert trace_cache_info() == {"entries": 0, "fmas": 0}
+        # clear_memos() is a whole cold start: no trace survives it in
+        # memory, so the same cell compiles again rather than reusing one.
+        configure_trace_tier(None)
+        first = run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", engine="replay")
+        assert first.trace_source == "compiled"
+        assert run_experiment(
+            "shared-opt", MACHINE, 4, 4, 4, "lru", engine="replay"
+        ).trace_source == "memo"
+        clear_memos()
+        again = run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", engine="replay")
+        assert again.trace_source == "compiled"
+        assert again.stats == first.stats
 
-
+    def test_without_a_tier_every_call_compiles(self):
+        configure_trace_tier(None)
+        alg = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
+        first = compiled_trace_for(alg, directives=False)
+        second = compiled_trace_for(alg, directives=False)
+        assert (first.origin, second.origin) == ("compiled", "compiled")
+        assert second is not first

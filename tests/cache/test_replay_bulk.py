@@ -23,8 +23,8 @@ from repro.cache.replay import (
     compile_trace,
     replay_bulk,
     replay_bulk_streaming,
+    STREAM_FMAS,
     replays,
-    stream_threshold,
 )
 from repro.exceptions import ConfigurationError
 from repro.model.machine import PRESETS
@@ -157,16 +157,13 @@ class TestStreaming:
             replay_bulk_streaming(alg, [("lru", 0, 3)])
 
     def test_threshold_env_override(self, monkeypatch):
+        """The bound is a module constant: the environment cannot move it."""
         monkeypatch.setenv("REPRO_STREAM_FMAS", "123")
-        assert stream_threshold() == 123
+        assert replays("lru", "lru", False, False, STREAM_FMAS)
+        assert not replays("lru", "lru", False, False, STREAM_FMAS + 1)
+        monkeypatch.setattr(replay, "STREAM_FMAS", 123)
         assert replays("lru", "lru", False, False, 123)
         assert not replays("lru", "lru", False, False, 124)
-        monkeypatch.setenv("REPRO_STREAM_FMAS", "nope")
-        with pytest.raises(ConfigurationError, match="REPRO_STREAM_FMAS"):
-            stream_threshold()
-        monkeypatch.setenv("REPRO_STREAM_FMAS", "-5")
-        with pytest.raises(ConfigurationError, match="REPRO_STREAM_FMAS"):
-            stream_threshold()
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.lru import LRUCache
 from repro.cache.stackdist import (
     COLD,
-    DEEP,
-    bounded_stack_distances,
     distance_histogram,
-    miss_counts_multi,
     miss_curve,
     misses_for_capacity,
     stack_distances,
@@ -72,51 +69,3 @@ class TestMissCounts:
     def test_cold_misses_equal_distinct_keys(self, trace):
         assert distance_histogram(trace)[COLD] == len(set(trace))
 
-
-class TestBulkPasses:
-    """The replay engine's bulk primitives: bounded and multi."""
-
-    @given(
-        st.lists(st.integers(0, 12), max_size=250),
-        st.integers(min_value=1, max_value=14),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_bounded_saturates_exactly_at_bound(self, trace, bound):
-        full = stack_distances(trace)
-        bounded = bounded_stack_distances(trace, bound)
-        for exact, capped in zip(full, bounded):
-            if exact != COLD and exact < bound:
-                assert capped == exact
-            else:
-                # cold and deep reuses are indistinguishable to any
-                # capacity <= bound: both miss everywhere
-                assert capped == DEEP
-
-    def test_bounded_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            bounded_stack_distances([1, 2], 0)
-
-    @given(
-        st.lists(st.integers(0, 10), min_size=1, max_size=300),
-        st.lists(
-            st.integers(min_value=1, max_value=12),
-            min_size=1,
-            max_size=5,
-            unique=True,
-        ),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_multi_equals_one_simulation_per_capacity(self, trace, capacities):
-        counts = miss_counts_multi(trace, capacities)
-        for capacity in capacities:
-            cache = LRUCache(capacity)
-            simulated = sum(0 if cache.access(k)[0] else 1 for k in trace)
-            assert counts[capacity] == simulated
-
-    def test_multi_empty_inputs(self):
-        assert miss_counts_multi([1, 2, 3], []) == {}
-        assert miss_counts_multi([], [2, 4]) == {2: 0, 4: 0}
-
-    def test_multi_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            miss_counts_multi([1], [0, 2])

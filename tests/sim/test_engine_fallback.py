@@ -3,10 +3,11 @@
 :func:`repro.cache.replay.replays` is the one predicate
 ``run_experiment`` consults.  The table below covers every setting mode
 × policy family × hierarchy option, each just within and just past the
-``REPRO_STREAM_FMAS`` bound, and pins the telemetry each cell records
-as well as its counters against the step oracle.  The rest pins how
-fallbacks are counted in sweep manifests and survive serde.  Step is
-the default engine, so every replay request here is explicit.
+:data:`~repro.cache.replay.STREAM_FMAS` bound, and pins the telemetry
+each cell records as well as its counters against the step oracle.  The
+rest pins how fallbacks survive serde and which engine each entry point
+runs: only ``run_experiment`` and ``ratio_sweep`` (Fig. 12) have an
+engine knob, so every replay request here is explicit.
 """
 
 import inspect
@@ -14,6 +15,7 @@ import itertools
 
 import pytest
 
+from repro.cache import replay
 from repro.cache.replay import configure_trace_tier, trace_tier_root
 from repro.fabric import fabric_order_sweep, run_local_fabric
 from repro.model.machine import MulticoreMachine
@@ -39,15 +41,13 @@ def _tierless_cold_memo():
     clear_memos()
 
 
-def _expected_kernel(setting, policy, inclusive, check, bound):
-    """The kernel that must evaluate a cell under the engine rule."""
+def _replays(setting, policy, inclusive, check, bound):
+    """Whether the engine rule lets a replay request replay the cell."""
     if bound < FMAS:
-        return "step"  # past the bound no family materializes a trace
+        return False  # past the bound no family materializes a trace
     if setting == "ideal":
-        return "step" if check else "ideal"
-    if policy in ("lru", "fifo") and not inclusive:
-        return f"bulk-{policy}"
-    return "step"
+        return not check
+    return policy in ("lru", "fifo") and not inclusive
 
 
 #: Every (setting, policy, inclusive, check) configuration, with the
@@ -73,7 +73,7 @@ RULE_TABLE = list(
     ],
 )
 def test_engine_rule(monkeypatch, setting, policy, inclusive, check, bound):
-    monkeypatch.setenv("REPRO_STREAM_FMAS", str(bound))
+    monkeypatch.setattr(replay, "STREAM_FMAS", bound)
     options = dict(check=check, policy=policy, inclusive=inclusive)
     result = run_experiment(
         "shared-opt", MACHINE, ORDER, ORDER, ORDER, setting, engine="replay", **options
@@ -81,10 +81,8 @@ def test_engine_rule(monkeypatch, setting, policy, inclusive, check, bound):
     step = run_experiment(
         "shared-opt", MACHINE, ORDER, ORDER, ORDER, setting, engine="step", **options
     )
-    kernel = _expected_kernel(setting, policy, inclusive, check, bound)
-    replayed = kernel != "step"
+    replayed = _replays(setting, policy, inclusive, check, bound)
     assert result.engine == ("replay" if replayed else "step")
-    assert result.kernel == kernel
     assert result.trace_source == ("compiled" if replayed else "")
     assert result.engine_fallback is not replayed
     assert result.stats == step.stats
@@ -121,32 +119,6 @@ class TestRunExperimentFallback:
         assert explicit.trace_source == ""  # simulated, not the fallback's entry
 
 
-class TestSweeps:
-    def test_parallel_sweep_counts_fallbacks_in_manifest(self):
-        sweep = parallel_order_sweep(
-            [("shared-opt", "lru")],
-            MACHINE,
-            [4, 8],
-            policy="plru",
-            engine="replay",
-            workers=2,
-        )
-        manifest = sweep.manifest
-        assert manifest is not None
-        assert manifest.engine_fallbacks == 2
-        assert all(cell.engine_fallback for cell in manifest.cells)
-        assert manifest.to_dict()["engine_fallbacks"] == 2
-
-    def test_parallel_sweep_clean_run_counts_zero(self):
-        sweep = parallel_order_sweep(
-            [("shared-opt", "lru")], MACHINE, [4], engine="replay", workers=1
-        )
-        manifest = sweep.manifest
-        assert manifest is not None
-        assert manifest.engine_fallbacks == 0
-        assert not any(cell.engine_fallback for cell in manifest.cells)
-
-
 class TestSerde:
     def test_engine_telemetry_round_trips(self):
         result = run_experiment(
@@ -169,8 +141,13 @@ class TestSerde:
 GRID = [("shared-opt", "lru"), ("shared-opt", "ideal")]
 
 
+#: The two entry points with an engine knob.
+KNOBS = (run_experiment, ratio_sweep)
+
+
 class TestDefaults:
-    """Step is the default engine; only the ratio sweeps (Fig. 12) replay."""
+    """Step is the default engine; only the serial ratio sweep (Fig. 12)
+    replays, and no sweep executor has an engine knob at all."""
 
     @pytest.mark.parametrize(
         "function, engine",
@@ -181,11 +158,18 @@ class TestDefaults:
             (fabric_order_sweep, "step"),
             (run_local_fabric, "step"),
             (ratio_sweep, "replay"),
-            (parallel_ratio_sweep, "replay"),
+            (parallel_ratio_sweep, "step"),
         ],
     )
     def test_default_engine(self, function, engine):
-        assert inspect.signature(function).parameters["engine"].default == engine
+        parameters = inspect.signature(function).parameters
+        if function in KNOBS:
+            assert parameters["engine"].default == engine
+        else:
+            # Without a knob, a cell runs on step unless its entry's
+            # own params ask run_experiment for replay.
+            assert "engine" not in parameters
+            assert engine == "step"
 
     def test_a_default_cell_runs_on_step(self):
         result = run_experiment("shared-opt", MACHINE, ORDER, ORDER, ORDER, "lru")
@@ -212,7 +196,7 @@ class TestDefaults:
                 lambda run_dir: parallel_ratio_sweep(
                     GRID, MACHINE, [0.5], ORDER, workers=1
                 ),
-                "replay",
+                "step",
             ),
         ],
         ids=["order", "pool", "fabric", "ratio", "pool-ratio"],

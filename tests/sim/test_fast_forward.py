@@ -16,7 +16,7 @@ from typing import List, Tuple, Union
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.algorithms.base import ExecutionContext, MatmulAlgorithm, Shift
 from repro.algorithms.registry import get_algorithm
@@ -179,6 +179,25 @@ class TestSyntheticLoop:
         caches=st.tuples(st.integers(1, 12), st.integers(1, 4)),
         tidy=st.sampled_from((None, 0, 1)),
         work=st.sampled_from((0, contexts._WORK_PER_KEY)),
+    )
+    # Core 0 idles in the loop, but under back-invalidation a shared
+    # eviction there can empty its cache: an inclusive hierarchy must
+    # not keep an idle core's cache in place across a jump.
+    @example(
+        prologue=[("compute", 0, ((0, 0, 0), (0, 0, 0), (0, 0, 0)))] * 10
+        + [
+            ("compute", 0, ((2, 1, 0), (0, 0, 0), (0, 0, 0))),
+            ("compute", 1, ((0, 0, 0), (0, 0, 0), (0, 0, 0))),
+        ],
+        body=[("compute", 1, ((0, 0, 0), (0, 0, 0), (2, 0, 0)))],
+        epilogue=[],
+        shift=(0, 0, 1 << ROW_SHIFT),
+        count=4,
+        mode="lru",
+        inclusive=True,
+        caches=(3, 1),
+        tidy=None,
+        work=0,
     )
     @settings(max_examples=400, deadline=None)
     def test_random_periodic_loop(

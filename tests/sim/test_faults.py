@@ -308,7 +308,7 @@ class TestCombined:
         assert counts["ok"] == 4 and counts["failed"] == 2
         # The JSON manifest on disk mirrors the in-memory accounting.
         on_disk = json.loads(open(manifest_path).read())
-        assert on_disk["schema"] == 3  # v3 added the optional fabric block
+        assert on_disk["schema"] == 4  # v4 dropped the replay telemetry
         assert on_disk["cell_counts"] == {"ok": 4, "failed": 2, "skipped": 0}
         assert on_disk["engine"]["pool_rebuilds"] >= 2
         assert len(on_disk["cells"]) == 6

@@ -1,16 +1,19 @@
-"""Kernel/trace-source telemetry: who evaluated a cell, from what.
+"""Engine/trace-source telemetry: who evaluated a cell, from what.
 
-``ExperimentResult.kernel`` names the evaluation path (``bulk-lru``,
-``bulk-fifo``, ``ideal``, ``step``) and ``trace_source`` where the
-counters came from (a ``compiled``/``memory``/``disk`` trace, or the
-runner's result ``memo``).  These
-tests pin the values across engines and past the ``REPRO_STREAM_FMAS``
-bound, their serde round-trip (including legacy payloads without the
-fields), and their mirroring onto sweep manifests.
+``ExperimentResult.engine`` names the engine that ran (the kernel
+follows from it, the setting and the policy: ``bulk-lru``,
+``bulk-fifo`` and ``ideal`` are replay's, ``step`` is step's) and
+``trace_source`` where the counters came from (a ``compiled`` or
+``disk`` trace, or the runner's result ``memo``).  These tests pin the
+values across engines and past the
+:data:`~repro.cache.replay.STREAM_FMAS` bound, their serde round-trip
+(including payloads without the fields, and older payloads that still
+carry ``kernel``), and that sweep manifests no longer carry them.
 """
 
 import pytest
 
+from repro.cache import replay
 from repro.cache.replay import configure_trace_tier, trace_tier_root
 from repro.model.machine import PRESETS
 from repro.sim.runner import clear_memos, run_experiment
@@ -22,9 +25,8 @@ MACHINE = PRESETS["q32"]
 
 @pytest.fixture(autouse=True)
 def _fresh_state():
-    # Earlier tests may leave a process-global trace tier configured
-    # (e.g. an in-process fabric worker adopting its coordinator's run
-    # dir); these tests pin trace_source, so they must start tierless.
+    # Earlier tests may leave a process-global trace tier configured;
+    # these tests pin trace_source, so they must start tierless.
     previous_tier = trace_tier_root()
     configure_trace_tier(None)
     clear_memos()
@@ -38,7 +40,7 @@ class TestRunnerTelemetry:
         result = run_experiment(
             "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
         )
-        assert result.kernel == "bulk-lru"
+        assert (result.engine, result.engine_fallback) == ("replay", False)
         assert result.trace_source == "compiled"
 
     def test_fifo_replay_reports_bulk_kernel(self):
@@ -52,39 +54,27 @@ class TestRunnerTelemetry:
             policy="fifo",
             engine="replay",
         )
-        assert result.kernel == "bulk-fifo"
-
-    def test_memoized_trace_reports_memory_source(self):
-        run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay")
-        warm = run_experiment(
-            "shared-opt",
-            MACHINE,
-            4,
-            4,
-            4,
-            "lru-50",
-            policy="fifo",
-            engine="replay",
-        )
-        assert warm.trace_source == "memory"
+        assert (result.engine, result.engine_fallback) == ("replay", False)
+        assert result.trace_source == "compiled"
 
     def test_ideal_replay_reports_ideal_kernel(self):
         result = run_experiment(
             "shared-opt", MACHINE, 4, 4, 4, "ideal", engine="replay"
         )
-        assert result.kernel == "ideal"
+        assert (result.engine, result.engine_fallback) == ("replay", False)
+        assert result.trace_source == "compiled"
 
     def test_step_engine_reports_step_kernel(self):
         result = run_experiment(
             "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="step"
         )
-        assert result.kernel == "step"
+        assert result.engine == "step"
         assert result.trace_source == ""
 
 
 class TestStreamingThreshold:
     def test_large_ideal_cell_falls_back_to_step(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_FMAS", "10")
+        monkeypatch.setattr(replay, "STREAM_FMAS", 10)
         result = run_experiment(
             "shared-opt", MACHINE, 4, 4, 4, "ideal", engine="replay"
         )
@@ -102,8 +92,10 @@ class TestSerde:
         result = run_experiment(
             "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
         )
-        again = result_from_dict(result_to_dict(result))
-        assert again.kernel == "bulk-lru"
+        payload = result_to_dict(result)
+        assert "kernel" not in payload
+        again = result_from_dict(payload)
+        assert again.engine == "replay"
         assert again.trace_source == "compiled"
 
     def test_legacy_payload_defaults_to_empty(self):
@@ -111,21 +103,30 @@ class TestSerde:
             "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
         )
         payload = result_to_dict(result)
-        payload.pop("kernel", None)
         payload.pop("trace_source", None)
         again = result_from_dict(payload)
-        assert again.kernel == ""
         assert again.trace_source == ""
+        # Checkpoints written before the field went still carry it.
+        older = result_from_dict({**result_to_dict(result), "kernel": "bulk-lru"})
+        assert result_to_dict(older) == result_to_dict(result)
 
 
 class TestCellRecord:
     def test_to_dict_emits_only_when_known(self):
-        bare = CellRecord(label="a", index=0, x=4)
-        assert "kernel" not in bare.to_dict()
-        assert "trace_source" not in bare.to_dict()
+        bare = CellRecord(label="a", index=0, x=4).to_dict()
+        for key in ("error_type", "error", "worker", "resumed"):
+            assert key not in bare
+        # No replay telemetry at all: executors never ask for replay.
+        for key in ("engine_fallback", "kernel", "trace_source"):
+            assert key not in bare
         known = CellRecord(
-            label="a", index=0, x=4, kernel="bulk-lru", trace_source="disk"
-        )
-        d = known.to_dict()
-        assert d["kernel"] == "bulk-lru"
-        assert d["trace_source"] == "disk"
+            label="a",
+            index=0,
+            x=4,
+            error_type="TimeoutError",
+            error="late",
+            worker=7,
+            resumed=True,
+        ).to_dict()
+        assert (known["error_type"], known["error"]) == ("TimeoutError", "late")
+        assert (known["worker"], known["resumed"]) == (7, True)

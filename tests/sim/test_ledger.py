@@ -3,8 +3,9 @@
 Both executors plan cells, record outcomes, checkpoint and resume
 through :mod:`repro.sim.ledger`, so a grid run by either one must leave
 the same per-cell telemetry, and either one must resume the other's
-run directory.  The telemetry tests pin ``engine="replay"``, whose
-cells name a kernel and a trace source; the default engine is step.
+run directory.  Neither executor has an engine knob; the telemetry
+tests ask for replay through each entry's params, whose cells name a
+trace source, and the default engine is step.
 """
 
 import functools
@@ -30,12 +31,14 @@ from repro.store import RunStore, result_to_dict
 
 MACHINE = MulticoreMachine(p=4, cs=100, cd=21, q=8)
 GRID = [("shared-opt", "lru-50"), ("outer-product", "ideal")]
+#: The same cells, each entry asking ``run_experiment`` for replay.
+REPLAY_GRID = [(algorithm, setting, {"engine": "replay"}) for algorithm, setting in GRID]
 ORDERS = [4, 6]
 
 
-def pool_run(run_dir, *, resume=False, engine="replay"):
+def pool_run(run_dir, *, resume=False, grid=REPLAY_GRID):
     return parallel_order_sweep(
-        GRID, MACHINE, ORDERS, workers=1, run_dir=run_dir, resume=resume, engine=engine
+        grid, MACHINE, ORDERS, workers=1, run_dir=run_dir, resume=resume
     )
 
 
@@ -43,7 +46,7 @@ def fabric_run(run_dir, *, resume=False):
     """A coordinator driven through ``handle()``; each grant runs the way
     a fabric worker runs it."""
     coordinator = fabric_order_sweep(
-        GRID, MACHINE, ORDERS, run_dir=run_dir, resume=resume, engine="replay"
+        REPLAY_GRID, MACHINE, ORDERS, run_dir=run_dir, resume=resume
     )
     coordinator._started_at = time.perf_counter()
     coordinator._open()
@@ -57,13 +60,21 @@ def fabric_run(run_dir, *, resume=False):
     return coordinator.finish()
 
 
-def manifest_telemetry(run_dir):
-    """Per cell of the on-disk manifest: (kernel, trace source)."""
+def cell_telemetry(run_dir):
+    """Per cell: manifest status and attempts, and the checkpointed
+    result's engine and trace source."""
     manifest = json.loads(RunStore(run_dir).manifest_path.read_text())
+    loaded = RunStore(run_dir).load_checkpoint()
+    results = {
+        (record["label"], record["index"]): record["result"]
+        for record in loaded.ok_records().values()
+    }
     return {
         (cell["label"], cell["index"]): (
-            cell.get("kernel", ""),
-            cell.get("trace_source", ""),
+            cell["status"],
+            cell["attempts"],
+            results[(cell["label"], cell["index"])].get("engine", ""),
+            results[(cell["label"], cell["index"])].get("trace_source", ""),
         )
         for cell in manifest["cells"]
     }
@@ -116,16 +127,16 @@ class TestExecutorsAgree:
         clear_memos()
         fabric = fabric_run(tmp_path / "fabric")
         assert pool.complete and fabric.complete
-        pool_cells = manifest_telemetry(tmp_path / "pool")
+        pool_cells = cell_telemetry(tmp_path / "pool")
         assert len(pool_cells) == len(GRID) * len(ORDERS)
-        assert all(kernel and source for kernel, source in pool_cells.values())
-        assert manifest_telemetry(tmp_path / "fabric") == pool_cells
+        assert set(pool_cells.values()) == {("ok", 1, "replay", "compiled")}
+        assert cell_telemetry(tmp_path / "fabric") == pool_cells
 
     def test_each_executor_resumes_the_others_run_dir(self, tmp_path):
         pool_run(tmp_path / "pool")
         fabric_run(tmp_path / "fabric")
         expected = {
-            name: manifest_telemetry(tmp_path / name) for name in ("pool", "fabric")
+            name: cell_telemetry(tmp_path / name) for name in ("pool", "fabric")
         }
         by_fabric = fabric_run(tmp_path / "pool", resume=True)
         by_pool = pool_run(tmp_path / "fabric", resume=True)
@@ -133,23 +144,22 @@ class TestExecutorsAgree:
             assert sweep.complete
             assert sweep.manifest.resumed_cells == len(GRID) * len(ORDERS)
             assert all(cell.resumed for cell in sweep.manifest.cells)
-        assert manifest_telemetry(tmp_path / "pool") == expected["pool"]
-        assert manifest_telemetry(tmp_path / "fabric") == expected["fabric"]
+        assert cell_telemetry(tmp_path / "pool") == expected["pool"]
+        assert cell_telemetry(tmp_path / "fabric") == expected["fabric"]
 
     def test_a_replay_run_dir_resumes_under_the_default_engine(self, tmp_path):
-        """The engine is not part of a cell's identity: a run dir that
-        replay wrote, the default engine of earlier versions, resumes on
-        step with every cell restored as written."""
+        """The engine is not part of a cell's identity: a run dir whose
+        cells replayed, as every executor's did by default in earlier
+        versions, resumes on step with every cell restored as written."""
         clear_memos()
         written = pool_run(tmp_path / "run")
-        resumed = parallel_order_sweep(
-            GRID, MACHINE, ORDERS, workers=1, run_dir=tmp_path / "run", resume=True
-        )
+        resumed = pool_run(tmp_path / "run", resume=True, grid=GRID)
         assert resumed.complete
         assert resumed.manifest.resumed_cells == len(GRID) * len(ORDERS)
         assert all(cell.resumed for cell in resumed.manifest.cells)
-        for label in written.labels():
-            pairs = list(zip(written.series[label], resumed.series[label]))
+        assert len(written.labels()) == len(resumed.labels()) == len(GRID)
+        for before_label, after_label in zip(written.labels(), resumed.labels()):
+            pairs = list(zip(written.series[before_label], resumed.series[after_label]))
             assert len(pairs) == len(ORDERS)
             for before, after in pairs:
                 assert result_to_dict(after) == result_to_dict(before)
@@ -157,49 +167,44 @@ class TestExecutorsAgree:
 
 
 #: Both executors with two workers behind a run directory.  A spawned
-#: pool worker inherits no module state: it gets the tier from the pool
-#: initializer or not at all.
+#: pool worker inherits no module state, the trace tier included.
 EXECUTORS = {
     "pool": lambda run_dir: parallel_order_sweep(
-        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir, engine="replay"
+        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir
     ),
     "pool-spawn": lambda run_dir: parallel_order_sweep(
-        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir, engine="replay",
+        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir,
         pool_factory=functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
         ),
     ),
     "fabric": lambda run_dir: run_local_fabric(
-        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir, engine="replay"
+        GRID, MACHINE, ORDERS, workers=2, run_dir=run_dir
     ),
 }
 
 
 @pytest.mark.parametrize("executor", sorted(EXECUTORS))
 class TestTraceTier:
-    """Workers use the trace tier of the process that starts them; a run
-    directory adds none.  Memos are cleared first so that the forked
-    workers compile every trace rather than inherit the caller's."""
+    """Executor cells run on step and compile no trace: a run directory
+    gets no tier, and the caller's tier stays empty.  Memos are cleared
+    first so that the forked workers simulate every cell rather than
+    inherit the caller's results."""
 
-    def sweep(self, executor, run_dir, tier):
+    def test_a_run_dir_gets_no_trace_tier(self, executor, tmp_path):
+        run_dir, tier = tmp_path / "run", tmp_path / "tier"
         previous = replay.trace_tier_root()
-        replay.configure_trace_tier(tier)
+        replay.configure_trace_tier(str(tier))
         clear_memos()
         try:
             sweep = EXECUTORS[executor](run_dir)
         finally:
             replay.configure_trace_tier(previous)
         assert sweep.complete
-        assert {cell.trace_source for cell in sweep.manifest.cells} == {"compiled"}
+        results = [r for results in sweep.series.values() for r in results]
+        assert {(r.engine, r.trace_source) for r in results} == {("step", "")}
         assert not (run_dir / "traces").exists()
-
-    def test_a_run_dir_gets_no_trace_tier(self, executor, tmp_path):
-        self.sweep(executor, tmp_path / "run", None)
-
-    def test_workers_fill_the_callers_tier(self, executor, tmp_path):
-        tier = tmp_path / "tier"
-        self.sweep(executor, tmp_path / "run", str(tier))
-        assert tracestore.tier_info(tier)["entries"] > 0
+        assert tracestore.tier_info(tier)["entries"] == 0
 
 
 class TestDeterminismScope:

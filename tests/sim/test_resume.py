@@ -308,21 +308,23 @@ class TestEngineAgnosticFingerprints:
 
         Cell fingerprints exclude the engine knob (counters are
         bit-identical by contract), so switching engines must not force
-        any recomputation — the resumed sweep replays every cell.
+        any recomputation — the resumed sweep replays every cell.  The
+        sweep has no engine knob; each entry's params ask for replay.
         """
         run_dir = tmp_path / "run"
         parallel_order_sweep(
-            ENTRIES, MACHINE, ORDERS, workers=1, run_dir=run_dir, engine="step"
-        )
-        resumed = parallel_order_sweep(
-            ENTRIES,
+            [(algorithm, setting, {"engine": "replay"}) for algorithm, setting in ENTRIES],
             MACHINE,
             ORDERS,
             workers=1,
             run_dir=run_dir,
-            resume=True,
-            engine="replay",
+        )
+        resumed = parallel_order_sweep(
+            ENTRIES, MACHINE, ORDERS, workers=1, run_dir=run_dir, resume=True
         )
         assert resumed.manifest.resumed_cells == len(ENTRIES) * len(ORDERS)
+        assert {
+            result.engine for results in resumed.series.values() for result in results
+        } == {"replay"}
         serial = order_sweep(ENTRIES, MACHINE, ORDERS)
         assert_bit_identical(resumed, serial)

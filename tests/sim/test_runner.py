@@ -83,35 +83,33 @@ class TestResultMemo:
         yield
         clear_memos()
 
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(
         "setting, policy", [("ideal", "lru"), ("lru-50", "lru"), ("lru-50", "fifo")]
     )
-    def test_hits_are_equal_independent_copies(self, quad, setting, policy):
-        for engine in ENGINES:
-            clear_memos()
+    def test_hits_are_equal_independent_copies(self, quad, setting, policy, engine):
+        def run():
+            return run_experiment(
+                "shared-opt", quad, 8, 8, 8, setting, policy=policy, engine=engine
+            )
 
-            def run():
-                return run_experiment(
-                    "shared-opt", quad, 8, 8, 8, setting, policy=policy, engine=engine
-                )
-
-            first = run()
-            second = run()
-            assert first.trace_source != "memo"
-            assert second.trace_source == "memo"
-            assert (second.engine, second.kernel) == (first.engine, first.kernel)
-            assert second.stats == first.stats and second.comp == first.comp
-            assert second.stats is not first.stats and second.comp is not first.comp
-            # mutating either returned result must not poison the memo
-            for result in (first, second):
-                result.stats.shared.misses_by_matrix[0] += 1000
-                result.stats.distributed[0].misses += 1000
-                result.comp[0] += 1
-            third = run()
-            assert third.trace_source == "memo"
-            clear_memos()
-            assert third.stats == run().stats
-            assert third.comp_total == 512
+        first = run()
+        second = run()
+        assert first.trace_source != "memo"
+        assert second.trace_source == "memo"
+        assert second.engine == first.engine == engine
+        assert second.stats == first.stats and second.comp == first.comp
+        assert second.stats is not first.stats and second.comp is not first.comp
+        # mutating either returned result must not poison the memo
+        for result in (first, second):
+            result.stats.shared.misses_by_matrix[0] += 1000
+            result.stats.distributed[0].misses += 1000
+            result.comp[0] += 1
+        third = run()
+        assert third.trace_source == "memo"
+        clear_memos()
+        assert third.stats == run().stats
+        assert third.comp_total == 512
 
     @staticmethod
     def _poison_the_one_entry():

@@ -181,11 +181,20 @@ class TestResolveEntries:
 
 class TestEngineKnob:
     def test_order_sweep_engines_agree(self, quad):
+        # The order sweep has no engine knob; an entry's params reach
+        # run_experiment, so they can still ask for replay.
         entries = [("shared-opt", "lru"), ("shared-opt", "ideal")]
-        rep = order_sweep(entries, quad, [4, 6], engine="replay")
-        step = order_sweep(entries, quad, [4, 6], engine="step")
-        for label in rep.labels():
-            for a, b in zip(rep.series[label], step.series[label]):
+        rep = order_sweep(
+            [(alg, setting, {"engine": "replay"}) for alg, setting in entries],
+            quad,
+            [4, 6],
+        )
+        step = order_sweep(entries, quad, [4, 6])
+        assert len(rep.labels()) == len(step.labels()) == len(entries)
+        for rep_label, step_label in zip(rep.labels(), step.labels()):
+            pairs = list(zip(rep.series[rep_label], step.series[step_label]))
+            assert {(a.engine, b.engine) for a, b in pairs} == {("replay", "step")}
+            for a, b in pairs:
                 assert a.stats == b.stats
 
     def test_ratio_sweep_engines_agree(self, quad):
@@ -199,4 +208,4 @@ class TestEngineKnob:
 
     def test_unknown_engine_rejected(self, quad):
         with pytest.raises(ConfigurationError, match="unknown engine"):
-            order_sweep([("shared-opt", "lru")], quad, [4], engine="warp")
+            order_sweep([("shared-opt", "lru", {"engine": "warp"})], quad, [4])

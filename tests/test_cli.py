@@ -154,6 +154,23 @@ class TestRuns:
         assert "CORRUPT" in out
         assert "checksum mismatch" in out
 
+    def test_runs_verify_rejects_non_run(self, tmp_path, capsys):
+        for path in (tmp_path / "nonexistent", tmp_path):
+            assert main(["runs", "verify", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert f"error: {path} is not a run directory" in captured.err
+            assert "CORRUPT" not in captured.out
+
+    def test_runs_verify_missing_run_json_is_corrupt(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert self._make_run(run_dir) == 0
+        (run_dir / "run.json").unlink()
+        capsys.readouterr()
+        assert main(["runs", "verify", str(run_dir)]) == 1
+        out = capsys.readouterr().out
+        assert "run.json is missing" in out
+        assert "CORRUPT" in out
+
     def test_runs_verify_detects_truncation(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert self._make_run(run_dir) == 0
