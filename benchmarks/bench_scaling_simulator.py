@@ -10,13 +10,11 @@ the cache state repeats (:mod:`repro.sim.contexts`), so its rate grows
 with the order, and an order-96 time does not extrapolate to order
 1100 (an order-1100 Shared Opt. LRU-50 cell takes ~0.3 s on step, not
 the ~70 minutes a flat per-touch cost would give).
-Artifact: out/scaling_simulator.txt.
+Artifact: out/scaling_simulator.txt (wall times, so it is not tracked).
 
-Both engines memoize results across runs (and across benches in the
+The runner memoizes results across runs (and across benches in the
 same session), which is exactly what a scaling measurement must not
-see, so every order starts from cleared memos.  The companion
-``bench_replay_scaling`` measures the replay engine's cold-cache cost
-per order, the constant that binds Fig. 12.
+see, so every order starts from cleared memos.
 """
 
 import time
@@ -29,14 +27,14 @@ from repro.store.atomic import atomic_write_text
 ORDERS = (16, 32, 48)
 
 
-def _scaling_rows(engine):
+def _scaling_rows():
     machine = preset("q32")
     rows = []
     for order in ORDERS:
         clear_memos()
         start = time.perf_counter()
         run_experiment(
-            "shared-opt", machine, order, order, order, "lru-50", engine=engine
+            "shared-opt", machine, order, order, order, "lru-50", engine="step"
         )
         elapsed = time.perf_counter() - start
         touches = 3 * order**3
@@ -52,23 +50,10 @@ def _scaling_rows(engine):
 
 
 def bench_lru_scaling(benchmark, out_dir):
-    rows = benchmark.pedantic(lambda: _scaling_rows("step"), rounds=1, iterations=1)
+    rows = benchmark.pedantic(_scaling_rows, rounds=1, iterations=1)
     atomic_write_text(out_dir / "scaling_simulator.txt", render_rows(rows))
     # linearity: throughput varies by < 4x across a 27x work range
     rates = [r["touches/s"] for r in rows]
     assert max(rates) < 4 * min(rates)
     # and it is fast enough for the shipped sweeps (>= 0.5M touches/s)
-    assert rates[-1] > 500_000
-
-
-def bench_replay_scaling(benchmark, out_dir):
-    rows = benchmark.pedantic(
-        lambda: _scaling_rows("replay"), rounds=1, iterations=1
-    )
-    atomic_write_text(
-        out_dir / "scaling_simulator_replay.txt", render_rows(rows)
-    )
-    # compile+replay is linear in the touch count too
-    rates = [r["touches/s"] for r in rows]
-    assert max(rates) < 4 * min(rates)
     assert rates[-1] > 500_000

@@ -5,14 +5,14 @@ mode and explicit loads in IDEAL mode — which determine how large a
 matrix order the harness can sweep.  They are the scaling ablation
 called out in DESIGN.md.
 
-The ``*_step`` / ``*_replay`` pairs compare the two simulation engines
-on identical workloads (same schedule, machine, counters):
+The engine benches time whole cells on identical workloads (same
+schedule, machine, counters).  Replay serves unchecked IDEAL cells only,
+so only ``ideal_cell`` has a replay half:
 
 * ``mdcurve`` — an 8-point distributed-capacity curve, one step
-  simulation per capacity (no replay half: nothing in the package
-  draws capacity curves from a trace any more).
-* ``fifo`` — a single FIFO cell: step's generic per-touch policy path
-  vs the replay sliding-window pass over a precompiled trace.
+  simulation per capacity.
+* ``fifo`` — a single FIFO cell through step's generic per-touch policy
+  path.
 * ``ideal_cell`` — re-evaluating an IDEAL cell end-to-end through
   ``run_experiment``: with ``engine="replay"`` the runner memoizes the
   cell's counters per ``(ScheduleKey, "ideal")`` (algorithm, ``p``,
@@ -29,10 +29,6 @@ on identical workloads (same schedule, machine, counters):
 
 import dataclasses
 
-import pytest
-
-from repro.algorithms.registry import get_algorithm
-from repro.cache import replay
 from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
 from repro.model.machine import PRESETS
@@ -104,15 +100,8 @@ def bench_ideal_load_evict(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Engine comparison pairs (step vs replay)
+# Whole cells through run_experiment
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def cell_trace():
-    """Compiled shared-opt trace (with directives) for the cell benches."""
-    alg = get_algorithm("shared-opt")(MACHINE, CELL_ORDER, CELL_ORDER, CELL_ORDER)
-    return replay.compile_trace(alg, directives=True)
-
-
 def bench_mdcurve_step(benchmark):
     """8-point distributed-capacity curve, one step simulation per point."""
 
@@ -151,20 +140,6 @@ def bench_fifo_step(benchmark):
             policy="fifo",
             engine="step",
         ).stats.ms
-
-    assert benchmark(run) > 0
-
-
-def bench_fifo_replay(benchmark, cell_trace):
-    """Same FIFO cell as a sliding-window replay of the compiled trace.
-
-    Calls the single-``CD`` kernel directly so every round measures the
-    pass itself, not ``run_experiment``'s result memo.
-    """
-
-    def run():
-        out = replay._bulk_fifo_cd(cell_trace, MACHINE.cd, [MACHINE.cs])
-        return out[(MACHINE.cs, MACHINE.cd)].ms
 
     assert benchmark(run) > 0
 

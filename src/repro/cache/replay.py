@@ -1,72 +1,59 @@
-"""Trace-compile/replay fast path for the two-level simulator.
+"""Trace-compile/replay of unchecked IDEAL cells.
 
-The step simulator (:mod:`repro.cache.hierarchy`) interprets a schedule
-one reference at a time: three Python-level cache operations per
-elementary multiply-add.  This module splits that work in two:
+The step simulator (:mod:`repro.cache.hierarchy`, driven by
+:mod:`repro.sim.contexts`) interprets a schedule one operation at a
+time.  For an unchecked IDEAL cell this module splits that work in two:
 
 * **compile** — run the schedule once against a recording context and
-  keep its block-access trace (the compute stream, and the explicit
-  IDEAL directives when the schedule carries them) as a
-  :class:`CompiledTrace`;
-* **replay** — consume the whole trace in bulk against any simulated
-  capacity/policy combination, without re-running the schedule.
+  keep its access trace (the compute stream and the explicit IDEAL
+  directives) as a :class:`CompiledTrace`;
+* **replay** — :func:`replay_ideal` evaluates the whole trace in one
+  vectorized pass: the directive stream is lowered to numpy arrays
+  once per trace, and the per-block state machines of both levels are
+  a handful of sorts and cumulative scans instead of millions of
+  Python method calls.
 
-Replays are *exact*: every counter of the resulting
-:class:`~repro.cache.stats.HierarchyStats` (``ms``, ``md``, write-backs,
-per-matrix breakdowns) is bit-identical to the step simulator's, which
-the test suite proves across algorithms × policies × ragged shapes and
-with hypothesis-generated traces.  The step engine stays available as
-the oracle (``engine="step"`` in :func:`repro.sim.runner.run_experiment`).
+The replay is *exact*: every counter of the resulting
+:class:`~repro.cache.stats.HierarchyStats` (``ms``, ``md``,
+write-backs, per-matrix splits) is bit-identical to the step
+simulator's, which the test suite proves on every algorithm at ragged
+shapes and on hypothesis-drawn shapes.
 
-Since the step engine fast-forwards the loops schedules declare
-(:mod:`repro.sim.contexts`), replay has one production caller: the
-bandwidth-ratio sweep of Fig. 12 (:func:`repro.sim.sweep.ratio_sweep`),
-drawn in IDEAL mode.  Where the speed comes from (measured, see
-``docs/BENCHMARKS.md``):
+Its one production caller is Fig. 12's bandwidth-ratio sweep
+(:func:`repro.sim.sweep.ratio_sweep`), which is drawn in IDEAL mode.
+:func:`repro.sim.runner.run_experiment` consults one rule,
+:func:`replays`: a replay request replays only an unchecked IDEAL cell
+of at most :data:`STREAM_FMAS` multiply-adds, and every other cell,
+LRU-family cells of every policy included, runs on the step engine,
+which fast-forwards declared loops and is both faster and leaner there.
 
-* :func:`replay_bulk` evaluates **many** ``(policy, CS, CD)`` cells
-  over one shared trace: LRU cells share a single bounded Mattson
-  stack-distance pass (the inclusion property gives every distributed
-  capacity's misses *and* eviction victims from one pass), per-cell
-  counters are aggregated with numpy over chunked depth arrays, and
-  the shared level replays only the distributed-miss stream — orders
-  of magnitude shorter than the touch stream;
-* **FIFO** replay keeps the insertion-ring formulation (hits never
-  mutate FIFO state; no inclusion property, so one distributed pass
-  per ``CD``) with the same short shared-stream treatment;
-* **IDEAL** replay is vectorized: the directive stream is lowered to
-  numpy arrays once per trace and each replay is a handful of
-  sorts/scans instead of four million Python method calls.
+Compiling memoizes nothing.  :func:`compiled_trace_for` compiles on
+every call unless the on-disk tier (:func:`configure_trace_tier`,
+:mod:`repro.cache.tracestore`) holds the schedule's trace.  Cell
+results are memoized one level up, in
+:func:`repro.sim.runner.run_experiment`, keyed on the
+:class:`~repro.algorithms.base.ScheduleKey`, so a ratio sweep's
+repeated schedules never reach a trace.
 
-The kernels memoize nothing, and neither does
-:func:`compiled_trace_for`: every call compiles, unless the on-disk
-tier (:func:`configure_trace_tier`) holds the trace.  Cell results are
-memoized one level up, in :func:`repro.sim.runner.run_experiment`,
-keyed on the :class:`~repro.algorithms.base.ScheduleKey` plus what the
-simulated hierarchy adds (``"ideal"``, or policy, inclusion and the
-simulated ``CS``/``CD``), so a schedule's repeated cells never reach a
-trace.
-
-The write-back path is preserved exactly without per-touch dirty sets:
-in this workload C blocks are touched *last* in their triple and dirtied
-when the triple retires, so **every resident C block is dirty at any
-eviction point and A/B blocks never are** — distributed write-backs are
-exactly the C-tagged evictions, and each one emits a timestamped "mark"
-event that the shared-level pass interleaves (mark before the miss that
-caused it) to reproduce the dirty-victim → shared-copy propagation.
+:func:`replay_bulk` and :func:`replay_bulk_streaming` keep the names
+(and signatures) of the retired LRU/FIFO kernels because the benchmark
+harness times layers by wrapping them; nothing in the package calls
+them.  Their bodies feed the step
+:class:`~repro.cache.hierarchy.LRUHierarchy`, so they return exactly a
+cold step run's counters.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.algorithms.base import ExecutionContext, MatmulAlgorithm
-from repro.cache.block import MAT_C, MAT_SHIFT
+from repro.cache.block import MAT_SHIFT
+from repro.cache.hierarchy import LRUHierarchy
 from repro.cache.stats import CacheStats, HierarchyStats
 from repro.exceptions import ConfigurationError
 
@@ -75,30 +62,6 @@ OP_LOAD_SHARED = 0
 OP_EVICT_SHARED = 1
 OP_LOAD_DIST = 2
 OP_EVICT_DIST = 3
-
-#: Replacement policies the replay engine can reproduce exactly.  The
-#: associative/PLRU ablation policies and inclusive hierarchies fall
-#: back to the step engine (see :func:`supports`).
-REPLAY_POLICIES = frozenset({"lru", "fifo"})
-
-#: Sentinel insertion index meaning "never inserted" in the FIFO pass;
-#: must compare below ``miss_count - capacity`` for every reachable
-#: state (a plain ``-1`` collides with the cold-start window).
-_NEVER = -(1 << 62)
-
-#: Saturated stack depth for keys absent from a bounded recency stack
-#: (cold or deeper than the bound) — compares ``>=`` every capacity the
-#: pass distinguishes.
-_ABSENT = 1 << 30
-
-#: FMAs per kernel chunk: the Python transition loop hands counters to
-#: numpy in chunks this size, bounding intermediate-array memory even
-#: on memmapped paper-scale traces.
-_CHUNK_FMAS = 1 << 16
-
-#: Keys at or above this value are C blocks (tags are A=0 < B=1 < C=2,
-#: so one compare replaces shift-and-equal in the hot eviction check).
-_C_BASE = MAT_C << MAT_SHIFT
 
 
 class _Recorder(ExecutionContext):
@@ -164,14 +127,15 @@ def _as_fma_array(fmas: Any) -> NDArray[np.int64]:
 
 
 class CompiledTrace:
-    """One schedule's recorded access trace, ready for bulk replay.
+    """One schedule's recorded access trace, ready for replay.
 
     The compute stream lives in :attr:`fma_array` — an ``(n, 4)`` int64
     array of ``(core, akey, bkey, ckey)`` rows, either owned in memory
-    or memmapped read-only from the on-disk trace tier (the kernels only
-    ever slice it in chunks, so a memmap streams from the page cache and
-    is shared across processes).  ``origin`` is telemetry: where this
-    process got the trace (``"compiled"`` or ``"disk"``).
+    or memmapped read-only from the on-disk trace tier (IDEAL replay
+    reads its core and C columns only, so a memmap streams from the
+    page cache and is shared across processes).  ``origin`` is
+    telemetry: where this process got the trace (``"compiled"`` or
+    ``"disk"``).
     """
 
     __slots__ = (
@@ -201,18 +165,6 @@ class CompiledTrace:
 
     def __len__(self) -> int:
         return int(self.fma_array.shape[0])
-
-    @property
-    def fmas(self) -> List[Tuple[int, int, int, int]]:
-        """The compute stream as ``(core, akey, bkey, ckey)`` tuples.
-
-        Compatibility view (tests, external consumers); the kernels use
-        :attr:`fma_array` directly.
-        """
-        return [
-            (int(r[0]), int(r[1]), int(r[2]), int(r[3]))
-            for r in self.fma_array.tolist()
-        ]
 
     @property
     def comp_total(self) -> int:
@@ -250,8 +202,9 @@ def compile_trace(
     """Run ``algorithm`` once and record its trace.
 
     ``directives=True`` records the explicit IDEAL directives too
-    (needed by :func:`replay_ideal`); compute-only replays can skip them
-    to avoid paying the recording cost.
+    (needed by :func:`replay_ideal`); ``directives=False`` records the
+    compute stream only, the form the tier stores for a trace that
+    carries no directives.
     """
     recorder = _Recorder(algorithm.machine.p, explicit=directives)
     algorithm.run(recorder)
@@ -268,543 +221,14 @@ def compile_trace(
 def supports(mode: str, policy: str, inclusive: bool, check: bool) -> bool:
     """Whether the replay engine reproduces this configuration exactly.
 
-    IDEAL replays carry no capacity/inclusion/presence verification, so
-    checked runs use the step oracle; LRU-mode replays cover the plain
-    ``lru``/``fifo`` policies on non-inclusive hierarchies (the
-    associative and PLRU ablations keep their per-touch policy state).
+    Only unchecked IDEAL cells replay: an IDEAL replay carries no
+    capacity, inclusion or presence verification, so checked runs use
+    the step oracle, and every LRU-family cell (any policy, inclusive
+    or not) runs on step, which fast-forwards it.  ``policy`` and
+    ``inclusive`` no longer change the answer; :func:`replays` keeps
+    passing them.
     """
-    if mode == "ideal":
-        return not check
-    return policy in REPLAY_POLICIES and not inclusive
-
-
-def _split_cells(
-    cells: Sequence[Tuple[str, int, int]], caller: str
-) -> Tuple[set[Tuple[int, int]], set[Tuple[int, int]]]:
-    """Validate ``(policy, cs, cd)`` cells; their LRU and FIFO ``(cs, cd)``."""
-    todo_lru: set[Tuple[int, int]] = set()
-    todo_fifo: set[Tuple[int, int]] = set()
-    for policy, cs, cd in cells:
-        if policy not in REPLAY_POLICIES:
-            raise ConfigurationError(
-                f"{caller} cannot replay policy {policy!r}; "
-                f"supported: {sorted(REPLAY_POLICIES)}"
-            )
-        if cs < 1 or cd < 1:
-            raise ConfigurationError(
-                f"capacities must be positive, got cs={cs} cd={cd}"
-            )
-        (todo_fifo if policy == "fifo" else todo_lru).add((cs, cd))
-    return todo_lru, todo_fifo
-
-
-# ----------------------------------------------------------------------
-# Batched LRU/FIFO replay
-# ----------------------------------------------------------------------
-class _SharedLRU:
-    """One shared LRU cache replayed over the distributed-miss stream.
-
-    The shared level only ever sees distributed misses — a stream one
-    to two orders of magnitude shorter than the touch stream — so each
-    requested ``CS`` keeps its own ``OrderedDict`` recency state with
-    O(1) membership/promotion/eviction (C-speed dict operations beat a
-    Mattson stack scan at shared capacities of several hundred blocks).
-    The interleaved dirty-victim marks reproduce the write-back path:
-    a mark lands on the block's shared copy iff it is resident, exactly
-    the step simulator's victim-then-propagate order.
-    """
-
-    __slots__ = ("cs", "data", "dirty", "hits", "miss", "wb", "mbm")
-
-    def __init__(self, cs: int) -> None:
-        self.cs = cs
-        self.data: "OrderedDict[int, None]" = OrderedDict()
-        self.dirty: set[int] = set()
-        self.hits = 0
-        self.miss = 0
-        self.wb = 0
-        self.mbm = [0, 0, 0]
-
-    def feed(
-        self,
-        ref_times: List[int],
-        ref_keys: List[int],
-        mark_times: List[int],
-        mark_keys: List[int],
-    ) -> None:
-        """Advance over one chunk's references and dirty-victim marks.
-
-        Both streams are time-sorted; a mark at time ``t`` (the dirty
-        distributed victim of the miss at touch ``t``) is applied
-        *before* the same touch's shared reference.
-        """
-        data = self.data
-        move = data.move_to_end
-        dirty = self.dirty
-        cs = self.cs
-        mbm = self.mbm
-        i = j = 0
-        n_r = len(ref_times)
-        n_m = len(mark_times)
-        while i < n_r or j < n_m:
-            if j < n_m and (i >= n_r or mark_times[j] <= ref_times[i]):
-                v = mark_keys[j]
-                j += 1
-                if v in data:
-                    dirty.add(v)
-                continue
-            key = ref_keys[i]
-            i += 1
-            if key in data:
-                move(key)
-                self.hits += 1
-                continue
-            self.miss += 1
-            mbm[key >> MAT_SHIFT] += 1
-            if len(data) >= cs:
-                victim, _ = data.popitem(last=False)
-                if victim in dirty:
-                    dirty.discard(victim)
-                    self.wb += 1
-            data[key] = None
-
-    def stats(self) -> CacheStats:
-        return CacheStats(self.hits, self.miss, self.wb, list(self.mbm))
-
-
-class _LRUPass:
-    """Streaming state of the batched LRU kernel.
-
-    One bounded recency-stack pass over the global touch stream (bound =
-    the largest ``CD``) serves every distributed capacity at once —
-    Mattson's inclusion property makes the depth array and the stack
-    positions ``cd - 1`` exact misses and victims for *all* ``cd`` —
-    and each ``CD``'s shared level replays only its distributed-miss
-    stream through one :class:`_SharedLRU` state per requested ``CS``.
-
-    The state is chunk-incremental on purpose: :meth:`process` consumes
-    one ``(k, 4)`` slice of the compute stream at a time, so the same
-    kernel serves materialized traces (:func:`_bulk_lru`) and the
-    streaming path (:func:`replay_bulk_streaming`), where the schedule
-    feeds chunks directly and the full trace never exists in memory.
-    """
-
-    __slots__ = (
-        "p",
-        "pairs",
-        "cds",
-        "css_by_cd",
-        "bound",
-        "cd_list",
-        "stacks",
-        "dmiss",
-        "dmbm",
-        "dwb",
-        "touches",
-        "shared",
-        "_fmas_seen",
-        "_single",
-    )
-
-    def __init__(self, p: int, pairs: Sequence[Tuple[int, int]]) -> None:
-        self.p = p
-        self.pairs = list(pairs)
-        cds = sorted({cd for _, cd in pairs})
-        self.cds = cds
-        self.css_by_cd = {
-            cd: sorted({cs for cs, cd2 in pairs if cd2 == cd}) for cd in cds
-        }
-        self.bound = cds[-1]
-        self.cd_list = list(enumerate(cds))
-        self.stacks: List[List[int]] = [[] for _ in range(p)]
-        n_cd = len(cds)
-        self.dmiss = np.zeros((n_cd, p), dtype=np.int64)
-        self.dmbm = np.zeros((n_cd, p, 3), dtype=np.int64)
-        self.dwb = [[0] * p for _ in range(n_cd)]
-        self.touches = np.zeros(p, dtype=np.int64)
-        self.shared = {
-            (cd, cs): _SharedLRU(cs)
-            for cd in cds
-            for cs in self.css_by_cd[cd]
-        }
-        self._fmas_seen = 0
-        self._single: Optional[List["OrderedDict[int, None]"]] = (
-            [OrderedDict() for _ in range(p)] if len(cds) == 1 else None
-        )
-
-    def process(self, chunk: NDArray[np.int64]) -> None:
-        """Advance every cell's counters over one compute-stream slice."""
-        if self._single is not None:
-            self._process_single(chunk)
-            return
-        p = self.p
-        cds = self.cds
-        cd_list = self.cd_list
-        bound = self.bound
-        stacks = self.stacks
-        dwb = self.dwb
-        rows = chunk.tolist()
-        t0 = 3 * self._fmas_seen
-        self._fmas_seen += len(rows)
-        t = t0
-        depths: List[int] = []
-        dappend = depths.append
-        marks: Dict[int, Tuple[List[int], List[int]]] = {
-            cd: ([], []) for cd in cds
-        }
-        for core, akey, bkey, ckey in rows:
-            stack = stacks[core]
-            for key in (akey, bkey, ckey):
-                # membership scan instead of try/except around .index():
-                # deep/cold touches dominate at paper scale and a raised
-                # ValueError per miss would double the pass cost
-                if key in stack:
-                    d = stack.index(key)
-                    dappend(d)
-                    if d:
-                        length = len(stack)
-                        for i, cd in cd_list:
-                            if cd <= d and cd <= length:
-                                victim = stack[cd - 1]
-                                if victim >= _C_BASE:
-                                    # resident C blocks are always
-                                    # dirty: eviction == write-back ==
-                                    # shared mark
-                                    dwb[i][core] += 1
-                                    mt, mk = marks[cd]
-                                    mt.append(t)
-                                    mk.append(victim)
-                        del stack[d]
-                        stack.insert(0, key)
-                else:
-                    dappend(_ABSENT)
-                    length = len(stack)
-                    for i, cd in cd_list:
-                        if cd <= length:
-                            victim = stack[cd - 1]
-                            if victim >= _C_BASE:
-                                dwb[i][core] += 1
-                                mt, mk = marks[cd]
-                                mt.append(t)
-                                mk.append(victim)
-                    stack.insert(0, key)
-                    if length >= bound:
-                        stack.pop()
-                t += 1
-        dep = np.asarray(depths, dtype=np.int64)
-        keys = np.ascontiguousarray(chunk[:, 1:4]).reshape(-1)
-        cores3 = np.repeat(np.ascontiguousarray(chunk[:, 0]), 3)
-        tags = keys >> MAT_SHIFT
-        self.touches += np.bincount(cores3, minlength=p)
-        for i, cd in cd_list:
-            miss = dep >= cd
-            self.dmiss[i] += np.bincount(cores3[miss], minlength=p)
-            self.dmbm[i] += np.bincount(
-                cores3[miss] * 3 + tags[miss], minlength=3 * p
-            ).reshape(p, 3)
-            ref_t = (np.nonzero(miss)[0] + t0).tolist()
-            ref_k = keys[miss].tolist()
-            mt, mk = marks[cd]
-            for cs in self.css_by_cd[cd]:
-                self.shared[(cd, cs)].feed(ref_t, ref_k, mt, mk)
-
-    def _process_single(self, chunk: NDArray[np.int64]) -> None:
-        """Single-``CD`` fast path over one compute-stream slice.
-
-        With one distributed capacity there is nothing for the Mattson
-        stack to amortize, so each core's cache is simulated directly as
-        a capacity-``cd`` ``OrderedDict`` — O(1) hit/promotion/eviction
-        instead of two O(cd) list scans per touch.  Inclusion puts a
-        miss's LRU victim exactly at stack position ``cd - 1``, so the
-        marks and the distributed-miss stream fed to the shared level
-        are identical to the general pass.
-        """
-        cd = self.cds[0]
-        caches = self._single
-        assert caches is not None
-        dwb_row = self.dwb[0]
-        p = self.p
-        rows = chunk.tolist()
-        t = 3 * self._fmas_seen
-        self._fmas_seen += len(rows)
-        touch_add = [0] * p
-        miss_add = [0] * p
-        mbm_add = [[0, 0, 0] for _ in range(p)]
-        ref_t: List[int] = []
-        ref_k: List[int] = []
-        mt: List[int] = []
-        mk: List[int] = []
-        for core, akey, bkey, ckey in rows:
-            cache = caches[core]
-            move = cache.move_to_end
-            for key in (akey, bkey, ckey):
-                if key in cache:
-                    move(key)
-                else:
-                    miss_add[core] += 1
-                    mbm_add[core][key >> MAT_SHIFT] += 1
-                    if len(cache) >= cd:
-                        victim, _ = cache.popitem(last=False)
-                        if victim >= _C_BASE:
-                            dwb_row[core] += 1
-                            mt.append(t)
-                            mk.append(victim)
-                    cache[key] = None
-                    ref_t.append(t)
-                    ref_k.append(key)
-                t += 1
-            touch_add[core] += 3
-        self.touches += np.asarray(touch_add, dtype=np.int64)
-        self.dmiss[0] += np.asarray(miss_add, dtype=np.int64)
-        self.dmbm[0] += np.asarray(mbm_add, dtype=np.int64)
-        for cs in self.css_by_cd[cd]:
-            self.shared[(cd, cs)].feed(ref_t, ref_k, mt, mk)
-
-    def finalize(self) -> Dict[Tuple[int, int], HierarchyStats]:
-        """Assemble every requested cell's final hierarchy counters."""
-        out: Dict[Tuple[int, int], HierarchyStats] = {}
-        for cs, cd in self.pairs:
-            i = self.cds.index(cd)
-            out[(cs, cd)] = HierarchyStats(
-                shared=self.shared[(cd, cs)].stats(),
-                distributed=[
-                    CacheStats(
-                        int(self.touches[c] - self.dmiss[i, c]),
-                        int(self.dmiss[i, c]),
-                        self.dwb[i][c],
-                        [int(x) for x in self.dmbm[i, c]],
-                    )
-                    for c in range(self.p)
-                ],
-            )
-        return out
-
-
-def _bulk_lru(
-    trace: CompiledTrace, pairs: Sequence[Tuple[int, int]]
-) -> Dict[Tuple[int, int], HierarchyStats]:
-    """Exact LRU counters for every ``(cs, cd)`` from one shared pass."""
-    kernel = _LRUPass(trace.p, pairs)
-    arr = trace.fma_array
-    for start in range(0, int(arr.shape[0]), _CHUNK_FMAS):
-        kernel.process(arr[start : start + _CHUNK_FMAS])
-    return kernel.finalize()
-
-
-class _SharedFIFO:
-    """One shared FIFO cache replayed over the distributed-miss stream.
-
-    FIFO has no inclusion property, so each ``(cd, cs)`` keeps its own
-    insertion-window state; the stream it consumes is the short
-    distributed-miss stream, not the touch stream.
-    """
-
-    __slots__ = ("cs", "ins", "ring", "m", "hits", "miss", "wb", "mbm", "dirty")
-
-    def __init__(self, cs: int) -> None:
-        self.cs = cs
-        self.ins: Dict[int, int] = {}
-        self.ring: List[int] = []
-        self.m = 0
-        self.hits = 0
-        self.miss = 0
-        self.wb = 0
-        self.mbm = [0, 0, 0]
-        self.dirty: set[int] = set()
-
-    def feed(
-        self,
-        ref_times: List[int],
-        ref_keys: List[int],
-        mark_times: List[int],
-        mark_keys: List[int],
-    ) -> None:
-        ins = self.ins
-        ring = self.ring
-        cs = self.cs
-        dirty = self.dirty
-        mbm = self.mbm
-        m = self.m
-        i = j = 0
-        n_r = len(ref_times)
-        n_m = len(mark_times)
-        while i < n_r or j < n_m:
-            if j < n_m and (i >= n_r or mark_times[j] <= ref_times[i]):
-                v = mark_keys[j]
-                j += 1
-                # dirty victim lands in its shared copy, if resident
-                if ins.get(v, _NEVER) >= m - cs:
-                    dirty.add(v)
-                continue
-            key = ref_keys[i]
-            i += 1
-            if ins.get(key, _NEVER) >= m - cs:
-                self.hits += 1
-                continue
-            self.miss += 1
-            mbm[key >> MAT_SHIFT] += 1
-            if m >= cs:
-                victim = ring[m - cs]
-                if victim in dirty:
-                    dirty.discard(victim)
-                    self.wb += 1
-            ins[key] = m
-            ring.append(key)
-            m += 1
-        self.m = m
-
-    def stats(self) -> CacheStats:
-        return CacheStats(self.hits, self.miss, self.wb, list(self.mbm))
-
-
-class _FIFOPass:
-    """Streaming state of the batched FIFO kernel for one ``CD``.
-
-    One insertion-window pass over the touch stream (hits never mutate
-    FIFO state: a key is resident iff its latest insertion is among the
-    last ``cd`` misses, and miss ``M``'s victim is the key inserted at
-    ``M - cd``); the dirty-victim marks and the distributed-miss stream
-    feed one :class:`_SharedFIFO` per shared capacity.  Like
-    :class:`_LRUPass` the state is chunk-incremental, serving both the
-    materialized and the streaming replay paths.
-    """
-
-    __slots__ = (
-        "p",
-        "cd",
-        "ins",
-        "rings",
-        "miss_m",
-        "dmbm",
-        "dwb",
-        "touches",
-        "shared_states",
-        "_t",
-    )
-
-    def __init__(self, p: int, cd: int, css: Sequence[int]) -> None:
-        self.p = p
-        self.cd = cd
-        self.ins: List[Dict[int, int]] = [dict() for _ in range(p)]
-        self.rings: List[List[int]] = [[] for _ in range(p)]
-        self.miss_m = [0] * p
-        self.dmbm = [[0, 0, 0] for _ in range(p)]
-        self.dwb = [0] * p
-        self.touches = np.zeros(p, dtype=np.int64)
-        self.shared_states = [_SharedFIFO(cs) for cs in css]
-        self._t = 0
-
-    def process(self, chunk: NDArray[np.int64]) -> None:
-        """Advance every shared capacity over one compute-stream slice."""
-        cd = self.cd
-        ins = self.ins
-        rings = self.rings
-        miss_m = self.miss_m
-        dmbm = self.dmbm
-        dwb = self.dwb
-        rows = chunk.tolist()
-        t = self._t
-        ref_t: List[int] = []
-        ref_k: List[int] = []
-        mark_t: List[int] = []
-        mark_k: List[int] = []
-        for core, akey, bkey, ckey in rows:
-            d_ins = ins[core]
-            ring = rings[core]
-            mbm = dmbm[core]
-            m = miss_m[core]
-            for key in (akey, bkey, ckey):
-                if d_ins.get(key, _NEVER) >= m - cd:
-                    t += 1
-                    continue
-                mbm[key >> MAT_SHIFT] += 1
-                if m >= cd:
-                    victim = ring[m - cd]
-                    if victim >= _C_BASE:
-                        # resident C blocks are always dirty under FIFO
-                        # too (dirtied on insertion and on every hit)
-                        dwb[core] += 1
-                        mark_t.append(t)
-                        mark_k.append(victim)
-                d_ins[key] = m
-                ring.append(key)
-                m += 1
-                ref_t.append(t)
-                ref_k.append(key)
-                t += 1
-            miss_m[core] = m
-        self._t = t
-        self.touches += 3 * np.bincount(
-            np.ascontiguousarray(chunk[:, 0]), minlength=self.p
-        )
-        for state in self.shared_states:
-            state.feed(ref_t, ref_k, mark_t, mark_k)
-
-    def finalize(self) -> Dict[Tuple[int, int], HierarchyStats]:
-        """Assemble every requested ``(cs, cd)`` cell's final counters."""
-        out: Dict[Tuple[int, int], HierarchyStats] = {}
-        for state in self.shared_states:
-            out[(state.cs, self.cd)] = HierarchyStats(
-                shared=state.stats(),
-                distributed=[
-                    CacheStats(
-                        int(self.touches[c]) - self.miss_m[c],
-                        self.miss_m[c],
-                        self.dwb[c],
-                        list(self.dmbm[c]),
-                    )
-                    for c in range(self.p)
-                ],
-            )
-        return out
-
-
-def _bulk_fifo_cd(
-    trace: CompiledTrace, cd: int, css: Sequence[int]
-) -> Dict[Tuple[int, int], HierarchyStats]:
-    """Exact FIFO counters for one ``CD`` and every requested ``CS``."""
-    kernel = _FIFOPass(trace.p, cd, css)
-    arr = trace.fma_array
-    for start in range(0, int(arr.shape[0]), _CHUNK_FMAS):
-        kernel.process(arr[start : start + _CHUNK_FMAS])
-    return kernel.finalize()
-
-
-def _bulk_fifo(
-    trace: CompiledTrace, pairs: Sequence[Tuple[int, int]]
-) -> Dict[Tuple[int, int], HierarchyStats]:
-    by_cd: Dict[int, List[int]] = {}
-    for cs, cd in pairs:
-        by_cd.setdefault(cd, []).append(cs)
-    out: Dict[Tuple[int, int], HierarchyStats] = {}
-    for cd in sorted(by_cd):
-        out.update(_bulk_fifo_cd(trace, cd, sorted(set(by_cd[cd]))))
-    return out
-
-
-def replay_bulk(
-    trace: CompiledTrace, cells: Sequence[Tuple[str, int, int]]
-) -> List[HierarchyStats]:
-    """Exact hierarchy counters for many ``(policy, cs, cd)`` cells.
-
-    The batched entry point: all LRU cells share one bounded
-    stack-distance pass over the touch stream (:func:`_bulk_lru`), FIFO
-    cells share one insertion-ring pass per distinct ``CD``
-    (:func:`_bulk_fifo`), and every cell's shared level replays only
-    the distributed-miss stream.  Counters are bit-identical to
-    ``engine="step"`` (property-tested), write-backs and per-matrix
-    splits included.  Every call is a full pass; each returned object is
-    independent (callers may mutate).
-    """
-    todo_lru, todo_fifo = _split_cells(cells, "replay_bulk")
-    computed: Dict[Tuple[str, int, int], HierarchyStats] = {}
-    if todo_lru:
-        for (cs, cd), stats in _bulk_lru(trace, sorted(todo_lru)).items():
-            computed[("lru", cs, cd)] = stats
-    if todo_fifo:
-        for (cs, cd), stats in _bulk_fifo(trace, sorted(todo_fifo)).items():
-            computed[("fifo", cs, cd)] = stats
-    return [computed[(policy, cs, cd)].copy() for policy, cs, cd in cells]
+    return mode == "ideal" and not check
 
 
 # ----------------------------------------------------------------------
@@ -825,94 +249,55 @@ def replays(
 ) -> bool:
     """Whether :func:`repro.sim.runner.run_experiment` replays this cell.
 
-    Replay a materialized trace when the kernels cover the
-    configuration (:func:`supports`) and the cell's ``n_fmas``
-    multiply-adds are within :data:`STREAM_FMAS`; otherwise the step
-    engine runs the cell, whatever its policy family.
+    Replay a materialized trace when the cell is an unchecked IDEAL
+    cell (:func:`supports`) whose ``n_fmas`` multiply-adds are within
+    :data:`STREAM_FMAS`; otherwise the step engine runs the cell.
     """
     return supports(mode, policy, inclusive, check) and n_fmas <= STREAM_FMAS
 
 
 # ----------------------------------------------------------------------
-# Streaming replay (many cells in one schedule pass, no stored trace)
+# LRU-family reference bodies (no caller in the package)
 # ----------------------------------------------------------------------
-class _StreamRecorder(ExecutionContext):
-    """Compute-only context that feeds kernel passes chunk by chunk.
+def replay_bulk(
+    trace: CompiledTrace, cells: Sequence[Tuple[str, int, int]]
+) -> List[HierarchyStats]:
+    """Exact hierarchy counters of ``trace`` for each ``(policy, cs, cd)``.
 
-    The schedule's compute stream is buffered into the same flat
-    ``array('q')`` layout as :class:`_Recorder`, but every
-    ``_CHUNK_FMAS`` rows the buffer is lowered to one ``(k, 4)`` array,
-    pushed through every attached pass and dropped — peak memory is one
-    chunk plus the passes' bounded state, independent of trace length.
-    IDEAL directives are ignored: streaming serves only the LRU/FIFO
-    kernels (IDEAL replay needs the whole timeline at once).
+    Each cell feeds the trace's compute stream through a fresh step
+    :class:`~repro.cache.hierarchy.LRUHierarchy`, so its counters are a
+    cold step run's.  Returns one independent snapshot per cell, in
+    cell order.
     """
-
-    def __init__(self, p: int, passes: Sequence[Any]) -> None:
-        super().__init__(p)
-        self._passes = list(passes)
-        self._buf: "array[int]" = array("q")
-        self._rows = 0
-        self.n_fmas = 0
-
-    def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
-        self._buf.extend((core, akey, bkey, ckey))
-        self.comp[core] += 1
-        self.n_fmas += 1
-        self._rows += 1
-        if self._rows >= _CHUNK_FMAS:
-            self.flush()
-
-    def flush(self) -> None:
-        """Push the buffered rows through every pass and reset the buffer."""
-        if not self._rows:
-            return
-        chunk = np.frombuffer(self._buf, dtype=np.int64).reshape(-1, 4)
-        for kernel in self._passes:
-            kernel.process(chunk)
-        self._buf = array("q")
-        self._rows = 0
+    rows = trace.fma_array.tolist()
+    out: List[HierarchyStats] = []
+    for policy, cs, cd in cells:
+        hierarchy = LRUHierarchy(trace.p, cs, cd, policy=policy)
+        touches = hierarchy.compute_touches
+        for core, akey, bkey, ckey in rows:
+            touches(core, akey, bkey, ckey)
+        out.append(hierarchy.snapshot())
+    return out
 
 
 def replay_bulk_streaming(
     algorithm: MatmulAlgorithm, cells: Sequence[Tuple[str, int, int]]
 ) -> Tuple[List[HierarchyStats], List[int]]:
-    """Exact counters for many cells without materializing the trace.
+    """Exact counters for each ``(policy, cs, cd)`` cell, with no trace.
 
-    Runs ``algorithm`` once against a chunk-flushing recorder that feeds
-    the same :class:`_LRUPass`/:class:`_FIFOPass` kernels as
-    :func:`replay_bulk`, so the counters are bit-identical to both the
-    materialized path and the step oracle, and peak memory is one
-    64Ki-row chunk plus the kernels' bounded state.  Nothing is
-    retained: no trace, no memoization, every call re-runs the
-    schedule.  That pays off only when one pass serves many ``(CS,
-    CD)`` cells; for a single cell the step engine is faster and
-    smaller, so :func:`~repro.sim.runner.run_experiment` never streams
-    (see :func:`replays`).  Returns ``(stats, comp)`` with ``stats`` in
-    input-cell order and ``comp`` the per-core multiply-add counts.
+    Runs ``algorithm`` once against a compute-only context that feeds
+    each cell's step :class:`~repro.cache.hierarchy.LRUHierarchy`.
+    Returns ``(stats, comp)``: ``stats`` in cell order and ``comp`` the
+    per-core multiply-add counts.
     """
-    todo_lru, todo_fifo = _split_cells(cells, "replay_bulk_streaming")
+    # Imported here: repro.sim imports this module.
+    from repro.sim.contexts import ChainContext, LRUContext
+
     p = algorithm.machine.p
-    passes: List[Any] = []
-    if todo_lru:
-        passes.append(_LRUPass(p, sorted(todo_lru)))
-    fifo_by_cd: Dict[int, List[int]] = {}
-    for cs, cd in todo_fifo:
-        fifo_by_cd.setdefault(cd, []).append(cs)
-    for cd in sorted(fifo_by_cd):
-        passes.append(_FIFOPass(p, cd, sorted(set(fifo_by_cd[cd]))))
-
-    recorder = _StreamRecorder(p, passes)
-    algorithm.run(recorder)
-    recorder.flush()
-
-    computed: Dict[Tuple[str, int, int], HierarchyStats] = {}
-    for kernel in passes:
-        policy = "lru" if isinstance(kernel, _LRUPass) else "fifo"
-        for (cs, cd), stats in kernel.finalize().items():
-            computed[(policy, cs, cd)] = stats
-    out = [computed[(policy, cs, cd)].copy() for policy, cs, cd in cells]
-    return out, list(recorder.comp)
+    hierarchies = [LRUHierarchy(p, cs, cd, policy=policy) for policy, cs, cd in cells]
+    ctx = ChainContext([LRUContext(hierarchy) for hierarchy in hierarchies])
+    algorithm.run(ctx)
+    return [hierarchy.snapshot() for hierarchy in hierarchies], list(ctx.comp)
 
 
 # ----------------------------------------------------------------------
@@ -1141,33 +526,31 @@ def trace_tier_root() -> Optional[str]:
     return _TRACE_TIER
 
 
-def compiled_trace_for(
-    algorithm: MatmulAlgorithm, *, directives: bool = True
-) -> CompiledTrace:
-    """``algorithm``'s trace: the tier's entry, or a fresh compile.
+def compiled_trace_for(algorithm: MatmulAlgorithm) -> CompiledTrace:
+    """``algorithm``'s trace, directives included: the tier's entry, or a
+    fresh compile.
 
     With a tier configured, an entry under the algorithm's
     :meth:`~repro.algorithms.base.MatmulAlgorithm.schedule_key` that
-    has what the caller needs (directives, for an IDEAL replay) is
-    returned as is.  Otherwise the trace is compiled and, with a tier
-    configured, stored to it.  The key holds what the emitted trace
-    depends on, so ``lru`` and ``lru-2x`` (same plan, different
-    simulated capacities) share one entry, as do the machines of a
-    bandwidth-ratio sweep while Tradeoff's ``(α, β, µ)`` stays put.
-    Nothing is kept in memory: the result memo of
-    :func:`repro.sim.runner.run_experiment` answers repeated cells
-    before a trace is asked for.  ``trace.origin`` records where this
-    call got the trace (telemetry).
+    carries directives is returned as is.  Otherwise (no entry, or one
+    stored without directives) the trace is compiled and, with a tier
+    configured, stored to it, overwriting the entry.  The key holds
+    what the emitted trace depends on, so the machines of a
+    bandwidth-ratio sweep share one entry while Tradeoff's
+    ``(α, β, µ)`` stays put.  Nothing is kept in memory: the result
+    memo of :func:`repro.sim.runner.run_experiment` answers repeated
+    cells before a trace is asked for.  ``trace.origin`` records where
+    this call got the trace (telemetry).
     """
     from repro.cache import tracestore
 
     key = algorithm.schedule_key()
     if _TRACE_TIER is not None:
         loaded = tracestore.load(_TRACE_TIER, key)
-        if loaded is not None and (loaded.has_directives or not directives):
+        if loaded is not None and loaded.has_directives:
             loaded.origin = "disk"
             return loaded
-    trace = compile_trace(algorithm, directives=directives)
+    trace = compile_trace(algorithm)
     if _TRACE_TIER is not None:
         tracestore.store(_TRACE_TIER, key, trace)
     return trace

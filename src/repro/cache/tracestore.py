@@ -18,9 +18,9 @@ artifacts under the root a process configures
 :class:`~repro.algorithms.base.ScheduleKey` (the key the result memo
 starts from), so identical schedules hash to identical entries no matter
 which process compiled them, or for which bandwidths.  Readers memmap
-``fmas.npy`` read-only — the replay kernels only ever slice it in
-chunks, so N workers share one page-cache copy of a trace instead of N
-private recompilations.
+``fmas.npy`` read-only — IDEAL replay reads only its core and C
+columns, so N processes share one page-cache copy of a trace instead
+of N private recompilations.
 
 Crash consistency without locks: every file is written through
 :func:`repro.store.atomic_write_bytes` (tmp + fsync + rename), and
@@ -120,9 +120,9 @@ def store(root: Union[str, Path], schedule: Hashable, trace: Any) -> bool:
 def load(root: Union[str, Path], schedule: Hashable) -> Optional[Any]:
     """Load ``schedule``'s trace from the tier, or ``None`` on miss.
 
-    The compute stream comes back as a read-only memmap — the kernels
-    stream it in chunks, so page cache (shared across processes) backs
-    the replay instead of private heap copies.  Any inconsistency
+    The compute stream comes back as a read-only memmap, so page cache
+    (shared across processes) backs the replay instead of private heap
+    copies.  Any inconsistency
     (missing/invalid ``meta.json``, wrong format version, shape
     mismatch from a torn write) is a miss, never an exception.
     """

@@ -2,11 +2,11 @@
 
 The paper's evidence (Figs. 4–12) is a grid of independent
 (algorithm, setting, order or bandwidth-ratio) cells.  Two transports
-fan that grid out — the process pool (:mod:`repro.sim.parallel`) and
-the lease-based fabric coordinator (:mod:`repro.fabric.coordinator`) —
-and both keep their books here:
+fan the order grids out — the process pool
+(:mod:`repro.sim.parallel`) and the lease-based fabric coordinator
+(:mod:`repro.fabric.coordinator`) — and both keep their books here:
 
-* :class:`SweepPlan` — the cells of an order or ratio sweep: series
+* :class:`SweepPlan` — the cells of an order sweep: series
   labels, machines, ``run_experiment`` kwargs and each cell's
   :class:`~repro.store.checkpoint.CellKey` fingerprint.  Unknown
   algorithm or setting names are rejected while planning, before any
@@ -84,16 +84,13 @@ class SweepPlan:
         )
 
 
-def _plan(
-    variable: str,
-    xs: Sequence[Any],
+def order_plan(
     entries: Iterable[Entry],
-    machines: List[MulticoreMachine],
-    points: Sequence[Tuple[int, int]],
-    run_kwargs: Dict[str, Any],
+    machine: MulticoreMachine,
+    orders: Sequence[int],
+    **run_kwargs: Any,
 ) -> SweepPlan:
-    """Resolve entries into cells; ``points[i]`` is x-index ``i``'s
-    (machine-index, order)."""
+    """Cells of :func:`repro.sim.sweep.order_sweep` (square ``m=n=z``)."""
     labels: List[str] = []
     table: Dict[str, Tuple[str, str, Dict[str, Any]]] = {}
     cells: List[PlanCell] = []
@@ -102,35 +99,9 @@ def _plan(
         get_setting(setting)
         labels.append(label)
         table[label] = (algorithm, setting, dict(**run_kwargs, **params))
-        for index, (machine, order) in enumerate(points):
-            cells.append((label, index, machine, order, order, order))
-    return SweepPlan(variable, list(xs), labels, cells, machines, table)
-
-
-def order_plan(
-    entries: Iterable[Entry],
-    machine: MulticoreMachine,
-    orders: Sequence[int],
-    **run_kwargs: Any,
-) -> SweepPlan:
-    """Cells of :func:`repro.sim.sweep.order_sweep` (square ``m=n=z``)."""
-    points = [(0, order) for order in orders]
-    return _plan("order", orders, entries, [machine], points, run_kwargs)
-
-
-def ratio_plan(
-    entries: Iterable[Entry],
-    machine: MulticoreMachine,
-    ratios: Sequence[float],
-    order: int,
-    *,
-    total_bandwidth: float,
-    **run_kwargs: Any,
-) -> SweepPlan:
-    """Cells of :func:`repro.sim.sweep.ratio_sweep`: one machine per ratio."""
-    machines = [machine.with_bandwidth_ratio(r, total=total_bandwidth) for r in ratios]
-    points = [(index, order) for index in range(len(ratios))]
-    return _plan("r", ratios, entries, machines, points, run_kwargs)
+        for index, order in enumerate(orders):
+            cells.append((label, index, 0, order, order, order))
+    return SweepPlan("order", list(orders), labels, cells, [machine], table)
 
 
 class CellLedger:

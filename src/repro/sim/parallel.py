@@ -3,10 +3,9 @@
 Simulating one experiment is inherently sequential (a cache's state is
 a chain), but a *sweep* is embarrassingly parallel: every
 (algorithm, setting, order) cell is independent.  This module fans the
-cells of :func:`repro.sim.sweep.order_sweep` /
-:func:`~repro.sim.sweep.ratio_sweep` out over a
+cells of :func:`repro.sim.sweep.order_sweep` out over a
 :class:`~concurrent.futures.ProcessPoolExecutor` — successful cells are
-bit-identical to the serial versions (tests assert it), only wall-clock
+bit-identical to the serial version (tests assert it), only wall-clock
 changes.
 
 Unlike a bare ``pool.map``, the engine treats the pool as unreliable
@@ -79,7 +78,7 @@ from typing import (
 from repro.exceptions import ConfigurationError
 from repro.model.machine import MulticoreMachine
 from repro.sim.faults import FaultPlan, fire
-from repro.sim.ledger import CellLedger, SweepPlan, order_plan, ratio_plan
+from repro.sim.ledger import CellLedger, SweepPlan, order_plan
 from repro.sim.results import SweepResult
 from repro.sim.retrypolicy import is_retryable
 from repro.sim.runner import run_experiment
@@ -590,47 +589,6 @@ class _SweepEngine:
         return pool_broke
 
 
-def _run_engine_sweep(
-    plan: SweepPlan,
-    *,
-    workers: Optional[int],
-    cell_timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    chunksize: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    serial_fallback: bool,
-    manifest_path: Optional[Union[str, Path]],
-    pool_factory: Optional[Callable[..., Executor]],
-    run_dir: Optional[Union[str, Path]],
-    resume: bool,
-    drain_grace_s: float,
-) -> SweepResult:
-    ledger = CellLedger(
-        plan,
-        retries=retries,
-        backoff=backoff,
-        store=RunStore(run_dir) if run_dir is not None else None,
-        resume=resume,
-        encode=result_to_dict,
-        decode=result_from_dict,
-    )
-    engine = _SweepEngine(
-        ledger,
-        workers=_resolve_workers(workers),
-        cell_timeout=cell_timeout,
-        chunksize=chunksize,
-        fault_plan=fault_plan,
-        serial_fallback=serial_fallback,
-        pool_factory=pool_factory,
-        drain_grace_s=drain_grace_s,
-    )
-    sweep = engine.run()
-    if manifest_path is not None and sweep.manifest is not None:
-        sweep.manifest.write(manifest_path)
-    return sweep
-
-
 # ----------------------------------------------------------------------
 # Public sweeps
 # ----------------------------------------------------------------------
@@ -669,74 +627,26 @@ def parallel_order_sweep(
         inclusive=inclusive,
         policy=policy,
     )
-    return _run_engine_sweep(
+    ledger = CellLedger(
         plan,
-        workers=workers,
-        cell_timeout=cell_timeout,
         retries=retries,
         backoff=backoff,
+        store=RunStore(run_dir) if run_dir is not None else None,
+        resume=resume,
+        encode=result_to_dict,
+        decode=result_from_dict,
+    )
+    engine = _SweepEngine(
+        ledger,
+        workers=_resolve_workers(workers),
+        cell_timeout=cell_timeout,
         chunksize=chunksize,
         fault_plan=fault_plan,
         serial_fallback=serial_fallback,
-        manifest_path=manifest_path,
         pool_factory=pool_factory,
-        run_dir=run_dir,
-        resume=resume,
         drain_grace_s=drain_grace_s,
     )
-
-
-def parallel_ratio_sweep(
-    entries: Iterable[Entry],
-    machine: MulticoreMachine,
-    ratios: Sequence[float],
-    order: int,
-    *,
-    workers: Optional[int] = None,
-    total_bandwidth: float = 2.0,
-    check: bool = False,
-    inclusive: bool = False,
-    policy: str = "lru",
-    cell_timeout: Optional[float] = None,
-    retries: int = 2,
-    backoff: float = 0.1,
-    chunksize: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    serial_fallback: bool = True,
-    manifest_path: Optional[Union[str, Path]] = None,
-    pool_factory: Optional[Callable[..., Executor]] = None,
-    run_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    drain_grace_s: float = 5.0,
-) -> SweepResult:
-    """Fault-tolerant parallel equivalent of :func:`repro.sim.sweep.ratio_sweep`.
-
-    The per-ratio machines are derived once and shipped through the pool
-    initializer; each submitted cell carries only the index of its
-    machine.
-    """
-    plan = ratio_plan(
-        entries,
-        machine,
-        ratios,
-        order,
-        total_bandwidth=total_bandwidth,
-        check=check,
-        inclusive=inclusive,
-        policy=policy,
-    )
-    return _run_engine_sweep(
-        plan,
-        workers=workers,
-        cell_timeout=cell_timeout,
-        retries=retries,
-        backoff=backoff,
-        chunksize=chunksize,
-        fault_plan=fault_plan,
-        serial_fallback=serial_fallback,
-        manifest_path=manifest_path,
-        pool_factory=pool_factory,
-        run_dir=run_dir,
-        resume=resume,
-        drain_grace_s=drain_grace_s,
-    )
+    sweep = engine.run()
+    if manifest_path is not None and sweep.manifest is not None:
+        sweep.manifest.write(manifest_path)
+    return sweep

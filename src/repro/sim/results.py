@@ -43,7 +43,9 @@ class ExperimentResult:
     #: Which engine actually simulated the cell (``"replay"``/``"step"``;
     #: empty on results predating the field) and whether replay was
     #: requested but the step engine ran (see
-    #: :func:`repro.cache.replay.replays`).  ``"step"`` includes the
+    #: :func:`repro.cache.replay.replays`): true for every LRU-family
+    #: and every checked cell that asked for replay, and for IDEAL
+    #: cells past the replay bound.  ``"step"`` includes the
     #: exact fast-forward of declared loops (:mod:`repro.sim.contexts`):
     #: there is no separate engine name for it.
     engine: str = ""

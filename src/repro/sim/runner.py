@@ -110,14 +110,15 @@ def run_experiment(
         linear in the cell's touches, and its memory does not grow
         with them.  ``"replay"`` compiles the schedule's access trace
         (or loads it from the on-disk tier, see
-        :mod:`repro.cache.replay`) and replays it in bulk, with
-        counters bit-identical to step; Fig. 12's ratio sweep still
-        asks for it, and no sweep executor does.  One rule,
-        :func:`repro.cache.replay.replays`, decides whether a replay
-        request replays: its kernels must cover ``(mode, policy,
-        inclusive, check)`` and the cell's ``m·n·z`` multiply-adds
-        must be within :data:`repro.cache.replay.STREAM_FMAS`; any
-        other cell runs on step.  The result records which engine ran
+        :mod:`repro.cache.replay`) and replays its IDEAL directives in
+        one vectorized pass, with counters bit-identical to step;
+        Fig. 12's ratio sweep still asks for it, and no sweep executor
+        does.  One rule, :func:`repro.cache.replay.replays`, decides
+        whether a replay request replays: the cell must be an
+        unchecked IDEAL cell whose ``m·n·z`` multiply-adds are within
+        :data:`repro.cache.replay.STREAM_FMAS`; any other cell, every
+        LRU-family cell included, runs on step with bit-identical
+        counters.  The result records which engine ran
         (``engine``) and whether replay was requested but step ran
         (``engine_fallback``).  With ``check=False`` the
         cell's counters may come from the result memo
@@ -170,13 +171,8 @@ def run_experiment(
         elapsed = time.perf_counter() - start
         trace_source = "memo"
     elif replayed:
-        trace = replay_engine.compiled_trace_for(alg, directives=setting.is_ideal)
-        if setting.is_ideal:
-            stats = replay_engine.replay_ideal(trace)
-        else:
-            stats = replay_engine.replay_bulk(
-                trace, [(policy, simulated.cs, simulated.cd)]
-            )[0]
+        trace = replay_engine.compiled_trace_for(alg)
+        stats = replay_engine.replay_ideal(trace)
         elapsed = time.perf_counter() - start
         comp = list(trace.comp)
         trace_source = trace.origin

@@ -1,13 +1,14 @@
 """Tests for the trace-compile/replay fast path.
 
 The replay engine's contract is *bit-identity*: every counter it
-produces (``ms``, ``md``, write-backs, per-matrix splits, hits) must
-equal the step simulator's on the same workload.  These tests prove it
-on the full algorithms × settings × policies × ragged-shape matrix and
-on adversarial random traces (hypothesis), and pin the engine's other
-behaviors: trace keying (through the on-disk tier: no trace is kept in
-memory) and fallback coverage.  Result memoization lives in the runner
-(``tests/sim/test_runner.py``).
+produces (``ms``, ``md``, write-backs, per-matrix splits) must equal
+the step simulator's on the same workload.  Replay serves unchecked
+IDEAL cells only; these tests prove it on every algorithm at ragged
+shapes and on hypothesis-drawn shapes, prove that an LRU-family replay
+request runs on step with a cold step run's counters, and pin the
+engine's other behaviors: trace keying (through the on-disk tier: no
+trace is kept in memory) and fallback coverage.  Result memoization
+lives in the runner (``tests/sim/test_runner.py``).
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.cache.block import MAT_A, MAT_B, MAT_C, block_key
 from repro.cache.hierarchy import LRUHierarchy
 from repro.cache.replay import (
     CompiledTrace,
+    compile_trace,
     compiled_trace_for,
     configure_trace_tier,
     replay_bulk,
@@ -27,6 +29,7 @@ from repro.cache.replay import (
 from repro.exceptions import ConfigurationError
 from repro.model.machine import PRESETS
 from repro.sim.runner import clear_memos, run_experiment
+from repro.sim.settings import get_setting
 
 MACHINE = PRESETS["q32"]
 SHAPES = [(6, 6, 6), (7, 5, 9)]
@@ -56,6 +59,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("setting", ["lru", "lru-2x", "lru-50"])
     @pytest.mark.parametrize("policy", ["lru", "fifo"])
     def test_lru_family_matches_step(self, algorithm, setting, policy):
+        # Replay has no LRU-family kernel: the request runs on step.
         m, n, z = 7, 5, 9
         rep = run_experiment(
             algorithm, MACHINE, m, n, z, setting, policy=policy, engine="replay"
@@ -63,6 +67,8 @@ class TestBitIdentity:
         step = run_experiment(
             algorithm, MACHINE, m, n, z, setting, policy=policy, engine="step"
         )
+        assert (rep.engine, rep.engine_fallback) == ("step", True)
+        assert step.trace_source == ""  # a cold step run, not the request's entry
         assert rep.stats == step.stats
         assert rep.comp == step.comp
 
@@ -79,7 +85,7 @@ class TestBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# Random traces (hypothesis) — including the dirty-victim path
+# Random traces and shapes (hypothesis)
 # ----------------------------------------------------------------------
 def _step_reference(p, cs, cd, policy, fmas):
     hierarchy = LRUHierarchy(p, cs, cd, policy=policy)
@@ -114,6 +120,8 @@ class TestRandomTraces:
     )
     @hsettings(max_examples=120, deadline=None)
     def test_replay_equals_step_on_random_traces(self, raw, cd, cs, policy):
+        """A trace built from tuples keeps its rows in emission order:
+        ``replay_bulk``'s step body reproduces the raw stream's counters."""
         fmas = [
             (
                 core,
@@ -149,13 +157,13 @@ class TestRandomTraces:
 # ----------------------------------------------------------------------
 class TestCoverage:
     def test_supports_matrix(self):
+        # Unchecked IDEAL is the one configuration replay covers.
         assert supports("ideal", "lru", False, False)
+        assert supports("ideal", "fifo", True, False)
         assert not supports("ideal", "lru", False, True)  # checked: oracle
-        assert supports("lru", "lru", False, False)
-        assert supports("lru", "fifo", False, False)
-        assert not supports("lru", "lru", True, False)  # inclusive
-        assert not supports("lru", "plru", False, False)
-        assert not supports("lru", "assoc", False, False)
+        for policy in ("lru", "fifo", "plru", "assoc"):
+            for inclusive in (False, True):
+                assert not supports("lru", policy, inclusive, False)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
@@ -189,14 +197,20 @@ class TestTraceCache:
         configure_trace_tier(None)
 
     def test_lru_family_shares_one_trace(self, tier):
-        # lru and lru-2x declare the same machine -> same fingerprint;
+        # lru and lru-2x declare the same machine -> same schedule key;
         # lru-50 plans against halved capacities -> different trace
-        run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru", engine="replay")
+        def origin(setting):
+            declared = get_setting(setting).declared(MACHINE)
+            alg = get_algorithm("shared-opt")(declared, 6, 6, 6)
+            return compiled_trace_for(alg).origin
+
+        assert origin("lru") == "compiled"
+        assert origin("lru-2x") == "disk"
         assert tracestore.tier_info(tier)["entries"] == 1
-        warm = run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru-2x", engine="replay")
-        assert warm.trace_source == "disk"
-        assert tracestore.tier_info(tier)["entries"] == 1
-        run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru-50", engine="replay")
+        assert origin("lru-50") == "compiled"
+        assert tracestore.tier_info(tier)["entries"] == 2
+        # An LRU-family cell runs on step, so it never reaches the tier.
+        run_experiment("shared-opt", MACHINE, 7, 7, 7, "lru", engine="replay")
         assert tracestore.tier_info(tier)["entries"] == 2
 
     def test_fingerprint_distinguishes_shapes(self):
@@ -220,14 +234,14 @@ class TestTraceCache:
 
     def test_compute_only_trace_upgraded_for_ideal(self, tier):
         alg = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
-        first = compiled_trace_for(alg, directives=False)
-        assert not first.has_directives
-        upgraded = compiled_trace_for(alg, directives=True)
+        tracestore.store(tier, alg.schedule_key(), compile_trace(alg, directives=False))
+        assert tracestore.tier_info(tier)["directive_entries"] == 0
+        # an entry without directives is a miss that recompiles ...
+        upgraded = compiled_trace_for(alg)
         assert upgraded.origin == "compiled"
         assert upgraded.has_directives
-        # the upgraded trace replaces the tier's entry and now serves
-        # compute-only requests as-is
-        again = compiled_trace_for(alg, directives=False)
+        # ... and overwrites the entry, which then serves as-is
+        again = compiled_trace_for(alg)
         assert (again.origin, again.has_directives) == ("disk", True)
         assert tracestore.tier_info(tier)["directive_entries"] == 1
 
@@ -235,20 +249,20 @@ class TestTraceCache:
         # clear_memos() is a whole cold start: no trace survives it in
         # memory, so the same cell compiles again rather than reusing one.
         configure_trace_tier(None)
-        first = run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", engine="replay")
+        first = run_experiment("shared-opt", MACHINE, 4, 4, 4, "ideal", engine="replay")
         assert first.trace_source == "compiled"
         assert run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru", engine="replay"
+            "shared-opt", MACHINE, 4, 4, 4, "ideal", engine="replay"
         ).trace_source == "memo"
         clear_memos()
-        again = run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", engine="replay")
+        again = run_experiment("shared-opt", MACHINE, 4, 4, 4, "ideal", engine="replay")
         assert again.trace_source == "compiled"
         assert again.stats == first.stats
 
     def test_without_a_tier_every_call_compiles(self):
         configure_trace_tier(None)
         alg = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
-        first = compiled_trace_for(alg, directives=False)
-        second = compiled_trace_for(alg, directives=False)
+        first = compiled_trace_for(alg)
+        second = compiled_trace_for(alg)
         assert (first.origin, second.origin) == ("compiled", "compiled")
         assert second is not first

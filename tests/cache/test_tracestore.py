@@ -3,7 +3,7 @@
 The tier's contract is "a valid entry or a miss, never an exception":
 torn writes, stale formats and corrupt files must all degrade to cache
 misses, and a loaded trace must replay bit-identically to the
-in-memory one it was stored from (the kernels run off the read-only
+in-memory one it was stored from (replay runs off the read-only
 memmap).  These tests also pin the integration surface —
 :func:`repro.cache.replay.compiled_trace_for` promoting compiled
 traces to disk and reporting ``origin`` telemetry — and the scan
@@ -132,32 +132,34 @@ class TestCrashConsistency:
 class TestTierIntegration:
     def test_compiled_trace_promoted_to_disk_then_shared(self, tmp_path):
         configure_trace_tier(str(tmp_path))
-        first = compiled_trace_for(_alg(), directives=False)
+        first = compiled_trace_for(_alg())
         assert first.origin == "compiled"
         # no trace stays in memory: every later call, in this process or
         # another, memmaps the tier's entry
         for _ in range(2):
-            again = compiled_trace_for(_alg(), directives=False)
+            again = compiled_trace_for(_alg())
             assert again.origin == "disk"
             assert np.array_equal(again.fma_array, first.fma_array)
 
     def test_directive_upgrade_recompiles_and_restores(self, tmp_path):
         configure_trace_tier(str(tmp_path))
-        compiled_trace_for(_alg(), directives=False)
-        upgraded = compiled_trace_for(_alg(), directives=True)
+        tracestore.store(
+            tmp_path, _alg().schedule_key(), compile_trace(_alg(), directives=False)
+        )
+        upgraded = compiled_trace_for(_alg())
         assert upgraded.origin == "compiled"
         assert upgraded.has_directives
-        assert compiled_trace_for(_alg(), directives=True).origin == "disk"
+        assert compiled_trace_for(_alg()).origin == "disk"
 
     def test_tier_info(self, tmp_path):
         configure_trace_tier(str(tmp_path))
-        compiled_trace_for(_alg(), directives=False)
-        compiled_trace_for(_alg(), directives=False)
+        compiled_trace_for(_alg())
+        compiled_trace_for(_alg())
         info = tracestore.tier_info(tmp_path)
         assert info["entries"] == 1
-        assert info["fmas"] == len(compile_trace(_alg(), directives=False))
+        assert info["fmas"] == len(compile_trace(_alg()))
         assert info["bytes"] > 0
-        assert info["directive_entries"] == 0
+        assert info["directive_entries"] == 1
 
     def test_tier_info_on_missing_dir(self, tmp_path):
         info = tracestore.tier_info(tmp_path / "nothing")

@@ -1,13 +1,14 @@
-"""The engine rule: replay a trace that fits, else the step simulator.
+"""The engine rule: replay an unchecked IDEAL trace that fits, else step.
 
 :func:`repro.cache.replay.replays` is the one predicate
 ``run_experiment`` consults.  The table below covers every setting mode
 × policy family × hierarchy option, each just within and just past the
 :data:`~repro.cache.replay.STREAM_FMAS` bound, and pins the telemetry
-each cell records as well as its counters against the step oracle.  The
-rest pins how fallbacks survive serde and which engine each entry point
-runs: only ``run_experiment`` and ``ratio_sweep`` (Fig. 12) have an
-engine knob, so every replay request here is explicit.
+each cell records as well as its counters against a cold step run:
+every LRU-family request runs on step with ``engine_fallback`` set.
+The rest pins how fallbacks survive serde and which engine each entry
+point runs: only ``run_experiment`` and ``ratio_sweep`` (Fig. 12) have
+an engine knob, so every replay request here is explicit.
 """
 
 import inspect
@@ -19,7 +20,7 @@ from repro.cache import replay
 from repro.cache.replay import configure_trace_tier, trace_tier_root
 from repro.fabric import fabric_order_sweep, run_local_fabric
 from repro.model.machine import MulticoreMachine
-from repro.sim.parallel import parallel_order_sweep, parallel_ratio_sweep
+from repro.sim.parallel import parallel_order_sweep
 from repro.sim.runner import clear_memos, run_experiment
 from repro.sim.sweep import order_sweep, ratio_sweep
 from repro.store.serde import result_from_dict, result_to_dict
@@ -44,10 +45,9 @@ def _tierless_cold_memo():
 def _replays(setting, policy, inclusive, check, bound):
     """Whether the engine rule lets a replay request replay the cell."""
     if bound < FMAS:
-        return False  # past the bound no family materializes a trace
-    if setting == "ideal":
-        return not check
-    return policy in ("lru", "fifo") and not inclusive
+        return False  # past the bound no trace materializes
+    # Only unchecked IDEAL cells replay; every LRU-family cell runs on step.
+    return setting == "ideal" and not check
 
 
 #: Every (setting, policy, inclusive, check) configuration, with the
@@ -147,7 +147,8 @@ KNOBS = (run_experiment, ratio_sweep)
 
 class TestDefaults:
     """Step is the default engine; only the serial ratio sweep (Fig. 12)
-    replays, and no sweep executor has an engine knob at all."""
+    asks for replay, which its IDEAL cells get, and no sweep executor
+    has an engine knob at all."""
 
     @pytest.mark.parametrize(
         "function, engine",
@@ -158,7 +159,6 @@ class TestDefaults:
             (fabric_order_sweep, "step"),
             (run_local_fabric, "step"),
             (ratio_sweep, "replay"),
-            (parallel_ratio_sweep, "step"),
         ],
     )
     def test_default_engine(self, function, engine):
@@ -176,7 +176,7 @@ class TestDefaults:
         assert (result.engine, result.engine_fallback) == ("step", False)
 
     @pytest.mark.parametrize(
-        "sweep, engine",
+        "sweep, ideal_engine",
         [
             (lambda run_dir: order_sweep(GRID, MACHINE, [ORDER]), "step"),
             (
@@ -192,17 +192,14 @@ class TestDefaults:
                 "step",
             ),
             (lambda run_dir: ratio_sweep(GRID, MACHINE, [0.5], ORDER), "replay"),
-            (
-                lambda run_dir: parallel_ratio_sweep(
-                    GRID, MACHINE, [0.5], ORDER, workers=1
-                ),
-                "step",
-            ),
         ],
-        ids=["order", "pool", "fabric", "ratio", "pool-ratio"],
+        ids=["order", "pool", "fabric", "ratio"],
     )
-    def test_default_sweep_cells(self, sweep, engine, tmp_path):
+    def test_default_sweep_cells(self, sweep, ideal_engine, tmp_path):
         series = sweep(tmp_path / "run").series.values()
-        cells = [result for results in series for result in results]
-        assert len(cells) == len(GRID)
-        assert {result.engine for result in cells} == {engine}
+        cells = {result.setting: result for results in series for result in results}
+        assert sorted(cells) == sorted(setting for _, setting in GRID)
+        # An LRU cell runs on step even when the sweep asks for replay.
+        assert cells["lru"].engine == "step"
+        assert cells["lru"].engine_fallback is (ideal_engine == "replay")
+        assert cells["ideal"].engine == ideal_engine

@@ -1,8 +1,8 @@
 """Engine/trace-source telemetry: who evaluated a cell, from what.
 
-``ExperimentResult.engine`` names the engine that ran (the kernel
-follows from it, the setting and the policy: ``bulk-lru``,
-``bulk-fifo`` and ``ideal`` are replay's, ``step`` is step's) and
+``ExperimentResult.engine`` names the engine that ran (replay's one
+kernel is the vectorized IDEAL pass; an LRU-family replay request runs
+on step, whose ``bulk-lru``/``bulk-fifo`` kernels are gone) and
 ``trace_source`` where the counters came from (a ``compiled`` or
 ``disk`` trace, or the runner's result ``memo``).  These tests pin the
 values across engines and past the
@@ -36,12 +36,13 @@ def _fresh_state():
 
 
 class TestRunnerTelemetry:
+    # An LRU-family replay request reports step: no bulk kernel is left.
     def test_lru_replay_reports_bulk_kernel(self):
         result = run_experiment(
             "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
         )
-        assert (result.engine, result.engine_fallback) == ("replay", False)
-        assert result.trace_source == "compiled"
+        assert (result.engine, result.engine_fallback) == ("step", True)
+        assert result.trace_source == ""
 
     def test_fifo_replay_reports_bulk_kernel(self):
         result = run_experiment(
@@ -54,8 +55,8 @@ class TestRunnerTelemetry:
             policy="fifo",
             engine="replay",
         )
-        assert (result.engine, result.engine_fallback) == ("replay", False)
-        assert result.trace_source == "compiled"
+        assert (result.engine, result.engine_fallback) == ("step", True)
+        assert result.trace_source == ""
 
     def test_ideal_replay_reports_ideal_kernel(self):
         result = run_experiment(
@@ -90,7 +91,7 @@ class TestStreamingThreshold:
 class TestSerde:
     def test_kernel_telemetry_round_trips(self):
         result = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
+            "shared-opt", MACHINE, 4, 4, 4, "ideal", engine="replay"
         )
         payload = result_to_dict(result)
         assert "kernel" not in payload
@@ -100,10 +101,10 @@ class TestSerde:
 
     def test_legacy_payload_defaults_to_empty(self):
         result = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
+            "shared-opt", MACHINE, 4, 4, 4, "ideal", engine="replay"
         )
         payload = result_to_dict(result)
-        payload.pop("trace_source", None)
+        assert payload.pop("trace_source") == "compiled"
         again = result_from_dict(payload)
         assert again.trace_source == ""
         # Checkpoints written before the field went still carry it.

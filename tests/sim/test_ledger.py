@@ -4,8 +4,9 @@ Both executors plan cells, record outcomes, checkpoint and resume
 through :mod:`repro.sim.ledger`, so a grid run by either one must leave
 the same per-cell telemetry, and either one must resume the other's
 run directory.  Neither executor has an engine knob; the telemetry
-tests ask for replay through each entry's params, whose cells name a
-trace source, and the default engine is step.
+tests ask for replay through each entry's params on IDEAL cells, the
+ones replay serves, whose cells name a trace source, and the default
+engine is step.
 """
 
 import functools
@@ -24,15 +25,17 @@ from repro.fabric.coordinator import fabric_order_sweep
 from repro.fabric.local import run_local_fabric
 from repro.fabric.worker import FabricWorker
 from repro.model.machine import MulticoreMachine
-from repro.sim.ledger import order_plan, ratio_plan
+from repro.sim.ledger import order_plan
 from repro.sim.parallel import parallel_order_sweep
 from repro.sim.runner import clear_memos
 from repro.store import RunStore, result_to_dict
 
 MACHINE = MulticoreMachine(p=4, cs=100, cd=21, q=8)
 GRID = [("shared-opt", "lru-50"), ("outer-product", "ideal")]
+#: IDEAL cells, the ones replay serves.
+IDEAL_GRID = [("shared-opt", "ideal"), ("outer-product", "ideal")]
 #: The same cells, each entry asking ``run_experiment`` for replay.
-REPLAY_GRID = [(algorithm, setting, {"engine": "replay"}) for algorithm, setting in GRID]
+REPLAY_GRID = [(algorithm, setting, {"engine": "replay"}) for algorithm, setting in IDEAL_GRID]
 ORDERS = [4, 6]
 
 
@@ -105,7 +108,7 @@ class TestPlan:
             )
         assert not (tmp_path / "run").exists()
 
-    def test_order_and_ratio_cells(self):
+    def test_order_cells(self):
         orders = order_plan(GRID, MACHINE, ORDERS, policy="lru")
         assert orders.labels == ["shared-opt lru-50", "outer-product ideal"]
         assert orders.cells[:2] == [
@@ -115,9 +118,7 @@ class TestPlan:
         assert orders.entries["shared-opt lru-50"] == (
             "shared-opt", "lru-50", {"policy": "lru"}
         )
-        ratios = ratio_plan(GRID[:1], MACHINE, [0.25, 0.75], 8, total_bandwidth=2.0)
-        assert [cell[2] for cell in ratios.cells] == [0, 1]
-        assert [m.sigma_s for m in ratios.machines] == [0.5, 1.5]
+        assert orders.machines == [MACHINE]
 
 
 class TestExecutorsAgree:
@@ -128,7 +129,7 @@ class TestExecutorsAgree:
         fabric = fabric_run(tmp_path / "fabric")
         assert pool.complete and fabric.complete
         pool_cells = cell_telemetry(tmp_path / "pool")
-        assert len(pool_cells) == len(GRID) * len(ORDERS)
+        assert len(pool_cells) == len(REPLAY_GRID) * len(ORDERS)
         assert set(pool_cells.values()) == {("ok", 1, "replay", "compiled")}
         assert cell_telemetry(tmp_path / "fabric") == pool_cells
 
@@ -142,7 +143,7 @@ class TestExecutorsAgree:
         by_pool = pool_run(tmp_path / "fabric", resume=True)
         for sweep in (by_fabric, by_pool):
             assert sweep.complete
-            assert sweep.manifest.resumed_cells == len(GRID) * len(ORDERS)
+            assert sweep.manifest.resumed_cells == len(REPLAY_GRID) * len(ORDERS)
             assert all(cell.resumed for cell in sweep.manifest.cells)
         assert cell_telemetry(tmp_path / "pool") == expected["pool"]
         assert cell_telemetry(tmp_path / "fabric") == expected["fabric"]
@@ -153,11 +154,11 @@ class TestExecutorsAgree:
         versions, resumes on step with every cell restored as written."""
         clear_memos()
         written = pool_run(tmp_path / "run")
-        resumed = pool_run(tmp_path / "run", resume=True, grid=GRID)
+        resumed = pool_run(tmp_path / "run", resume=True, grid=IDEAL_GRID)
         assert resumed.complete
-        assert resumed.manifest.resumed_cells == len(GRID) * len(ORDERS)
+        assert resumed.manifest.resumed_cells == len(IDEAL_GRID) * len(ORDERS)
         assert all(cell.resumed for cell in resumed.manifest.cells)
-        assert len(written.labels()) == len(resumed.labels()) == len(GRID)
+        assert len(written.labels()) == len(resumed.labels()) == len(IDEAL_GRID)
         for before_label, after_label in zip(written.labels(), resumed.labels()):
             pairs = list(zip(written.series[before_label], resumed.series[after_label]))
             assert len(pairs) == len(ORDERS)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.exceptions import ConfigurationError
 from repro.model.machine import MulticoreMachine
 from repro.sim import clear_memos
-from repro.sim.parallel import parallel_order_sweep, parallel_ratio_sweep
-from repro.sim.sweep import order_sweep, ratio_sweep
+from repro.sim.parallel import parallel_order_sweep
+from repro.sim.sweep import order_sweep
 
 MACHINE = MulticoreMachine(p=4, cs=100, cd=21, q=8)
 ENTRIES = [("shared-opt", "ideal"), ("outer-product", "lru")]
@@ -83,13 +83,6 @@ class TestWorkerValidation:
         with pytest.raises(ConfigurationError, match="at least one worker"):
             parallel_order_sweep(ENTRIES, MACHINE, [4], workers=workers)
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_ratio_sweep_rejects_nonpositive_workers(self, workers):
-        with pytest.raises(ConfigurationError, match="at least one worker"):
-            parallel_ratio_sweep(
-                [("tradeoff", "ideal")], MACHINE, [0.5], order=4, workers=workers
-            )
-
     def test_none_means_default(self):
         # The default (cpu-count) path must stay accessible.
         sweep = parallel_order_sweep([("shared-opt", "ideal")], MACHINE, [4])
@@ -118,20 +111,3 @@ class TestSerialParallelAgreement:
                 assert ppoint.stats == spoint.stats
                 assert ppoint.comp == spoint.comp
                 assert ppoint.parameters == spoint.parameters
-
-
-class TestParallelRatioSweep:
-    def test_matches_serial_exactly(self):
-        ratios = [0.25, 0.75]
-        serial = ratio_sweep([("tradeoff", "ideal")], MACHINE, ratios, order=8)
-        parallel = parallel_ratio_sweep(
-            [("tradeoff", "ideal")], MACHINE, ratios, order=8, workers=2
-        )
-        for label in serial.labels():
-            assert parallel.values(label, "tdata") == pytest.approx(
-                serial.values(label, "tdata")
-            )
-            # tradeoff re-plans per ratio in both paths
-            assert [r.parameters for r in parallel.series[label]] == [
-                r.parameters for r in serial.series[label]
-            ]

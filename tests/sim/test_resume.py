@@ -309,22 +309,24 @@ class TestEngineAgnosticFingerprints:
         Cell fingerprints exclude the engine knob (counters are
         bit-identical by contract), so switching engines must not force
         any recomputation — the resumed sweep replays every cell.  The
-        sweep has no engine knob; each entry's params ask for replay.
+        sweep has no engine knob; each entry's params ask for replay, on
+        IDEAL cells, the ones replay serves.
         """
+        entries = [("shared-opt", "ideal"), ("outer-product", "ideal")]
         run_dir = tmp_path / "run"
         parallel_order_sweep(
-            [(algorithm, setting, {"engine": "replay"}) for algorithm, setting in ENTRIES],
+            [(algorithm, setting, {"engine": "replay"}) for algorithm, setting in entries],
             MACHINE,
             ORDERS,
             workers=1,
             run_dir=run_dir,
         )
         resumed = parallel_order_sweep(
-            ENTRIES, MACHINE, ORDERS, workers=1, run_dir=run_dir, resume=True
+            entries, MACHINE, ORDERS, workers=1, run_dir=run_dir, resume=True
         )
-        assert resumed.manifest.resumed_cells == len(ENTRIES) * len(ORDERS)
+        assert resumed.manifest.resumed_cells == len(entries) * len(ORDERS)
         assert {
             result.engine for results in resumed.series.values() for result in results
         } == {"replay"}
-        serial = order_sweep(ENTRIES, MACHINE, ORDERS)
+        serial = order_sweep(entries, MACHINE, ORDERS)
         assert_bit_identical(resumed, serial)

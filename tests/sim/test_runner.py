@@ -95,9 +95,11 @@ class TestResultMemo:
 
         first = run()
         second = run()
+        # Replay serves IDEAL cells only; an LRU-family request runs on step.
+        ran = "replay" if engine == "replay" and setting == "ideal" else "step"
         assert first.trace_source != "memo"
         assert second.trace_source == "memo"
-        assert second.engine == first.engine == engine
+        assert second.engine == first.engine == ran
         assert second.stats == first.stats and second.comp == first.comp
         assert second.stats is not first.stats and second.comp is not first.comp
         # mutating either returned result must not poison the memo
@@ -133,10 +135,10 @@ class TestResultMemo:
         run_experiment("shared-opt", quad, 8, 8, 8, "ideal", check=True, engine=engine)
         assert len(runner._RESULTS) == 1
 
-    def _only_its_own_engine(self, quad, filled, asked, **options):
+    def _only_its_own_engine(self, quad, filled, asked, setting="ideal", **options):
         def run(engine):
             return run_experiment(
-                "shared-opt", quad, 8, 8, 8, "lru-50", engine=engine, **options
+                "shared-opt", quad, 8, 8, 8, setting, engine=engine, **options
             )
 
         warm = run(filled)
@@ -167,7 +169,7 @@ class TestResultMemo:
         )
         assert fallback.engine == "step" and fallback.engine_fallback
         clear_memos()
-        self._only_its_own_engine(quad, "replay", "step", inclusive=True)
+        self._only_its_own_engine(quad, "replay", "step", "lru-50", inclusive=True)
 
     def test_policy_inclusive_cs_and_cd_each_key_an_entry(self, quad):
         # Shared Opt. plans on CS alone and CS=100 and CS=105 both give

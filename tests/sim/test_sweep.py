@@ -182,8 +182,9 @@ class TestResolveEntries:
 class TestEngineKnob:
     def test_order_sweep_engines_agree(self, quad):
         # The order sweep has no engine knob; an entry's params reach
-        # run_experiment, so they can still ask for replay.
-        entries = [("shared-opt", "lru"), ("shared-opt", "ideal")]
+        # run_experiment, so they can still ask for replay, which IDEAL
+        # cells get.
+        entries = [("shared-opt", "ideal"), ("tradeoff", "ideal")]
         rep = order_sweep(
             [(alg, setting, {"engine": "replay"}) for alg, setting in entries],
             quad,
@@ -198,12 +199,13 @@ class TestEngineKnob:
                 assert a.stats == b.stats
 
     def test_ratio_sweep_engines_agree(self, quad):
-        rep = ratio_sweep([("tradeoff", "lru")], quad, [0.3, 0.7], order=8)
+        rep = ratio_sweep([("tradeoff", "ideal")], quad, [0.3, 0.7], order=8)
         step = ratio_sweep(
-            [("tradeoff", "lru")], quad, [0.3, 0.7], order=8, engine="step"
+            [("tradeoff", "ideal")], quad, [0.3, 0.7], order=8, engine="step"
         )
         for label in rep.labels():
             for a, b in zip(rep.series[label], step.series[label]):
+                assert (a.engine, b.engine) == ("replay", "step")
                 assert a.stats == b.stats
 
     def test_unknown_engine_rejected(self, quad):

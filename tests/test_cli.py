@@ -225,6 +225,11 @@ class TestFigure:
         assert main(["figure", "fig12", "--orders", "4", "6"]) == 2
         assert "got --orders 4 6" in capsys.readouterr().err
 
+    def test_fig12_defaults_to_the_papers_order(self, capsys):
+        # Past the replay bound every cell runs on step, in about a second.
+        assert main(["figure", "fig12"]) == 0
+        assert "Cache bandwidth impact on Tdata (order 384)" in capsys.readouterr().out
+
 
 class TestVerify:
     def test_verify(self, capsys):

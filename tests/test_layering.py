@@ -3,7 +3,10 @@
 Replay serves Fig. 12's ratio sweep through ``run_experiment``, and the
 CLI configures and inspects the trace tier; nothing else in
 ``src/repro`` may reach either module.  The test walks every source
-file's ``import`` statements, function-local ones included.
+file's ``import`` statements, function-local ones included.  The two
+LRU-family reference bodies that replay keeps for the benchmark
+harness (``replay_bulk`` and ``replay_bulk_streaming``) must have no
+caller in the package at all.
 """
 
 import ast
@@ -60,6 +63,52 @@ def test_replay_and_its_tier_stay_private():
         assert importers[module] <= allowed, (
             f"{module} imported by {sorted(importers[module] - allowed)}"
         )
+
+
+#: Names only ``repro/cache/replay.py`` may mention.
+CALLERLESS = {"replay_bulk", "replay_bulk_streaming"}
+
+
+class _Names(ast.NodeVisitor):
+    """Every name a module defines as a function, or mentions as a name,
+    an attribute or an import alias."""
+
+    def __init__(self) -> None:
+        self.names: Set[str] = set()
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self.names.add(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self.names.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self.names.update(alias.name for alias in node.names)
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self.names.add(node.name)
+        self.generic_visit(node)
+
+
+def _mentions() -> Dict[str, Set[str]]:
+    """Per source file (relative to ``src/repro``): the callerless names
+    it defines or mentions."""
+    found: Dict[str, Set[str]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        visitor = _Names()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        if visitor.names & CALLERLESS:
+            found[path.relative_to(SRC).as_posix()] = visitor.names & CALLERLESS
+    return found
+
+
+def test_the_lru_reference_bodies_have_no_caller():
+    mentions = _mentions()
+    # A walk that found nothing would pass the assert below vacuously.
+    assert mentions.get("cache/replay.py") == CALLERLESS
+    others = {path: names for path, names in mentions.items() if path != "cache/replay.py"}
+    assert not others, f"callerless replay names used in {others}"
 
 
 def test_the_walk_sees_the_known_importers():
