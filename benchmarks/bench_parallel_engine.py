@@ -7,13 +7,14 @@ a healthy pool and leaves the run manifest behind as an artifact
 (``out/parallel_engine.manifest.json``), so a benchmark run documents
 its own worker utilization and per-cell wall times.
 
-Correctness is asserted inline: the engine run must be complete and
-bit-identical to the serial sweep it parallelizes.
+Correctness is asserted inline: the engine run must be complete, cold
+and bit-identical to the serial sweep it parallelizes.
 """
 
 from benchmarks.conftest import save_manifest
 
 from repro.model.machine import preset
+from repro.sim import clear_memos
 from repro.sim.parallel import parallel_order_sweep
 from repro.sim.sweep import order_sweep
 
@@ -28,9 +29,12 @@ def bench_engine_vs_serial(benchmark, out_dir):
     def run():
         return parallel_order_sweep(ENTRIES, machine, ORDERS, workers=2)
 
-    sweep = benchmark.pedantic(run, rounds=1, iterations=1)
+    # Cold: the pool's workers are forked from this process and would
+    # inherit the result memo the serial reference just filled.
+    sweep = benchmark.pedantic(run, setup=clear_memos, rounds=1, iterations=1)
     assert sweep.complete
     for label in serial.labels():
         for ppoint, spoint in zip(sweep.series[label], serial.series[label]):
+            assert ppoint.trace_source != "memo", (label, ppoint.m)
             assert ppoint.stats == spoint.stats
     save_manifest(sweep, out_dir, "parallel_engine")

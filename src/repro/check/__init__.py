@@ -20,15 +20,12 @@ optimality claims rest on invariants that can be proved over the
   different cores with no intervening synchronization;
 * **cost** — counted distinct-block load traffic must equal the
   paper's closed-form ``MS``/``MD`` (exactly, on divisible orders);
-* **tightbounds / gap** — counted misses must clear the strongest
-  known lower bound (the maximum of the §2.3 Loomis–Whitney bound,
-  SLLvdG tight, memory-independent and compulsory), and every cell's
-  measured/bound ratio feeds a per-algorithm optimality-gap
-  certificate (``gap-report.json``) ratcheted against a committed
-  baseline;
+* **tightbounds** — counted misses must clear the strongest known
+  lower bound (the maximum of the §2.3 Loomis–Whitney bound, SLLvdG
+  tight, memory-independent and compulsory);
 * **lint / determinism** — one serial AST pass over the sources
   enforcing repo idioms (directives wrapped in ``if ctx.explicit``,
-  atomic artifact writes, pinned benchmark engines) and keeping the
+  atomic artifact writes) and keeping the
   fingerprint/serde modules free of wall-clock, RNG, filesystem-order
   and set-order nondeterminism (``determinism/*``).
 
@@ -54,23 +51,10 @@ line.
 from __future__ import annotations
 
 from repro.check.capacity import check_parameters
-from repro.check.cost import (
-    CountedCosts,
-    FormulaEnvelope,
-    check_cost,
-    formula_envelope,
-)
+from repro.check.cost import CountedCosts, check_cost
 from repro.check.coverage import check_coverage
 from repro.check.events import AnalysisContext
 from repro.check.findings import CHECKER_VERSION, Finding
-from repro.check.gap import (
-    AlgorithmGap,
-    GapCell,
-    GapReport,
-    build_gap_report,
-    compare_gap_reports,
-    load_gap_report,
-)
 from repro.check.lint import run_lint, scan_source
 from repro.check.presence import check_residency
 from repro.check.races import check_races
@@ -80,19 +64,14 @@ from repro.check.sarif import to_sarif, write_sarif
 from repro.check.tightbounds import check_tight_bounds
 
 __all__ = [
-    "AlgorithmGap",
     "AnalysisContext",
     "CHECKER_VERSION",
     "CountedCosts",
     "Finding",
-    "FormulaEnvelope",
-    "GapCell",
-    "GapReport",
     "REGISTRY",
     "Rule",
     "ScheduleReport",
     "analyze_schedule",
-    "build_gap_report",
     "check_all",
     "check_cost",
     "check_coverage",
@@ -100,9 +79,6 @@ __all__ = [
     "check_races",
     "check_residency",
     "check_tight_bounds",
-    "compare_gap_reports",
-    "formula_envelope",
-    "load_gap_report",
     "run_lint",
     "scan_source",
     "to_sarif",

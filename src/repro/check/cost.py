@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.algorithms.base import MatmulAlgorithm
 from repro.analysis.formulas import FORMULAS, divisibility_ok, predict
@@ -75,9 +75,10 @@ def envelope_used(
 
     The envelope is the symmetric ``x ≤ factor·y + slack`` band; the
     worst direction's ``x / (factor·y + slack)`` is the usage — ≤ 1
-    inside the envelope, > 1 outside.  The gap report records this per
-    ragged cell so "how close to the envelope edge" is visible without
-    re-deriving it from the raw counts.
+    inside the envelope, > 1 outside.  :func:`check_cost`'s
+    ``cost/formula-ratio`` message reports it, so how far past the
+    envelope edge a cell sits is visible without re-deriving it from
+    the raw counts.
     """
     factor, slack = bound
     out = 0.0
@@ -92,43 +93,6 @@ def _within_envelope(
 ) -> bool:
     """Symmetric bounded-ratio check ``x ≤ factor·y + slack`` both ways."""
     return envelope_used(counted, predicted, bound) <= 1.0
-
-
-@dataclass(frozen=True)
-class FormulaEnvelope:
-    """How one cell's counted misses sit against its closed forms.
-
-    ``ms_ratio``/``md_ratio`` are the symmetric counted-vs-predicted
-    ratios; ``ms_used``/``md_used`` the fraction of the ragged-tile
-    envelope consumed (both 1.0-bounded on conforming cells).  On
-    divisible orders the ratios are exactly 1 by ``cost/formula-mismatch``.
-    """
-
-    predicted_ms: float
-    predicted_md: float
-    ms_ratio: float
-    md_ratio: float
-    ms_used: float
-    md_used: float
-    divisible: bool
-
-
-def formula_envelope(
-    alg: MatmulAlgorithm, counted: CountedCosts
-) -> Optional[FormulaEnvelope]:
-    """Envelope-slack summary for one cell; ``None`` without a formula."""
-    if alg.name not in FORMULAS:
-        return None
-    predicted = predict(alg)
-    return FormulaEnvelope(
-        predicted_ms=predicted.ms,
-        predicted_md=predicted.md,
-        ms_ratio=envelope_ratio(counted.ms, predicted.ms),
-        md_ratio=envelope_ratio(counted.md_max, predicted.md),
-        ms_used=envelope_used(counted.ms, predicted.ms, MS_RATIO_BOUND),
-        md_used=envelope_used(counted.md_max, predicted.md, MD_RATIO_BOUND),
-        divisible=divisibility_ok(alg),
-    )
 
 
 def check_cost(

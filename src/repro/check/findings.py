@@ -26,7 +26,7 @@ WARNING = "warning"
 ERROR = "error"
 
 #: Version of the checker as a whole: findings schema, rule set and
-#: analyzer semantics.  It dates SARIF output and gap reports.
+#: analyzer semantics.  It dates SARIF output and ``check --json``.
 #: v1 = PR-1 analyzers; v2 = rule ids + cost-conformance analyzer;
 #: v3 = tight-bound conformance + optimality-gap certificate +
 #: engine-conformance analyzer; v4 = rule registry, inline
@@ -36,8 +36,10 @@ ERROR = "error"
 #: cost/below-tight-bound; two lint rules retired); v6 = one residency
 #: walk for capacity, presence and MS/MD, 35 rules
 #: (cost/tdata-mismatch and lint/unregistered-algorithm retired, the
-#: finding-cap notice registered as meta/findings-capped).
-CHECKER_VERSION = 6
+#: finding-cap notice registered as meta/findings-capped); v7 = 32
+#: rules (the optimality-gap certificate with its two baseline rules
+#: and the benchmark engine-pin lint rule retired).
+CHECKER_VERSION = 7
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """AST lint pass enforcing repo idioms over :mod:`repro` sources.
 
-Five rules, each born from a real failure mode of this codebase:
+Four rules, each born from a real failure mode of this codebase:
 
 * ``explicit-guard`` — in ``algorithms/*.py``, calls to the explicit
   directives (``load_shared``, ``evict_shared``, ``load_dist``,
@@ -18,15 +18,6 @@ Five rules, each born from a real failure mode of this codebase:
   ``__init__`` as a reset silently re-reads constructor arguments off
   ``self`` and skips any state added outside ``__init__``; write an
   explicit reinitialisation instead.
-* ``unpinned-bench-engine`` — in ``benchmarks/``, every direct
-  ``run_experiment(...)`` call must pass ``engine=`` explicitly.  Both
-  engines memoize cell results (keyed on the engine and the schedule,
-  see :class:`repro.algorithms.base.ScheduleKey`) and replay also
-  memoizes compiled traces, so a benchmark that does not say which
-  engine it measures, and whether it starts cold, can silently
-  measure a dict probe instead — the numbers look spectacular and
-  mean nothing.  Pinning makes the measured configuration part of the
-  benchmark's source.
 * ``nonatomic-artifact-write`` — outside :mod:`repro.store`, no direct
   ``write_text``/``write_bytes`` calls and no write-mode ``open``:
   every artifact writer must go through the atomic tmp-file + fsync +
@@ -246,34 +237,6 @@ def _check_nonatomic_write(
             )
 
 
-def _check_bench_engine_pin(
-    nodes: Sequence[ast.AST], filename: str, findings: List[Finding]
-) -> None:
-    """Rule ``unpinned-bench-engine``: benchmarks pin ``engine=``."""
-    for node in nodes:
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if name != "run_experiment":
-            continue
-        if any(kw.arg == "engine" for kw in node.keywords):
-            continue
-        findings.append(
-            _finding(
-                "unpinned-bench-engine",
-                "run_experiment(...) without engine=: the engines memoize "
-                "cell results, so this benchmark may measure a dict probe "
-                "instead of the engine it claims to; pin engine='replay' "
-                "or engine='step' explicitly",
-                filename,
-                node.lineno,
-            )
-        )
-
-
 #: The syntactic lint checks, in dispatch order.  Each entry is
 #: ``(gate, check)`` where ``gate`` names the :class:`FileProfile`
 #: condition under which the rule applies (``explicit-guard`` has
@@ -282,7 +245,6 @@ _SIMPLE_CHECKS: "Sequence[Tuple[str, _Check]]" = (
     ("always", _check_dead_branch),
     ("always", _check_init_self_call),
     ("not-store", _check_nonatomic_write),
-    ("benchmark-only", _check_bench_engine_pin),
 )
 
 _Check = Callable[[Sequence[ast.AST], str, List[Finding]], None]
@@ -294,15 +256,14 @@ class FileProfile:
 
     The role flags mirror the package layout: ``algorithms_module``
     enables the directive rule, ``store_module`` exempts the
-    one package allowed to perform raw writes, ``benchmark_module``
-    enables the engine-pin rule.  The family flags pick rule families:
+    one package allowed to perform raw writes.  The family flags pick
+    rule families:
     ``lint`` (repo idioms) and ``determinism`` (fingerprint-feeding
     modules plus tests).
     """
 
     algorithms_module: bool = False
     store_module: bool = False
-    benchmark_module: bool = False
     lint: bool = True
     determinism: bool = False
 
@@ -341,8 +302,6 @@ def _lint_tree(
     if profile.lint:
         for gate, check in _SIMPLE_CHECKS:
             if gate == "not-store" and profile.store_module:
-                continue
-            if gate == "benchmark-only" and not profile.benchmark_module:
                 continue
             check(nodes, filename, findings)
         if profile.algorithms_module:
@@ -386,7 +345,6 @@ _DETERMINISM_FILES = frozenset(
         "sim/faults.py",
         "check/findings.py",
         "check/sarif.py",
-        "check/gap.py",
         "experiments/io.py",
     }
 )
@@ -413,7 +371,6 @@ def _profile_for(path: Path, package_root: Optional[Path]) -> FileProfile:
     return FileProfile(
         algorithms_module=path.parent.name == "algorithms",
         store_module=path.parent.name == "store",
-        benchmark_module="benchmarks" in path.parts and relative is None,
         lint=True,
         determinism=determinism,
     )

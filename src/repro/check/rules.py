@@ -34,10 +34,9 @@ from repro.check.findings import ERROR, WARNING, Finding
 
 #: Analysis tiers (which pass owns a rule).  ``schedule`` rules come
 #: from the recorded-event analyzers, ``lint`` and ``determinism`` from
-#: the syntactic AST pass, ``gap`` from the optimality-gap certificate,
-#: ``meta`` from the checker's own self-checks (suppression hygiene,
-#: the per-analyzer finding cap).
-TIERS = ("schedule", "lint", "determinism", "gap", "meta")
+#: the syntactic AST pass, ``meta`` from the checker's own self-checks
+#: (suppression hygiene, the per-analyzer finding cap).
+TIERS = ("schedule", "lint", "determinism", "meta")
 
 
 @dataclass(frozen=True)
@@ -253,12 +252,6 @@ _r("cost/below-tight-bound", ERROR,
 _r("schedule/raised", ERROR,
    "Schedule raised while being recorded", "schedule")
 
-# -- gap certificate ----------------------------------------------------
-_r("gap/regression", ERROR,
-   "A certified optimality gap regressed against the baseline", "gap")
-_r("gap/uncertified-algorithm", ERROR,
-   "An algorithm lost its near-optimality certificate", "gap")
-
 # -- syntactic lint -----------------------------------------------------
 _r("lint/explicit-guard", ERROR,
    "Cache directive not wrapped in 'if ctx.explicit'", "lint")
@@ -268,8 +261,6 @@ _r("lint/init-self-call", ERROR,
    "Explicit self.__init__(...) call used as a reset", "lint")
 _r("lint/nonatomic-artifact-write", ERROR,
    "Artifact written without the atomic store helper", "lint")
-_r("lint/unpinned-bench-engine", ERROR,
-   "Benchmark runs an experiment without pinning engine=", "lint")
 _r("lint/syntax", ERROR,
    "Source file does not parse", "lint")
 

@@ -27,7 +27,6 @@ from repro.check.cost import check_cost
 from repro.check.coverage import check_coverage
 from repro.check.events import AnalysisContext
 from repro.check.findings import ERROR, Finding
-from repro.check.gap import GapCell
 from repro.check.presence import check_residency
 from repro.check.races import check_races
 from repro.check.tightbounds import check_tight_bounds
@@ -56,9 +55,6 @@ class ScheduleReport:
     status: str = ANALYZED
     skip_reason: str = ""
     elapsed_s: float = 0.0
-    #: Optimality-gap data for the gap certificate; ``None`` for skipped
-    #: cells and compute-only schedules (no directives, nothing counted).
-    gap: Optional[GapCell] = None
 
     @property
     def errors(self) -> int:
@@ -89,8 +85,6 @@ class ScheduleReport:
         }
         if self.skip_reason:
             out["skip_reason"] = self.skip_reason
-        if self.gap is not None:
-            out["gap"] = self.gap.to_dict()
         return out
 
 
@@ -134,15 +128,13 @@ def analyze_schedule(
 
     findings: List[Finding] = check_parameters(alg, machine=label)
     common: Dict[str, Any] = dict(algorithm=alg.name, machine=label)
-    gap: Optional[GapCell] = None
     if ctx.directives:
         walk_findings, peak_shared, peak_dist, counted = check_residency(
             events, machine.cs, machine.cd, machine.p, **common
         )
         findings += walk_findings
         findings += check_cost(alg, counted, machine=label)
-        tight_findings, gap = check_tight_bounds(alg, counted, machine=label)
-        findings += tight_findings
+        findings += check_tight_bounds(alg, counted, machine=label)
     else:
         # No directives, so nothing is ever resident.
         peak_shared, peak_dist = 0, [0] * machine.p
@@ -160,7 +152,6 @@ def analyze_schedule(
         peak_dist=peak_dist,
         findings=findings,
         elapsed_s=time.perf_counter() - started,
-        gap=gap,
     )
 
 

@@ -8,28 +8,19 @@ the Al Daas memory-independent floor and the compulsory traffic.  A
 counted value below the binding bound is a ``cost/below-tight-bound``
 error — the counting model (not the schedule) is unsound.
 
-On divisible orders the counted values equal the closed forms exactly
-(``cost/formula-mismatch`` guarantees it), so the proof is exact; on
-ragged orders the counts are still exact per schedule but sit inside
-the formula envelope, whose measured slack
-(:func:`repro.check.cost.formula_envelope`) rides along in the
-:class:`~repro.check.gap.GapCell` this analyzer emits for the
-optimality-gap certificate.
+This is the sound half of the paper's near-optimality claim: no
+schedule beats a bound.  How close a schedule comes to it is a claim
+about large orders, where the compulsory traffic no longer binds; it
+is stated at order 60 by ``benchmarks/bench_bounds_gap.py``, not here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.algorithms.base import MatmulAlgorithm
-from repro.check.cost import (
-    EXACT_REL_TOL,
-    CountedCosts,
-    FormulaEnvelope,
-    formula_envelope,
-)
+from repro.check.cost import EXACT_REL_TOL, CountedCosts
 from repro.check.findings import ERROR, Finding
-from repro.check.gap import GapCell
 from repro.model.bounds import distributed_bounds, shared_bounds
 
 
@@ -38,12 +29,11 @@ def check_tight_bounds(
     counted: CountedCosts,
     *,
     machine: str = "",
-) -> Tuple[List[Finding], GapCell]:
+) -> List[Finding]:
     """Prove one cell's counted misses clear every lower bound.
 
-    Returns the (possibly empty) findings plus the cell's gap-report
-    entry.  ``counted`` comes from the residency walk,
-    :func:`~repro.check.presence.check_residency`.
+    Returns the (possibly empty) findings.  ``counted`` comes from the
+    residency walk, :func:`~repro.check.presence.check_residency`.
     """
     platform = alg.machine
     m, n, z = alg.m, alg.n, alg.z
@@ -79,45 +69,4 @@ def check_tight_bounds(
             f"memory-independent={db.memory_independent:.1f}); the counting "
             "model is unsound for this schedule"
         )
-
-    envelope = formula_envelope(alg, counted)
-    cell = GapCell(
-        algorithm=alg.name,
-        machine=machine,
-        m=m,
-        n=n,
-        z=z,
-        ms=counted.ms,
-        md=counted.md_max,
-        ms_bounds={
-            "loomis-whitney": sb.loomis_whitney,
-            "tight": sb.tight,
-            "compulsory": sb.compulsory,
-        },
-        md_bounds={
-            "loomis-whitney": db.loomis_whitney,
-            "tight": db.tight,
-            "memory-independent": db.memory_independent,
-        },
-        ms_binding=sb.binding,
-        md_binding=db.binding,
-        divisible=envelope.divisible if envelope is not None else False,
-        envelope=_envelope_dict(envelope),
-    )
-    return findings, cell
-
-
-def _envelope_dict(
-    envelope: Optional[FormulaEnvelope],
-) -> Optional[Dict[str, float]]:
-    if envelope is None:
-        return None
-    # ``divisible`` is carried on the GapCell itself.
-    return {
-        "predicted_ms": envelope.predicted_ms,
-        "predicted_md": envelope.predicted_md,
-        "ms_ratio": envelope.ms_ratio,
-        "md_ratio": envelope.md_ratio,
-        "ms_used": envelope.ms_used,
-        "md_used": envelope.md_used,
-    }
+    return findings

@@ -414,7 +414,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.check.findings import CHECKER_VERSION, ERROR
-    from repro.check.gap import build_gap_report, compare_gap_reports, load_gap_report
     from repro.check.lint import run_lint
     from repro.check.runner import check_all
     from repro.check.rules import REGISTRY
@@ -443,14 +442,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"{len(rules)} rule(s) registered")
         return 0
 
-    # A bad baseline is a usage error: fail before the analysis, not after.
-    gap_baseline = load_gap_report(args.gap_baseline) if args.gap_baseline else None
-
     algorithms = args.algorithm or None
     machines = None
     if args.machine:
         machines = {key: preset(key) for key in args.machine}
-    filtered = bool(args.algorithm or args.machine or args.orders)
 
     scan_pool = None
     scan_future = None
@@ -481,17 +476,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if scan_pool is not None:
             scan_pool.shutdown()
 
-    gap_report = build_gap_report([r.gap for r in reports])
-    gap_findings: List[Any] = []
-    if gap_baseline is not None and not filtered:
-        gap_findings = compare_gap_reports(gap_report, gap_baseline)
-
-    findings = [f for r in reports for f in r.findings] + lint_findings + gap_findings
+    findings = [f for r in reports for f in r.findings] + lint_findings
     errors = sum(1 for f in findings if f.severity == ERROR)
     warnings = len(findings) - errors
 
-    if args.gap_report:
-        gap_report.write(Path(args.gap_report))
     if args.sarif:
         write_sarif(Path(args.sarif), findings)
 
@@ -502,11 +490,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "schema": 5,
+                    "schema": 6,
                     "checker_version": CHECKER_VERSION,
                     "reports": [r.to_dict() for r in reports],
                     "lint": [f.to_dict() for f in lint_findings],
-                    "gap": [a.to_dict() for a in gap_report.algorithms()],
                     "errors": errors,
                     "warnings": warnings,
                     "cells": {"analyzed": len(analyzed), "skipped": len(skipped)},
@@ -530,16 +517,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 "; source scan (lint/determinism): "
                 f"{len(lint_findings)} finding(s)"
             )
-        algo_gaps = gap_report.algorithms()
-        if algo_gaps:
-            shared_ok = sum(1 for a in algo_gaps if a.certified_shared)
-            dist_ok = sum(1 for a in algo_gaps if a.certified_distributed)
-            summary += (
-                f"; gap certificate: {shared_ok}/{len(algo_gaps)} shared-optimal, "
-                f"{dist_ok}/{len(algo_gaps)} distributed-optimal"
-            )
-        if gap_baseline is not None and filtered:
-            summary += "; gap baseline comparison skipped (filtered run)"
         print(summary)
     if not analyzed:
         # A run that proves nothing must not pass.
@@ -870,28 +847,13 @@ def build_parser() -> argparse.ArgumentParser:
         "with --json, machine-readable",
     )
     p_check.add_argument(
-        "--json", action="store_true", help="machine-readable output (schema 5)"
+        "--json", action="store_true", help="machine-readable output (schema 6)"
     )
     p_check.add_argument(
         "--sarif",
         default=None,
         metavar="PATH",
         help="export findings as SARIF 2.1.0 (GitHub code scanning)",
-    )
-    p_check.add_argument(
-        "--gap-report",
-        default=None,
-        metavar="PATH",
-        help="write the per-algorithm optimality-gap certificate here "
-        "(also how the committed gap baseline is refreshed)",
-    )
-    p_check.add_argument(
-        "--gap-baseline",
-        default=None,
-        metavar="PATH",
-        help="compare the gap certificate against this baseline "
-        "(gap/regression, gap/uncertified-algorithm); skipped on "
-        "filtered runs",
     )
     p_check.set_defaults(func=_cmd_check)
 

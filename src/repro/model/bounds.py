@@ -19,8 +19,9 @@ multiply-adds overall:
 
 These are exactly the "Lower Bound" series plotted in Figs. 7–12.
 
-Beyond the paper, this module also carries the *tight* bounds the
-checker's optimality-gap certificate divides by:
+Beyond the paper, this module also carries the *tight* bounds that
+``repro.check`` proves every counted ``MS``/``MD`` against
+(``cost/below-tight-bound``):
 
 * **Smith–Lowery–Langou–van de Geijn** (arXiv:1702.02017) close the
   Loomis–Whitney constant from ``√(27/8) ≈ 1.84`` to ``2``: any
@@ -50,7 +51,8 @@ checker's optimality-gap certificate divides by:
   ``CS`` is.
 
 :func:`shared_bounds` / :func:`distributed_bounds` bundle each level's
-bounds; their ``best`` is what the gap certificate divides by.
+bounds; their ``best`` is the floor no counted value may beat, and
+their ``binding`` names the bound that attains it.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ class DistributedBounds(NamedTuple):
 
 
 def shared_bounds(machine: MulticoreMachine, m: int, n: int, z: int) -> SharedBounds:
-    """All shared-level bounds for one cell, ready for the gap report."""
+    """All shared-level bounds for one cell."""
     return SharedBounds(
         loomis_whitney=shared_misses_lower_bound(machine, m, n, z),
         tight=tight_shared_misses_lower_bound(machine, m, n, z),

@@ -58,7 +58,25 @@ class TestPropagation:
             LRUHierarchy(p=0, cs=4, cd=2)
 
 
+#: A hand-built stream that forces the full dirty-victim cascade at
+#: CS=2, CD=1 on one core: every C block is evicted from the
+#: distributed cache while dirty (distributed write-back), its dirty
+#: copy lands on a resident shared copy, and the shared copy is later
+#: evicted dirty (shared write-back).
+_WB_FMAS = [(0, ka(0, k), kb(k), kc(k, k)) for k in range(4)]
+
+
 class TestWritebacks:
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_dirty_victim_cascade(self, policy):
+        # Silencing either leg of the propagation zeroes a counter.
+        h = LRUHierarchy(p=1, cs=2, cd=1, policy=policy)
+        for core, akey, bkey, ckey in _WB_FMAS:
+            h.compute_touches(core, akey, bkey, ckey)
+        stats = h.snapshot()
+        assert stats.distributed[0].writebacks > 0
+        assert stats.shared.writebacks > 0
+
     def test_dirty_eviction_at_distributed_level(self):
         h = LRUHierarchy(p=1, cs=16, cd=1)
         h.touch(0, kc(0), write=True)

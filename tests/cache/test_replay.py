@@ -17,7 +17,6 @@ from hypothesis import given, settings as hsettings, strategies as st
 from repro.algorithms.registry import algorithm_names, get_algorithm
 from repro.cache import tracestore
 from repro.cache.block import MAT_A, MAT_B, MAT_C, block_key
-from repro.cache.hierarchy import LRUHierarchy
 from repro.cache.replay import (
     CompiledTrace,
     compile_trace,
@@ -85,60 +84,9 @@ class TestBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# Random traces and shapes (hypothesis)
+# Random shapes (hypothesis)
 # ----------------------------------------------------------------------
-def _step_reference(p, cs, cd, policy, fmas):
-    hierarchy = LRUHierarchy(p, cs, cd, policy=policy)
-    for core, akey, bkey, ckey in fmas:
-        hierarchy.compute_touches(core, akey, bkey, ckey)
-    return hierarchy.snapshot()
-
-
-#: Random FMA streams over a small block universe (collisions and
-#: evictions guaranteed); indices include (0, 0) so block key 0 appears.
-_fma_stream = st.lists(
-    st.tuples(
-        st.integers(0, 2),  # core
-        st.integers(0, 3),
-        st.integers(0, 3),  # A index pair
-        st.integers(0, 3),
-        st.integers(0, 3),  # B index pair
-        st.integers(0, 3),
-        st.integers(0, 3),  # C index pair
-    ),
-    min_size=1,
-    max_size=120,
-)
-
-
 class TestRandomTraces:
-    @given(
-        _fma_stream,
-        st.integers(min_value=1, max_value=10),
-        st.integers(min_value=2, max_value=24),
-        st.sampled_from(["lru", "fifo"]),
-    )
-    @hsettings(max_examples=120, deadline=None)
-    def test_replay_equals_step_on_random_traces(self, raw, cd, cs, policy):
-        """A trace built from tuples keeps its rows in emission order:
-        ``replay_bulk``'s step body reproduces the raw stream's counters."""
-        fmas = [
-            (
-                core,
-                block_key(MAT_A, ai, aj),
-                block_key(MAT_B, bi, bj),
-                block_key(MAT_C, ci, cj),
-            )
-            for core, ai, aj, bi, bj, ci, cj in raw
-        ]
-        p = 3
-        comp = [0] * p
-        for core, *_ in fmas:
-            comp[core] += 1
-        trace = CompiledTrace(p, fmas, comp, None)
-        got = replay_bulk(trace, [(policy, cs, cd)])[0]
-        assert got == _step_reference(p, cs, cd, policy, fmas)
-
     @given(
         st.sampled_from(["shared-opt", "distributed-opt"]),
         st.integers(min_value=1, max_value=8),

@@ -8,18 +8,17 @@ either; the benchmark harness times them by name.  On real schedules
 both must return a cold step run's counters for every cell, which
 proves that the recorder keeps every multiply-add in the order the
 schedule emits it: the on-disk tier's round trip and IDEAL replay rest
-on that.  A hand-built fixture keeps the dirty-victim write-back path
-of both levels exercised.  The engine rule's bound is pinned too.
+on that.  The engine rule's bound is pinned too.  The dirty-victim
+write-back cascade is tested on the step hierarchy itself
+(``tests/cache/test_hierarchy_lru.py``).
 """
 
 import pytest
 
 from repro.algorithms.registry import algorithm_names, get_algorithm
 from repro.cache import replay
-from repro.cache.block import MAT_A, MAT_B, MAT_C, block_key
 from repro.cache.hierarchy import LRUHierarchy
 from repro.cache.replay import (
-    CompiledTrace,
     compile_trace,
     replay_bulk,
     replay_bulk_streaming,
@@ -84,60 +83,3 @@ class TestStreaming:
         monkeypatch.setattr(replay, "STREAM_FMAS", 123)
         assert replays("ideal", "lru", False, False, 123)
         assert not replays("ideal", "lru", False, False, 124)
-
-
-# ----------------------------------------------------------------------
-# Dirty-victim write-back coverage
-# ----------------------------------------------------------------------
-#: A hand-built stream that forces the full dirty-victim cascade at
-#: CS=2, CD=1 on one core: every C block is evicted from the
-#: distributed cache while dirty (distributed write-back), its dirty
-#: copy lands on a resident shared copy, and the shared copy is later
-#: evicted dirty (shared write-back).  Silencing any leg of the
-#: propagation zeroes a counter this fixture asserts to be positive.
-_WB_FMAS = [
-    (0, block_key(MAT_A, 0, 0), block_key(MAT_B, 0, 0), block_key(MAT_C, 0, 0)),
-    (0, block_key(MAT_A, 0, 1), block_key(MAT_B, 1, 0), block_key(MAT_C, 1, 1)),
-    (0, block_key(MAT_A, 0, 2), block_key(MAT_B, 2, 0), block_key(MAT_C, 2, 2)),
-    (0, block_key(MAT_A, 0, 3), block_key(MAT_B, 3, 0), block_key(MAT_C, 3, 3)),
-]
-
-
-def _step_reference(p, cs, cd, policy, fmas):
-    hierarchy = LRUHierarchy(p, cs, cd, policy=policy)
-    for core, akey, bkey, ckey in fmas:
-        hierarchy.compute_touches(core, akey, bkey, ckey)
-    return hierarchy.snapshot()
-
-
-class TestDirtyVictimCoverage:
-    @pytest.mark.parametrize("policy", ["lru", "fifo"])
-    def test_writeback_counters_are_exercised_and_exact(self, policy):
-        p = 1
-        trace = CompiledTrace(p, _WB_FMAS, [len(_WB_FMAS)], None)
-        got = replay_bulk(trace, [(policy, 2, 1)])[0]
-        want = _step_reference(p, 2, 1, policy, _WB_FMAS)
-        assert got == want
-        # The fixture must actually walk the propagation path — a
-        # workload with zero write-backs would vacuously "match".
-        assert got.distributed[0].writebacks > 0
-        assert got.shared.writebacks > 0
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo"])
-    def test_writeback_coverage_survives_streaming(self, policy):
-        """The streamed path walks the same propagation path."""
-        p = 1
-        trace = CompiledTrace(p, _WB_FMAS, [len(_WB_FMAS)], None)
-        want = replay_bulk(trace, [(policy, 2, 1)])[0]
-
-        class _FixtureAlg:
-            class machine:  # noqa: N801 - duck-typed attribute access
-                p = 1
-
-            def run(self, ctx):
-                for core, akey, bkey, ckey in _WB_FMAS:
-                    ctx.compute(core, ckey, akey, bkey)
-
-        got, comp = replay_bulk_streaming(_FixtureAlg(), [(policy, 2, 1)])
-        assert got[0] == want
-        assert comp == [len(_WB_FMAS)]

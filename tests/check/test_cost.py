@@ -210,7 +210,7 @@ class TestSeededViolations:
 
         alg = Cheat(quad, 64, 64, 64)
         events = [(LOAD_S, -1, 1), (LOAD_D, 0, 1), (COMPUTE, 0, 1, 1, 1)]
-        found, _cell = check_tight_bounds(
+        found = check_tight_bounds(
             alg, walk_counts(events, quad.p), machine="quad"
         )
         assert [f.rule_id for f in found] == ["cost/below-tight-bound"] * 2

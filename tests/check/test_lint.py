@@ -177,38 +177,6 @@ class TestNonatomicArtifactWrite:
         assert scan(src, "m.py") == []
 
 
-class TestUnpinnedBenchEngine:
-    UNPINNED = (
-        "def bench_cell(benchmark):\n"
-        "    r = run_experiment('shared-opt', m, 8, 8, 8, 'lru-50')\n"
-        "    assert r.ms > 0\n"
-    )
-
-    def test_unpinned_call_flagged_in_benchmark(self):
-        found = scan(self.UNPINNED, "b.py", benchmark_module=True)
-        assert rules(found) == ["unpinned-bench-engine"]
-        assert "engine=" in found[0].message
-
-    def test_attribute_call_flagged(self):
-        src = (
-            "def bench_cell(benchmark):\n"
-            "    return runner.run_experiment('x', m, 8, 8, 8, 'ideal')\n"
-        )
-        found = scan(src, "b.py", benchmark_module=True)
-        assert rules(found) == ["unpinned-bench-engine"]
-
-    def test_pinned_call_clean(self):
-        src = (
-            "def bench_cell(benchmark):\n"
-            "    r = run_experiment('x', m, 8, 8, 8, 'lru-50', engine='replay')\n"
-        )
-        assert scan(src, "b.py", benchmark_module=True) == []
-
-    def test_rule_scoped_to_benchmarks(self):
-        # Library and test code may rely on the default engine choice.
-        assert scan(self.UNPINNED, "m.py") == []
-
-
 class TestSyntaxError:
     def test_unparseable_reported_not_raised(self):
         found = scan("def f(:\n", "m.py")

@@ -35,7 +35,7 @@ class TestRegistry:
         families = {rule_id.partition("/")[0] for rule_id in REGISTRY}
         for family in (
             "lint", "determinism", "meta", "capacity", "presence",
-            "coverage", "race", "cost", "gap", "schedule",
+            "coverage", "race", "cost", "schedule",
         ):
             assert family in families
 

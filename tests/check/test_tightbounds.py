@@ -29,16 +29,12 @@ class TestCheckTightBounds:
 
     def test_conforming_cell_is_clean(self):
         counted = make_counted(self.machine, 24, 24, 24)
-        findings, cell = check_tight_bounds(self.alg, counted, machine="q32")
-        assert findings == []
-        assert cell.algorithm == "shared-opt"
-        assert cell.machine == "q32"
-        assert cell.ms == counted.ms and cell.md == counted.md_max
+        assert check_tight_bounds(self.alg, counted, machine="q32") == []
 
     def test_below_shared_bound_is_error(self):
         counted = make_counted(self.machine, 24, 24, 24)
         bad = CountedCosts(ms=1, md=counted.md)
-        findings, _cell = check_tight_bounds(self.alg, bad, machine="q32")
+        findings = check_tight_bounds(self.alg, bad, machine="q32")
         assert [f.rule_id for f in findings] == ["cost/below-tight-bound"]
         assert findings[0].severity == "error"
         assert "MS=1" in findings[0].message
@@ -46,48 +42,16 @@ class TestCheckTightBounds:
     def test_below_distributed_bound_is_error(self):
         counted = make_counted(self.machine, 24, 24, 24)
         bad = CountedCosts(ms=counted.ms, md=(1,) * self.machine.p)
-        findings, _cell = check_tight_bounds(self.alg, bad, machine="q32")
+        findings = check_tight_bounds(self.alg, bad, machine="q32")
         assert [f.rule_id for f in findings] == ["cost/below-tight-bound"]
         assert "MD=1" in findings[0].message
 
     def test_message_names_the_binding_bound(self):
         counted = make_counted(self.machine, 24, 24, 24)
         bad = CountedCosts(ms=1, md=counted.md)
-        findings, _cell = check_tight_bounds(self.alg, bad, machine="q32")
+        findings = check_tight_bounds(self.alg, bad, machine="q32")
         sb = shared_bounds(self.machine, 24, 24, 24)
         assert sb.binding in findings[0].message
-
-    def test_gap_cell_carries_every_bound(self):
-        counted = make_counted(self.machine, 24, 24, 24)
-        _findings, cell = check_tight_bounds(self.alg, counted, machine="q32")
-        assert set(cell.ms_bounds) == {"loomis-whitney", "tight", "compulsory"}
-        assert set(cell.md_bounds) == {
-            "loomis-whitney",
-            "tight",
-            "memory-independent",
-        }
-        sb = shared_bounds(self.machine, 24, 24, 24)
-        assert cell.ms_binding == sb.binding
-        assert cell.ms_gap > 1.0 and cell.md_gap > 1.0
-
-    def test_formula_algorithm_records_envelope(self):
-        counted = make_counted(self.machine, 24, 24, 24)
-        _findings, cell = check_tight_bounds(self.alg, counted, machine="q32")
-        assert cell.envelope is not None
-        assert set(cell.envelope) == {
-            "predicted_ms",
-            "predicted_md",
-            "ms_ratio",
-            "md_ratio",
-            "ms_used",
-            "md_used",
-        }
-
-    def test_no_formula_no_envelope(self):
-        alg = get_algorithm("nested-max-reuse")(self.machine, 8, 8, 8)
-        counted = make_counted(self.machine, 8, 8, 8)
-        _findings, cell = check_tight_bounds(alg, counted, machine="q32")
-        assert cell.envelope is None
 
 
 class TestCountedNeverBeatsBounds:

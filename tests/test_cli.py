@@ -10,7 +10,6 @@ import pytest
 
 import repro
 import repro.check.runner as check_runner
-from repro.check.gap import load_gap_report
 from repro.cli import main
 from repro.exceptions import ReproError
 
@@ -333,23 +332,28 @@ class TestCheck:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == 5
-        assert payload["checker_version"] == 6
+        assert payload["schema"] == 6
+        assert payload["checker_version"] == 7
         assert payload["cells"] == {"analyzed": 1, "skipped": 0}
         assert "suppressed" not in payload
+        assert "gap" not in payload
         assert payload["elapsed_s"] > 0
         report = payload["reports"][0]
         assert report["status"] == "analyzed"
         assert report["elapsed_s"] > 0
         assert "cached" not in report
+        assert "gap" not in report
 
     def test_list_rules_json_schema(self, capsys):
         assert main(["check", "--list-rules", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 2
-        assert len(payload["rules"]) == 35
+        assert len(payload["rules"]) == 32
         for rule in payload["rules"]:
             assert set(rule) == {"id", "severity", "tier", "help"}
+        assert {rule["tier"] for rule in payload["rules"]} == {
+            "schedule", "lint", "determinism", "meta"
+        }
 
     def test_json_cell_accounting_consistent_on_full_matrix(self, capsys):
         # analyzed + skipped must partition the reports, and skipped
@@ -375,94 +379,6 @@ class TestCheck:
         assert payload["version"] == "2.1.0"
         assert payload["runs"][0]["tool"]["driver"]["name"] == "repro-mmm-check"
         assert payload["runs"][0]["results"] == []  # clean matrix
-
-    def test_gap_certificate_in_summary_and_json(self, capsys):
-        code = main(
-            ["check", "--algorithm", "shared-opt", "--machine", "q32",
-             "--json"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        (gap,) = payload["gap"]
-        assert gap["algorithm"] == "shared-opt"
-        assert gap["cells"] > 0
-        assert gap["ms_gap"]["min"] >= 1.0
-        assert isinstance(gap["certified_shared"], bool)
-
-    def test_gap_report_written(self, capsys, tmp_path):
-        out = tmp_path / "gap-report.json"
-        code = main(
-            ["check", "--algorithm", "shared-opt", "--machine", "q32",
-             "--gap-report", str(out)]
-        )
-        assert code == 0
-        assert "gap certificate:" in capsys.readouterr().out
-        payload = json.loads(out.read_text())
-        assert {a["algorithm"] for a in payload["algorithms"]} == {"shared-opt"}
-        assert all("ms_gap" in c for c in payload["cells"])
-
-    def test_write_gap_baseline(self, capsys, tmp_path):
-        # --gap-report is also how the committed baseline is refreshed:
-        # the file it writes loads back as a baseline.
-        base = tmp_path / "gap-baseline.json"
-        code = main(
-            ["check", "--algorithm", "shared-opt", "--machine", "q32",
-             "--gap-report", str(base)]
-        )
-        assert code == 0
-        assert "gap certificate:" in capsys.readouterr().out
-        assert json.loads(base.read_text())["algorithms"]
-        assert load_gap_report(base).algorithms()
-
-    def test_gap_baseline_comparison_skipped_on_filtered_run(
-        self, capsys, tmp_path
-    ):
-        base = tmp_path / "gap-baseline.json"
-        assert main(
-            ["check", "--algorithm", "shared-opt", "--machine", "q32",
-             "--gap-report", str(base)]
-        ) == 0
-        capsys.readouterr()
-        # A filtered run sees only a slice of the matrix; comparing it
-        # against the full-matrix baseline would fabricate regressions.
-        code = main(
-            ["check", "--algorithm", "shared-opt", "--machine", "q32",
-             "--gap-baseline", str(base)]
-        )
-        assert code == 0
-        assert "skipped (filtered run)" in capsys.readouterr().out
-
-    def test_committed_gap_baseline_matches_full_matrix(self, capsys):
-        # The ratchet the CI job enforces: the committed baseline must
-        # stay in sync with the schedule matrix.
-        code = main(["check", "--gap-baseline", "check-gap-baseline.json"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "0 error(s)" in out
-        assert "gap certificate:" in out
-
-    @pytest.mark.parametrize(
-        "content",
-        [None, '{"schema": 99, "cells": []}', '{"schema": 1, "cells": [{}]}'],
-        ids=["missing", "wrong-schema", "malformed-cell"],
-    )
-    def test_unreadable_gap_baseline_is_a_usage_error(
-        self, capsys, tmp_path, monkeypatch, content
-    ):
-        # Missing file, wrong schema or malformed cells: exit 2 naming
-        # the path, before any cell is analyzed.
-        def no_analysis(*args, **kwargs):
-            raise AssertionError("analysis ran before the baseline loaded")
-
-        monkeypatch.setattr(check_runner, "check_all", no_analysis)
-        base = tmp_path / "gap-baseline.json"
-        if content is not None:
-            base.write_text(content)
-        assert main(["check", "--gap-baseline", str(base)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert str(base) in captured.err
 
     def test_orders_below_one_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
