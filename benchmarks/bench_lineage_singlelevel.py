@@ -2,30 +2,46 @@
 
 Reproduces the comparison the multicore paper inherits from [7]:
 Maximum Reuse vs Toledo's equal thirds on one bounded memory, CCR
-against the ``√(27/8M)`` bound.  Artifact: out/lineage_singlelevel.txt.
+against the ``√(27/8M)`` bound.  On one core whose shared cache is that
+memory, Shared Opt. and Shared Equal are the two schedules: ``MS`` and
+``peak_shared`` are their loads and peak.  Artifact:
+out/lineage_singlelevel.txt.
 """
 
+from repro.algorithms.equal import SharedEqual
+from repro.algorithms.shared_opt import SharedOpt
+from repro.cache.hierarchy import IdealHierarchy
 from repro.experiments.io import render_rows
-from repro.singlelevel.runner import run_single_level
+from repro.model.bounds import ccr_lower_bound
+from repro.model.machine import MulticoreMachine
+from repro.sim.contexts import IdealContext
 from repro.store.atomic import atomic_write_text
 
 MEMORY = 91  # mu = 9 (1+9+81), t = 5 (3*25 = 75)
 ORDER = 45  # divisible by both tile sides
+# The distributed cache only stages each multiply-add's three operands.
+ONE_MEMORY = MulticoreMachine(p=1, cs=MEMORY, cd=3)
 
 
 def bench_single_level_ccr(benchmark, out_dir):
     def run():
         rows = []
-        for name in ("single-max-reuse", "single-equal"):
-            r = run_single_level(name, MEMORY, ORDER, ORDER, ORDER)
+        for name, schedule in (
+            ("single-max-reuse", SharedOpt),
+            ("single-equal", SharedEqual),
+        ):
+            hierarchy = IdealHierarchy(1, MEMORY, 3, check=False)
+            ctx = IdealContext(hierarchy)
+            schedule(ONE_MEMORY, ORDER, ORDER, ORDER).run(ctx)
+            assert ctx.comp_total == ORDER**3
             rows.append(
                 {
                     "schedule": name,
                     "M": MEMORY,
-                    "loads": r.loads,
-                    "CCR": round(r.ccr, 4),
-                    "CCR bound": round(r.ccr_lower_bound(), 4),
-                    "peak": r.peak,
+                    "loads": hierarchy.ms,
+                    "CCR": round(hierarchy.ms / ORDER**3, 4),
+                    "CCR bound": round(ccr_lower_bound(MEMORY), 4),
+                    "peak": hierarchy.peak_shared,
                 }
             )
         return rows

@@ -221,18 +221,19 @@ class DistributedEqual(MatmulAlgorithm):
         # Full k0 slabs within a round are translates of each other.
         for k0 in tile_loop(ctx, z, t, (t, t << RS, 0)):
             kh = min(k0 + t, z)
-            step_keys = set()
+            step_keys: Dict[int, None] = {}
             if explicit:
                 # Different cores of a round may need the same A (or
                 # B) tile; load each distinct block into the shared
-                # cache once and track the set for the evict phase.
+                # cache once and evict them in load order, so that
+                # consecutive slabs emit the same directives, shifted.
                 for core, (i0, hi, j0, wj) in enumerate(round_tiles):
                     for i in range(i0, hi):
                         arow = A_BASE | (i << RS)
                         for k in range(k0, kh):
                             key = arow | k
                             if key not in step_keys:
-                                step_keys.add(key)
+                                step_keys[key] = None
                                 ctx.load_shared(key)
                             ctx.load_dist(core, key)
                     for k in range(k0, kh):
@@ -240,7 +241,7 @@ class DistributedEqual(MatmulAlgorithm):
                         for j in range(j0, wj):
                             key = brow | j
                             if key not in step_keys:
-                                step_keys.add(key)
+                                step_keys[key] = None
                                 ctx.load_shared(key)
                             ctx.load_dist(core, key)
             for core, (i0, hi, j0, wj) in enumerate(round_tiles):

@@ -6,15 +6,11 @@
 * :mod:`repro.analysis.tradeoff_opt` — the continuous optimization of
   the Tradeoff parameters (§3.3): objective ``F(α)``, its derivative,
   the closed-form root ``α_num`` and the final clamped ``(α, β)``.
-* :mod:`repro.analysis.report` — predicted-vs-simulated comparison
-  tables.
 """
 
 from repro.analysis.formulas import (
     PredictedCounts,
     predict,
-    predicted_ms,
-    predicted_md,
     FORMULAS,
 )
 from repro.analysis.tradeoff_opt import (
@@ -23,22 +19,10 @@ from repro.analysis.tradeoff_opt import (
     alpha_num,
     optimal_parameters,
 )
-from repro.analysis.report import (
-    accuracy_table,
-    bound_gap_table,
-    ranking,
-    winner,
-)
 
 __all__ = [
-    "accuracy_table",
-    "bound_gap_table",
-    "ranking",
-    "winner",
     "PredictedCounts",
     "predict",
-    "predicted_ms",
-    "predicted_md",
     "FORMULAS",
     "objective",
     "objective_derivative",

@@ -139,16 +139,6 @@ def predict(alg: MatmulAlgorithm) -> PredictedCounts:
     return formula(alg)
 
 
-def predicted_ms(alg: MatmulAlgorithm) -> float:
-    """Predicted shared-cache misses for an algorithm instance."""
-    return predict(alg).ms
-
-
-def predicted_md(alg: MatmulAlgorithm) -> float:
-    """Predicted max per-core distributed misses for an algorithm instance."""
-    return predict(alg).md
-
-
 def divisibility_ok(alg: MatmulAlgorithm) -> bool:
     """Whether the exactness conditions of the closed forms hold.
 

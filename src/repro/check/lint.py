@@ -334,7 +334,9 @@ def scan_source(
 #: Package files (relative, POSIX) on the determinism scope: the
 #: modules that produce fingerprints, checkpoints, manifests or
 #: serialized artifacts.  ``store/`` and ``fabric/`` are covered
-#: wholesale by :func:`_profile_for`.
+#: wholesale by :func:`_profile_for`, and so is ``algorithms/``, whose
+#: schedules promise the same directives, in the same order, on every
+#: run and every iteration of a declared loop.
 _DETERMINISM_FILES = frozenset(
     {
         "sim/parallel.py",
@@ -365,7 +367,7 @@ def _profile_for(path: Path, package_root: Optional[Path]) -> FileProfile:
         # do not apply to fixtures.
         return FileProfile(lint=False, determinism=True)
     determinism = relative is not None and (
-        relative.startswith(("store/", "fabric/"))
+        relative.startswith(("algorithms/", "store/", "fabric/"))
         or relative in _DETERMINISM_FILES
     )
     return FileProfile(

@@ -14,7 +14,9 @@ stops at order 96 to stay interactive, but every function takes an
 which fast-forwards the loops every schedule declares
 (:mod:`repro.sim.contexts`), so the full axis is reachable: the nightly
 ``full-figures`` CI job regenerates Figs. 7–11 at order 1100 in one
-job.  Fig. 12 replays compiled traces (:mod:`repro.cache.replay`).
+job.  Fig. 12 runs on step too at its default order 384; only an
+explicit ``order=`` of at most 158 replays compiled traces
+(:mod:`repro.cache.replay`).
 All qualitative features of the figures — who wins, the
 LRU-vs-formula factor-≤2 envelope, the crossovers in the bandwidth
 sweep — are scale-free.

@@ -39,7 +39,6 @@ from repro.sim.faults import (
 )
 from repro.sim.retrypolicy import BackoffPolicy, is_retryable
 from repro.sim.telemetry import CellRecord, FabricStats, RunManifest, WorkerStats
-from repro.sim.timing import TimingEstimate, TimingModel
 
 __all__ = [
     "ChainContext",
@@ -69,6 +68,4 @@ __all__ = [
     "FabricStats",
     "RunManifest",
     "WorkerStats",
-    "TimingEstimate",
-    "TimingModel",
 ]

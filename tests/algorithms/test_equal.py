@@ -1,8 +1,14 @@
-"""Tests for the Shared Equal / Distributed Equal baselines."""
+"""Tests for the Shared Equal / Distributed Equal baselines.
+
+The ``*_on_one_memory`` tests run Shared Equal on one core, where it is
+Toledo's equal thirds of one memory [8], the baseline of [7] (see the
+``one_memory`` fixture).
+"""
 
 import pytest
 
 from repro.algorithms.equal import DistributedEqual, SharedEqual, equal_tile
+from repro.check.events import EVICT_S, LOAD_S, AnalysisContext
 from repro.exceptions import ParameterError
 from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
@@ -57,6 +63,32 @@ class TestSharedEqual:
     def test_numeric(self, quad, dims):
         verify_schedule(SharedEqual(quad, *dims), q=3)
 
+    def test_default_tile_on_one_memory(self, one_memory):
+        assert SharedEqual(one_memory(27), 6, 6, 6).t == 3
+
+    def test_tile_capacity_check_on_one_memory(self, one_memory):
+        with pytest.raises(ParameterError):
+            SharedEqual(one_memory(11), 4, 4, 4, t=2)  # 3*4 = 12 > 11
+
+    def test_exact_loads_on_one_memory(self, one_memory):
+        # t=3 divides 6: loads = mn + 2mnz/t
+        r = run_experiment("shared-equal", one_memory(27), 6, 6, 6, "ideal", check=True)
+        assert r.ms == 6 * 6 + 2 * 6**3 // 3
+        assert r.ms == r.predicted.ms
+
+    def test_worse_than_shared_opt_on_one_memory(self, one_memory):
+        """[7]'s point: the thirds split wastes memory (t=2 vs µ=4, M=21)."""
+        machine = one_memory(21)
+        eq = run_experiment("shared-equal", machine, 8, 8, 8, "ideal", check=True)
+        so = run_experiment("shared-opt", machine, 8, 8, 8, "ideal", check=True)
+        assert so.ms < eq.ms
+
+    @pytest.mark.parametrize("dims", [(6, 6, 6), (7, 5, 9), (2, 3, 1)])
+    def test_numeric_on_one_memory(self, one_memory, dims):
+        machine = one_memory(27)
+        verify_schedule(SharedEqual(machine, *dims), q=3)
+        run_experiment("shared-equal", machine, *dims, "ideal", check=True)
+
 
 class TestDistributedEqual:
     def test_default_tile(self, paper_q32):
@@ -95,3 +127,23 @@ class TestDistributedEqual:
     @pytest.mark.parametrize("dims", [(16, 16, 16), (7, 5, 9), (3, 3, 3)])
     def test_numeric(self, quad, dims):
         verify_schedule(DistributedEqual(quad, *dims), q=3)
+
+    @pytest.mark.parametrize("order", [2, 9, 16])
+    def test_shared_evictions_follow_load_order(self, paper_q32, order):
+        """Each run of shared evictions frees its blocks in the order they
+        were loaded, so consecutive k0 slabs emit the same directives,
+        shifted, as their declared loop promises."""
+        ctx = AnalysisContext(paper_q32.p)
+        DistributedEqual(paper_q32, order, order, order).run(ctx)
+        loaded_at = {}
+        runs = [[]]
+        for position, (op, _, key, *_) in enumerate(ctx.events):
+            if op == EVICT_S:
+                runs[-1].append(loaded_at[key])
+                continue
+            if runs[-1]:
+                runs.append([])
+            if op == LOAD_S:
+                loaded_at[key] = position
+        assert max(map(len, runs)) > 1
+        assert all(run == sorted(run) for run in runs)

@@ -19,13 +19,19 @@ These are the heavy guns: for *every* registered algorithm and random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms.equal import SharedEqual
 from repro.algorithms.registry import ALGORITHMS
+from repro.algorithms.shared_opt import SharedOpt
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
 from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
 from repro.sim.contexts import IdealContext, LRUContext
 
 MACHINE = MulticoreMachine(p=4, cs=100, cd=21, q=8, name="prop-quad")
+
+#: One core whose shared cache is the single memory of the §3 lineage
+#: (the ``one_memory`` fixture in ``tests/conftest.py``, ``M = 21``).
+ONE_MEMORY = MulticoreMachine(p=1, cs=21, cd=3, q=8, name="prop-one-memory")
 
 dims = st.tuples(
     st.integers(min_value=1, max_value=10),
@@ -83,3 +89,19 @@ class TestEveryAlgorithm:
         # each compute involves 3 resident blocks that entered its cache
         # at least once; a very weak but universal sanity bound:
         assert h.snapshot().md_total >= (m * n * z) ** (1 / 3)
+
+
+class TestOneMemoryLineage:
+    """Shared Opt. and Shared Equal on one core: [7]'s Maximum Reuse
+    and [8]'s equal thirds of a single memory."""
+
+    @given(dims=dims)
+    @settings(max_examples=25, deadline=None)
+    def test_peak_within_memory_and_loads_above_floor(self, dims):
+        m, n, z = dims
+        for cls in (SharedOpt, SharedEqual):
+            h = IdealHierarchy(1, ONE_MEMORY.cs, ONE_MEMORY.cd, check=True)
+            cls(ONE_MEMORY, m, n, z).run(IdealContext(h))
+            assert h.peak_shared <= ONE_MEMORY.cs
+            # compulsory floor: every block loaded at least once
+            assert h.ms >= m * n + m * z + z * n

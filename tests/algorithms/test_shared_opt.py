@@ -1,11 +1,21 @@
-"""Tests for Algorithm 1 (Shared Opt.)."""
+"""Tests for Algorithm 1 (Shared Opt.).
+
+The ``*_on_one_memory`` tests run it on one core, where it is the
+single-memory Maximum Reuse Algorithm of [7] that the paper's §3
+adapts (see the ``one_memory`` fixture).
+"""
+
+import math
 
 import pytest
 
 from repro.algorithms.shared_opt import SharedOpt
+from repro.cache.hierarchy import IdealHierarchy
 from repro.exceptions import ParameterError
+from repro.model.bounds import ccr_lower_bound
 from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
+from repro.sim.contexts import IdealContext
 from repro.sim.runner import run_experiment
 
 
@@ -33,6 +43,14 @@ class TestParameters:
     def test_rejects_nonpositive_lambda(self, quad):
         with pytest.raises(ParameterError):
             SharedOpt(quad, 4, 4, 4, lam=0)
+
+    def test_default_lambda_on_one_memory(self, one_memory):
+        # [7]'s µ: the largest side with 1 + µ + µ² <= M
+        assert SharedOpt(one_memory(21), 8, 8, 8).lam == 4
+
+    def test_lambda_capacity_check_on_one_memory(self, one_memory):
+        with pytest.raises(ParameterError):
+            SharedOpt(one_memory(21), 4, 4, 4, lam=5)  # 31 > 21
 
 
 class TestIdealCounts:
@@ -73,6 +91,32 @@ class TestIdealCounts:
         # every block of C written back to memory exactly once
         assert h.shared_writebacks == 12 * 12
 
+    def test_exact_loads_on_one_memory(self, one_memory):
+        # µ=4 divides 8: loads = mn + 2mnz/µ
+        r = run_experiment("shared-opt", one_memory(21), 8, 8, 8, "ideal", check=True)
+        assert r.ms == 8 * 8 + 2 * 8**3 // 4
+        assert r.ms == r.predicted.ms
+
+    def test_c_written_back_once_on_one_memory(self, one_memory):
+        r = run_experiment("shared-opt", one_memory(21), 8, 8, 8, "ideal", check=True)
+        assert r.stats.shared.writebacks == 8 * 8
+
+    def test_peak_fills_the_split_on_one_memory(self, one_memory):
+        h = IdealHierarchy(1, 21, 3, check=True)
+        SharedOpt(one_memory(21), 8, 8, 8).run(IdealContext(h))
+        assert h.peak_shared == 1 + 4 + 16  # the 1 + µ + µ² split, fully used
+
+    def test_ccr_approaches_two_over_mu_on_one_memory(self, one_memory):
+        # large matrices: CCR -> 1/z + 2/µ ~ 2/sqrt(M)
+        r = run_experiment("shared-opt", one_memory(21), 16, 16, 64, "ideal", check=True)
+        assert r.ccr_s == pytest.approx(1 / 64 + 2 / 4, rel=1e-6)
+
+    def test_ccr_above_bound_on_one_memory(self, one_memory):
+        machine = one_memory(21)
+        r = run_experiment("shared-opt", machine, 8, 8, 8, "ideal", check=True)
+        assert ccr_lower_bound(machine.cs) == pytest.approx(math.sqrt(27 / (8 * 21)))
+        assert r.ccr_s >= ccr_lower_bound(machine.cs)
+
 
 class TestWorkDistribution:
     def test_compute_balanced_when_divisible(self, quad):
@@ -96,3 +140,9 @@ class TestNumeric:
     def test_lambda_larger_than_matrix(self, paper_q32):
         # tile bigger than the whole matrix: single ragged tile
         verify_schedule(SharedOpt(paper_q32, 5, 5, 5), q=2)
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (7, 5, 9), (1, 1, 1)])
+    def test_computes_product_on_one_memory(self, one_memory, dims):
+        machine = one_memory(21)
+        verify_schedule(SharedOpt(machine, *dims), q=3)
+        run_experiment("shared-opt", machine, *dims, "ideal", check=True)

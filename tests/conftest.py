@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import pytest
 
 from repro.model.machine import MulticoreMachine, preset
@@ -27,6 +29,24 @@ def paper_q32() -> MulticoreMachine:
 def unicore() -> MulticoreMachine:
     """Single-core edge-case machine."""
     return MulticoreMachine(p=1, cs=30, cd=7, q=8, name="test-uni")
+
+
+@pytest.fixture
+def one_memory() -> Callable[[int], MulticoreMachine]:
+    """The single-memory machine of the §3 lineage, by memory size ``M``.
+
+    One core whose shared cache of ``M`` blocks is the one bounded
+    memory of [7] and [8]; the 3-block distributed cache only stages
+    each multiply-add's operands.  There Shared Opt. is the Maximum
+    Reuse Algorithm and Shared Equal is Toledo's equal thirds: ``MS``,
+    ``peak_shared``, ``λ`` and ``t`` are the single-level loads, peak,
+    ``µ`` and ``t``.
+    """
+
+    def make(memory: int) -> MulticoreMachine:
+        return MulticoreMachine(p=1, cs=memory, cd=3, q=8, name=f"one-memory-{memory}")
+
+    return make
 
 
 @pytest.fixture
