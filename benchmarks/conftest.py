@@ -10,11 +10,14 @@ Scale is controlled by ``REPRO_BENCH_SCALE``:
 
 * ``quick`` (default) — orders up to 32, a couple of minutes for the
   whole suite;
-* ``full``  — orders up to 96 (and order 96 for the ratio sweep),
+* ``full``  — orders up to 96 (and order 48 for the ratio sweep),
   closer to the paper's sweep shape; expect tens of minutes;
 * ``paper`` — a sparse geometric axis reaching the paper's true
-  x-axis bound, matrix order 1100 (in blocks) — only feasible on the
-  bulk replay kernels; used by the nightly full-figures CI pipeline.
+  x-axis bound, matrix order 1100 (in blocks), and the paper's Fig. 12
+  at its own order (:data:`repro.experiments.figures.DEFAULT_RATIO_ORDER`,
+  the order ``repro-mmm figure fig12`` draws).  The step engine's
+  declared-loop fast-forward makes order 1100 feasible; used by the
+  nightly full-figures CI pipeline.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from typing import Sequence
 
 import pytest
 
+from repro.experiments.figures import DEFAULT_RATIO_ORDER
+
 #: Square matrix orders (blocks) swept by the figure benches.
 QUICK_ORDERS: Sequence[int] = (8, 16, 24, 32)
 FULL_ORDERS: Sequence[int] = (16, 32, 48, 64, 80, 96)
@@ -34,7 +39,7 @@ PAPER_ORDERS: Sequence[int] = (64, 128, 256, 512, 1100)
 
 QUICK_RATIO_ORDER = 24
 FULL_RATIO_ORDER = 48
-PAPER_RATIO_ORDER = 96
+PAPER_RATIO_ORDER = DEFAULT_RATIO_ORDER
 
 OUT_DIR = Path(__file__).parent / "out"
 

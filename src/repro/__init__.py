@@ -17,7 +17,8 @@ The package provides:
 * closed-form miss-count formulas and the Tradeoff optimizer
   (:mod:`repro.analysis`);
 * a numeric executor proving every schedule computes ``A·B``
-  (:mod:`repro.numerics`);
+  (:mod:`repro.numerics`, which loads numpy and is not imported here:
+  ``from repro.numerics import BlockMatrix, verify_schedule``);
 * the simulation engine, settings and sweeps (:mod:`repro.sim`);
 * one entry point per paper figure (:mod:`repro.experiments`) and a CLI
   (``python -m repro`` / ``repro-mmm``).
@@ -49,7 +50,6 @@ from repro.algorithms import (
 )
 from repro.analysis.formulas import predict, PredictedCounts
 from repro.analysis.tradeoff_opt import alpha_num, optimal_parameters
-from repro.numerics import BlockMatrix, verify_schedule
 from repro.sim import (
     run_experiment,
     order_sweep,
@@ -81,8 +81,6 @@ __all__ = [
     "PredictedCounts",
     "alpha_num",
     "optimal_parameters",
-    "BlockMatrix",
-    "verify_schedule",
     "run_experiment",
     "order_sweep",
     "ratio_sweep",

@@ -85,6 +85,20 @@ class ExecutionContext(ABC):
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
         """One elementary block multiply-add ``C[c] += A[a] · B[b]``."""
 
+    def compute_row(
+        self, core: int, crow: int, akey: int, brow: int, cols: Iterable[int]
+    ) -> None:
+        """The multiply-adds ``C[crow | j] += A[akey] · B[brow | j]``.
+
+        One :meth:`compute` per ``j`` in ``cols``, in order: a row of
+        ``C`` blocks against one ``A`` block and a row of ``B`` blocks,
+        the innermost loop of every schedule.  A context may run the row
+        in one call (see :class:`repro.sim.contexts.LRUContext`).
+        """
+        compute = self.compute
+        for j in cols:
+            compute(core, crow | j, akey, brow | j)
+
     # -- declared periodic loops ----------------------------------------
     def loop(self, iterations: range, shift: Shift) -> Iterable[int]:
         """Iterate over a loop whose iterations are translates of each other.

@@ -48,6 +48,7 @@ class Cannon(MatmulAlgorithm):
         s = self.grid
         explicit = ctx.explicit
         compute = ctx.compute
+        compute_row = ctx.compute_row
         RS = ROW_SHIFT
         row_chunks = self.split_evenly(0, self.m, s)
         col_chunks = self.split_evenly(0, self.n, s)
@@ -81,5 +82,4 @@ class Cannon(MatmulAlgorithm):
                             ctx.evict_dist(core, ka)
                             ctx.evict_shared(ka)
                         else:
-                            for j in cols:
-                                compute(core, crow | j, ka, brow | j)
+                            compute_row(core, crow, ka, brow, cols)

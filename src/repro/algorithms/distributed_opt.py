@@ -71,7 +71,7 @@ class DistributedOpt(MatmulAlgorithm):
         s = self.grid
         tile = s * mu
         explicit = ctx.explicit
-        compute = ctx.compute
+        compute_row = ctx.compute_row
         RS = ROW_SHIFT
 
         for i0 in tile_loop(ctx, m, tile, (tile << RS, 0, tile << RS)):
@@ -124,8 +124,7 @@ class DistributedOpt(MatmulAlgorithm):
                                     continue  # ragged edge: no work, no load
                                 if explicit:
                                     ctx.load_dist(core, ka)
-                                for j in cols[gj]:
-                                    compute(core, crow | j, ka, brow | j)
+                                compute_row(core, crow, ka, brow, cols[gj])
                                 if explicit:
                                     ctx.evict_dist(core, ka)
                             if explicit:

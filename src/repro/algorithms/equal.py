@@ -79,6 +79,7 @@ class SharedEqual(MatmulAlgorithm):
         t = self.t
         explicit = ctx.explicit
         compute = ctx.compute
+        compute_row = ctx.compute_row
         RS = ROW_SHIFT
 
         for i0 in tile_loop(ctx, m, t, (t << RS, 0, t << RS)):
@@ -123,8 +124,7 @@ class SharedEqual(MatmulAlgorithm):
                                         ctx.evict_dist(core, kc)
                                     ctx.evict_dist(core, ka)
                                 else:
-                                    for j in range(j0, wj):
-                                        compute(core, crow | j, ka, brow | j)
+                                    compute_row(core, crow, ka, brow, range(j0, wj))
                     if explicit:
                         for i in range(i0, hi):
                             arow = A_BASE | (i << RS)
@@ -202,7 +202,7 @@ class DistributedEqual(MatmulAlgorithm):
         m, n, z = self.m, self.n, self.z
         t = self.t
         explicit = ctx.explicit
-        compute = ctx.compute
+        compute_row = ctx.compute_row
         RS = ROW_SHIFT
 
         round_tiles = []
@@ -251,8 +251,7 @@ class DistributedEqual(MatmulAlgorithm):
                     for k in range(k0, kh):
                         ka = arow | k
                         brow = B_BASE | (k << RS)
-                        for j in range(j0, wj):
-                            compute(core, crow | j, ka, brow | j)
+                        compute_row(core, crow, ka, brow, range(j0, wj))
             if explicit:
                 for core, (i0, hi, j0, wj) in enumerate(round_tiles):
                     for i in range(i0, hi):

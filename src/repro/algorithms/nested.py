@@ -174,7 +174,7 @@ class NestedMaxReuse(MatmulAlgorithm):
     def run(self, ctx: ExecutionContext) -> None:
         m, n, z = self.m, self.n, self.z
         mu, tile = self.mu, self.tile
-        compute = ctx.compute
+        compute_row = ctx.compute_row
         RS = ROW_SHIFT
 
         for i0 in range(0, m, tile):
@@ -198,5 +198,4 @@ class NestedMaxReuse(MatmulAlgorithm):
                         for i in range(rlo, rhi):
                             ka = A_BASE | (i << RS) | k
                             crow = C_BASE | (i << RS)
-                            for j in range(clo, chi):
-                                compute(core, crow | j, ka, brow | j)
+                            compute_row(core, crow, ka, brow, range(clo, chi))

@@ -60,6 +60,7 @@ class OuterProduct(MatmulAlgorithm):
         z = self.z
         explicit = ctx.explicit
         compute = ctx.compute
+        compute_row = ctx.compute_row
         tiles = self._tiles()
         RS = ROW_SHIFT
 
@@ -87,5 +88,4 @@ class OuterProduct(MatmulAlgorithm):
                         ctx.evict_dist(core, ka)
                         ctx.evict_shared(ka)
                     else:
-                        for j in range(clo, chi):
-                            compute(core, crow | j, ka, brow | j)
+                        compute_row(core, crow, ka, brow, range(clo, chi))

@@ -82,6 +82,7 @@ class SharedOpt(MatmulAlgorithm):
         lam = self.lam
         explicit = ctx.explicit
         compute = ctx.compute
+        compute_row = ctx.compute_row
         split = self.split_evenly
         RS = ROW_SHIFT
 
@@ -122,8 +123,7 @@ class SharedOpt(MatmulAlgorithm):
                                     ctx.evict_dist(core, kc)
                                 ctx.evict_dist(core, ka)
                             else:
-                                for j in chunk:
-                                    compute(core, crow | j, ka, brow | j)
+                                compute_row(core, crow, ka, brow, chunk)
                         if explicit:
                             ctx.evict_shared(ka)
                     if explicit:

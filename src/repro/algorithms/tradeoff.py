@@ -113,7 +113,7 @@ class Tradeoff(MatmulAlgorithm):
         alpha, beta, mu, s = self.alpha, self.beta, self.mu, self.grid
         region = alpha // s  # side of each core's contiguous C region
         explicit = ctx.explicit
-        compute = ctx.compute
+        compute_row = ctx.compute_row
         hoist = self.single_subblock
         RS = ROW_SHIFT
 
@@ -174,8 +174,7 @@ class Tradeoff(MatmulAlgorithm):
                                         crow = C_BASE | (i << RS)
                                         if explicit:
                                             ctx.load_dist(core, ka)
-                                        for j in range(bj, bjh):
-                                            compute(core, crow | j, ka, brow | j)
+                                        compute_row(core, crow, ka, brow, range(bj, bjh))
                                         if explicit:
                                             ctx.evict_dist(core, ka)
                                     if explicit:

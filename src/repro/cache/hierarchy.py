@@ -27,7 +27,7 @@ schedule's periodic loops.
 
 from __future__ import annotations
 
-from typing import Collection, List, Sequence, Set
+from typing import Collection, Iterable, List, Sequence, Set
 
 from repro.cache.block import MAT_SHIFT, key_name, shifted
 from repro.cache.cache import Cache
@@ -109,17 +109,34 @@ class LRUHierarchy:
     def compute_touches(self, core: int, akey: int, bkey: int, ckey: int) -> None:
         """The three references of one block multiply-add ``C += A·B``.
 
-        This is the innermost simulator operation.  When the hierarchy
-        runs plain non-inclusive LRU, the logic of :meth:`touch` is
-        inlined over the ``OrderedDict`` internals; tests assert that
-        this fast path and three :meth:`touch` calls produce identical
-        statistics.
+        The one-column case of :meth:`compute_row` (``key | 0 == key``).
+        """
+        self.compute_row(core, akey, bkey, ckey, (0,))
+
+    def compute_row(
+        self, core: int, akey: int, brow: int, crow: int, cols: Iterable[int]
+    ) -> int:
+        """The multiply-adds ``C[crow | j] += A[akey] · B[brow | j]``.
+
+        Runs one per ``j`` in ``cols``, in order, each as three
+        :meth:`touch` references (A, B, then the written C), and returns
+        how many ran.  This is the innermost simulator operation.  When
+        the hierarchy runs plain non-inclusive LRU, the logic of
+        :meth:`touch` is inlined over the ``OrderedDict`` internals: each
+        cache's state is loaded once per row and its counters are added
+        once at the end; tests assert that this fast path and three
+        :meth:`touch` calls per multiply-add produce identical counters,
+        dirty sets and key order.
         """
         if not self._fast:
-            self.touch(core, akey)
-            self.touch(core, bkey)
-            self.touch(core, ckey, write=True)
-            return
+            touch = self.touch
+            count = 0
+            for j in cols:
+                touch(core, akey)
+                touch(core, brow | j)
+                touch(core, crow | j, write=True)
+                count += 1
+            return count
 
         dc = self.distributed[core]
         ddata = dc.policy._data  # type: ignore[attr-defined]
@@ -131,36 +148,48 @@ class LRUHierarchy:
         scap = sc.capacity
         sdirty = sc.dirty
         smbm = sc.misses_by_matrix
+        dhits = dwritebacks = shits = swritebacks = count = 0
 
-        for key in (akey, bkey, ckey):
-            if key in ddata:
-                ddata.move_to_end(key)
-                dc.hits += 1
-            else:
-                dc.misses += 1
+        for j in cols:
+            ckey = crow | j
+            for key in (akey, brow | j, ckey):
+                if key in ddata:
+                    ddata.move_to_end(key)
+                    dhits += 1
+                    continue
                 dmbm[key >> MAT_SHIFT] += 1
                 if len(ddata) >= dcap:
-                    victim = ddata.popitem(last=False)[0]
+                    # The least recent key; ``last`` goes positionally
+                    # because the keyword form is measurably slower.
+                    victim = ddata.popitem(False)[0]
                     if victim in ddirty:
                         ddirty.discard(victim)
-                        dc.writebacks += 1
+                        dwritebacks += 1
                         if victim in sdata:
                             sdirty.add(victim)
                 ddata[key] = None
                 # propagate to shared
                 if key in sdata:
                     sdata.move_to_end(key)
-                    sc.hits += 1
-                else:
-                    sc.misses += 1
-                    smbm[key >> MAT_SHIFT] += 1
-                    if len(sdata) >= scap:
-                        s_victim = sdata.popitem(last=False)[0]
-                        if s_victim in sdirty:
-                            sdirty.discard(s_victim)
-                            sc.writebacks += 1
-                    sdata[key] = None
-        ddirty.add(ckey)
+                    shits += 1
+                    continue
+                smbm[key >> MAT_SHIFT] += 1
+                if len(sdata) >= scap:
+                    victim = sdata.popitem(False)[0]
+                    if victim in sdirty:
+                        sdirty.discard(victim)
+                        swritebacks += 1
+                sdata[key] = None
+            ddirty.add(ckey)
+            count += 1
+        # A reference that did not hit missed.
+        dc.hits += dhits
+        dc.misses += 3 * count - dhits
+        dc.writebacks += dwritebacks
+        sc.hits += shits
+        sc.misses += 3 * count - dhits - shits
+        sc.writebacks += swritebacks
+        return count
 
     # ------------------------------------------------------------------
     # Bookkeeping

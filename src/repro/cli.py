@@ -51,7 +51,6 @@ from repro.experiments.tables import cache_configuration_table, parameter_table
 from repro.model.machine import PRESETS, MulticoreMachine, preset
 from repro.model.params import lambda_param, mu_param
 from repro.analysis.tradeoff_opt import optimal_parameters
-from repro.numerics.executor import verify_schedule
 from repro.sim.results import SweepResult
 from repro.sim.runner import run_experiment
 from repro.sim.settings import SETTINGS
@@ -357,6 +356,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.numerics.executor import verify_schedule
+
     machine = _machine_from_args(args)
     cls = get_algorithm(args.algorithm)
     alg = cls(machine, args.m, args.n if args.n else args.m, args.z if args.z else args.m)

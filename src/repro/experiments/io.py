@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.experiments.figures import Figure, Panel
-from repro.store.atomic import atomic_write_text
 
 
 def fieldname_union(rows: Sequence[Mapping[str, Any]]) -> List[str]:
@@ -85,6 +84,8 @@ def render_figure(figure: Figure) -> str:
 
 def panel_to_csv(panel: Panel, path: Union[str, Path]) -> None:
     """Atomically write one panel as CSV (x column + one column per series)."""
+    from repro.store.atomic import atomic_write_text
+
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow([panel.xlabel, *panel.series])
@@ -119,6 +120,8 @@ def rows_to_csv(
     downstream CSV reader always finds a parseable document instead of
     a zero-byte file.
     """
+    from repro.store.atomic import atomic_write_text
+
     names = list(fieldnames) if fieldnames is not None else fieldname_union(rows)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=names, restval="")

@@ -17,6 +17,12 @@
   cells for exercising the engine and the fabric.
 * :mod:`repro.sim.retrypolicy` — the shared retry classification and
   jittered exponential backoff used by the pool engine and the fabric.
+
+The package re-exports the step engine only.  The sweep executors and
+their parts (``parallel_order_sweep``, fault plans, retry policies,
+telemetry records) are imported from their own modules, so a command
+that runs cells in-process loads no ``multiprocessing``, numpy or run
+store.
 """
 
 from repro.sim.contexts import (
@@ -29,16 +35,6 @@ from repro.sim.settings import SETTINGS, Setting, get_setting
 from repro.sim.results import ExperimentResult, SweepResult
 from repro.sim.runner import clear_memos, run_experiment
 from repro.sim.sweep import order_sweep, ratio_sweep, resolve_entries, series_label
-from repro.sim.parallel import parallel_order_sweep
-from repro.sim.faults import (
-    FaultInjectionError,
-    FaultPlan,
-    FaultSpec,
-    dump_fault_plan,
-    load_fault_plan,
-)
-from repro.sim.retrypolicy import BackoffPolicy, is_retryable
-from repro.sim.telemetry import CellRecord, FabricStats, RunManifest, WorkerStats
 
 __all__ = [
     "ChainContext",
@@ -56,16 +52,4 @@ __all__ = [
     "ratio_sweep",
     "resolve_entries",
     "series_label",
-    "parallel_order_sweep",
-    "FaultInjectionError",
-    "FaultPlan",
-    "FaultSpec",
-    "dump_fault_plan",
-    "load_fault_plan",
-    "BackoffPolicy",
-    "is_retryable",
-    "CellRecord",
-    "FabricStats",
-    "RunManifest",
-    "WorkerStats",
 ]

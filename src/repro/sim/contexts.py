@@ -170,7 +170,10 @@ class LRUContext(_CountingContext[LRUHierarchy]):
     operations are made at the distributed cache level; if a miss
     occurs, operations are propagated throughout the hierarchy").
     Declared loops are fast-forwarded when every cache is plain LRU or
-    FIFO (:attr:`LRUHierarchy.renames`), inclusive or not.
+    FIFO (:attr:`LRUHierarchy.renames`), inclusive or not.  A row of
+    multiply-adds is one :meth:`LRUHierarchy.compute_row` call; a row
+    never spans an iteration boundary, so the fast-forward sees the
+    same states.
     """
 
     explicit = False
@@ -178,11 +181,16 @@ class LRUContext(_CountingContext[LRUHierarchy]):
     def __init__(self, hierarchy: LRUHierarchy) -> None:
         super().__init__(hierarchy, hierarchy.renames)
         # Bound method caching shaves a dict lookup off the hot path.
-        self._touches = hierarchy.compute_touches
+        self._row = hierarchy.compute_row
 
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
-        self._touches(core, akey, bkey, ckey)
+        self._row(core, akey, bkey, ckey, (0,))
         self.comp[core] += 1
+
+    def compute_row(
+        self, core: int, crow: int, akey: int, brow: int, cols: Iterable[int]
+    ) -> None:
+        self.comp[core] += self._row(core, akey, brow, crow, cols)
 
 
 class IdealContext(_CountingContext[IdealHierarchy]):

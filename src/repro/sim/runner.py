@@ -33,7 +33,6 @@ from typing import Any, List, Optional, Tuple, Type, Union
 from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.registry import get_algorithm
 from repro.analysis.formulas import FORMULAS, predict
-from repro.cache import replay as replay_engine
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
 from repro.cache.stats import HierarchyStats
 from repro.exceptions import ConfigurationError, ScheduleError
@@ -148,9 +147,14 @@ def run_experiment(
         )
 
     simulated = setting.simulated(machine)
-    replayed = engine == "replay" and replay_engine.replays(
-        setting.mode, policy, inclusive, check, m * n * z
-    )
+    replayed = False
+    if engine == "replay":
+        # Imported here: only Fig. 12 asks for replay, and it loads numpy.
+        from repro.cache import replay as replay_engine
+
+        replayed = replay_engine.replays(
+            setting.mode, policy, inclusive, check, m * n * z
+        )
     ran = "replay" if replayed else "step"
     memo_key: Optional[Tuple[Any, ...]] = None
     if not check:

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.store.atomic import atomic_write_text
-
 #: Cell statuses in the manifest.  ``ok`` — produced a result; ``failed``
 #: — every attempt errored or timed out; ``skipped`` — never (re)ran,
 #: e.g. a suspected worker-killer that the in-process fallback refuses
@@ -244,4 +242,6 @@ class RunManifest:
 
     def write(self, path: Union[str, Path]) -> Path:
         """Atomically write the manifest as indented JSON; returns the path."""
+        from repro.store.atomic import atomic_write_text
+
         return atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")

@@ -225,3 +225,50 @@ class TestFastPathEquivalence:
         h.reset()
         stats = h.snapshot()
         assert stats.ms == 0 and stats.md == 0
+
+
+#: Rows of multiply-adds ``C[i, j] += A[i, k] · B[k', j]`` for ``j`` in
+#: ``cols``: small coordinate ranges reuse keys across rows, and ``k'``
+#: is drawn apart from ``k`` so A and B rows need not line up.
+_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # core
+        st.integers(0, 3),  # i: A's row and C's row
+        st.integers(0, 3),  # k: A's column
+        st.integers(0, 3),  # k': B's row
+        st.lists(st.integers(0, 5), max_size=6),  # cols
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestRowKernel:
+    """compute_row must equal three touch() calls per multiply-add."""
+
+    @given(_ROWS, st.integers(1, 6), st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_touches_per_multiply_add(self, rows, cd, cs):
+        fast = LRUHierarchy(p=2, cs=cs, cd=cd)
+        slow = LRUHierarchy(p=2, cs=cs, cd=cd)
+        assert fast._fast
+        for core, i, k, kk, cols in rows:
+            akey, brow, crow = ka(i, k), kb(kk), kc(i)
+            assert fast.compute_row(core, akey, brow, crow, cols) == len(cols)
+            for j in cols:
+                slow.touch(core, akey)
+                slow.touch(core, brow | j)
+                slow.touch(core, crow | j, write=True)
+        # Hits, misses, per-matrix misses and write-backs of every
+        # cache, then each cache's key order and dirty set.
+        assert fast.snapshot() == slow.snapshot()
+        assert fast.state() == slow.state()
+
+    def test_dirty_victims_cascade_within_a_row(self):
+        # CD=1: each C block but the last is evicted dirty by the next
+        # multiply-add's A, and lands dirty on its shared copy.
+        h = LRUHierarchy(p=1, cs=16, cd=1)
+        h.compute_row(0, ka(0), kb(0), kc(0), range(3))
+        assert h.distributed[0].writebacks == 2
+        assert h.shared.dirty == {kc(0, 0), kc(0, 1)}
+        assert h.distributed[0].dirty == {kc(0, 2)}

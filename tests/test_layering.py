@@ -6,10 +6,17 @@ CLI configures and inspects the trace tier; nothing else in
 file's ``import`` statements, function-local ones included.  The two
 LRU-family reference bodies that replay keeps for the benchmark
 harness (``replay_bulk`` and ``replay_bulk_streaming``) must have no
-caller in the package at all.
+caller in the package at all.  A fresh interpreter that imports the CLI,
+draws a Fig. 9 panel and runs a step cell must load neither numpy nor
+the sweep executors, the run store or the other packages a command
+imports only where it uses them.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, Set
 
@@ -116,3 +123,63 @@ def test_the_walk_sees_the_known_importers():
     importers = _importers()
     assert "repro.sim.runner" in importers["repro.cache.replay"]
     assert "repro.cli" in importers["repro.cache.tracestore"]
+
+
+#: Modules that drawing Figs. 4–11 or running a step cell does not use.
+#: Loading them at start-up (numpy alone is 86 modules) would make every
+#: CLI call pay for them.
+NOT_AT_STARTUP = (
+    "numpy",
+    "multiprocessing",
+    "concurrent.futures",
+    "repro.cache.replay",
+    "repro.cache.tracestore",
+    "repro.numerics",
+    "repro.sim.parallel",
+    "repro.sim.ledger",
+    "repro.sim.faults",
+    "repro.sim.retrypolicy",
+    "repro.store",
+    "repro.fabric",
+    "repro.check",
+    "repro.bench",
+    "repro.lu",
+)
+
+_STARTUP_PROBE = """
+import json, sys
+import repro.cli, repro.experiments.figures, repro.sim.runner
+from repro.model.machine import preset
+from repro.sim.runner import run_experiment
+
+loaded = {}
+loaded["set-up"] = sorted(sys.modules)
+repro.experiments.figures.figure9(orders=(8,), panels_filter=("a",))
+run_experiment("shared-opt", preset("q32"), 8, 8, 8, "ideal")
+loaded["step"] = sorted(sys.modules)
+run_experiment("shared-opt", preset("q32"), 6, 6, 6, "ideal", engine="replay")
+loaded["replay"] = sorted(sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_startup_loads_only_what_a_command_runs():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    for stage in ("set-up", "step"):
+        found = [
+            name
+            for name in loaded[stage]
+            if any(name == m or name.startswith(f"{m}.") for m in NOT_AT_STARTUP)
+        ]
+        assert not found, f"loaded after {stage}: {found}"
+    # A probe that could not load the replay engine would pass vacuously.
+    assert "repro.cache.replay" in loaded["replay"]
