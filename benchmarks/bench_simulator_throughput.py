@@ -1,9 +1,10 @@
 """Micro-benchmarks of the simulator substrate itself.
 
-These measure the raw cost of the hot operations — block touches in LRU
-mode and explicit loads in IDEAL mode — which determine how large a
-matrix order the harness can sweep.  They are the scaling ablation
-called out in DESIGN.md.
+These measure the raw cost of the hot operations — the LRU row kernel
+on the rows real schedules emit, per-touch FIFO references and explicit
+loads in IDEAL mode — which determine how large a matrix order the
+harness can sweep.  They are the scaling ablation called out in
+DESIGN.md.
 
 The engine benches time whole cells on identical workloads (same
 schedule, machine, counters).  Replay serves unchecked IDEAL cells only,
@@ -29,10 +30,15 @@ so only ``ideal_cell`` has a replay half:
 
 import dataclasses
 
+import pytest
+
+from repro.algorithms.base import ExecutionContext
+from repro.algorithms.registry import get_algorithm
 from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
 from repro.model.machine import PRESETS
 from repro.sim.runner import clear_memos, run_experiment
+from repro.sim.settings import get_setting
 
 N = 4096
 
@@ -40,6 +46,26 @@ MACHINE = PRESETS["q32"]
 CURVE_ORDER = 16
 CURVE_CAPACITIES = (6, 9, 12, 15, 18, 21, 24, 27)
 CELL_ORDER = 24
+
+#: The row kernel's inputs: rows of a few columns (Shared Opt.) and of
+#: one (Distributed Equal, ``t = 1``) under LRU-50 on q32.
+ROW_SCHEDULES = ("shared-opt", "distributed-equal")
+ROW_ORDER = 24
+
+
+class _RowRecorder(ExecutionContext):
+    """Records the rows a schedule emits, as ``LRUHierarchy.compute_row``
+    arguments; declared loops run plainly, so every row is recorded."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.rows = []
+
+    def compute(self, core, ckey, akey, bkey):
+        self.rows.append((core, akey, bkey, ckey, (0,)))
+
+    def compute_row(self, core, crow, akey, brow, cols):
+        self.rows.append((core, akey, brow, crow, cols))
 
 
 def _fma_keys(n):
@@ -56,16 +82,35 @@ def _fma_keys(n):
     return keys
 
 
-def bench_lru_compute_touches(benchmark):
-    """Throughput of the inlined LRU fast path (3 touches per call)."""
-    keys = _fma_keys(N)
+@pytest.fixture(scope="module")
+def schedule_rows():
+    """Per schedule: the simulated hierarchy's shape and its rows."""
+    setting = get_setting("lru-50")
+    simulated = setting.simulated(MACHINE)
+    out = []
+    for name in ROW_SCHEDULES:
+        alg = get_algorithm(name)(
+            setting.declared(MACHINE), ROW_ORDER, ROW_ORDER, ROW_ORDER
+        )
+        recorder = _RowRecorder(MACHINE.p)
+        alg.run(recorder)
+        out.append(((MACHINE.p, simulated.cs, simulated.cd), recorder.rows))
+    return out
+
+
+def bench_lru_compute_touches(benchmark, schedule_rows):
+    """Throughput of the LRU row kernel (``LRUHierarchy.compute_row``)
+    over every row two schedules emit, each on a fresh hierarchy."""
 
     def run():
-        h = LRUHierarchy(p=4, cs=977, cd=21)
-        touches = h.compute_touches
-        for idx, (ka, kb, kc) in enumerate(keys):
-            touches(idx & 3, ka, kb, kc)
-        return h.snapshot().ms
+        ms = 0
+        for shape, rows in schedule_rows:
+            h = LRUHierarchy(*shape)
+            row = h.compute_row
+            for core, akey, brow, crow, cols in rows:
+                row(core, akey, brow, crow, cols)
+            ms += h.snapshot().ms
+        return ms
 
     assert benchmark(run) > 0
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, ClassVar, Dict, Iterable, List, Tuple
+from typing import Any, ClassVar, Dict, Iterable, List, Sequence, Tuple
 
 from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C
 from repro.exceptions import ConfigurationError
@@ -86,7 +86,7 @@ class ExecutionContext(ABC):
         """One elementary block multiply-add ``C[c] += A[a] · B[b]``."""
 
     def compute_row(
-        self, core: int, crow: int, akey: int, brow: int, cols: Iterable[int]
+        self, core: int, crow: int, akey: int, brow: int, cols: Sequence[int]
     ) -> None:
         """The multiply-adds ``C[crow | j] += A[akey] · B[brow | j]``.
 

@@ -210,14 +210,19 @@ class DistributedEqual(MatmulAlgorithm):
             i0 = index // per_row * t
             j0 = index % per_row * t
             round_tiles.append((i0, min(i0 + t, m), j0, min(j0 + t, n)))
+        # Each tile row a core owns, in emission order: its core, C row,
+        # A row and columns.  Every k0 slab runs them all.
+        rows = [
+            (core, C_BASE | (i << RS), A_BASE | (i << RS), range(j0, wj))
+            for core, (i0, hi, j0, wj) in enumerate(round_tiles)
+            for i in range(i0, hi)
+        ]
         if explicit:
-            for core, (i0, hi, j0, wj) in enumerate(round_tiles):
-                for i in range(i0, hi):
-                    crow = C_BASE | (i << RS)
-                    for j in range(j0, wj):
-                        key = crow | j
-                        ctx.load_shared(key)
-                        ctx.load_dist(core, key)
+            for core, crow, _, cols in rows:
+                for j in cols:
+                    key = crow | j
+                    ctx.load_shared(key)
+                    ctx.load_dist(core, key)
         # Full k0 slabs within a round are translates of each other.
         for k0 in tile_loop(ctx, z, t, (t, t << RS, 0)):
             kh = min(k0 + t, z)
@@ -244,14 +249,10 @@ class DistributedEqual(MatmulAlgorithm):
                                 step_keys[key] = None
                                 ctx.load_shared(key)
                             ctx.load_dist(core, key)
-            for core, (i0, hi, j0, wj) in enumerate(round_tiles):
-                for i in range(i0, hi):
-                    crow = C_BASE | (i << RS)
-                    arow = A_BASE | (i << RS)
-                    for k in range(k0, kh):
-                        ka = arow | k
-                        brow = B_BASE | (k << RS)
-                        compute_row(core, crow, ka, brow, range(j0, wj))
+            brows = [(k, B_BASE | (k << RS)) for k in range(k0, kh)]
+            for core, crow, arow, cols in rows:
+                for k, brow in brows:
+                    compute_row(core, crow, arow | k, brow, cols)
             if explicit:
                 for core, (i0, hi, j0, wj) in enumerate(round_tiles):
                     for i in range(i0, hi):
@@ -265,10 +266,8 @@ class DistributedEqual(MatmulAlgorithm):
                 for key in step_keys:
                     ctx.evict_shared(key)
         if explicit:
-            for core, (i0, hi, j0, wj) in enumerate(round_tiles):
-                for i in range(i0, hi):
-                    crow = C_BASE | (i << RS)
-                    for j in range(j0, wj):
-                        key = crow | j
-                        ctx.evict_dist(core, key)
-                        ctx.evict_shared(key)
+            for core, crow, _, cols in rows:
+                for j in cols:
+                    key = crow | j
+                    ctx.evict_dist(core, key)
+                    ctx.evict_shared(key)

@@ -67,7 +67,7 @@ class OuterProduct(MatmulAlgorithm):
         for k in ctx.loop(range(z), (1, 1 << RS, 0)):
             brow = B_BASE | (k << RS)
             for core, (rlo, rhi, clo, chi) in enumerate(tiles):
-                for i in range(rlo, rhi):
+                for i in ctx.loop(range(rlo, rhi), (1 << RS, 0, 1 << RS)):
                     ka = A_BASE | (i << RS) | k
                     crow = C_BASE | (i << RS)
                     if explicit:

@@ -27,7 +27,8 @@ schedule's periodic loops.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, List, Sequence, Set
+from collections import OrderedDict
+from typing import Callable, Collection, List, Sequence, Set, Tuple
 
 from repro.cache.block import MAT_SHIFT, key_name, shifted
 from repro.cache.cache import Cache
@@ -79,6 +80,11 @@ class LRUHierarchy:
         # The specialized fast path manipulates the LRU OrderedDicts
         # directly; it is only valid for plain non-inclusive LRU.
         self._fast = policy == "lru" and not inclusive
+        if self._fast:
+            # The row kernel's view of each cache, bound once: resets and
+            # renamings mutate these objects in place, so it stays valid.
+            self._views = [_view(dc) for dc in self.distributed]
+            self._shared_view = _view(self.shared)
 
     # ------------------------------------------------------------------
     # Generic (policy-agnostic) access path
@@ -114,7 +120,7 @@ class LRUHierarchy:
         self.compute_row(core, akey, bkey, ckey, (0,))
 
     def compute_row(
-        self, core: int, akey: int, brow: int, crow: int, cols: Iterable[int]
+        self, core: int, akey: int, brow: int, crow: int, cols: Sequence[int]
     ) -> int:
         """The multiply-adds ``C[crow | j] += A[akey] · B[brow | j]``.
 
@@ -122,66 +128,116 @@ class LRUHierarchy:
         :meth:`touch` references (A, B, then the written C), and returns
         how many ran.  This is the innermost simulator operation.  When
         the hierarchy runs plain non-inclusive LRU, the logic of
-        :meth:`touch` is inlined over the ``OrderedDict`` internals: each
-        cache's state is loaded once per row and its counters are added
-        once at the end; tests assert that this fast path and three
-        :meth:`touch` calls per multiply-add produce identical counters,
-        dirty sets and key order.
+        :meth:`touch` is inlined over the ``OrderedDict`` internals
+        bound at construction, and each cache's counters are added once
+        at the end of the row; tests assert that this fast path and
+        three :meth:`touch` calls per multiply-add produce identical
+        counters, dirty sets and key order.
         """
+        count = len(cols)
         if not self._fast:
             touch = self.touch
-            count = 0
             for j in cols:
                 touch(core, akey)
                 touch(core, brow | j)
                 touch(core, crow | j, write=True)
-                count += 1
             return count
 
-        dc = self.distributed[core]
-        ddata = dc.policy._data  # type: ignore[attr-defined]
-        dcap = dc.capacity
-        ddirty = dc.dirty
+        dc, ddata, dmove, dpop, ddirty, dcap = self._views[core]
+        sc, sdata, smove, spop, sdirty, scap = self._shared_view
         dmbm = dc.misses_by_matrix
-        sc = self.shared
-        sdata = sc.policy._data  # type: ignore[attr-defined]
-        scap = sc.capacity
-        sdirty = sc.dirty
         smbm = sc.misses_by_matrix
-        dhits = dwritebacks = shits = swritebacks = count = 0
-
+        dhits = dwritebacks = shits = swritebacks = 0
+        # After a column, A is one of the three most recent keys, so a
+        # distributed cache of three or more blocks still holds it: from
+        # the second column on its reference is a hit that only
+        # refreshes its recency.  Smaller caches look it up every time.
+        cold = True
         for j in cols:
-            ckey = crow | j
-            for key in (akey, brow | j, ckey):
-                if key in ddata:
-                    ddata.move_to_end(key)
+            if cold:
+                cold = dcap < 3
+                if akey in ddata:
+                    dmove(akey)
                     dhits += 1
-                    continue
+                else:
+                    dmbm[akey >> MAT_SHIFT] += 1
+                    if len(ddata) >= dcap:
+                        # The least recent key; ``last`` goes positionally
+                        # because the keyword form is measurably slower.
+                        victim = dpop(False)[0]
+                        if victim in ddirty:
+                            ddirty.discard(victim)
+                            dwritebacks += 1
+                            if victim in sdata:
+                                sdirty.add(victim)
+                    ddata[akey] = None
+                    if akey in sdata:
+                        smove(akey)
+                        shits += 1
+                    else:
+                        smbm[akey >> MAT_SHIFT] += 1
+                        if len(sdata) >= scap:
+                            victim = spop(False)[0]
+                            if victim in sdirty:
+                                sdirty.discard(victim)
+                                swritebacks += 1
+                        sdata[akey] = None
+            else:
+                dmove(akey)
+            key = brow | j
+            if key in ddata:
+                dmove(key)
+                dhits += 1
+            else:
                 dmbm[key >> MAT_SHIFT] += 1
                 if len(ddata) >= dcap:
-                    # The least recent key; ``last`` goes positionally
-                    # because the keyword form is measurably slower.
-                    victim = ddata.popitem(False)[0]
+                    victim = dpop(False)[0]
                     if victim in ddirty:
                         ddirty.discard(victim)
                         dwritebacks += 1
                         if victim in sdata:
                             sdirty.add(victim)
                 ddata[key] = None
-                # propagate to shared
                 if key in sdata:
-                    sdata.move_to_end(key)
+                    smove(key)
                     shits += 1
-                    continue
-                smbm[key >> MAT_SHIFT] += 1
-                if len(sdata) >= scap:
-                    victim = sdata.popitem(False)[0]
-                    if victim in sdirty:
-                        sdirty.discard(victim)
-                        swritebacks += 1
-                sdata[key] = None
-            ddirty.add(ckey)
-            count += 1
+                else:
+                    smbm[key >> MAT_SHIFT] += 1
+                    if len(sdata) >= scap:
+                        victim = spop(False)[0]
+                        if victim in sdirty:
+                            sdirty.discard(victim)
+                            swritebacks += 1
+                    sdata[key] = None
+            key = crow | j
+            if key in ddata:
+                dmove(key)
+                dhits += 1
+            else:
+                dmbm[key >> MAT_SHIFT] += 1
+                if len(ddata) >= dcap:
+                    victim = dpop(False)[0]
+                    if victim in ddirty:
+                        ddirty.discard(victim)
+                        dwritebacks += 1
+                        if victim in sdata:
+                            sdirty.add(victim)
+                ddata[key] = None
+                if key in sdata:
+                    smove(key)
+                    shits += 1
+                else:
+                    smbm[key >> MAT_SHIFT] += 1
+                    if len(sdata) >= scap:
+                        victim = spop(False)[0]
+                        if victim in sdirty:
+                            sdirty.discard(victim)
+                            swritebacks += 1
+                    sdata[key] = None
+            ddirty.add(key)
+        if not cold:
+            # A's certain hits, one per column after the first.
+            dhits += count - 1
         # A reference that did not hit missed.
         dc.hits += dhits
         dc.misses += 3 * count - dhits
@@ -290,6 +346,24 @@ def _move(keys: Set[int], shift: Sequence[int]) -> None:
     moved = shifted(keys, shift)
     keys.clear()
     keys.update(moved)
+
+
+#: What the row kernel reads of one LRU cache: the cache, its
+#: ``OrderedDict`` with that dict's ``move_to_end`` and ``popitem``, its
+#: dirty set and its capacity.
+_View = Tuple[
+    Cache,
+    OrderedDict[int, None],
+    Callable[[int], None],
+    Callable[[bool], Tuple[int, None]],
+    Set[int],
+    int,
+]
+
+
+def _view(cache: Cache) -> _View:
+    data = cache.policy._data  # type: ignore[attr-defined]
+    return cache, data, data.move_to_end, data.popitem, cache.dirty, cache.capacity
 
 
 class IdealHierarchy:

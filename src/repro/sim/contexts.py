@@ -188,7 +188,7 @@ class LRUContext(_CountingContext[LRUHierarchy]):
         self.comp[core] += 1
 
     def compute_row(
-        self, core: int, crow: int, akey: int, brow: int, cols: Iterable[int]
+        self, core: int, crow: int, akey: int, brow: int, cols: Sequence[int]
     ) -> None:
         self.comp[core] += self._row(core, akey, brow, crow, cols)
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C
+from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C, ROW_SHIFT
 from repro.cache.hierarchy import LRUHierarchy
 from repro.exceptions import ConfigurationError
 
@@ -272,3 +272,53 @@ class TestRowKernel:
         assert h.distributed[0].writebacks == 2
         assert h.shared.dirty == {kc(0, 0), kc(0, 1)}
         assert h.distributed[0].dirty == {kc(0, 2)}
+
+    def test_a_is_looked_up_again_below_three_blocks(self):
+        # CD=2: C[0,0] evicts A, so A misses again in the second column,
+        # as does everything else.  Only from three blocks on may the
+        # kernel take A's reuse within a row as a hit.
+        h = LRUHierarchy(p=1, cs=16, cd=2)
+        h.compute_row(0, ka(0), kb(0), kc(0), range(2))
+        dc = h.distributed[0]
+        assert (dc.hits, dc.misses, dc.misses_by_matrix) == (0, 6, [2, 2, 2])
+        assert dc.writebacks == 1  # C[0,0], evicted by B[0,1]
+        assert list(dc.policy) == [kb(0, 1), kc(0, 1)]
+        assert dc.dirty == {kc(0, 1)}
+        assert (h.shared.hits, h.shared.misses) == (1, 5)
+        assert h.shared.dirty == {kc(0, 0)}
+
+    def test_rows_after_reset_and_advance(self):
+        # The kernel binds each cache's dict and dirty set once, at
+        # construction, so reset and advance must change those objects
+        # in place: afterwards a row must see what a fresh hierarchy,
+        # fed the same history renamed, sees.
+        def fed(h, rows):
+            for core, akey, brow, crow, cols in rows:
+                h.compute_row(core, akey, brow, crow, cols)
+            return h.snapshot(), h.state()
+
+        before = [
+            (0, ka(0, 1), kb(1), kc(0), range(4)),
+            (1, ka(1, 1), kb(1), kc(1), range(3)),
+        ]
+        after = [
+            (0, ka(0, 2), kb(2), kc(0), range(4)),
+            (1, ka(1, 2), kb(2), kc(1), (0, 2)),
+        ]
+        reset = LRUHierarchy(p=2, cs=9, cd=4)
+        fed(reset, before)
+        reset.reset()
+        assert fed(reset, after) == fed(LRUHierarchy(p=2, cs=9, cd=4), after)
+
+        # A moves one column, B and C one row.
+        shift = (1, 1 << ROW_SHIFT, 1 << ROW_SHIFT)
+        moved = [
+            (core, akey + shift[0], brow + shift[1], crow + shift[2], cols)
+            for core, akey, brow, crow, cols in before
+        ]
+        advanced = LRUHierarchy(p=2, cs=9, cd=4)
+        fed(advanced, before)
+        advanced.advance([0] * len(advanced.counters()), shift, set())
+        fresh = LRUHierarchy(p=2, cs=9, cd=4)
+        fed(fresh, moved)
+        assert fed(advanced, after) == fed(fresh, after)

@@ -9,18 +9,20 @@ iterates plainly: every counter, write-back, per-matrix split,
 multiply-add count, IDEAL peak and the final state must agree.  A
 synthetic periodic schedule with random per-iteration touches covers
 what the six schedules alone do not, and an engagement test makes sure
-the declarations in the shipped schedules actually match.
+the declarations in the shipped schedules actually match.  A recording
+context checks each declaration itself: every iteration must emit the
+one before it, moved by the declared shift.
 """
 
-from typing import List, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.algorithms.base import ExecutionContext, MatmulAlgorithm, Shift
-from repro.algorithms.registry import get_algorithm
-from repro.cache.block import A_BASE, B_BASE, C_BASE, ROW_SHIFT
+from repro.algorithms.registry import algorithm_names, get_algorithm
+from repro.cache.block import A_BASE, B_BASE, C_BASE, ROW_SHIFT, shifted
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
 from repro.exceptions import ConfigurationError, ParameterError, ScheduleError
 from repro.model.machine import MulticoreMachine, preset
@@ -251,13 +253,37 @@ class TestSyntheticLoop:
 # ----------------------------------------------------------------------
 def _counting(base):
     class Counting(base):
-        simulated = 0
+        """Counts the multiply-adds that jumps skip, whichever way the
+        simulated ones ran (one ``compute`` or a whole row)."""
 
-        def compute(self, core, ckey, akey, bkey):
-            self.simulated += 1
-            base.compute(self, core, ckey, akey, bkey)
+        skipped = 0
+
+        def _jump(self, counted, times, shift, still):
+            before = self.comp_total
+            base._jump(self, counted, times, shift, still)
+            self.skipped += self.comp_total - before
+
+        @property
+        def simulated(self):
+            return self.comp_total - self.skipped
 
     return Counting
+
+
+def _run_counted(name: str, setting: str, order: int):
+    """A square q32 cell on a context that counts simulated multiply-adds."""
+    machine, s = preset("q32"), get_setting(setting)
+    alg = get_algorithm(name)(s.declared(machine), order, order, order)
+    simulated = s.simulated(machine)
+    if s.is_ideal:
+        ctx = _counting(IdealContext)(
+            IdealHierarchy(4, simulated.cs, simulated.cd, check=False)
+        )
+    else:
+        ctx = _counting(LRUContext)(LRUHierarchy(4, simulated.cs, simulated.cd))
+    alg.run(ctx)
+    assert ctx.comp_total == order**3
+    return ctx
 
 
 @pytest.mark.parametrize("name", SIX)
@@ -269,19 +295,19 @@ def test_declared_loops_skip_most_multiply_adds(name, setting):
     translate) leaves every multiply-add simulated; it stays exact, so
     only this count shows it.
     """
-    machine, s = preset("q32"), get_setting(setting)
-    order = 64
-    alg = get_algorithm(name)(s.declared(machine), order, order, order)
-    simulated = s.simulated(machine)
-    if s.is_ideal:
-        ctx = _counting(IdealContext)(
-            IdealHierarchy(4, simulated.cs, simulated.cd, check=False)
-        )
-    else:
-        ctx = _counting(LRUContext)(LRUHierarchy(4, simulated.cs, simulated.cd))
-    alg.run(ctx)
-    assert ctx.comp_total == order**3
-    assert ctx.simulated <= 0.2 * order**3
+    assert _run_counted(name, setting, 64).simulated <= 0.2 * 64**3
+
+
+@pytest.mark.parametrize(
+    "setting, order, share", [("ideal", 128, 0.001), ("lru-50", 256, 0.004)]
+)
+def test_outer_product_skips_within_a_k_step(setting, order, share):
+    """Outer Product's per-tile ``i`` loop is declared too.  Without it a
+    ``k`` step of the outer loop repeats only as a whole, after a full
+    sweep of ``C`` has simulated (0.78% of the multiply-adds of both
+    cells; 0.01% and 0.25% with it)."""
+    ctx = _run_counted("outer-product", setting, order)
+    assert ctx.simulated <= share * order**3
 
 
 @pytest.mark.parametrize("policy", ["lru", "fifo"])
@@ -344,3 +370,112 @@ def test_verify_comp_catches_a_declared_ragged_tail():
         _OverDeclared, machine, 2, 2, 21, "lru", engine="step", verify_comp=False
     )
     assert result.comp_total > 2 * 2 * 21
+
+
+# ----------------------------------------------------------------------
+# Every declaration is a translate
+# ----------------------------------------------------------------------
+class DeclarationCheck(ExecutionContext):
+    """Checks the promise of every declared loop instead of simulating.
+
+    It records each directive and multiply-add.  Each iteration of a
+    declared loop, nested loops included, must emit exactly what the one
+    before it emitted, in order, with every key moved by the loop's
+    shift (:meth:`ExecutionContext.loop`); a breach fails an assert.
+    """
+
+    def __init__(self, p: int, explicit: bool) -> None:
+        super().__init__(p)
+        self.explicit = explicit
+        self.ops: List[Tuple[object, ...]] = []
+        self.compared = 0
+
+    def load_shared(self, key: int) -> None:
+        self.ops.append(("load_shared", None, key))
+
+    def evict_shared(self, key: int) -> None:
+        self.ops.append(("evict_shared", None, key))
+
+    def load_dist(self, core: int, key: int) -> None:
+        self.ops.append(("load_dist", core, key))
+
+    def evict_dist(self, core: int, key: int) -> None:
+        self.ops.append(("evict_dist", core, key))
+
+    def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
+        self.ops.append(("compute", core, ckey, akey, bkey))
+        self.comp[core] += 1
+
+    def loop(self, iterations: range, shift: Shift) -> Iterable[int]:
+        return self._checked(iterations, shift)
+
+    def _checked(self, iterations: range, shift: Shift) -> Iterator[int]:
+        ops = self.ops
+        previous = None
+        for i in iterations:
+            start = len(ops)
+            yield i
+            emitted = ops[start:]
+            if previous is not None:
+                moved = [op[:2] + tuple(shifted(op[2:], shift)) for op in previous]
+                assert emitted == moved, (
+                    f"iteration {i} of a loop declared with shift {shift} "
+                    "is no translate of the iteration before it"
+                )
+                self.compared += 1
+            previous = emitted
+
+
+@st.composite
+def _declaring_cells(draw):
+    """Any registered schedule on a small machine, with or without directives."""
+    name = draw(st.sampled_from(algorithm_names(include_extras=True)))
+    p = draw(st.sampled_from((1, 4, 9)))
+    cd = draw(st.integers(3, 24))
+    cs = p * cd + draw(st.integers(0, 120))
+    shape = tuple(draw(st.integers(1, 30)) for _ in range(3))
+    return name, p, cs, cd, shape, draw(st.booleans())
+
+
+@given(_declaring_cells())
+@settings(max_examples=150, deadline=None)
+def test_every_declared_loop_is_a_translate(cell):
+    """The fast-forward properties cannot see a wrong declaration: a shift
+    that never matches is still exact.  This checks each one directly."""
+    name, p, cs, cd, (m, n, z), explicit = cell
+    try:
+        alg = get_algorithm(name)(MulticoreMachine(p=p, cs=cs, cd=cd, q=8), m, n, z)
+    except (ConfigurationError, ParameterError):
+        assume(False)
+    check = DeclarationCheck(p, explicit)
+    alg.run(check)
+    assert check.comp_total == m * n * z
+
+
+class _FirstLoopOneRowOff(DeclarationCheck):
+    """Reads the first loop a schedule declares one row further than it is."""
+
+    first = True
+
+    def loop(self, iterations: range, shift: Shift) -> Iterable[int]:
+        if self.first:
+            self.first = False
+            a, b, c = shift
+            shift = (a + (1 << ROW_SHIFT), b, c + (1 << ROW_SHIFT))
+        return super().loop(iterations, shift)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_a_super_round_declared_one_row_off_is_reported(explicit):
+    """Distributed Equal's super-rounds (here one tile row of ``t = 1``
+    each, three of them) with a shift one row off.  Fast-forward stays
+    exact under it, so only the engagement test would notice, as a lost
+    speed-up; the check reports it."""
+    machine = MulticoreMachine(p=4, cs=100, cd=3, q=8)
+    alg = get_algorithm("distributed-equal")(machine, 3, 4, 5)
+    assert alg.t == 1
+    check = DeclarationCheck(4, explicit)
+    alg.run(check)
+    assert check.compared > 0
+    with pytest.raises(AssertionError, match="no translate"):
+        alg.run(_FirstLoopOneRowOff(4, explicit))
