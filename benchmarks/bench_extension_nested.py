@@ -11,7 +11,7 @@ from repro.algorithms.distributed_opt import DistributedOpt
 from repro.algorithms.nested import NestedMaxReuse
 from repro.experiments.io import render_rows
 from repro.model.machine import MulticoreMachine
-from repro.sim.contexts import MultiLevelContext
+from repro.sim.contexts import LRUContext
 from repro.store.atomic import atomic_write_text
 
 MACHINE = MulticoreMachine(p=16, cs=400, cd=21, q=8)
@@ -25,7 +25,7 @@ def bench_nested_vs_flat(benchmark, out_dir):
             nest = NestedMaxReuse(MACHINE, order, order, order)
             for alg in (nest, DistributedOpt(MACHINE, order, order, order)):
                 tree = nest.default_tree()
-                alg.run(MultiLevelContext(tree))
+                alg.run(LRUContext(tree))
                 rows.append(
                     {
                         "order": order,

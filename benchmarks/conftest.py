@@ -16,8 +16,9 @@ Scale is controlled by ``REPRO_BENCH_SCALE``:
   x-axis bound, matrix order 1100 (in blocks), and the paper's Fig. 12
   at its own order (:data:`repro.experiments.figures.DEFAULT_RATIO_ORDER`,
   the order ``repro-mmm figure fig12`` draws).  The step engine's
-  declared-loop fast-forward makes order 1100 feasible; used by the
-  nightly full-figures CI pipeline.
+  declared-loop fast-forward makes order 1100 feasible.  The nightly
+  full-figures CI pipeline draws the same figures at the same orders
+  with ``repro-mmm figure``, not through this suite.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from repro.experiments.figures import DEFAULT_RATIO_ORDER
 #: Square matrix orders (blocks) swept by the figure benches.
 QUICK_ORDERS: Sequence[int] = (8, 16, 24, 32)
 FULL_ORDERS: Sequence[int] = (16, 32, 48, 64, 80, 96)
-#: The paper's Figs. 7-11 x-axis tops out at matrix order 1100; the
-#: nightly sweep samples it geometrically and lands on the true bound.
+#: The paper's Figs. 7-11 x-axis tops out at matrix order 1100; this
+#: axis samples it geometrically and lands on the true bound.
 PAPER_ORDERS: Sequence[int] = (64, 128, 256, 512, 1100)
 
 QUICK_RATIO_ORDER = 24

@@ -20,9 +20,8 @@ import sys
 
 from repro.algorithms.shared_opt import SharedOpt
 from repro.cache.hierarchy import LRUHierarchy
-from repro.cache.multilevel import LevelSpec, MultiLevelHierarchy
 from repro.model.machine import MulticoreMachine
-from repro.sim.contexts import LRUContext, MultiLevelContext
+from repro.sim.contexts import LRUContext
 from repro.sim.runner import run_experiment
 
 
@@ -34,15 +33,9 @@ def main() -> None:
     flat = LRUHierarchy(4, cs=976, cd=16)
     flat_ctx = LRUContext(flat)
     SharedOpt(machine, order, order, order).run(flat_ctx)
-    tree = MultiLevelHierarchy(
-        4,
-        [
-            LevelSpec(1, 976, name="LLC"),
-            LevelSpec(2, 64, name="socket"),
-            LevelSpec(4, 16, name="core"),
-        ],
-    )
-    SharedOpt(machine, order, order, order).run(MultiLevelContext(tree))
+    # LLC, then two socket caches of 64 blocks, then the core caches.
+    tree = LRUHierarchy(4, cs=976, cd=16, middle=((2, 64),))
+    SharedOpt(machine, order, order, order).run(LRUContext(tree))
     print(f"flat:  LLC misses = {flat.snapshot().ms}")
     print(
         f"tree:  LLC misses = {tree.level_misses(0)}, socket misses = "

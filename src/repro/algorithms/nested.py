@@ -29,9 +29,10 @@ maximum reuse at every level.  The bench
 
 The schedule is expressed against the ordinary
 :class:`~repro.algorithms.base.ExecutionContext` protocol (computes
-only — counting happens in
-:class:`~repro.sim.contexts.MultiLevelContext`), so the same code is
-numerically verified by :func:`repro.numerics.executor.verify_schedule`.
+only — counting happens in :class:`~repro.sim.contexts.LRUContext` on
+the three-level :class:`~repro.cache.hierarchy.LRUHierarchy` of
+:meth:`NestedMaxReuse.default_tree`), so the same code is numerically
+verified by :func:`repro.numerics.executor.verify_schedule`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Any, Dict, Optional
 
 from repro.algorithms.base import ExecutionContext, MatmulAlgorithm
 from repro.cache.block import A_BASE, B_BASE, C_BASE, ROW_SHIFT
-from repro.cache.multilevel import LevelSpec, MultiLevelHierarchy
+from repro.cache.hierarchy import LRUHierarchy
 from repro.exceptions import ConfigurationError, ParameterError
 from repro.model.machine import MulticoreMachine
 from repro.model.params import mu_param
@@ -67,7 +68,7 @@ class NestedMaxReuse(MatmulAlgorithm):
 
     name = "nested-max-reuse"
     label = "Nested Max Reuse (3 levels)"
-    supports_ideal = False  # compute-only: counted via MultiLevelContext
+    supports_ideal = False  # compute-only: counted on an LRU cache tree
 
     def __init__(
         self,
@@ -130,12 +131,14 @@ class NestedMaxReuse(MatmulAlgorithm):
         self,
         llc_capacity: Optional[int] = None,
         socket_capacity: Optional[int] = None,
-    ) -> MultiLevelHierarchy:
+    ) -> LRUHierarchy:
         """A hierarchy-consistent tree for this schedule's parameters.
 
-        Capacities default to the tightest Maximum-Reuse fit per level:
-        ``1 + x + x²`` for the level's tile side — the three-level
-        generalization of the paper's ``CS ≥ p·CD`` sizing.
+        Its levels are the LLC (the shared cache), one cache per socket
+        and the core caches.  Capacities default to the tightest
+        Maximum-Reuse fit per level: ``1 + x + x²`` for the level's tile
+        side — the three-level generalization of the paper's
+        ``CS ≥ p·CD`` sizing.
         """
         p = self.machine.p
         core_cap = self.machine.cd
@@ -147,13 +150,8 @@ class NestedMaxReuse(MatmulAlgorithm):
             llc_capacity = max(
                 1 + self.tile + self.tile**2, self.sockets * socket_capacity
             )
-        return MultiLevelHierarchy(
-            p,
-            [
-                LevelSpec(1, llc_capacity, name="LLC"),
-                LevelSpec(self.sockets, socket_capacity, name="socket"),
-                LevelSpec(p, core_cap, name="core"),
-            ],
+        return LRUHierarchy(
+            p, llc_capacity, core_cap, middle=((self.sockets, socket_capacity),)
         )
 
     def _core_of(self, bi: int, bj: int) -> int:

@@ -42,7 +42,7 @@ BENCH_SCHEMA = 1
 
 #: Benchmark scales understood by the suite (see benchmarks/conftest.py).
 #: ``paper`` sweeps a sparse geometric axis up to the paper's true
-#: order-1100 bound — nightly-CI material, not a PR-gate tier.
+#: order-1100 bound — a tier for records, not a PR gate.
 SCALES = ("quick", "full", "paper")
 
 

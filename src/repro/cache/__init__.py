@@ -4,9 +4,9 @@ This subpackage implements the paper's simulator (§4): block-granular
 caches with pluggable replacement (:mod:`repro.cache.policy`,
 :mod:`repro.cache.lru`), single-cache bookkeeping
 (:mod:`repro.cache.cache`, :mod:`repro.cache.stats`), the shared +
-distributed hierarchy in both LRU and IDEAL modes
-(:mod:`repro.cache.hierarchy`), block addressing
-(:mod:`repro.cache.block`) and access-trace utilities
+distributed hierarchy in both LRU and IDEAL modes, with optional
+middle levels in LRU mode (:mod:`repro.cache.hierarchy`), block
+addressing (:mod:`repro.cache.block`) and access-trace utilities
 (:mod:`repro.cache.trace`).
 """
 
@@ -25,7 +25,6 @@ from repro.cache.cache import Cache
 from repro.cache.stats import CacheStats, HierarchyStats
 from repro.cache.hierarchy import LRUHierarchy, IdealHierarchy
 from repro.cache.trace import AccessTrace, coalesce
-from repro.cache.multilevel import LevelSpec, MultiLevelHierarchy, two_level
 from repro.cache.associative import SetAssociativeCache, TreePLRU
 from repro.cache.stackdist import (
     distance_histogram,
@@ -52,9 +51,6 @@ __all__ = [
     "IdealHierarchy",
     "AccessTrace",
     "coalesce",
-    "LevelSpec",
-    "MultiLevelHierarchy",
-    "two_level",
     "SetAssociativeCache",
     "TreePLRU",
     "distance_histogram",

@@ -7,7 +7,10 @@ Two classes mirror the two modes of the paper's simulator (§4.1):
   operations are propagated throughout the hierarchy until a cache hit
   happens."  Replacement is automatic (LRU by default, FIFO available
   for ablations).  Explicit load/evict directives from algorithms are
-  ignored in this mode.
+  ignored in this mode.  Optional middle levels between the shared and
+  the distributed caches make it a tree of caches, the "yet another
+  level of hierarchy" that the paper's §6 expects for clusters of
+  multicores.
 
 * :class:`IdealHierarchy` — "the user manually decides which data needs
   to be loaded/unloaded in a given cache; I/O operations are not
@@ -42,8 +45,14 @@ from repro.exceptions import (
 )
 
 
+#: One outer step of a core's path: the cache reached and the caches
+#: below it that its victims are invalidated in (none unless inclusive).
+_Outer = Tuple[Cache, Tuple[Cache, ...]]
+
+
 class LRUHierarchy:
-    """Shared cache + ``p`` distributed caches with automatic replacement.
+    """Shared cache, optional middle levels and ``p`` distributed caches,
+    with automatic replacement.
 
     Parameters
     ----------
@@ -55,11 +64,20 @@ class LRUHierarchy:
     policy:
         Replacement policy name (``"lru"`` or ``"fifo"``).
     inclusive:
-        When ``True``, evicting a block from the shared cache
-        back-invalidates any distributed copy, enforcing the paper's
+        When ``True``, a block evicted from any cache above the cores is
+        back-invalidated in every cache below it, enforcing the paper's
         inclusivity assumption.  When ``False`` (default, and what a
         straightforward two-level LRU does), inner copies may outlive
-        the shared one.
+        the outer one.
+    middle:
+        ``(count, capacity)`` of each level between the shared cache and
+        the core caches, root first: the paper's §6 "yet another level of
+        hierarchy", such as one cache per socket.  Each count divides
+        ``p`` and is a multiple of the count above it, so the caches of a
+        level serve contiguous, equal runs of cores.
+
+    :attr:`levels` lists the caches of each level, root first: the
+    shared cache, the middle levels, then the distributed caches.
     """
 
     def __init__(
@@ -69,6 +87,7 @@ class LRUHierarchy:
         cd: int,
         policy: str = "lru",
         inclusive: bool = False,
+        middle: Sequence[Tuple[int, int]] = (),
     ) -> None:
         if p < 1:
             raise ConfigurationError(f"need at least one core, got p={p}")
@@ -76,15 +95,51 @@ class LRUHierarchy:
         self.policy_name = policy
         self.inclusive = inclusive
         self.shared = Cache("shared", cs, policy)
+        self.levels: List[List[Cache]] = [[self.shared]]
+        for depth, (count, capacity) in enumerate(middle, 1):
+            above = len(self.levels[-1])
+            if count < 1 or p % count or count % above:
+                raise ConfigurationError(
+                    f"level {depth} has {count} caches: the count must divide "
+                    f"p={p} and be a multiple of the {above} above it"
+                )
+            self.levels.append(
+                [Cache(f"level{depth}[{c}]", capacity, policy) for c in range(count)]
+            )
         self.distributed = [Cache(f"distributed[{c}]", cd, policy) for c in range(p)]
+        self.levels.append(self.distributed)
+        # Each core's way up from its own cache: per outer level, nearest
+        # first, the cache it reaches and the caches its victims leave.
+        self._paths: List[Tuple[_Outer, ...]] = [()] * p
+        for depth, level in enumerate(self.levels[:-1]):
+            count = len(level)
+            outer = [(cache, self._below(depth, j)) for j, cache in enumerate(level)]
+            self._paths = [
+                (outer[core * count // p], *path)
+                for core, path in enumerate(self._paths)
+            ]
         # The specialized fast path manipulates the LRU OrderedDicts
-        # directly; it is only valid for plain non-inclusive LRU.
-        self._fast = policy == "lru" and not inclusive
+        # directly; it is only valid for plain non-inclusive two-level LRU.
+        self._fast = policy == "lru" and not inclusive and not middle
         if self._fast:
             # The row kernel's view of each cache, bound once: resets and
             # renamings mutate these objects in place, so it stays valid.
             self._views = [_view(dc) for dc in self.distributed]
             self._shared_view = _view(self.shared)
+
+    def _below(self, depth: int, index: int) -> Tuple[Cache, ...]:
+        """Under back-invalidation, every cache below ``levels[depth][index]``:
+        a contiguous run of each lower level.  Empty unless inclusive."""
+        if not self.inclusive:
+            return ()
+        count = len(self.levels[depth])
+        return tuple(
+            cache
+            for level in self.levels[depth + 1 :]
+            for cache in level[
+                index * len(level) // count : (index + 1) * len(level) // count
+            ]
+        )
 
     # ------------------------------------------------------------------
     # Generic (policy-agnostic) access path
@@ -92,24 +147,27 @@ class LRUHierarchy:
     def touch(self, core: int, key: int, write: bool = False) -> bool:
         """One reference by ``core`` to ``key``; returns distributed-hit.
 
-        A distributed miss is propagated to the shared cache; a shared
-        miss loads from memory.  Writes mark the block dirty at the
-        distributed level.  A dirty victim evicted from the distributed
-        cache is written back into its shared copy, which becomes dirty
-        (mirroring :meth:`IdealHierarchy.evict_distributed`); if the
-        shared cache no longer holds the block, the write-back goes
-        straight to memory and was already counted at the distributed
-        level.
+        A miss is propagated up the core's path until a cache hits; a
+        shared miss loads from memory.  Writes mark the block dirty at
+        the distributed level.  A dirty victim is written back into the
+        copy one level up, which becomes dirty (mirroring
+        :meth:`IdealHierarchy.evict_distributed`); if that cache no
+        longer holds the block, the write-back goes straight to memory
+        and was already counted where the victim left.  When inclusive,
+        a victim of a cache above the cores leaves every cache below it.
         """
-        hit, victim, victim_dirty = self.distributed[core].access(key, write)
-        if victim is not None and victim_dirty and victim in self.shared:
-            self.shared.dirty.add(victim)
+        hit, victim, dirty = self.distributed[core].access(key, write)
         if hit:
             return True
-        s_hit, s_victim, _ = self.shared.access(key)
-        if s_victim is not None and self.inclusive:
-            for dc in self.distributed:
-                dc.invalidate(s_victim)
+        for cache, below in self._paths[core]:
+            if dirty and victim is not None and victim in cache:
+                cache.dirty.add(victim)
+            hit, victim, dirty = cache.access(key)
+            if hit:
+                return False
+            if below and victim is not None:
+                for inner in below:
+                    inner.invalidate(victim)
         return False
 
     def compute_touches(self, core: int, akey: int, bkey: int, ckey: int) -> None:
@@ -127,7 +185,7 @@ class LRUHierarchy:
         Runs one per ``j`` in ``cols``, in order, each as three
         :meth:`touch` references (A, B, then the written C), and returns
         how many ran.  This is the innermost simulator operation.  When
-        the hierarchy runs plain non-inclusive LRU, the logic of
+        the hierarchy runs plain non-inclusive two-level LRU, the logic of
         :meth:`touch` is inlined over the ``OrderedDict`` internals
         bound at construction, and each cache's counters are added once
         at the end of the row; tests assert that this fast path and
@@ -251,23 +309,36 @@ class LRUHierarchy:
     # Bookkeeping
     # ------------------------------------------------------------------
     def snapshot(self) -> HierarchyStats:
-        """Snapshot all counters into a :class:`HierarchyStats`."""
+        """Snapshot the shared and distributed counters into a
+        :class:`HierarchyStats` (middle levels: :meth:`level_misses`)."""
         return HierarchyStats(
             shared=self.shared.stats(),
             distributed=[dc.stats() for dc in self.distributed],
         )
 
+    def level_misses(self, level: int) -> int:
+        """The most misses of one cache of ``levels[level]`` (the caches
+        of a level fill concurrently)."""
+        return max(cache.misses for cache in self.levels[level])
+
+    def _caches(self) -> List[Cache]:
+        """Every cache, level by level, root first: :meth:`state` order."""
+        return [cache for level in self.levels for cache in level]
+
     def reset(self) -> None:
         """Empty every cache and zero all counters."""
-        self.shared.reset()
-        for dc in self.distributed:
-            dc.reset()
+        for cache in self._caches():
+            cache.reset()
 
     def check_inclusion(self) -> bool:
-        """Whether every distributed-resident block is shared-resident."""
-        return all(
-            key in self.shared for dc in self.distributed for key in dc.policy
-        )
+        """Whether every cache's blocks are resident one level up."""
+        for outer, inner in zip(self.levels, self.levels[1:]):
+            ratio = len(inner) // len(outer)
+            for index, cache in enumerate(inner):
+                parent = outer[index // ratio]
+                if any(key not in parent for key in cache.policy):
+                    return False
+        return True
 
     # ------------------------------------------------------------------
     # Renaming (loop fast-forward)
@@ -282,14 +353,13 @@ class LRUHierarchy:
         caches pick a set from key bits, so renaming changes them.
         """
         return all(
-            type(cache.policy) in (LRUCache, FIFOCache)
-            for cache in (self.shared, *self.distributed)
+            type(cache.policy) in (LRUCache, FIFOCache) for cache in self._caches()
         )
 
     def state(self) -> List[Collection[int]]:
         """A copy of each cache's keys in eviction order, and its dirty set."""
         out: List[Collection[int]] = []
-        for cache in (self.shared, *self.distributed):
+        for cache in self._caches():
             out.append(list(cache.policy._data))  # type: ignore[attr-defined]
             out.append(set(cache.dirty))
         return out
@@ -297,7 +367,7 @@ class LRUHierarchy:
     def counters(self) -> List[int]:
         """Every additive counter, in the order :meth:`advance` reads."""
         out: List[int] = []
-        for cache in (self.shared, *self.distributed):
+        for cache in self._caches():
             out += (cache.hits, cache.misses, cache.writebacks)
             out += cache.misses_by_matrix
         return out
@@ -307,13 +377,23 @@ class LRUHierarchy:
 
         ``idle`` are the cores that ran no multiply-add in one iteration
         of a declared loop, so none in any later, translated one.  In
-        LRU mode only a core's own multiply-adds touch its distributed
-        cache, unless shared evictions back-invalidate it (inclusive),
-        so an idle core's key order and dirty set stay as they are.
+        LRU mode only the multiply-adds of the cores a cache serves
+        touch it, unless evictions above it back-invalidate it
+        (inclusive), so a cache whose cores were all idle keeps its key
+        order and dirty set.
         """
         if self.inclusive:
             return set()
-        return {part for core in idle for part in (2 * core + 2, 2 * core + 3)}
+        resting = set(idle)
+        out: Set[int] = set()
+        index = 0
+        for level in self.levels:
+            span = self.p // len(level)
+            for first in range(0, self.p, span):
+                if resting.issuperset(range(first, first + span)):
+                    out.update((2 * index, 2 * index + 1))
+                index += 1
+        return out
 
     def advance(
         self, delta: Sequence[int], shift: Sequence[int], still: Collection[int]
@@ -325,7 +405,7 @@ class LRUHierarchy:
         :attr:`renames`.
         """
         deltas = iter(delta)
-        for index, cache in enumerate((self.shared, *self.distributed)):
+        for index, cache in enumerate(self._caches()):
             cache.hits += next(deltas)
             cache.misses += next(deltas)
             cache.writebacks += next(deltas)

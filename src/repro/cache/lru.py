@@ -15,11 +15,11 @@ from repro.cache.policy import ReplacementPolicy
 from repro.exceptions import ConfigurationError
 
 
-class LRUCache(ReplacementPolicy):
-    """Exact Least-Recently-Used replacement.
+class _OrderedPolicy(ReplacementPolicy):
+    """A policy over an ordered dict whose front is the next victim.
 
-    The ordered dict is kept in recency order: least recently used at
-    the front, most recently used at the back.
+    The subclasses differ only in :meth:`access`: whether a hit moves
+    the key to the back.
     """
 
     __slots__ = ("capacity", "_data")
@@ -29,6 +29,34 @@ class LRUCache(ReplacementPolicy):
             raise ConfigurationError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._data: OrderedDict[int, None] = OrderedDict()
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._data
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._data)
+
+    def discard(self, key: int) -> bool:
+        if key in self._data:
+            del self._data[key]
+            return True
+        return False
+
+    def clear(self) -> None:
+        self._data.clear()
+
+
+class LRUCache(_OrderedPolicy):
+    """Exact Least-Recently-Used replacement.
+
+    The ordered dict is kept in recency order: least recently used at
+    the front, most recently used at the back.
+    """
+
+    __slots__ = ()
 
     def access(self, key: int) -> Tuple[bool, Optional[int]]:
         data = self._data
@@ -41,24 +69,6 @@ class LRUCache(ReplacementPolicy):
         data[key] = None
         return False, victim
 
-    def __contains__(self, key: int) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._data)
-
-    def discard(self, key: int) -> bool:
-        if key in self._data:
-            del self._data[key]
-            return True
-        return False
-
-    def clear(self) -> None:
-        self._data.clear()
-
     def mru_key(self) -> Optional[int]:
         """Most recently used key, or ``None`` if empty (test helper)."""
         return next(reversed(self._data), None)
@@ -68,20 +78,14 @@ class LRUCache(ReplacementPolicy):
         return next(iter(self._data), None)
 
 
-class FIFOCache(ReplacementPolicy):
+class FIFOCache(_OrderedPolicy):
     """First-In-First-Out replacement (ablation baseline).
 
     Identical to :class:`LRUCache` except that a hit does *not* refresh
     the key's position: eviction order is insertion order.
     """
 
-    __slots__ = ("capacity", "_data")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ConfigurationError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._data: OrderedDict[int, None] = OrderedDict()
+    __slots__ = ()
 
     def access(self, key: int) -> Tuple[bool, Optional[int]]:
         data = self._data
@@ -92,24 +96,6 @@ class FIFOCache(ReplacementPolicy):
             victim = data.popitem(last=False)[0]
         data[key] = None
         return False, victim
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._data)
-
-    def discard(self, key: int) -> bool:
-        if key in self._data:
-            del self._data[key]
-            return True
-        return False
-
-    def clear(self) -> None:
-        self._data.clear()
 
 
 #: Registry mapping policy names (as accepted by the CLI and the

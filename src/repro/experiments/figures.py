@@ -476,7 +476,7 @@ def figure_nested(orders: Sequence[int] = (16, 32)) -> Figure:
     """Extension: per-level misses of nested vs flat on a 3-level tree."""
     from repro.algorithms.distributed_opt import DistributedOpt
     from repro.algorithms.nested import NestedMaxReuse
-    from repro.sim.contexts import MultiLevelContext
+    from repro.sim.contexts import LRUContext
 
     machine = MulticoreMachine(p=16, cs=400, cd=21, q=8, name="16-core/4-socket")
     panel = Panel(
@@ -494,7 +494,7 @@ def figure_nested(orders: Sequence[int] = (16, 32)) -> Figure:
         for order in orders:
             nest = NestedMaxReuse(machine, order, order, order)
             tree = nest.default_tree()
-            cls(machine, order, order, order).run(MultiLevelContext(tree))
+            cls(machine, order, order, order).run(LRUContext(tree))
             values.append(tree.level_misses(1))
         panel.add(label, values)
     return Figure(

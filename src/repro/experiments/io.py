@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Sequence, Union
 
 from repro.experiments.figures import Figure, Panel
 
@@ -104,27 +104,3 @@ def figure_to_csv(figure: Figure, directory: Union[str, Path]) -> List[Path]:
         panel_to_csv(panel, path)
         paths.append(path)
     return paths
-
-
-def rows_to_csv(
-    rows: Sequence[Mapping[str, Any]],
-    path: Union[str, Path],
-    fieldnames: Optional[Sequence[str]] = None,
-) -> None:
-    """Atomically write dict rows as CSV.
-
-    Columns are the first-seen-order union of every row's keys (not
-    just ``rows[0]``'s), with missing cells left empty.  With no rows a
-    header-only file is written — pass ``fieldnames`` to pin the header
-    (otherwise an empty input yields an empty header line), so a
-    downstream CSV reader always finds a parseable document instead of
-    a zero-byte file.
-    """
-    from repro.store.atomic import atomic_write_text
-
-    names = list(fieldnames) if fieldnames is not None else fieldname_union(rows)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=names, restval="")
-    writer.writeheader()
-    writer.writerows(rows)
-    atomic_write_text(path, buffer.getvalue())

@@ -30,14 +30,7 @@ class NumericContext(ExecutionContext):
 
     explicit = False
 
-    def __init__(
-        self,
-        p: int,
-        a: BlockMatrix,
-        b: BlockMatrix,
-        c: Optional[BlockMatrix] = None,
-        track_triples: bool = True,
-    ) -> None:
+    def __init__(self, p: int, a: BlockMatrix, b: BlockMatrix) -> None:
         super().__init__(p)
         if a.cols != b.rows or a.q != b.q:
             raise ScheduleError(
@@ -45,8 +38,7 @@ class NumericContext(ExecutionContext):
             )
         self.a = a
         self.b = b
-        self.c = c if c is not None else BlockMatrix(a.rows, b.cols, a.q)
-        self.track_triples = track_triples
+        self.c = BlockMatrix(a.rows, b.cols, a.q)
         self.seen: Set[Tuple[int, int, int]] = set()
 
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
@@ -63,20 +55,15 @@ class NumericContext(ExecutionContext):
                 f"inconsistent coordinates: C[{i_c},{j_c}] += "
                 f"A[{i_a},{k_a}] · B[{k_b},{j_b}]"
             )
-        if self.track_triples:
-            triple = (i_c, j_c, k_a)
-            if triple in self.seen:
-                raise ScheduleError(
-                    f"update (i={i_c}, j={j_c}, k={k_a}) emitted twice"
-                )
-            self.seen.add(triple)
+        triple = (i_c, j_c, k_a)
+        if triple in self.seen:
+            raise ScheduleError(f"update (i={i_c}, j={j_c}, k={k_a}) emitted twice")
+        self.seen.add(triple)
         block_fma(self.c.block(i_c, j_c), self.a.block(i_a, k_a), self.b.block(k_b, j_b))
         self.comp[core] += 1
 
     def assert_complete(self) -> None:
         """Verify every (i, j, k) update was emitted exactly once."""
-        if not self.track_triples:
-            raise ScheduleError("completeness requires track_triples=True")
         expected = self.a.rows * self.b.cols * self.a.cols
         if len(self.seen) != expected:
             raise ScheduleError(
@@ -86,10 +73,7 @@ class NumericContext(ExecutionContext):
 
 
 def execute_numeric(
-    alg: MatmulAlgorithm,
-    a: BlockMatrix,
-    b: BlockMatrix,
-    q: int = 4,
+    alg: MatmulAlgorithm, a: BlockMatrix, b: BlockMatrix
 ) -> BlockMatrix:
     """Run a schedule numerically and return the computed ``C``."""
     ctx = NumericContext(alg.machine.p, a, b)
@@ -114,7 +98,7 @@ def verify_schedule(
     """
     a = BlockMatrix.random(alg.m, alg.z, q, seed=seed)
     b = BlockMatrix.random(alg.z, alg.n, q, None if seed is None else seed + 1)
-    c = execute_numeric(alg, a, b, q)
+    c = execute_numeric(alg, a, b)
     reference = a @ b
     if not c.allclose(reference, rtol=rtol, atol=rtol):
         raise ScheduleError(

@@ -15,9 +15,9 @@ boundary earlier with every key moved by the loop's shift.  Then each
 remaining iteration repeats the last one's counter and multiply-add
 deltas, and the loop ends in the current state moved by ``remaining ×
 shift``.  :class:`_CountingContext` checks for that and jumps.  A
-cache that an iteration cannot touch, such as the distributed cache of
-a core with no multiply-adds in it under non-inclusive LRU, keeps its
-keys instead (see :meth:`~repro.cache.hierarchy.LRUHierarchy.still`):
+cache that an iteration cannot touch, such as a cache whose cores ran
+no multiply-adds in it under non-inclusive LRU, keeps its keys
+instead (see :meth:`~repro.cache.hierarchy.LRUHierarchy.still`):
 a ragged tile row that leaves some cores idle still repeats.
 """
 
@@ -37,7 +37,6 @@ from typing import (
 from repro.algorithms.base import ExecutionContext, Shift
 from repro.cache.block import shifted
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
-from repro.cache.multilevel import MultiLevelHierarchy
 from repro.cache.trace import AccessTrace
 
 
@@ -168,9 +167,10 @@ class LRUContext(_CountingContext[LRUHierarchy]):
 
     Explicit directives are ignored ("in the LRU mode, read and write
     operations are made at the distributed cache level; if a miss
-    occurs, operations are propagated throughout the hierarchy").
-    Declared loops are fast-forwarded when every cache is plain LRU or
-    FIFO (:attr:`LRUHierarchy.renames`), inclusive or not.  A row of
+    occurs, operations are propagated throughout the hierarchy").  The
+    hierarchy may be a tree with middle levels (paper §6).  Declared
+    loops are fast-forwarded when every cache is plain LRU or FIFO
+    (:attr:`LRUHierarchy.renames`), inclusive or not.  A row of
     multiply-adds is one :meth:`LRUHierarchy.compute_row` call; a row
     never spans an iteration boundary, so the fast-forward sees the
     same states.
@@ -216,29 +216,6 @@ class IdealContext(_CountingContext[IdealHierarchy]):
         if self._check:
             self._assert(core, akey, bkey, ckey)
         self._dist_dirty[core].add(ckey)
-        self.comp[core] += 1
-
-
-class MultiLevelContext(ExecutionContext):
-    """LRU counting against an N-level cache tree.
-
-    The multi-level analogue of :class:`LRUContext`: explicit
-    directives are ignored, every compute touches the tree (A, B, then
-    the written C) through the issuing core's leaf cache.
-    """
-
-    explicit = False
-
-    def __init__(self, tree: MultiLevelHierarchy) -> None:
-        super().__init__(tree.p)
-        self.tree = tree
-        self._touch = tree.touch
-
-    def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
-        touch = self._touch
-        touch(core, akey)
-        touch(core, bkey)
-        touch(core, ckey, True)
         self.comp[core] += 1
 
 

@@ -73,11 +73,14 @@ def run_experiment(
     check: bool = False,
     policy: str = "lru",
     inclusive: bool = False,
-    verify_comp: bool = True,
     engine: str = "step",
     **alg_params: Any,
 ) -> ExperimentResult:
     """Run one algorithm on one machine under one setting.
+
+    A schedule that emits other than ``m·n·z`` elementary multiply-adds
+    raises :class:`~repro.exceptions.ScheduleError`, and its counters
+    never enter the result memo.
 
     Parameters
     ----------
@@ -96,10 +99,6 @@ def run_experiment(
     policy, inclusive:
         LRU-mode hierarchy options (replacement policy; shared-eviction
         back-invalidation).
-    verify_comp:
-        Assert that the schedule emitted exactly ``m·n·z`` elementary
-        multiply-adds (cheap sanity net; disable only in throughput
-        measurements).
     engine:
         ``"step"`` (default) interprets the schedule
         reference-by-reference and is the oracle.  It fast-forwards
@@ -143,7 +142,7 @@ def run_experiment(
         raise ConfigurationError(
             f"{alg.name} is a compute-only schedule without explicit "
             "IDEAL directives; run it under an LRU-family setting (or "
-            "through MultiLevelContext)"
+            "through LRUContext on a cache tree)"
         )
 
     simulated = setting.simulated(machine)
@@ -198,7 +197,7 @@ def run_experiment(
         comp = list(ctx.comp)
         trace_source = ""
 
-    if verify_comp and sum(comp) != m * n * z:
+    if sum(comp) != m * n * z:
         raise ScheduleError(
             f"{alg.name} emitted {sum(comp)} multiply-adds, "
             f"expected m*n*z = {m * n * z}"

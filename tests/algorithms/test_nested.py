@@ -7,7 +7,7 @@ from repro.algorithms.nested import NestedMaxReuse
 from repro.exceptions import ConfigurationError, ParameterError
 from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
-from repro.sim.contexts import MultiLevelContext
+from repro.sim.contexts import LRUContext
 
 #: 16 cores = 4 sockets of 4 cores: both grids square.
 MACHINE = MulticoreMachine(p=16, cs=400, cd=21, q=8)
@@ -59,19 +59,20 @@ class TestCounting:
     def test_default_tree_topology(self):
         alg = NestedMaxReuse(MACHINE, 16, 16, 16)
         tree = alg.default_tree()
-        assert [spec.count for spec in tree.levels] == [1, 4, 16]
+        assert [len(level) for level in tree.levels] == [1, 4, 16]
         # hierarchy-consistent capacities: each level holds its children
-        assert tree.levels[0].capacity >= 4 * tree.levels[1].capacity
-        assert tree.levels[1].capacity >= 4 * tree.levels[2].capacity
+        llc, socket, core = (level[0].capacity for level in tree.levels)
+        assert llc >= 4 * socket
+        assert socket >= 4 * core
 
     def test_same_llc_and_core_volumes_as_flat(self):
         """Nested changes placement, not per-core or LLC volumes."""
         nest = NestedMaxReuse(MACHINE, 16, 16, 16)
         tree_n = nest.default_tree()
-        nest.run(MultiLevelContext(tree_n))
+        nest.run(LRUContext(tree_n))
         flat = DistributedOpt(MACHINE, 16, 16, 16)
         tree_f = nest.default_tree()
-        flat.run(MultiLevelContext(tree_f))
+        flat.run(LRUContext(tree_f))
         assert tree_n.level_misses(0) == tree_f.level_misses(0)
         assert tree_n.level_misses(2) == tree_f.level_misses(2)
 
@@ -80,15 +81,15 @@ class TestCounting:
         ownership captures A *and* B sharing inside each socket."""
         nest = NestedMaxReuse(MACHINE, 32, 32, 32)
         tree_n = nest.default_tree()
-        nest.run(MultiLevelContext(tree_n))
+        nest.run(LRUContext(tree_n))
         flat = DistributedOpt(MACHINE, 32, 32, 32)
         tree_f = nest.default_tree()
-        flat.run(MultiLevelContext(tree_f))
+        flat.run(LRUContext(tree_f))
         assert tree_n.level_misses(1) < tree_f.level_misses(1)
 
     def test_work_balanced(self):
         alg = NestedMaxReuse(MACHINE, 16, 16, 16)
-        ctx = MultiLevelContext(alg.default_tree())
+        ctx = LRUContext(alg.default_tree())
         alg.run(ctx)
         assert len(set(ctx.comp)) == 1
         assert ctx.comp_total == 16**3

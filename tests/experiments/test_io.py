@@ -9,7 +9,6 @@ from repro.experiments.io import (
     render_figure,
     render_panel,
     render_rows,
-    rows_to_csv,
 )
 
 
@@ -71,30 +70,6 @@ class TestCSV:
         paths = figure_to_csv(fig, tmp_path)
         assert [p.name for p in paths] == ["figXa.csv", "figXb.csv"]
         assert all(p.exists() for p in paths)
-
-    def test_rows_to_csv(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        rows_to_csv([{"x": 1, "y": 2}], path)
-        assert path.read_text().startswith("x,y")
-
-    def test_rows_to_csv_union_of_all_rows(self, tmp_path):
-        # A column appearing only in a later row must not be dropped.
-        path = tmp_path / "rows.csv"
-        rows_to_csv([{"x": 1}, {"x": 2, "MS_pred": 7}], path)
-        with path.open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows[0] == {"x": "1", "MS_pred": ""}
-        assert rows[1] == {"x": "2", "MS_pred": "7"}
-
-    def test_rows_to_csv_empty_with_fieldnames_is_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        rows_to_csv([], path, fieldnames=["x", "y"])
-        assert path.read_text().strip() == "x,y"
-
-    def test_rows_to_csv_explicit_fieldnames_pin_order(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        rows_to_csv([{"b": 2, "a": 1}], path, fieldnames=["a", "b"])
-        assert path.read_text().splitlines()[0] == "a,b"
 
 
 class TestFieldnameUnion:

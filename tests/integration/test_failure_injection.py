@@ -126,16 +126,3 @@ class TestRunnerGuards:
 
         with pytest.raises(ScheduleError, match="multiply-adds"):
             run_experiment(HalfWork, MACHINE, 4, 4, 4, "lru")
-
-    def test_verify_comp_can_be_disabled(self):
-        class HalfWork(SharedOpt):
-            name = "half"
-
-            def run(self, ctx):
-                full = SharedOpt(self.machine, self.m, self.n, 1, lam=self.lam)
-                full.run(ctx)
-
-        result = run_experiment(
-            HalfWork, MACHINE, 4, 4, 4, "lru", verify_comp=False
-        )
-        assert result.comp_total == 16

@@ -89,30 +89,29 @@ class TestRecordingContext:
         assert len(ctx.keys()) == 6
 
 
-class TestMultiLevelContext:
+class TestLRUContextOnTrees:
     def test_touches_reach_the_tree(self):
-        from repro.cache.multilevel import two_level
-        from repro.sim.contexts import MultiLevelContext
-
-        tree = two_level(2, cs=16, cd=4)
-        ctx = MultiLevelContext(tree)
+        tree = LRUHierarchy(2, cs=16, cd=4, middle=((1, 8),))
+        ctx = LRUContext(tree)
         ctx.compute(0, *keys(0, 0, 0))
-        assert tree.level_misses(0) == 3
+        assert [tree.level_misses(level) for level in range(3)] == [3, 3, 3]
         assert ctx.comp == [1, 0]
 
-    def test_two_level_tree_matches_flat_hierarchy(self, quad):
-        """Running a real schedule through the tree context equals the
-        flat LRU hierarchy bit for bit."""
-        from repro.cache.multilevel import two_level
-        from repro.sim.contexts import MultiLevelContext
+    def test_schedule_matches_its_recorded_trace(self, quad):
+        """A real schedule through the context, its declared loops
+        fast-forwarded, ends where its recorded references touched into
+        a fresh tree one at a time end, cache by cache."""
+        from repro.sim.contexts import RecordingContext
 
-        alg = SharedOpt(quad, 6, 6, 6)
-        tree = two_level(quad.p, quad.cs, quad.cd)
-        alg.run(MultiLevelContext(tree))
-        flat = LRUHierarchy(quad.p, quad.cs, quad.cd)
-        SharedOpt(quad, 6, 6, 6).run(LRUContext(flat))
-        assert tree.level_misses(0) == flat.snapshot().ms
-        assert [c.misses for c in tree.level_stats(1)] == flat.snapshot().md_per_core
+        middle = ((2, 2 * quad.cd),)
+        tree = LRUHierarchy(quad.p, quad.cs, quad.cd, middle=middle)
+        SharedOpt(quad, 6, 6, 6).run(LRUContext(tree))
+        recorder = RecordingContext(quad.p)
+        SharedOpt(quad, 6, 6, 6).run(recorder)
+        replayed = LRUHierarchy(quad.p, quad.cs, quad.cd, middle=middle)
+        recorder.trace.replay(replayed)
+        assert tree.counters() == replayed.counters()
+        assert tree.state() == replayed.state()
 
 
 class TestChainContext:

@@ -14,13 +14,14 @@ context checks each declaration itself: every iteration must emit the
 one before it, moved by the declared shift.
 """
 
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.algorithms.base import ExecutionContext, MatmulAlgorithm, Shift
+from repro.algorithms.nested import NestedMaxReuse
 from repro.algorithms.registry import algorithm_names, get_algorithm
 from repro.cache.block import A_BASE, B_BASE, C_BASE, ROW_SHIFT, shifted
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
@@ -52,15 +53,23 @@ class PlainIdeal(IdealContext):
 Context = Union[LRUContext, IdealContext]
 
 
-def _contexts(mode: str, p: int, cs: int, cd: int, inclusive: bool) -> List[Context]:
-    """A fast-forwarding context and its plain oracle over fresh hierarchies."""
+def _contexts(
+    mode: str,
+    p: int,
+    cs: int,
+    cd: int,
+    inclusive: bool,
+    middle: Sequence[Tuple[int, int]] = (),
+) -> List[Context]:
+    """A fast-forwarding context and its plain oracle over fresh hierarchies
+    (``middle`` levels apply to LRU modes only)."""
     if mode == "ideal":
         return [
             cls(IdealHierarchy(p, cs, cd, check=False))
             for cls in (IdealContext, PlainIdeal)
         ]
     return [
-        cls(LRUHierarchy(p, cs, cd, policy=mode, inclusive=inclusive))
+        cls(LRUHierarchy(p, cs, cd, policy=mode, inclusive=inclusive, middle=middle))
         for cls in (LRUContext, PlainLRU)
     ]
 
@@ -132,6 +141,50 @@ class TestSchedules:
         assert fast == plain
 
 
+#: Per core count, the cache counts of the middle levels of 3- and
+#: 4-level trees (their capacities are drawn).
+_TREES = {4: ((1,), (2,), (1, 2), (2, 4)), 16: ((4,), (2, 8), (4, 16))}
+
+
+@st.composite
+def _tree_cells(draw):
+    """Any registered schedule on a cache tree of 4 or 16 cores."""
+    name = draw(st.sampled_from(algorithm_names(include_extras=True)))
+    p = draw(st.sampled_from(sorted(_TREES)))
+    cd = draw(st.integers(3, 24))
+    cs = p * cd + draw(st.integers(0, 120))
+    middle = tuple(
+        (count, draw(st.integers(1, cs))) for count in draw(st.sampled_from(_TREES[p]))
+    )
+    policy = draw(st.sampled_from(("lru", "fifo")))
+    shape = tuple(draw(st.integers(1, 16)) for _ in range(3))
+    return name, p, cs, cd, middle, policy, draw(st.booleans()), shape
+
+
+@given(_tree_cells())
+@settings(max_examples=60, deadline=None)
+def test_fast_forward_matches_plain_iteration_on_trees(cell):
+    """Middle levels take part in the fast-forward like the other caches:
+    every cache's counters, key order and dirty set agree.  States are
+    compared at every boundary, so that small cells jump too."""
+    name, p, cs, cd, middle, policy, inclusive, (m, n, z) = cell
+    try:
+        alg = get_algorithm(name)(MulticoreMachine(p=p, cs=cs, cd=cd, q=8), m, n, z)
+    except (ConfigurationError, ParameterError):
+        assume(False)
+    outcomes = []
+    with mock.patch.object(contexts, "_WORK_PER_KEY", 0):
+        for cls in (LRUContext, PlainLRU):
+            tree = LRUHierarchy(
+                p, cs, cd, policy=policy, inclusive=inclusive, middle=middle
+            )
+            ctx = cls(tree)
+            alg.run(ctx)
+            outcomes.append((tree.counters(), tree.state(), list(ctx.comp)))
+    assert outcomes[0] == outcomes[1]
+    assert sum(outcomes[0][2]) == m * n * z
+
+
 # ----------------------------------------------------------------------
 # A synthetic periodic schedule with random per-iteration touches
 # ----------------------------------------------------------------------
@@ -181,6 +234,7 @@ class TestSyntheticLoop:
         caches=st.tuples(st.integers(1, 12), st.integers(1, 4)),
         tidy=st.sampled_from((None, 0, 1)),
         work=st.sampled_from((0, contexts._WORK_PER_KEY)),
+        middle=st.sampled_from(((), (), ((1, 3),), ((2, 2),), ((1, 6), (2, 2)))),
     )
     # Core 0 idles in the loop, but under back-invalidation a shared
     # eviction there can empty its cache: an inclusive hierarchy must
@@ -200,6 +254,7 @@ class TestSyntheticLoop:
         caches=(3, 1),
         tidy=None,
         work=0,
+        middle=(),
     )
     @settings(max_examples=400, deadline=None)
     def test_random_periodic_loop(
@@ -214,6 +269,7 @@ class TestSyntheticLoop:
         caches,
         tidy,
         work,
+        middle,
     ):
         """Residue before the loop, random touches in it, touches after it.
 
@@ -225,6 +281,8 @@ class TestSyntheticLoop:
         the shipped IDEAL schedules do, so IDEAL states repeat too, and
         with ``tidy`` 1 they hold shifting keys at every boundary.
         ``work`` 0 compares at every boundary rather than as amortized.
+        LRU hierarchies may have middle levels, where core 0 idling
+        leaves a middle cache of its own in place.
         """
         # A directive's key and a compute's written key are both its first.
         evictions = [
@@ -238,7 +296,7 @@ class TestSyntheticLoop:
         ]
         outcomes = []
         with mock.patch.object(contexts, "_WORK_PER_KEY", work):
-            for ctx in _contexts(mode, 2, caches[0], caches[1], inclusive):
+            for ctx in _contexts(mode, 2, caches[0], caches[1], inclusive, middle):
                 _emit(ctx, prologue, 0, (0, 0, 0))
                 for step in ctx.loop(range(count), shift):
                     _emit(ctx, body, step, shift)
@@ -329,6 +387,27 @@ def test_a_ragged_tile_row_that_idles_cores_skips_too(policy):
     assert ctx.simulated <= 0.2 * m * n * z
 
 
+def test_a_cache_tree_skips_too():
+    """Distributed Opt. on the nested extension's three-level tree: its
+    declared loops repeat there as well, so most references never reach
+    :meth:`LRUHierarchy.touch`."""
+    machine = MulticoreMachine(p=16, cs=400, cd=21, q=8)
+    tree = NestedMaxReuse(machine, 32, 32, 32).default_tree()
+    touches = 0
+    touch = tree.touch
+
+    def counted(core: int, key: int, write: bool = False) -> bool:
+        nonlocal touches
+        touches += 1
+        return touch(core, key, write)
+
+    tree.touch = counted
+    ctx = LRUContext(tree)
+    get_algorithm("distributed-opt")(machine, 32, 32, 32).run(ctx)
+    assert ctx.comp_total == 32**3
+    assert touches < 0.6 * 3 * 32**3
+
+
 def test_checked_ideal_and_set_associative_iterate_plainly():
     iterations = range(10)
     shift = (1, 1 << ROW_SHIFT, 0)
@@ -366,10 +445,9 @@ def test_verify_comp_catches_a_declared_ragged_tail():
     machine = MulticoreMachine(p=1, cs=6, cd=3, q=8)
     with pytest.raises(ScheduleError, match="multiply-adds"):
         run_experiment(_OverDeclared, machine, 2, 2, 21, "lru", engine="step")
-    result = run_experiment(
-        _OverDeclared, machine, 2, 2, 21, "lru", engine="step", verify_comp=False
-    )
-    assert result.comp_total > 2 * 2 * 21
+    ctx = LRUContext(LRUHierarchy(1, 6, 3))
+    _OverDeclared(machine, 2, 2, 21).run(ctx)
+    assert ctx.comp_total > 2 * 2 * 21
 
 
 # ----------------------------------------------------------------------

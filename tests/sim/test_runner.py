@@ -221,12 +221,17 @@ class TestResultMemo:
         assert source(6) != "memo"
 
     def test_hit_still_verifies_comp(self, quad):
+        """A wrong multiply-add count raises on every call: it never
+        enters the memo, so no later call can be served from it."""
+
         class HalfWork(SharedOpt):
             name = "half"
 
             def run(self, ctx):
                 SharedOpt(self.machine, self.m, self.n, 1, lam=self.lam).run(ctx)
 
-        run_experiment(HalfWork, quad, 4, 4, 4, "lru", verify_comp=False)
-        with pytest.raises(ScheduleError):
-            run_experiment(HalfWork, quad, 4, 4, 4, "lru")
+        before = len(runner._RESULTS)
+        for _ in range(2):
+            with pytest.raises(ScheduleError, match="multiply-adds"):
+                run_experiment(HalfWork, quad, 4, 4, 4, "lru")
+        assert len(runner._RESULTS) == before

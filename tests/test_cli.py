@@ -509,6 +509,23 @@ class TestBench:
         assert main(args) == 1
         assert "regression(s)" in capsys.readouterr().out
 
+    def test_scale_choices_are_the_recorder_scales(self):
+        import argparse
+
+        from repro.bench.record import SCALES
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        (commands,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        bench = commands.choices["bench"]
+        (scale,) = [action for action in bench._actions if action.dest == "scale"]
+        assert tuple(scale.choices) == SCALES
+        assert parser.parse_args(["bench", "--scale", "paper"]).scale == "paper"
+
     def test_bad_report_is_cli_error(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         report.write_text("{}")

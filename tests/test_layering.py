@@ -152,6 +152,7 @@ import repro.cli, repro.experiments.figures, repro.sim.runner
 from repro.model.machine import preset
 from repro.sim.runner import run_experiment
 
+repro.cli.build_parser()
 loaded = {}
 loaded["set-up"] = sorted(sys.modules)
 repro.experiments.figures.figure9(orders=(8,), panels_filter=("a",))
