@@ -5,18 +5,22 @@ movements and elementary block multiply-adds.  We express each schedule
 once, as a ``run(ctx)`` method emitting operations against an
 :class:`ExecutionContext`, and plug in different contexts:
 
-* an LRU counting context (explicit directives ignored, every compute
-  touches the hierarchy — the paper's LRU simulator mode);
+* an LRU counting context (no directives: every compute touches the
+  hierarchy — the paper's LRU simulator mode);
 * an IDEAL counting context (directives drive the explicitly-controlled
   hierarchy, optionally verifying capacity/inclusion/presence);
-* a numeric context (directives ignored, every compute performs the
-  real block arithmetic so the schedule's correctness is provable);
+* a numeric context (no directives: every compute performs the real
+  block arithmetic so the schedule's correctness is provable);
 * a chain context fanning out to several of the above at once.
 
-Contexts advertise ``explicit``: schedules wrap their load/evict
-directives in ``if ctx.explicit`` so the (very hot) LRU and numeric
-paths don't pay for directive no-op calls.  ``compute`` is always
-emitted.  Per-core compute counters live in the context because the
+A context that honours the IDEAL mode's load/evict directives offers
+them as :attr:`ExecutionContext.directives`, a :class:`Directives`;
+every other context leaves it ``None``.  Schedules hoist
+``d = ctx.directives`` and emit under ``if d is not None:``, so the
+(very hot) LRU and numeric paths make no directive calls, and a
+directive emitted outside the guard fails on the first LRU or numeric
+run (and under strict mypy).  ``compute`` is always emitted.  Per-core
+compute counters live in the context because the
 communication-to-computation ratios of the paper normalize by them.
 
 Schedules iterate their periodic loops through
@@ -31,7 +35,17 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, ClassVar, Dict, Iterable, List, Sequence, Tuple
+from typing import (
+    Any,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C
 from repro.exceptions import ConfigurationError
@@ -42,6 +56,22 @@ from repro.model.machine import MulticoreMachine
 Shift = Tuple[int, int, int]
 
 
+class Directives(Protocol):
+    """The IDEAL mode's explicit cache movements (paper §4.1)."""
+
+    def load_shared(self, key: int) -> None:
+        """Load ``key`` from memory into the shared cache."""
+
+    def evict_shared(self, key: int) -> None:
+        """Evict ``key`` from the shared cache."""
+
+    def load_dist(self, core: int, key: int) -> None:
+        """Load ``key`` from shared into ``core``'s cache."""
+
+    def evict_dist(self, core: int, key: int) -> None:
+        """Evict ``key`` from ``core``'s cache."""
+
+
 class ExecutionContext(ABC):
     """Interpreter of an algorithm's schedule.
 
@@ -49,17 +79,10 @@ class ExecutionContext(ABC):
     ----------
     p:
         Number of cores; schedules may only use core ids ``0..p-1``.
-    explicit:
-        Whether the context honours explicit cache directives.  When
-        ``False`` a schedule should skip emitting them (they would be
-        ignored anyway).
     comp:
-        Per-core count of elementary block multiply-adds, maintained by
-        :meth:`count_compute` which every ``compute`` implementation
-        must call (or replicate).
+        Per-core count of elementary block multiply-adds, which every
+        ``compute`` implementation must maintain.
     """
-
-    explicit: bool = False
 
     def __init__(self, p: int) -> None:
         if p < 1:
@@ -67,18 +90,18 @@ class ExecutionContext(ABC):
         self.p = p
         self.comp: List[int] = [0] * p
 
-    # -- explicit directives (no-ops unless the context opts in) -------
-    def load_shared(self, key: int) -> None:
-        """Directive: load ``key`` from memory into the shared cache."""
+    @property
+    def directives(self) -> Optional[Directives]:
+        """The cache directives the context honours, or ``None`` when it
+        has none (LRU, numeric and reference-recording contexts); a
+        schedule then emits none.
 
-    def evict_shared(self, key: int) -> None:
-        """Directive: evict ``key`` from the shared cache."""
-
-    def load_dist(self, core: int, key: int) -> None:
-        """Directive: load ``key`` from shared into ``core``'s cache."""
-
-    def evict_dist(self, core: int, key: int) -> None:
-        """Directive: evict ``key`` from ``core``'s cache."""
+        A context that is its own directives overrides this property to
+        return itself: an attribute holding ``self`` would be a
+        reference cycle, keeping the context and its state alive after
+        its run until the cyclic garbage collector finds it.
+        """
+        return None
 
     # -- the universal hot operation -----------------------------------
     @abstractmethod
@@ -114,10 +137,6 @@ class ExecutionContext(ABC):
         """
         return iterations
 
-    def count_compute(self, core: int) -> None:
-        """Bump the per-core compute counter (helper for subclasses)."""
-        self.comp[core] += 1
-
     @property
     def comp_total(self) -> int:
         """Total elementary multiply-adds across all cores."""
@@ -126,8 +145,6 @@ class ExecutionContext(ABC):
 
 class NullContext(ExecutionContext):
     """Counts computes and nothing else (scheduling dry-runs, tests)."""
-
-    explicit = False
 
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
         self.comp[core] += 1

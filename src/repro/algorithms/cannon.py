@@ -46,7 +46,7 @@ class Cannon(MatmulAlgorithm):
 
     def run(self, ctx: ExecutionContext) -> None:
         s = self.grid
-        explicit = ctx.explicit
+        d = ctx.directives
         compute = ctx.compute
         compute_row = ctx.compute_row
         RS = ROW_SHIFT
@@ -59,27 +59,27 @@ class Cannon(MatmulAlgorithm):
                 u, v = core % s, core // s
                 band = (u + v + t) % s
                 rows, cols, ks = row_chunks[u], col_chunks[v], k_chunks[band]
-                for k in ks:
+                for k in ctx.loop(ks, (1, 1 << RS, 0)):
                     brow = B_BASE | (k << RS)
                     for i in rows:
                         ka = A_BASE | (i << RS) | k
                         crow = C_BASE | (i << RS)
-                        if explicit:
-                            ctx.load_shared(ka)
-                            ctx.load_dist(core, ka)
+                        if d is not None:
+                            d.load_shared(ka)
+                            d.load_dist(core, ka)
                             for j in cols:
                                 kb = brow | j
                                 kc = crow | j
-                                ctx.load_shared(kb)
-                                ctx.load_dist(core, kb)
-                                ctx.load_shared(kc)
-                                ctx.load_dist(core, kc)
+                                d.load_shared(kb)
+                                d.load_dist(core, kb)
+                                d.load_shared(kc)
+                                d.load_dist(core, kc)
                                 compute(core, kc, ka, kb)
-                                ctx.evict_dist(core, kb)
-                                ctx.evict_dist(core, kc)
-                                ctx.evict_shared(kb)
-                                ctx.evict_shared(kc)
-                            ctx.evict_dist(core, ka)
-                            ctx.evict_shared(ka)
+                                d.evict_dist(core, kb)
+                                d.evict_dist(core, kc)
+                                d.evict_shared(kb)
+                                d.evict_shared(kc)
+                            d.evict_dist(core, ka)
+                            d.evict_shared(ka)
                         else:
                             compute_row(core, crow, ka, brow, cols)

@@ -70,7 +70,7 @@ class DistributedOpt(MatmulAlgorithm):
         mu = self.mu
         s = self.grid
         tile = s * mu
-        explicit = ctx.explicit
+        d = ctx.directives
         compute_row = ctx.compute_row
         RS = ROW_SHIFT
 
@@ -87,64 +87,64 @@ class DistributedOpt(MatmulAlgorithm):
                     range(min(j0 + gj * mu, wj), min(j0 + (gj + 1) * mu, wj))
                     for gj in range(s)
                 ]
-                if explicit:
+                if d is not None:
                     # C tile into the shared cache, sub-blocks into cores.
                     for i in range(i0, hi):
                         crow = C_BASE | (i << RS)
                         for j in range(j0, wj):
-                            ctx.load_shared(crow | j)
+                            d.load_shared(crow | j)
                     for core in range(s * s):
                         gi, gj = core % s, core // s
                         for i in rows[gi]:
                             crow = C_BASE | (i << RS)
                             for j in cols[gj]:
-                                ctx.load_dist(core, crow | j)
+                                d.load_dist(core, crow | j)
                 for k in ctx.loop(range(z), (1, 1 << RS, 0)):
                     brow = B_BASE | (k << RS)
-                    if explicit:
+                    if d is not None:
                         for j in range(j0, wj):
-                            ctx.load_shared(brow | j)
+                            d.load_shared(brow | j)
                         for core in range(s * s):
                             # A core with an empty row range at a ragged
                             # edge computes nothing: loading its B
                             # fragment would be dead traffic.
                             if rows[core % s]:
                                 for j in cols[core // s]:
-                                    ctx.load_dist(core, brow | j)
+                                    d.load_dist(core, brow | j)
                     for gi in range(s):
                         for i in rows[gi]:
                             ka = A_BASE | (i << RS) | k
                             crow = C_BASE | (i << RS)
-                            if explicit:
-                                ctx.load_shared(ka)
+                            if d is not None:
+                                d.load_shared(ka)
                             # Cores on grid row gi share this element of A.
                             for gj in range(s):
                                 core = gj * s + gi
                                 if not cols[gj]:
                                     continue  # ragged edge: no work, no load
-                                if explicit:
-                                    ctx.load_dist(core, ka)
+                                if d is not None:
+                                    d.load_dist(core, ka)
                                 compute_row(core, crow, ka, brow, cols[gj])
-                                if explicit:
-                                    ctx.evict_dist(core, ka)
-                            if explicit:
-                                ctx.evict_shared(ka)
-                    if explicit:
+                                if d is not None:
+                                    d.evict_dist(core, ka)
+                            if d is not None:
+                                d.evict_shared(ka)
+                    if d is not None:
                         for core in range(s * s):
                             if rows[core % s]:
                                 for j in cols[core // s]:
-                                    ctx.evict_dist(core, brow | j)
+                                    d.evict_dist(core, brow | j)
                         for j in range(j0, wj):
-                            ctx.evict_shared(brow | j)
-                if explicit:
+                            d.evict_shared(brow | j)
+                if d is not None:
                     # Fully accumulated: drain cores, then the shared tile.
                     for core in range(s * s):
                         gi, gj = core % s, core // s
                         for i in rows[gi]:
                             crow = C_BASE | (i << RS)
                             for j in cols[gj]:
-                                ctx.evict_dist(core, crow | j)
+                                d.evict_dist(core, crow | j)
                     for i in range(i0, hi):
                         crow = C_BASE | (i << RS)
                         for j in range(j0, wj):
-                            ctx.evict_shared(crow | j)
+                            d.evict_shared(crow | j)

@@ -77,7 +77,7 @@ class SharedEqual(MatmulAlgorithm):
         p = ctx.p
         m, n, z = self.m, self.n, self.z
         t = self.t
-        explicit = ctx.explicit
+        d = ctx.directives
         compute = ctx.compute
         compute_row = ctx.compute_row
         RS = ROW_SHIFT
@@ -86,23 +86,23 @@ class SharedEqual(MatmulAlgorithm):
             hi = min(i0 + t, m)
             for j0 in tile_loop(ctx, n, t, (0, t, t)):
                 wj = min(j0 + t, n)
-                if explicit:
+                if d is not None:
                     for i in range(i0, hi):
                         crow = C_BASE | (i << RS)
                         for j in range(j0, wj):
-                            ctx.load_shared(crow | j)
+                            d.load_shared(crow | j)
                 chunks = self.split_evenly(i0, hi, p)
                 for k0 in tile_loop(ctx, z, t, (t, t << RS, 0)):
                     kh = min(k0 + t, z)
-                    if explicit:
+                    if d is not None:
                         for i in range(i0, hi):
                             arow = A_BASE | (i << RS)
                             for k in range(k0, kh):
-                                ctx.load_shared(arow | k)
+                                d.load_shared(arow | k)
                         for k in range(k0, kh):
                             brow = B_BASE | (k << RS)
                             for j in range(j0, wj):
-                                ctx.load_shared(brow | j)
+                                d.load_shared(brow | j)
                     # Tile rows are dealt to cores; the inner streaming
                     # mirrors Algorithm 1 (hold a, stream B/C pairs).
                     for core in range(p):
@@ -112,33 +112,33 @@ class SharedEqual(MatmulAlgorithm):
                             for k in range(k0, kh):
                                 ka = arow | k
                                 brow = B_BASE | (k << RS)
-                                if explicit:
-                                    ctx.load_dist(core, ka)
+                                if d is not None:
+                                    d.load_dist(core, ka)
                                     for j in range(j0, wj):
                                         kb = brow | j
                                         kc = crow | j
-                                        ctx.load_dist(core, kb)
-                                        ctx.load_dist(core, kc)
+                                        d.load_dist(core, kb)
+                                        d.load_dist(core, kc)
                                         compute(core, kc, ka, kb)
-                                        ctx.evict_dist(core, kb)
-                                        ctx.evict_dist(core, kc)
-                                    ctx.evict_dist(core, ka)
+                                        d.evict_dist(core, kb)
+                                        d.evict_dist(core, kc)
+                                    d.evict_dist(core, ka)
                                 else:
                                     compute_row(core, crow, ka, brow, range(j0, wj))
-                    if explicit:
+                    if d is not None:
                         for i in range(i0, hi):
                             arow = A_BASE | (i << RS)
                             for k in range(k0, kh):
-                                ctx.evict_shared(arow | k)
+                                d.evict_shared(arow | k)
                         for k in range(k0, kh):
                             brow = B_BASE | (k << RS)
                             for j in range(j0, wj):
-                                ctx.evict_shared(brow | j)
-                if explicit:
+                                d.evict_shared(brow | j)
+                if d is not None:
                     for i in range(i0, hi):
                         crow = C_BASE | (i << RS)
                         for j in range(j0, wj):
-                            ctx.evict_shared(crow | j)
+                            d.evict_shared(crow | j)
 
 
 class DistributedEqual(MatmulAlgorithm):
@@ -201,7 +201,7 @@ class DistributedEqual(MatmulAlgorithm):
         """Tiles ``first .. stop - 1``, one per core, over every ``k0`` slab."""
         m, n, z = self.m, self.n, self.z
         t = self.t
-        explicit = ctx.explicit
+        d = ctx.directives
         compute_row = ctx.compute_row
         RS = ROW_SHIFT
 
@@ -217,17 +217,17 @@ class DistributedEqual(MatmulAlgorithm):
             for core, (i0, hi, j0, wj) in enumerate(round_tiles)
             for i in range(i0, hi)
         ]
-        if explicit:
+        if d is not None:
             for core, crow, _, cols in rows:
                 for j in cols:
                     key = crow | j
-                    ctx.load_shared(key)
-                    ctx.load_dist(core, key)
+                    d.load_shared(key)
+                    d.load_dist(core, key)
         # Full k0 slabs within a round are translates of each other.
         for k0 in tile_loop(ctx, z, t, (t, t << RS, 0)):
             kh = min(k0 + t, z)
             step_keys: Dict[int, None] = {}
-            if explicit:
+            if d is not None:
                 # Different cores of a round may need the same A (or
                 # B) tile; load each distinct block into the shared
                 # cache once and evict them in load order, so that
@@ -239,35 +239,35 @@ class DistributedEqual(MatmulAlgorithm):
                             key = arow | k
                             if key not in step_keys:
                                 step_keys[key] = None
-                                ctx.load_shared(key)
-                            ctx.load_dist(core, key)
+                                d.load_shared(key)
+                            d.load_dist(core, key)
                     for k in range(k0, kh):
                         brow = B_BASE | (k << RS)
                         for j in range(j0, wj):
                             key = brow | j
                             if key not in step_keys:
                                 step_keys[key] = None
-                                ctx.load_shared(key)
-                            ctx.load_dist(core, key)
+                                d.load_shared(key)
+                            d.load_dist(core, key)
             brows = [(k, B_BASE | (k << RS)) for k in range(k0, kh)]
             for core, crow, arow, cols in rows:
                 for k, brow in brows:
                     compute_row(core, crow, arow | k, brow, cols)
-            if explicit:
+            if d is not None:
                 for core, (i0, hi, j0, wj) in enumerate(round_tiles):
                     for i in range(i0, hi):
                         arow = A_BASE | (i << RS)
                         for k in range(k0, kh):
-                            ctx.evict_dist(core, arow | k)
+                            d.evict_dist(core, arow | k)
                     for k in range(k0, kh):
                         brow = B_BASE | (k << RS)
                         for j in range(j0, wj):
-                            ctx.evict_dist(core, brow | j)
+                            d.evict_dist(core, brow | j)
                 for key in step_keys:
-                    ctx.evict_shared(key)
-        if explicit:
+                    d.evict_shared(key)
+        if d is not None:
             for core, crow, _, cols in rows:
                 for j in cols:
                     key = crow | j
-                    ctx.evict_dist(core, key)
-                    ctx.evict_shared(key)
+                    d.evict_dist(core, key)
+                    d.evict_shared(key)

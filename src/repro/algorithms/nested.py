@@ -190,7 +190,7 @@ class NestedMaxReuse(MatmulAlgorithm):
                 # lockstep over k: every core advances its blocks together,
                 # so B fragments and A elements are shared at the socket
                 # and LLC levels while hot.
-                for k in range(z):
+                for k in ctx.loop(range(z), (1, 1 << RS, 0)):
                     brow = B_BASE | (k << RS)
                     for core, rlo, rhi, clo, chi in blocks:
                         for i in range(rlo, rhi):

@@ -58,7 +58,7 @@ class OuterProduct(MatmulAlgorithm):
 
     def run(self, ctx: ExecutionContext) -> None:
         z = self.z
-        explicit = ctx.explicit
+        d = ctx.directives
         compute = ctx.compute
         compute_row = ctx.compute_row
         tiles = self._tiles()
@@ -70,22 +70,22 @@ class OuterProduct(MatmulAlgorithm):
                 for i in ctx.loop(range(rlo, rhi), (1 << RS, 0, 1 << RS)):
                     ka = A_BASE | (i << RS) | k
                     crow = C_BASE | (i << RS)
-                    if explicit:
-                        ctx.load_shared(ka)
-                        ctx.load_dist(core, ka)
+                    if d is not None:
+                        d.load_shared(ka)
+                        d.load_dist(core, ka)
                         for j in range(clo, chi):
                             kb = brow | j
                             kc = crow | j
-                            ctx.load_shared(kb)
-                            ctx.load_dist(core, kb)
-                            ctx.load_shared(kc)
-                            ctx.load_dist(core, kc)
+                            d.load_shared(kb)
+                            d.load_dist(core, kb)
+                            d.load_shared(kc)
+                            d.load_dist(core, kc)
                             compute(core, kc, ka, kb)
-                            ctx.evict_dist(core, kb)
-                            ctx.evict_dist(core, kc)
-                            ctx.evict_shared(kb)
-                            ctx.evict_shared(kc)
-                        ctx.evict_dist(core, ka)
-                        ctx.evict_shared(ka)
+                            d.evict_dist(core, kb)
+                            d.evict_dist(core, kc)
+                            d.evict_shared(kb)
+                            d.evict_shared(kc)
+                        d.evict_dist(core, ka)
+                        d.evict_shared(ka)
                     else:
                         compute_row(core, crow, ka, brow, range(clo, chi))

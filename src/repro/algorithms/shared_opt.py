@@ -22,7 +22,7 @@ from repro.algorithms.base import ExecutionContext, MatmulAlgorithm, tile_loop
 from repro.cache.block import A_BASE, B_BASE, C_BASE, ROW_SHIFT
 from repro.exceptions import ParameterError
 from repro.model.machine import MulticoreMachine
-from repro.model.params import lambda_param, largest_divisor_at_most
+from repro.model.params import lambda_param
 
 
 class SharedOpt(MatmulAlgorithm):
@@ -34,12 +34,7 @@ class SharedOpt(MatmulAlgorithm):
         See :class:`~repro.algorithms.base.MatmulAlgorithm`.
     lam:
         Tile side override.  Default: the largest ``λ`` with
-        ``1 + λ + λ² ≤ CS``.
-    round_to_divisor:
-        When ``True``, shrink ``λ`` to the largest divisor of
-        ``gcd-like`` feasible side of ``min(m, n)`` — the constraint the
-        paper's implementation applies.  Ragged tiles are otherwise
-        handled directly.
+        ``1 + λ + λ² ≤ CS``.  Ragged edge tiles run directly.
     """
 
     name = "shared-opt"
@@ -52,7 +47,6 @@ class SharedOpt(MatmulAlgorithm):
         n: int,
         z: int,
         lam: Optional[int] = None,
-        round_to_divisor: bool = False,
     ) -> None:
         super().__init__(machine, m, n, z)
         if lam is None:
@@ -62,11 +56,6 @@ class SharedOpt(MatmulAlgorithm):
         if 1 + lam + lam * lam > machine.cs:
             raise ParameterError(
                 f"lambda={lam} violates 1 + λ + λ² <= CS={machine.cs}"
-            )
-        if round_to_divisor:
-            lam = min(
-                largest_divisor_at_most(m, lam),
-                largest_divisor_at_most(n, lam),
             )
         self.lam = lam
 
@@ -80,7 +69,7 @@ class SharedOpt(MatmulAlgorithm):
         p = ctx.p
         m, n, z = self.m, self.n, self.z
         lam = self.lam
-        explicit = ctx.explicit
+        d = ctx.directives
         compute = ctx.compute
         compute_row = ctx.compute_row
         split = self.split_evenly
@@ -90,48 +79,48 @@ class SharedOpt(MatmulAlgorithm):
             hi = min(i0 + lam, m)
             for j0 in tile_loop(ctx, n, lam, (0, lam, lam)):
                 wj = min(j0 + lam, n)
-                if explicit:
+                if d is not None:
                     # Pin the C tile in the shared cache.
                     for i in range(i0, hi):
                         crow = C_BASE | (i << RS)
                         for j in range(j0, wj):
-                            ctx.load_shared(crow | j)
+                            d.load_shared(crow | j)
                 chunks = split(j0, wj, p)
                 for k in ctx.loop(range(z), (1, 1 << RS, 0)):
                     brow = B_BASE | (k << RS)
-                    if explicit:
+                    if d is not None:
                         for j in range(j0, wj):
-                            ctx.load_shared(brow | j)
+                            d.load_shared(brow | j)
                     for i in range(i0, hi):
                         ka = A_BASE | (i << RS) | k
                         crow = C_BASE | (i << RS)
-                        if explicit:
-                            ctx.load_shared(ka)
+                        if d is not None:
+                            d.load_shared(ka)
                         for core in range(p):
                             chunk = chunks[core]
                             if not chunk:
                                 continue
-                            if explicit:
-                                ctx.load_dist(core, ka)
+                            if d is not None:
+                                d.load_dist(core, ka)
                                 for j in chunk:
                                     kb = brow | j
                                     kc = crow | j
-                                    ctx.load_dist(core, kb)
-                                    ctx.load_dist(core, kc)
+                                    d.load_dist(core, kb)
+                                    d.load_dist(core, kc)
                                     compute(core, kc, ka, kb)
-                                    ctx.evict_dist(core, kb)
-                                    ctx.evict_dist(core, kc)
-                                ctx.evict_dist(core, ka)
+                                    d.evict_dist(core, kb)
+                                    d.evict_dist(core, kc)
+                                d.evict_dist(core, ka)
                             else:
                                 compute_row(core, crow, ka, brow, chunk)
-                        if explicit:
-                            ctx.evict_shared(ka)
-                    if explicit:
+                        if d is not None:
+                            d.evict_shared(ka)
+                    if d is not None:
                         for j in range(j0, wj):
-                            ctx.evict_shared(brow | j)
-                if explicit:
+                            d.evict_shared(brow | j)
+                if d is not None:
                     # Write the finished C tile back to memory.
                     for i in range(i0, hi):
                         crow = C_BASE | (i << RS)
                         for j in range(j0, wj):
-                            ctx.evict_shared(crow | j)
+                            d.evict_shared(crow | j)

@@ -112,7 +112,7 @@ class Tradeoff(MatmulAlgorithm):
         m, n, z = self.m, self.n, self.z
         alpha, beta, mu, s = self.alpha, self.beta, self.mu, self.grid
         region = alpha // s  # side of each core's contiguous C region
-        explicit = ctx.explicit
+        d = ctx.directives
         compute_row = ctx.compute_row
         hoist = self.single_subblock
         RS = ROW_SHIFT
@@ -121,11 +121,11 @@ class Tradeoff(MatmulAlgorithm):
             hi = min(i0 + alpha, m)
             for j0 in tile_loop(ctx, n, alpha, (0, alpha, alpha)):
                 wj = min(j0 + alpha, n)
-                if explicit:
+                if d is not None:
                     for i in range(i0, hi):
                         crow = C_BASE | (i << RS)
                         for j in range(j0, wj):
-                            ctx.load_shared(crow | j)
+                            d.load_shared(crow | j)
                 # Per-core contiguous regions (paper pseudocode), clamped.
                 regions = []
                 for core in range(s * s):
@@ -135,74 +135,74 @@ class Tradeoff(MatmulAlgorithm):
                     clo = min(j0 + gj * region, wj)
                     chi = min(j0 + (gj + 1) * region, wj)
                     regions.append((rlo, rhi, clo, chi))
-                if explicit and hoist:
+                if d is not None and hoist:
                     # α = √pµ: each core's single sub-block is its whole
                     # region; pin it for the entire tile computation.
                     for core, (rlo, rhi, clo, chi) in enumerate(regions):
                         for i in range(rlo, rhi):
                             crow = C_BASE | (i << RS)
                             for j in range(clo, chi):
-                                ctx.load_dist(core, crow | j)
+                                d.load_dist(core, crow | j)
                 for k0 in tile_loop(ctx, z, beta, (beta, beta << RS, 0)):
                     kh = min(k0 + beta, z)
-                    if explicit:
+                    if d is not None:
                         for k in range(k0, kh):
                             brow = B_BASE | (k << RS)
                             for j in range(j0, wj):
-                                ctx.load_shared(brow | j)
+                                d.load_shared(brow | j)
                         for i in range(i0, hi):
                             arow = A_BASE | (i << RS)
                             for k in range(k0, kh):
-                                ctx.load_shared(arow | k)
+                                d.load_shared(arow | k)
                     for core, (rlo, rhi, clo, chi) in enumerate(regions):
                         for bi in range(rlo, rhi, mu):
                             bih = min(bi + mu, rhi)
                             for bj in range(clo, chi, mu):
                                 bjh = min(bj + mu, chi)
-                                if explicit and not hoist:
+                                if d is not None and not hoist:
                                     for i in range(bi, bih):
                                         crow = C_BASE | (i << RS)
                                         for j in range(bj, bjh):
-                                            ctx.load_dist(core, crow | j)
+                                            d.load_dist(core, crow | j)
                                 for k in range(k0, kh):
                                     brow = B_BASE | (k << RS)
-                                    if explicit:
+                                    if d is not None:
                                         for j in range(bj, bjh):
-                                            ctx.load_dist(core, brow | j)
+                                            d.load_dist(core, brow | j)
                                     for i in range(bi, bih):
                                         ka = A_BASE | (i << RS) | k
                                         crow = C_BASE | (i << RS)
-                                        if explicit:
-                                            ctx.load_dist(core, ka)
+                                        if d is not None:
+                                            d.load_dist(core, ka)
                                         compute_row(core, crow, ka, brow, range(bj, bjh))
-                                        if explicit:
-                                            ctx.evict_dist(core, ka)
-                                    if explicit:
+                                        if d is not None:
+                                            d.evict_dist(core, ka)
+                                    if d is not None:
                                         for j in range(bj, bjh):
-                                            ctx.evict_dist(core, brow | j)
-                                if explicit and not hoist:
+                                            d.evict_dist(core, brow | j)
+                                if d is not None and not hoist:
                                     # Push the partial sub-block back up.
                                     for i in range(bi, bih):
                                         crow = C_BASE | (i << RS)
                                         for j in range(bj, bjh):
-                                            ctx.evict_dist(core, crow | j)
-                    if explicit:
+                                            d.evict_dist(core, crow | j)
+                    if d is not None:
                         for k in range(k0, kh):
                             brow = B_BASE | (k << RS)
                             for j in range(j0, wj):
-                                ctx.evict_shared(brow | j)
+                                d.evict_shared(brow | j)
                         for i in range(i0, hi):
                             arow = A_BASE | (i << RS)
                             for k in range(k0, kh):
-                                ctx.evict_shared(arow | k)
-                if explicit:
+                                d.evict_shared(arow | k)
+                if d is not None:
                     if hoist:
                         for core, (rlo, rhi, clo, chi) in enumerate(regions):
                             for i in range(rlo, rhi):
                                 crow = C_BASE | (i << RS)
                                 for j in range(clo, chi):
-                                    ctx.evict_dist(core, crow | j)
+                                    d.evict_dist(core, crow | j)
                     for i in range(i0, hi):
                         crow = C_BASE | (i << RS)
                         for j in range(j0, wj):
-                            ctx.evict_shared(crow | j)
+                            d.evict_shared(crow | j)

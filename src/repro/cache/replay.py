@@ -51,7 +51,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.algorithms.base import ExecutionContext, MatmulAlgorithm
+from repro.algorithms.base import Directives, ExecutionContext, MatmulAlgorithm
 from repro.cache.block import MAT_SHIFT
 from repro.cache.hierarchy import LRUHierarchy
 from repro.cache.stats import CacheStats, HierarchyStats
@@ -70,21 +70,26 @@ class _Recorder(ExecutionContext):
     The compute stream is appended to a flat ``array('q')`` buffer as
     ``(core, akey, bkey, ckey)`` quadruples — the exact touch order of
     the step simulator (A, B, then the written C) — and lowered to one
-    ``(n, 4)`` int64 array at compile time.  With ``explicit=True`` the
-    schedule's IDEAL directives are recorded too, as four parallel int
-    lists timestamped with the number of computes already emitted
-    (directive ``t`` sorts before compute ``t``).
+    ``(n, 4)`` int64 array at compile time.  With ``directives=True``
+    the recorder is its own ``directives``, and the schedule's IDEAL
+    directives are recorded too, as four parallel int lists timestamped
+    with the number of computes already emitted (directive ``t`` sorts
+    before compute ``t``).
     """
 
-    def __init__(self, p: int, explicit: bool) -> None:
+    def __init__(self, p: int, directives: bool) -> None:
         super().__init__(p)
-        self.explicit = explicit
+        self._records_directives = directives
         self._buf: "array[int]" = array("q")
         self._n_fmas = 0
         self.dir_op: List[int] = []
         self.dir_t: List[int] = []
         self.dir_core: List[int] = []
         self.dir_key: List[int] = []
+
+    @property
+    def directives(self) -> Optional[Directives]:
+        return self if self._records_directives else None
 
     def _record(self, op: int, core: int, key: int) -> None:
         self.dir_op.append(op)
@@ -206,7 +211,7 @@ def compile_trace(
     compute stream only, the form the tier stores for a trace that
     carries no directives.
     """
-    recorder = _Recorder(algorithm.machine.p, explicit=directives)
+    recorder = _Recorder(algorithm.machine.p, directives)
     algorithm.run(recorder)
     dirs = (
         (recorder.dir_op, recorder.dir_t, recorder.dir_core, recorder.dir_key)

@@ -24,10 +24,9 @@ optimality claims rest on invariants that can be proved over the
   lower bound (the maximum of the §2.3 Loomis–Whitney bound, SLLvdG
   tight, memory-independent and compulsory);
 * **lint / determinism** — one serial AST pass over the sources
-  enforcing repo idioms (directives wrapped in ``if ctx.explicit``,
-  atomic artifact writes) and keeping the
-  fingerprint/serde modules free of wall-clock, RNG, filesystem-order
-  and set-order nondeterminism (``determinism/*``).
+  enforcing repo idioms (atomic artifact writes, no dead branches)
+  and keeping the fingerprint/serde modules free of wall-clock, RNG,
+  filesystem-order and set-order nondeterminism (``determinism/*``).
 
 Fingerprint purity is not an analyzer: it is the
 :class:`repro.store.checkpoint.CellKey` type, which has no field an

@@ -1,8 +1,8 @@
 """Symbolic event log of a schedule and the context that records it.
 
 :class:`AnalysisContext` is the cheapest possible interpreter of a
-schedule: it advertises ``explicit = True`` so algorithms emit their
-full directive stream, and appends every operation to a flat list of
+schedule: it is its own ``directives``, so algorithms emit their full
+directive stream, and appends every operation to a flat list of
 tuples instead of simulating anything.  The analyzers in this package
 (the residency walk of :mod:`~repro.check.presence`,
 :mod:`~repro.check.coverage`, :mod:`~repro.check.races`) then prove
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.algorithms.base import ExecutionContext
+from repro.algorithms.base import Directives, ExecutionContext
 
 #: Event opcodes (first element of every event tuple).
 LOAD_S = 0
@@ -50,29 +50,31 @@ class AnalysisContext(ExecutionContext):
     study here.
     """
 
-    explicit = True
-
     def __init__(self, p: int) -> None:
         super().__init__(p)
         self.events: List[Event] = []
         #: Number of explicit directives recorded (0 ⇒ compute-only
         #: schedule; the residency walk is meaningless then).
-        self.directives = 0
+        self.directive_count = 0
+
+    @property
+    def directives(self) -> Directives:
+        return self
 
     def load_shared(self, key: int) -> None:
-        self.directives += 1
+        self.directive_count += 1
         self.events.append((LOAD_S, -1, key))
 
     def evict_shared(self, key: int) -> None:
-        self.directives += 1
+        self.directive_count += 1
         self.events.append((EVICT_S, -1, key))
 
     def load_dist(self, core: int, key: int) -> None:
-        self.directives += 1
+        self.directive_count += 1
         self.events.append((LOAD_D, core, key))
 
     def evict_dist(self, core: int, key: int) -> None:
-        self.directives += 1
+        self.directive_count += 1
         self.events.append((EVICT_D, core, key))
 
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:

@@ -1,13 +1,7 @@
 """AST lint pass enforcing repo idioms over :mod:`repro` sources.
 
-Four rules, each born from a real failure mode of this codebase:
+Three rules, each born from a real failure mode of this codebase:
 
-* ``explicit-guard`` — in ``algorithms/*.py``, calls to the explicit
-  directives (``load_shared``, ``evict_shared``, ``load_dist``,
-  ``evict_dist``) must sit under an ``if`` whose condition references
-  ``explicit`` (``if ctx.explicit:`` or a hoisted ``if explicit:``).
-  An unguarded directive silently burns cycles on the very hot LRU and
-  numeric paths, where the calls are no-ops.
 * ``dead-branch`` — no ``if`` statement whose entire body is ``pass``
   and that has no ``else``: the condition reads as if it handles a case
   but does nothing.  The LRU hierarchy carried exactly such a branch
@@ -48,9 +42,6 @@ from repro.check.determinism import determinism_findings, walk_with_parents
 from repro.check.findings import ERROR, Finding
 from repro.check.rules import SuppressionIndex
 
-#: The explicit-directive method names of the execution contexts.
-DIRECTIVES = frozenset({"load_shared", "evict_shared", "load_dist", "evict_dist"})
-
 
 def _finding(rule: str, message: str, filename: str, line: int) -> Finding:
     return Finding(
@@ -60,56 +51,6 @@ def _finding(rule: str, message: str, filename: str, line: int) -> Finding:
         location=f"{filename}:{line}",
         rule=f"lint/{rule}",
     )
-
-
-def _mentions_explicit(node: ast.AST) -> bool:
-    """Whether a condition expression references an ``explicit`` flag."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id == "explicit":
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr == "explicit":
-            return True
-    return False
-
-
-def _directive_name(call: ast.Call) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Attribute) and func.attr in DIRECTIVES:
-        return func.attr
-    if isinstance(func, ast.Name) and func.id in DIRECTIVES:
-        return func.id
-    return None
-
-
-def _check_explicit_guard(
-    tree: ast.AST, filename: str, findings: List[Finding]
-) -> None:
-    """Rule ``explicit-guard``: directives only under ``if … explicit …``."""
-
-    def visit(node: ast.AST, guarded: bool) -> None:
-        if isinstance(node, ast.If) and _mentions_explicit(node.test):
-            for child in node.body:
-                visit(child, True)
-            for child in node.orelse:
-                # The else-branch of `if explicit:` is the *unguarded* path.
-                visit(child, guarded)
-            return
-        if isinstance(node, ast.Call):
-            name = _directive_name(node)
-            if name is not None and not guarded:
-                findings.append(
-                    _finding(
-                        "explicit-guard",
-                        f"directive ctx.{name}(...) is not wrapped in "
-                        "'if ctx.explicit'",
-                        filename,
-                        node.lineno,
-                    )
-                )
-        for child in ast.iter_child_nodes(node):
-            visit(child, guarded)
-
-    visit(tree, False)
 
 
 def _elif_ifs(nodes: Sequence[ast.AST]) -> Set[int]:
@@ -239,8 +180,7 @@ def _check_nonatomic_write(
 
 #: The syntactic lint checks, in dispatch order.  Each entry is
 #: ``(gate, check)`` where ``gate`` names the :class:`FileProfile`
-#: condition under which the rule applies (``explicit-guard`` has
-#: bespoke wiring below because it walks the tree with guard state).
+#: condition under which the rule applies.
 _SIMPLE_CHECKS: "Sequence[Tuple[str, _Check]]" = (
     ("always", _check_dead_branch),
     ("always", _check_init_self_call),
@@ -254,15 +194,12 @@ _Check = Callable[[Sequence[ast.AST], str, List[Finding]], None]
 class FileProfile:
     """Which rule families and module-role gates apply to a file.
 
-    The role flags mirror the package layout: ``algorithms_module``
-    enables the directive rule, ``store_module`` exempts the
-    one package allowed to perform raw writes.  The family flags pick
-    rule families:
-    ``lint`` (repo idioms) and ``determinism`` (fingerprint-feeding
-    modules plus tests).
+    The role flag mirrors the package layout: ``store_module`` exempts
+    the one package allowed to perform raw writes.  The family flags
+    pick rule families: ``lint`` (repo idioms) and ``determinism``
+    (fingerprint-feeding modules plus tests).
     """
 
-    algorithms_module: bool = False
     store_module: bool = False
     lint: bool = True
     determinism: bool = False
@@ -304,8 +241,6 @@ def _lint_tree(
             if gate == "not-store" and profile.store_module:
                 continue
             check(nodes, filename, findings)
-        if profile.algorithms_module:
-            _check_explicit_guard(tree, filename, findings)
     if profile.determinism:
         findings += determinism_findings(nodes, parents, filename)
 
@@ -363,15 +298,14 @@ def _profile_for(path: Path, package_root: Optional[Path]) -> FileProfile:
     in_tests = "tests" in path.parts and relative is None
     if in_tests:
         # Tests get the determinism hygiene pass only: they seed and
-        # replay fingerprints, but repo idioms (atomic writes, guards)
-        # do not apply to fixtures.
+        # replay fingerprints, but repo idioms (atomic writes) do not
+        # apply to fixtures.
         return FileProfile(lint=False, determinism=True)
     determinism = relative is not None and (
         relative.startswith(("algorithms/", "store/", "fabric/"))
         or relative in _DETERMINISM_FILES
     )
     return FileProfile(
-        algorithms_module=path.parent.name == "algorithms",
         store_module=path.parent.name == "store",
         lint=True,
         determinism=determinism,

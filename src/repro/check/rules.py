@@ -253,8 +253,6 @@ _r("schedule/raised", ERROR,
    "Schedule raised while being recorded", "schedule")
 
 # -- syntactic lint -----------------------------------------------------
-_r("lint/explicit-guard", ERROR,
-   "Cache directive not wrapped in 'if ctx.explicit'", "lint")
 _r("lint/dead-branch", ERROR,
    "'if' whose whole body is 'pass' and that has no 'else'", "lint")
 _r("lint/init-self-call", ERROR,

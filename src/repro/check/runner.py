@@ -128,7 +128,7 @@ def analyze_schedule(
 
     findings: List[Finding] = check_parameters(alg, machine=label)
     common: Dict[str, Any] = dict(algorithm=alg.name, machine=label)
-    if ctx.directives:
+    if ctx.directive_count:
         walk_findings, peak_shared, peak_dist, counted = check_residency(
             events, machine.cs, machine.cd, machine.p, **common
         )

@@ -12,8 +12,6 @@ from repro.model.params import (
     lambda_param,
     mu_param,
     max_square_param,
-    largest_divisor_at_most,
-    feasible_alpha,
     TradeoffParameters,
 )
 from repro.model.bounds import (
@@ -30,8 +28,6 @@ __all__ = [
     "lambda_param",
     "mu_param",
     "max_square_param",
-    "largest_divisor_at_most",
-    "feasible_alpha",
     "TradeoffParameters",
     "ccr_lower_bound",
     "shared_misses_lower_bound",

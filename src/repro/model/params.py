@@ -12,14 +12,14 @@ The three Maximum-Reuse variants size their working sets with:
   ``α×α`` block of ``C`` plus ``α×β`` of ``A`` and ``β×α`` of ``B`` in
   the shared cache).  The numerically optimal ``α`` given the bandwidth
   ratio is computed in :mod:`repro.analysis.tradeoff_opt`; this module
-  provides the feasibility/rounding layer shared by algorithms and
-  analysis.
+  provides the capacity constraints shared by algorithms and analysis.
 
 The paper additionally constrains the *implemented* parameters: ``λ``
 and ``α`` must divide the matrix order, and ``α`` must be a multiple of
 ``√p · µ`` so the ``α×α`` block of ``C`` tiles evenly over the core
-grid.  The ``feasible_*`` helpers apply exactly that rounding, which is
-also the effect the paper blames for Tradeoff's losses at q ∈ {64, 80}.
+grid; it blames that rounding for Tradeoff's losses at q ∈ {64, 80}.
+Only the grid constraint is kept here: no tile side is rounded to a
+divisor of the order, and ragged edge tiles run directly.
 """
 
 from __future__ import annotations
@@ -68,38 +68,6 @@ def mu_param(cd: int) -> int:
     return max_square_param(cd)
 
 
-def largest_divisor_at_most(n: int, bound: int, multiple_of: int = 1) -> int:
-    """Largest divisor of ``n`` that is ``≤ bound`` and a multiple of ``multiple_of``.
-
-    Used to round the *planned* tile sides (``λ``, ``α``, ``√p·µ``) down
-    to values that evenly tile the matrix, as the paper's implementation
-    does.
-
-    Raises
-    ------
-    ParameterError
-        If no such divisor exists (e.g. ``multiple_of`` does not divide
-        ``n`` at all, or ``bound < multiple_of``).
-    """
-    if n < 1 or bound < 1 or multiple_of < 1:
-        raise ParameterError(
-            f"invalid arguments n={n}, bound={bound}, multiple_of={multiple_of}"
-        )
-    best = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            for cand in (d, n // d):
-                if cand <= bound and cand % multiple_of == 0 and cand > best:
-                    best = cand
-        d += 1
-    if best == 0:
-        raise ParameterError(
-            f"no divisor of {n} is <= {bound} and a multiple of {multiple_of}"
-        )
-    return best
-
-
 @dataclass(frozen=True)
 class TradeoffParameters:
     """The (α, β) pair the Tradeoff algorithm actually runs with.
@@ -142,38 +110,3 @@ def alpha_max(cs: int) -> float:
     room for slabs of depth ``β = 1``.
     """
     return math.sqrt(cs + 1.0) - 1.0
-
-
-def feasible_alpha(
-    m: int,
-    p: int,
-    mu: int,
-    alpha_target: float,
-    cs: int,
-) -> int:
-    """Round a target α down to an implementable tile side.
-
-    The implemented ``α`` must (i) divide the matrix order ``m``,
-    (ii) be a multiple of ``√p · µ`` so each core owns whole ``µ×µ``
-    sub-tiles of the ``α×α`` block, and (iii) satisfy the capacity
-    constraint ``α² + 2α ≤ CS``.
-
-    Raises
-    ------
-    ParameterError
-        If ``p`` is not a perfect square or no feasible α exists
-        (typically ``√p·µ`` does not divide ``m``).
-    """
-    side = math.isqrt(p)
-    if side * side != p:
-        raise ParameterError(f"feasible_alpha requires a square core count, got p={p}")
-    unit = side * mu
-    bound = min(int(alpha_target), int(alpha_max(cs)))
-    if bound < unit:
-        bound = unit  # fall back to the minimal legal tile
-    alpha = largest_divisor_at_most(m, bound, multiple_of=unit)
-    if alpha * alpha + 2 * alpha > cs:
-        raise ParameterError(
-            f"even the smallest implementable alpha={alpha} overflows CS={cs}"
-        )
-    return alpha

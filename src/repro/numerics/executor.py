@@ -28,8 +28,6 @@ from repro.numerics.kernels import block_fma
 class NumericContext(ExecutionContext):
     """Interpret a schedule as actual block arithmetic."""
 
-    explicit = False
-
     def __init__(self, p: int, a: BlockMatrix, b: BlockMatrix) -> None:
         super().__init__(p)
         if a.cols != b.rows or a.q != b.q:

@@ -30,11 +30,12 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Optional,
     Sequence,
     TypeVar,
 )
 
-from repro.algorithms.base import ExecutionContext, Shift
+from repro.algorithms.base import Directives, ExecutionContext, Shift
 from repro.cache.block import shifted
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
 from repro.cache.trace import AccessTrace
@@ -165,9 +166,9 @@ class _CountingContext(ExecutionContext, Generic[_Hierarchy]):
 class LRUContext(_CountingContext[LRUHierarchy]):
     """LRU simulator mode: only compute touches reach the caches.
 
-    Explicit directives are ignored ("in the LRU mode, read and write
-    operations are made at the distributed cache level; if a miss
-    occurs, operations are propagated throughout the hierarchy").  The
+    It has no directives ("in the LRU mode, read and write operations
+    are made at the distributed cache level; if a miss occurs,
+    operations are propagated throughout the hierarchy").  The
     hierarchy may be a tree with middle levels (paper §6).  Declared
     loops are fast-forwarded when every cache is plain LRU or FIFO
     (:attr:`LRUHierarchy.renames`), inclusive or not.  A row of
@@ -175,8 +176,6 @@ class LRUContext(_CountingContext[LRUHierarchy]):
     never spans an iteration boundary, so the fast-forward sees the
     same states.
     """
-
-    explicit = False
 
     def __init__(self, hierarchy: LRUHierarchy) -> None:
         super().__init__(hierarchy, hierarchy.renames)
@@ -196,21 +195,25 @@ class LRUContext(_CountingContext[LRUHierarchy]):
 class IdealContext(_CountingContext[IdealHierarchy]):
     """IDEAL simulator mode: the schedule controls every cache movement.
 
-    Declared loops are fast-forwarded unless the hierarchy checks the
-    schedule (``check=True``), which must see every directive.
+    The context is its own :class:`~repro.algorithms.base.Directives`,
+    bound straight to the hierarchy's methods.  Declared loops are
+    fast-forwarded unless the hierarchy checks the schedule
+    (``check=True``), which must see every directive.
     """
-
-    explicit = True
 
     def __init__(self, hierarchy: IdealHierarchy) -> None:
         super().__init__(hierarchy, not hierarchy.check)
-        self.load_shared = hierarchy.load_shared  # type: ignore[method-assign]
-        self.evict_shared = hierarchy.evict_shared  # type: ignore[method-assign]
-        self.load_dist = hierarchy.load_distributed  # type: ignore[method-assign]
-        self.evict_dist = hierarchy.evict_distributed  # type: ignore[method-assign]
+        self.load_shared = hierarchy.load_shared
+        self.evict_shared = hierarchy.evict_shared
+        self.load_dist = hierarchy.load_distributed
+        self.evict_dist = hierarchy.evict_distributed
         self._check = hierarchy.check
         self._dist_dirty = hierarchy.dist_dirty
         self._assert = hierarchy.assert_present
+
+    @property
+    def directives(self) -> Directives:
+        return self
 
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
         if self._check:
@@ -228,8 +231,6 @@ class RecordingContext(ExecutionContext):
     analyzer (:mod:`repro.cache.stackdist`) for whole-miss-curve
     analysis, or to Belady's OPT (:mod:`repro.cache.opt`).
     """
-
-    explicit = False
 
     def __init__(self, p: int) -> None:
         super().__init__(p)
@@ -250,8 +251,8 @@ class RecordingContext(ExecutionContext):
 class ChainContext(ExecutionContext):
     """Fan a schedule out to several contexts (they must agree on ``p``).
 
-    ``explicit`` is the OR of the children's: explicit directives are
-    forwarded only to children that honour them.
+    It has directives exactly when a child does, and forwards them to
+    the children that have them.
     """
 
     def __init__(self, contexts: Sequence[ExecutionContext]) -> None:
@@ -262,24 +263,27 @@ class ChainContext(ExecutionContext):
             raise ValueError("chained contexts disagree on the core count")
         super().__init__(p)
         self.contexts = list(contexts)
-        self.explicit = any(c.explicit for c in contexts)
-        self._explicit_children = [c for c in contexts if c.explicit]
+        self._targets = [c.directives for c in contexts if c.directives is not None]
+
+    @property
+    def directives(self) -> Optional[Directives]:
+        return self if self._targets else None
 
     def load_shared(self, key: int) -> None:
-        for c in self._explicit_children:
-            c.load_shared(key)
+        for d in self._targets:
+            d.load_shared(key)
 
     def evict_shared(self, key: int) -> None:
-        for c in self._explicit_children:
-            c.evict_shared(key)
+        for d in self._targets:
+            d.evict_shared(key)
 
     def load_dist(self, core: int, key: int) -> None:
-        for c in self._explicit_children:
-            c.load_dist(core, key)
+        for d in self._targets:
+            d.load_dist(core, key)
 
     def evict_dist(self, core: int, key: int) -> None:
-        for c in self._explicit_children:
-            c.evict_dist(core, key)
+        for d in self._targets:
+            d.evict_dist(core, key)
 
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
         for c in self.contexts:

@@ -16,14 +16,7 @@ class TestNullContext:
         ctx.compute(1, 0, 0, 0)
         assert ctx.comp == [1, 2]
         assert ctx.comp_total == 3
-
-    def test_directives_are_noops(self):
-        ctx = NullContext(p=1)
-        ctx.load_shared(0)
-        ctx.evict_shared(0)
-        ctx.load_dist(0, 0)
-        ctx.evict_dist(0, 0)
-        assert ctx.comp_total == 0
+        assert ctx.directives is None
 
     def test_rejects_zero_cores(self):
         with pytest.raises(ConfigurationError):

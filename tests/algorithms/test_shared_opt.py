@@ -34,12 +34,6 @@ class TestParameters:
         with pytest.raises(ParameterError):
             SharedOpt(quad, 12, 12, 12, lam=10)
 
-    def test_round_to_divisor(self, paper_q32):
-        # lambda=30 does not divide 40; rounding picks a divisor <= 30.
-        alg = SharedOpt(paper_q32, 40, 40, 40, round_to_divisor=True)
-        assert 40 % alg.lam == 0
-        assert alg.lam <= 30
-
     def test_rejects_nonpositive_lambda(self, quad):
         with pytest.raises(ParameterError):
             SharedOpt(quad, 4, 4, 4, lam=0)

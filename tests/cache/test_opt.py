@@ -97,8 +97,6 @@ class TestAgainstAlgorithmTraces:
         machine = MulticoreMachine(p=1, cs=30, cd=3, q=8)
 
         class Recorder(ExecutionContext):
-            explicit = False
-
             def __init__(self):
                 super().__init__(1)
                 self.trace = AccessTrace()

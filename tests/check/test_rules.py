@@ -1,5 +1,6 @@
 """Tests for the rule registry and inline suppressions."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from repro.check.rules import (
 )
 
 ALL_IDS = sorted(REGISTRY)
+CHECKER_DOC = Path(__file__).resolve().parents[2] / "docs" / "CHECKER.md"
 
 # Built by concatenation so the scanner (which also lints this test
 # file) does not read the fixture literals as live waivers.
@@ -55,9 +57,21 @@ class TestRegistry:
 
     def test_checker_doc_names_every_rule(self):
         # SARIF's fullDescription sends readers to this catalogue.
-        doc = Path(__file__).resolve().parents[2] / "docs" / "CHECKER.md"
-        text = doc.read_text(encoding="utf-8")
+        text = CHECKER_DOC.read_text(encoding="utf-8")
         assert [r for r in ALL_IDS if f"`{r}`" not in text] == []
+
+    def test_checker_doc_names_no_unregistered_rule(self):
+        # A retired rule must leave the catalogue too.  Placeholders
+        # such as `family/name` belong to no registered family.
+        families = {rule_id.partition("/")[0] for rule_id in REGISTRY}
+        named = {
+            token
+            for token in re.findall(
+                r"`([a-z]+/[a-z0-9-]+)`", CHECKER_DOC.read_text(encoding="utf-8")
+            )
+            if token.partition("/")[0] in families
+        }
+        assert sorted(named) == ALL_IDS
 
     def test_duplicate_registration_rejected(self):
         before = dict(REGISTRY)

@@ -30,20 +30,21 @@ class RacyEqual(MatmulAlgorithm):
         ck = block_key(MAT_C, 0, 0)
         ak = block_key(MAT_A, 0, 0)
         bk = block_key(MAT_B, 0, 0)
-        if ctx.explicit:
+        d = ctx.directives
+        if d is not None:
             for key in (ck, ak, bk):
-                ctx.load_shared(key)
+                d.load_shared(key)
             for core in range(ctx.p):
                 for key in (ck, ak, bk):
-                    ctx.load_dist(core, key)
+                    d.load_dist(core, key)
         for core in range(ctx.p):
             ctx.compute(core, ck, ak, bk)
-        if ctx.explicit:
+        if d is not None:
             for core in range(ctx.p):
                 for key in (ak, bk, ck):
-                    ctx.evict_dist(core, key)
+                    d.evict_dist(core, key)
             for key in (ak, bk, ck):
-                ctx.evict_shared(key)
+                d.evict_shared(key)
 
 
 class TestAnalyzeSchedule:

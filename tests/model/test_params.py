@@ -7,9 +7,7 @@ from repro.exceptions import ParameterError
 from repro.model.params import (
     alpha_max,
     beta_for_alpha,
-    feasible_alpha,
     lambda_param,
-    largest_divisor_at_most,
     max_square_param,
     mu_param,
 )
@@ -50,37 +48,6 @@ class TestMaxSquareParam:
         assert mu_param(21) == 4
 
 
-class TestLargestDivisor:
-    def test_simple(self):
-        assert largest_divisor_at_most(100, 30) == 25
-        assert largest_divisor_at_most(100, 100) == 100
-        assert largest_divisor_at_most(100, 10) == 10
-
-    def test_with_multiple_of(self):
-        assert largest_divisor_at_most(48, 20, multiple_of=4) == 16
-        assert largest_divisor_at_most(48, 48, multiple_of=8) == 48
-
-    def test_no_divisor_raises(self):
-        with pytest.raises(ParameterError):
-            largest_divisor_at_most(7, 6, multiple_of=2)
-
-    def test_invalid_args(self):
-        with pytest.raises(ParameterError):
-            largest_divisor_at_most(0, 5)
-
-    @given(
-        st.integers(min_value=1, max_value=5000),
-        st.integers(min_value=1, max_value=5000),
-    )
-    def test_result_divides_and_bounded(self, n, bound):
-        try:
-            d = largest_divisor_at_most(n, bound)
-        except ParameterError:
-            pytest.skip("no divisor in range")
-        assert n % d == 0
-        assert d <= bound
-
-
 class TestBetaAlpha:
     def test_beta_for_alpha_paper_constraint(self):
         # alpha^2 + 2*alpha*beta <= CS must hold for the returned beta
@@ -104,23 +71,3 @@ class TestBetaAlpha:
         cs = 977
         am = alpha_max(cs)
         assert am * am + 2 * am == pytest.approx(cs)
-
-
-class TestFeasibleAlpha:
-    def test_divides_and_multiple(self):
-        alpha = feasible_alpha(m=48, p=4, mu=2, alpha_target=20.0, cs=977)
-        assert 48 % alpha == 0
-        assert alpha % 4 == 0  # multiple of sqrt(p)*mu = 4
-        assert alpha <= 20
-
-    def test_falls_back_to_minimal_tile(self):
-        alpha = feasible_alpha(m=4, p=4, mu=2, alpha_target=100.0, cs=977)
-        assert alpha == 4
-
-    def test_non_square_p_raises(self):
-        with pytest.raises(ParameterError):
-            feasible_alpha(m=48, p=6, mu=2, alpha_target=20.0, cs=977)
-
-    def test_indivisible_m_raises(self):
-        with pytest.raises(ParameterError):
-            feasible_alpha(m=7, p=4, mu=2, alpha_target=20.0, cs=977)

@@ -23,18 +23,20 @@ class TestLRUContext:
         assert ctx.comp == [1]
 
     def test_not_explicit(self):
-        assert not LRUContext(LRUHierarchy(p=1, cs=16, cd=4)).explicit
+        assert LRUContext(LRUHierarchy(p=1, cs=16, cd=4)).directives is None
 
     def test_directives_ignored(self):
-        h = LRUHierarchy(p=1, cs=16, cd=4)
-        ctx = LRUContext(h)
-        ctx.load_shared(block_key(MAT_A, 0, 0))
-        assert h.shared.misses == 0
+        """No directive reaches the hierarchy: schedules emit none, and
+        one emitted anyway fails instead of running as a no-op."""
+        ctx = LRUContext(LRUHierarchy(p=1, cs=16, cd=4))
+        with pytest.raises(AttributeError):
+            ctx.load_shared(block_key(MAT_A, 0, 0))
 
 
 class TestIdealContext:
     def test_explicit(self):
-        assert IdealContext(IdealHierarchy(p=1, cs=16, cd=4)).explicit
+        ctx = IdealContext(IdealHierarchy(p=1, cs=16, cd=4))
+        assert ctx.directives is ctx
 
     def test_directives_forwarded(self):
         h = IdealHierarchy(p=1, cs=16, cd=4)
@@ -123,7 +125,8 @@ class TestChainContext:
         h = IdealHierarchy(quad.p, quad.cs, quad.cd, check=True)
         ideal = IdealContext(h)
         chain = ChainContext([numeric, ideal])
-        assert chain.explicit  # OR of children
+        assert numeric.directives is None
+        assert chain.directives is chain  # the ideal child has directives
         alg.run(chain)
         numeric.assert_complete()
         assert numeric.c.allclose(a @ b)
@@ -134,7 +137,7 @@ class TestChainContext:
     def test_explicit_false_when_no_explicit_child(self, quad):
         h = LRUHierarchy(quad.p, quad.cs, quad.cd)
         chain = ChainContext([LRUContext(h)])
-        assert not chain.explicit
+        assert chain.directives is None
 
     def test_mismatched_core_counts_rejected(self):
         h1 = LRUHierarchy(p=1, cs=16, cd=4)

@@ -212,14 +212,18 @@ def _key_of(offset: Tuple[int, int, int], step: int, shift: Shift) -> int:
 
 
 def _emit(ctx: Context, ops, step: int, shift: Shift) -> None:
+    """Emit ``ops``; directives reach only a context that has them."""
+    d = ctx.directives
     for kind, core, offsets in ops:
         keys = [_key_of(offset, step, shift) for offset in offsets]
         if kind == "compute":
             ctx.compute(core, *keys)
+        elif d is None:
+            continue
         elif kind.endswith("shared"):
-            getattr(ctx, kind)(keys[0])
+            getattr(d, kind)(keys[0])
         else:
-            getattr(ctx, kind)(core, keys[0])
+            getattr(d, kind)(core, keys[0])
 
 
 class TestSyntheticLoop:
@@ -408,6 +412,43 @@ def test_a_cache_tree_skips_too():
     assert touches < 0.6 * 3 * 32**3
 
 
+def test_nested_skips_on_its_tree():
+    """Nested Max Reuse declares its lockstep ``k`` loop, which repeats
+    on the tree the schedule is sized for.  Comparisons are amortized
+    over the whole tree's state, so the share simulated falls with the
+    order: 52% at order 32, 35% at 48, 26% at 64."""
+    machine = MulticoreMachine(p=16, cs=400, cd=21, q=8)
+    alg = NestedMaxReuse(machine, 48, 48, 48)
+    ctx = _counting(LRUContext)(alg.default_tree())
+    alg.run(ctx)
+    assert ctx.comp_total == 48**3
+    assert ctx.simulated < 0.5 * 48**3
+
+
+@pytest.mark.parametrize("setting", ["lru-50", "ideal"])
+def test_cannon_skips_within_a_band(setting):
+    """Cannon declares the ``k`` loop over each core's band of a step."""
+    assert _run_counted("cannon", setting, 64).simulated < 0.5 * 64**3
+
+
+def test_a_middle_cache_moves_unless_all_its_cores_idle():
+    """Core 0 idles in the loop and shares its middle cache with core 1,
+    which works.  Core 1's first iteration hits ``A(1)`` there, already
+    that cache's most recent key, so the cache looks unchanged across
+    it; the next iteration misses on ``A(2)``.  A cache stays in place
+    only when all of its cores idle; keeping it when any of them idles
+    would jump to the wrong counters and state."""
+    outcomes = []
+    for ctx in _contexts("lru", 4, 64, 3, False, ((2, 16),)):
+        ctx.compute(1, C_BASE, A_BASE, B_BASE)
+        ctx.compute(0, C_BASE | 1, A_BASE, B_BASE | 1)
+        ctx.compute(0, C_BASE | 1, A_BASE | 1, B_BASE | 1)
+        for step in ctx.loop(range(6), (1, 0, 0)):
+            ctx.compute(1, C_BASE, A_BASE | (1 + step), B_BASE)
+        outcomes.append(_outcome(ctx))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_checked_ideal_and_set_associative_iterate_plainly():
     iterations = range(10)
     shift = (1, 1 << ROW_SHIFT, 0)
@@ -456,17 +497,22 @@ def test_verify_comp_catches_a_declared_ragged_tail():
 class DeclarationCheck(ExecutionContext):
     """Checks the promise of every declared loop instead of simulating.
 
-    It records each directive and multiply-add.  Each iteration of a
-    declared loop, nested loops included, must emit exactly what the one
-    before it emitted, in order, with every key moved by the loop's
-    shift (:meth:`ExecutionContext.loop`); a breach fails an assert.
+    It records each multiply-add, and each directive when it has
+    ``directives``.  Each iteration of a declared loop, nested loops
+    included, must emit exactly what the one before it emitted, in
+    order, with every key moved by the loop's shift
+    (:meth:`ExecutionContext.loop`); a breach fails an assert.
     """
 
-    def __init__(self, p: int, explicit: bool) -> None:
+    def __init__(self, p: int, directives: bool) -> None:
         super().__init__(p)
-        self.explicit = explicit
+        self._records_directives = directives
         self.ops: List[Tuple[object, ...]] = []
         self.compared = 0
+
+    @property
+    def directives(self):
+        return self if self._records_directives else None
 
     def load_shared(self, key: int) -> None:
         self.ops.append(("load_shared", None, key))
@@ -520,14 +566,17 @@ def _declaring_cells(draw):
 def test_every_declared_loop_is_a_translate(cell):
     """The fast-forward properties cannot see a wrong declaration: a shift
     that never matches is still exact.  This checks each one directly."""
-    name, p, cs, cd, (m, n, z), explicit = cell
+    name, p, cs, cd, (m, n, z), directives = cell
     try:
         alg = get_algorithm(name)(MulticoreMachine(p=p, cs=cs, cd=cd, q=8), m, n, z)
     except (ConfigurationError, ParameterError):
         assume(False)
-    check = DeclarationCheck(p, explicit)
+    check = DeclarationCheck(p, directives)
     alg.run(check)
     assert check.comp_total == m * n * z
+    # The directives must be checked too, not only the multiply-adds.
+    emitted = any(op[0] != "compute" for op in check.ops)
+    assert emitted == (directives and alg.supports_ideal)
 
 
 class _FirstLoopOneRowOff(DeclarationCheck):
@@ -543,8 +592,8 @@ class _FirstLoopOneRowOff(DeclarationCheck):
         return super().loop(iterations, shift)
 
 
-@pytest.mark.parametrize("explicit", [False, True])
-def test_a_super_round_declared_one_row_off_is_reported(explicit):
+@pytest.mark.parametrize("directives", [False, True])
+def test_a_super_round_declared_one_row_off_is_reported(directives):
     """Distributed Equal's super-rounds (here one tile row of ``t = 1``
     each, three of them) with a shift one row off.  Fast-forward stays
     exact under it, so only the engagement test would notice, as a lost
@@ -552,8 +601,8 @@ def test_a_super_round_declared_one_row_off_is_reported(explicit):
     machine = MulticoreMachine(p=4, cs=100, cd=3, q=8)
     alg = get_algorithm("distributed-equal")(machine, 3, 4, 5)
     assert alg.t == 1
-    check = DeclarationCheck(4, explicit)
+    check = DeclarationCheck(4, directives)
     alg.run(check)
     assert check.compared > 0
     with pytest.raises(AssertionError, match="no translate"):
-        alg.run(_FirstLoopOneRowOff(4, explicit))
+        alg.run(_FirstLoopOneRowOff(4, directives))

@@ -348,7 +348,7 @@ class TestCheck:
         assert main(["check", "--list-rules", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 2
-        assert len(payload["rules"]) == 32
+        assert len(payload["rules"]) == 31
         for rule in payload["rules"]:
             assert set(rule) == {"id", "severity", "tier", "help"}
         assert {rule["tier"] for rule in payload["rules"]} == {
