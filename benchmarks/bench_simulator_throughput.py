@@ -7,8 +7,8 @@ harness can sweep.  They are the scaling ablation called out in
 DESIGN.md.
 
 The engine benches time whole cells on identical workloads (same
-schedule, machine, counters).  Replay serves unchecked IDEAL cells only,
-so only ``ideal_cell`` has a replay half:
+schedule, machine, counters).  Replay serves IDEAL cells only, so only
+``ideal_cell`` has a replay half:
 
 * ``mdcurve`` — an 8-point distributed-capacity curve, one step
   simulation per capacity.
@@ -17,8 +17,8 @@ so only ``ideal_cell`` has a replay half:
 * ``ideal_cell`` — re-evaluating an IDEAL cell end-to-end through
   ``run_experiment``: with ``engine="replay"`` the runner memoizes the
   cell's counters per ``(ScheduleKey, "ideal")`` (algorithm, ``p``,
-  shape and tile plan) — unchecked IDEAL counters read no capacity and
-  no bandwidth — so warm
+  shape and tile plan) — IDEAL counters read no capacity and no
+  bandwidth — so warm
   cells, the common case in sweep resumes, conformance re-checks and
   figure regeneration, cost a dict probe.  ``engine="step"`` memoizes
   its own results the same way, so the step benches clear the memos
@@ -129,11 +129,11 @@ def bench_lru_generic_touch(benchmark):
 
 
 def bench_ideal_load_evict(benchmark):
-    """Throughput of checked IDEAL load/evict pairs."""
+    """Throughput of IDEAL load/evict pairs."""
     keys = [block_key(MAT_A, t % 64, t // 64) for t in range(N)]
 
     def run():
-        h = IdealHierarchy(p=4, cs=977, cd=21, check=True)
+        h = IdealHierarchy(p=4, cs=977, cd=21)
         for key in keys:
             h.load_shared(key)
             h.load_distributed(0, key)

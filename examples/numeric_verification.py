@@ -3,10 +3,11 @@
 
 The same schedule object drives three interpreters at once via a
 ChainContext: a numeric executor (real block arithmetic on numpy
-arrays), a fully *checked* IDEAL hierarchy (capacity, inclusion and
-presence verified at every step) and an LRU hierarchy.  The example
-shows the product is exact and the two simulators agree with the
-closed-form prediction.
+arrays), an IDEAL hierarchy and an LRU hierarchy.  The ``checks``
+column is the residency walk of ``repro.check``, which proves the
+schedule's capacity, inclusion and presence on its recorded directive
+log.  The example shows the product is exact and the two simulators
+agree with the closed-form prediction.
 
 Usage::
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from repro import ALGORITHMS, predict, preset
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
+from repro.check import analyze_schedule
 from repro.numerics.blockmatrix import BlockMatrix
 from repro.numerics.executor import NumericContext
 from repro.sim.contexts import ChainContext, IdealContext, LRUContext
@@ -45,23 +47,25 @@ def main() -> None:
     for name, cls in ALGORITHMS.items():
         alg = cls(machine, m, n, z)
         numeric = NumericContext(machine.p, a, b)
-        ideal_h = IdealHierarchy(machine.p, machine.cs, machine.cd, check=True)
+        ideal_h = IdealHierarchy(machine.p, machine.cs, machine.cd)
         lru_h = LRUHierarchy(machine.p, machine.cs, machine.cd)
         ctx = ChainContext(
             [numeric, IdealContext(ideal_h), LRUContext(lru_h)]
         )
-        alg.run(ctx)  # raises on any schedule bug
+        alg.run(ctx)
         numeric.assert_complete()
         exact = np.allclose(numeric.c.data, reference.data)
+        checks = analyze_schedule(alg).ok
         print(
-            f"{name:18s} {'exact' if exact else 'WRONG':>8s} {'pass':>7s} "
+            f"{name:18s} {'exact' if exact else 'WRONG':>8s} "
+            f"{'pass' if checks else 'FAIL':>7s} "
             f"{ideal_h.ms:9d} {predict(alg).ms:9.0f} "
             f"{lru_h.snapshot().ms:8d}"
         )
-        assert exact
+        assert exact and checks
 
-    print("\nEvery schedule computed A x B exactly under full capacity,")
-    print("inclusion and presence checking.")
+    print("\nEvery schedule computed A x B exactly, and the residency walk")
+    print("proved its capacity, inclusion and presence.")
 
 
 if __name__ == "__main__":

@@ -16,10 +16,9 @@ Two classes mirror the two modes of the paper's simulator (§4.1):
   to be loaded/unloaded in a given cache; I/O operations are not
   propagated throughout the hierarchy in case of a cache miss: it is the
   user responsibility to guarantee that a given data is present in every
-  cache below the target cache."  With ``check=True`` the hierarchy
-  *verifies* that responsibility: capacity overflows, inclusion
-  violations and computes on absent blocks raise instead of being
-  silently miscounted.
+  cache below the target cache."  The hierarchy only counts; the
+  residency walk of :mod:`repro.check` proves that responsibility
+  (capacity, inclusion and presence) on the schedule's directive log.
 
 Both expose the same statistics surface
 (:class:`repro.cache.stats.HierarchyStats`) so the simulation engine is
@@ -33,16 +32,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Collection, List, Sequence, Set, Tuple
 
-from repro.cache.block import MAT_SHIFT, key_name, shifted
+from repro.cache.block import MAT_SHIFT, shifted
 from repro.cache.cache import Cache
 from repro.cache.lru import FIFOCache, LRUCache
 from repro.cache.stats import CacheStats, HierarchyStats
-from repro.exceptions import (
-    CapacityError,
-    ConfigurationError,
-    InclusionError,
-    PresenceError,
-)
+from repro.exceptions import ConfigurationError
 
 
 #: One outer step of a core's path: the cache reached and the caches
@@ -456,24 +450,20 @@ class IdealHierarchy:
       counts one distributed miss for that core;
     * :meth:`evict_shared` / :meth:`evict_distributed` — frees capacity;
       dirty blocks count a write-back;
-    * :meth:`mark_dirty` — flags a resident block as modified.
+    * ``dist_dirty[core]`` — the blocks a core's multiply-adds wrote
+      (:class:`~repro.sim.contexts.IdealContext` adds each ``C``).
 
-    With ``check=True`` (the default — disable only in throughput
-    benchmarks) the hierarchy raises
-    :class:`~repro.exceptions.CapacityError` on overflow,
-    :class:`~repro.exceptions.InclusionError` when the inclusive-cache
-    invariant would break, and :meth:`assert_present` raises
-    :class:`~repro.exceptions.PresenceError` for computes on absent
-    blocks.
+    It counts whatever directives it is given, and trusts them:
+    :func:`repro.check.analyze_schedule` proves a schedule's capacity,
+    inclusion and presence.
     """
 
-    def __init__(self, p: int, cs: int, cd: int, check: bool = True) -> None:
+    def __init__(self, p: int, cs: int, cd: int) -> None:
         if p < 1:
             raise ConfigurationError(f"need at least one core, got p={p}")
         self.p = p
         self.cs = cs
         self.cd = cd
-        self.check = check
         self.shared_set: Set[int] = set()
         self.dist_sets: List[Set[int]] = [set() for _ in range(p)]
         self.shared_dirty: Set[int] = set()
@@ -498,11 +488,6 @@ class IdealHierarchy:
         if key in sset:
             self.redundant_loads += 1
             return
-        if self.check and len(sset) >= self.cs:
-            raise CapacityError(
-                f"shared cache overflow loading {key_name(key)}: "
-                f"{len(sset)}/{self.cs} blocks resident"
-            )
         sset.add(key)
         self.ms += 1
         self.ms_by_matrix[key >> MAT_SHIFT] += 1
@@ -512,27 +497,12 @@ class IdealHierarchy:
     def evict_shared(self, key: int) -> None:
         """Remove a block from the shared cache.
 
-        Dirty blocks count one write-back to memory.  In checked mode,
-        evicting a block still held by a distributed cache violates
-        inclusivity and raises.
+        Dirty blocks count one write-back to memory.
         """
-        if self.check:
-            for c, dset in enumerate(self.dist_sets):
-                if key in dset:
-                    raise InclusionError(
-                        f"evicting {key_name(key)} from shared cache while "
-                        f"core {c} still holds it"
-                    )
         if key in self.shared_dirty:
             self.shared_dirty.discard(key)
             self.shared_writebacks += 1
         self.shared_set.discard(key)
-
-    def mark_shared_dirty(self, key: int) -> None:
-        """Flag a shared-resident block as modified."""
-        if self.check and key not in self.shared_set:
-            raise PresenceError(f"{key_name(key)} not in shared cache")
-        self.shared_dirty.add(key)
 
     # ------------------------------------------------------------------
     # Distributed level
@@ -543,16 +513,6 @@ class IdealHierarchy:
         if key in dset:
             self.redundant_loads += 1
             return
-        if self.check:
-            if key not in self.shared_set:
-                raise InclusionError(
-                    f"core {core} loads {key_name(key)} absent from shared cache"
-                )
-            if len(dset) >= self.cd:
-                raise CapacityError(
-                    f"distributed cache of core {core} overflow loading "
-                    f"{key_name(key)}: {len(dset)}/{self.cd} blocks resident"
-                )
         dset.add(key)
         self.md[core] += 1
         self.md_by_matrix[core][key >> MAT_SHIFT] += 1
@@ -570,24 +530,6 @@ class IdealHierarchy:
             self.dist_updates[core] += 1
             self.shared_dirty.add(key)
         self.dist_sets[core].discard(key)
-
-    def mark_distributed_dirty(self, core: int, key: int) -> None:
-        """Flag a block in ``core``'s cache as modified."""
-        if self.check and key not in self.dist_sets[core]:
-            raise PresenceError(
-                f"{key_name(key)} not in distributed cache of core {core}"
-            )
-        self.dist_dirty[core].add(key)
-
-    def assert_present(self, core: int, akey: int, bkey: int, ckey: int) -> None:
-        """Verify the three operands of a multiply-add are core-resident."""
-        dset = self.dist_sets[core]
-        for key in (akey, bkey, ckey):
-            if key not in dset:
-                raise PresenceError(
-                    f"compute on core {core} touches {key_name(key)} which was "
-                    "never loaded into its distributed cache"
-                )
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -632,22 +574,8 @@ class IdealHierarchy:
         self.peak_shared = 0
         self.peak_dist = [0] * self.p
 
-    def check_inclusion(self) -> bool:
-        """Whether every distributed-resident block is shared-resident."""
-        return all(
-            key in self.shared_set for dset in self.dist_sets for key in dset
-        )
-
-    def resident_shared(self) -> int:
-        """Blocks currently resident in the shared cache."""
-        return len(self.shared_set)
-
-    def resident_distributed(self, core: int) -> int:
-        """Blocks currently resident in ``core``'s distributed cache."""
-        return len(self.dist_sets[core])
-
     # ------------------------------------------------------------------
-    # Renaming (loop fast-forward; unchecked mode only)
+    # Renaming (loop fast-forward)
     # ------------------------------------------------------------------
     def state(self) -> List[Collection[int]]:
         """A copy of every resident set and dirty set."""

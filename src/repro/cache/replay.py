@@ -1,8 +1,8 @@
-"""Trace-compile/replay of unchecked IDEAL cells.
+"""Trace-compile/replay of IDEAL cells.
 
 The step simulator (:mod:`repro.cache.hierarchy`, driven by
 :mod:`repro.sim.contexts`) interprets a schedule one operation at a
-time.  For an unchecked IDEAL cell this module splits that work in two:
+time.  For an IDEAL cell this module splits that work in two:
 
 * **compile** — run the schedule once against a recording context and
   keep its access trace (the compute stream and the explicit IDEAL
@@ -22,8 +22,8 @@ shapes and on hypothesis-drawn shapes.
 Its one production caller is Fig. 12's bandwidth-ratio sweep
 (:func:`repro.sim.sweep.ratio_sweep`), which is drawn in IDEAL mode.
 :func:`repro.sim.runner.run_experiment` consults one rule,
-:func:`replays`: a replay request replays only an unchecked IDEAL cell
-of at most :data:`STREAM_FMAS` multiply-adds, and every other cell,
+:func:`replays`: a replay request replays only an IDEAL cell of at
+most :data:`STREAM_FMAS` multiply-adds, and every other cell,
 LRU-family cells of every policy included, runs on the step engine,
 which fast-forwards declared loops and is both faster and leaner there.
 
@@ -223,19 +223,6 @@ def compile_trace(
     )
 
 
-def supports(mode: str, policy: str, inclusive: bool, check: bool) -> bool:
-    """Whether the replay engine reproduces this configuration exactly.
-
-    Only unchecked IDEAL cells replay: an IDEAL replay carries no
-    capacity, inclusion or presence verification, so checked runs use
-    the step oracle, and every LRU-family cell (any policy, inclusive
-    or not) runs on step, which fast-forwards it.  ``policy`` and
-    ``inclusive`` no longer change the answer; :func:`replays` keeps
-    passing them.
-    """
-    return mode == "ideal" and not check
-
-
 # ----------------------------------------------------------------------
 # The engine rule: how large a trace may materialize
 # ----------------------------------------------------------------------
@@ -249,16 +236,15 @@ def supports(mode: str, policy: str, inclusive: bool, check: bool) -> bool:
 STREAM_FMAS = 4_000_000
 
 
-def replays(
-    mode: str, policy: str, inclusive: bool, check: bool, n_fmas: int
-) -> bool:
+def replays(mode: str, n_fmas: int) -> bool:
     """Whether :func:`repro.sim.runner.run_experiment` replays this cell.
 
-    Replay a materialized trace when the cell is an unchecked IDEAL
-    cell (:func:`supports`) whose ``n_fmas`` multiply-adds are within
-    :data:`STREAM_FMAS`; otherwise the step engine runs the cell.
+    Replay a materialized trace when the cell is an IDEAL cell whose
+    ``n_fmas`` multiply-adds are within :data:`STREAM_FMAS`; otherwise
+    the step engine runs the cell.  Every LRU-family cell (any policy,
+    inclusive or not) runs on step, which fast-forwards it.
     """
-    return supports(mode, policy, inclusive, check) and n_fmas <= STREAM_FMAS
+    return mode == "ideal" and n_fmas <= STREAM_FMAS
 
 
 # ----------------------------------------------------------------------
@@ -371,10 +357,10 @@ def replay_ideal(trace: CompiledTrace) -> HierarchyStats:
     """Exact IDEAL-mode counters from one vectorized pass.
 
     Replays the recorded load/evict directives and compute-writes with
-    the semantics of :class:`~repro.cache.hierarchy.IdealHierarchy`
-    (``check=False``): redundant loads don't count misses, dirty
-    distributed evictions update the shared copy (which becomes dirty),
-    dirty shared evictions write back to memory.  Instead of a Python
+    the semantics of :class:`~repro.cache.hierarchy.IdealHierarchy`:
+    redundant loads don't count misses, dirty distributed evictions
+    update the shared copy (which becomes dirty), dirty shared
+    evictions write back to memory.  Instead of a Python
     call per directive, events are sorted per (cache, block) and the
     per-block state machines are evaluated with cumulative scans.
     IDEAL counters are capacity-independent, a pure function of the

@@ -53,28 +53,21 @@ class AnalysisContext(ExecutionContext):
     def __init__(self, p: int) -> None:
         super().__init__(p)
         self.events: List[Event] = []
-        #: Number of explicit directives recorded (0 ⇒ compute-only
-        #: schedule; the residency walk is meaningless then).
-        self.directive_count = 0
 
     @property
     def directives(self) -> Directives:
         return self
 
     def load_shared(self, key: int) -> None:
-        self.directive_count += 1
         self.events.append((LOAD_S, -1, key))
 
     def evict_shared(self, key: int) -> None:
-        self.directive_count += 1
         self.events.append((EVICT_S, -1, key))
 
     def load_dist(self, core: int, key: int) -> None:
-        self.directive_count += 1
         self.events.append((LOAD_D, core, key))
 
     def evict_dist(self, core: int, key: int) -> None:
-        self.directive_count += 1
         self.events.append((EVICT_D, core, key))
 
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:

@@ -7,15 +7,20 @@ proofs off them:
 
 * capacity — the ideal cache model makes replacement the
   *algorithm's* job, so a load that pushes a set past ``CS`` (or
-  ``CD``) is a schedule bug, not a miss: the condition
-  :class:`~repro.cache.hierarchy.IdealHierarchy` raises on dynamically;
+  ``CD``) is a schedule bug, not a miss;
 * presence — the "user responsibility" clause of the paper's IDEAL
   mode: *"it is the user responsibility to guarantee that a given data
   is present in every cache below the target cache"* (below);
 * traffic — a load of a block not resident at its level is one ``MS``
   (shared) or one ``MD`` for the core, integer for integer what
-  ``IdealHierarchy`` counts; :mod:`repro.check.cost` and
-  :mod:`repro.check.tightbounds` prove the counts.
+  :class:`~repro.cache.hierarchy.IdealHierarchy` counts;
+  :mod:`repro.check.cost` and :mod:`repro.check.tightbounds` prove the
+  counts.
+
+This walk is the only IDEAL prover: the simulator counts whatever
+directives it is given, and
+:func:`~repro.check.runner.analyze_schedule` runs the walk on every
+schedule that declares ``supports_ideal``.
 
 Presence errors:
 

@@ -114,10 +114,12 @@ def analyze_schedule(
     """Record ``alg``'s schedule symbolically and run every analyzer.
 
     The residency walk (capacity, presence, traffic) and the cost
-    proofs apply only to schedules that carry explicit directives
-    (``supports_ideal``); coverage and race detection always apply — a
-    compute-only schedule is one concurrent epoch, so disjoint ``C``
-    ownership is still proved.
+    proofs apply to every schedule that declares IDEAL support
+    (``supports_ideal``), whether or not this run emitted a directive:
+    a multiply-add on a block it never loaded is a presence error.
+    Coverage and race detection always apply — a compute-only schedule
+    is one concurrent epoch, so disjoint ``C`` ownership is still
+    proved.
     """
     started = time.perf_counter()
     machine = alg.machine
@@ -128,7 +130,7 @@ def analyze_schedule(
 
     findings: List[Finding] = check_parameters(alg, machine=label)
     common: Dict[str, Any] = dict(algorithm=alg.name, machine=label)
-    if ctx.directive_count:
+    if alg.supports_ideal:
         walk_findings, peak_shared, peak_dist, counted = check_residency(
             events, machine.cs, machine.cd, machine.p, **common
         )
@@ -136,7 +138,7 @@ def analyze_schedule(
         findings += check_cost(alg, counted, machine=label)
         findings += check_tight_bounds(alg, counted, machine=label)
     else:
-        # No directives, so nothing is ever resident.
+        # A compute-only schedule: nothing is ever resident.
         peak_shared, peak_dist = 0, [0] * machine.p
     findings += check_coverage(events, alg.m, alg.n, alg.z, **common)
     findings += check_races(events, machine.p, **common)

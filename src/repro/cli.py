@@ -140,7 +140,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.n if args.n else args.m,
         args.z if args.z else args.m,
         args.setting,
-        check=args.check,
         inclusive=args.inclusive,
         policy=args.policy,
     )
@@ -725,7 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("-n", type=int, default=0)
     p_run.add_argument("-z", type=int, default=0)
     p_run.add_argument("--setting", choices=sorted(SETTINGS), default="lru-50")
-    p_run.add_argument("--check", action="store_true", help="verify IDEAL mode")
     p_run.add_argument("--inclusive", action="store_true")
     p_run.add_argument("--policy", choices=("lru", "fifo"), default="lru")
     p_run.set_defaults(func=_cmd_run)

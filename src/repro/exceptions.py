@@ -21,35 +21,6 @@ class ConfigurationError(ReproError, ValueError):
     """
 
 
-class CapacityError(ReproError):
-    """An IDEAL-mode load would exceed the capacity of a cache.
-
-    The ideal cache model puts the algorithm in charge of replacement;
-    overflowing a cache is therefore an *algorithm bug*, not a miss, and
-    the simulator refuses to mask it.
-    """
-
-
-class InclusionError(ReproError):
-    """An IDEAL-mode operation would violate cache inclusivity.
-
-    The paper's model mandates that the shared cache contain every block
-    held by any distributed cache.  Loading a block into a distributed
-    cache while it is absent from the shared cache — or evicting a block
-    from the shared cache while a distributed cache still holds it — is
-    rejected in checked mode.
-    """
-
-
-class PresenceError(ReproError):
-    """A compute step touched a block that IDEAL mode never loaded.
-
-    Only raised when presence checking is enabled (``check=True`` on the
-    ideal hierarchy); it signals that the algorithm's explicit load
-    schedule does not cover its compute schedule.
-    """
-
-
 class ScheduleError(ReproError):
     """An algorithm emitted an inconsistent or incomplete schedule.
 

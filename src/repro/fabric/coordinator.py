@@ -658,7 +658,6 @@ def fabric_order_sweep(
     *,
     run_dir: Union[str, Path],
     resume: bool = False,
-    check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
     lease_s: float = 15.0,
@@ -675,14 +674,7 @@ def fabric_order_sweep(
     directory can be inspected, verified and even resumed by the pool
     engine, and vice versa.
     """
-    plan = order_plan(
-        entries,
-        machine,
-        orders,
-        check=check,
-        inclusive=inclusive,
-        policy=policy,
-    )
+    plan = order_plan(entries, machine, orders, inclusive=inclusive, policy=policy)
     return Coordinator(
         plan,
         run_dir=run_dir,

@@ -171,7 +171,6 @@ def run_local_fabric(
     run_dir: Union[str, Path],
     workers: int = 2,
     resume: bool = False,
-    check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
     lease_s: float = 5.0,
@@ -196,7 +195,6 @@ def run_local_fabric(
         orders,
         run_dir=run_dir,
         resume=resume,
-        check=check,
         inclusive=inclusive,
         policy=policy,
         lease_s=lease_s,

@@ -42,8 +42,11 @@ from typing import Any, Dict, Tuple
 from repro.exceptions import ProtocolError
 from repro.store.checkpoint import record_intact, seal_record
 
-#: Protocol version; bump on incompatible message-shape changes.
-PROTOCOL_VERSION = 1
+#: Protocol version; bump on incompatible message-shape changes.  2: a
+#: grant's ``cell.kwargs`` no longer carries ``check``, which
+#: ``run_experiment`` lost; a version-1 coordinator's grants would fail
+#: every cell on a newer worker.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one encoded message.  A grant carrying a full cell
 #: spec is a few KiB; anything near this bound is garbage or abuse.

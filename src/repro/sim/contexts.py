@@ -2,8 +2,7 @@
 
 See :mod:`repro.algorithms.base` for the contract.  The two counting
 contexts mirror the paper simulator's two modes; :class:`ChainContext`
-fans one schedule out to several interpreters at once (used by tests to
-run numeric execution and checked-IDEAL simulation simultaneously).
+fans one schedule out to several interpreters at once.
 
 The two counting contexts fast-forward the loops a schedule declares
 through :meth:`~repro.algorithms.base.ExecutionContext.loop`, exactly.
@@ -196,28 +195,26 @@ class IdealContext(_CountingContext[IdealHierarchy]):
     """IDEAL simulator mode: the schedule controls every cache movement.
 
     The context is its own :class:`~repro.algorithms.base.Directives`,
-    bound straight to the hierarchy's methods.  Declared loops are
-    fast-forwarded unless the hierarchy checks the schedule
-    (``check=True``), which must see every directive.
+    bound straight to the hierarchy's methods, and fast-forwards every
+    declared loop.  It counts and does not verify: a multiply-add on an
+    absent block still counts, and
+    :func:`repro.check.analyze_schedule` proves the schedule's
+    capacity, inclusion and presence.
     """
 
     def __init__(self, hierarchy: IdealHierarchy) -> None:
-        super().__init__(hierarchy, not hierarchy.check)
+        super().__init__(hierarchy, True)
         self.load_shared = hierarchy.load_shared
         self.evict_shared = hierarchy.evict_shared
         self.load_dist = hierarchy.load_distributed
         self.evict_dist = hierarchy.evict_distributed
-        self._check = hierarchy.check
         self._dist_dirty = hierarchy.dist_dirty
-        self._assert = hierarchy.assert_present
 
     @property
     def directives(self) -> Directives:
         return self
 
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
-        if self._check:
-            self._assert(core, akey, bkey, ckey)
         self._dist_dirty[core].add(ckey)
         self.comp[core] += 1
 

@@ -71,9 +71,15 @@ class SweepPlan:
 
     def fingerprint(self, cell: PlanCell) -> str:
         label, index, machine, m, n, z = cell
+        algorithm, setting, kwargs = self.entries[label]
         return cell_fingerprint(
             CellKey(
-                *self.entries[label],
+                algorithm,
+                setting,
+                # Sweeps once passed run_experiment a ``check`` flag,
+                # False in every CLI and figure run, and hashed it:
+                # hashing it still keeps their run directories resumable.
+                {**kwargs, "check": False},
                 machine=self.machines[machine],
                 variable=self.variable,
                 x=self.xs[index],

@@ -598,7 +598,6 @@ def parallel_order_sweep(
     orders: Sequence[int],
     *,
     workers: Optional[int] = None,
-    check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
     cell_timeout: Optional[float] = None,
@@ -619,14 +618,7 @@ def parallel_order_sweep(
     ``resume=True`` reloads completed cells from that directory and
     dispatches only the rest (see ``docs/RUNSTORE.md``).
     """
-    plan = order_plan(
-        entries,
-        machine,
-        orders,
-        check=check,
-        inclusive=inclusive,
-        policy=policy,
-    )
+    plan = order_plan(entries, machine, orders, inclusive=inclusive, policy=policy)
     ledger = CellLedger(
         plan,
         retries=retries,

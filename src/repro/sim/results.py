@@ -44,10 +44,10 @@ class ExperimentResult:
     #: empty on results predating the field) and whether replay was
     #: requested but the step engine ran (see
     #: :func:`repro.cache.replay.replays`): true for every LRU-family
-    #: and every checked cell that asked for replay, and for IDEAL
-    #: cells past the replay bound.  ``"step"`` includes the
-    #: exact fast-forward of declared loops (:mod:`repro.sim.contexts`):
-    #: there is no separate engine name for it.
+    #: cell that asked for replay, and for IDEAL cells past the replay
+    #: bound.  ``"step"`` includes the exact fast-forward of declared
+    #: loops (:mod:`repro.sim.contexts`): there is no separate engine
+    #: name for it.
     engine: str = ""
     engine_fallback: bool = False
     #: Where the cell's counters came from: a freshly compiled trace

@@ -5,11 +5,11 @@ a hierarchy + context pair, runs the schedule and packages the outcome.
 This is the function everything else (experiments, benches, CLI,
 examples) goes through.
 
-It also memoizes unchecked cell results in-process, on either engine.
-A cell's counters depend on its schedule
+It also memoizes cell results in-process, on either engine.  A cell's
+counters depend on its schedule
 (:class:`~repro.algorithms.base.ScheduleKey`) and on the simulated
-hierarchy: nothing else for unchecked IDEAL cells, whose explicit
-directives never consult a capacity, and the policy, inclusion and
+hierarchy: nothing else for IDEAL cells, whose explicit directives
+never consult a capacity, and the policy, inclusion and
 simulated ``CS``/``CD`` for LRU-family cells.  So the memo is keyed on
 the engine requested and the engine that ran, plus ``(ScheduleKey,
 "ideal")`` or ``(ScheduleKey, policy, inclusive, cs, cd)``: a Fig. 12
@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from typing import Any, List, Optional, Tuple, Type, Union
+from typing import Any, List, Tuple, Type, Union
 
 from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.registry import get_algorithm
@@ -70,7 +70,6 @@ def run_experiment(
     z: int,
     setting: Union[str, Setting] = "ideal",
     *,
-    check: bool = False,
     policy: str = "lru",
     inclusive: bool = False,
     engine: str = "step",
@@ -80,7 +79,9 @@ def run_experiment(
 
     A schedule that emits other than ``m·n·z`` elementary multiply-adds
     raises :class:`~repro.exceptions.ScheduleError`, and its counters
-    never enter the result memo.
+    never enter the result memo.  IDEAL cells are counted, not
+    verified: :func:`repro.check.analyze_schedule` proves a schedule's
+    capacity, inclusion and presence.
 
     Parameters
     ----------
@@ -93,9 +94,6 @@ def run_experiment(
     setting:
         Simulation setting key or object (``ideal``, ``lru``,
         ``lru-2x``, ``lru-50``).
-    check:
-        In IDEAL mode, enable capacity/inclusion/presence verification
-        (slower; invaluable in tests).
     policy, inclusive:
         LRU-mode hierarchy options (replacement policy; shared-eviction
         back-invalidation).
@@ -103,26 +101,24 @@ def run_experiment(
         ``"step"`` (default) interprets the schedule
         reference-by-reference and is the oracle.  It fast-forwards
         the loops a schedule declares once the hierarchy state repeats
-        up to the loop's key shift, exactly (LRU, FIFO and unchecked
-        IDEAL; see :mod:`repro.sim.contexts`), so its cost is not
-        linear in the cell's touches, and its memory does not grow
-        with them.  ``"replay"`` compiles the schedule's access trace
+        up to the loop's key shift, exactly (LRU, FIFO and IDEAL; see
+        :mod:`repro.sim.contexts`), so its cost is not linear in the
+        cell's touches, and its memory does not grow with them.  ``"replay"`` compiles the schedule's access trace
         (or loads it from the on-disk tier, see
         :mod:`repro.cache.replay`) and replays its IDEAL directives in
         one vectorized pass, with counters bit-identical to step;
         Fig. 12's ratio sweep still asks for it, and no sweep executor
         does.  One rule, :func:`repro.cache.replay.replays`, decides
-        whether a replay request replays: the cell must be an
-        unchecked IDEAL cell whose ``m·n·z`` multiply-adds are within
+        whether a replay request replays: the cell must be an IDEAL
+        cell whose ``m·n·z`` multiply-adds are within
         :data:`repro.cache.replay.STREAM_FMAS`; any other cell, every
         LRU-family cell included, runs on step with bit-identical
-        counters.  The result records which engine ran
-        (``engine``) and whether replay was requested but step ran
-        (``engine_fallback``).  With ``check=False`` the
-        cell's counters may come from the result memo
-        (``trace_source="memo"``), but only from an entry a call with
-        the same ``engine`` filled, whichever engine ran it (see the
-        module docstring); checked runs never read or fill it.
+        counters.  The result records which engine ran (``engine``)
+        and whether replay was requested but step ran
+        (``engine_fallback``).  The cell's counters may come from the
+        result memo (``trace_source="memo"``), but only from an entry
+        a call with the same ``engine`` filled, whichever engine ran
+        it (see the module docstring).
     alg_params:
         Forwarded to the algorithm constructor (parameter overrides).
     """
@@ -151,25 +147,18 @@ def run_experiment(
         # Imported here: only Fig. 12 asks for replay, and it loads numpy.
         from repro.cache import replay as replay_engine
 
-        replayed = replay_engine.replays(
-            setting.mode, policy, inclusive, check, m * n * z
-        )
+        replayed = replay_engine.replays(setting.mode, m * n * z)
     ran = "replay" if replayed else "step"
-    memo_key: Optional[Tuple[Any, ...]] = None
-    if not check:
-        schedule = alg.schedule_key()
-        memo_key = (
-            (engine, ran, schedule, "ideal")
-            if setting.is_ideal
-            else (engine, ran, schedule, policy, inclusive, simulated.cs, simulated.cd)
-        )
+    schedule = alg.schedule_key()
+    memo_key: Tuple[Any, ...] = (
+        (engine, ran, schedule, "ideal")
+        if setting.is_ideal
+        else (engine, ran, schedule, policy, inclusive, simulated.cs, simulated.cd)
+    )
     start = time.perf_counter()
-    hit: Optional[Tuple[HierarchyStats, List[int]]] = None
-    if memo_key is not None:
-        hit = _RESULTS.get(memo_key)
-        if hit is not None:
-            _RESULTS.move_to_end(memo_key)
+    hit = _RESULTS.get(memo_key)
     if hit is not None:
+        _RESULTS.move_to_end(memo_key)
         stats, comp = hit[0].copy(), list(hit[1])
         elapsed = time.perf_counter() - start
         trace_source = "memo"
@@ -182,7 +171,7 @@ def run_experiment(
     else:
         if setting.is_ideal:
             hierarchy: Union[IdealHierarchy, LRUHierarchy] = IdealHierarchy(
-                machine.p, simulated.cs, simulated.cd, check=check
+                machine.p, simulated.cs, simulated.cd
             )
             ctx: Union[IdealContext, LRUContext] = IdealContext(hierarchy)
         else:
@@ -202,7 +191,7 @@ def run_experiment(
             f"{alg.name} emitted {sum(comp)} multiply-adds, "
             f"expected m*n*z = {m * n * z}"
         )
-    if memo_key is not None and hit is None:
+    if hit is None:
         _RESULTS[memo_key] = (stats.copy(), list(comp))
         if len(_RESULTS) > _RESULT_MEMO_CAP:
             _RESULTS.popitem(last=False)

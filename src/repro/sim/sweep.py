@@ -78,7 +78,6 @@ def order_sweep(
     machine: MulticoreMachine,
     orders: Sequence[int],
     *,
-    check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
     workers: int = 0,
@@ -106,7 +105,6 @@ def order_sweep(
             machine,
             orders,
             workers=workers,
-            check=check,
             inclusive=inclusive,
             policy=policy,
         )
@@ -120,7 +118,6 @@ def order_sweep(
                 order,
                 order,
                 setting,
-                check=check,
                 inclusive=inclusive,
                 policy=policy,
                 **params,
@@ -138,7 +135,6 @@ def ratio_sweep(
     order: int,
     *,
     total_bandwidth: float = 2.0,
-    check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
     # Replay, not step: perfbench's traced fig12-ideal-ratio run asserts
@@ -172,7 +168,6 @@ def ratio_sweep(
                 order,
                 order,
                 setting,
-                check=check,
                 inclusive=inclusive,
                 policy=policy,
                 engine=engine,

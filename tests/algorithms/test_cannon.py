@@ -12,6 +12,7 @@ from repro.exceptions import ConfigurationError
 from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
 from repro.sim.runner import run_experiment
+from tests.conftest import run_proved
 
 
 class TestRegistration:
@@ -40,7 +41,7 @@ class TestStructure:
                 assert len(bands) == s
 
     def test_exact_formula_divisible(self, quad):
-        r = run_experiment("cannon", quad, 8, 8, 8, "ideal", check=True)
+        r = run_proved("cannon", quad, 8, 8, 8)
         m = n = z = 8
         s = 2
         assert r.ms == z * (s * m + 2 * m * n)
@@ -49,8 +50,8 @@ class TestStructure:
 
     def test_same_counts_as_outer_product(self, quad):
         """Skewing changes order, not volume: IDEAL counts coincide."""
-        cn = run_experiment("cannon", quad, 8, 8, 8, "ideal", check=True)
-        op = run_experiment("outer-product", quad, 8, 8, 8, "ideal", check=True)
+        cn = run_proved("cannon", quad, 8, 8, 8)
+        op = run_proved("outer-product", quad, 8, 8, 8)
         assert cn.ms == op.ms
         assert cn.md == op.md
 

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.algorithms.distributed_opt import DistributedOpt
+from repro.cache.block import MAT_A, MAT_B, MAT_C
+from repro.cache.hierarchy import IdealHierarchy
 from repro.exceptions import ConfigurationError, ParameterError
 from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
+from repro.sim.contexts import IdealContext
 from repro.sim.runner import run_experiment
+from tests.conftest import assert_proved, run_proved
 
 
 class TestParameters:
@@ -33,9 +37,7 @@ class TestParameters:
 class TestIdealCounts:
     def test_exact_formulas(self, quad):
         # mu=4, grid 2 -> tile 8 divides 16
-        r = run_experiment(
-            "distributed-opt", quad, 16, 16, 16, "ideal", check=True, mu=4
-        )
+        r = run_proved("distributed-opt", quad, 16, 16, 16, mu=4)
         m = n = z = 16
         p = 4
         assert r.ms == m * n + 2 * m * n * z // (4 * 2)
@@ -48,28 +50,24 @@ class TestIdealCounts:
         assert len(set(r.stats.md_per_core)) == 1
 
     def test_ragged_dims_run_checked(self, quad):
-        run_experiment("distributed-opt", quad, 13, 9, 5, "ideal", check=True, mu=4)
+        run_proved("distributed-opt", quad, 13, 9, 5, mu=4)
 
     def test_c_loaded_once_per_core(self, quad):
         # Each core's C sub-blocks are loaded exactly once overall:
         # per-core C misses == mn/p for divisible dims.
-        from repro.cache.hierarchy import IdealHierarchy
-        from repro.sim.contexts import IdealContext
-        from repro.cache.block import MAT_C
-
-        h = IdealHierarchy(quad.p, quad.cs, quad.cd, check=True)
-        DistributedOpt(quad, 16, 16, 16, mu=4).run(IdealContext(h))
+        alg = DistributedOpt(quad, 16, 16, 16, mu=4)
+        assert_proved(alg)
+        h = IdealHierarchy(quad.p, quad.cs, quad.cd)
+        alg.run(IdealContext(h))
         for core in range(quad.p):
             assert h.md_by_matrix[core][MAT_C] == 16 * 16 // 4
 
     def test_2d_cyclic_layout_shares_a_and_b(self, quad):
         """Cores on one grid row share A, on one grid column share B."""
-        from repro.cache.hierarchy import IdealHierarchy
-        from repro.sim.contexts import IdealContext
-        from repro.cache.block import MAT_A, MAT_B
-
-        h = IdealHierarchy(quad.p, quad.cs, quad.cd, check=True)
-        DistributedOpt(quad, 8, 8, 8, mu=4).run(IdealContext(h))
+        alg = DistributedOpt(quad, 8, 8, 8, mu=4)
+        assert_proved(alg)
+        h = IdealHierarchy(quad.p, quad.cs, quad.cd)
+        alg.run(IdealContext(h))
         # Every element of A is loaded into shared once per k-use: the
         # shared A misses must be z * tile-rows per tile = m*z total
         # divided among... simply: with tile = matrix, A loads = z*m/...
@@ -78,7 +76,7 @@ class TestIdealCounts:
         assert h.ms_by_matrix[MAT_B] == 8 * 8
 
     def test_single_core(self, unicore):
-        r = run_experiment("distributed-opt", unicore, 4, 4, 4, "ideal", check=True)
+        r = run_proved("distributed-opt", unicore, 4, 4, 4)
         assert r.comp == [64]
 
 

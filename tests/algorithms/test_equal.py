@@ -13,6 +13,7 @@ from repro.exceptions import ParameterError
 from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
 from repro.sim.runner import run_experiment
+from tests.conftest import run_proved
 
 
 class TestEqualTile:
@@ -44,7 +45,7 @@ class TestSharedEqual:
 
     def test_exact_formulas(self, quad):
         # t=5 divides 10: MS = mn + 2mnz/t
-        r = run_experiment("shared-equal", quad, 10, 10, 10, "ideal", check=True, t=5)
+        r = run_proved("shared-equal", quad, 10, 10, 10, t=5)
         assert r.ms == 100 + 2 * 1000 // 5
         assert r.ms == r.predicted.ms
         assert r.md == r.predicted.md
@@ -72,22 +73,22 @@ class TestSharedEqual:
 
     def test_exact_loads_on_one_memory(self, one_memory):
         # t=3 divides 6: loads = mn + 2mnz/t
-        r = run_experiment("shared-equal", one_memory(27), 6, 6, 6, "ideal", check=True)
+        r = run_proved("shared-equal", one_memory(27), 6, 6, 6)
         assert r.ms == 6 * 6 + 2 * 6**3 // 3
         assert r.ms == r.predicted.ms
 
     def test_worse_than_shared_opt_on_one_memory(self, one_memory):
         """[7]'s point: the thirds split wastes memory (t=2 vs µ=4, M=21)."""
         machine = one_memory(21)
-        eq = run_experiment("shared-equal", machine, 8, 8, 8, "ideal", check=True)
-        so = run_experiment("shared-opt", machine, 8, 8, 8, "ideal", check=True)
+        eq = run_proved("shared-equal", machine, 8, 8, 8)
+        so = run_proved("shared-opt", machine, 8, 8, 8)
         assert so.ms < eq.ms
 
     @pytest.mark.parametrize("dims", [(6, 6, 6), (7, 5, 9), (2, 3, 1)])
     def test_numeric_on_one_memory(self, one_memory, dims):
         machine = one_memory(27)
         verify_schedule(SharedEqual(machine, *dims), q=3)
-        run_experiment("shared-equal", machine, *dims, "ideal", check=True)
+        run_proved("shared-equal", machine, *dims)
 
 
 class TestDistributedEqual:
@@ -100,9 +101,7 @@ class TestDistributedEqual:
 
     def test_exact_formulas(self, quad):
         # t=2, p=4: n/t = 8 tiles per row, divisible by p
-        r = run_experiment(
-            "distributed-equal", quad, 16, 16, 16, "ideal", check=True, t=2
-        )
+        r = run_proved("distributed-equal", quad, 16, 16, 16, t=2)
         m = n = z = 16
         p = 4
         t = 2
@@ -122,7 +121,7 @@ class TestDistributedEqual:
 
     def test_last_partial_round(self, quad):
         # 9 tiles over 4 cores: final round has a single tile.
-        run_experiment("distributed-equal", quad, 6, 6, 4, "ideal", check=True, t=2)
+        run_proved("distributed-equal", quad, 6, 6, 4, t=2)
 
     @pytest.mark.parametrize("dims", [(16, 16, 16), (7, 5, 9), (3, 3, 3)])
     def test_numeric(self, quad, dims):

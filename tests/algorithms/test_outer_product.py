@@ -7,6 +7,7 @@ from repro.exceptions import ConfigurationError
 from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
 from repro.sim.runner import run_experiment
+from tests.conftest import run_proved
 
 
 class TestStructure:
@@ -29,7 +30,7 @@ class TestStructure:
 
 class TestIdealCounts:
     def test_exact_formulas(self, quad):
-        r = run_experiment("outer-product", quad, 8, 8, 8, "ideal", check=True)
+        r = run_proved("outer-product", quad, 8, 8, 8)
         m = n = z = 8
         s = 2
         assert r.ms == z * (s * m + 2 * m * n)
@@ -44,7 +45,7 @@ class TestIdealCounts:
     def test_streaming_never_exceeds_tiny_caches(self):
         # The whole point of the streaming schedule: it fits anywhere.
         machine = MulticoreMachine(p=4, cs=12, cd=3)
-        run_experiment("outer-product", machine, 10, 10, 10, "ideal", check=True)
+        run_proved("outer-product", machine, 10, 10, 10)
 
     def test_much_worse_than_shared_opt_at_shared_level(self, paper_q32):
         op = run_experiment("outer-product", paper_q32, 24, 24, 24, "ideal")

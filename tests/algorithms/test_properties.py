@@ -5,13 +5,14 @@ These are the heavy guns: for *every* registered algorithm and random
 
 1. the schedule numerically computes ``A @ B`` exactly, emitting every
    elementary update exactly once;
-2. the checked IDEAL run never violates capacity, inclusion or
-   presence, drains both cache levels and counts ``mnz`` computes;
+2. the residency walk proves the IDEAL schedule never violates
+   capacity, inclusion or presence and drains both cache levels, and
+   the IDEAL run counts ``mnz`` computes;
 3. the IDEAL shared misses are at least the compulsory traffic
    ``mn + mz + zn`` minus reuse... (we assert the universal compulsory
    floor: every block of every matrix must enter the shared cache at
    least once, so ``MS >= mn + mz + zn`` can fail only if a block is
-   never loaded — it cannot, thanks to presence checking);
+   never loaded — it cannot, thanks to the presence proof);
 4. LRU simulation of the same schedule touches exactly ``3·mnz``
    distributed references.
 """
@@ -26,6 +27,7 @@ from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
 from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
 from repro.sim.contexts import IdealContext, LRUContext
+from tests.conftest import assert_proved
 
 MACHINE = MulticoreMachine(p=4, cs=100, cd=21, q=8, name="prop-quad")
 
@@ -54,12 +56,12 @@ class TestEveryAlgorithm:
     def test_checked_ideal_invariants(self, name, dims):
         m, n, z = dims
         alg = ALGORITHMS[name](MACHINE, m, n, z)
-        h = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd, check=True)
+        report = assert_proved(alg)  # any capacity/inclusion/presence bug
+        assert "presence/leaked-resident" not in {f.rule for f in report.findings}
+        h = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd)
         ctx = IdealContext(h)
-        alg.run(ctx)  # raises on any capacity/inclusion/presence bug
+        alg.run(ctx)
         assert ctx.comp_total == m * n * z
-        assert h.resident_shared() == 0
-        assert all(h.resident_distributed(c) == 0 for c in range(MACHINE.p))
         # compulsory-traffic floor: every block enters the shared cache
         assert h.ms >= m * n + m * z + z * n
 
@@ -82,9 +84,9 @@ class TestEveryAlgorithm:
         """Each core must load at least its distinct working set once."""
         m, n, z = dims
         alg = ALGORITHMS[name](MACHINE, m, n, z)
-        h = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd, check=True)
-        ctx = IdealContext(h)
-        alg.run(ctx)
+        assert_proved(alg)
+        h = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd)
+        alg.run(IdealContext(h))
         # the busiest core performs >= mnz/p computes (pigeonhole), and
         # each compute involves 3 resident blocks that entered its cache
         # at least once; a very weak but universal sanity bound:
@@ -100,8 +102,10 @@ class TestOneMemoryLineage:
     def test_peak_within_memory_and_loads_above_floor(self, dims):
         m, n, z = dims
         for cls in (SharedOpt, SharedEqual):
-            h = IdealHierarchy(1, ONE_MEMORY.cs, ONE_MEMORY.cd, check=True)
-            cls(ONE_MEMORY, m, n, z).run(IdealContext(h))
+            alg = cls(ONE_MEMORY, m, n, z)
+            assert_proved(alg)
+            h = IdealHierarchy(1, ONE_MEMORY.cs, ONE_MEMORY.cd)
+            alg.run(IdealContext(h))
             assert h.peak_shared <= ONE_MEMORY.cs
             # compulsory floor: every block loaded at least once
             assert h.ms >= m * n + m * z + z * n

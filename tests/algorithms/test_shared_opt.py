@@ -17,6 +17,7 @@ from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
 from repro.sim.contexts import IdealContext
 from repro.sim.runner import run_experiment
+from tests.conftest import assert_proved, run_proved
 
 
 class TestParameters:
@@ -50,7 +51,7 @@ class TestParameters:
 class TestIdealCounts:
     def test_exact_formula_divisible(self, quad):
         # lam=6 divides 12: MS = mn + 2mnz/lam, MD = mnz/lam*(1+2*lam/p)
-        r = run_experiment("shared-opt", quad, 12, 12, 12, "ideal", check=True, lam=6)
+        r = run_proved("shared-opt", quad, 12, 12, 12, lam=6)
         assert r.ms == 12 * 12 + 2 * 12**3 // 6
         # busiest core gets ceil(lam/p) = 2 of the 6 columns
         assert r.md == (12**3 // 6) * (1 + 2 * 2)
@@ -58,56 +59,51 @@ class TestIdealCounts:
         assert r.md == r.predicted.md
 
     def test_rectangular_dims(self, quad):
-        r = run_experiment("shared-opt", quad, 6, 12, 18, "ideal", check=True, lam=6)
+        r = run_proved("shared-opt", quad, 6, 12, 18, lam=6)
         assert r.ms == 6 * 12 + 2 * 6 * 12 * 18 // 6
         assert r.comp_total == 6 * 12 * 18
 
     def test_capacity_and_inclusion_clean(self, quad):
-        # check=True raises on any capacity/inclusion violation.
-        run_experiment("shared-opt", quad, 13, 11, 7, "ideal", check=True, lam=6)
+        # run_proved fails on any capacity/inclusion violation.
+        run_proved("shared-opt", quad, 13, 11, 7, lam=6)
 
     def test_ideal_caches_drained_at_end(self, quad):
-        from repro.algorithms.shared_opt import SharedOpt as Cls
-        from repro.cache.hierarchy import IdealHierarchy
-        from repro.sim.contexts import IdealContext
-
-        h = IdealHierarchy(quad.p, quad.cs, quad.cd, check=True)
-        Cls(quad, 12, 12, 12, lam=6).run(IdealContext(h))
-        assert h.resident_shared() == 0
-        assert all(h.resident_distributed(c) == 0 for c in range(quad.p))
+        report = assert_proved(SharedOpt(quad, 12, 12, 12, lam=6))
+        assert "presence/leaked-resident" not in {f.rule for f in report.findings}
 
     def test_c_writebacks_counted(self, quad):
-        from repro.cache.hierarchy import IdealHierarchy
-        from repro.sim.contexts import IdealContext
-
-        h = IdealHierarchy(quad.p, quad.cs, quad.cd, check=True)
-        SharedOpt(quad, 12, 12, 12, lam=6).run(IdealContext(h))
+        alg = SharedOpt(quad, 12, 12, 12, lam=6)
+        assert_proved(alg)
+        h = IdealHierarchy(quad.p, quad.cs, quad.cd)
+        alg.run(IdealContext(h))
         # every block of C written back to memory exactly once
         assert h.shared_writebacks == 12 * 12
 
     def test_exact_loads_on_one_memory(self, one_memory):
         # µ=4 divides 8: loads = mn + 2mnz/µ
-        r = run_experiment("shared-opt", one_memory(21), 8, 8, 8, "ideal", check=True)
+        r = run_proved("shared-opt", one_memory(21), 8, 8, 8)
         assert r.ms == 8 * 8 + 2 * 8**3 // 4
         assert r.ms == r.predicted.ms
 
     def test_c_written_back_once_on_one_memory(self, one_memory):
-        r = run_experiment("shared-opt", one_memory(21), 8, 8, 8, "ideal", check=True)
+        r = run_proved("shared-opt", one_memory(21), 8, 8, 8)
         assert r.stats.shared.writebacks == 8 * 8
 
     def test_peak_fills_the_split_on_one_memory(self, one_memory):
-        h = IdealHierarchy(1, 21, 3, check=True)
-        SharedOpt(one_memory(21), 8, 8, 8).run(IdealContext(h))
+        alg = SharedOpt(one_memory(21), 8, 8, 8)
+        assert_proved(alg)
+        h = IdealHierarchy(1, 21, 3)
+        alg.run(IdealContext(h))
         assert h.peak_shared == 1 + 4 + 16  # the 1 + µ + µ² split, fully used
 
     def test_ccr_approaches_two_over_mu_on_one_memory(self, one_memory):
         # large matrices: CCR -> 1/z + 2/µ ~ 2/sqrt(M)
-        r = run_experiment("shared-opt", one_memory(21), 16, 16, 64, "ideal", check=True)
+        r = run_proved("shared-opt", one_memory(21), 16, 16, 64)
         assert r.ccr_s == pytest.approx(1 / 64 + 2 / 4, rel=1e-6)
 
     def test_ccr_above_bound_on_one_memory(self, one_memory):
         machine = one_memory(21)
-        r = run_experiment("shared-opt", machine, 8, 8, 8, "ideal", check=True)
+        r = run_proved("shared-opt", machine, 8, 8, 8)
         assert ccr_lower_bound(machine.cs) == pytest.approx(math.sqrt(27 / (8 * 21)))
         assert r.ccr_s >= ccr_lower_bound(machine.cs)
 
@@ -122,7 +118,7 @@ class TestWorkDistribution:
         assert all(c > 0 for c in r.comp)
 
     def test_single_core_machine(self, unicore):
-        r = run_experiment("shared-opt", unicore, 10, 10, 10, "ideal", check=True)
+        r = run_proved("shared-opt", unicore, 10, 10, 10)
         assert r.comp == [1000]
 
 
@@ -139,4 +135,4 @@ class TestNumeric:
     def test_computes_product_on_one_memory(self, one_memory, dims):
         machine = one_memory(21)
         verify_schedule(SharedOpt(machine, *dims), q=3)
-        run_experiment("shared-opt", machine, *dims, "ideal", check=True)
+        run_proved("shared-opt", machine, *dims)

@@ -6,7 +6,7 @@ from repro.algorithms.tradeoff import Tradeoff
 from repro.exceptions import ParameterError
 from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
-from repro.sim.runner import run_experiment
+from tests.conftest import run_proved
 
 
 class TestParameters:
@@ -47,10 +47,7 @@ class TestParameters:
 class TestIdealCounts:
     def test_general_case_formulas(self, paper_q32):
         # alpha=16 > sqrt(p)*mu=8; beta=4 divides z=16
-        r = run_experiment(
-            "tradeoff", paper_q32, 16, 16, 16, "ideal", check=True,
-            alpha=16, beta=4, mu=4,
-        )
+        r = run_proved("tradeoff", paper_q32, 16, 16, 16, alpha=16, beta=4, mu=4)
         m = n = z = 16
         assert r.ms == m * n + 2 * m * n * z // 16
         assert r.md == (m * n // 4) * (z // 4) + 2 * m * n * z // (4 * 4)
@@ -58,29 +55,18 @@ class TestIdealCounts:
 
     def test_degenerate_case_matches_distributed_opt(self, paper_q32):
         # alpha = sqrt(p)*mu: C term falls to mn/p
-        r = run_experiment(
-            "tradeoff", paper_q32, 16, 16, 16, "ideal", check=True,
-            alpha=8, beta=8, mu=4,
-        )
-        d = run_experiment(
-            "distributed-opt", paper_q32, 16, 16, 16, "ideal", check=True, mu=4
-        )
+        r = run_proved("tradeoff", paper_q32, 16, 16, 16, alpha=8, beta=8, mu=4)
+        d = run_proved("distributed-opt", paper_q32, 16, 16, 16, mu=4)
         assert r.md == d.md
 
     def test_beta_not_dividing_z(self, paper_q32):
         # z=10, beta=4 -> ceil(10/4)=3 substeps; MS stays exact.
-        r = run_experiment(
-            "tradeoff", paper_q32, 16, 16, 10, "ideal", check=True,
-            alpha=16, beta=4, mu=4,
-        )
+        r = run_proved("tradeoff", paper_q32, 16, 16, 10, alpha=16, beta=4, mu=4)
         assert r.ms == 16 * 16 + 2 * 16 * 16 * 10 // 16
         assert r.md == r.predicted.md
 
     def test_ragged_all_dims_checked(self, paper_q32):
-        run_experiment(
-            "tradeoff", paper_q32, 13, 11, 7, "ideal", check=True,
-            alpha=16, beta=4, mu=4,
-        )
+        run_proved("tradeoff", paper_q32, 13, 11, 7, alpha=16, beta=4, mu=4)
 
 
 class TestBandwidthAdaptation:

@@ -2,7 +2,7 @@
 
 `test_formula_vs_sim.py` pins hand-picked cases; here hypothesis draws
 random machines and divisible dimensions and requires the closed forms
-to match the checked IDEAL simulation exactly, every time.
+to match the IDEAL simulation of a proved schedule exactly, every time.
 """
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms.registry import ALGORITHMS
 from repro.analysis.formulas import divisibility_ok, predict
 from repro.model.machine import MulticoreMachine
-from repro.sim.runner import run_experiment
+from tests.conftest import run_proved
 
 
 @st.composite
@@ -67,9 +67,7 @@ class TestRandomExactness:
         machine, m, n, z, params = data.draw(CASES[name])
         alg = ALGORITHMS[name](machine, m, n, z, **params)
         assert divisibility_ok(alg)
-        result = run_experiment(
-            name, machine, m, n, z, "ideal", check=True, **params
-        )
+        result = run_proved(name, machine, m, n, z, **params)
         predicted = predict(alg)
         assert result.ms == predicted.ms
         assert result.md == predicted.md

@@ -1,11 +1,11 @@
-"""Exactness of the closed forms: formula == checked IDEAL simulation.
+"""Exactness of the closed forms: formula == IDEAL simulation.
 
 This is the keystone test of the analysis layer: for every algorithm,
 whenever :func:`divisibility_ok` says the exactness conditions hold,
-the simulated IDEAL counts must equal the paper's (or our) closed forms
-*integer for integer* — not approximately.  Checked simulation never
-fast-forwards, so unchecked cells at the paper's orders, where it does,
-are held to the same equality.
+the simulated IDEAL counts of a schedule the residency walk proves
+must equal the paper's (or our) closed forms *integer for integer* —
+not approximately.  Cells at the paper's orders, where the step engine
+fast-forwards, are held to the same equality.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from repro.algorithms.registry import ALGORITHMS
 from repro.analysis.formulas import divisibility_ok, predict
 from repro.model.machine import MulticoreMachine, preset
 from repro.sim.runner import run_experiment
+from tests.conftest import run_proved
 
 MACHINE = MulticoreMachine(p=4, cs=100, cd=21, q=8)
 
@@ -43,14 +44,14 @@ def test_formula_matches_simulation_exactly(name, dims, params):
     m, n, z = dims
     alg = ALGORITHMS[name](MACHINE, m, n, z, **params)
     assert divisibility_ok(alg), "test case must satisfy exactness conditions"
-    result = run_experiment(name, MACHINE, m, n, z, "ideal", check=True, **params)
+    result = run_proved(name, MACHINE, m, n, z, **params)
     predicted = predict(alg)
     assert result.ms == predicted.ms
     assert result.md == predicted.md
 
 
-# (algorithm, order) on q32 where divisibility_ok holds and the unchecked
-# step engine fast-forwards the cell in well under a second.  Left out:
+# (algorithm, order) on q32 where divisibility_ok holds and the step
+# engine fast-forwards the cell in well under a second.  Left out:
 # Outer Product, whose outermost k loop simulates one whole m·n sweep
 # before it can repeat (~4 s at order 1100).  Distributed Equal repeats
 # in super-rounds of whole tile rows (~0.1 s at order 1080).
@@ -79,7 +80,7 @@ def test_formula_matches_fast_forwarded_paper_scale_cell(name, order):
 def test_formula_close_even_when_ragged(name):
     """With ragged tiles the formulas stay within a modest factor."""
     m, n, z = 13, 11, 9
-    result = run_experiment(name, MACHINE, m, n, z, "ideal", check=True)
+    result = run_proved(name, MACHINE, m, n, z)
     alg = ALGORITHMS[name](MACHINE, m, n, z)
     predicted = predict(alg)
     assert result.ms <= 2.5 * predicted.ms + 100

@@ -123,7 +123,7 @@ class TestWritebacks:
         ideal = IdealHierarchy(p=1, cs=4, cd=1)
         ideal.load_shared(kc(0))
         ideal.load_distributed(0, kc(0))
-        ideal.mark_distributed_dirty(0, kc(0))
+        ideal.dist_dirty[0].add(kc(0))  # a multiply-add wrote it
         ideal.evict_distributed(0, kc(0))  # dirty -> shared copy dirty
         ideal.evict_shared(kc(0))  # dirty shared eviction -> write-back
         assert ideal.shared_writebacks == 1

@@ -2,10 +2,10 @@
 
 The replay engine's contract is *bit-identity*: every counter it
 produces (``ms``, ``md``, write-backs, per-matrix splits) must equal
-the step simulator's on the same workload.  Replay serves unchecked
-IDEAL cells only; these tests prove it on every algorithm at ragged
-shapes and on hypothesis-drawn shapes, prove that an LRU-family replay
-request runs on step with a cold step run's counters, and pin the
+the step simulator's on the same workload.  Replay serves IDEAL cells
+only; these tests prove it on every algorithm at ragged shapes and on
+hypothesis-drawn shapes, prove that an LRU-family replay request runs
+on step with a cold step run's counters, and pin the
 engine's other behaviors: trace keying (through the on-disk tier: no
 trace is kept in memory) and fallback coverage.  Result memoization
 lives in the runner (``tests/sim/test_runner.py``).
@@ -23,7 +23,7 @@ from repro.cache.replay import (
     compiled_trace_for,
     configure_trace_tier,
     replay_bulk,
-    supports,
+    replays,
 )
 from repro.exceptions import ConfigurationError
 from repro.model.machine import PRESETS
@@ -105,13 +105,10 @@ class TestRandomTraces:
 # ----------------------------------------------------------------------
 class TestCoverage:
     def test_supports_matrix(self):
-        # Unchecked IDEAL is the one configuration replay covers.
-        assert supports("ideal", "lru", False, False)
-        assert supports("ideal", "fifo", True, False)
-        assert not supports("ideal", "lru", False, True)  # checked: oracle
-        for policy in ("lru", "fifo", "plru", "assoc"):
-            for inclusive in (False, True):
-                assert not supports("lru", policy, inclusive, False)
+        # IDEAL is the one mode replay covers; every LRU-family cell,
+        # whatever its policy or inclusion, runs on step.
+        assert replays("ideal", 1)
+        assert not replays("lru", 1)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):

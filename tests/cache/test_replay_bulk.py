@@ -78,8 +78,8 @@ class TestStreaming:
     def test_threshold_env_override(self, monkeypatch):
         """The bound is a module constant: the environment cannot move it."""
         monkeypatch.setenv("REPRO_STREAM_FMAS", "123")
-        assert replays("ideal", "lru", False, False, STREAM_FMAS)
-        assert not replays("ideal", "lru", False, False, STREAM_FMAS + 1)
+        assert replays("ideal", STREAM_FMAS)
+        assert not replays("ideal", STREAM_FMAS + 1)
         monkeypatch.setattr(replay, "STREAM_FMAS", 123)
-        assert replays("ideal", "lru", False, False, 123)
-        assert not replays("ideal", "lru", False, False, 124)
+        assert replays("ideal", 123)
+        assert not replays("ideal", 124)

@@ -2,11 +2,11 @@
 
 Three layers of evidence:
 
-* a hypothesis property proving the residency walk's counts and peaks
-  over the recorded event log equal the checked IDEAL simulator's
-  ``MS``/``MD`` and peak resident sets integer for integer, on random
-  small orders (evenly tiled and ragged) across every algorithm with a
-  closed form;
+* a hypothesis property proving the residency walk finds no error and
+  that its counts and peaks over the recorded event log equal the
+  IDEAL simulator's ``MS``/``MD`` and peak resident sets integer for
+  integer, on random small orders (evenly tiled and ragged) across
+  every algorithm with a closed form;
 * seeded violations — a perturbed formula (the ``mn`` term dropped
   from shared-opt's ``MS``) and a schedule whose counts beat the
   strongest lower bound — each caught as an error;
@@ -30,6 +30,7 @@ from repro.cache.hierarchy import IdealHierarchy
 from repro.check import AnalysisContext, analyze_schedule, check_cost, check_residency
 from repro.check.cost import CountedCosts
 from repro.check.events import COMPUTE, EVICT_S, LOAD_D, LOAD_S, Event
+from repro.check.findings import ERROR
 from repro.check.tightbounds import check_tight_bounds
 from repro.model.machine import MulticoreMachine
 from repro.sim.contexts import IdealContext
@@ -81,9 +82,10 @@ class TestCountingSoundness:
         double=st.booleans(),
     )
     def test_counted_equals_ideal_simulation(self, name, dims, snap, double):
-        """The residency walk == checked IDEAL simulation.
+        """The residency walk proves the schedule and == IDEAL simulation.
 
-        Counts and peak resident sets agree integer for integer.
+        The walk finds no capacity, inclusion or presence error, and
+        counts and peak resident sets agree integer for integer.
         ``snap`` rounds the drawn dims to tile multiples so both the
         evenly-tiled (exact-formula) and ragged paths are exercised.
         """
@@ -93,11 +95,12 @@ class TestCountingSoundness:
             factor = 2 if (double and tile <= 9) else 1
             m, n, z = (tile * factor,) * 3
         alg = get_algorithm(name)(MACHINE, m, n, z)
-        _, peak_shared, peak_dist, counted = _walk(alg)
-        result = run_experiment(name, MACHINE, m, n, z, "ideal", check=True)
+        findings, peak_shared, peak_dist, counted = _walk(alg)
+        assert not [f for f in findings if f.severity == ERROR]
+        result = run_experiment(name, MACHINE, m, n, z, "ideal")
         assert counted.ms == result.ms
         assert counted.md_max == result.md
-        hierarchy = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd, check=True)
+        hierarchy = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd)
         alg.run(IdealContext(hierarchy))
         assert counted.md == tuple(hierarchy.md)
         assert peak_shared == hierarchy.peak_shared

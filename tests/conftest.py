@@ -1,12 +1,45 @@
-"""Shared fixtures: small machines and dimension sets used across tests."""
+"""Shared fixtures: small machines and dimension sets used across tests.
+
+Also the one way tests prove an IDEAL schedule: :func:`assert_proved`
+(and :func:`run_proved`, which also runs the cell).
+"""
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import pytest
 
+from repro.algorithms.base import MatmulAlgorithm
+from repro.algorithms.registry import get_algorithm
+from repro.check import ScheduleReport, analyze_schedule
+from repro.check.findings import ERROR
 from repro.model.machine import MulticoreMachine, preset
+from repro.sim.results import ExperimentResult
+from repro.sim.runner import run_experiment
+
+
+def assert_proved(alg: MatmulAlgorithm) -> ScheduleReport:
+    """Prove ``alg``'s schedule with :func:`repro.check.analyze_schedule`.
+
+    Fails on any error finding: a capacity overflow, an inclusion or
+    presence violation, a lost or repeated multiply-add, a race, or a
+    count off its closed form or below the tight lower bound.  Returns
+    the report, whose warnings (leaked residents, dead loads) a test
+    may assert on too.
+    """
+    report = analyze_schedule(alg)
+    errors = [f"{f.rule}: {f.message}" for f in report.findings if f.severity == ERROR]
+    assert not errors, "\n".join(errors)
+    return report
+
+
+def run_proved(
+    algorithm: str, machine: MulticoreMachine, m: int, n: int, z: int, **params: Any
+) -> ExperimentResult:
+    """Run one IDEAL cell after proving its schedule (:func:`assert_proved`)."""
+    assert_proved(get_algorithm(algorithm)(machine, m, n, z, **params))
+    return run_experiment(algorithm, machine, m, n, z, "ideal", **params)
 
 
 @pytest.fixture

@@ -1,11 +1,11 @@
-"""Failure injection: the checked simulator must catch broken schedules.
+"""Failure injection: broken schedules must not pass as counts.
 
 Each test plants a specific, realistic bug into a schedule (an
-over-sized tile, a forgotten eviction, a missing load, a skipped
-write-back path) and asserts the corresponding guard —
-:class:`CapacityError`, :class:`InclusionError`, :class:`PresenceError`
-or the numeric discipline — fires rather than silently producing wrong
-counts.
+over-sized tile, a forgotten eviction, a missing load, a premature
+eviction) and asserts that :func:`repro.check.analyze_schedule`
+reports it as an error under its rule id, or that the runner's
+multiply-add count fires.  The IDEAL simulator itself counts whatever
+it is given.
 """
 
 import pytest
@@ -14,12 +14,9 @@ from repro.algorithms.base import MatmulAlgorithm
 from repro.algorithms.shared_opt import SharedOpt
 from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C
 from repro.cache.hierarchy import IdealHierarchy
-from repro.exceptions import (
-    CapacityError,
-    InclusionError,
-    PresenceError,
-    ScheduleError,
-)
+from repro.check import analyze_schedule
+from repro.check.findings import ERROR
+from repro.exceptions import ScheduleError
 from repro.model.machine import MulticoreMachine
 from repro.sim.contexts import IdealContext
 from repro.sim.runner import run_experiment
@@ -81,35 +78,34 @@ class EvictsWhileCoreHolds(MatmulAlgorithm):
         ctx.evict_shared(key)
 
 
-def _run_checked(cls):
-    hierarchy = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd, check=True)
-    cls(MACHINE, 8, 8, 8).run(IdealContext(hierarchy))
+def _errors(cls):
+    """The rule ids of the error findings on ``cls``'s schedule."""
+    report = analyze_schedule(cls(MACHINE, 8, 8, 8))
+    return {f.rule for f in report.findings if f.severity == ERROR}
 
 
 class TestCheckedIdealCatchesBugs:
+    """IDEAL schedules are checked by the residency walk."""
+
     def test_capacity_overflow_shared(self):
-        with pytest.raises(CapacityError):
-            _run_checked(OversizedTile)
+        assert "capacity/ws-overflow" in _errors(OversizedTile)
 
     def test_leaked_residency(self):
-        with pytest.raises(CapacityError):
-            _run_checked(ForgetsEviction)
+        assert "capacity/ws-overflow" in _errors(ForgetsEviction)
 
     def test_inclusion_violation_on_load(self):
-        with pytest.raises(InclusionError):
-            _run_checked(SkipsSharedLevel)
+        assert "presence/load-absent" in _errors(SkipsSharedLevel)
 
     def test_presence_violation_on_compute(self):
-        with pytest.raises(PresenceError):
-            _run_checked(ComputesWithoutLoading)
+        # No directive at all: the walk still runs, on the declaration.
+        assert "presence/absent-operand" in _errors(ComputesWithoutLoading)
 
     def test_inclusion_violation_on_evict(self):
-        with pytest.raises(InclusionError):
-            _run_checked(EvictsWhileCoreHolds)
+        assert "presence/inclusion" in _errors(EvictsWhileCoreHolds)
 
     def test_unchecked_mode_tolerates_for_speed(self):
-        """check=False trades the guards for throughput, by design."""
-        hierarchy = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd, check=False)
+        """The hierarchy counts whatever directives it is given."""
+        hierarchy = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd)
         SkipsSharedLevel(MACHINE, 8, 8, 8).run(IdealContext(hierarchy))
         assert hierarchy.md[0] == 1
 

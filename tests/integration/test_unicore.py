@@ -12,6 +12,7 @@ from repro.algorithms.registry import ALGORITHMS, EXTRA_ALGORITHMS, get_algorith
 from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
 from repro.sim.runner import run_experiment
+from tests.conftest import run_proved
 
 UNICORE = MulticoreMachine(p=1, cs=50, cd=7, q=8, name="unicore")
 
@@ -31,7 +32,7 @@ class TestUnicore:
             with pytest.raises(ConfigurationError, match="compute-only"):
                 run_experiment(name, UNICORE, 6, 6, 6, "ideal")
             return
-        r = run_experiment(name, UNICORE, 6, 6, 6, "ideal", check=True)
+        r = run_proved(name, UNICORE, 6, 6, 6)
         assert r.comp == [216]
         assert r.stats.imbalance() == 1.0
 

@@ -8,6 +8,7 @@ from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
 from repro.numerics.blockmatrix import BlockMatrix
 from repro.numerics.executor import NumericContext
 from repro.sim.contexts import ChainContext, IdealContext, LRUContext
+from tests.conftest import assert_proved
 
 
 def keys(i, j, k):
@@ -47,7 +48,7 @@ class TestIdealContext:
         assert h.ms == 1 and h.md == [1]
         ctx.evict_dist(0, key)
         ctx.evict_shared(key)
-        assert h.resident_shared() == 0
+        assert not h.shared_set
 
     def test_compute_marks_c_dirty(self):
         h = IdealHierarchy(p=1, cs=16, cd=4)
@@ -59,14 +60,6 @@ class TestIdealContext:
         ctx.compute(0, kc, ka, kb)
         assert kc in h.dist_dirty[0]
         assert ctx.comp == [1]
-
-    def test_checked_compute_requires_presence(self):
-        from repro.exceptions import PresenceError
-
-        h = IdealHierarchy(p=1, cs=16, cd=4, check=True)
-        ctx = IdealContext(h)
-        with pytest.raises(PresenceError):
-            ctx.compute(0, *keys(0, 0, 0))
 
 
 class TestRecordingContext:
@@ -122,7 +115,8 @@ class TestChainContext:
         a = BlockMatrix.random(4, 4, q=2, seed=0)
         b = BlockMatrix.random(4, 4, q=2, seed=1)
         numeric = NumericContext(quad.p, a, b)
-        h = IdealHierarchy(quad.p, quad.cs, quad.cd, check=True)
+        assert_proved(alg)
+        h = IdealHierarchy(quad.p, quad.cs, quad.cd)
         ideal = IdealContext(h)
         chain = ChainContext([numeric, ideal])
         assert numeric.directives is None

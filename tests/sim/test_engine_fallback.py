@@ -1,9 +1,10 @@
-"""The engine rule: replay an unchecked IDEAL trace that fits, else step.
+"""The engine rule: replay an IDEAL trace that fits, else step.
 
 :func:`repro.cache.replay.replays` is the one predicate
 ``run_experiment`` consults.  The table below covers every setting mode
 × policy family × hierarchy option, each just within and just past the
-:data:`~repro.cache.replay.STREAM_FMAS` bound, and pins the telemetry
+:data:`~repro.cache.replay.STREAM_FMAS` bound, with and without a proof
+of the cell's schedule by the residency walk, and pins the telemetry
 each cell records as well as its counters against a cold step run:
 every LRU-family request runs on step with ``engine_fallback`` set.
 The rest pins how fallbacks survive serde and which engine each entry
@@ -16,14 +17,17 @@ import itertools
 
 import pytest
 
+from repro.algorithms.shared_opt import SharedOpt
 from repro.cache import replay
 from repro.cache.replay import configure_trace_tier, trace_tier_root
 from repro.fabric import fabric_order_sweep, run_local_fabric
 from repro.model.machine import MulticoreMachine
 from repro.sim.parallel import parallel_order_sweep
 from repro.sim.runner import clear_memos, run_experiment
+from repro.sim.settings import get_setting
 from repro.sim.sweep import order_sweep, ratio_sweep
 from repro.store.serde import result_from_dict, result_to_dict
+from tests.conftest import assert_proved
 
 # Power-of-two cache sizes so the 'plru' ablation policy is valid.
 MACHINE = MulticoreMachine(p=4, cs=128, cd=16, q=8)
@@ -42,16 +46,18 @@ def _tierless_cold_memo():
     clear_memos()
 
 
-def _replays(setting, policy, inclusive, check, bound):
+def _replays(setting, bound):
     """Whether the engine rule lets a replay request replay the cell."""
     if bound < FMAS:
         return False  # past the bound no trace materializes
-    # Only unchecked IDEAL cells replay; every LRU-family cell runs on step.
-    return setting == "ideal" and not check
+    # Only IDEAL cells replay; every LRU-family cell runs on step.
+    return setting == "ideal"
 
 
 #: Every (setting, policy, inclusive, check) configuration, with the
 #: bound just within (``FMAS``) and just past (``FMAS - 1``) the cell.
+#: A ``check`` row first proves the cell's schedule with the residency
+#: walk, which must leave the engine, counters and telemetry alone.
 RULE_TABLE = list(
     itertools.product(
         ("ideal", "lru-50"),
@@ -74,14 +80,17 @@ RULE_TABLE = list(
 )
 def test_engine_rule(monkeypatch, setting, policy, inclusive, check, bound):
     monkeypatch.setattr(replay, "STREAM_FMAS", bound)
-    options = dict(check=check, policy=policy, inclusive=inclusive)
+    if check:
+        declared = get_setting(setting).declared(MACHINE)
+        assert_proved(SharedOpt(declared, ORDER, ORDER, ORDER))
+    options = dict(policy=policy, inclusive=inclusive)
     result = run_experiment(
         "shared-opt", MACHINE, ORDER, ORDER, ORDER, setting, engine="replay", **options
     )
     step = run_experiment(
         "shared-opt", MACHINE, ORDER, ORDER, ORDER, setting, engine="step", **options
     )
-    replayed = _replays(setting, policy, inclusive, check, bound)
+    replayed = _replays(setting, bound)
     assert result.engine == ("replay" if replayed else "step")
     assert result.trace_source == ("compiled" if replayed else "")
     assert result.engine_fallback is not replayed

@@ -1,6 +1,6 @@
 """Exact fast-forward of declared loops on the step engine.
 
-:class:`~repro.sim.contexts.LRUContext` and an unchecked
+:class:`~repro.sim.contexts.LRUContext` and
 :class:`~repro.sim.contexts.IdealContext` skip the rest of a declared
 loop once the hierarchy state at one iteration boundary is the state one
 boundary earlier with every key shifted.  The oracle here is the same
@@ -65,7 +65,7 @@ def _contexts(
     (``middle`` levels apply to LRU modes only)."""
     if mode == "ideal":
         return [
-            cls(IdealHierarchy(p, cs, cd, check=False))
+            cls(IdealHierarchy(p, cs, cd))
             for cls in (IdealContext, PlainIdeal)
         ]
     return [
@@ -339,7 +339,7 @@ def _run_counted(name: str, setting: str, order: int):
     simulated = s.simulated(machine)
     if s.is_ideal:
         ctx = _counting(IdealContext)(
-            IdealHierarchy(4, simulated.cs, simulated.cd, check=False)
+            IdealHierarchy(4, simulated.cs, simulated.cd)
         )
     else:
         ctx = _counting(LRUContext)(LRUHierarchy(4, simulated.cs, simulated.cd))
@@ -449,17 +449,18 @@ def test_a_middle_cache_moves_unless_all_its_cores_idle():
     assert outcomes[0] == outcomes[1]
 
 
-def test_checked_ideal_and_set_associative_iterate_plainly():
+def test_set_associative_iterate_plainly():
     iterations = range(10)
     shift = (1, 1 << ROW_SHIFT, 0)
-    checked = IdealContext(IdealHierarchy(1, 8, 4, check=True))
     assoc = LRUContext(LRUHierarchy(1, 8, 4, policy="assoc2"))
     plru = LRUContext(LRUHierarchy(1, 8, 4, policy="plru"))
-    for ctx in (checked, assoc, plru):
+    for ctx in (assoc, plru):
         assert ctx.loop(iterations, shift) is iterations
-    assert LRUContext(LRUHierarchy(1, 8, 4, policy="fifo", inclusive=True)).loop(
-        iterations, shift
-    ) is not iterations
+    for ctx in (
+        IdealContext(IdealHierarchy(1, 8, 4)),
+        LRUContext(LRUHierarchy(1, 8, 4, policy="fifo", inclusive=True)),
+    ):
+        assert ctx.loop(iterations, shift) is not iterations
 
 
 class _OverDeclared(MatmulAlgorithm):

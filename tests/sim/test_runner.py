@@ -119,22 +119,6 @@ class TestResultMemo:
         ((stats, _comp),) = runner._RESULTS.values()
         stats.shared.misses += 1000
 
-    def test_checked_runs_never_read_the_memo(self, quad):
-        warm = run_experiment("shared-opt", quad, 8, 8, 8, "ideal")
-        self._poison_the_one_entry()
-        assert run_experiment("shared-opt", quad, 8, 8, 8, "ideal").ms == warm.ms + 1000
-        checked = run_experiment("shared-opt", quad, 8, 8, 8, "ideal", check=True)
-        assert checked.ms == warm.ms
-        assert checked.trace_source == ""
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_checked_runs_never_fill_the_memo(self, quad, engine):
-        run_experiment("shared-opt", quad, 8, 8, 8, "ideal", check=True, engine=engine)
-        assert not runner._RESULTS
-        run_experiment("shared-opt", quad, 8, 8, 8, "ideal", engine=engine)
-        run_experiment("shared-opt", quad, 8, 8, 8, "ideal", check=True, engine=engine)
-        assert len(runner._RESULTS) == 1
-
     def _only_its_own_engine(self, quad, filled, asked, setting="ideal", **options):
         def run(engine):
             return run_experiment(

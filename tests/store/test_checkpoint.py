@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.model.machine import MulticoreMachine
+from repro.model.machine import MulticoreMachine, preset
+from repro.sim.ledger import order_plan
 from repro.store.checkpoint import (
     CHECKPOINT_SCHEMA,
     CellKey,
@@ -70,6 +71,24 @@ class TestCellKey:
         ) == (
             "d2a8116e3011fd049fdb6ec7948686e802b067b990db3547b88edeb7e1b3b7cb"
         )
+
+    def test_a_real_sweep_cell_keeps_its_fingerprint(self):
+        # Shared Opt. under LRU-50 on q32 at order 16, planned as the
+        # pool and the fabric plan it.  Sweeps once passed every cell
+        # check=False and hashed it; run directories written then still
+        # resume only while this value holds.  The kwargs that reach a
+        # worker's run_experiment carry no check.
+        plan = order_plan(
+            [("shared-opt", "lru-50")], preset("q32"), [16], inclusive=False, policy="lru"
+        )
+        (cell,) = plan.cells
+        assert plan.fingerprint(cell) == (
+            "d365cc351ae2ba48fb4680f247986ee7604dfb6e5ea800878bd998779f02e010"
+        )
+        assert plan.entries["shared-opt lru-50"][2] == {
+            "inclusive": False,
+            "policy": "lru",
+        }
 
     def test_engine_kwargs_never_reach_the_fingerprint(self):
         base = _fp(kwargs={"policy": "fifo"})

@@ -67,6 +67,13 @@ class TestRun:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_check_flag_is_gone(self, capsys):
+        # IDEAL runs count; `repro-mmm check` proves their schedules.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "shared-opt", "-m", "8", "--setting", "ideal", "--check"])
+        assert exc.value.code == 2
+        assert "--check" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep(self, capsys):

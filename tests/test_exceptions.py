@@ -3,11 +3,8 @@
 import pytest
 
 from repro.exceptions import (
-    CapacityError,
     ConfigurationError,
-    InclusionError,
     ParameterError,
-    PresenceError,
     ReproError,
     ScheduleError,
 )
@@ -16,14 +13,7 @@ from repro.exceptions import (
 class TestHierarchy:
     @pytest.mark.parametrize(
         "exc",
-        [
-            ConfigurationError,
-            CapacityError,
-            InclusionError,
-            PresenceError,
-            ScheduleError,
-            ParameterError,
-        ],
+        [ConfigurationError, ScheduleError, ParameterError],
     )
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
@@ -36,7 +26,7 @@ class TestHierarchy:
 
     def test_single_catch_all(self):
         with pytest.raises(ReproError):
-            raise CapacityError("full")
+            raise ScheduleError("short")
 
     def test_library_raises_only_repro_errors_for_bad_config(self):
         from repro.model.machine import MulticoreMachine
