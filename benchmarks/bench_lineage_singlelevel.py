@@ -30,7 +30,7 @@ def bench_single_level_ccr(benchmark, out_dir):
             ("single-max-reuse", SharedOpt),
             ("single-equal", SharedEqual),
         ):
-            hierarchy = IdealHierarchy(1, MEMORY, 3)
+            hierarchy = IdealHierarchy(1)
             ctx = IdealContext(hierarchy)
             schedule(ONE_MEMORY, ORDER, ORDER, ORDER).run(ctx)
             assert ctx.comp_total == ORDER**3

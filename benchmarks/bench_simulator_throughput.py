@@ -133,7 +133,7 @@ def bench_ideal_load_evict(benchmark):
     keys = [block_key(MAT_A, t % 64, t // 64) for t in range(N)]
 
     def run():
-        h = IdealHierarchy(p=4, cs=977, cd=21)
+        h = IdealHierarchy(p=4)
         for key in keys:
             h.load_shared(key)
             h.load_distributed(0, key)

@@ -47,7 +47,7 @@ def main() -> None:
     for name, cls in ALGORITHMS.items():
         alg = cls(machine, m, n, z)
         numeric = NumericContext(machine.p, a, b)
-        ideal_h = IdealHierarchy(machine.p, machine.cs, machine.cd)
+        ideal_h = IdealHierarchy(machine.p)
         lru_h = LRUHierarchy(machine.p, machine.cs, machine.cd)
         ctx = ChainContext(
             [numeric, IdealContext(ideal_h), LRUContext(lru_h)]

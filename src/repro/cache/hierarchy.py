@@ -30,7 +30,8 @@ schedule's periodic loops.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Collection, List, Sequence, Set, Tuple
+from operator import add
+from typing import Callable, Collection, List, Optional, Sequence, Set, Tuple
 
 from repro.cache.block import MAT_SHIFT, shifted
 from repro.cache.cache import Cache
@@ -42,6 +43,11 @@ from repro.exceptions import ConfigurationError
 #: One outer step of a core's path: the cache reached and the caches
 #: below it that its victims are invalidated in (none unless inclusive).
 _Outer = Tuple[Cache, Tuple[Cache, ...]]
+
+#: The most shared-level events :meth:`LRUHierarchy.record_row` keeps
+#: for one recorded iteration, so that a log's memory does not grow with
+#: the matrix order.
+LOG_LIMIT = 1 << 14
 
 
 class LRUHierarchy:
@@ -120,6 +126,9 @@ class LRUHierarchy:
             # renamings mutate these objects in place, so it stays valid.
             self._views = [_view(dc) for dc in self.distributed]
             self._shared_view = _view(self.shared)
+        #: The shared-level events :meth:`record_row` appends to, while a
+        #: split fast-forward records an iteration.
+        self.log: Optional[List[int]] = None
 
     def _below(self, depth: int, index: int) -> Tuple[Cache, ...]:
         """Under back-invalidation, every cache below ``levels[depth][index]``:
@@ -300,6 +309,186 @@ class LRUHierarchy:
         return count
 
     # ------------------------------------------------------------------
+    # The shared level on its own (split fast-forward)
+    # ------------------------------------------------------------------
+    @property
+    def splits(self) -> bool:
+        """Whether the core caches evolve apart from the shared cache.
+
+        Under plain non-inclusive two-level LRU (the row kernel's fast
+        path) a core's cache changes only with its own core's
+        references, and the shared cache sees only the events the core
+        caches pass up: each missed key, and each dirty victim written
+        back.  :meth:`record_row` logs those events and :meth:`replay`
+        runs them against the shared cache alone.
+        """
+        return self._fast
+
+    def record_row(
+        self, core: int, akey: int, brow: int, crow: int, cols: Sequence[int]
+    ) -> int:
+        """:meth:`compute_row`, appending the row's shared-level events to
+        :attr:`log`.
+
+        The events are what the core's cache passes up, in order: each
+        key it misses, preceded by ``~victim`` when that miss evicts a
+        dirty block.  This is the fast path of :meth:`compute_row` with
+        the appends; a separate copy, so that the live kernel pays
+        nothing for them.  A log that outgrows :data:`LOG_LIMIT` events
+        is dropped (:attr:`log` becomes ``None``), and later rows run on
+        :meth:`compute_row`.  Requires :attr:`splits`.
+        """
+        log = self.log
+        if log is None:
+            return self.compute_row(core, akey, brow, crow, cols)
+        append = log.append
+        count = len(cols)
+        dc, ddata, dmove, dpop, ddirty, dcap = self._views[core]
+        sc, sdata, smove, spop, sdirty, scap = self._shared_view
+        dmbm = dc.misses_by_matrix
+        smbm = sc.misses_by_matrix
+        dhits = dwritebacks = shits = swritebacks = 0
+        cold = True
+        for j in cols:
+            if cold:
+                cold = dcap < 3
+                if akey in ddata:
+                    dmove(akey)
+                    dhits += 1
+                else:
+                    dmbm[akey >> MAT_SHIFT] += 1
+                    if len(ddata) >= dcap:
+                        victim = dpop(False)[0]
+                        if victim in ddirty:
+                            ddirty.discard(victim)
+                            dwritebacks += 1
+                            append(~victim)
+                            if victim in sdata:
+                                sdirty.add(victim)
+                    ddata[akey] = None
+                    append(akey)
+                    if akey in sdata:
+                        smove(akey)
+                        shits += 1
+                    else:
+                        smbm[akey >> MAT_SHIFT] += 1
+                        if len(sdata) >= scap:
+                            victim = spop(False)[0]
+                            if victim in sdirty:
+                                sdirty.discard(victim)
+                                swritebacks += 1
+                        sdata[akey] = None
+            else:
+                dmove(akey)
+            key = brow | j
+            if key in ddata:
+                dmove(key)
+                dhits += 1
+            else:
+                dmbm[key >> MAT_SHIFT] += 1
+                if len(ddata) >= dcap:
+                    victim = dpop(False)[0]
+                    if victim in ddirty:
+                        ddirty.discard(victim)
+                        dwritebacks += 1
+                        append(~victim)
+                        if victim in sdata:
+                            sdirty.add(victim)
+                ddata[key] = None
+                append(key)
+                if key in sdata:
+                    smove(key)
+                    shits += 1
+                else:
+                    smbm[key >> MAT_SHIFT] += 1
+                    if len(sdata) >= scap:
+                        victim = spop(False)[0]
+                        if victim in sdirty:
+                            sdirty.discard(victim)
+                            swritebacks += 1
+                    sdata[key] = None
+            key = crow | j
+            if key in ddata:
+                dmove(key)
+                dhits += 1
+            else:
+                dmbm[key >> MAT_SHIFT] += 1
+                if len(ddata) >= dcap:
+                    victim = dpop(False)[0]
+                    if victim in ddirty:
+                        ddirty.discard(victim)
+                        dwritebacks += 1
+                        append(~victim)
+                        if victim in sdata:
+                            sdirty.add(victim)
+                ddata[key] = None
+                append(key)
+                if key in sdata:
+                    smove(key)
+                    shits += 1
+                else:
+                    smbm[key >> MAT_SHIFT] += 1
+                    if len(sdata) >= scap:
+                        victim = spop(False)[0]
+                        if victim in sdirty:
+                            sdirty.discard(victim)
+                            swritebacks += 1
+                    sdata[key] = None
+            ddirty.add(key)
+        if not cold:
+            dhits += count - 1
+        dc.hits += dhits
+        dc.misses += 3 * count - dhits
+        dc.writebacks += dwritebacks
+        sc.hits += shits
+        sc.misses += 3 * count - dhits - shits
+        sc.writebacks += swritebacks
+        if len(log) > LOG_LIMIT:
+            self.log = None
+        return count
+
+    def replay(self, events: List[int], shift: Sequence[int], times: int) -> List[int]:
+        """Run logged shared-level events ``times`` more times against the
+        shared cache alone, each time moved by one more ``shift``, and
+        return them as last run.
+
+        Each event does what the row kernel does at the shared level: a
+        key is referenced, and a dirty core victim ``~victim`` lands in
+        its shared copy, if any.  Requires :attr:`splits`.
+        """
+        # ``~victim`` moves to ``~(victim + d)``, that is by ``-d``.
+        offsets = [
+            shift[key >> MAT_SHIFT] if key >= 0 else -shift[~key >> MAT_SHIFT]
+            for key in events
+        ]
+        sc, sdata, smove, spop, sdirty, scap = self._shared_view
+        smbm = sc.misses_by_matrix
+        misses = writebacks = 0
+        for _ in range(times):
+            events = list(map(add, events, offsets))
+            for key in events:
+                if key < 0:
+                    key = ~key
+                    if key in sdata:
+                        sdirty.add(key)
+                elif key in sdata:
+                    smove(key)
+                else:
+                    misses += 1
+                    smbm[key >> MAT_SHIFT] += 1
+                    if len(sdata) >= scap:
+                        victim = spop(False)[0]
+                        if victim in sdirty:
+                            sdirty.discard(victim)
+                            writebacks += 1
+                    sdata[key] = None
+        # A reference that did not miss hit.
+        sc.hits += times * sum(key >= 0 for key in events) - misses
+        sc.misses += misses
+        sc.writebacks += writebacks
+        return events
+
+    # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
     def snapshot(self) -> HierarchyStats:
@@ -354,6 +543,22 @@ class LRUHierarchy:
         """A copy of each cache's keys in eviction order, and its dirty set."""
         out: List[Collection[int]] = []
         for cache in self._caches():
+            out.append(list(cache.policy._data))  # type: ignore[attr-defined]
+            out.append(set(cache.dirty))
+        return out
+
+    def core_state(
+        self, state: Optional[List[Collection[int]]] = None
+    ) -> List[Collection[int]]:
+        """The core caches' parts of :meth:`state`, by default the live one.
+
+        The shared cache's parts are left empty, so the indices of
+        :meth:`still` hold.  Requires :attr:`splits`.
+        """
+        out: List[Collection[int]] = [[], set()]
+        if state is not None:
+            return out + state[2:]
+        for cache in self.distributed:
             out.append(list(cache.policy._data))  # type: ignore[attr-defined]
             out.append(set(cache.dirty))
         return out
@@ -414,6 +619,15 @@ class LRUHierarchy:
             data.update(dict.fromkeys(moved))
             _move(cache.dirty, shift)
 
+    def advance_cores(
+        self, delta: Sequence[int], shift: Sequence[int], still: Collection[int]
+    ) -> None:
+        """:meth:`advance` for the core caches alone: the shared cache keeps
+        its counters and keys, which :meth:`replay` moves instead.
+        Requires :attr:`splits`."""
+        # The shared cache's six counters and two state parts come first.
+        self.advance([0] * 6 + list(delta[6:]), shift, {0, 1, *still})
+
 
 def _move(keys: Set[int], shift: Sequence[int]) -> None:
     """Rename a set of keys in place (see :func:`~repro.cache.block.shifted`)."""
@@ -458,12 +672,10 @@ class IdealHierarchy:
     inclusion and presence.
     """
 
-    def __init__(self, p: int, cs: int, cd: int) -> None:
+    def __init__(self, p: int) -> None:
         if p < 1:
             raise ConfigurationError(f"need at least one core, got p={p}")
         self.p = p
-        self.cs = cs
-        self.cd = cd
         self.shared_set: Set[int] = set()
         self.dist_sets: List[Set[int]] = [set() for _ in range(p)]
         self.shared_dirty: Set[int] = set()

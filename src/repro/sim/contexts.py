@@ -18,13 +18,40 @@ cache that an iteration cannot touch, such as a cache whose cores ran
 no multiply-adds in it under non-inclusive LRU, keeps its keys
 instead (see :meth:`~repro.cache.hierarchy.LRUHierarchy.still`):
 a ragged tile row that leaves some cores idle still repeats.
+
+Under plain non-inclusive two-level LRU (the row kernel's fast path,
+:attr:`~repro.cache.hierarchy.LRUHierarchy.splits`) the fast-forward
+also splits the two levels.  A core-cache miss is passed up to the
+shared cache, which never sends anything back down: each core's cache
+changes only with its own core's references, and the shared cache sees
+only the ordered stream of their misses and dirty write-backs.  So once
+the core caches alone repeat under the loop's shift, which they do long
+before a large shared cache stops filling, they repeat at every later
+boundary, and each later iteration passes the shared cache the same
+stream moved by one more shift.  :class:`LRUContext` then records that
+stream for one iteration
+(:meth:`~repro.cache.hierarchy.LRUHierarchy.record_row`) and replays it
+against the shared cache alone for the rest of the loop
+(:meth:`~repro.cache.hierarchy.LRUHierarchy.replay`); the core caches
+and multiply-add counts catch up in one step at the end, or before a
+whole-state comparison.  The core caches are compared on their own
+cadence, sized by their own state.  A replay starts only after a core
+repeat over an iteration in which no nested loop fast-forwarded, and
+the recorded iteration is a whole-state comparison too: on a whole
+repeat it jumps instead.  A nested loop that fast-forwards inside the
+recorded iteration leaves its stream incomplete, and so does a log
+past its bound; the loop then runs on without splitting.  While a
+replay runs, whole-state comparisons keep their cadence, and a whole
+repeat ends the replay with a jump.
 """
 
 from __future__ import annotations
 
 from typing import (
+    Callable,
     Collection,
     Dict,
+    Generator,
     Generic,
     Iterable,
     Iterator,
@@ -82,6 +109,9 @@ def _repeats(
 
 _Hierarchy = TypeVar("_Hierarchy", LRUHierarchy, IdealHierarchy)
 
+#: A copy of a hierarchy's state, part by part (see ``state``).
+_State = List[Collection[int]]
+
 
 class _CountingContext(ExecutionContext, Generic[_Hierarchy]):
     """A context counting against a hierarchy that can fast-forward loops.
@@ -92,18 +122,33 @@ class _CountingContext(ExecutionContext, Generic[_Hierarchy]):
     compare only once they have run ``_WORK_PER_KEY`` multiply-adds per
     key of state since their last comparison began.  In between they
     run as plain range slices, and a loop instance in which no
-    comparison falls due is the plain range itself.
+    comparison falls due is the plain range itself.  A context whose
+    core caches evolve on their own (:class:`LRUContext` over a
+    hierarchy that :attr:`~repro.cache.hierarchy.LRUHierarchy.splits`)
+    also compares them alone, amortized by their own state, and
+    replays the shared cache once they repeat (:meth:`_split`).
+
+    :attr:`jumped` and :attr:`replayed` count the multiply-adds that
+    jumps and replays accounted for without running them.
     """
+
+    #: Whether the core caches are compared alone too.
+    _splits = False
 
     def __init__(self, hierarchy: _Hierarchy, skips: bool) -> None:
         super().__init__(hierarchy.p)
         self.hierarchy = hierarchy
         self._skips = skips
         #: Per shift: the multiply-add count from which its loops may
-        #: compare, and the most multiply-adds one of their iterations
-        #: has run (a ragged tile runs fewer than a full one).
+        #: compare (the whole state or, when splitting, the core caches),
+        #: the one from which they compare the whole state, and the most
+        #: multiply-adds one of their iterations has run (a ragged tile
+        #: runs fewer than a full one).
         self._due: Dict[Shift, int] = {}
+        self._whole: Dict[Shift, int] = {}
         self._work: Dict[Shift, int] = {}
+        self.jumped = 0
+        self.replayed = 0
 
     def loop(self, iterations: range, shift: Shift) -> Iterable[int]:
         count = len(iterations)
@@ -118,6 +163,7 @@ class _CountingContext(ExecutionContext, Generic[_Hierarchy]):
 
     def _skip(self, iterations: range, shift: Shift) -> Iterator[int]:
         hierarchy, comp, due, work = self.hierarchy, self.comp, self._due, self._work
+        splits = self._splits
         count = len(iterations)
         at = 0
         while count - at > 1:
@@ -131,35 +177,91 @@ class _CountingContext(ExecutionContext, Generic[_Hierarchy]):
                 yield from iterations[at:until]
                 at = until
                 continue
-            before = hierarchy.state()
+            whole = self._whole.get(shift, 0) <= done
+            state = hierarchy.state if whole else self._core_state
+            before = state()
             counted = hierarchy.counters() + comp
+            forwarded = self.jumped + self.replayed
             yield iterations[at]
             at += 1
-            after = hierarchy.state()
+            after = state()
             work[shift] = max(work.get(shift, 1), sum(comp) - done)
-            idle = [c for c, old in enumerate(counted[-len(comp) :]) if comp[c] == old]
-            still = hierarchy.still(idle)
-            if _repeats(before, after, shift, still):
-                self._jump(counted, count - at, shift, still)
-                return
-            due[shift] = done + _WORK_PER_KEY * sum(map(len, after))
+            still = self._still(counted)
+            if whole:
+                if _repeats(before, after, shift, still):
+                    self._jump(counted, count - at, shift, still)
+                    return
+                self._whole[shift] = done + _WORK_PER_KEY * sum(map(len, after))
+            due[shift] = self._whole[shift]
+            if not splits:
+                continue
+            if whole:
+                before, after = self._core_state(before), self._core_state(after)
+            if (
+                count - at > 1
+                and forwarded == self.jumped + self.replayed
+                and _repeats(before, after, shift, still)
+            ):
+                if (yield from self._split(iterations[at], count - at - 1, shift)):
+                    return
+                # A nested loop fast-forwarded in the recorded iteration, or
+                # its log outgrew its bound: this loop splits no more.
+                at += 1
+                splits = False
+                continue
+            due[shift] = min(due[shift], done + _WORK_PER_KEY * sum(map(len, after)))
         yield from iterations[at:]
+
+    def _still(self, counted: List[int]) -> Collection[int]:
+        """The state parts an iteration leaves in place: those of the caches
+        of the cores that ran no multiply-add since ``counted``."""
+        comp = self.comp
+        idle = [c for c, old in enumerate(counted[-len(comp) :]) if comp[c] == old]
+        return self.hierarchy.still(idle)
+
+    def _core_state(self, state: Optional[_State] = None) -> _State:
+        """The core caches' parts of ``state``, by default the live one;
+        only a splitting context compares them alone."""
+        raise NotImplementedError
+
+    def _split(
+        self, iteration: int, times: int, shift: Shift
+    ) -> Generator[int, None, bool]:
+        """Record ``iteration`` and replay it ``times`` more times; only a
+        splitting context does."""
+        raise NotImplementedError
+
+    def _delta(self, counted: List[int]) -> List[int]:
+        """The counters and multiply-adds run since ``counted``."""
+        now = self.hierarchy.counters() + self.comp
+        return [new - old for old, new in zip(counted, now)]
 
     def _jump(
         self, counted: List[int], times: int, shift: Shift, still: Collection[int]
     ) -> None:
         """Repeat the iteration since ``counted`` ``times`` more times."""
+        delta = self._delta(counted)
+        self.jumped += self._add(delta, times, shift, still, self.hierarchy.advance)
+
+    def _add(
+        self,
+        delta: List[int],
+        times: int,
+        shift: Shift,
+        still: Collection[int],
+        advance: Callable[[List[int], List[int], Collection[int]], None],
+    ) -> int:
+        """Add ``times`` × ``delta`` (counters, then multiply-adds) and move
+        keys by ``times`` × ``shift``, both through ``advance`` but the
+        multiply-adds; return how many multiply-adds that adds."""
         comp = self.comp
-        delta = [
-            times * (new - old)
-            for old, new in zip(counted, self.hierarchy.counters() + comp)
-        ]
         split = len(delta) - len(comp)
-        self.hierarchy.advance(
-            delta[:split], [times * offset for offset in shift], still
+        advance(
+            [times * d for d in delta[:split]], [times * o for o in shift], still
         )
         for core, extra in enumerate(delta[split:]):
-            comp[core] += extra
+            comp[core] += times * extra
+        return times * sum(delta[split:])
 
 
 class LRUContext(_CountingContext[LRUHierarchy]):
@@ -170,7 +272,8 @@ class LRUContext(_CountingContext[LRUHierarchy]):
     operations are propagated throughout the hierarchy").  The
     hierarchy may be a tree with middle levels (paper §6).  Declared
     loops are fast-forwarded when every cache is plain LRU or FIFO
-    (:attr:`LRUHierarchy.renames`), inclusive or not.  A row of
+    (:attr:`LRUHierarchy.renames`), inclusive or not, and split when
+    the hierarchy :attr:`~LRUHierarchy.splits`.  A row of
     multiply-adds is one :meth:`LRUHierarchy.compute_row` call; a row
     never spans an iteration boundary, so the fast-forward sees the
     same states.
@@ -178,6 +281,7 @@ class LRUContext(_CountingContext[LRUHierarchy]):
 
     def __init__(self, hierarchy: LRUHierarchy) -> None:
         super().__init__(hierarchy, hierarchy.renames)
+        self._splits = hierarchy.splits
         # Bound method caching shaves a dict lookup off the hot path.
         self._row = hierarchy.compute_row
 
@@ -189,6 +293,103 @@ class LRUContext(_CountingContext[LRUHierarchy]):
         self, core: int, crow: int, akey: int, brow: int, cols: Sequence[int]
     ) -> None:
         self.comp[core] += self._row(core, akey, brow, crow, cols)
+
+    def _core_state(self, state: Optional[_State] = None) -> _State:
+        return self.hierarchy.core_state(state)
+
+    def _split(
+        self, iteration: int, times: int, shift: Shift
+    ) -> Generator[int, None, bool]:
+        """Record ``iteration``'s shared-level events, then replay them.
+
+        The core caches at the boundary before ``iteration`` repeat the
+        ones a boundary earlier, moved by ``shift``.  They evolve on their
+        own, so they repeat at every later boundary too, and each later
+        iteration passes the shared cache this one's events moved by one
+        more ``shift``.  The recorded iteration is a whole-state
+        comparison too and jumps on a repeat.  Otherwise the remaining
+        ``times`` iterations replay (:meth:`_replay`), unless a nested
+        loop fast-forwarded inside the recorded one, which leaves its
+        events incomplete; then it returns ``False``.
+        """
+        hierarchy, comp = self.hierarchy, self.comp
+        before = hierarchy.state()
+        counted = hierarchy.counters() + comp
+        forwarded = self.jumped + self.replayed
+        # A nested split records into the log its enclosing one keeps.
+        log = hierarchy.log
+        start = 0 if log is None else len(log)
+        if log is None:
+            hierarchy.log = []
+        row, self._row = self._row, hierarchy.record_row
+        try:
+            yield iteration
+        finally:
+            self._row = row
+            events = hierarchy.log
+            if log is None:
+                hierarchy.log = None
+        still = self._still(counted)
+        if _repeats(before, hierarchy.state(), shift, still):
+            self._jump(counted, times, shift, still)
+            return True
+        if events is None or forwarded != self.jumped + self.replayed:
+            return False
+        self._replay(events[start:], self._delta(counted), times, shift, still)
+        return True
+
+    def _replay(
+        self,
+        events: List[int],
+        delta: List[int],
+        times: int,
+        shift: Shift,
+        still: Collection[int],
+    ) -> None:
+        """Run the last iteration ``times`` more times from its shared-level
+        ``events`` and its counter and multiply-add ``delta``.
+
+        The shared cache replays the events; the core caches and the
+        multiply-add counts catch up by ``delta`` per iteration, in one
+        step at the end, or before a whole-state comparison falls due.
+        Such a comparison keeps the cadence it has in :meth:`_skip` and
+        jumps on a repeat.
+        """
+        hierarchy, comp, whole = self.hierarchy, self.comp, self._whole
+        work = sum(delta[-len(comp) :])
+        # Replayed iterations the core caches and counts have yet to catch up.
+        lag = 0
+        while times:
+            wait = whole[shift] - sum(comp) - lag * work
+            if wait > 0:
+                ahead = min(times, (wait + work - 1) // work)
+                events = hierarchy.replay(events, shift, ahead)
+                lag += ahead
+                times -= ahead
+                continue
+            self._catch_up(delta, lag, shift, still)
+            lag = 0
+            before = hierarchy.state()
+            counted = hierarchy.counters() + comp
+            done = sum(comp)
+            events = hierarchy.replay(events, shift, 1)
+            self._catch_up(delta, 1, shift, still)
+            times -= 1
+            after = hierarchy.state()
+            if _repeats(before, after, shift, still):
+                self._jump(counted, times, shift, still)
+                return
+            whole[shift] = done + _WORK_PER_KEY * sum(map(len, after))
+        self._catch_up(delta, lag, shift, still)
+
+    def _catch_up(
+        self, delta: List[int], times: int, shift: Shift, still: Collection[int]
+    ) -> None:
+        """Move the core caches and multiply-add counts ``times`` replayed
+        iterations on."""
+        if times:
+            advance = self.hierarchy.advance_cores
+            self.replayed += self._add(delta, times, shift, still, advance)
 
 
 class IdealContext(_CountingContext[IdealHierarchy]):

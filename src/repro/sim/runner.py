@@ -170,9 +170,7 @@ def run_experiment(
         trace_source = trace.origin
     else:
         if setting.is_ideal:
-            hierarchy: Union[IdealHierarchy, LRUHierarchy] = IdealHierarchy(
-                machine.p, simulated.cs, simulated.cd
-            )
+            hierarchy: Union[IdealHierarchy, LRUHierarchy] = IdealHierarchy(machine.p)
             ctx: Union[IdealContext, LRUContext] = IdealContext(hierarchy)
         else:
             hierarchy = LRUHierarchy(

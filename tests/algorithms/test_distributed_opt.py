@@ -57,7 +57,7 @@ class TestIdealCounts:
         # per-core C misses == mn/p for divisible dims.
         alg = DistributedOpt(quad, 16, 16, 16, mu=4)
         assert_proved(alg)
-        h = IdealHierarchy(quad.p, quad.cs, quad.cd)
+        h = IdealHierarchy(quad.p)
         alg.run(IdealContext(h))
         for core in range(quad.p):
             assert h.md_by_matrix[core][MAT_C] == 16 * 16 // 4
@@ -66,7 +66,7 @@ class TestIdealCounts:
         """Cores on one grid row share A, on one grid column share B."""
         alg = DistributedOpt(quad, 8, 8, 8, mu=4)
         assert_proved(alg)
-        h = IdealHierarchy(quad.p, quad.cs, quad.cd)
+        h = IdealHierarchy(quad.p)
         alg.run(IdealContext(h))
         # Every element of A is loaded into shared once per k-use: the
         # shared A misses must be z * tile-rows per tile = m*z total

@@ -58,7 +58,7 @@ class TestEveryAlgorithm:
         alg = ALGORITHMS[name](MACHINE, m, n, z)
         report = assert_proved(alg)  # any capacity/inclusion/presence bug
         assert "presence/leaked-resident" not in {f.rule for f in report.findings}
-        h = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd)
+        h = IdealHierarchy(MACHINE.p)
         ctx = IdealContext(h)
         alg.run(ctx)
         assert ctx.comp_total == m * n * z
@@ -85,7 +85,7 @@ class TestEveryAlgorithm:
         m, n, z = dims
         alg = ALGORITHMS[name](MACHINE, m, n, z)
         assert_proved(alg)
-        h = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd)
+        h = IdealHierarchy(MACHINE.p)
         alg.run(IdealContext(h))
         # the busiest core performs >= mnz/p computes (pigeonhole), and
         # each compute involves 3 resident blocks that entered its cache
@@ -104,7 +104,7 @@ class TestOneMemoryLineage:
         for cls in (SharedOpt, SharedEqual):
             alg = cls(ONE_MEMORY, m, n, z)
             assert_proved(alg)
-            h = IdealHierarchy(1, ONE_MEMORY.cs, ONE_MEMORY.cd)
+            h = IdealHierarchy(1)
             alg.run(IdealContext(h))
             assert h.peak_shared <= ONE_MEMORY.cs
             # compulsory floor: every block loaded at least once

@@ -61,7 +61,7 @@ def _counters(alg, sim):
     alg.run(lru_ctx)
     out = [(lru.snapshot(), lru_ctx.comp)]
     if alg.supports_ideal:
-        ideal = IdealHierarchy(sim.p, sim.cs, sim.cd)
+        ideal = IdealHierarchy(sim.p)
         ideal_ctx = IdealContext(ideal)
         alg.run(ideal_ctx)
         out.append((ideal.snapshot(), ideal_ctx.comp))

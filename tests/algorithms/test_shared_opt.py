@@ -74,7 +74,7 @@ class TestIdealCounts:
     def test_c_writebacks_counted(self, quad):
         alg = SharedOpt(quad, 12, 12, 12, lam=6)
         assert_proved(alg)
-        h = IdealHierarchy(quad.p, quad.cs, quad.cd)
+        h = IdealHierarchy(quad.p)
         alg.run(IdealContext(h))
         # every block of C written back to memory exactly once
         assert h.shared_writebacks == 12 * 12
@@ -92,7 +92,7 @@ class TestIdealCounts:
     def test_peak_fills_the_split_on_one_memory(self, one_memory):
         alg = SharedOpt(one_memory(21), 8, 8, 8)
         assert_proved(alg)
-        h = IdealHierarchy(1, 21, 3)
+        h = IdealHierarchy(1)
         alg.run(IdealContext(h))
         assert h.peak_shared == 1 + 4 + 16  # the 1 + µ + µ² split, fully used
 

@@ -19,28 +19,28 @@ def kc(i, j=0):
 
 class TestCounting:
     def test_load_shared_counts_ms(self):
-        h = IdealHierarchy(p=1, cs=4, cd=3)
+        h = IdealHierarchy(p=1)
         h.load_shared(ka(0))
         h.load_shared(ka(1))
         assert h.ms == 2
         assert h.ms_by_matrix == [2, 0, 0]
 
     def test_redundant_shared_load_not_counted(self):
-        h = IdealHierarchy(p=1, cs=4, cd=3)
+        h = IdealHierarchy(p=1)
         h.load_shared(ka(0))
         h.load_shared(ka(0))
         assert h.ms == 1
         assert h.redundant_loads == 1
 
     def test_load_distributed_counts_md(self):
-        h = IdealHierarchy(p=2, cs=8, cd=3)
+        h = IdealHierarchy(p=2)
         h.load_shared(ka(0))
         h.load_distributed(0, ka(0))
         h.load_distributed(1, ka(0))
         assert h.md == [1, 1]
 
     def test_snapshot(self):
-        h = IdealHierarchy(p=2, cs=8, cd=3)
+        h = IdealHierarchy(p=2)
         h.load_shared(ka(0))
         h.load_distributed(1, ka(0))
         stats = h.snapshot()
@@ -49,7 +49,7 @@ class TestCounting:
         assert stats.md_per_core == [0, 1]
 
     def test_peak_tracking(self):
-        h = IdealHierarchy(p=1, cs=4, cd=3)
+        h = IdealHierarchy(p=1)
         for i in range(3):
             h.load_shared(ka(i))
         h.evict_shared(ka(0))
@@ -57,20 +57,9 @@ class TestCounting:
         assert len(h.shared_set) == 2
 
 
-class TestCapacityChecks:
-    """The hierarchy counts past a capacity; the residency walk reports
-    the overflow (``capacity/ws-overflow``)."""
-
-    def test_unchecked_mode_allows_overflow(self):
-        h = IdealHierarchy(p=1, cs=1, cd=3)
-        h.load_shared(ka(0))
-        h.load_shared(ka(1))  # over capacity, counted
-        assert h.ms == 2
-
-
 class TestDirtyAndWritebacks:
     def test_distributed_dirty_propagates_on_evict(self):
-        h = IdealHierarchy(p=1, cs=4, cd=3)
+        h = IdealHierarchy(p=1)
         h.load_shared(kc(0))
         h.load_distributed(0, kc(0))
         h.dist_dirty[0].add(kc(0))  # what a multiply-add on C does
@@ -81,7 +70,7 @@ class TestDirtyAndWritebacks:
         assert h.shared_writebacks == 1
 
     def test_clean_eviction_no_writeback(self):
-        h = IdealHierarchy(p=1, cs=4, cd=3)
+        h = IdealHierarchy(p=1)
         h.load_shared(ka(0))
         h.evict_shared(ka(0))
         assert h.shared_writebacks == 0
@@ -91,7 +80,7 @@ class TestPresence:
     """What is resident: :meth:`IdealHierarchy.reset` empties it."""
 
     def test_reset(self):
-        h = IdealHierarchy(p=2, cs=8, cd=3)
+        h = IdealHierarchy(p=2)
         h.load_shared(ka(0))
         h.reset()
         assert h.ms == 0

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C, ROW_SHIFT
+from repro.cache import hierarchy as hierarchy_module
+from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C, ROW_SHIFT, shifted
+from repro.cache.cache import Cache
 from repro.cache.hierarchy import LRUHierarchy
 from repro.exceptions import ConfigurationError
 
@@ -120,7 +122,7 @@ class TestWritebacks:
         # must yield the same shared write-back count.
         from repro.cache.hierarchy import IdealHierarchy
 
-        ideal = IdealHierarchy(p=1, cs=4, cd=1)
+        ideal = IdealHierarchy(p=1)
         ideal.load_shared(kc(0))
         ideal.load_distributed(0, kc(0))
         ideal.dist_dirty[0].add(kc(0))  # a multiply-add wrote it
@@ -322,3 +324,142 @@ class TestRowKernel:
         fresh = LRUHierarchy(p=2, cs=9, cd=4)
         fed(fresh, moved)
         assert fed(advanced, after) == fed(fresh, after)
+
+
+def _fed(rows, cs, cd):
+    """A two-core hierarchy that ran ``rows`` (see ``_ROWS``)."""
+    h = LRUHierarchy(p=2, cs=cs, cd=cd)
+    for core, i, k, kk, cols in rows:
+        h.compute_row(core, ka(i, k), kb(kk), kc(i), cols)
+    return h
+
+
+def _core_events(caches, core, akey, brow, crow, cols):
+    """What a row passes up from the core's cache, per touch semantics:
+    each missed key, after ``~victim`` when the miss evicts a dirty block."""
+    events = []
+    for j in cols:
+        for key, write in ((akey, False), (brow | j, False), (crow | j, True)):
+            hit, victim, dirty = caches[core].access(key, write)
+            if not hit:
+                if dirty:
+                    events.append(~victim)
+                events.append(key)
+    return events
+
+
+def _shared_run(cache, events):
+    """The shared cache's part of touch, event by event."""
+    for key in events:
+        if key < 0:
+            if ~key in cache:
+                cache.dirty.add(~key)
+        else:
+            cache.access(key)
+
+
+def _moved(events, offset):
+    """Events with every key moved by ``offset`` (``~v`` to ``~(v + d)``)."""
+    return [
+        ~shifted([~e], offset)[0] if e < 0 else shifted([e], offset)[0] for e in events
+    ]
+
+
+_EVENTS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.sampled_from((ka, kb, kc)),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    ),
+    max_size=30,
+)
+
+
+class TestSharedReplay:
+    """The split fast-forward's two halves: the logging row kernel and the
+    shared cache's replay of the log."""
+
+    @given(_ROWS, _ROWS, st.integers(1, 6), st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_recorded_rows_run_and_log_what_the_core_caches_pass_up(
+        self, before, rows, cd, cs
+    ):
+        recorded, plain = _fed(before, cs, cd), _fed(before, cs, cd)
+        caches = [Cache(f"core{c}", cd) for c in range(2)]
+        for core, i, k, kk, cols in before:
+            _core_events(caches, core, ka(i, k), kb(kk), kc(i), cols)
+        recorded.log = []
+        expected = []
+        for core, i, k, kk, cols in rows:
+            args = (core, ka(i, k), kb(kk), kc(i), cols)
+            assert recorded.record_row(*args) == plain.compute_row(*args) == len(cols)
+            expected += _core_events(caches, *args)
+        assert recorded.log == expected
+        assert recorded.snapshot() == plain.snapshot()
+        assert recorded.state() == plain.state()
+
+    @given(_ROWS, _EVENTS, st.integers(1, 3), st.integers(1, 6), st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_replay_runs_moved_events_on_the_shared_cache_alone(
+        self, before, drawn, times, cd, cs
+    ):
+        replayed, oracle = _fed(before, cs, cd), _fed(before, cs, cd)
+        events = [~key(i, j) if wb else key(i, j) for wb, key, i, j in drawn]
+        shift = (1, 1 << ROW_SHIFT, (1 << ROW_SHIFT) + 1)
+        cores = replayed.core_state()
+        moved = replayed.replay(events, shift, times)
+        for step in range(1, times + 1):
+            _shared_run(oracle.shared, _moved(events, [step * d for d in shift]))
+        assert moved == _moved(events, [times * d for d in shift])
+        assert replayed.snapshot() == oracle.snapshot()
+        assert replayed.state() == oracle.state()
+        assert replayed.core_state() == cores
+
+    def test_a_dirty_victim_whose_shared_copy_was_evicted(self):
+        # Core 1's row pushes core 0's dirty C[0,0] out of the two-block
+        # shared cache; core 0's next row evicts it from its own cache.
+        def history(h):
+            h.compute_row(0, ka(0), kb(0), kc(0), (0,))
+            h.compute_row(1, ka(1), kb(1), kc(1), (0,))
+
+        recorded, plain, replayed = (LRUHierarchy(p=2, cs=2, cd=3) for _ in range(3))
+        for h in (recorded, plain, replayed):
+            history(h)
+        assert kc(0) not in recorded.shared and kc(0) in recorded.distributed[0].dirty
+        recorded.log = []
+        row = (0, ka(2), kb(2), kc(2), (0,))
+        recorded.record_row(*row)
+        plain.compute_row(*row)
+        assert recorded.log == [ka(2), kb(2), ~kc(0), kc(2)]
+        assert recorded.snapshot() == plain.snapshot()
+        assert recorded.state() == plain.state()
+        # Replayed unmoved, the write-back reaches no shared copy.
+        writebacks = replayed.shared.writebacks
+        replayed.replay(recorded.log, (0, 0, 0), 1)
+        assert replayed.state()[:2] == plain.state()[:2]
+        assert kc(0) not in replayed.shared.dirty
+        assert replayed.shared.writebacks == writebacks == plain.shared.writebacks
+
+    def test_a_log_past_its_bound_is_dropped(self, monkeypatch):
+        monkeypatch.setattr(hierarchy_module, "LOG_LIMIT", 5)
+        rows = [(0, ka(0, k), kb(k), kc(0), range(3)) for k in range(4)]
+        recorded, plain = LRUHierarchy(p=2, cs=8, cd=4), LRUHierarchy(p=2, cs=8, cd=4)
+        recorded.log = []
+        for row in rows:
+            recorded.record_row(*row)
+            plain.compute_row(*row)
+        assert recorded.log is None
+        assert recorded.snapshot() == plain.snapshot()
+        assert recorded.state() == plain.state()
+
+    def test_advance_cores_leaves_the_shared_cache(self):
+        rows = [(0, 1, 1, 1, [0, 1]), (1, 2, 0, 2, [1, 2])]
+        moved, plain = _fed(rows, 9, 4), _fed(rows, 9, 4)
+        shift = (1, 1 << ROW_SHIFT, 1)
+        delta = list(range(1, len(moved.counters()) + 1))
+        moved.advance_cores(delta, shift, set())
+        plain.advance(delta, shift, {0, 1})
+        assert moved.state() == plain.state()
+        assert moved.counters()[:6] == _fed(rows, 9, 4).counters()[:6]
+        assert moved.counters()[6:] == plain.counters()[6:]

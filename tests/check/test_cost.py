@@ -100,7 +100,7 @@ class TestCountingSoundness:
         result = run_experiment(name, MACHINE, m, n, z, "ideal")
         assert counted.ms == result.ms
         assert counted.md_max == result.md
-        hierarchy = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd)
+        hierarchy = IdealHierarchy(MACHINE.p)
         alg.run(IdealContext(hierarchy))
         assert counted.md == tuple(hierarchy.md)
         assert peak_shared == hierarchy.peak_shared

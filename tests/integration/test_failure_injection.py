@@ -105,7 +105,7 @@ class TestCheckedIdealCatchesBugs:
 
     def test_unchecked_mode_tolerates_for_speed(self):
         """The hierarchy counts whatever directives it is given."""
-        hierarchy = IdealHierarchy(MACHINE.p, MACHINE.cs, MACHINE.cd)
+        hierarchy = IdealHierarchy(MACHINE.p)
         SkipsSharedLevel(MACHINE, 8, 8, 8).run(IdealContext(hierarchy))
         assert hierarchy.md[0] == 1
 

@@ -36,11 +36,11 @@ class TestLRUContext:
 
 class TestIdealContext:
     def test_explicit(self):
-        ctx = IdealContext(IdealHierarchy(p=1, cs=16, cd=4))
+        ctx = IdealContext(IdealHierarchy(p=1))
         assert ctx.directives is ctx
 
     def test_directives_forwarded(self):
-        h = IdealHierarchy(p=1, cs=16, cd=4)
+        h = IdealHierarchy(p=1)
         ctx = IdealContext(h)
         key = block_key(MAT_A, 0, 0)
         ctx.load_shared(key)
@@ -51,7 +51,7 @@ class TestIdealContext:
         assert not h.shared_set
 
     def test_compute_marks_c_dirty(self):
-        h = IdealHierarchy(p=1, cs=16, cd=4)
+        h = IdealHierarchy(p=1)
         ctx = IdealContext(h)
         kc, ka, kb = keys(0, 0, 0)
         for key in (ka, kb, kc):
@@ -116,7 +116,7 @@ class TestChainContext:
         b = BlockMatrix.random(4, 4, q=2, seed=1)
         numeric = NumericContext(quad.p, a, b)
         assert_proved(alg)
-        h = IdealHierarchy(quad.p, quad.cs, quad.cd)
+        h = IdealHierarchy(quad.p)
         ideal = IdealContext(h)
         chain = ChainContext([numeric, ideal])
         assert numeric.directives is None

@@ -64,10 +64,7 @@ def _contexts(
     """A fast-forwarding context and its plain oracle over fresh hierarchies
     (``middle`` levels apply to LRU modes only)."""
     if mode == "ideal":
-        return [
-            cls(IdealHierarchy(p, cs, cd))
-            for cls in (IdealContext, PlainIdeal)
-        ]
+        return [cls(IdealHierarchy(p)) for cls in (IdealContext, PlainIdeal)]
     return [
         cls(LRUHierarchy(p, cs, cd, policy=mode, inclusive=inclusive, middle=middle))
         for cls in (LRUContext, PlainLRU)
@@ -311,41 +308,194 @@ class TestSyntheticLoop:
 
 
 # ----------------------------------------------------------------------
+# The split: once the core caches repeat, the shared cache replays alone
+# ----------------------------------------------------------------------
+_MOVES = _SHIFTS[1:]
+
+
+def _run_loop(ctx: Context, prologue, body, shift: Shift, count: int) -> Context:
+    _emit(ctx, prologue, 0, (0, 0, 0))
+    for step in ctx.loop(range(count), shift):
+        _emit(ctx, body, step, shift)
+    return ctx
+
+
+def _splits_recorded(ctx: Context, run):
+    """Run ``run(ctx)``, noting each split as (shift, whether it finished
+    the loop, multiply-adds it replayed)."""
+    splits = []
+    split = LRUContext._split
+
+    def noted(self, iteration, times, shift):
+        replayed = self.replayed
+        finished = yield from split(self, iteration, times, shift)
+        splits.append((shift, finished, self.replayed - replayed))
+        return finished
+
+    with mock.patch.object(LRUContext, "_split", noted):
+        run(ctx)
+    return splits
+
+
+class TestSplit:
+    @given(
+        body=st.lists(
+            st.tuples(
+                st.just("compute"), st.integers(0, 1), st.tuples(_key, _key, _key)
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        shift=st.tuples(*(st.sampled_from(_MOVES) for _ in range(3))),
+        count=st.integers(24, 48),
+        cd=st.integers(1, 3),
+        work=st.sampled_from((0, 1)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_replay_while_the_shared_cache_fills(self, body, shift, count, cd, work):
+        """Every key moves, so each iteration brings the shared cache a
+        block it has not held, and it is too large to fill: the whole
+        state never repeats.  A core cache holds only blocks of its last
+        few iterations, so the core caches do repeat, and the rest of the
+        loop replays the shared cache alone.  ``work`` 1 compares more
+        rarely than every boundary, so that replays run several
+        iterations between comparisons."""
+        fast, plain = _contexts("lru", 2, 3 * len(body) * count, cd, False)
+        with mock.patch.object(contexts, "_WORK_PER_KEY", work):
+            for ctx in (fast, plain):
+                _run_loop(ctx, [], body, shift, count)
+        assert _outcome(fast) == _outcome(plain)
+        assert fast.replayed > 0
+        assert fast.jumped == 0
+
+    def test_no_replay_after_a_nested_fast_forward(self):
+        """The outer loop's core caches repeat over an iteration in which
+        the inner loop ran plainly, so it records the next one; but the
+        inner loop replays there, and the shared events it replayed are
+        missing from the log.  The outer loop must then run on rather than
+        replay what it recorded."""
+        outer = (8 << ROW_SHIFT, 8, 8 << ROW_SHIFT)
+        inner = (0, 0, 1)
+
+        def run(ctx: Context) -> None:
+            for o in ctx.loop(range(5), outer):
+                moved = [base + o * d for base, d in zip(_BASES, outer)]
+                ctx.compute(
+                    0, moved[2] | (3 << ROW_SHIFT) | 1, moved[0] | 2, moved[1] | 1
+                )
+                for k in ctx.loop(range(6), inner):
+                    ctx.compute(
+                        1,
+                        moved[2] + k + ((3 << ROW_SHIFT) | 1),
+                        moved[0] | (3 << ROW_SHIFT) | 2,
+                        moved[1] | 1,
+                    )
+
+        fast, plain = _contexts("lru", 2, 112, 1, False)
+        splits = _splits_recorded(fast, run)
+        run(plain)
+        assert _outcome(fast) == _outcome(plain)
+        # The inner split ends within the outer's recorded iteration.
+        assert [split[:2] for split in splits] == [(inner, True), (outer, False)]
+        assert fast.replayed == splits[0][2] > 0
+
+    def test_an_idle_core_stays_put(self):
+        """Core 0 fills its cache before the loop and idles in it.  Its
+        cache must keep its keys, in order, and its dirty blocks across the
+        replay and the catch-up of the working core's cache."""
+        prologue = [("compute", 0, ((2, r, 0), (0, r, 1), (1, 1, r))) for r in range(3)]
+        body = [("compute", 1, ((2, 0, 0), (0, 0, 0), (1, 0, 0)))]
+        shift = (1, 1 << ROW_SHIFT, 1)
+        fast, plain = _contexts("lru", 2, 400, 3, False)
+        _run_loop(fast, prologue, [], shift, 0)
+        idle = fast.hierarchy.core_state()[2:4]
+        for ctx in (fast, plain):
+            _run_loop(ctx, prologue if ctx is plain else [], body, shift, 40)
+        assert _outcome(fast) == _outcome(plain)
+        assert fast.replayed > 0
+        assert fast.hierarchy.core_state()[2:4] == idle
+
+    def test_a_write_back_after_the_shared_copy_left(self):
+        """Core 0 reads ``C[i + 1, 5]`` an iteration before it writes it,
+        so a block it dirties stays in its cache for three iterations,
+        while core 1's new blocks flush the 16-block shared cache faster.
+        The write-back of ``C[0, 5]`` (iteration 3) still finds its shared
+        copy; from iteration 4 on none does.  The whole state repeats only
+        after that, so the replay runs such a write-back, and must drop it
+        rather than mark or load a block.  Every boundary compares, so the
+        one replayed iteration ends in a jump."""
+        shift = (1 << ROW_SHIFT, 0, 1 << ROW_SHIFT)
+
+        def c(row: int, col: int) -> int:
+            return C_BASE | (row << ROW_SHIFT) | col
+
+        def run(ctx: Context) -> None:
+            for i in ctx.loop(range(12), shift):
+                ctx.compute(1, c(i, 1), A_BASE | (i << ROW_SHIFT), c(i + 1, 0))
+                ctx.compute(0, c(i, 5), c(i + 1, 5), A_BASE | (i << ROW_SHIFT) | 5)
+
+        lost = []
+        replay = LRUHierarchy.replay
+
+        def one_by_one(self, events, shift, times):
+            """Replay an event at a time, noting each write-back of a block
+            the shared cache no longer holds."""
+            for _ in range(times):
+                events = [
+                    ~shifted([~e], shift)[0] if e < 0 else shifted([e], shift)[0]
+                    for e in events
+                ]
+                for event in events:
+                    if event < 0 and ~event not in self.shared:
+                        lost.append(~event)
+                    replay(self, [event], (0, 0, 0), 1)
+            return events
+
+        fast, plain = _contexts("lru", 2, 16, 6, False)
+        with mock.patch.object(contexts, "_WORK_PER_KEY", 0):
+            with mock.patch.object(LRUHierarchy, "replay", one_by_one):
+                run(fast)
+            run(plain)
+        assert _outcome(fast) == _outcome(plain)
+        assert fast.replayed > 0 and fast.jumped > 0
+        assert lost
+
+    @pytest.mark.parametrize(
+        "policy, inclusive, middle",
+        [("fifo", False, ()), ("lru", True, ()), ("lru", False, ((1, 64),))],
+    )
+    def test_only_plain_two_level_lru_splits(self, policy, inclusive, middle):
+        """FIFO, inclusive and cache-tree hierarchies fast-forward only on a
+        whole repeat, as before the split."""
+        hierarchy = LRUHierarchy(2, 400, 3, policy, inclusive, middle)
+        assert not hierarchy.splits
+        ctx = LRUContext(hierarchy)
+        body = [("compute", 1, ((2, 0, 0), (0, 0, 0), (1, 0, 0)))]
+        _run_loop(ctx, [], body, (1, 1 << ROW_SHIFT, 1), 40)
+        assert ctx.replayed == 0
+
+# ----------------------------------------------------------------------
 # The declarations in the shipped schedules engage
 # ----------------------------------------------------------------------
-def _counting(base):
-    class Counting(base):
-        """Counts the multiply-adds that jumps skip, whichever way the
-        simulated ones ran (one ``compute`` or a whole row)."""
-
-        skipped = 0
-
-        def _jump(self, counted, times, shift, still):
-            before = self.comp_total
-            base._jump(self, counted, times, shift, still)
-            self.skipped += self.comp_total - before
-
-        @property
-        def simulated(self):
-            return self.comp_total - self.skipped
-
-    return Counting
+def _simulated(ctx: Context) -> int:
+    """The multiply-adds a counting context ran, whichever way (one
+    ``compute`` or a whole row): those neither jumped nor replayed."""
+    return ctx.comp_total - ctx.jumped - ctx.replayed
 
 
-def _run_counted(name: str, setting: str, order: int):
-    """A square q32 cell on a context that counts simulated multiply-adds."""
+def _run_counted(name: str, setting: str, order: int) -> int:
+    """The multiply-adds a square q32 cell simulates."""
     machine, s = preset("q32"), get_setting(setting)
     alg = get_algorithm(name)(s.declared(machine), order, order, order)
     simulated = s.simulated(machine)
+    ctx: Context
     if s.is_ideal:
-        ctx = _counting(IdealContext)(
-            IdealHierarchy(4, simulated.cs, simulated.cd)
-        )
+        ctx = IdealContext(IdealHierarchy(4))
     else:
-        ctx = _counting(LRUContext)(LRUHierarchy(4, simulated.cs, simulated.cd))
+        ctx = LRUContext(LRUHierarchy(4, simulated.cs, simulated.cd))
     alg.run(ctx)
     assert ctx.comp_total == order**3
-    return ctx
+    return _simulated(ctx)
 
 
 @pytest.mark.parametrize("name", SIX)
@@ -357,7 +507,7 @@ def test_declared_loops_skip_most_multiply_adds(name, setting):
     translate) leaves every multiply-add simulated; it stays exact, so
     only this count shows it.
     """
-    assert _run_counted(name, setting, 64).simulated <= 0.2 * 64**3
+    assert _run_counted(name, setting, 64) <= 0.2 * 64**3
 
 
 @pytest.mark.parametrize(
@@ -368,8 +518,7 @@ def test_outer_product_skips_within_a_k_step(setting, order, share):
     ``k`` step of the outer loop repeats only as a whole, after a full
     sweep of ``C`` has simulated (0.78% of the multiply-adds of both
     cells; 0.01% and 0.25% with it)."""
-    ctx = _run_counted("outer-product", setting, order)
-    assert ctx.simulated <= share * order**3
+    assert _run_counted("outer-product", setting, order) <= share * order**3
 
 
 @pytest.mark.parametrize("policy", ["lru", "fifo"])
@@ -383,12 +532,10 @@ def test_a_ragged_tile_row_that_idles_cores_skips_too(policy):
     alg = get_algorithm("tradeoff")(s.declared(machine), m, n, z)
     assert alg.alpha == 8
     simulated = s.simulated(machine)
-    ctx = _counting(LRUContext)(
-        LRUHierarchy(4, simulated.cs, simulated.cd, policy=policy)
-    )
+    ctx = LRUContext(LRUHierarchy(4, simulated.cs, simulated.cd, policy=policy))
     alg.run(ctx)
     assert ctx.comp_total == m * n * z
-    assert ctx.simulated <= 0.2 * m * n * z
+    assert _simulated(ctx) <= 0.2 * m * n * z
 
 
 def test_a_cache_tree_skips_too():
@@ -419,16 +566,16 @@ def test_nested_skips_on_its_tree():
     order: 52% at order 32, 35% at 48, 26% at 64."""
     machine = MulticoreMachine(p=16, cs=400, cd=21, q=8)
     alg = NestedMaxReuse(machine, 48, 48, 48)
-    ctx = _counting(LRUContext)(alg.default_tree())
+    ctx = LRUContext(alg.default_tree())
     alg.run(ctx)
     assert ctx.comp_total == 48**3
-    assert ctx.simulated < 0.5 * 48**3
+    assert _simulated(ctx) < 0.5 * 48**3
 
 
 @pytest.mark.parametrize("setting", ["lru-50", "ideal"])
 def test_cannon_skips_within_a_band(setting):
     """Cannon declares the ``k`` loop over each core's band of a step."""
-    assert _run_counted("cannon", setting, 64).simulated < 0.5 * 64**3
+    assert _run_counted("cannon", setting, 64) < 0.5 * 64**3
 
 
 def test_a_middle_cache_moves_unless_all_its_cores_idle():
@@ -457,7 +604,7 @@ def test_set_associative_iterate_plainly():
     for ctx in (assoc, plru):
         assert ctx.loop(iterations, shift) is iterations
     for ctx in (
-        IdealContext(IdealHierarchy(1, 8, 4)),
+        IdealContext(IdealHierarchy(1)),
         LRUContext(LRUHierarchy(1, 8, 4, policy="fifo", inclusive=True)),
     ):
         assert ctx.loop(iterations, shift) is not iterations
